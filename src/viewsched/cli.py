@@ -41,6 +41,7 @@ from .branches import (
 from .core import Box3D, CameraRig, DistributionVector, view_of
 from .metrics import EvalConfig, evaluate_frame, summarize
 from .predictors import (
+    FEATURE_WIDTH,
     GBRTParams,
     PerformanceModels,
     accuracy_features,
@@ -126,6 +127,24 @@ _DEFAULT_TRAINING = {
 }
 
 
+def _gbrt_params(training: dict) -> GBRTParams:
+    return GBRTParams(
+        rounds=int(training["rounds"]),
+        max_depth=int(training["max_depth"]),
+        learning_rate=float(training["learning_rate"]),
+        min_samples_leaf=int(training["min_samples_leaf"]),
+    )
+
+
+def _check_seeds(seeds: object) -> None:
+    if (
+        not isinstance(seeds, list)
+        or not seeds
+        or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
+    ):
+        raise ValueError(f"training seeds must be a non-empty list of integers, got {seeds!r}")
+
+
 def load_manifest(
     path: str,
     seed_override: Optional[int] = None,
@@ -168,8 +187,12 @@ def load_manifest(
         sigma = float(data.get("latency_noise_sigma", 0.0))
         margin = float(data.get("sched_margin_ms", 0.0))
         training = {**_DEFAULT_TRAINING, **data.get("training", {})}
+        _check_seeds(training["seeds"])
+        _gbrt_params(training)
         if target_ms <= 0:
             raise ValueError("target_ms must be positive")
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError("alpha must lie in (0, 1]")
     except (ValueError, TypeError, KeyError, ProfileError, CapabilityError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -270,9 +293,11 @@ def build_training_set(
     rig = rig or CameraRig.default()
     eval_config = eval_config or EvalConfig()
     catalog = enumerate_branches()
-    feats: List[np.ndarray] = []
-    targets: List[float] = []
+    rows = sum(len(ep.frames) for ep in episodes) * rig.view_count * len(catalog)
+    feats = np.empty((rows, FEATURE_WIDTH), dtype=np.float64)
+    targets = np.empty(rows, dtype=np.float64)
     counts: List[int] = []
+    row = 0
 
     for ep in episodes:
         rng = rng_stream(ep.scenario.seed, "training")
@@ -307,16 +332,11 @@ def build_training_set(
                         )
                     fe = evaluate_frame(preds, gt_by_view[j], eval_config)
                     ds = summarize([fe], eval_config)["DS"]
-                    feats.append(
-                        accuracy_features(DistributionVector(dist), branch.index, conf)
-                    )
-                    targets.append(float(ds))
+                    feats[row] = accuracy_features(DistributionVector(dist), branch.index, conf)
+                    targets[row] = ds
+                    row += 1
 
-    return (
-        np.asarray(feats, dtype=np.float64),
-        np.asarray(targets, dtype=np.float64),
-        np.asarray(counts, dtype=np.float64),
-    )
+    return feats, targets, np.asarray(counts, dtype=np.float64)
 
 
 def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
@@ -327,13 +347,7 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     forecasts; phase two therefore re-collects under the provisional model's
     own closed-loop policy (long dwells included) and refits on the union.
     """
-    params = GBRTParams(
-        rounds=int(man.training["rounds"]),
-        max_depth=int(man.training["max_depth"]),
-        learning_rate=float(man.training["learning_rate"]),
-        min_samples_leaf=int(man.training["min_samples_leaf"]),
-    )
-
+    params = _gbrt_params(man.training)
     episodes = collect_training_episodes(man)
     x, y, counts = build_training_set(episodes, man.capability)
     update = fit_update_latency(
@@ -361,6 +375,9 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     x_all = np.concatenate([x, x2])
     y_all = np.concatenate([y, y2])
     counts_all = np.concatenate([counts, counts2])
+    n_episodes = len(episodes) + len(on_policy)
+    # the final fit is the memory peak: keep only what it needs alive
+    del x, x2, episodes, on_policy, provisional, on_policy_system
 
     accuracy = train_gbrt(x_all, y_all, params)
     update = fit_update_latency(
@@ -373,7 +390,7 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     mse = accuracy.training_mse[-1] if accuracy.training_mse else var
     info = {
         "samples": int(len(y_all)),
-        "episodes": len(episodes) + len(on_policy),
+        "episodes": n_episodes,
         "seeds": [int(s) for s in man.training["seeds"]],
         "on_policy_seeds": policy_seeds,
         "final_training_mse": mse,

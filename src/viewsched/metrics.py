@@ -145,6 +145,9 @@ def evaluate_frame(
     )
 
 
+_RECALL_GRID = np.linspace(0.0, 1.0, 101)
+
+
 def average_precision(
     frames: Sequence[FrameEval],
     cls: ObjectClass,
@@ -176,15 +179,12 @@ def average_precision(
     recall = tps / npos
     precision = tps / (tps + fps)
 
-    # max precision over all operating points with recall >= r
-    suffix_max = np.maximum.accumulate(precision[::-1])[::-1]
-    grid = np.linspace(0.0, 1.0, 101)
+    # max precision over all operating points with recall >= r; the appended
+    # 0.0 is the precision of grid points beyond the highest recall reached
+    suffix_max = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     start = int(round(config.min_recall * 100)) + 1
-    pts = []
-    for r in grid[start:]:
-        k = int(np.searchsorted(recall, r, side="left"))
-        pts.append(float(suffix_max[k]) if k < len(recall) else 0.0)
-    return float(np.mean(pts))
+    k = np.searchsorted(recall, _RECALL_GRID[start:], side="left")
+    return float(np.mean(suffix_max[k]))
 
 
 def detection_score(m_ap: float, m_ate: float, m_ave: float) -> float:

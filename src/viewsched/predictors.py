@@ -140,77 +140,146 @@ class RegressionTree:
         )
 
 
+# Split search and list partitioning handle at most this many (feature, row)
+# cells at once, which bounds their temporaries to a few MB whatever the node.
+_BLOCK_CELLS = 1 << 18
+
+# A node's presorted lists: for every non-constant column, the node's rows in
+# stable order of that column (int32) and their value codes in the same order.
+# A column's code is the rank of the value among the column's distinct values.
+_NodeLists = Tuple[np.ndarray, np.ndarray]
+
+
+def _blocks(rows: int, width: int) -> List[slice]:
+    step = max(1, _BLOCK_CELLS // width)
+    return [slice(j, j + step) for j in range(0, rows, step)]
+
+
 def _best_split(
-    x: np.ndarray, y: np.ndarray, min_leaf: int
-) -> Optional[Tuple[int, float, np.ndarray]]:
-    """Exact greedy split of one node: (feature, threshold, left mask).
+    y: np.ndarray,
+    idx: np.ndarray,
+    lists: _NodeLists,
+    uniques: Sequence[np.ndarray],
+    min_leaf: int,
+) -> Optional[Tuple[int, float, int]]:
+    """Exact greedy split of one node: (column, threshold, rows sent left).
 
-    Maximizes squared-error reduction; deterministic tie-breaking (lowest
-    feature index, then earliest split point). Returns None when nothing
-    beats the parent.
+    `idx` holds the node's rows in ascending order, so each cumulative sum
+    adds the targets in the order a stable argsort of the node's column
+    would. Only positions where the sorted value changes can split, and only
+    those are scored. Maximizes squared-error reduction; deterministic
+    tie-breaking (lowest column, then earliest split point). Returns None
+    when nothing beats the parent.
     """
-    n, d = x.shape
-    total = float(y.sum())
+    orders, codes = lists
+    n = len(idx)
+    total = float(y[idx].sum())
     parent = total * total / n
+    lo, hi = min_leaf, n - min_leaf  # rows sent left, k, satisfy lo <= k <= hi
     best_gain = 1e-12
-    best: Optional[Tuple[int, float, np.ndarray]] = None
+    best: Optional[Tuple[int, float, int]] = None
 
-    for f in range(d):
-        col = x[:, f]
-        if col.min() == col.max():  # constant feature, nothing to split
+    for blk in _blocks(len(orders), n):
+        cb = codes[blk]
+        cells = np.flatnonzero(cb[:, lo : hi + 1] > cb[:, lo - 1 : hi])
+        if len(cells) == 0:
             continue
-        order = np.argsort(col, kind="stable")
-        xs = col[order]
-        cs = np.cumsum(y[order])
-
-        k = np.arange(1, n)
-        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
-        if not valid.any():
-            continue
-        left_sum = cs[:-1]
+        f, k = np.divmod(cells, hi - lo + 1)
+        k += lo
+        left_sum = np.cumsum(y[orders[blk, : int(k.max())]], axis=1)[f, k - 1]
         score = left_sum**2 / k + (total - left_sum) ** 2 / (n - k)
-        score[~valid] = -np.inf
-        pos = int(np.argmax(score))
-        gain = float(score[pos]) - parent
-        if gain > best_gain:
-            split_k = pos + 1
-            thr = (xs[split_k - 1] + xs[split_k]) / 2.0
-            if thr >= xs[split_k]:  # adjacent floats can collapse the midpoint
-                thr = xs[split_k]
-                thr = float(np.nextafter(thr, -np.inf))
-            mask = col <= thr
-            best_gain = gain
-            best = (f, float(thr), mask)
+        starts = np.flatnonzero(np.diff(f, prepend=-1))
+        gains = np.maximum.reduceat(score, starts) - parent
+        b = int(np.argmax(gains))
+        if gains[b] > best_gain:
+            best_gain = float(gains[b])
+            stop = starts[b + 1] if b + 1 < len(starts) else len(f)
+            c = starts[b] + int(np.argmax(score[starts[b] : stop]))
+            j = blk.start + int(f[c])
+            below = uniques[j][cb[f[c], k[c] - 1]]
+            above = uniques[j][cb[f[c], k[c]]]
+            thr = (below + above) / 2.0
+            if thr >= above:  # adjacent floats can collapse the midpoint
+                thr = float(np.nextafter(above, -np.inf))
+            best = (j, float(thr), int(k[c]))
     return best
 
 
-def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> RegressionTree:
+def _partition(
+    lists: _NodeLists, go_left: np.ndarray, n_left: int, wanted: Sequence[bool]
+) -> List[Optional[_NodeLists]]:
+    """Split a node's lists stably into its (left, right) children's lists.
+
+    `go_left` marks the rows sent left; a child not `wanted` (a leaf) gets
+    None.
+    """
+    d, n = lists[0].shape
+    kids = [
+        tuple(np.empty((d, size), dtype=a.dtype) for a in lists) if want else None
+        for size, want in zip((n_left, n - n_left), wanted)
+    ]
+    for blk in _blocks(d, n):
+        side = go_left.take(lists[0][blk])
+        for kid, sent in zip(kids, (side, ~side)):
+            if kid is not None:
+                cells = np.flatnonzero(sent)
+                for src, dst in zip(lists, kid):
+                    dst[blk] = src[blk].take(cells).reshape(-1, dst.shape[1])
+    return kids
+
+
+def _grow_tree(
+    cols: np.ndarray,
+    uniques: Sequence[np.ndarray],
+    lists: _NodeLists,
+    y: np.ndarray,
+    max_depth: int,
+    min_leaf: int,
+) -> RegressionTree:
+    """Grow one tree from the root's presorted lists.
+
+    List row j is feature `cols[j]`, whose distinct values are `uniques[j]`.
+    Each split partitions every list stably, so a node's lists stay the
+    stable argsorts of its own rows; nodes that will be leaves get no lists.
+    """
     feature: List[int] = []
     threshold: List[float] = []
     left: List[int] = []
     right: List[int] = []
     value: List[float] = []
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    def is_leaf(size: int, depth: int) -> bool:
+        return depth >= max_depth or size < 2 * min_leaf
+
+    def grow(idx: np.ndarray, node_lists: Optional[_NodeLists], depth: int) -> int:
         i = len(feature)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         value.append(float(y[idx].mean()))
-        if depth >= max_depth or len(idx) < 2 * min_leaf:
+        if node_lists is None:
             return i
-        split = _best_split(x[idx], y[idx], min_leaf)
+        split = _best_split(y, idx, node_lists, uniques, min_leaf)
         if split is None:
             return i
-        f, thr, mask = split
-        feature[i] = f
+        j, thr, k = split
+        feature[i] = int(cols[j])
         threshold[i] = thr
-        left[i] = grow(idx[mask], depth + 1)
-        right[i] = grow(idx[~mask], depth + 1)
+        go_left = np.zeros(len(y), dtype=bool)
+        go_left[node_lists[0][j, :k]] = True
+        in_left = go_left[idx]
+        kids = (idx[in_left], idx[~in_left])
+        kid_lists = _partition(
+            node_lists, go_left, k, [not is_leaf(len(kid), depth + 1) for kid in kids]
+        )
+        # popped, so each child's lists are freed once its subtree is grown
+        left[i] = grow(kids[0], kid_lists.pop(0), depth + 1)
+        right[i] = grow(kids[1], kid_lists.pop(0), depth + 1)
         return i
 
-    grow(np.arange(len(y)), 0)
+    n = len(y)
+    grow(np.arange(n), None if is_leaf(n, 0) else lists, 0)
     return RegressionTree(
         np.asarray(feature, dtype=np.int64),
         np.asarray(threshold, dtype=np.float64),
@@ -218,6 +287,26 @@ def _grow_tree(x: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> R
         np.asarray(right, dtype=np.int64),
         np.asarray(value, dtype=np.float64),
     )
+
+
+def _presort(x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray], _NodeLists]:
+    """The root's lists over the non-constant columns of `x`.
+
+    Returns the columns kept, each one's distinct values and the lists.
+    """
+    n = len(x)
+    cols = np.flatnonzero(x.min(axis=0) != x.max(axis=0))
+    orders = np.empty((len(cols), n), dtype=np.int32)
+    codes = np.empty((len(cols), n), dtype=np.min_scalar_type(n - 1))
+    uniques: List[np.ndarray] = []
+    for j, c in enumerate(cols):
+        orders[j] = np.argsort(x[:, c], kind="stable")
+        xs = x[orders[j], c]
+        rises = xs[1:] > xs[:-1]
+        codes[j, 0] = 0
+        np.cumsum(rises, out=codes[j, 1:])
+        uniques.append(xs[np.flatnonzero(np.concatenate(([True], rises)))])
+    return cols, uniques, (orders, codes)
 
 
 @dataclass(frozen=True)
@@ -308,6 +397,12 @@ def train_gbrt(
         raise ValueError("no training samples")
     if np.any(y < 0.0) or np.any(y > 1.0):
         raise ValueError("targets must lie in [0, 1]")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
+
+    # x is fixed across rounds: drop the constant columns (nothing splits
+    # them) and sort each remaining one once
+    cols, uniques, lists = _presort(x)
 
     base = float(y.mean())
     pred = np.full(len(y), base)
@@ -315,7 +410,7 @@ def train_gbrt(
     mse_trace: List[float] = []
     for _ in range(params.rounds):
         resid = y - pred
-        tree = _grow_tree(x, resid, params.max_depth, params.min_samples_leaf)
+        tree = _grow_tree(cols, uniques, lists, resid, params.max_depth, params.min_samples_leaf)
         trees.append(tree)
         pred += params.learning_rate * tree.predict_batch(x)
         mse_trace.append(float(np.mean((y - pred) ** 2)))

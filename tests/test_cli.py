@@ -5,6 +5,7 @@ fixtures; commands that need trained models load them from a file written by
 those fixtures instead of retraining.
 """
 
+import hashlib
 import json
 import os
 
@@ -82,6 +83,34 @@ def test_manifest_missing_keys_rejected(tmp_path):
         load_manifest(str(p))
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"training": {"seeds": 5}},
+        {"training": {"seeds": []}},
+        {"training": {"rounds": 0}},
+        {"alpha": 0},
+    ],
+    ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "alpha-zero"],
+)
+def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
+    data = {
+        "name": "bad",
+        "scenario": "builtin:scenario_quickstart",
+        "device": "builtin:device_orin",
+        "capability": "builtin:capability_default",
+        **override,
+    }
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(ConfigError):
+        load_manifest(str(p))
+    assert main(["train", "--manifest", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration")
+    assert "Traceback" not in err
+
+
 def test_manifest_memory_limit_override(tmp_path):
     data = {
         "name": "tight",
@@ -116,6 +145,17 @@ def test_manifest_relative_references(tmp_path, quickstart_model_file):
 
 
 # -- commands ---------------------------------------------------------------------
+
+
+# SHA-256 of the quickstart predictors as `viewsched train --out` writes them.
+# Any change to the model bytes must be deliberate: update it only together
+# with a note on why the model changed.
+QUICKSTART_MODEL_SHA256 = "ee005382fc929f834ac8633f994710bba6d210a1df659d8d954ccb519ed4d83d"
+
+
+def test_quickstart_model_file_is_byte_identical(quickstart_model_file):
+    with open(quickstart_model_file, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == QUICKSTART_MODEL_SHA256
 
 
 def test_cmd_adapt_reports_deployable_branches(tmp_path):

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewsched.core import Box3D, ObjectClass
 from viewsched.metrics import (
     EvalConfig,
+    FrameEval,
     average_precision,
     detection_score,
     evaluate_frame,
@@ -163,6 +166,79 @@ def test_ap_accumulates_across_frames():
     ap = average_precision([f1, f2], ObjectClass.CAR, 2.0)
     # recall 0.5 at precision 1; grid points above 0.5 read 0
     assert ap == pytest.approx(40.0 / 90.0, abs=1e-9)
+
+
+# Reference implementation: AP as it was before the one-shot grid lookup,
+# one scalar searchsorted per recall-grid point. The lookup must give the
+# same bits.
+
+
+def _reference_average_precision(frames, cls, threshold, config=None):
+    config = config or EvalConfig()
+    npos = sum(f.gt_counts.get(cls, 0) for f in frames)
+    if npos == 0:
+        return None
+
+    records = []
+    for f in frames:
+        records.extend(f.pred_records.get(cls, {}).get(threshold, ()))
+    if not records:
+        return 0.0
+    records.sort(key=lambda r: -r[0])
+
+    tps = np.cumsum([1.0 if tp else 0.0 for _, tp in records])
+    fps = np.cumsum([0.0 if tp else 1.0 for _, tp in records])
+    recall = tps / npos
+    precision = tps / (tps + fps)
+
+    suffix_max = np.maximum.accumulate(precision[::-1])[::-1]
+    grid = np.linspace(0.0, 1.0, 101)
+    start = int(round(config.min_recall * 100)) + 1
+    pts = []
+    for r in grid[start:]:
+        k = int(np.searchsorted(recall, r, side="left"))
+        pts.append(float(suffix_max[k]) if k < len(recall) else 0.0)
+    return float(np.mean(pts))
+
+
+def _frame(gt: int, records) -> FrameEval:
+    cls = ObjectClass.CAR
+    ordered = tuple(sorted(records, key=lambda r: -r[0]))
+    return FrameEval(
+        gt_counts={cls: gt},
+        pred_records={cls: {2.0: ordered}},
+        tp_errors={cls: ()},
+        fp_counts={cls: 0},
+        fn_counts={cls: 0},
+    )
+
+
+_confidences = st.sampled_from([0.1, 0.35, 0.5, 0.5, 0.8, 0.95])  # repeats: ties
+_record = st.tuples(_confidences, st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frames=st.lists(
+        st.tuples(st.integers(0, 6), st.lists(_record, max_size=12)), max_size=5
+    ),
+    kind=st.sampled_from(("mixed", "all_tp", "all_fp", "no_predictions")),
+    min_recall=st.sampled_from((0.0, 0.1)),
+)
+def test_average_precision_matches_the_per_point_reference(frames, kind, min_recall):
+    evals = []
+    for gt, records in frames:
+        if kind == "all_tp":
+            records = [(c, True) for c, _ in records]
+        elif kind == "all_fp":
+            records = [(c, False) for c, _ in records]
+        elif kind == "no_predictions":
+            records = []
+        evals.append(_frame(gt, records))
+    config = EvalConfig(min_recall=min_recall)
+    got = average_precision(evals, ObjectClass.CAR, 2.0, config)
+    want = _reference_average_precision(evals, ObjectClass.CAR, 2.0, config)
+    assert got == want
 
 
 # -- composite score ----------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Accuracy / latency predictor unit tests."""
 
+from typing import List, Optional, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from viewsched import predictors
 from viewsched.branches import default_device_profile
 from viewsched.core import NUM_CATEGORIES, DistributionVector
 from viewsched.predictors import (
@@ -11,6 +16,7 @@ from viewsched.predictors import (
     GBRTParams,
     LinearLatencyModel,
     PerformanceModels,
+    RegressionTree,
     accuracy_features,
     fit_update_latency,
     predict_accuracy,
@@ -110,6 +116,8 @@ def test_gbrt_input_validation():
         train_gbrt(np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError):
         train_gbrt(x, np.zeros(9))
+    with pytest.raises(ValueError):
+        train_gbrt(np.full((10, 3), np.nan), np.zeros(10))
 
 
 def test_gbrt_round_trip_preserves_predictions():
@@ -121,6 +129,209 @@ def test_gbrt_round_trip_preserves_predictions():
     probe = rng.uniform(0.0, 1.0, size=(40, FEATURE_WIDTH))
     assert np.array_equal(model.predict_batch(probe), clone.predict_batch(probe))
     assert predict_accuracy(model, probe[0]) == predict_accuracy(clone, probe[0])
+
+
+# Reference implementation: the split search as it was before the presorted
+# one, which re-sorts every column at every node. The presorted search must
+# build the same trees bit for bit.
+
+
+def _reference_best_split(
+    x: np.ndarray, y: np.ndarray, min_leaf: int
+) -> Optional[Tuple[int, float, np.ndarray]]:
+    n, d = x.shape
+    total = float(y.sum())
+    parent = total * total / n
+    best_gain = 1e-12
+    best: Optional[Tuple[int, float, np.ndarray]] = None
+
+    for f in range(d):
+        col = x[:, f]
+        if col.min() == col.max():  # constant feature, nothing to split
+            continue
+        order = np.argsort(col, kind="stable")
+        xs = col[order]
+        cs = np.cumsum(y[order])
+
+        k = np.arange(1, n)
+        valid = (xs[1:] > xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
+        if not valid.any():
+            continue
+        left_sum = cs[:-1]
+        score = left_sum**2 / k + (total - left_sum) ** 2 / (n - k)
+        score[~valid] = -np.inf
+        pos = int(np.argmax(score))
+        gain = float(score[pos]) - parent
+        if gain > best_gain:
+            split_k = pos + 1
+            thr = (xs[split_k - 1] + xs[split_k]) / 2.0
+            if thr >= xs[split_k]:  # adjacent floats can collapse the midpoint
+                thr = xs[split_k]
+                thr = float(np.nextafter(thr, -np.inf))
+            mask = col <= thr
+            best_gain = gain
+            best = (f, float(thr), mask)
+    return best
+
+
+def _reference_grow_tree(x, y, max_depth, min_leaf) -> RegressionTree:
+    feature: List[int] = []
+    threshold: List[float] = []
+    left: List[int] = []
+    right: List[int] = []
+    value: List[float] = []
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        i = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(y[idx].mean()))
+        if depth >= max_depth or len(idx) < 2 * min_leaf:
+            return i
+        split = _reference_best_split(x[idx], y[idx], min_leaf)
+        if split is None:
+            return i
+        f, thr, mask = split
+        feature[i] = f
+        threshold[i] = thr
+        left[i] = grow(idx[mask], depth + 1)
+        right[i] = grow(idx[~mask], depth + 1)
+        return i
+
+    grow(np.arange(len(y)), 0)
+    return RegressionTree(
+        np.asarray(feature, dtype=np.int64),
+        np.asarray(threshold, dtype=np.float64),
+        np.asarray(left, dtype=np.int64),
+        np.asarray(right, dtype=np.int64),
+        np.asarray(value, dtype=np.float64),
+    )
+
+
+def _reference_train_gbrt(x, y, params: GBRTParams) -> GBRTModel:
+    base = float(y.mean())
+    pred = np.full(len(y), base)
+    trees = []
+    mse_trace = []
+    for _ in range(params.rounds):
+        resid = y - pred
+        tree = _reference_grow_tree(x, resid, params.max_depth, params.min_samples_leaf)
+        trees.append(tree)
+        pred += params.learning_rate * tree.predict_batch(x)
+        mse_trace.append(float(np.mean((y - pred) ** 2)))
+    return GBRTModel(base, params.learning_rate, trees, x.shape[1], mse_trace)
+
+
+_COLUMN_KINDS = ("uniform", "constant", "duplicate", "few_values", "adjacent_floats")
+
+
+def _column(kind: str, rng: np.random.Generator, n: int, previous: List[np.ndarray]):
+    if kind == "constant":
+        return np.full(n, rng.uniform(-1.0, 1.0))
+    if kind == "duplicate" and previous:
+        return previous[int(rng.integers(len(previous)))].copy()
+    if kind == "few_values":
+        return rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+    if kind == "adjacent_floats":
+        # neighbouring doubles: their midpoint rounds onto the upper one
+        base = rng.uniform(-1.0, 1.0)
+        return rng.choice([base, np.nextafter(base, np.inf), 2.0 * abs(base) + 1.0], size=n)
+    return rng.uniform(0.0, 1.0, size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 48),
+    kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=6),
+    leaf=st.sampled_from(("one", "half", "over_half")),
+    rounds=st.integers(1, 4),
+    max_depth=st.integers(1, 4),
+    discrete_targets=st.booleans(),
+    block_cells=st.sampled_from((1, 16, predictors._BLOCK_CELLS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gbrt_matches_the_reference_split_search(
+    n, kinds, leaf, rounds, max_depth, discrete_targets, block_cells, seed
+):
+    rng = np.random.default_rng(seed)
+    columns: List[np.ndarray] = []
+    for kind in kinds:
+        columns.append(_column(kind, rng, n, columns))
+    x = np.column_stack(columns)
+    if discrete_targets:  # ties between split gains
+        y = rng.choice([0.0, 0.5, 1.0], size=n)
+    else:
+        y = rng.uniform(0.0, 1.0, size=n)
+    # min_samples_leaf at its edge: exactly half the rows can still split once
+    min_leaf = {"one": 1, "half": max(1, n // 2), "over_half": n // 2 + 1}[leaf]
+    params = GBRTParams(rounds=rounds, max_depth=max_depth, learning_rate=0.3,
+                        min_samples_leaf=min_leaf)
+    # small blocks split the columns and the lists across several passes
+    saved = predictors._BLOCK_CELLS
+    predictors._BLOCK_CELLS = block_cells
+    try:
+        got = train_gbrt(x, y, params)
+    finally:
+        predictors._BLOCK_CELLS = saved
+    want = _reference_train_gbrt(x, y, params)
+    assert got.to_dict() == want.to_dict()
+    assert got.training_mse == want.training_mse
+
+
+def test_gbrt_matches_the_reference_on_wide_sparse_features():
+    # the shape of the real training set: sparse ratios, one-hot columns, a
+    # constant column and a continuous one, with 16-bit value codes
+    rng = np.random.default_rng(5)
+    n = 3000
+    ratios = rng.dirichlet(np.full(20, 0.2), size=n)
+    ratios[ratios < 0.05] = 0.0
+    one_hot = np.eye(6)[rng.integers(6, size=n)]
+    x = np.column_stack([ratios, one_hot, np.zeros(n), rng.uniform(size=n)])
+    y = np.clip(0.4 * ratios[:, 3] + 0.3 * one_hot[:, 1] + 0.1 * x[:, -1], 0.0, 1.0)
+    params = GBRTParams(rounds=6)
+    got = train_gbrt(x, y, params)
+    want = _reference_train_gbrt(x, y, params)
+    assert got.to_dict() == want.to_dict()
+    assert got.training_mse == want.training_mse
+
+
+def test_gbrt_threshold_between_adjacent_floats():
+    # the midpoint of these neighbouring doubles rounds onto the upper one, so
+    # the threshold must step down to keep the lower group on the left
+    low = np.nextafter(1.0, 2.0)
+    high = np.nextafter(low, 2.0)
+    assert (low + high) / 2.0 == high
+    x = np.array([[low]] * 6 + [[high]] * 6)
+    y = np.array([0.0] * 6 + [1.0] * 6)
+    params = GBRTParams(rounds=2, min_samples_leaf=2)
+    got = train_gbrt(x, y, params)
+    assert got.to_dict() == _reference_train_gbrt(x, y, params).to_dict()
+    assert got.trees[0].threshold[0] == low
+    assert list(got.trees[0].predict_batch(x) > 0) == [False] * 6 + [True] * 6
+
+
+def test_presorted_lists_stay_stable_argsorts_of_each_node():
+    rng = np.random.default_rng(23)
+    n = 400  # long enough that an unstable sort would reorder ties
+    x = np.column_stack([
+        rng.choice([0.0, 0.5, 1.0], size=n),
+        rng.integers(0, 2, size=n).astype(float),
+        rng.uniform(size=n),
+        np.full(n, 0.3),
+    ])
+    cols, uniques, lists = predictors._presort(x)
+    assert list(cols) == [0, 1, 2]
+    go_left = rng.uniform(size=n) < 0.4
+    kids = predictors._partition(lists, go_left, int(go_left.sum()), [True, True])
+    for rows, (orders, codes) in ((np.arange(n), lists),
+                                  (np.flatnonzero(go_left), kids[0]),
+                                  (np.flatnonzero(~go_left), kids[1])):
+        for j, c in enumerate(cols):
+            want = rows[np.argsort(x[rows, c], kind="stable")]
+            assert np.array_equal(orders[j], want)
+            assert np.array_equal(uniques[j][codes[j]], x[want, c])
 
 
 # -- update-latency model -----------------------------------------------------
