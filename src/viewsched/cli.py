@@ -38,7 +38,7 @@ from .branches import (
     enumerate_branches,
     fixed_latency,
 )
-from .core import Box3D, CameraRig, DistributionVector, view_of
+from .core import Box3D, CameraRig, view_of
 from .metrics import EvalConfig, evaluate_frame, summarize
 from .predictors import (
     FEATURE_WIDTH,
@@ -47,6 +47,7 @@ from .predictors import (
     accuracy_features,
     fit_update_latency,
     train_gbrt,
+    view_confidences,
 )
 from .scheduler import InfeasibleError
 from .simulator import (
@@ -187,6 +188,9 @@ def load_manifest(
         sigma = float(data.get("latency_noise_sigma", 0.0))
         margin = float(data.get("sched_margin_ms", 0.0))
         training = {**_DEFAULT_TRAINING, **data.get("training", {})}
+        unknown = sorted(set(training) - set(_DEFAULT_TRAINING))
+        if unknown:
+            raise ValueError(f"unknown training keys {unknown}")
         _check_seeds(training["seeds"])
         _gbrt_params(training)
         if target_ms <= 0:
@@ -310,14 +314,16 @@ def build_training_set(
             fc_by_view: List[List[Box3D]] = [[] for _ in range(rig.view_count)]
             for box, v in zip(log.forecast_boxes, log.forecast_views):
                 fc_by_view[v].append(box)
+            frame_feats = accuracy_features(
+                log.distributions,
+                [b.index for b in catalog],
+                view_confidences(log.forecast_boxes, log.forecast_views, rig.view_count),
+            )
+            # view by view, then branch by branch, like the targets below
+            frame_feats = frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH)
+            feats[row : row + len(frame_feats)] = frame_feats
 
             for j in range(rig.view_count):
-                dist = np.asarray(log.distributions[j], dtype=np.float64)
-                conf = (
-                    float(np.mean([b.confidence for b in fc_by_view[j]]))
-                    if fc_by_view[j]
-                    else 0.0
-                )
                 for branch in catalog:
                     if branch.is_tracker:
                         preds: Sequence[Box3D] = fc_by_view[j]
@@ -331,9 +337,7 @@ def build_training_set(
                             max_range,
                         )
                     fe = evaluate_frame(preds, gt_by_view[j], eval_config)
-                    ds = summarize([fe], eval_config)["DS"]
-                    feats[row] = accuracy_features(DistributionVector(dist), branch.index, conf)
-                    targets[row] = ds
+                    targets[row] = summarize([fe], eval_config)["DS"]
                     row += 1
 
     return feats, targets, np.asarray(counts, dtype=np.float64)

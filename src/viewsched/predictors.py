@@ -15,19 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .branches import (
-    NUM_BRANCHES,
-    DeviceProfile,
-    branch_latency,
-    enumerate_branches,
-    fixed_latency,
-    group_cost,
-)
-from .core import NUM_CATEGORIES, DistributionVector
+from .branches import NUM_BRANCHES
+from .core import NUM_CATEGORIES, Box3D
 
 FEATURE_WIDTH = NUM_CATEGORIES + NUM_BRANCHES + 1  # 80 + 17 + 1
 _CONF_SLOT = NUM_CATEGORIES + NUM_BRANCHES
@@ -36,23 +29,34 @@ MODEL_FORMAT_VERSION = 1
 
 
 def accuracy_features(
-    dist: DistributionVector, branch_index: int, mean_track_confidence: float = 0.0
+    ratios: np.ndarray, branch_indices: Sequence[int], view_confidence: np.ndarray
 ) -> np.ndarray:
-    """Feature vector for one (view, branch) cell.
+    """Feature rows for every (branch, view) cell, shaped (branches, views, width).
 
-    Layout: 80 distribution ratios, 17-wide branch one-hot, then one slot for
-    the mean confidence of tracked objects in the view. The confidence slot
-    is only meaningful for the tracker branch; detection branches carry 0
-    there so the width never varies.
+    `ratios` holds each view's 80 distribution ratios, `branch_indices` the
+    catalog index of each branch and `view_confidence` each view's mean
+    tracked confidence (see `view_confidences`). Layout: 80 ratios, 17-wide
+    branch one-hot, then one slot for the mean confidence. The confidence
+    slot is only meaningful for the tracker branch; detection branches carry
+    0 there so the width never varies.
     """
-    if not 0 <= branch_index < NUM_BRANCHES:
-        raise ValueError(f"branch index out of range: {branch_index}")
-    out = np.zeros(FEATURE_WIDTH, dtype=np.float64)
-    out[:NUM_CATEGORIES] = dist.ratios
-    out[NUM_CATEGORIES + branch_index] = 1.0
-    if branch_index == 0:
-        out[_CONF_SLOT] = mean_track_confidence
+    idx = np.asarray(branch_indices, dtype=np.int64)
+    if np.any(idx < 0) or np.any(idx >= NUM_BRANCHES):
+        raise ValueError(f"branch index out of range: {idx.tolist()}")
+    ratios = np.asarray(ratios, dtype=np.float64)
+    out = np.zeros((len(idx), len(ratios), FEATURE_WIDTH))
+    out[:, :, :NUM_CATEGORIES] = ratios
+    out[np.arange(len(idx)), :, NUM_CATEGORIES + idx] = 1.0
+    out[idx == 0, :, _CONF_SLOT] = view_confidence
     return out
+
+
+def view_confidences(boxes: Sequence[Box3D], views: Sequence[int], view_count: int) -> np.ndarray:
+    """Mean confidence of the boxes in each view; 0 for a view without any."""
+    by_view: List[List[float]] = [[] for _ in range(view_count)]
+    for box, view in zip(boxes, views):
+        by_view[view].append(box.confidence)
+    return np.array([float(np.mean(c)) if c else 0.0 for c in by_view])
 
 
 # -- regression trees -------------------------------------------------------
@@ -417,11 +421,6 @@ def train_gbrt(
     return GBRTModel(base, params.learning_rate, trees, x.shape[1], mse_trace)
 
 
-def predict_accuracy(model: GBRTModel, features: np.ndarray) -> float:
-    """Expected per-view detection score in [0, 1] for one feature vector."""
-    return model.predict(features)
-
-
 # -- latency ----------------------------------------------------------------
 
 
@@ -475,29 +474,6 @@ def fit_update_latency(
         slope_ms_per_track=max(float(coef[1]), 0.0),
         intercept_ms=max(float(coef[0]), 0.0),
     )
-
-
-def predict_frame_latency(
-    assignment: Sequence[int],
-    device: DeviceProfile,
-    update_model: LinearLatencyModel,
-    track_count: int,
-    alpha: float = 1.0,
-) -> float:
-    """Predicted full-frame latency for a view->branch assignment.
-
-    Views running the same branch share a batch (cost via `group_cost`);
-    the fixed per-frame modules and the predicted tracker-update cost are
-    added on top.
-    """
-    catalog = enumerate_branches()
-    counts: Dict[int, int] = {}
-    for idx in assignment:
-        counts[idx] = counts.get(idx, 0) + 1
-    total = fixed_latency(device)
-    for idx, k in sorted(counts.items()):
-        total += group_cost(branch_latency(catalog[idx], device), k, alpha)
-    return total + update_model.predict(track_count)
 
 
 # -- combined bundle ----------------------------------------------------------

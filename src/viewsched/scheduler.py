@@ -34,13 +34,13 @@ from .branches import (
     group_cost,
 )
 from .core import Box3D, CameraRig, DistributionVector, EgoPose, box_to_ego, distribution, view_of
-from .predictors import FEATURE_WIDTH, NUM_CATEGORIES, PerformanceModels
+from .predictors import FEATURE_WIDTH, PerformanceModels, accuracy_features, view_confidences
 from .tracker import KalmanModel, TrackState, forecast_all
 
 logger = logging.getLogger(__name__)
 
 _GRID_PER_MS = 10.0  # DP granularity: 0.1 ms
-_GRID_EPS = 1e-6
+_GRID_EPS = 1e-12  # relative float noise forgiven on an on-grid value
 _MAX_EXACT_BATCH_VIEWS = 8
 _BRUTE_FORCE_LIMIT = 1_000_000
 
@@ -155,19 +155,43 @@ def assignment_latency(
 
 def _weight_units(latency_ms: float) -> int:
     """Latency -> integer grid units, rounding off-grid values up."""
-    return int(math.ceil(latency_ms * _GRID_PER_MS - _GRID_EPS))
+    units = latency_ms * _GRID_PER_MS
+    return int(math.ceil(units - units * _GRID_EPS))
 
 
 def _budget_units(t_max_ms: float, cap: int) -> int:
-    raw = t_max_ms * _GRID_PER_MS + _GRID_EPS
+    raw = t_max_ms * _GRID_PER_MS
+    raw += raw * _GRID_EPS
     if raw >= cap:
         return cap
     return max(int(math.floor(raw)), 0)
 
 
+def _pricing(problem: ScheduleProblem) -> Tuple[float, np.ndarray, int]:
+    """The pricing rule `solve` and `best_uniform` share.
+
+    Returns the effective alpha, the grid price of every batch the solver
+    may form (`prices[k - 1, i]` is branch row i run on k views) and the
+    budget in grid units, capped at the dearest assignment priced view by
+    view. At alpha = 1 merging views never lowers a price, so only
+    single-view batches are priced. Past `_MAX_EXACT_BATCH_VIEWS` views the
+    partition search is too large and alpha < 1 is priced as alpha = 1,
+    which over-estimates every batch.
+    """
+    n = problem.num_views
+    alpha = problem.alpha if n <= _MAX_EXACT_BATCH_VIEWS else 1.0
+    sizes = range(1, n + 1) if alpha < 1.0 else (1,)
+    prices = np.array(
+        [[_weight_units(group_cost(float(v), k, alpha)) for v in problem.latencies_ms]
+         for k in sizes],
+        dtype=np.int64,
+    )
+    return alpha, prices, _budget_units(problem.t_max_ms, int(prices[0].max()) * n)
+
+
 def _dp_assign(
     scores: np.ndarray, weights: np.ndarray, budget: int
-) -> Optional[Tuple[List[int], float]]:
+) -> Optional[List[int]]:
     """Exact grouped knapsack: pick one row per column.
 
     scores, weights are (M, G); weights are integer grid units. Returns the
@@ -215,7 +239,7 @@ def _dp_assign(
                 break
         else:
             raise RuntimeError("DP reconstruction failed; internal invariant broken")
-    return rows, float(stack[0][0][w])
+    return rows
 
 
 def _partitions(items: Sequence[int]):
@@ -235,73 +259,44 @@ def _partitions(items: Sequence[int]):
 def solve(problem: ScheduleProblem) -> ScheduleDecision:
     """Exact solver.
 
-    alpha = 1: plain multiple-choice knapsack on the latency grid. alpha < 1:
-    views sharing a branch get a batching discount, which breaks per-view
-    additivity; for up to 8 views the solver stays exact by enumerating view
-    partitions (a part = views forced onto one batch) and pricing each part
-    as a single knapsack item. Per-part prices over-estimate merged groups
-    when alpha <= 1, so every candidate is truly feasible, and the partition
-    matching the true grouping prices it exactly.
+    Views sharing a branch run as one batch priced by `group_cost`, which is
+    not additive per view when alpha < 1. The solver therefore enumerates
+    view partitions (a part = views forced onto one batch), prices each part
+    as a single item of a multiple-choice knapsack on the latency grid, and
+    keeps the best partition's answer. Per-part prices over-estimate merged
+    groups when alpha <= 1, so every candidate is truly feasible, and the
+    partition matching the true grouping prices it exactly. At alpha = 1 the
+    only partition searched is all singletons; see `_pricing` for the limit
+    on exact batching.
     """
-    m, n = problem.num_branches, problem.num_views
-    weights_item = np.array([_weight_units(v) for v in problem.latencies_ms], dtype=np.int64)
-
-    alpha = problem.alpha
-    if alpha != 1.0 and n > _MAX_EXACT_BATCH_VIEWS:
+    n = problem.num_views
+    alpha, prices, budget = _pricing(problem)
+    if alpha != problem.alpha:
         logger.warning(
             "alpha=%.3f with %d views exceeds the exact-batching limit; pricing without "
             "the batching discount (conservative)",
-            alpha,
+            problem.alpha,
             n,
         )
-        alpha = 1.0
-
-    if alpha == 1.0:
-        cap = int(weights_item.max()) * n
-        budget = _budget_units(problem.t_max_ms, cap)
-        weights = np.repeat(weights_item[:, None], n, axis=1)
-        got = _dp_assign(problem.scores, weights, budget)
-        if got is None:
-            raise InfeasibleError("no branch fits the budget in some view")
-        rows, _ = got
-        assignment = tuple(rows)
-        objective = sum(float(problem.scores[rows[j], j]) for j in range(n))
-        return ScheduleDecision(
-            assignment=assignment,
-            predicted_objective=objective,
-            predicted_latency_ms=assignment_latency(assignment, problem.latencies_ms, problem.alpha),
-        )
-
-    # exact batched mode
+    partitions = _partitions(list(range(n))) if alpha < 1.0 else [[[j] for j in range(n)]]
     best: Optional[Tuple[float, float, Tuple[int, ...]]] = None
-    cap_item = int(max(_weight_units(group_cost(float(v), n, alpha)) for v in problem.latencies_ms))
-    budget = _budget_units(problem.t_max_ms, cap_item * n)
-    for parts in _partitions(list(range(n))):
-        g = len(parts)
-        part_scores = np.empty((m, g))
-        part_weights = np.empty((m, g), dtype=np.int64)
-        for col, part in enumerate(parts):
-            part_scores[:, col] = problem.scores[:, part].sum(axis=1)
-            for i in range(m):
-                part_weights[i, col] = _weight_units(
-                    group_cost(float(problem.latencies_ms[i]), len(part), alpha)
-                )
-        got = _dp_assign(part_scores, part_weights, budget)
-        if got is None:
+    for parts in partitions:
+        rows = _dp_assign(
+            np.array([problem.scores[:, part].sum(axis=1) for part in parts]).T,
+            np.array([prices[len(part) - 1] for part in parts]).T,
+            budget,
+        )
+        if rows is None:
             continue
-        rows, _ = got
         assignment_list = [0] * n
-        for col, part in enumerate(parts):
+        for row, part in zip(rows, parts):
             for j in part:
-                assignment_list[j] = rows[col]
+                assignment_list[j] = row
         assignment = tuple(assignment_list)
         objective = sum(float(problem.scores[assignment[j], j]) for j in range(n))
-        latency = assignment_latency(assignment, problem.latencies_ms, alpha)
-        key = (objective, -latency)
-        if best is None or key > (best[0], best[1]) or (
-            key == (best[0], best[1]) and assignment < best[2]
-        ):
-            best = (objective, -latency, assignment)
+        key = (objective, -assignment_latency(assignment, problem.latencies_ms, problem.alpha))
+        if best is None or key > best[:2] or (key == best[:2] and assignment < best[2]):
+            best = (*key, assignment)
     if best is None:
         raise InfeasibleError("no branch combination fits the budget")
     return ScheduleDecision(
@@ -341,33 +336,15 @@ def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
     """Best same-branch-everywhere assignment under the solver's own
     quantized feasibility rule; None if nothing uniform fits.
 
-    This is the per-frame baseline the adaptive decision must dominate, so
-    the feasibility arithmetic mirrors `solve` exactly.
+    This is the per-frame baseline the adaptive decision must dominate, so a
+    uniform assignment is priced as `solve` prices it: as one batch of all
+    views when batching is discounted, else view by view.
     """
-    m, n = problem.num_branches, problem.num_views
-    weights_item = np.array([_weight_units(v) for v in problem.latencies_ms], dtype=np.int64)
-    if problem.alpha == 1.0:
-        cap = int(weights_item.max()) * n
-        budget = _budget_units(problem.t_max_ms, cap)
-        cost_units = weights_item * n
-    else:
-        cap_item = int(
-            max(
-                _weight_units(group_cost(float(v), n, problem.alpha))
-                for v in problem.latencies_ms
-            )
-        )
-        budget = _budget_units(problem.t_max_ms, cap_item * n)
-        cost_units = np.array(
-            [
-                _weight_units(group_cost(float(v), n, problem.alpha))
-                for v in problem.latencies_ms
-            ],
-            dtype=np.int64,
-        )
-
+    n = problem.num_views
+    alpha, prices, budget = _pricing(problem)
+    cost_units = prices[n - 1] if alpha < 1.0 else prices[0] * n
     best: Optional[Tuple[float, float, int]] = None
-    for i in range(m):
+    for i in range(problem.num_branches):
         if cost_units[i] > budget:
             continue
         objective = sum(float(problem.scores[i, j]) for j in range(n))
@@ -430,22 +407,12 @@ def schedule_frame(
     dists = tuple(distribution(ego_boxes, rig))
     views = tuple(view_of(b.center, rig) for b in ego_boxes)
 
-    n = rig.view_count
-    m = len(branches)
-    conf_by_view = np.zeros(n)
-    for j in range(n):
-        confs = [b.confidence for b, v in zip(ego_boxes, views) if v == j]
-        if confs:
-            conf_by_view[j] = float(np.mean(confs))
-
-    feats = np.zeros((m, n, FEATURE_WIDTH))
-    dist_mat = np.stack([d.ratios for d in dists])  # (N, 80)
-    feats[:, :, :NUM_CATEGORIES] = dist_mat[None, :, :]
-    for i, branch in enumerate(branches):
-        feats[i, :, NUM_CATEGORIES + branch.index] = 1.0
-        if branch.is_tracker:
-            feats[i, :, FEATURE_WIDTH - 1] = conf_by_view
-    raw = models.accuracy.predict_batch(feats.reshape(m * n, FEATURE_WIDTH)).reshape(m, n)
+    feats = accuracy_features(
+        np.stack([d.ratios for d in dists]),
+        [b.index for b in branches],
+        view_confidences(ego_boxes, views, rig.view_count),
+    )
+    raw = models.accuracy.predict_batch(feats.reshape(-1, FEATURE_WIDTH)).reshape(feats.shape[:2])
 
     lats = np.array([branch_latency(b, device) for b in branches])
     norm = normalize_scores(raw, lats)

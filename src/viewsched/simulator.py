@@ -46,7 +46,7 @@ from .core import (
 )
 from .metrics import EvalConfig, FrameEval, evaluate_frame, summarize
 from .predictors import LinearLatencyModel, PerformanceModels
-from .scheduler import FramePlan, assignment_latency, schedule_frame
+from .scheduler import FramePlan, ScheduleDecision, assignment_latency, schedule_frame
 from .tracker import KalmanModel, MultiObjectTracker, TrackerConfig, forecast_all
 
 
@@ -831,6 +831,11 @@ def realized_latency(
     Deterministic profile sums; with sigma > 0 each executed module group and
     the update step draw one multiplicative lognormal factor. With sigma = 0
     no draws happen at all, so enabling noise elsewhere never shifts streams.
+
+    This stands for the device, not for the planner's price
+    (`scheduler.assignment_latency`): it sums per module so that noise can
+    be drawn per module, adds the fixed modules and the true update cost,
+    and its float order defines `actual_ms`.
     """
 
     def noise() -> float:
@@ -893,11 +898,8 @@ def run_episode(
     if fixed_idx is not None and fixed_idx not in row_by_index:
         raise ValueError(f"branch {fixed_idx} is not in the deployed set")
 
-    heavy_row = (
-        max(det_rows, key=lambda r: branch_latency(branches[r], system.device))
-        if det_rows
-        else 0
-    )
+    lats = np.array([branch_latency(b, system.device) for b in branches])
+    heavy_row = max(det_rows, key=lambda r: lats[r]) if det_rows else 0
     tracker = MultiObjectTracker(system.tracker_config, system.kalman, rig)
     true_update = _true_update_model(system.device)
     fixed_ms = fixed_latency(system.device)
@@ -913,6 +915,7 @@ def run_episode(
     for frame in frames:
         n_pre = len(tracker.tracks)
         plan: Optional[FramePlan] = None
+        decision: Optional[ScheduleDecision] = None  # the plan's decision that runs
         warmup = frame.index == 0
 
         if warmup:
@@ -930,11 +933,8 @@ def run_episode(
                 system.kalman,
                 system.alpha,
             )
-            if policy == "adaptive":
-                rows = list(plan.decision.assignment)
-            else:
-                uni = plan.uniform_decision
-                rows = list(uni.assignment) if uni is not None else [0] * n_views
+            decision = plan.decision if policy == "adaptive" else plan.uniform_decision
+            rows = list(decision.assignment) if decision is not None else [0] * n_views
         elif policy == "round_robin":
             # rest each view on the tracker 5 frames out of 12 so collected
             # forecast samples span fresh through several-frames-stale tracks
@@ -1011,68 +1011,36 @@ def run_episode(
         )
         compliant = actual <= system.target_ms + 1e-9
 
-        if plan is not None:
-            predicted_frame = plan.decision.predicted_latency_ms + fixed_ms + plan.update_pred_ms
-            log = FrameLog(
-                index=frame.index,
-                timestamp=frame.timestamp,
-                warmup=warmup,
-                ego=frame.ego,
-                gt_ids=frame.ids,
-                gt_boxes=frame.boxes,
-                track_count_pre=n_pre,
-                assignment=assignment,
-                predicted_objective=plan.decision.predicted_objective,
-                uniform_objective=(
-                    plan.uniform_decision.predicted_objective
-                    if plan.uniform_decision is not None
-                    else None
-                ),
-                predicted_marginal_ms=plan.decision.predicted_latency_ms,
-                t_max_ms=plan.t_max_ms,
-                update_pred_ms=plan.update_pred_ms,
-                predicted_frame_ms=predicted_frame,
-                actual_ms=actual,
-                compliant=compliant,
-                distributions=dists,
-                forecast_boxes=forecast_boxes,
-                forecast_views=forecast_views,
-                detections=tuple(detections_by_view),
-                outputs=tuple(outputs),
-                track_ids=tuple(t.track_id for t in tracker.tracks),
-                track_confidences=tuple(t.confidence for t in tracker.tracks),
-            )
-        else:
-            marginal = assignment_latency(
-                rows,
-                np.array([branch_latency(b, system.device) for b in branches]),
-                system.alpha,
-            )
-            log = FrameLog(
-                index=frame.index,
-                timestamp=frame.timestamp,
-                warmup=warmup,
-                ego=frame.ego,
-                gt_ids=frame.ids,
-                gt_boxes=frame.boxes,
-                track_count_pre=n_pre,
-                assignment=assignment,
-                predicted_objective=None,
-                uniform_objective=None,
-                predicted_marginal_ms=marginal,
-                t_max_ms=None,
-                update_pred_ms=None,
-                predicted_frame_ms=marginal + fixed_ms + update_true_ms,
-                actual_ms=actual,
-                compliant=compliant,
-                distributions=dists,
-                forecast_boxes=forecast_boxes,
-                forecast_views=forecast_views,
-                detections=tuple(detections_by_view),
-                outputs=tuple(outputs),
-                track_ids=tuple(t.track_id for t in tracker.tracks),
-                track_confidences=tuple(t.confidence for t in tracker.tracks),
-            )
+        # the planner's view of the frame that ran; without a plan, the true
+        # update cost stands in for the predicted one
+        marginal = assignment_latency(rows, lats, system.alpha)
+        update_ms = plan.update_pred_ms if plan is not None else update_true_ms
+        uniform = plan.uniform_decision if plan is not None else None
+        log = FrameLog(
+            index=frame.index,
+            timestamp=frame.timestamp,
+            warmup=warmup,
+            ego=frame.ego,
+            gt_ids=frame.ids,
+            gt_boxes=frame.boxes,
+            track_count_pre=n_pre,
+            assignment=assignment,
+            predicted_objective=decision.predicted_objective if decision is not None else None,
+            uniform_objective=uniform.predicted_objective if uniform is not None else None,
+            predicted_marginal_ms=marginal,
+            t_max_ms=plan.t_max_ms if plan is not None else None,
+            update_pred_ms=plan.update_pred_ms if plan is not None else None,
+            predicted_frame_ms=marginal + fixed_ms + update_ms,
+            actual_ms=actual,
+            compliant=compliant,
+            distributions=dists,
+            forecast_boxes=forecast_boxes,
+            forecast_views=forecast_views,
+            detections=tuple(detections_by_view),
+            outputs=tuple(outputs),
+            track_ids=tuple(t.track_id for t in tracker.tracks),
+            track_confidences=tuple(t.confidence for t in tracker.tracks),
+        )
         frame_logs.append(log)
         frame_evals.append(evaluate_frame(log.outputs, frame.boxes, system.eval_config))
 

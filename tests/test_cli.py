@@ -89,9 +89,10 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"training": {"seeds": 5}},
         {"training": {"seeds": []}},
         {"training": {"rounds": 0}},
+        {"training": {"round": 10}},
         {"alpha": 0},
     ],
-    ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "alpha-zero"],
+    ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero"],
 )
 def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
     data = {

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewsched import predictors
-from viewsched.branches import default_device_profile
-from viewsched.core import NUM_CATEGORIES, DistributionVector
+from viewsched.core import NUM_CATEGORIES, Box3D, ObjectClass
 from viewsched.predictors import (
     FEATURE_WIDTH,
     GBRTModel,
@@ -19,47 +18,54 @@ from viewsched.predictors import (
     RegressionTree,
     accuracy_features,
     fit_update_latency,
-    predict_accuracy,
-    predict_frame_latency,
     train_gbrt,
+    view_confidences,
 )
 
 
-def one_hot_dist(bin_index):
-    v = np.zeros(NUM_CATEGORIES)
-    v[bin_index] = 1.0
-    return DistributionVector(v)
+def one_hot_ratios(*bin_indices):
+    """One view per bin index, each with all its mass in that bin."""
+    return np.eye(NUM_CATEGORIES)[list(bin_indices)]
 
 
 # -- feature layout -----------------------------------------------------------
 
 
 def test_feature_vector_layout():
-    d = one_hot_dist(7)
-    f = accuracy_features(d, branch_index=3, mean_track_confidence=0.6)
-    assert f.shape == (FEATURE_WIDTH,)
+    f = accuracy_features(one_hot_ratios(7, 2), [3, 0], np.array([0.6, 0.4]))
+    assert f.shape == (2, 2, FEATURE_WIDTH)  # (branches, views, width)
     assert FEATURE_WIDTH == NUM_CATEGORIES + 17 + 1
-    assert f[7] == 1.0 and f[:NUM_CATEGORIES].sum() == 1.0
-    assert f[NUM_CATEGORIES + 3] == 1.0
-    assert f[NUM_CATEGORIES:NUM_CATEGORIES + 17].sum() == 1.0
+    cell = f[0, 0]
+    assert cell[7] == 1.0 and cell[:NUM_CATEGORIES].sum() == 1.0
+    assert cell[NUM_CATEGORIES + 3] == 1.0
+    assert cell[NUM_CATEGORIES:NUM_CATEGORIES + 17].sum() == 1.0
     # confidence slot is zero for detection branches
-    assert f[-1] == 0.0
+    assert cell[-1] == 0.0
+    # second view, tracker branch
+    assert f[1, 1, 2] == 1.0 and f[1, 1, NUM_CATEGORIES] == 1.0
+    assert f[1, 1, -1] == 0.4
 
 
 def test_confidence_slot_only_for_tracker():
-    d = one_hot_dist(0)
-    tracker_feats = accuracy_features(d, branch_index=0, mean_track_confidence=0.42)
-    assert tracker_feats[-1] == pytest.approx(0.42)
-    det_feats = accuracy_features(d, branch_index=5, mean_track_confidence=0.42)
-    assert det_feats[-1] == 0.0
+    f = accuracy_features(one_hot_ratios(0), [0, 5], np.array([0.42]))
+    assert f[0, 0, -1] == pytest.approx(0.42)
+    assert f[1, 0, -1] == 0.0
 
 
 def test_feature_branch_index_validated():
-    d = one_hot_dist(0)
     with pytest.raises(ValueError):
-        accuracy_features(d, branch_index=17)
+        accuracy_features(one_hot_ratios(0), [17], np.zeros(1))
     with pytest.raises(ValueError):
-        accuracy_features(d, branch_index=-1)
+        accuracy_features(one_hot_ratios(0), [-1], np.zeros(1))
+
+
+def test_view_confidences_are_per_view_means():
+    def box(conf):
+        return Box3D(center=(1.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), velocity=(0.0, 0.0, 0.0),
+                     yaw=0.0, cls=ObjectClass.CAR, confidence=conf)
+
+    got = view_confidences([box(0.2), box(0.9), box(0.4)], [2, 0, 2], 3)
+    assert got.tolist() == [0.9, 0.0, float(np.mean([0.2, 0.4]))]
 
 
 # -- gradient-boosted trees ---------------------------------------------------
@@ -128,7 +134,7 @@ def test_gbrt_round_trip_preserves_predictions():
     clone = GBRTModel.from_dict(model.to_dict())
     probe = rng.uniform(0.0, 1.0, size=(40, FEATURE_WIDTH))
     assert np.array_equal(model.predict_batch(probe), clone.predict_batch(probe))
-    assert predict_accuracy(model, probe[0]) == predict_accuracy(clone, probe[0])
+    assert model.predict(probe[0]) == clone.predict(probe[0])
 
 
 # Reference implementation: the split search as it was before the presorted
@@ -362,41 +368,6 @@ def test_linear_latency_round_trip():
     m = LinearLatencyModel(slope_ms_per_track=0.04, intercept_ms=0.9)
     clone = LinearLatencyModel.from_dict(m.to_dict())
     assert clone.predict(7) == m.predict(7)
-
-
-# -- frame latency prediction --------------------------------------------------
-
-
-def test_predict_frame_latency_matches_hand_computation():
-    device = default_device_profile()
-    update = LinearLatencyModel(slope_ms_per_track=0.05, intercept_ms=1.0)
-    from viewsched.branches import branch_latency, enumerate_branches, fixed_latency
-
-    catalog = enumerate_branches()
-    # three views on branch 1, two on tracker, one on branch 5
-    assignment = [1, 1, 1, 0, 0, 5]
-    got = predict_frame_latency(assignment, device, update, track_count=8)
-    want = (
-        fixed_latency(device)
-        + 3 * branch_latency(catalog[1], device)
-        + branch_latency(catalog[5], device)
-        + 1.0 + 0.05 * 8
-    )
-    assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_predict_frame_latency_batching_discount():
-    device = default_device_profile()
-    update = LinearLatencyModel(0.0, 0.0)
-    from viewsched.branches import branch_latency, enumerate_branches, fixed_latency
-
-    catalog = enumerate_branches()
-    assignment = [2, 2, 2, 2, 2, 2]
-    full = predict_frame_latency(assignment, device, update, 0, alpha=1.0)
-    discounted = predict_frame_latency(assignment, device, update, 0, alpha=0.5)
-    lat = branch_latency(catalog[2], device)
-    assert full == pytest.approx(fixed_latency(device) + 6 * lat)
-    assert discounted == pytest.approx(fixed_latency(device) + lat * (1 + 0.5 * 5))
 
 
 # -- bundle --------------------------------------------------------------------

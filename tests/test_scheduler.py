@@ -1,9 +1,20 @@
 """Assignment-solver and frame-planning unit tests."""
 
+import logging
+from typing import Optional, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from viewsched.branches import default_device_profile, enumerate_branches
+from viewsched import scheduler
+from viewsched.branches import (
+    branch_latency,
+    default_device_profile,
+    enumerate_branches,
+    group_cost,
+)
 from viewsched.core import Box3D, CameraRig, EgoPose, ObjectClass
 from viewsched.predictors import (
     FEATURE_WIDTH,
@@ -13,6 +24,7 @@ from viewsched.predictors import (
 )
 from viewsched.scheduler import (
     InfeasibleError,
+    ScheduleDecision,
     ScheduleProblem,
     assignment_latency,
     best_uniform,
@@ -34,23 +46,40 @@ def stub_models(score=0.5, slope=0.05, intercept=1.0):
     )
 
 
-def dyadic_problem(rng, m, n, alpha=1.0, on_grid=True):
-    """Random instance with exactly-representable scores and latencies.
+DEVICE_LATENCIES = tuple(
+    branch_latency(b, default_device_profile()) for b in enumerate_branches()
+)
 
-    Scores are multiples of 1/1024 so float sums are exact in any order;
-    latencies sit on the solver's 0.1 ms grid (multiples of 0.2 when a
-    batching discount of 0.5 is in play, so group costs stay on-grid too).
+
+@st.composite
+def problems(draw, alpha=st.just(1.0), latencies="on_grid", views=st.integers(1, 4)):
+    """Random instance with scores that are multiples of 1/1024.
+
+    Such scores sum exactly in any order. "on_grid" latencies and budgets sit
+    on the solver's 0.1 ms grid (latencies are multiples of 0.2 under a
+    batching discount, so group costs stay on-grid at alpha = 0.5).
+    "off_grid" latencies and budgets are any floats in [0, 8] and [0, 12];
+    "device" latencies are the default device's branch latencies. Budgets
+    include zero.
     """
-    scores = rng.integers(0, 1025, size=(m, n)) / 1024.0
-    step = 0.2 if alpha != 1.0 else 0.1
-    if on_grid:
-        lats = rng.integers(0, 51, size=m) * step
+    m = draw(st.integers(1, 6))
+    n = draw(views)
+    a = draw(alpha)
+    scores = np.array(draw(st.lists(st.integers(0, 1024), min_size=m * n, max_size=m * n)))
+    if latencies == "on_grid":
+        lats = np.array(draw(st.lists(st.integers(0, 50), min_size=m, max_size=m)))
+        lats = lats * (0.2 if a != 1.0 else 0.1)
+    elif latencies == "off_grid":
+        lats = np.array(draw(st.lists(st.floats(0.0, 8.0), min_size=m, max_size=m)))
     else:
-        lats = rng.uniform(0.0, 8.0, size=m)
-    if rng.random() < 0.7:
+        lats = np.array(draw(st.lists(st.sampled_from(DEVICE_LATENCIES), min_size=m, max_size=m)))
+    if draw(st.booleans()):
         lats[0] = 0.0  # a zero-latency row keeps the instance feasible
-    budget = float(rng.integers(0, 121)) / 10.0
-    return ScheduleProblem(scores, lats, budget, alpha)
+    if latencies == "off_grid":
+        budget = draw(st.floats(0.0, 12.0))
+    else:
+        budget = draw(st.integers(0, 120)) / 10.0
+    return ScheduleProblem(scores.reshape(m, n) / 1024.0, lats, budget, a)
 
 
 # -- solver building blocks ----------------------------------------------------
@@ -87,6 +116,22 @@ def test_effective_budget_floors_at_zero():
         effective_budget(10.0, -1.0, 0.0)
 
 
+def test_assignment_latency_matches_hand_computation_on_device():
+    device = default_device_profile()
+    lats = np.array(DEVICE_LATENCIES)
+    # three views on branch 1, two on tracker, one on branch 5
+    got = assignment_latency([1, 1, 1, 0, 0, 5], lats)
+    catalog = enumerate_branches()
+    want = 3 * branch_latency(catalog[1], device) + branch_latency(catalog[5], device)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_assignment_latency_batching_discount_on_device():
+    lats = np.array(DEVICE_LATENCIES)
+    assert assignment_latency([2] * 6, lats, alpha=1.0) == pytest.approx(6 * lats[2])
+    assert assignment_latency([2] * 6, lats, alpha=0.5) == pytest.approx(lats[2] * (1 + 0.5 * 5))
+
+
 def test_assignment_latency_batches_shared_branches():
     lats = np.array([0.0, 10.0, 4.0])
     assert assignment_latency([1, 1, 2], lats) == pytest.approx(24.0)
@@ -108,53 +153,45 @@ def test_problem_validation():
 # -- exactness against the enumeration twin -------------------------------------
 
 
-def test_solver_matches_bruteforce_on_dyadic_instances():
-    rng = np.random.default_rng(123)
-    for _ in range(60):
-        m = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 5))
-        problem = dyadic_problem(rng, m, n)
-        try:
-            got = solve(problem)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                solve_bruteforce(problem)
-            continue
-        want = solve_bruteforce(problem)
-        assert got.assignment == want.assignment
-        assert got.predicted_objective == want.predicted_objective
-        assert got.predicted_latency_ms == pytest.approx(want.predicted_latency_ms)
+def _assert_matches_bruteforce(problem):
+    try:
+        got = solve(problem)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solve_bruteforce(problem)
+        return
+    want = solve_bruteforce(problem)
+    assert got.assignment == want.assignment
+    assert got.predicted_objective == want.predicted_objective
+    assert got.predicted_latency_ms == pytest.approx(want.predicted_latency_ms)
 
 
-def test_solver_matches_bruteforce_with_batching_discount():
-    rng = np.random.default_rng(321)
-    for _ in range(40):
-        m = int(rng.integers(2, 6))
-        n = int(rng.integers(2, 5))
-        problem = dyadic_problem(rng, m, n, alpha=0.5)
-        try:
-            got = solve(problem)
-        except InfeasibleError:
-            with pytest.raises(InfeasibleError):
-                solve_bruteforce(problem)
-            continue
-        want = solve_bruteforce(problem)
-        assert got.assignment == want.assignment
-        assert got.predicted_objective == want.predicted_objective
+@settings(max_examples=150, deadline=None)
+@given(problems())
+def test_solver_matches_bruteforce_on_dyadic_instances(problem):
+    _assert_matches_bruteforce(problem)
 
 
-def test_solver_result_is_always_truly_feasible_off_grid():
+@settings(max_examples=100, deadline=None)
+@given(problems(alpha=st.just(0.5)))
+def test_solver_matches_bruteforce_with_batching_discount(problem):
+    _assert_matches_bruteforce(problem)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(alpha=st.sampled_from([1.0, 0.5]), latencies="off_grid"))
+@example(ScheduleProblem(np.zeros((2, 2)), np.array([1.0, 1e-9]), 0.0))  # just off the grid
+def test_solver_result_is_always_truly_feasible_off_grid(problem):
     # latencies off the 0.1 ms grid round conservatively: the returned
     # assignment's true latency never exceeds the budget
-    rng = np.random.default_rng(77)
-    for _ in range(40):
-        problem = dyadic_problem(rng, int(rng.integers(2, 7)),
-                                 int(rng.integers(1, 5)), on_grid=False)
-        try:
-            got = solve(problem)
-        except InfeasibleError:
-            continue
-        assert got.predicted_latency_ms <= problem.t_max_ms + 1e-9
+    try:
+        got = solve(problem)
+    except InfeasibleError:
+        return
+    assert got.predicted_latency_ms <= problem.t_max_ms + 1e-9
+    assert got.predicted_latency_ms == assignment_latency(
+        got.assignment, problem.latencies_ms, problem.alpha
+    )
 
 
 def test_solver_prefers_lower_latency_then_lex_smallest_on_ties():
@@ -209,17 +246,154 @@ def test_best_uniform_is_best_single_branch():
     assert best_uniform(no_zero) is None
 
 
-def test_adaptive_dominates_uniform_structurally():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        problem = dyadic_problem(rng, int(rng.integers(2, 7)), int(rng.integers(2, 5)))
-        try:
-            adaptive = solve(problem)
-        except InfeasibleError:
+@settings(max_examples=150, deadline=None)
+@given(
+    problems(
+        alpha=st.sampled_from([1.0, 0.5]),
+        latencies="off_grid",
+        views=st.one_of(st.integers(1, 5), st.integers(9, 10)),
+    )
+)
+def test_adaptive_dominates_uniform_structurally(problem):
+    # past the exact-batching limit too, where alpha < 1 is priced as 1
+    try:
+        adaptive = solve(problem)
+    except InfeasibleError:
+        assert best_uniform(problem) is None
+        return
+    uniform = best_uniform(problem)
+    if uniform is not None:
+        assert adaptive.predicted_objective >= uniform.predicted_objective
+
+
+def test_batching_fallback_past_the_exact_limit(caplog):
+    # 9 views at alpha = 0.5: both solvers must price without the discount
+    problem = ScheduleProblem(
+        np.array([[0.0] * 9, [1.0] * 9]), np.array([0.0, 1.0]), 6.0, alpha=0.5
+    )
+    got = solve(problem)
+    assert assignment_latency(got.assignment, problem.latencies_ms, 0.5) <= 6.0
+    assert got.predicted_objective == 6.0
+    assert got.predicted_objective >= best_uniform(problem).predicted_objective
+
+    rig = CameraRig.default(9)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="viewsched.scheduler"):
+        schedule_frame(make_tracks([(20.0, 0.0)]), 0.1, EgoPose(0, 0, 0, 0), rig,
+                       enumerate_branches()[:6], default_device_profile(),
+                       stub_models(), 33.0, alpha=0.5)
+    fallbacks = [r for r in caplog.records if "exact-batching limit" in r.getMessage()]
+    assert len(fallbacks) == 1
+
+
+# The solver and best_uniform as they were before they shared one pricing
+# rule (`_pricing`): alpha = 1 had its own DP set-up and best_uniform its own
+# grid arithmetic. Wherever the old code is right (every alpha = 1 instance,
+# and alpha < 1 up to the exact-batching limit) the new code must agree with
+# it field for field, off the grid as well, where brute force cannot judge.
+
+
+def _parent_solve(problem: ScheduleProblem) -> ScheduleDecision:
+    m, n = problem.num_branches, problem.num_views
+    weights_item = np.array(
+        [scheduler._weight_units(v) for v in problem.latencies_ms], dtype=np.int64
+    )
+    alpha = problem.alpha
+    if alpha != 1.0 and n > scheduler._MAX_EXACT_BATCH_VIEWS:
+        alpha = 1.0
+    if alpha == 1.0:
+        budget = scheduler._budget_units(problem.t_max_ms, int(weights_item.max()) * n)
+        weights = np.repeat(weights_item[:, None], n, axis=1)
+        rows = scheduler._dp_assign(problem.scores, weights, budget)
+        if rows is None:
+            raise InfeasibleError("no branch fits the budget in some view")
+        assignment = tuple(rows)
+        return ScheduleDecision(
+            assignment=assignment,
+            predicted_objective=sum(float(problem.scores[rows[j], j]) for j in range(n)),
+            predicted_latency_ms=assignment_latency(
+                assignment, problem.latencies_ms, problem.alpha
+            ),
+        )
+    best: Optional[Tuple[float, float, Tuple[int, ...]]] = None
+    cap_item = int(max(scheduler._weight_units(group_cost(float(v), n, alpha))
+                       for v in problem.latencies_ms))
+    budget = scheduler._budget_units(problem.t_max_ms, cap_item * n)
+    for parts in scheduler._partitions(list(range(n))):
+        g = len(parts)
+        part_scores = np.empty((m, g))
+        part_weights = np.empty((m, g), dtype=np.int64)
+        for col, part in enumerate(parts):
+            part_scores[:, col] = problem.scores[:, part].sum(axis=1)
+            for i in range(m):
+                part_weights[i, col] = scheduler._weight_units(
+                    group_cost(float(problem.latencies_ms[i]), len(part), alpha)
+                )
+        rows = scheduler._dp_assign(part_scores, part_weights, budget)
+        if rows is None:
             continue
-        uniform = best_uniform(problem)
-        if uniform is not None:
-            assert adaptive.predicted_objective >= uniform.predicted_objective
+        assignment_list = [0] * n
+        for col, part in enumerate(parts):
+            for j in part:
+                assignment_list[j] = rows[col]
+        assignment = tuple(assignment_list)
+        objective = sum(float(problem.scores[assignment[j], j]) for j in range(n))
+        latency = assignment_latency(assignment, problem.latencies_ms, alpha)
+        key = (objective, -latency)
+        if best is None or key > (best[0], best[1]) or (
+            key == (best[0], best[1]) and assignment < best[2]
+        ):
+            best = (objective, -latency, assignment)
+    if best is None:
+        raise InfeasibleError("no branch combination fits the budget")
+    return ScheduleDecision(best[2], best[0], -best[1])
+
+
+def _parent_best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
+    m, n = problem.num_branches, problem.num_views
+    weights_item = np.array(
+        [scheduler._weight_units(v) for v in problem.latencies_ms], dtype=np.int64
+    )
+    if problem.alpha == 1.0:
+        budget = scheduler._budget_units(problem.t_max_ms, int(weights_item.max()) * n)
+        cost_units = weights_item * n
+    else:
+        cost_units = np.array(
+            [scheduler._weight_units(group_cost(float(v), n, problem.alpha))
+             for v in problem.latencies_ms],
+            dtype=np.int64,
+        )
+        budget = scheduler._budget_units(problem.t_max_ms, int(cost_units.max()) * n)
+    best: Optional[Tuple[float, float, int]] = None
+    for i in range(m):
+        if cost_units[i] > budget:
+            continue
+        objective = sum(float(problem.scores[i, j]) for j in range(n))
+        latency = assignment_latency([i] * n, problem.latencies_ms, problem.alpha)
+        if best is None or (objective, -latency) > (best[0], best[1]):
+            best = (objective, -latency, i)
+    if best is None:
+        return None
+    return ScheduleDecision(tuple([best[2]] * n), best[0], -best[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["on_grid", "off_grid", "device"]).flatmap(
+        lambda lats: problems(
+            alpha=st.sampled_from([1.0, 0.7, 0.5, 0.3]), latencies=lats, views=st.integers(1, 6)
+        )
+    )
+)
+def test_solve_and_best_uniform_match_the_parent_pricing(problem):
+    try:
+        want = _parent_solve(problem)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            solve(problem)
+    else:
+        assert solve(problem) == want
+    assert best_uniform(problem) == _parent_best_uniform(problem)
 
 
 # -- frame-level planning --------------------------------------------------------

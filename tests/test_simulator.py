@@ -6,8 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from viewsched.branches import branch_by_label, default_device_profile, enumerate_branches
+from viewsched.branches import (
+    adapt,
+    branch_by_label,
+    branch_latency,
+    default_device_profile,
+    enumerate_branches,
+    fixed_latency,
+)
 from viewsched.core import Box3D, CameraRig, CategoryLevel, ObjectClass, categorize
+from viewsched.scheduler import assignment_latency
 from viewsched.simulator import (
     CapabilityError,
     CapabilityProfile,
@@ -471,6 +479,26 @@ def test_run_episode_warmup_uses_heaviest_deployed_branch():
     ep = run_episode(cfg, system, policy="all_tracker")
     # heaviest of the deployed set (tracker + indices 1..5) is branch 5
     assert ep.frames[0].assignment == (5,) * system.rig.view_count
+
+
+@pytest.mark.parametrize("policy", ["adaptive", "per_frame"])
+def test_run_episode_logs_the_plan_it_ran(quickstart_manifest, quickstart_trained, policy):
+    man = quickstart_manifest
+    system = SystemConfig(branches=adapt(man.device, man.target_ms), device=man.device,
+                          capability=man.capability, models=quickstart_trained[0],
+                          target_ms=man.target_ms)
+    ep = run_episode(man.scenario, system, policy=policy)
+    lats = np.array([branch_latency(b, man.device) for b in system.branches])
+    row_of = {b.index: r for r, b in enumerate(system.branches)}
+    for f in ep.scheduled_frames:
+        rows = [row_of[i] for i in f.assignment]
+        assert f.predicted_marginal_ms == assignment_latency(rows, lats, system.alpha)
+        assert f.predicted_frame_ms == (
+            f.predicted_marginal_ms + fixed_latency(man.device) + f.update_pred_ms
+        )
+        if policy == "per_frame":
+            assert len(set(f.assignment)) == 1
+            assert f.predicted_objective == f.uniform_objective
 
 
 def test_system_config_validation():
