@@ -119,6 +119,11 @@ class RunManifest:
     fingerprint: str  # sha256 over the fully resolved configuration
 
 
+_MANIFEST_KEYS = frozenset((
+    "version", "name", "scenario", "device", "capability", "model", "target_ms", "alpha",
+    "latency_noise_sigma", "sched_margin_ms", "memory_limit_mb", "training",
+))
+
 _DEFAULT_TRAINING = {
     "seeds": [101, 202],
     "rounds": 80,
@@ -164,6 +169,9 @@ def load_manifest(
         data = _load_ref(os.path.abspath(path), base_dir)
     if not isinstance(data, dict):
         raise ConfigError("manifest must be a JSON object")
+    unknown = sorted(set(data) - _MANIFEST_KEYS)
+    if unknown:
+        raise ConfigError(f"invalid configuration: unknown manifest keys {unknown}")
 
     try:
         scenario_dict = _load_ref(data["scenario"], base_dir)
@@ -317,7 +325,9 @@ def build_training_set(
             frame_feats = accuracy_features(
                 log.distributions,
                 [b.index for b in catalog],
-                view_confidences(log.forecast_boxes, log.forecast_views, rig.view_count),
+                view_confidences(
+                    [b.confidence for b in log.forecast_boxes], log.forecast_views, rig.view_count
+                ),
             )
             # view by view, then branch by branch, like the targets below
             frame_feats = frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH)
@@ -407,7 +417,10 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
 
 def _get_models(man: RunManifest) -> PerformanceModels:
     if man.model_path and os.path.exists(man.model_path):
-        return PerformanceModels.load(man.model_path)
+        try:
+            return PerformanceModels.load(man.model_path)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"model file {man.model_path!r} is invalid: {exc}") from exc
     if man.model_path:
         raise ConfigError(f"model file {man.model_path!r} does not exist")
     logger.info("no model in manifest; training in-process")

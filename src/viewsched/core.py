@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -111,6 +111,10 @@ class CameraRig:
             raise ValueError("rig needs at least one sector")
         self._sectors = tuple((float(lo), float(hi)) for lo, hi in sectors)
         self._validate_partition()
+        lo, hi = np.array(self._sectors).T
+        self._lo, self._hi = lo[:, None], hi[:, None]
+        self._by_start = np.argsort(lo, kind="stable")
+        self._starts = lo[self._by_start]
 
     @classmethod
     def default(cls, view_count: int = 6) -> "CameraRig":
@@ -183,10 +187,32 @@ class CameraRig:
                 break
         return best
 
+    def views_of_angles(self, angles: np.ndarray) -> np.ndarray:
+        """`view_of_angle` of every angle at once, float-gap fallback included."""
+        a = np.fmod(np.asarray(angles, dtype=np.float64), TWO_PI)
+        a = np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a))
+        a[a == math.pi] = -math.pi
+        lo, hi = self._lo, self._hi
+        inside = np.where(lo < hi, (lo <= a) & (a < hi), (a >= lo) | (a < hi))
+        below = self._by_start[np.searchsorted(self._starts, a, side="right") - 1]
+        return np.where(inside.any(axis=0), inside.argmax(axis=0), below)
+
 
 def view_of(center: Tuple[float, float, float], rig: CameraRig) -> int:
     """View index whose sector contains the box center's bearing."""
     return rig.view_of_angle(math.atan2(center[1], center[0]))
+
+
+# Box rows: boxes as arrays, one row each, laid out as (x, y, z, vx, vy, vz,
+# w, h, l) like the tracker's state. The functions below give the same bits
+# as their per-box counterparts; bearings and planar norms go through `math`,
+# whose atan2 and hypot NumPy's do not always match.
+
+
+def views_of(rows: np.ndarray, rig: CameraRig) -> np.ndarray:
+    """`view_of` of every row's center."""
+    angles = list(map(math.atan2, rows[:, 1].tolist(), rows[:, 0].tolist()))
+    return rig.views_of_angles(np.array(angles, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -268,17 +294,30 @@ class DistributionVector:
         return cls(np.zeros(NUM_CATEGORIES))
 
 
-def distribution(boxes: Iterable[Box3D], rig: CameraRig) -> List[DistributionVector]:
-    """Per-view category distributions for a set of boxes (one ego frame).
+def category_indices(rows: np.ndarray) -> np.ndarray:
+    """`categorize(box).index` of every box row."""
+    distance = list(map(math.hypot, rows[:, 0].tolist(), rows[:, 1].tolist()))
+    speed = list(map(math.hypot, rows[:, 3].tolist(), rows[:, 4].tolist()))
+    volume = rows[:, 6] * rows[:, 7] * rows[:, 8]
+    return (
+        np.searchsorted(DISTANCE_EDGES_M, distance, side="right")
+        + NUM_DISTANCE_LEVELS * np.searchsorted(VELOCITY_EDGES_MPS, speed, side="right")
+        + NUM_DISTANCE_LEVELS
+        * NUM_VELOCITY_LEVELS
+        * np.searchsorted(SIZE_EDGES_M3, volume, side="right")
+    )
 
-    A view with no boxes gets the all-zero vector. Each object contributes
-    1/count to its category bin within its view, so every non-empty vector
-    sums to 1 exactly up to float rounding.
+
+def distribution(rows: np.ndarray, views: np.ndarray, view_count: int) -> List[DistributionVector]:
+    """Per-view category distributions for a set of box rows (one ego frame).
+
+    `views` holds each row's view. A view with no boxes gets the all-zero
+    vector. Each object contributes 1/count to its category bin within its
+    view, so every non-empty vector sums to 1 exactly up to float rounding.
     """
-    counts = np.zeros((rig.view_count, NUM_CATEGORIES), dtype=np.float64)
-    for box in boxes:
-        view = view_of(box.center, rig)
-        counts[view, categorize(box).index] += 1.0
+    cells = np.asarray(views, dtype=np.int64) * NUM_CATEGORIES + category_indices(rows)
+    counts = np.bincount(cells, minlength=view_count * NUM_CATEGORIES).astype(np.float64)
+    counts = counts.reshape(view_count, NUM_CATEGORIES)
     out: List[DistributionVector] = []
     for row in counts:
         total = row.sum()
@@ -293,19 +332,9 @@ def ego_transform(box: Box3D, from_pose: EgoPose, to_pose: EgoPose) -> Box3D:
     rotate (velocity is a free vector; no ego-motion subtraction), z and size
     pass through.
     """
-    cf, sf = math.cos(from_pose.yaw), math.sin(from_pose.yaw)
-    gx = from_pose.x + cf * box.center[0] - sf * box.center[1]
-    gy = from_pose.y + sf * box.center[0] + cf * box.center[1]
-    gvx = cf * box.velocity[0] - sf * box.velocity[1]
-    gvy = sf * box.velocity[0] + cf * box.velocity[1]
-
-    ct, st = math.cos(to_pose.yaw), math.sin(to_pose.yaw)
-    dx, dy = gx - to_pose.x, gy - to_pose.y
-    nx = ct * dx + st * dy
-    ny = -st * dx + ct * dy
-    nvx = ct * gvx + st * gvy
-    nvy = -st * gvx + ct * gvy
-
+    nx, ny, nvx, nvy = _planar_transform(
+        box.center[0], box.center[1], box.velocity[0], box.velocity[1], from_pose, to_pose
+    )
     return Box3D(
         center=(nx, ny, box.center[2]),
         size=box.size,
@@ -314,6 +343,36 @@ def ego_transform(box: Box3D, from_pose: EgoPose, to_pose: EgoPose) -> Box3D:
         cls=box.cls,
         confidence=box.confidence,
     )
+
+
+def _planar_transform(x, y, vx, vy, from_pose: EgoPose, to_pose: EgoPose):
+    """`ego_transform`'s planar arithmetic, on floats or elementwise on arrays.
+
+    Both evaluate the same float operations in the same order, so a box row
+    and a `Box3D` move to the same bits.
+    """
+    cf, sf = math.cos(from_pose.yaw), math.sin(from_pose.yaw)
+    gx = from_pose.x + cf * x - sf * y
+    gy = from_pose.y + sf * x + cf * y
+    gvx = cf * vx - sf * vy
+    gvy = sf * vx + cf * vy
+
+    ct, st = math.cos(to_pose.yaw), math.sin(to_pose.yaw)
+    dx, dy = gx - to_pose.x, gy - to_pose.y
+    nx = ct * dx + st * dy
+    ny = -st * dx + ct * dy
+    nvx = ct * gvx + st * gvy
+    nvy = -st * gvx + ct * gvy
+    return nx, ny, nvx, nvy
+
+
+def rows_to_ego(rows: np.ndarray, pose: EgoPose) -> np.ndarray:
+    """`box_to_ego` of every global-frame box row."""
+    out = np.array(rows, dtype=np.float64)
+    out[:, 0], out[:, 1], out[:, 3], out[:, 4] = _planar_transform(
+        out[:, 0], out[:, 1], out[:, 3], out[:, 4], GLOBAL_FRAME, pose
+    )
+    return out
 
 
 def box_to_global(box: Box3D, pose: EgoPose) -> Box3D:

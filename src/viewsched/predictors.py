@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .branches import NUM_BRANCHES
-from .core import NUM_CATEGORIES, Box3D
+from .core import NUM_CATEGORIES
 
 FEATURE_WIDTH = NUM_CATEGORIES + NUM_BRANCHES + 1  # 80 + 17 + 1
 _CONF_SLOT = NUM_CATEGORIES + NUM_BRANCHES
@@ -51,97 +51,69 @@ def accuracy_features(
     return out
 
 
-def view_confidences(boxes: Sequence[Box3D], views: Sequence[int], view_count: int) -> np.ndarray:
-    """Mean confidence of the boxes in each view; 0 for a view without any."""
-    by_view: List[List[float]] = [[] for _ in range(view_count)]
-    for box, view in zip(boxes, views):
-        by_view[view].append(box.confidence)
-    return np.array([float(np.mean(c)) if c else 0.0 for c in by_view])
+def view_confidences(
+    confidences: Sequence[float], views: Sequence[int], view_count: int
+) -> np.ndarray:
+    """Mean confidence of the objects in each view; 0 for a view without any."""
+    conf = np.asarray(confidences, dtype=np.float64)
+    views = np.asarray(views)
+    out = np.zeros(view_count)
+    for v in range(view_count):
+        here = conf[views == v]
+        if len(here):
+            out[v] = here.mean()
+    return out
 
 
 # -- regression trees -------------------------------------------------------
 
 
-class RegressionTree:
-    """One axis-aligned regression tree stored as flat node arrays.
+class TreeNodes(NamedTuple):
+    """The nodes of every tree of an ensemble, stacked into flat arrays.
 
-    Internal nodes route x[feature] <= threshold to `left`; leaves have
-    feature == -1 and carry their value in `value`.
+    Internal node i routes x[feature[i]] <= threshold[i] to node `left[i]`,
+    otherwise to node `right[i]`; leaves have feature == -1 and carry their
+    value in `value`. Child indices are global, so a tree is the set of nodes
+    reachable from its root, and every child comes after its parent.
     """
 
-    def __init__(
-        self,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        value: np.ndarray,
-    ):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
-        self.value = value
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        n = x.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            nd = node[rows]
-            go_left = x[rows, feat[rows]] <= self.threshold[nd]
-            node[rows] = np.where(go_left, self.left[nd], self.right[nd])
-        return self.value[node]
 
-    def to_dict(self) -> dict:
-        def build(i: int) -> dict:
-            if self.feature[i] < 0:
-                return {"leaf_value": float(self.value[i])}
-            return {
-                "feature_index": int(self.feature[i]),
-                "threshold": float(self.threshold[i]),
-                "left": build(int(self.left[i])),
-                "right": build(int(self.right[i])),
-            }
+# TreeNodes as the Python lists that trees are grown or parsed into
+_NodeColumns = Tuple[List[int], List[float], List[int], List[int], List[float]]
 
-        return build(0)
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "RegressionTree":
-        feature: List[int] = []
-        threshold: List[float] = []
-        left: List[int] = []
-        right: List[int] = []
-        value: List[float] = []
+def _add_leaf(columns: _NodeColumns, value: float) -> int:
+    """Append a leaf node; a caller that splits it sets its other columns."""
+    feature, threshold, left, right, values = columns
+    feature.append(-1)
+    threshold.append(0.0)
+    left.append(-1)
+    right.append(-1)
+    values.append(value)
+    return len(feature) - 1
 
-        def walk(node: Mapping) -> int:
-            i = len(feature)
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            if "leaf_value" in node:
-                value[i] = float(node["leaf_value"])
-            else:
-                feature[i] = int(node["feature_index"])
-                threshold[i] = float(node["threshold"])
-                left[i] = walk(node["left"])
-                right[i] = walk(node["right"])
-            return i
 
-        walk(data)
-        return cls(
-            np.asarray(feature, dtype=np.int64),
-            np.asarray(threshold, dtype=np.float64),
-            np.asarray(left, dtype=np.int64),
-            np.asarray(right, dtype=np.int64),
-            np.asarray(value, dtype=np.float64),
-        )
+def _stack(columns: _NodeColumns) -> TreeNodes:
+    dtypes = (np.int64, np.float64, np.int64, np.int64, np.float64)
+    return TreeNodes(*(np.asarray(c, dtype=d) for c, d in zip(columns, dtypes)))
+
+
+def _parse_tree(node: Mapping, columns: _NodeColumns) -> int:
+    """Append one serialized tree's nodes in preorder; returns its root."""
+    if "leaf_value" in node:
+        return _add_leaf(columns, float(node["leaf_value"]))
+    i = _add_leaf(columns, 0.0)
+    columns[0][i] = int(node["feature_index"])
+    columns[1][i] = float(node["threshold"])
+    columns[2][i] = _parse_tree(node["left"], columns)
+    columns[3][i] = _parse_tree(node["right"], columns)
+    return i
 
 
 # Split search and list partitioning handle at most this many (feature, row)
@@ -239,37 +211,31 @@ def _grow_tree(
     y: np.ndarray,
     max_depth: int,
     min_leaf: int,
-) -> RegressionTree:
-    """Grow one tree from the root's presorted lists.
+    columns: _NodeColumns,
+    fitted: np.ndarray,
+) -> int:
+    """Grow one tree from the root's presorted lists; returns its root.
 
-    List row j is feature `cols[j]`, whose distinct values are `uniques[j]`.
-    Each split partitions every list stably, so a node's lists stay the
-    stable argsorts of its own rows; nodes that will be leaves get no lists.
+    The tree's nodes are appended to `columns`, and each row's leaf value is
+    written to `fitted`. List row j is feature `cols[j]`, whose distinct
+    values are `uniques[j]`. Each split partitions every list stably, so a
+    node's lists stay the stable argsorts of its own rows; nodes that will
+    be leaves get no lists.
     """
-    feature: List[int] = []
-    threshold: List[float] = []
-    left: List[int] = []
-    right: List[int] = []
-    value: List[float] = []
 
     def is_leaf(size: int, depth: int) -> bool:
         return depth >= max_depth or size < 2 * min_leaf
 
     def grow(idx: np.ndarray, node_lists: Optional[_NodeLists], depth: int) -> int:
-        i = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(float(y[idx].mean()))
-        if node_lists is None:
-            return i
-        split = _best_split(y, idx, node_lists, uniques, min_leaf)
+        value = float(y[idx].mean())
+        i = _add_leaf(columns, value)
+        split = None if node_lists is None else _best_split(y, idx, node_lists, uniques, min_leaf)
         if split is None:
+            fitted[idx] = value
             return i
         j, thr, k = split
-        feature[i] = int(cols[j])
-        threshold[i] = thr
+        columns[0][i] = int(cols[j])
+        columns[1][i] = thr
         go_left = np.zeros(len(y), dtype=bool)
         go_left[node_lists[0][j, :k]] = True
         in_left = go_left[idx]
@@ -278,19 +244,16 @@ def _grow_tree(
             node_lists, go_left, k, [not is_leaf(len(kid), depth + 1) for kid in kids]
         )
         # popped, so each child's lists are freed once its subtree is grown
-        left[i] = grow(kids[0], kid_lists.pop(0), depth + 1)
-        right[i] = grow(kids[1], kid_lists.pop(0), depth + 1)
+        columns[2][i] = grow(kids[0], kid_lists.pop(0), depth + 1)
+        columns[3][i] = grow(kids[1], kid_lists.pop(0), depth + 1)
         return i
 
     n = len(y)
-    grow(np.arange(n), None if is_leaf(n, 0) else lists, 0)
-    return RegressionTree(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(value, dtype=np.float64),
-    )
+    root = grow(np.arange(n), None if is_leaf(n, 0) else lists, 0)
+    # `grow` refers to itself through its closure; unbinding it frees this
+    # round's targets now rather than at the next full garbage collection
+    del grow
+    return root
 
 
 def _presort(x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray], _NodeLists]:
@@ -328,45 +291,95 @@ class GBRTParams:
 
 
 class GBRTModel:
-    """Boosted tree ensemble; prediction is clamped to [0, 1]."""
+    """Boosted tree ensemble; prediction is clamped to [0, 1].
+
+    The trees are stacked into one `TreeNodes` table, tree k rooted at
+    `roots[k]`. Prediction advances every tree together, one gather per
+    depth level, then adds each tree's learning_rate * leaf in tree order,
+    so the sum rounds exactly as a tree-by-tree loop would.
+    """
 
     def __init__(
         self,
         base_score: float,
         learning_rate: float,
-        trees: Sequence[RegressionTree],
+        nodes: TreeNodes,
+        roots: Sequence[int],
         n_features: int,
         training_mse: Sequence[float] = (),
     ):
         self.base_score = float(base_score)
         self.learning_rate = float(learning_rate)
-        self.trees = list(trees)
+        self.nodes = nodes
+        self.roots = np.asarray(roots, dtype=np.int64)
         self.n_features = int(n_features)
         self.training_mse = tuple(float(v) for v in training_mse)
+
+        feature, _, left, right, _ = nodes
+        count = len(feature)
+        ids = np.arange(count)
+        inner = feature != -1
+        kids = np.concatenate([left[inner], right[inner]])
+        if (
+            np.any((feature[inner] < 0) | (feature[inner] >= self.n_features))
+            or np.any((kids <= np.tile(ids[inner], 2)) | (kids >= count))
+            or np.any((self.roots < 0) | (self.roots >= count))
+        ):
+            raise ValueError(
+                f"malformed trees: every split needs a feature in [0, {self.n_features}) "
+                "and children that follow it"
+            )
+        # walking tables: a leaf routes to itself, so trees of any depth
+        # advance in lockstep; _child[i] is the right child, _child[count + i]
+        # the left one
+        self._split = np.where(inner, feature, 0)
+        self._child = np.concatenate([np.where(inner, right, ids), np.where(inner, left, ids)])
+        self._depth = 0
+        level = self.roots[inner[self.roots]]
+        while len(level):
+            self._depth += 1
+            level = np.concatenate([left[level], right[level]])
+            level = level[inner[level]]
 
     def raw_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features:
             raise ValueError(f"expected (n, {self.n_features}) features, got {x.shape}")
-        out = np.full(x.shape[0], self.base_score, dtype=np.float64)
-        for tree in self.trees:
-            out += self.learning_rate * tree.predict_batch(x)
+        cells = x.ravel()
+        row_start = np.arange(len(x)) * self.n_features
+        threshold = self.nodes.threshold
+        node = np.repeat(self.roots[:, None], len(x), axis=1)  # (trees, rows)
+        for _ in range(self._depth):
+            go_left = cells.take(row_start + self._split.take(node)) <= threshold.take(node)
+            node = self._child.take(node + len(self._split) * go_left)
+        out = np.full(len(x), self.base_score, dtype=np.float64)
+        for step in self.learning_rate * self.nodes.value.take(node):
+            out += step
         return out
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         return np.clip(self.raw_batch(x), 0.0, 1.0)
 
-    def predict(self, features: np.ndarray) -> float:
-        return float(self.predict_batch(np.asarray(features, dtype=np.float64)[None, :])[0])
-
     def to_dict(self) -> dict:
+        feature, threshold, left, right, value = (a.tolist() for a in self.nodes)
+
+        def build(i: int) -> dict:
+            if feature[i] < 0:
+                return {"leaf_value": value[i]}
+            return {
+                "feature_index": feature[i],
+                "threshold": threshold[i],
+                "left": build(left[i]),
+                "right": build(right[i]),
+            }
+
         return {
             "version": MODEL_FORMAT_VERSION,
             "kind": "gbrt",
             "n_features": self.n_features,
             "base_score": self.base_score,
             "learning_rate": self.learning_rate,
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": [build(root) for root in self.roots.tolist()],
         }
 
     @classmethod
@@ -375,10 +388,13 @@ class GBRTModel:
             raise ValueError(f"unsupported model version: {data.get('version')!r}")
         if data.get("kind") != "gbrt":
             raise ValueError(f"unsupported model kind: {data.get('kind')!r}")
+        columns: _NodeColumns = ([], [], [], [], [])
+        roots = [_parse_tree(tree, columns) for tree in data["trees"]]
         return cls(
             base_score=float(data["base_score"]),
             learning_rate=float(data["learning_rate"]),
-            trees=[RegressionTree.from_dict(t) for t in data["trees"]],
+            nodes=_stack(columns),
+            roots=roots,
             n_features=int(data["n_features"]),
         )
 
@@ -410,15 +426,21 @@ def train_gbrt(
 
     base = float(y.mean())
     pred = np.full(len(y), base)
-    trees: List[RegressionTree] = []
+    fitted = np.empty(len(y))
+    columns: _NodeColumns = ([], [], [], [], [])
+    roots: List[int] = []
     mse_trace: List[float] = []
     for _ in range(params.rounds):
         resid = y - pred
-        tree = _grow_tree(cols, uniques, lists, resid, params.max_depth, params.min_samples_leaf)
-        trees.append(tree)
-        pred += params.learning_rate * tree.predict_batch(x)
+        roots.append(
+            _grow_tree(
+                cols, uniques, lists, resid, params.max_depth, params.min_samples_leaf,
+                columns, fitted,
+            )
+        )
+        pred += params.learning_rate * fitted
         mse_trace.append(float(np.mean((y - pred) ** 2)))
-    return GBRTModel(base, params.learning_rate, trees, x.shape[1], mse_trace)
+    return GBRTModel(base, params.learning_rate, _stack(columns), roots, x.shape[1], mse_trace)
 
 
 # -- latency ----------------------------------------------------------------
@@ -500,8 +522,13 @@ class PerformanceModels:
     def from_dict(cls, data: Mapping) -> "PerformanceModels":
         if data.get("version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported models version: {data.get('version')!r}")
+        accuracy = GBRTModel.from_dict(data["accuracy"])
+        if accuracy.n_features != FEATURE_WIDTH:
+            raise ValueError(
+                f"accuracy model takes {accuracy.n_features} features, not {FEATURE_WIDTH}"
+            )
         return cls(
-            accuracy=GBRTModel.from_dict(data["accuracy"]),
+            accuracy=accuracy,
             update_latency=LinearLatencyModel.from_dict(data["update_latency"]),
         )
 

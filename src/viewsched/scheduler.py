@@ -33,9 +33,19 @@ from .branches import (
     fixed_latency,
     group_cost,
 )
-from .core import Box3D, CameraRig, DistributionVector, EgoPose, box_to_ego, distribution, view_of
+from .core import (
+    GLOBAL_FRAME,
+    Box3D,
+    CameraRig,
+    DistributionVector,
+    EgoPose,
+    distribution,
+    rows_to_ego,
+    views_of,
+    wrap_angle,
+)
 from .predictors import FEATURE_WIDTH, PerformanceModels, accuracy_features, view_confidences
-from .tracker import KalmanModel, TrackState, forecast_all
+from .tracker import KalmanModel, TrackState, TrackTable, forecast_all
 
 logger = logging.getLogger(__name__)
 
@@ -364,8 +374,50 @@ def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
 
 
 @dataclass(frozen=True)
+class FrameForecast:
+    """One frame's forecast, as the planner and the frame log see it.
+
+    `tracks` are the forecast tracks (global frame); `ego_rows` are their
+    box rows in the frame's ego coordinates, `views` each row's view, and
+    `distributions` the per-view category distributions.
+    """
+
+    tracks: TrackTable
+    ego_pose: EgoPose
+    ego_rows: np.ndarray
+    views: np.ndarray
+    distributions: Tuple[DistributionVector, ...]
+
+    def boxes(self) -> Tuple[Box3D, ...]:
+        """The forecast as ego-frame boxes, equal to `box_to_ego(track.to_box(), pose)`."""
+        yaw_shift = self.ego_pose.yaw
+        return tuple(
+            Box3D(
+                center=(x, y, z),
+                size=(w, h, l),
+                velocity=(vx, vy, vz),
+                yaw=wrap_angle(wrap_angle(t.yaw) + GLOBAL_FRAME.yaw - yaw_shift),
+                cls=t.cls,
+                confidence=t.confidence,
+            )
+            for t, (x, y, z, vx, vy, vz, w, h, l) in zip(
+                self.tracks.tracks, self.ego_rows.tolist()
+            )
+        )
+
+
+def frame_forecast(tracks: TrackTable, ego_pose: EgoPose, rig: CameraRig) -> FrameForecast:
+    """Place forecast tracks in the frame: ego rows, views, distributions."""
+    rows = rows_to_ego(tracks.means, ego_pose)
+    views = views_of(rows, rig)
+    return FrameForecast(
+        tracks, ego_pose, rows, views, tuple(distribution(rows, views, rig.view_count))
+    )
+
+
+@dataclass(frozen=True)
 class FramePlan:
-    """Everything `sched` computed for one frame, kept for logging/audit."""
+    """Everything `schedule_frame` computed for one frame, kept for logging/audit."""
 
     decision: ScheduleDecision
     branch_indices: Tuple[int, ...]  # catalog indices, one per view
@@ -374,50 +426,36 @@ class FramePlan:
     fixed_ms: float
     raw_scores: np.ndarray
     norm_scores: np.ndarray
-    distributions: Tuple[DistributionVector, ...]
-    forecast_boxes_ego: Tuple[Box3D, ...]
-    forecast_views: Tuple[int, ...]
     uniform_decision: Optional[ScheduleDecision]
 
 
 def schedule_frame(
-    tracks: Sequence[TrackState],
-    dt: float,
-    ego_pose: EgoPose,
-    rig: CameraRig,
+    forecast: FrameForecast,
     branches: Sequence[BranchConfig],
     device: DeviceProfile,
     models: PerformanceModels,
     target_ms: float,
-    kalman: Optional[KalmanModel] = None,
     alpha: float = 1.0,
 ) -> FramePlan:
-    """Plan one frame: forecast, featurize, predict, solve.
+    """Plan one frame from its forecast: featurize, predict, solve.
 
-    `branches` is the deployable subset (tracker first); tracks live in the
-    global frame and are projected into `ego_pose` for view assignment and
-    distribution building.
+    `branches` is the deployable subset (tracker first).
     """
     if not branches or not branches[0].is_tracker:
         raise ValueError("branch set must start with the tracker branch")
-    kalman = kalman or KalmanModel()
 
-    predicted = forecast_all(tracks, dt, kalman)
-    ego_boxes = tuple(box_to_ego(t.to_box(), ego_pose) for t in predicted)
-    dists = tuple(distribution(ego_boxes, rig))
-    views = tuple(view_of(b.center, rig) for b in ego_boxes)
-
+    dists = forecast.distributions
     feats = accuracy_features(
         np.stack([d.ratios for d in dists]),
         [b.index for b in branches],
-        view_confidences(ego_boxes, views, rig.view_count),
+        view_confidences(forecast.tracks.confidences, forecast.views, len(dists)),
     )
     raw = models.accuracy.predict_batch(feats.reshape(-1, FEATURE_WIDTH)).reshape(feats.shape[:2])
 
     lats = np.array([branch_latency(b, device) for b in branches])
     norm = normalize_scores(raw, lats)
     fixed_ms = fixed_latency(device)
-    update_pred = models.update_latency.predict(len(tracks))
+    update_pred = models.update_latency.predict(len(forecast.tracks))
     t_max = effective_budget(target_ms, update_pred, fixed_ms)
 
     problem = ScheduleProblem(norm, lats, t_max, alpha)
@@ -432,9 +470,6 @@ def schedule_frame(
         fixed_ms=fixed_ms,
         raw_scores=raw,
         norm_scores=norm,
-        distributions=dists,
-        forecast_boxes_ego=ego_boxes,
-        forecast_views=views,
         uniform_decision=uniform,
     )
 
@@ -451,7 +486,9 @@ def sched(
     kalman: Optional[KalmanModel] = None,
     alpha: float = 1.0,
 ) -> ScheduleDecision:
-    """One-call planning entry point; see `schedule_frame` for the pieces."""
+    """One-call planning entry point: forecast `tracks` (global frame) dt
+    ahead, place them in `ego_pose`'s frame and plan; see `schedule_frame`."""
+    predicted = forecast_all(tracks, dt, kalman or KalmanModel())
     return schedule_frame(
-        tracks, dt, ego_pose, rig, branches, device, models, target_ms, kalman, alpha
+        frame_forecast(predicted, ego_pose, rig), branches, device, models, target_ms, alpha
     ).decision

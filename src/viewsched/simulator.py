@@ -7,8 +7,9 @@ levels plus a false-positive rate, calibrated so the relative trends between
 branches (far-object recall gap, fused-velocity error gap) match the system
 being modeled while every absolute number stays synthetic.
 
-`run_episode` closes the loop: schedule, synthesize detections for the views
-that got a detector, step the tracker, account latency, evaluate.
+`run_episode` closes the loop: forecast the tracks once, schedule, synthesize
+detections for the views that got a detector, step the tracker on the same
+forecast, account latency, evaluate.
 """
 
 from __future__ import annotations
@@ -40,13 +41,19 @@ from .core import (
     box_to_ego,
     box_to_global,
     categorize,
-    distribution,
+    distribution,  # not called here; perfbench traces calls under this name
     view_of,
     wrap_angle,
 )
 from .metrics import EvalConfig, FrameEval, evaluate_frame, summarize
 from .predictors import LinearLatencyModel, PerformanceModels
-from .scheduler import FramePlan, ScheduleDecision, assignment_latency, schedule_frame
+from .scheduler import (
+    FramePlan,
+    ScheduleDecision,
+    assignment_latency,
+    frame_forecast,
+    schedule_frame,
+)
 from .tracker import KalmanModel, MultiObjectTracker, TrackerConfig, forecast_all
 
 
@@ -914,6 +921,9 @@ def run_episode(
 
     for frame in frames:
         n_pre = len(tracker.tracks)
+        # the frame's one forecast: the plan, the log, the outputs of the
+        # tracker-branch views and the tracker update all use it
+        forecast = frame_forecast(forecast_all(tracker.tracks, dt, system.kalman), frame.ego, rig)
         plan: Optional[FramePlan] = None
         decision: Optional[ScheduleDecision] = None  # the plan's decision that runs
         warmup = frame.index == 0
@@ -922,15 +932,11 @@ def run_episode(
             rows = [heavy_row] * n_views
         elif policy == "adaptive" or policy == "per_frame":
             plan = schedule_frame(
-                tracker.tracks,
-                dt,
-                frame.ego,
-                rig,
+                forecast,
                 branches,
                 system.device,
                 system.models,
                 system.target_ms - system.sched_margin_ms,
-                system.kalman,
                 system.alpha,
             )
             decision = plan.decision if policy == "adaptive" else plan.uniform_decision
@@ -974,19 +980,8 @@ def run_episode(
             )
             detections_by_view.append(tuple(dets))
 
-        # forecasts for logging and for serving the tracker-branch views
-        if plan is not None:
-            forecast_boxes = plan.forecast_boxes_ego
-            forecast_views = plan.forecast_views
-            dists = tuple(tuple(d.ratios.tolist()) for d in plan.distributions)
-        else:
-            pred_tracks = forecast_all(tracker.tracks, dt, system.kalman)
-            forecast_boxes = tuple(box_to_ego(t.to_box(), frame.ego) for t in pred_tracks)
-            forecast_views = tuple(view_of(b.center, rig) for b in forecast_boxes)
-            dists = tuple(
-                tuple(d.ratios.tolist()) for d in distribution(forecast_boxes, rig)
-            )
-
+        forecast_boxes = forecast.boxes()
+        forecast_views = tuple(forecast.views.tolist())
         outputs: List[Box3D] = []
         for dets in detections_by_view:
             outputs.extend(dets)
@@ -997,7 +992,9 @@ def run_episode(
         detections_global = [
             box_to_global(d, frame.ego) for dets in detections_by_view for d in dets
         ]
-        tracker.step(detections_global, dt, covered_views=covered, ego_pose=frame.ego)
+        tracker.step(
+            detections_global, dt, forecast.tracks, covered_views=covered, ego_pose=frame.ego
+        )
 
         update_true_ms = true_update.predict(n_pre)
         actual = realized_latency(
@@ -1033,7 +1030,7 @@ def run_episode(
             predicted_frame_ms=marginal + fixed_ms + update_ms,
             actual_ms=actual,
             compliant=compliant,
-            distributions=dists,
+            distributions=tuple(tuple(d.ratios.tolist()) for d in forecast.distributions),
             forecast_boxes=forecast_boxes,
             forecast_views=forecast_views,
             detections=tuple(detections_by_view),

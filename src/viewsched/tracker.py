@@ -1,7 +1,8 @@
 """3D multi-object tracking with a constant-velocity Kalman filter.
 
 State per track is 9-dimensional: (x, y, z, vx, vy, vz, w, h, l). Yaw is
-carried alongside but not filtered. Tracks are value objects; `forecast`,
+carried alongside but not filtered. Tracks are value objects;
+`forecast_all` (one batched step over every track, returning a `TrackTable`),
 `associate` and `update` are pure, and `MultiObjectTracker` owns the track
 list plus id allocation for the closed loop.
 
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Box3D, CameraRig, EgoPose, ObjectClass, box_to_ego, view_of
+from .core import Box3D, CameraRig, EgoPose, ObjectClass, rows_to_ego, views_of
 
 logger = logging.getLogger(__name__)
 
@@ -100,18 +101,50 @@ def measurement_vector(box: Box3D) -> np.ndarray:
     )
 
 
-def forecast(track: TrackState, dt: float, model: KalmanModel) -> TrackState:
-    """Propagate one track dt seconds ahead (pure; no data association)."""
+@dataclass(frozen=True)
+class TrackTable:
+    """Tracks as arrays, one row each (as in AB3DMOT): (T, 9) state means
+    and (T, 9, 9) covariances.
+
+    `tracks` supplies everything else about row i (id, class, confidence,
+    misses, age, yaw); the row's state is `means[i]` and `covariances[i]`,
+    not the mean and covariance `tracks[i]` carries.
+    """
+
+    tracks: Tuple[TrackState, ...]
+    means: np.ndarray
+    covariances: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.tracks)
+
+    @property
+    def confidences(self) -> np.ndarray:
+        return np.array([t.confidence for t in self.tracks], dtype=np.float64)
+
+    def states(self) -> List[TrackState]:
+        return [
+            replace(t, mean=m, covariance=c)
+            for t, m, c in zip(self.tracks, self.means, self.covariances)
+        ]
+
+
+def forecast_all(tracks: Sequence[TrackState], dt: float, model: KalmanModel) -> TrackTable:
+    """Propagate every track dt seconds ahead in one batched step (pure; no
+    data association).
+
+    `A @ m` runs as a stack of matrix-vector products, which round like the
+    single-track product; a matrix-matrix `means @ A.T` does not always.
+    """
     if dt < 0:
         raise ValueError("dt must be non-negative")
     a = model.transition(dt)
-    mean = a @ track.mean
-    cov = a @ track.covariance @ a.T + model.process_cov(dt)
-    return replace(track, mean=mean, covariance=cov)
-
-
-def forecast_all(tracks: Sequence[TrackState], dt: float, model: KalmanModel) -> List[TrackState]:
-    return [forecast(t, dt, model) for t in tracks]
+    means = np.array([t.mean for t in tracks], dtype=np.float64).reshape(-1, STATE_DIM)
+    covs = np.array([t.covariance for t in tracks], dtype=np.float64)
+    covs = covs.reshape(-1, STATE_DIM, STATE_DIM)
+    return TrackTable(
+        tuple(tracks), (a @ means[..., None])[..., 0], a @ covs @ a.T + model.process_cov(dt)
+    )
 
 
 def associate(
@@ -223,24 +256,30 @@ class MultiObjectTracker:
         self.tracks: List[TrackState] = []
         self._next_id = 1
 
-    def forecast_all(self, dt: float) -> List[TrackState]:
-        return forecast_all(self.tracks, dt, self.model)
-
     def step(
         self,
         detections: Sequence[Box3D],
         dt: float,
+        forecast: TrackTable,
         covered_views: Optional[Set[int]] = None,
         ego_pose: Optional[EgoPose] = None,
     ) -> List[TrackState]:
-        """Advance one frame: forecast, associate, update, births, removals.
+        """Advance one frame from its forecast: associate, update, births,
+        removals.
 
+        `forecast` is `forecast_all(self.tracks, dt, self.model)`, made once
+        per frame by the caller, which plans on it before detecting.
         Unmatched tracks are penalized (confidence exactly halved, miss count
         incremented) only when their forecast position lies in a covered
         view; tracks below the confidence threshold are dropped. Unmatched
         detections start new tracks with fresh, never-reused ids.
         """
-        predicted = forecast_all(self.tracks, dt, self.model)
+        if len(forecast) != len(self.tracks) or any(
+            f is not t for f, t in zip(forecast.tracks, self.tracks)
+        ):
+            raise ValueError("forecast must be of this tracker's live tracks")
+        penalized = self._penalized(forecast, covered_views, ego_pose)
+        predicted = forecast.states()
         matches, um_tracks, um_dets = associate(predicted, detections, self.config, dt)
 
         survivors: List[TrackState] = [None] * len(predicted)  # type: ignore[list-item]
@@ -249,7 +288,7 @@ class MultiObjectTracker:
 
         for ti in um_tracks:
             track = predicted[ti]
-            if self._is_penalized(track, covered_views, ego_pose):
+            if penalized[ti]:
                 conf = track.confidence * self.config.confidence_halving
                 if conf < self.config.confidence_threshold:
                     continue  # removed
@@ -278,15 +317,14 @@ class MultiObjectTracker:
         self.tracks = new_tracks
         return new_tracks
 
-    def _is_penalized(
+    def _penalized(
         self,
-        track: TrackState,
+        forecast: TrackTable,
         covered_views: Optional[Set[int]],
         ego_pose: Optional[EgoPose],
-    ) -> bool:
+    ) -> np.ndarray:
+        """Per forecast row: would a miss there count against the track?"""
         if self.config.penalize_uncovered_views or covered_views is None:
-            return True
-        box = track.to_box()
-        if ego_pose is not None:
-            box = box_to_ego(box, ego_pose)
-        return view_of(box.center, self.rig) in covered_views
+            return np.ones(len(forecast), dtype=bool)
+        rows = forecast.means if ego_pose is None else rows_to_ego(forecast.means, ego_pose)
+        return np.isin(views_of(rows, self.rig), sorted(covered_views))

@@ -44,10 +44,20 @@ from viewsched.tracker import (
     MultiObjectTracker,
     TrackerConfig,
     TrackState,
-    forecast,
+    forecast_all,
     measurement_vector,
     update,
 )
+
+
+def forecast(track, dt, model):
+    """One track through the batched forecast."""
+    return forecast_all([track], dt, model).states()[0]
+
+
+def track_frame(tracker, detections, dt, **views):
+    """One tracker frame on its own forecast, as the closed loop runs it."""
+    return tracker.step(detections, dt, forecast_all(tracker.tracks, dt, tracker.model), **views)
 
 
 def car(x, y, vx=0.0, vy=0.0, conf=1.0, z=0.8):
@@ -281,9 +291,9 @@ def test_criterion_5_tracker_properties():
     # (c) exact confidence halving per consecutive miss
     initial = 0.9
     tracker = MultiObjectTracker(TrackerConfig(confidence_threshold=1e-9))
-    tracker.step([car(0.0, 0.0, conf=initial)], 0.1)
+    track_frame(tracker, [car(0.0, 0.0, conf=initial)], 0.1)
     for k in range(1, 21):
-        tracker.step([], 0.1)
+        track_frame(tracker, [], 0.1)
         assert tracker.tracks[0].confidence == initial * 0.5**k
 
 

@@ -91,8 +91,10 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"training": {"rounds": 0}},
         {"training": {"round": 10}},
         {"alpha": 0},
+        {"alhpa": 0.5},
     ],
-    ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero"],
+    ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero",
+         "unknown-top-level-key"],
 )
 def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
     data = {
@@ -211,6 +213,37 @@ def test_cmd_simulate_missing_model_file_is_config_error(tmp_path):
     man = load_manifest(str(p))
     with pytest.raises((ConfigError, OSError)):
         cmd_simulate(man, None, policy="adaptive")
+
+
+def _break_first_split(model: dict) -> None:
+    root = next(t for t in model["accuracy"]["trees"] if "feature_index" in t)
+    root["feature_index"] = 500
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_break_first_split, lambda model: model["accuracy"].update(n_features=97)],
+    ids=["feature-index-500", "n-features-97"],
+)
+def test_main_rejects_a_malformed_model_file(tmp_path, capsys, quickstart_model_file, corrupt):
+    with open(quickstart_model_file, encoding="utf-8") as fh:
+        model = json.load(fh)
+    corrupt(model)
+    bad_model = tmp_path / "bad_models.json"
+    bad_model.write_text(json.dumps(model))
+    data = {
+        "name": "bad-model",
+        "scenario": "builtin:scenario_quickstart",
+        "device": "builtin:device_orin",
+        "capability": "builtin:capability_default",
+        "model": str(bad_model),
+    }
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(data))
+    assert main(["simulate", "--manifest", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file") and "invalid" in err
+    assert "Traceback" not in err
 
 
 def test_cmd_compare_reports_dominance(manifest_file, tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewsched.core import (
     DISTANCE_EDGES_M,
@@ -19,11 +21,23 @@ from viewsched.core import (
     box_to_ego,
     box_to_global,
     categorize,
+    category_indices,
     distribution,
     ego_transform,
+    rows_to_ego,
     view_of,
+    views_of,
     wrap_angle,
 )
+
+
+def box_rows(boxes):
+    return np.array([[*b.center, *b.velocity, *b.size] for b in boxes]).reshape(-1, 9)
+
+
+def distribution_of(boxes, rig):
+    rows = box_rows(boxes)
+    return distribution(rows, views_of(rows, rig), rig.view_count)
 
 
 def make_box(x=0.0, y=0.0, z=0.0, vx=0.0, vy=0.0, vz=0.0,
@@ -100,6 +114,100 @@ def test_view_of_angle_is_stable_on_sector_edges():
         assert rig.view_of_angle(lo) == v_lo
 
 
+def _gapped_rig(view_count: int, gap: float) -> CameraRig:
+    """The default rig with its first sector cut short by `gap` (< 1e-9)."""
+    sectors = list(CameraRig.default(view_count).sectors)
+    lo, hi = sectors[0]
+    sectors[0] = (lo, hi - gap)
+    return CameraRig(sectors)
+
+
+def _edge_angles(rig: CameraRig):
+    out = [math.pi, -math.pi, 0.0, 3 * math.pi, -3 * math.pi]
+    for lo, hi in rig.sectors:
+        for edge in (lo, hi):
+            out += [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf),
+                    edge + 2 * math.pi, edge - 2 * math.pi]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    view_count=st.integers(1, 24),
+    gap=st.sampled_from((0.0, 1e-12, 5e-10)),
+    angles=st.lists(st.floats(-10.0, 10.0), max_size=20),
+)
+def test_vectorised_view_assignment_matches_view_of_angle(view_count, gap, angles):
+    rig = _gapped_rig(view_count, gap) if gap else CameraRig.default(view_count)
+    probe = angles + _edge_angles(rig)
+    got = rig.views_of_angles(np.array(probe))
+    assert got.tolist() == [rig.view_of_angle(a) for a in probe]
+
+
+@settings(max_examples=150, deadline=None)
+@given(view_count=st.integers(1, 24), angle=st.floats(-10.0, 10.0))
+def test_view_of_partitions_the_circle(view_count, angle):
+    rig = CameraRig.default(view_count)
+    a = wrap_angle(angle)
+    a = -math.pi if a == math.pi else a
+
+    def holds(sector):
+        lo, hi = sector
+        return lo <= a < hi if lo < hi else (a >= lo or a < hi)
+
+    owners = [j for j, sector in enumerate(rig.sectors) if holds(sector)]
+    view = rig.view_of_angle(angle)
+    assert 0 <= view < view_count
+    if owners:
+        assert view == owners[0]
+    # only within float rounding of an edge can no sector, or two, hold it
+    near_edge = any(abs(wrap_angle(a - edge)) < 1e-9 for sector in rig.sectors for edge in sector)
+    assert len(owners) == 1 or near_edge
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(st.tuples(*[st.floats(-60.0, 60.0)] * 6, *[st.floats(0.05, 20.0)] * 3),
+                  max_size=12),
+    pose=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-7.0, 7.0)),
+    edge=st.sampled_from(DISTANCE_EDGES_M + VELOCITY_EDGES_MPS + SIZE_EDGES_M3),
+)
+def test_box_rows_match_their_boxes(rows, pose, edge):
+    rows = rows + [(edge, 0.0, 0.0, edge, 0.0, 0.0, 1.0, 1.0, edge),
+                   (0.0, -edge, 1.0, 0.0, -edge, 0.0, edge, 1.0, 1.0)]
+    boxes = [make_box(*r) for r in rows]
+    ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
+    got = rows_to_ego(box_rows(boxes), ego)
+    want = [box_to_ego(b, ego) for b in boxes]
+    assert got.tolist() == box_rows(want).tolist()
+    rig = CameraRig.default()
+    assert views_of(got, rig).tolist() == [view_of(b.center, rig) for b in want]
+    assert category_indices(got).tolist() == [categorize(b).index for b in want]
+    assert distribution(got, views_of(got, rig), rig.view_count) == (
+        _reference_distribution(want, rig)
+    )
+
+
+def _reference_distribution(boxes, rig):
+    """The per-box histogram the vectorised `distribution` replaced."""
+    counts = np.zeros((rig.view_count, NUM_CATEGORIES))
+    for box in boxes:
+        counts[view_of(box.center, rig), categorize(box).index] += 1.0
+    return [DistributionVector(row / row.sum() if row.sum() > 0 else row) for row in counts]
+
+
+def test_category_indices_use_the_planar_norm_of_categorize():
+    # on each of these points one of math.hypot and np.hypot rounds onto the
+    # bin edge and the other just below it
+    points = [(9.024162999888578, -4.308652010947504), (-17.548947426218696, 9.593458408301572),
+              (12.907580171135162, -27.08125503232297), (-26.10183275729099, 30.30997074743575)]
+    speeds = [(-0.1907123036906222, -0.06023966484813714), (0.3216371079295338, 0.9468630158595938),
+              (-4.871980240549672, -1.1241923926506316)]
+    boxes = [make_box(x=x, y=y) for x, y in points] + [
+        make_box(x=5.0, vx=vx, vy=vy) for vx, vy in speeds]
+    assert category_indices(box_rows(boxes)).tolist() == [categorize(b).index for b in boxes]
+
+
 # -- category grid ------------------------------------------------------------
 
 
@@ -165,7 +273,7 @@ def test_distribution_splits_mass_per_view():
     front_a = make_box(x=15.0, y=0.0)
     front_b = make_box(x=16.0, y=0.1)
     rear = make_box(x=-15.0, y=0.0)
-    dists = distribution([front_a, front_b, rear], rig)
+    dists = distribution_of([front_a, front_b, rear], rig)
     assert len(dists) == rig.view_count
     front_view = view_of(front_a.center, rig)
     rear_view = view_of(rear.center, rig)
@@ -185,7 +293,7 @@ def test_distribution_mixed_categories_sum_to_one():
     # force them into one view
     view = view_of(boxes[0].center, rig)
     assert all(view_of(b.center, rig) == view for b in boxes)
-    d = distribution(boxes, rig)[view]
+    d = distribution_of(boxes, rig)[view]
     assert d.ratios.sum() == pytest.approx(1.0)
     assert np.count_nonzero(d.ratios) == 3
     assert np.all((d.ratios == 0) | np.isclose(d.ratios, 1 / 3))

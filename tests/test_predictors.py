@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from viewsched import predictors
-from viewsched.core import NUM_CATEGORIES, Box3D, ObjectClass
+from viewsched.core import NUM_CATEGORIES
 from viewsched.predictors import (
     FEATURE_WIDTH,
     GBRTModel,
     GBRTParams,
     LinearLatencyModel,
     PerformanceModels,
-    RegressionTree,
     accuracy_features,
     fit_update_latency,
     train_gbrt,
@@ -60,12 +59,15 @@ def test_feature_branch_index_validated():
 
 
 def test_view_confidences_are_per_view_means():
-    def box(conf):
-        return Box3D(center=(1.0, 0.0, 0.0), size=(1.0, 1.0, 1.0), velocity=(0.0, 0.0, 0.0),
-                     yaw=0.0, cls=ObjectClass.CAR, confidence=conf)
-
-    got = view_confidences([box(0.2), box(0.9), box(0.4)], [2, 0, 2], 3)
+    got = view_confidences([0.2, 0.9, 0.4], [2, 0, 2], 3)
     assert got.tolist() == [0.9, 0.0, float(np.mean([0.2, 0.4]))]
+    assert view_confidences([], [], 2).tolist() == [0.0, 0.0]
+    # many per view, where the mean's pairwise sum differs from a running one
+    rng = np.random.default_rng(4)
+    conf, views = rng.uniform(size=200), rng.integers(0, 6, size=200)
+    want = [float(np.mean([c for c, v in zip(conf.tolist(), views.tolist()) if v == j]))
+            for j in range(6)]
+    assert view_confidences(conf, views, 6).tolist() == want
 
 
 # -- gradient-boosted trees ---------------------------------------------------
@@ -134,7 +136,7 @@ def test_gbrt_round_trip_preserves_predictions():
     clone = GBRTModel.from_dict(model.to_dict())
     probe = rng.uniform(0.0, 1.0, size=(40, FEATURE_WIDTH))
     assert np.array_equal(model.predict_batch(probe), clone.predict_batch(probe))
-    assert model.predict(probe[0]) == clone.predict(probe[0])
+    assert clone.to_dict() == model.to_dict()
 
 
 # Reference implementation: the split search as it was before the presorted
@@ -180,7 +182,12 @@ def _reference_best_split(
     return best
 
 
-def _reference_grow_tree(x, y, max_depth, min_leaf) -> RegressionTree:
+# A reference tree is its node lists (feature, threshold, left, right,
+# value) with tree-local child indices; leaves have feature -1.
+_Tree = Tuple[List[int], List[float], List[int], List[int], List[float]]
+
+
+def _reference_grow_tree(x, y, max_depth, min_leaf) -> _Tree:
     feature: List[int] = []
     threshold: List[float] = []
     left: List[int] = []
@@ -207,16 +214,47 @@ def _reference_grow_tree(x, y, max_depth, min_leaf) -> RegressionTree:
         return i
 
     grow(np.arange(len(y)), 0)
-    return RegressionTree(
-        np.asarray(feature, dtype=np.int64),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int64),
-        np.asarray(right, dtype=np.int64),
-        np.asarray(value, dtype=np.float64),
-    )
+    return feature, threshold, left, right, value
 
 
-def _reference_train_gbrt(x, y, params: GBRTParams) -> GBRTModel:
+def _reference_tree_predict(tree: _Tree, x: np.ndarray) -> np.ndarray:
+    """The per-tree walk the stacked ensemble replaced."""
+    feature, threshold, left, right, value = (np.asarray(a) for a in tree)
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    while True:
+        feat = feature[node]
+        active = feat >= 0
+        if not active.any():
+            break
+        rows = np.nonzero(active)[0]
+        nd = node[rows]
+        go_left = x[rows, feat[rows]] <= threshold[nd]
+        node[rows] = np.where(go_left, left[nd], right[nd])
+    return value[node]
+
+
+def _reference_raw_batch(base: float, rate: float, trees: List[_Tree], x) -> np.ndarray:
+    """The ensemble summed tree by tree, as before the trees were stacked."""
+    out = np.full(x.shape[0], base, dtype=np.float64)
+    for tree in trees:
+        out += rate * _reference_tree_predict(tree, x)
+    return out
+
+
+def _reference_tree_dict(tree: _Tree, i: int = 0) -> dict:
+    feature, threshold, left, right, value = tree
+    if feature[i] < 0:
+        return {"leaf_value": float(value[i])}
+    return {
+        "feature_index": int(feature[i]),
+        "threshold": float(threshold[i]),
+        "left": _reference_tree_dict(tree, left[i]),
+        "right": _reference_tree_dict(tree, right[i]),
+    }
+
+
+def _reference_train_gbrt(x, y, params: GBRTParams) -> Tuple[dict, List[float]]:
+    """The model file and training-loss trace the reference fit produces."""
     base = float(y.mean())
     pred = np.full(len(y), base)
     trees = []
@@ -225,9 +263,17 @@ def _reference_train_gbrt(x, y, params: GBRTParams) -> GBRTModel:
         resid = y - pred
         tree = _reference_grow_tree(x, resid, params.max_depth, params.min_samples_leaf)
         trees.append(tree)
-        pred += params.learning_rate * tree.predict_batch(x)
+        pred += params.learning_rate * _reference_tree_predict(tree, x)
         mse_trace.append(float(np.mean((y - pred) ** 2)))
-    return GBRTModel(base, params.learning_rate, trees, x.shape[1], mse_trace)
+    model = {
+        "version": predictors.MODEL_FORMAT_VERSION,
+        "kind": "gbrt",
+        "n_features": x.shape[1],
+        "base_score": base,
+        "learning_rate": params.learning_rate,
+        "trees": [_reference_tree_dict(t) for t in trees],
+    }
+    return model, mse_trace
 
 
 _COLUMN_KINDS = ("uniform", "constant", "duplicate", "few_values", "adjacent_floats")
@@ -281,9 +327,9 @@ def test_gbrt_matches_the_reference_split_search(
         got = train_gbrt(x, y, params)
     finally:
         predictors._BLOCK_CELLS = saved
-    want = _reference_train_gbrt(x, y, params)
-    assert got.to_dict() == want.to_dict()
-    assert got.training_mse == want.training_mse
+    want, want_mse = _reference_train_gbrt(x, y, params)
+    assert got.to_dict() == want
+    assert list(got.training_mse) == want_mse
 
 
 def test_gbrt_matches_the_reference_on_wide_sparse_features():
@@ -298,9 +344,9 @@ def test_gbrt_matches_the_reference_on_wide_sparse_features():
     y = np.clip(0.4 * ratios[:, 3] + 0.3 * one_hot[:, 1] + 0.1 * x[:, -1], 0.0, 1.0)
     params = GBRTParams(rounds=6)
     got = train_gbrt(x, y, params)
-    want = _reference_train_gbrt(x, y, params)
-    assert got.to_dict() == want.to_dict()
-    assert got.training_mse == want.training_mse
+    want, want_mse = _reference_train_gbrt(x, y, params)
+    assert got.to_dict() == want
+    assert list(got.training_mse) == want_mse
 
 
 def test_gbrt_threshold_between_adjacent_floats():
@@ -313,9 +359,92 @@ def test_gbrt_threshold_between_adjacent_floats():
     y = np.array([0.0] * 6 + [1.0] * 6)
     params = GBRTParams(rounds=2, min_samples_leaf=2)
     got = train_gbrt(x, y, params)
-    assert got.to_dict() == _reference_train_gbrt(x, y, params).to_dict()
-    assert got.trees[0].threshold[0] == low
-    assert list(got.trees[0].predict_batch(x) > 0) == [False] * 6 + [True] * 6
+    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert got.nodes.threshold[got.roots[0]] == low
+    first = GBRTModel.from_dict({**got.to_dict(), "trees": got.to_dict()["trees"][:1]})
+    assert list(first.raw_batch(x) > first.base_score) == [False] * 6 + [True] * 6
+
+
+@st.composite
+def _random_tree(draw, width: int, values: List[float]) -> _Tree:
+    """A tree of depth 0 to 4 whose thresholds are some of `values`."""
+    tree: _Tree = ([], [], [], [], [])
+
+    def grow(depth: int) -> int:
+        i = len(tree[0])
+        for column, blank in zip(tree, (-1, 0.0, -1, -1, 0.0)):
+            column.append(blank)
+        if depth == 0 or not draw(st.booleans()):
+            tree[4][i] = draw(st.floats(-1.0, 1.0))
+            return i
+        tree[0][i] = draw(st.integers(0, width - 1))
+        tree[1][i] = draw(st.sampled_from(values))
+        tree[2][i] = grow(depth - 1)
+        tree[3][i] = grow(depth - 1)
+        return i
+
+    grow(draw(st.integers(0, 4)))
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), width=st.integers(1, 6), rows=st.integers(0, 40),
+       rate=st.sampled_from((0.1, 0.3, 1.0)), base=st.floats(-1.0, 2.0))
+def test_stacked_ensemble_matches_the_per_tree_sum(data, width, rows, rate, base):
+    values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+    trees = data.draw(st.lists(_random_tree(width, values), min_size=0, max_size=12))
+    # features drawn from the thresholds themselves land exactly on a split
+    x = np.array(data.draw(st.lists(
+        st.lists(st.sampled_from(values) | st.floats(-3.0, 3.0), min_size=width,
+                 max_size=width),
+        min_size=rows, max_size=rows,
+    ))).reshape(rows, width)
+    model = GBRTModel.from_dict({
+        "version": predictors.MODEL_FORMAT_VERSION, "kind": "gbrt", "n_features": width,
+        "base_score": base, "learning_rate": rate,
+        "trees": [_reference_tree_dict(t) for t in trees],
+    })
+    want = _reference_raw_batch(base, rate, trees, x)
+    assert model.raw_batch(x).tolist() == want.tolist()
+    assert model.predict_batch(x).tolist() == np.clip(want, 0.0, 1.0).tolist()
+
+
+def _tiny_model_dict(feature_index: int = 1, n_features: int = 3) -> dict:
+    return {
+        "version": predictors.MODEL_FORMAT_VERSION, "kind": "gbrt", "n_features": n_features,
+        "base_score": 0.5, "learning_rate": 0.1,
+        "trees": [{"leaf_value": 0.2},
+                  {"feature_index": feature_index, "threshold": 0.5,
+                   "left": {"leaf_value": -1.0}, "right": {"leaf_value": 1.0}}],
+    }
+
+
+@pytest.mark.parametrize("feature_index", [3, 500, -2])
+def test_model_file_with_a_feature_out_of_range_fails_at_load(feature_index):
+    GBRTModel.from_dict(_tiny_model_dict())
+    with pytest.raises(ValueError, match="malformed trees"):
+        GBRTModel.from_dict(_tiny_model_dict(feature_index))
+
+
+def test_model_with_children_before_their_parent_is_rejected():
+    nodes = predictors.TreeNodes(
+        feature=np.array([0, -1, -1]), threshold=np.array([0.5, 0.0, 0.0]),
+        left=np.array([1, -1, -1]), right=np.array([0, -1, -1]), value=np.zeros(3),
+    )
+    with pytest.raises(ValueError, match="malformed trees"):
+        GBRTModel(0.0, 0.1, nodes, [0], 1)
+
+
+def test_performance_models_need_the_feature_width():
+    bundle = {
+        "version": predictors.MODEL_FORMAT_VERSION,
+        "accuracy": _tiny_model_dict(n_features=FEATURE_WIDTH - 1),
+        "update_latency": {"slope_ms_per_track": 0.01, "intercept_ms": 0.5},
+    }
+    with pytest.raises(ValueError, match="features"):
+        PerformanceModels.from_dict(bundle)
+    bundle["accuracy"] = _tiny_model_dict(n_features=FEATURE_WIDTH)
+    assert PerformanceModels.from_dict(bundle).accuracy.n_features == FEATURE_WIDTH
 
 
 def test_presorted_lists_stay_stable_argsorts_of_each_node():

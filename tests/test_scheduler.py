@@ -15,7 +15,16 @@ from viewsched.branches import (
     enumerate_branches,
     group_cost,
 )
-from viewsched.core import Box3D, CameraRig, EgoPose, ObjectClass
+from viewsched.core import (
+    Box3D,
+    CameraRig,
+    DistributionVector,
+    EgoPose,
+    ObjectClass,
+    box_to_ego,
+    categorize,
+    view_of,
+)
 from viewsched.predictors import (
     FEATURE_WIDTH,
     GBRTModel,
@@ -31,17 +40,19 @@ from viewsched.scheduler import (
     effective_budget,
     most_powerful_row,
     normalize_scores,
+    frame_forecast,
     sched,
     schedule_frame,
     solve,
     solve_bruteforce,
 )
-from viewsched.tracker import KalmanModel, TrackState, measurement_vector
+from viewsched.tracker import KalmanModel, TrackState, forecast_all, measurement_vector
 
 
 def stub_models(score=0.5, slope=0.05, intercept=1.0):
     return PerformanceModels(
-        accuracy=GBRTModel(score, 0.1, [], FEATURE_WIDTH),
+        accuracy=GBRTModel.from_dict({"version": 1, "kind": "gbrt", "n_features": FEATURE_WIDTH,
+                                      "base_score": score, "learning_rate": 0.1, "trees": []}),
         update_latency=LinearLatencyModel(slope, intercept),
     )
 
@@ -279,7 +290,7 @@ def test_batching_fallback_past_the_exact_limit(caplog):
     rig = CameraRig.default(9)
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="viewsched.scheduler"):
-        schedule_frame(make_tracks([(20.0, 0.0)]), 0.1, EgoPose(0, 0, 0, 0), rig,
+        schedule_frame(forecast_at_origin(make_tracks([(20.0, 0.0)]), rig),
                        enumerate_branches()[:6], default_device_profile(),
                        stub_models(), 33.0, alpha=0.5)
     fallbacks = [r for r in caplog.records if "exact-batching limit" in r.getMessage()]
@@ -411,14 +422,18 @@ def make_tracks(positions, conf=0.8):
     return tracks
 
 
+def forecast_at_origin(tracks, rig):
+    return frame_forecast(forecast_all(tracks, 0.1, KalmanModel()), EgoPose(0, 0, 0, 0), rig)
+
+
 def test_schedule_frame_plumbing():
     device = default_device_profile()
     rig = CameraRig.default()
     branches = enumerate_branches()[:6]  # tracker + r34 family + r50-sparse
     models = stub_models()
     tracks = make_tracks([(20.0, 0.0), (-15.0, 5.0), (0.0, 25.0)])
-    plan = schedule_frame(tracks, 0.1, EgoPose(0, 0, 0, 0), rig, branches,
-                          device, models, target_ms=33.0)
+    forecast = forecast_at_origin(tracks, rig)
+    plan = schedule_frame(forecast, branches, device, models, target_ms=33.0)
     assert len(plan.decision.assignment) == rig.view_count
     assert len(plan.branch_indices) == rig.view_count
     for row, idx in zip(plan.decision.assignment, plan.branch_indices):
@@ -427,9 +442,9 @@ def test_schedule_frame_plumbing():
         33.0 - plan.update_pred_ms - plan.fixed_ms)
     assert plan.update_pred_ms == pytest.approx(models.update_latency.predict(3))
     assert plan.raw_scores.shape == (len(branches), rig.view_count)
-    assert len(plan.distributions) == rig.view_count
-    assert len(plan.forecast_boxes_ego) == 3
-    assert all(0 <= v < rig.view_count for v in plan.forecast_views)
+    assert len(forecast.distributions) == rig.view_count
+    assert len(forecast.boxes()) == 3
+    assert all(0 <= v < rig.view_count for v in forecast.views)
     # the solver's plan is within budget
     assert plan.decision.predicted_latency_ms <= plan.t_max_ms + 1e-9
     # uniform counterfactual exists (tracker row always fits) and is dominated
@@ -437,12 +452,48 @@ def test_schedule_frame_plumbing():
     assert plan.decision.predicted_objective >= plan.uniform_decision.predicted_objective
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    tracks=st.lists(
+        st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0), st.floats(-20.0, 20.0),
+                  st.floats(-20.0, 20.0), st.floats(-7.0, 7.0), st.floats(0.0, 1.0),
+                  st.sampled_from(list(ObjectClass))),
+        max_size=30,
+    ),
+    pose=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-7.0, 7.0)),
+    view_count=st.integers(1, 8),
+)
+def test_frame_forecast_matches_the_per_box_pipeline(tracks, pose, view_count):
+    # the forecast-to-distribution block the closed loop ran per box before
+    model = KalmanModel()
+    states = [
+        TrackState(track_id=i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
+                   covariance=model.birth_cov(), cls=cls, confidence=conf, yaw=yaw)
+        for i, (x, y, vx, vy, yaw, conf, cls) in enumerate(tracks)
+    ]
+    rig = CameraRig.default(view_count)
+    ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
+    predicted = forecast_all(states, 0.1, model)
+    got = frame_forecast(predicted, ego, rig)
+
+    boxes = tuple(box_to_ego(t.to_box(), ego) for t in predicted.states())
+    views = [view_of(b.center, rig) for b in boxes]
+    counts = np.zeros((view_count, len(DistributionVector.empty().ratios)))
+    for box, view in zip(boxes, views):
+        counts[view, categorize(box).index] += 1.0
+    assert got.boxes() == boxes
+    assert got.views.tolist() == views
+    assert list(got.distributions) == [
+        DistributionVector(row / row.sum() if row.sum() > 0 else row) for row in counts
+    ]
+
+
 def test_schedule_frame_requires_tracker_first():
     device = default_device_profile()
     rig = CameraRig.default()
     with pytest.raises(ValueError):
-        schedule_frame([], 0.1, EgoPose(0, 0, 0, 0), rig,
-                       enumerate_branches()[1:], device, stub_models(), 33.0)
+        schedule_frame(forecast_at_origin([], rig), enumerate_branches()[1:], device,
+                       stub_models(), 33.0)
 
 
 def test_sched_returns_the_plan_decision():
@@ -452,8 +503,7 @@ def test_sched_returns_the_plan_decision():
     models = stub_models()
     tracks = make_tracks([(10.0, 0.0)])
     d = sched(tracks, 0.1, EgoPose(0, 0, 0, 0), rig, branches, device, models, 33.0)
-    plan = schedule_frame(tracks, 0.1, EgoPose(0, 0, 0, 0), rig, branches,
-                          device, models, 33.0)
+    plan = schedule_frame(forecast_at_origin(tracks, rig), branches, device, models, 33.0)
     assert d == plan.decision
 
 
@@ -464,7 +514,6 @@ def test_schedule_frame_tight_budget_degenerates_to_tracker():
     models = stub_models(slope=0.0, intercept=0.0)
     # target equal to the fixed cost: nothing but the tracker fits
     from viewsched.branches import fixed_latency
-    plan = schedule_frame(make_tracks([(20.0, 0.0)]), 0.1, EgoPose(0, 0, 0, 0),
-                          rig, branches, device, models,
-                          target_ms=fixed_latency(device) + 1e-6)
+    plan = schedule_frame(forecast_at_origin(make_tracks([(20.0, 0.0)]), rig), branches,
+                          device, models, target_ms=fixed_latency(device) + 1e-6)
     assert plan.decision.assignment == (0,) * rig.view_count

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from viewsched import scheduler, simulator, tracker
 from viewsched.branches import (
     adapt,
     branch_by_label,
@@ -15,6 +16,7 @@ from viewsched.branches import (
     fixed_latency,
 )
 from viewsched.core import Box3D, CameraRig, CategoryLevel, ObjectClass, categorize
+from viewsched.predictors import FEATURE_WIDTH, GBRTModel, LinearLatencyModel, PerformanceModels
 from viewsched.scheduler import assignment_latency
 from viewsched.simulator import (
     CapabilityError,
@@ -499,6 +501,28 @@ def test_run_episode_logs_the_plan_it_ran(quickstart_manifest, quickstart_traine
         if policy == "per_frame":
             assert len(set(f.assignment)) == 1
             assert f.predicted_objective == f.uniform_objective
+
+
+@pytest.mark.parametrize("policy", ["adaptive", "round_robin"])
+def test_run_episode_forecasts_once_per_frame(monkeypatch, policy):
+    original = tracker.forecast_all
+    forecast_sizes = []
+
+    def counting(tracks, dt, model):
+        forecast_sizes.append(len(tracks))
+        return original(tracks, dt, model)
+
+    for module in (tracker, scheduler, simulator):
+        monkeypatch.setattr(module, "forecast_all", counting)
+    constant = PerformanceModels(
+        accuracy=GBRTModel.from_dict({"version": 1, "kind": "gbrt", "n_features": FEATURE_WIDTH,
+                                      "base_score": 0.5, "learning_rate": 0.1, "trees": []}),
+        update_latency=LinearLatencyModel(0.05, 1.0),
+    )
+    ep = run_episode(small_scenario(duration_s=1.5), tiny_system(models=constant), policy=policy)
+    assert len(forecast_sizes) == len(ep.frames)
+    # the warmup frame forecasts no tracks; later frames forecast live ones
+    assert forecast_sizes[0] == 0 and all(forecast_sizes[1:])
 
 
 def test_system_config_validation():

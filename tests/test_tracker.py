@@ -2,19 +2,33 @@
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from viewsched.core import Box3D, CameraRig, EgoPose, ObjectClass, view_of
+from viewsched.core import Box3D, CameraRig, EgoPose, ObjectClass, box_to_ego, view_of
 from viewsched.tracker import (
     KalmanModel,
     MultiObjectTracker,
     TrackerConfig,
     TrackState,
-    forecast,
+    forecast_all,
     measurement_vector,
     update,
 )
+
+
+def forecast(track, dt, model):
+    """One track through the batched forecast."""
+    return forecast_all([track], dt, model).states()[0]
+
+
+def track_frame(tracker, detections, dt, **views):
+    """One tracker frame on its own forecast, as the closed loop runs it."""
+    return tracker.step(detections, dt, forecast_all(tracker.tracks, dt, tracker.model), **views)
 
 
 def det(x, y, vx=0.0, vy=0.0, cls=ObjectClass.CAR, conf=0.9, z=0.8):
@@ -145,11 +159,11 @@ def test_track_to_box_round_trip():
 
 def test_tracker_step_starts_tracks_with_unique_ids():
     tracker = MultiObjectTracker()
-    tracker.step([det(5.0, 0.0), det(-5.0, 0.0)], 0.1)
+    track_frame(tracker, [det(5.0, 0.0), det(-5.0, 0.0)], 0.1)
     assert len(tracker.tracks) == 2
     ids = {t.track_id for t in tracker.tracks}
     assert len(ids) == 2
-    tracker.step([det(5.0, 0.0), det(-5.0, 0.0), det(0.0, 20.0)], 0.1)
+    track_frame(tracker, [det(5.0, 0.0), det(-5.0, 0.0), det(0.0, 20.0)], 0.1)
     assert len(tracker.tracks) == 3
     all_ids = {t.track_id for t in tracker.tracks}
     assert ids <= all_ids  # old tracks kept their ids
@@ -158,22 +172,22 @@ def test_tracker_step_starts_tracks_with_unique_ids():
 def test_tracker_never_reuses_ids():
     config = TrackerConfig(confidence_threshold=0.5)
     tracker = MultiObjectTracker(config)
-    tracker.step([det(5.0, 0.0, conf=0.6)], 0.1)
+    track_frame(tracker, [det(5.0, 0.0, conf=0.6)], 0.1)
     first_id = tracker.tracks[0].track_id
     # one miss halves 0.6 -> 0.3 < 0.5: the track dies
-    tracker.step([], 0.1)
+    track_frame(tracker, [], 0.1)
     assert tracker.tracks == []
-    tracker.step([det(5.0, 0.0, conf=0.6)], 0.1)
+    track_frame(tracker, [det(5.0, 0.0, conf=0.6)], 0.1)
     assert tracker.tracks[0].track_id != first_id
 
 
 def test_association_matches_nearest_same_class():
     tracker = MultiObjectTracker()
-    tracker.step([det(0.0, 0.0), det(10.0, 0.0)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0), det(10.0, 0.0)], 0.1)
     id_near = [t.track_id for t in tracker.tracks if abs(t.mean[0]) < 5][0]
     id_far = [t.track_id for t in tracker.tracks if abs(t.mean[0]) > 5][0]
     # detections shifted slightly; each must update its own track
-    tracker.step([det(0.3, 0.0), det(10.3, 0.0)], 0.1)
+    track_frame(tracker, [det(0.3, 0.0), det(10.3, 0.0)], 0.1)
     assert len(tracker.tracks) == 2
     by_id = {t.track_id: t for t in tracker.tracks}
     assert by_id[id_near].mean[0] < 5
@@ -183,19 +197,19 @@ def test_association_matches_nearest_same_class():
 
 def test_association_respects_class():
     tracker = MultiObjectTracker()
-    tracker.step([det(0.0, 0.0, cls=ObjectClass.CAR)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0, cls=ObjectClass.CAR)], 0.1)
     # a pedestrian detection at the same spot must not claim the car track
-    tracker.step([det(0.0, 0.0, cls=ObjectClass.PEDESTRIAN)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0, cls=ObjectClass.PEDESTRIAN)], 0.1)
     classes = sorted(t.cls.value for t in tracker.tracks)
     assert classes == ["car", "pedestrian"]
 
 
 def test_association_gates_far_detections():
     tracker = MultiObjectTracker(TrackerConfig(base_gate_m=2.0))
-    tracker.step([det(0.0, 0.0)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0)], 0.1)
     tid = tracker.tracks[0].track_id
     # 30 m away: outside any reasonable gate, must spawn a new track
-    tracker.step([det(30.0, 0.0)], 0.1)
+    track_frame(tracker, [det(30.0, 0.0)], 0.1)
     ids = {t.track_id for t in tracker.tracks}
     assert tid in ids and len(ids) == 2
 
@@ -205,9 +219,9 @@ def test_association_gates_far_detections():
 
 def test_confidence_halves_exactly_per_miss():
     tracker = MultiObjectTracker(TrackerConfig(confidence_threshold=0.01))
-    tracker.step([det(0.0, 0.0, conf=0.9)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0, conf=0.9)], 0.1)
     for k in range(1, 6):
-        tracker.step([], 0.1)
+        track_frame(tracker, [], 0.1)
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].confidence == 0.9 * 0.5**k
         assert tracker.tracks[0].misses == k
@@ -215,12 +229,12 @@ def test_confidence_halves_exactly_per_miss():
 
 def test_track_removed_below_confidence_threshold():
     tracker = MultiObjectTracker()  # threshold 0.10
-    tracker.step([det(0.0, 0.0, conf=0.7)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0, conf=0.7)], 0.1)
     # 0.7 -> 0.35 -> 0.175 -> 0.0875 < 0.10: gone on the third miss
-    tracker.step([], 0.1)
-    tracker.step([], 0.1)
+    track_frame(tracker, [], 0.1)
+    track_frame(tracker, [], 0.1)
     assert len(tracker.tracks) == 1
-    tracker.step([], 0.1)
+    track_frame(tracker, [], 0.1)
     assert tracker.tracks == []
 
 
@@ -230,22 +244,22 @@ def test_miss_penalty_skipped_in_uncovered_views():
     ego = EgoPose(0.0, 0.0, 0.0, 0.0)
     d = det(20.0, 0.0, conf=0.8)
     front_view = view_of(d.center, rig)
-    tracker.step([d], 0.1, covered_views={front_view}, ego_pose=ego)
+    track_frame(tracker, [d], 0.1, covered_views={front_view}, ego_pose=ego)
     # frame with no detections, but the track's view was not covered: no penalty
     other = (front_view + 3) % rig.view_count
-    tracker.step([], 0.1, covered_views={other}, ego_pose=ego)
+    track_frame(tracker, [], 0.1, covered_views={other}, ego_pose=ego)
     assert tracker.tracks[0].confidence == 0.8
     assert tracker.tracks[0].misses == 0
     # now the view is covered and the detector saw nothing: penalized
-    tracker.step([], 0.1, covered_views={front_view}, ego_pose=ego)
+    track_frame(tracker, [], 0.1, covered_views={front_view}, ego_pose=ego)
     assert tracker.tracks[0].confidence == 0.4
     assert tracker.tracks[0].misses == 1
 
 
 def test_covered_views_none_means_all_covered():
     tracker = MultiObjectTracker()
-    tracker.step([det(0.0, 0.0, conf=0.8)], 0.1)
-    tracker.step([], 0.1, covered_views=None)
+    track_frame(tracker, [det(0.0, 0.0, conf=0.8)], 0.1)
+    track_frame(tracker, [], 0.1, covered_views=None)
     assert tracker.tracks[0].confidence == 0.4
 
 
@@ -256,27 +270,120 @@ def test_uncovered_view_exemption_uses_ego_frame():
     tracker = MultiObjectTracker(rig=rig)
     ego0 = EgoPose(0.0, 0.0, 0.0, 0.0)
     d = det(20.0, 0.0, conf=0.8)
-    tracker.step([d], 0.1, covered_views={view_of(d.center, rig)}, ego_pose=ego0)
+    track_frame(tracker, [d], 0.1, covered_views={view_of(d.center, rig)}, ego_pose=ego0)
     turned = EgoPose(0.0, 0.0, math.pi, 0.1)
     rear_view = rig.view_of_angle(math.pi)  # object bearing in the turned frame
-    tracker.step([], 0.1, covered_views={rear_view}, ego_pose=turned)
+    track_frame(tracker, [], 0.1, covered_views={rear_view}, ego_pose=turned)
     assert tracker.tracks[0].misses == 1  # penalized: its ego-frame view was covered
 
 
 def test_ages_increment_each_step():
     tracker = MultiObjectTracker()
-    tracker.step([det(0.0, 0.0)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0)], 0.1)
     assert tracker.tracks[0].age == 0
-    tracker.step([det(0.0, 0.0)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0)], 0.1)
     assert tracker.tracks[0].age == 1
-    tracker.step([det(0.0, 0.0)], 0.1)
+    track_frame(tracker, [det(0.0, 0.0)], 0.1)
     assert tracker.tracks[0].age == 2
 
 
 def test_forecast_all_preserves_track_count():
     tracker = MultiObjectTracker()
-    tracker.step([det(0.0, 0.0), det(10.0, 10.0), det(-10.0, 5.0)], 0.1)
-    ahead = tracker.forecast_all(0.5)
+    track_frame(tracker, [det(0.0, 0.0), det(10.0, 10.0), det(-10.0, 5.0)], 0.1)
+    ahead = forecast_all(tracker.tracks, 0.5, tracker.model)
     assert len(ahead) == 3
+    assert ahead.means.shape == (3, 9) and ahead.covariances.shape == (3, 9, 9)
+    assert [t.track_id for t in ahead.states()] == [t.track_id for t in tracker.tracks]
     # pure function: the tracker's own state is untouched
     assert all(t.age == 0 for t in tracker.tracks)
+    assert len(forecast_all([], 0.5, tracker.model)) == 0
+
+
+def test_step_needs_the_forecast_of_its_own_tracks():
+    tracker = MultiObjectTracker()
+    track_frame(tracker, [det(0.0, 0.0)], 0.1)
+    stale = forecast_all(tracker.tracks, 0.1, tracker.model)
+    track_frame(tracker, [det(0.1, 0.0)], 0.1)
+    with pytest.raises(ValueError):
+        tracker.step([], 0.1, stale)
+    with pytest.raises(ValueError):
+        tracker.step([], 0.1, forecast_all([], 0.1, tracker.model))
+
+
+# Reference implementation: the per-track forecast the batched one replaced.
+
+
+def _reference_forecast(track: TrackState, dt: float, model: KalmanModel) -> TrackState:
+    a = model.transition(dt)
+    mean = a @ track.mean
+    cov = a @ track.covariance @ a.T + model.process_cov(dt)
+    return replace(track, mean=mean, covariance=cov)
+
+
+_floats = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    count=st.sampled_from((1, 2, 11, 50, 200)),
+    dt=st.sampled_from((0.0, 0.05, 0.1)) | st.floats(0.0, 2.0),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+    edge=_floats,
+)
+def test_batched_forecast_matches_the_per_track_forecast(count, dt, scale, seed, edge):
+    rng = np.random.default_rng(seed)
+    model = KalmanModel()
+    tracks = []
+    for i in range(count):
+        root = rng.normal(size=(9, 9)) * scale
+        mean = rng.normal(size=9) * rng.uniform(0.0, 100.0)
+        mean[int(rng.integers(9))] = edge
+        tracks.append(TrackState(track_id=i, mean=mean, covariance=root @ root.T,
+                                 cls=ObjectClass.CAR, confidence=0.5))
+    got = forecast_all(tracks, dt, model)
+    for track, row in zip(tracks, got.states()):
+        want = _reference_forecast(track, dt, model)
+        assert np.array_equal(row.mean, want.mean)
+        assert np.array_equal(row.covariance, want.covariance)
+        assert replace(row, mean=want.mean, covariance=want.covariance) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.booleans(), _floats, _floats,
+                  st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)),
+        min_size=1, max_size=60,
+    ),
+    noise=st.sampled_from((0.25, 1e-4, 25.0)),
+)
+def test_covariance_stays_psd_under_any_forecast_and_update_sequence(steps, noise):
+    model = KalmanModel(measurement_noise=(noise,) * 6 + (noise / 4,) * 3)
+    track = fresh_track()
+    for dt, detected, x, y, vx, vy in steps:
+        track = forecast(track, dt, model)
+        if detected:
+            track = update(track, det(x, y, vx, vy), model)
+        cov = track.covariance
+        assert np.allclose(cov, cov.T, atol=1e-9)
+        assert float(np.linalg.eigvalsh(cov).min()) >= -1e-9 * max(1.0, float(np.abs(cov).max()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    positions=st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)),
+                       min_size=1, max_size=12),
+    pose=st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0), st.floats(-4.0, 4.0)),
+    covered=st.sets(st.integers(0, 5)),
+)
+def test_misses_count_only_in_covered_views_of_the_ego_frame(positions, pose, covered):
+    rig = CameraRig.default()
+    ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
+    tracker = MultiObjectTracker(rig=rig)
+    track_frame(tracker, [det(x, y, 1.0, -0.5) for x, y in positions], 0.1)
+    ahead = forecast_all(tracker.tracks, 0.1, tracker.model).states()
+    want = {t.track_id: view_of(box_to_ego(t.to_box(), ego).center, rig) in covered
+            for t in ahead}
+    track_frame(tracker, [], 0.1, covered_views=covered, ego_pose=ego)
+    assert {t.track_id: t.misses == 1 for t in tracker.tracks} == want
