@@ -139,8 +139,8 @@ class DeviceProfile:
     def _validate(self) -> None:
         if len(self.modules) != len(set(self.modules)):
             raise ProfileError("duplicate module names")
-        if self.memory_limit_mb <= 0:
-            raise ProfileError("memory limit must be positive")
+        if not 0 < self.memory_limit_mb < math.inf:
+            raise ProfileError("memory limit must be positive and finite")
         if self.update_slope_ms_per_track < 0 or self.update_intercept_ms < 0:
             raise ProfileError("update latency coefficients must be non-negative")
         for m in self.modules.values():

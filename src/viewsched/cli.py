@@ -56,6 +56,7 @@ from .simulator import (
     EpisodeLog,
     ScenarioConfig,
     SystemConfig,
+    check_timing,
     rng_stream,
     run_episode,
     synth_detect,
@@ -151,6 +152,13 @@ def _check_seeds(seeds: object) -> None:
         raise ValueError(f"training seeds must be a non-empty list of integers, got {seeds!r}")
 
 
+def _number(key: str, value: object) -> float:
+    """A manifest number: a JSON int or float, not a boolean or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_manifest(
     path: str,
     seed_override: Optional[int] = None,
@@ -180,32 +188,29 @@ def load_manifest(
     except KeyError as exc:
         raise ConfigError(f"manifest is missing required key {exc}") from exc
 
-    memory_limit = data.get("memory_limit_mb")
-    if memory_limit is not None:
-        device_dict = dict(device_dict)
-        device_dict["memory_limit_mb"] = float(memory_limit)
-
     try:
+        memory_limit = data.get("memory_limit_mb")
+        if memory_limit is not None:
+            memory_limit = _number("memory_limit_mb", memory_limit)
+            device_dict = {**device_dict, "memory_limit_mb": memory_limit}
         scenario = ScenarioConfig.from_dict(scenario_dict)
         if seed_override is not None:
             scenario = replace(scenario, seed=int(seed_override))
         device = DeviceProfile.from_dict(device_dict)
         capability = CapabilityProfile.from_dict(capability_dict)
-        target_ms = float(target_override if target_override is not None else data.get("target_ms", 33.0))
-        alpha = float(data.get("alpha", 1.0))
-        sigma = float(data.get("latency_noise_sigma", 0.0))
-        margin = float(data.get("sched_margin_ms", 0.0))
+        target = data.get("target_ms", 33.0) if target_override is None else target_override
+        target_ms = _number("target_ms", target)
+        alpha = _number("alpha", data.get("alpha", 1.0))
+        sigma = _number("latency_noise_sigma", data.get("latency_noise_sigma", 0.0))
+        margin = _number("sched_margin_ms", data.get("sched_margin_ms", 0.0))
+        check_timing(target_ms, alpha, sigma, margin)
         training = {**_DEFAULT_TRAINING, **data.get("training", {})}
         unknown = sorted(set(training) - set(_DEFAULT_TRAINING))
         if unknown:
             raise ValueError(f"unknown training keys {unknown}")
         _check_seeds(training["seeds"])
         _gbrt_params(training)
-        if target_ms <= 0:
-            raise ValueError("target_ms must be positive")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must lie in (0, 1]")
-    except (ValueError, TypeError, KeyError, ProfileError, CapabilityError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError, ProfileError, CapabilityError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
     model_ref = data.get("model")

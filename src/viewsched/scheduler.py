@@ -12,8 +12,10 @@ as the best we could possibly run here".
 
 Tie-breaking is fully deterministic everywhere: maximize the objective, then
 minimize total latency, then take the lexicographically smallest assignment
-vector. `solve_bruteforce` re-implements the same contract by enumeration and
-exists only as an independent check; it must never be folded into `solve`.
+vector. At alpha = 1 latency ties are compared in 0.1 ms grid units; under a
+batching discount, by the true batched latency. `solve_bruteforce`
+re-implements the contract by enumeration and exists only as an independent
+check; it must never be folded into `solve`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,12 +186,15 @@ def _pricing(problem: ScheduleProblem) -> Tuple[float, np.ndarray, int]:
     may form (`prices[k - 1, i]` is branch row i run on k views) and the
     budget in grid units, capped at the dearest assignment priced view by
     view. At alpha = 1 merging views never lowers a price, so only
-    single-view batches are priced. Past `_MAX_EXACT_BATCH_VIEWS` views the
-    partition search is too large and alpha < 1 is priced as alpha = 1,
-    which over-estimates every batch.
+    single-view batches are priced. Below it the exact search costs
+    M * 3^N transitions over the budget axis and keys each assignment as an
+    int64 base-M number, so past `_MAX_EXACT_BATCH_VIEWS` views, or once
+    M**N reaches 2**63, alpha < 1 is priced as alpha = 1, which
+    over-estimates every batch.
     """
-    n = problem.num_views
-    alpha = problem.alpha if n <= _MAX_EXACT_BATCH_VIEWS else 1.0
+    m, n = problem.num_branches, problem.num_views
+    exact = n <= _MAX_EXACT_BATCH_VIEWS and m**n < 2**63
+    alpha = problem.alpha if exact else 1.0
     sizes = range(1, n + 1) if alpha < 1.0 else (1,)
     prices = np.array(
         [[_weight_units(group_cost(float(v), k, alpha)) for v in problem.latencies_ms]
@@ -201,118 +206,124 @@ def _pricing(problem: ScheduleProblem) -> Tuple[float, np.ndarray, int]:
 
 def _dp_assign(
     scores: np.ndarray, weights: np.ndarray, budget: int
-) -> Optional[List[int]]:
-    """Exact grouped knapsack: pick one row per column.
+) -> Optional[Tuple[int, ...]]:
+    """Exact multiple-choice knapsack: pick one row per column.
 
-    scores, weights are (M, G); weights are integer grid units. Returns the
-    chosen rows (max total score, then min total weight, then lexicographic)
-    or None when some column has no row that fits even alone.
+    scores is (M, N); weights are the rows' integer grid units. Returns the
+    chosen rows (max total score, then fewest units, then lexicographic) or
+    None when some column has no row that fits even alone.
     """
-    m, g = scores.shape
-    w = budget
-    s_suffix = np.zeros(w + 1)
-    w_suffix = np.zeros(w + 1)
-    stack: List[Tuple[np.ndarray, np.ndarray]] = [(s_suffix, w_suffix)]
-    for col in range(g - 1, -1, -1):
-        cand_s = np.full((m, w + 1), -np.inf)
-        cand_w = np.full((m, w + 1), np.inf)
-        for i in range(m):
-            wi = int(weights[i, col])
-            if wi > w:
-                continue
-            cand_s[i, wi:] = scores[i, col] + s_suffix[: w + 1 - wi]
-            cand_w[i, wi:] = wi + w_suffix[: w + 1 - wi]
-        s_new = cand_s.max(axis=0)
-        w_new = np.where(cand_s == s_new[None, :], cand_w, np.inf).min(axis=0)
-        s_suffix, w_suffix = s_new, w_new
-        stack.append((s_new, w_new))
-    stack.reverse()  # stack[col] = DP state covering columns col..g-1
-
-    if not np.isfinite(stack[0][0][w]):
+    m, n = scores.shape
+    suffix = [np.zeros(budget + 1)]  # suffix[col][u]: best of columns col.. in u units
+    for col in range(n - 1, -1, -1):
+        cand = np.full((m, budget + 1), -np.inf)
+        for i, wi in enumerate(weights):
+            if wi <= budget:
+                cand[i, wi:] = scores[i, col] + suffix[-1][: budget + 1 - wi]
+        suffix.append(cand.max(axis=0))
+    suffix.reverse()
+    if suffix[0][budget] == -np.inf:
         return None
+    rem = int(np.argmax(suffix[0] == suffix[0][budget]))  # the fewest units reaching it
+    rows = []
+    for col in range(n):
+        i = next(i for i, wi in enumerate(weights)
+                 if wi <= rem and scores[i, col] + suffix[col + 1][rem - wi] == suffix[col][rem])
+        rows.append(i)
+        rem -= int(weights[i])
+    return tuple(rows)
 
-    rows: List[int] = []
-    rem = w
-    for col in range(g):
-        s_here, w_here = stack[col]
-        s_next, w_next = stack[col + 1]
-        for i in range(m):
-            wi = int(weights[i, col])
-            if wi > rem:
+
+def _batched_assign(
+    problem: ScheduleProblem, prices: np.ndarray, budget: int
+) -> Optional[Tuple[int, ...]]:
+    """Exact batched assignment: one DP over branches with setup costs.
+
+    Branch row i takes one set S of the views still open as one batch, at
+    `prices[|S| - 1, i]` grid units; merging views that share a branch never
+    costs more units, so this reaches every plan the grid admits. The state
+    (assigned views, units) has one binary axis per view. A cell holds the
+    best plan within that many units by score, then true latency (summed in
+    `assignment_latency`'s order), then key: the rows as a base-M number,
+    view 0 most significant, so lexicographic and decoded into the answer.
+    """
+    m, n = problem.scores.shape
+    shape = (2,) * n + (budget + 1,)
+    state = (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape, dtype=np.int64))
+    state[0][(0,) * n] = 0.0
+    place = [m ** (n - 1 - j) for j in range(n)]
+    for i, lat in enumerate(problem.latencies_ms):
+        batch = np.zeros((2,) * n)  # batch[S]: row i's scores summed over S
+        for j in range(n):
+            batch[(slice(None),) * j + (1,)] += problem.scores[i, j]
+        prev = [a.copy() for a in state]
+        for s in itertools.islice(itertools.product((0, 1), repeat=n), 1, None):
+            k = sum(s)
+            p = int(prices[k - 1, i])
+            if p > budget:
                 continue
-            if (
-                scores[i, col] + s_next[rem - wi] == s_here[rem]
-                and wi + w_next[rem - wi] == w_here[rem]
-            ):
-                rows.append(i)
-                rem -= wi
-                break
-        else:
-            raise RuntimeError("DP reconstruction failed; internal invariant broken")
-    return rows
+            src = tuple(0 if b else slice(None) for b in s) + (slice(budget + 1 - p),)
+            dst = tuple(1 if b else slice(None) for b in s) + (slice(p, None),)
+            c_score = prev[0][src] + batch[s]
+            c_lat = prev[1][src] + group_cost(float(lat), k, problem.alpha)
+            c_key = prev[2][src] + i * sum(w for w, b in zip(place, s) if b)
+            h_score, h_lat, h_key = (a[dst] for a in state)
+            better = (c_score > h_score) | (c_score == h_score) & (
+                (c_lat < h_lat) | (c_lat == h_lat) & (c_key < h_key)
+            )
+            for here, cand in zip((h_score, h_lat, h_key), (c_score, c_lat, c_key)):
+                np.copyto(here, cand, where=better)
+    full = (1,) * n + (budget,)
+    if state[0][full] == -np.inf:
+        return None
+    return _settle_view_order(problem.scores, tuple(int(state[2][full]) // w % m for w in place))
 
 
-def _partitions(items: Sequence[int]):
-    """All set partitions of `items` (views that will share a batch)."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _partitions(rest):
-        # first joins an existing part
-        for k in range(len(sub)):
-            yield sub[:k] + [[first] + sub[k]] + sub[k + 1 :]
-        # first opens its own part
-        yield [[first]] + sub
+def _settle_view_order(scores: np.ndarray, plan: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The best reordering of `plan`'s rows over views with equal score columns.
+
+    Such plans run the same batches, so they tie on score and latency, but the
+    objective `solve` reports is summed view by view and its rounding depends
+    on that order: take the largest, then the lexicographically smallest.
+    """
+    group = np.unique(scores.T, axis=0, return_inverse=True)[1].ravel()
+    plans = np.array([plan])
+    for views in (np.flatnonzero(group == g) for g in range(group.max() + 1)):
+        rows = np.array(sorted(set(itertools.permutations([plan[j] for j in views]))))
+        plans = np.repeat(plans, len(rows), axis=0)
+        plans[:, views] = np.tile(rows, (len(plans) // len(rows), 1))
+    total = np.zeros(len(plans))
+    for j in range(len(plan)):
+        total = total + scores[plans[:, j], j]
+    return min(tuple(int(r) for r in p) for p in plans[total == total.max()])
 
 
 def solve(problem: ScheduleProblem) -> ScheduleDecision:
     """Exact solver.
 
     Views sharing a branch run as one batch priced by `group_cost`, which is
-    not additive per view when alpha < 1. The solver therefore enumerates
-    view partitions (a part = views forced onto one batch), prices each part
-    as a single item of a multiple-choice knapsack on the latency grid, and
-    keeps the best partition's answer. Per-part prices over-estimate merged
-    groups when alpha <= 1, so every candidate is truly feasible, and the
-    partition matching the true grouping prices it exactly. At alpha = 1 the
-    only partition searched is all singletons; see `_pricing` for the limit
-    on exact batching.
+    not additive per view when alpha < 1; `_batched_assign` then prices each
+    batch whole. At alpha = 1 `_dp_assign` prices every view alone. See
+    `_pricing` for the limit on exact batching.
     """
     n = problem.num_views
     alpha, prices, budget = _pricing(problem)
     if alpha != problem.alpha:
         logger.warning(
-            "alpha=%.3f with %d views exceeds the exact-batching limit; pricing without "
-            "the batching discount (conservative)",
-            problem.alpha,
-            n,
+            "alpha=%.3f with %d views and %d branches exceeds the exact-batching limit; "
+            "pricing without the batching discount (conservative)",
+            problem.alpha, n, problem.num_branches,
         )
-    partitions = _partitions(list(range(n))) if alpha < 1.0 else [[[j] for j in range(n)]]
-    best: Optional[Tuple[float, float, Tuple[int, ...]]] = None
-    for parts in partitions:
-        rows = _dp_assign(
-            np.array([problem.scores[:, part].sum(axis=1) for part in parts]).T,
-            np.array([prices[len(part) - 1] for part in parts]).T,
-            budget,
-        )
-        if rows is None:
-            continue
-        assignment_list = [0] * n
-        for row, part in zip(rows, parts):
-            for j in part:
-                assignment_list[j] = row
-        assignment = tuple(assignment_list)
-        objective = sum(float(problem.scores[assignment[j], j]) for j in range(n))
-        key = (objective, -assignment_latency(assignment, problem.latencies_ms, problem.alpha))
-        if best is None or key > best[:2] or (key == best[:2] and assignment < best[2]):
-            best = (*key, assignment)
-    if best is None:
+    if alpha < 1.0:
+        assignment = _batched_assign(problem, prices, budget)
+    else:
+        assignment = _dp_assign(problem.scores, prices[0], budget)
+    if assignment is None:
         raise InfeasibleError("no branch combination fits the budget")
     return ScheduleDecision(
-        assignment=best[2],
-        predicted_objective=best[0],
-        predicted_latency_ms=-best[1],
+        assignment=assignment,
+        predicted_objective=sum(float(problem.scores[assignment[j], j]) for j in range(n)),
+        predicted_latency_ms=assignment_latency(assignment, problem.latencies_ms, problem.alpha),
     )
 
 

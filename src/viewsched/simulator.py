@@ -757,12 +757,21 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if not self.branches or not self.branches[0].is_tracker:
             raise ValueError("branch set must start with the tracker branch")
-        if self.target_ms <= 0:
-            raise ValueError("target must be positive")
-        if self.latency_noise_sigma < 0 or self.sched_margin_ms < 0:
-            raise ValueError("noise sigma and margin must be non-negative")
-        if self.sched_margin_ms >= self.target_ms:
-            raise ValueError("margin must leave a positive scheduling target")
+        check_timing(self.target_ms, self.alpha, self.latency_noise_sigma, self.sched_margin_ms)
+
+
+def check_timing(target_ms: float, alpha: float, noise_sigma: float, margin_ms: float) -> None:
+    """The rule a run's timing numbers obey, for `SystemConfig` and manifests alike."""
+    if not all(math.isfinite(v) for v in (target_ms, alpha, noise_sigma, margin_ms)):
+        raise ValueError("target, alpha, noise sigma and margin must be finite")
+    if target_ms <= 0:
+        raise ValueError("target must be positive")
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must lie in (0, 1]")
+    if noise_sigma < 0 or margin_ms < 0:
+        raise ValueError("noise sigma and margin must be non-negative")
+    if margin_ms >= target_ms:
+        raise ValueError("margin must leave a positive scheduling target")
 
 
 @dataclass

@@ -7,9 +7,14 @@ those fixtures instead of retraining.
 
 import hashlib
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from viewsched.branches import enumerate_branches
 
 from viewsched.cli import (
     ConfigError,
@@ -21,6 +26,7 @@ from viewsched.cli import (
     load_manifest,
     main,
 )
+from viewsched.simulator import SystemConfig
 
 
 @pytest.fixture(scope="session")
@@ -92,9 +98,15 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"training": {"round": 10}},
         {"alpha": 0},
         {"alhpa": 0.5},
+        {"latency_noise_sigma": -1},
+        {"sched_margin_ms": 40},
+        {"memory_limit_mb": "abc"},
+        {"target_ms": float("nan")},
+        {"target_ms": float("inf")},
     ],
     ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero",
-         "unknown-top-level-key"],
+         "unknown-top-level-key", "sigma-negative", "margin-not-below-target",
+         "memory-limit-string", "target-nan", "target-infinite"],
 )
 def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
     data = {
@@ -112,6 +124,52 @@ def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration")
     assert "Traceback" not in err
+
+
+_MANIFEST_NUMBERS = ["target_ms", "alpha", "latency_noise_sigma", "sched_margin_ms",
+                     "memory_limit_mb"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(_MANIFEST_NUMBERS),
+        st.one_of(
+            st.floats(max_value=0.0),
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+            st.integers(max_value=0),
+            st.text(max_size=4),
+            st.booleans(),
+        ),
+    )
+)
+def test_manifest_number_fuzz_fails_only_as_a_config_error(tmp_path_factory, numbers):
+    # negatives, zero, NaN, +-inf, strings and booleans in every numeric key
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "fuzz.json", base / "fuzz-adapt.json"
+    path.write_text(json.dumps({
+        "name": "fuzz",
+        "scenario": "builtin:scenario_quickstart",
+        "device": "builtin:device_orin",
+        "capability": "builtin:capability_default",
+        **numbers,
+    }))
+    try:
+        man = load_manifest(str(path))
+    except ConfigError:
+        pass
+    else:
+        SystemConfig(
+            branches=enumerate_branches(),
+            device=man.device,
+            capability=man.capability,
+            models=None,
+            target_ms=man.target_ms,
+            alpha=man.alpha,
+            latency_noise_sigma=man.latency_noise_sigma,
+            sched_margin_ms=man.sched_margin_ms,
+        )
+    assert main(["adapt", "--manifest", str(path), "--out", str(out)]) in (0, 2)
 
 
 def test_manifest_memory_limit_override(tmp_path):
