@@ -146,6 +146,11 @@ class DeviceProfile:
         for m in self.modules.values():
             if m.latency_ms < 0 or m.memory_mb < 0:
                 raise ProfileError(f"module {m.name}: negative latency or memory")
+        fixed_mb = sum(m.memory_mb for m in self.modules.values() if m.fixed)
+        if fixed_mb > self.memory_limit_mb:
+            raise ProfileError(
+                f"fixed modules alone need {fixed_mb:.0f} MB, limit is {self.memory_limit_mb:.0f} MB"
+            )
         for branch in enumerate_branches():
             if branch.index not in self.branch_modules:
                 raise ProfileError(f"branch {branch.index} ({branch.label}) has no module path")
@@ -315,12 +320,8 @@ def adapt(device: DeviceProfile, target_latency_ms: float) -> Tuple[BranchConfig
         used = sum(device.modules[n].memory_mb for n in needed)
         if used <= device.memory_limit_mb:
             break
-        candidates = sorted(needed - fixed_names)
-        if not candidates:
-            raise ProfileError(
-                f"fixed modules alone need {used:.0f} MB, limit is {device.memory_limit_mb:.0f} MB"
-            )
-        victim = max(candidates, key=lambda n: (device.modules[n].memory_mb, n))
+        # the fixed modules fit (`DeviceProfile` checks), so something is left to evict
+        victim = max(needed - fixed_names, key=lambda n: (device.modules[n].memory_mb, n))
         alive = [i for i in alive if victim not in device.branch_modules[i]]
 
     fixed_ms = fixed_latency(device)

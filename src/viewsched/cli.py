@@ -86,6 +86,8 @@ def _setup_logging() -> None:
 
 def _load_ref(ref: str, base_dir: str) -> dict:
     """Resolve a manifest reference: packaged name or path relative to it."""
+    if not isinstance(ref, str):
+        raise ConfigError(f"invalid configuration: reference {ref!r} is not a string")
     if ref.startswith(_BUILTIN_PREFIX):
         name = ref[len(_BUILTIN_PREFIX):]
         try:
@@ -215,6 +217,8 @@ def load_manifest(
 
     model_ref = data.get("model")
     model_path = None
+    if model_ref is not None and not isinstance(model_ref, str):
+        raise ConfigError(f"invalid configuration: model {model_ref!r} is not a string")
     if model_ref:
         model_path = (
             model_ref if os.path.isabs(model_ref) else os.path.join(base_dir, model_ref)

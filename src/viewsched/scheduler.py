@@ -12,10 +12,13 @@ as the best we could possibly run here".
 
 Tie-breaking is fully deterministic everywhere: maximize the objective, then
 minimize total latency, then take the lexicographically smallest assignment
-vector. At alpha = 1 latency ties are compared in 0.1 ms grid units; under a
-batching discount, by the true batched latency. `solve_bruteforce`
-re-implements the contract by enumeration and exists only as an independent
-check; it must never be folded into `solve`.
+vector. At alpha = 1 the knapsack ranks float score sums and 0.1 ms grid
+units. Under a batching discount both are sums of integers (`_score_ticks`,
+`_latency_ticks`), exact in any order, so no rounding decides (a float sum can
+rank two plans by a 1e-134 ms batch that a later 1 ms batch absorbs); plans
+that then tie only by permuting rows over identical score columns go to the
+larger objective summed view by view, as reported. `solve_bruteforce` is the
+independent enumeration check; it must never be folded into `solve`.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -53,6 +57,7 @@ logger = logging.getLogger(__name__)
 
 _GRID_PER_MS = 10.0  # DP granularity: 0.1 ms
 _GRID_EPS = 1e-12  # relative float noise forgiven on an on-grid value
+_TICKS_PER_UNIT = 2**30  # latency ranking below alpha = 1; on-grid values stay exact
 _MAX_EXACT_BATCH_VIEWS = 8
 _BRUTE_FORCE_LIMIT = 1_000_000
 
@@ -118,24 +123,16 @@ def most_powerful_row(latencies_ms: np.ndarray) -> int:
 
 def normalize_scores(scores: np.ndarray, latencies_ms: np.ndarray) -> np.ndarray:
     """Divide each view's column by the most powerful branch's score there.
-
-    A non-positive reference score cannot normalize anything meaningfully;
-    that column passes through unchanged with a diagnostic. Relative order
-    within a column is preserved either way.
-    """
+    A column whose reference score is not positive passes through unchanged,
+    with a diagnostic; relative order within a column holds either way."""
     scores = np.asarray(scores, dtype=np.float64)
-    ref = most_powerful_row(latencies_ms)
+    ref = scores[most_powerful_row(latencies_ms)]
     out = scores.copy()
-    for j in range(scores.shape[1]):
-        denom = scores[ref, j]
-        if denom > 0.0:
-            out[:, j] = scores[:, j] / denom
-        else:
-            logger.warning(
-                "view %d: reference branch score %.4f is not positive; leaving column raw",
-                j,
-                denom,
-            )
+    out[:, ref > 0.0] /= ref[ref > 0.0]
+    for j in np.flatnonzero(~(ref > 0.0)):
+        logger.warning(
+            "view %d: reference branch score %.4f is not positive; leaving column raw", j, ref[j]
+        )
     return out
 
 
@@ -156,12 +153,9 @@ def assignment_latency(
     Views sharing a branch are priced as one group. Groups are accumulated
     in ascending branch order so the float result is reproducible.
     """
-    counts: dict = {}
-    for row in assignment:
-        counts[int(row)] = counts.get(int(row), 0) + 1
     total = 0.0
-    for row in sorted(counts):
-        total += group_cost(float(latencies_ms[row]), counts[row], alpha)
+    for row, count in sorted(Counter(int(r) for r in assignment).items()):
+        total += group_cost(float(latencies_ms[row]), count, alpha)
     return total
 
 
@@ -171,27 +165,32 @@ def _weight_units(latency_ms: float) -> int:
     return int(math.ceil(units - units * _GRID_EPS))
 
 
+def _latency_ticks(latency_ms: float) -> int:
+    """Latency -> the nearest whole tick, the unit latency is ranked in."""
+    return round(latency_ms * _GRID_PER_MS * _TICKS_PER_UNIT)
+
+
+def _score_ticks(scores: np.ndarray) -> np.ndarray:
+    """Scores -> whole ticks of 2**-50 times the largest total a plan could
+    reach, the unit the objective is ranked in; float64 holds every sum exactly."""
+    top = float(np.abs(scores).max(initial=0.0)) * scores.shape[1]
+    return np.round(np.ldexp(scores, 50 - math.frexp(top)[1]))
+
+
 def _budget_units(t_max_ms: float, cap: int) -> int:
     raw = t_max_ms * _GRID_PER_MS
     raw += raw * _GRID_EPS
-    if raw >= cap:
-        return cap
-    return max(int(math.floor(raw)), 0)
+    return cap if raw >= cap else max(int(math.floor(raw)), 0)
 
 
 def _pricing(problem: ScheduleProblem) -> Tuple[float, np.ndarray, int]:
-    """The pricing rule `solve` and `best_uniform` share.
-
-    Returns the effective alpha, the grid price of every batch the solver
-    may form (`prices[k - 1, i]` is branch row i run on k views) and the
-    budget in grid units, capped at the dearest assignment priced view by
-    view. At alpha = 1 merging views never lowers a price, so only
-    single-view batches are priced. Below it the exact search costs
-    M * 3^N transitions over the budget axis and keys each assignment as an
-    int64 base-M number, so past `_MAX_EXACT_BATCH_VIEWS` views, or once
-    M**N reaches 2**63, alpha < 1 is priced as alpha = 1, which
-    over-estimates every batch.
-    """
+    """The pricing rule `solve` and `best_uniform` share: the effective alpha,
+    the grid price of every batch (`prices[k - 1, i]`: row i on k views; only
+    k = 1 at alpha = 1, where merging never lowers a price) and the budget in
+    units, capped at the dearest plan priced view by view. The exact batched
+    search costs M * 3^N transitions and keys plans as int64 base-M numbers, so
+    past `_MAX_EXACT_BATCH_VIEWS` views or once M**N reaches 2**63 alpha < 1 is
+    priced as alpha = 1, over-estimating batches."""
     m, n = problem.num_branches, problem.num_views
     exact = n <= _MAX_EXACT_BATCH_VIEWS and m**n < 2**63
     alpha = problem.alpha if exact else 1.0
@@ -204,9 +203,7 @@ def _pricing(problem: ScheduleProblem) -> Tuple[float, np.ndarray, int]:
     return alpha, prices, _budget_units(problem.t_max_ms, int(prices[0].max()) * n)
 
 
-def _dp_assign(
-    scores: np.ndarray, weights: np.ndarray, budget: int
-) -> Optional[Tuple[int, ...]]:
+def _dp_assign(scores: np.ndarray, weights: np.ndarray, budget: int) -> Optional[Tuple[int, ...]]:
     """Exact multiple-choice knapsack: pick one row per column.
 
     scores is (M, N); weights are the rows' integer grid units. Returns the
@@ -243,19 +240,20 @@ def _batched_assign(
     `prices[|S| - 1, i]` grid units; merging views that share a branch never
     costs more units, so this reaches every plan the grid admits. The state
     (assigned views, units) has one binary axis per view. A cell holds the
-    best plan within that many units by score, then true latency (summed in
-    `assignment_latency`'s order), then key: the rows as a base-M number,
-    view 0 most significant, so lexicographic and decoded into the answer.
+    best plan within that many units by score ticks, then latency ticks, then
+    key: the rows as a base-M number, view 0 most significant, so
+    lexicographic and decoded into the answer.
     """
     m, n = problem.scores.shape
+    ticks = _score_ticks(problem.scores)
     shape = (2,) * n + (budget + 1,)
-    state = (np.full(shape, -np.inf), np.zeros(shape), np.zeros(shape, dtype=np.int64))
+    state = (np.full(shape, -np.inf), *np.zeros((2,) + shape, dtype=np.int64))  # score, ticks, key
     state[0][(0,) * n] = 0.0
     place = [m ** (n - 1 - j) for j in range(n)]
     for i, lat in enumerate(problem.latencies_ms):
-        batch = np.zeros((2,) * n)  # batch[S]: row i's scores summed over S
+        batch = np.zeros((2,) * n)  # batch[S]: row i's score ticks summed over S
         for j in range(n):
-            batch[(slice(None),) * j + (1,)] += problem.scores[i, j]
+            batch[(slice(None),) * j + (1,)] += ticks[i, j]
         prev = [a.copy() for a in state]
         for s in itertools.islice(itertools.product((0, 1), repeat=n), 1, None):
             k = sum(s)
@@ -265,7 +263,7 @@ def _batched_assign(
             src = tuple(0 if b else slice(None) for b in s) + (slice(budget + 1 - p),)
             dst = tuple(1 if b else slice(None) for b in s) + (slice(p, None),)
             c_score = prev[0][src] + batch[s]
-            c_lat = prev[1][src] + group_cost(float(lat), k, problem.alpha)
+            c_lat = prev[1][src] + _latency_ticks(group_cost(float(lat), k, problem.alpha))
             c_key = prev[2][src] + i * sum(w for w, b in zip(place, s) if b)
             h_score, h_lat, h_key = (a[dst] for a in state)
             better = (c_score > h_score) | (c_score == h_score) & (
@@ -280,12 +278,9 @@ def _batched_assign(
 
 
 def _settle_view_order(scores: np.ndarray, plan: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The best reordering of `plan`'s rows over views with equal score columns.
-
-    Such plans run the same batches, so they tie on score and latency, but the
-    objective `solve` reports is summed view by view and its rounding depends
-    on that order: take the largest, then the lexicographically smallest.
-    """
+    """The best reordering of `plan`'s rows over views with identical score
+    columns: such plans tie on ticks, but the objective is reported summed view
+    by view, so take the largest, then the lexicographically smallest."""
     group = np.unique(scores.T, axis=0, return_inverse=True)[1].ravel()
     plans = np.array([plan])
     for views in (np.flatnonzero(group == g) for g in range(group.max() + 1)):
@@ -299,25 +294,17 @@ def _settle_view_order(scores: np.ndarray, plan: Tuple[int, ...]) -> Tuple[int, 
 
 
 def solve(problem: ScheduleProblem) -> ScheduleDecision:
-    """Exact solver.
-
-    Views sharing a branch run as one batch priced by `group_cost`, which is
-    not additive per view when alpha < 1; `_batched_assign` then prices each
-    batch whole. At alpha = 1 `_dp_assign` prices every view alone. See
-    `_pricing` for the limit on exact batching.
-    """
+    """Exact solver: at alpha = 1 `_dp_assign` prices every view alone; below it
+    `_batched_assign` prices each batch whole by `group_cost`, which is not
+    additive per view. See `_pricing` for the limit on exact batching."""
     n = problem.num_views
     alpha, prices, budget = _pricing(problem)
     if alpha != problem.alpha:
-        logger.warning(
-            "alpha=%.3f with %d views and %d branches exceeds the exact-batching limit; "
-            "pricing without the batching discount (conservative)",
-            problem.alpha, n, problem.num_branches,
-        )
-    if alpha < 1.0:
-        assignment = _batched_assign(problem, prices, budget)
-    else:
-        assignment = _dp_assign(problem.scores, prices[0], budget)
+        logger.warning("alpha=%.3f with %d views and %d branches exceeds the exact-batching "
+                       "limit; pricing without the batching discount (conservative)",
+                       problem.alpha, n, problem.num_branches)
+    assignment = (_batched_assign(problem, prices, budget) if alpha < 1.0
+                  else _dp_assign(problem.scores, prices[0], budget))
     if assignment is None:
         raise InfeasibleError("no branch combination fits the budget")
     return ScheduleDecision(
@@ -328,57 +315,56 @@ def solve(problem: ScheduleProblem) -> ScheduleDecision:
 
 
 def solve_bruteforce(problem: ScheduleProblem) -> ScheduleDecision:
-    """Independent enumeration twin of `solve`, for verification only.
-
-    Same objective, same feasibility semantics (true batched latency within
-    the budget), same tie-breaking. Refuses instances beyond 1e6 assignments.
-    """
+    """Independent enumeration twin of `solve`, for verification only: same
+    objective, feasibility (true batched latency within the budget) and
+    tie-breaking, ranked as under a batching discount, which on dyadic scores
+    and latencies on the 0.1 ms grid is also the order at alpha = 1. Refuses
+    instances beyond 1e6 assignments."""
     m, n = problem.num_branches, problem.num_views
     if m**n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {_BRUTE_FORCE_LIMIT} assignments, got {m}**{n}")
-    best: Optional[Tuple[float, float, Tuple[int, ...]]] = None
+    ticks = _score_ticks(problem.scores)
+    same = [[k for k in range(n) if np.array_equal(problem.scores[:, k], problem.scores[:, j])]
+            for j in range(n)]  # views whose score columns are identical
+    best: Optional[Tuple[tuple, ScheduleDecision]] = None
     for assignment in itertools.product(range(m), repeat=n):
         latency = assignment_latency(assignment, problem.latencies_ms, problem.alpha)
         if latency > problem.t_max_ms + 1e-9:
             continue
         objective = sum(float(problem.scores[assignment[j], j]) for j in range(n))
-        if best is None or (objective, -latency) > (best[0], best[1]):
-            best = (objective, -latency, assignment)
+        # a plan's permutations over identical columns share this form: their rows
+        # in ascending order there; the smallest form wins, then the objective
+        form = tuple(sorted(assignment[k] for k in same[j])[same[j].index(j)] for j in range(n))
+        rank = (
+            sum(float(ticks[assignment[j], j]) for j in range(n)),
+            -sum(_latency_ticks(group_cost(float(problem.latencies_ms[r]), c, problem.alpha))
+                 for r, c in Counter(assignment).items()),
+            tuple(-r for r in form),
+            objective,
+        )
+        if best is None or rank > best[0]:
+            best = (rank, ScheduleDecision(assignment, objective, latency))
     if best is None:
         raise InfeasibleError("no assignment fits the budget")
-    return ScheduleDecision(
-        assignment=best[2],
-        predicted_objective=best[0],
-        predicted_latency_ms=-best[1],
-    )
+    return best[1]
 
 
 def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
-    """Best same-branch-everywhere assignment under the solver's own
-    quantized feasibility rule; None if nothing uniform fits.
-
-    This is the per-frame baseline the adaptive decision must dominate, so a
-    uniform assignment is priced as `solve` prices it: as one batch of all
-    views when batching is discounted, else view by view.
-    """
+    """Best same-branch-everywhere assignment, None if nothing uniform fits.
+    It is the baseline the adaptive decision must dominate, so it is priced as
+    `solve` prices it: one batch of all views under a discount, else per view."""
     n = problem.num_views
     alpha, prices, budget = _pricing(problem)
     cost_units = prices[n - 1] if alpha < 1.0 else prices[0] * n
-    best: Optional[Tuple[float, float, int]] = None
+    best: Optional[Tuple[float, float, ScheduleDecision]] = None
     for i in range(problem.num_branches):
         if cost_units[i] > budget:
             continue
         objective = sum(float(problem.scores[i, j]) for j in range(n))
         latency = assignment_latency([i] * n, problem.latencies_ms, problem.alpha)
-        if best is None or (objective, -latency) > (best[0], best[1]):
-            best = (objective, -latency, i)
-    if best is None:
-        return None
-    return ScheduleDecision(
-        assignment=tuple([best[2]] * n),
-        predicted_objective=best[0],
-        predicted_latency_ms=-best[1],
-    )
+        if best is None or (objective, -latency) > best[:2]:
+            best = (objective, -latency, ScheduleDecision((i,) * n, objective, latency))
+    return None if best is None else best[2]
 
 
 # -- frame-level orchestration ------------------------------------------------

@@ -197,6 +197,14 @@ def test_adapt_memory_eviction_is_deterministic():
     assert a == b
 
 
+def test_profile_rejects_a_limit_below_the_fixed_modules():
+    data = dict(default_device_profile().to_dict())
+    fixed_mb = sum(m["memory_mb"] for m in data["modules"] if m.get("fixed"))
+    DeviceProfile.from_dict({**data, "memory_limit_mb": fixed_mb})
+    with pytest.raises(ProfileError, match="fixed modules alone need"):
+        DeviceProfile.from_dict({**data, "memory_limit_mb": fixed_mb * 0.99})
+
+
 def test_profile_rejects_tracker_with_modules():
     device = default_device_profile()
     data = dict(device.to_dict())

@@ -103,10 +103,14 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"memory_limit_mb": "abc"},
         {"target_ms": float("nan")},
         {"target_ms": float("inf")},
+        {"memory_limit_mb": 100},
+        {"scenario": 5},
+        {"model": ["m.json"]},
     ],
     ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero",
          "unknown-top-level-key", "sigma-negative", "margin-not-below-target",
-         "memory-limit-string", "target-nan", "target-infinite"],
+         "memory-limit-string", "target-nan", "target-infinite",
+         "memory-limit-below-fixed-modules", "scenario-not-a-string", "model-not-a-string"],
 )
 def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
     data = {
@@ -140,11 +144,16 @@ _MANIFEST_NUMBERS = ["target_ms", "alpha", "latency_noise_sigma", "sched_margin_
             st.integers(max_value=0),
             st.text(max_size=4),
             st.booleans(),
+            st.floats(0.0, 100.0),
+            st.integers(1, 100),
+            # alpha's upper end and a margin at or just below the 33 ms default target
+            st.sampled_from([1.0, 33.0, math.nextafter(33.0, 0.0)]),
         ),
     )
 )
 def test_manifest_number_fuzz_fails_only_as_a_config_error(tmp_path_factory, numbers):
-    # negatives, zero, NaN, +-inf, strings and booleans in every numeric key
+    # negatives, zero, NaN, +-inf, strings, booleans and valid values in
+    # every numeric key
     base = tmp_path_factory.getbasetemp()
     path, out = base / "fuzz.json", base / "fuzz-adapt.json"
     path.write_text(json.dumps({
@@ -157,8 +166,9 @@ def test_manifest_number_fuzz_fails_only_as_a_config_error(tmp_path_factory, num
     try:
         man = load_manifest(str(path))
     except ConfigError:
-        pass
+        want = 2
     else:
+        want = 0
         SystemConfig(
             branches=enumerate_branches(),
             device=man.device,
@@ -169,7 +179,7 @@ def test_manifest_number_fuzz_fails_only_as_a_config_error(tmp_path_factory, num
             latency_noise_sigma=man.latency_noise_sigma,
             sched_margin_ms=man.sched_margin_ms,
         )
-    assert main(["adapt", "--manifest", str(path), "--out", str(out)]) in (0, 2)
+    assert main(["adapt", "--manifest", str(path), "--out", str(out)]) == want
 
 
 def test_manifest_memory_limit_override(tmp_path):
@@ -178,12 +188,12 @@ def test_manifest_memory_limit_override(tmp_path):
         "scenario": "builtin:scenario_quickstart",
         "device": "builtin:device_orin",
         "capability": "builtin:capability_default",
-        "memory_limit_mb": 1.0,
+        "memory_limit_mb": 300.0,  # above the 250 MB of fixed modules, below the default
     }
     p = tmp_path / "m.json"
     p.write_text(json.dumps(data))
     man = load_manifest(str(p))
-    assert man.device.memory_limit_mb == 1.0
+    assert man.device.memory_limit_mb == 300.0
 
 
 def test_manifest_relative_references(tmp_path, quickstart_model_file):
