@@ -9,12 +9,15 @@ import hashlib
 import json
 import math
 import os
+import warnings
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewsched.branches import enumerate_branches
+from viewsched.branches import NUM_BRANCHES, enumerate_branches
 
 from viewsched.cli import (
     ConfigError,
@@ -26,6 +29,8 @@ from viewsched.cli import (
     load_manifest,
     main,
 )
+from viewsched.core import NUM_CATEGORIES
+from viewsched.predictors import FEATURE_WIDTH
 from viewsched.simulator import SystemConfig
 
 
@@ -344,6 +349,39 @@ def test_training_set_shapes(quickstart_manifest):
     assert (targets >= 0.0).all() and (targets <= 1.0).all()
     assert (counts >= 0).all()
 
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10_000), frames=st.integers(1, 6))
+def test_training_set_of_an_empty_scene(quickstart_manifest, seed, frames):
+    # no object ever exists: every cell scores exactly 0.0, silently, and the
+    # feature rows still carry the logged distributions, branch and confidence
+    man = quickstart_manifest
+    scenario = replace(man.scenario, initial_count=0, spawn_rate_per_s=0.0,
+                       duration_s=frames / man.scenario.fps)
+    man = replace(man, scenario=scenario, training={**man.training, "seeds": [seed]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        episodes = collect_training_episodes(man)
+        feats, targets, counts = build_training_set(episodes, man.capability)
+    logs = episodes[0].frames
+    assert all(not log.gt_boxes for log in logs)
+    assert targets.tolist() == [0.0] * len(targets)
+    catalog = enumerate_branches()
+    views = 6
+    cells = feats.reshape(len(logs), views, len(catalog), FEATURE_WIDTH)
+    for log, frame_cells in zip(logs, cells):
+        conf = np.zeros(views)
+        for v in range(views):
+            here = [b.confidence for b, w in zip(log.forecast_boxes, log.forecast_views) if w == v]
+            if here:
+                conf[v] = np.mean(here)
+        for b, branch in enumerate(catalog):
+            cell = frame_cells[:, b]
+            assert (cell[:, :NUM_CATEGORIES] == np.asarray(log.distributions)).all()
+            one_hot = cell[:, NUM_CATEGORIES : NUM_CATEGORIES + NUM_BRANCHES]
+            assert (one_hot == np.eye(NUM_BRANCHES)[branch.index]).all()
+            assert (cell[:, -1] == (conf if branch.is_tracker else 0.0)).all()
 
 # -- entry point ----------------------------------------------------------------------
 

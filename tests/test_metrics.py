@@ -1,22 +1,28 @@
 """Detection-metric unit tests, built around hand-checkable oracles."""
 
 import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viewsched.core import Box3D, ObjectClass
 from viewsched.metrics import (
     EvalConfig,
     FrameEval,
+    MatchResult,
     average_precision,
     detection_score,
     evaluate_frame,
+    frame_detection_score,
     match,
     summarize,
 )
+
+# a NaN score (an empty mean) must fail, not pass as a number
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def box(x, y, cls=ObjectClass.CAR, conf=0.9, vx=0.0, vy=0.0):
@@ -92,6 +98,22 @@ def test_eval_config_validation():
         EvalConfig(tp_error_threshold=3.0)  # not a match threshold
     with pytest.raises(ValueError):
         EvalConfig(min_recall=1.0)
+    # the floor rounds to the last grid point: no recall point lies above it
+    for min_recall in (0.995, 0.996, 0.999):
+        with pytest.raises(ValueError, match="recall-grid"):
+            EvalConfig(min_recall=min_recall)
+    for min_recall in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EvalConfig(min_recall=min_recall)
+    for thresholds in ((), (0.0, 2.0), (-1.0, 2.0), (math.inf, 2.0), (math.nan, 2.0),
+                       (2.0, 2.0), (0.5, 2.0, 0.5)):
+        with pytest.raises(ValueError):
+            EvalConfig(match_thresholds=thresholds)
+    # the last floor that leaves a grid point, and a threshold order of any kind
+    ap = average_precision([_five_box_frame()], ObjectClass.CAR, 2.0,
+                           EvalConfig(min_recall=0.994))
+    assert ap == pytest.approx(2.0 / 3.0)
+    assert EvalConfig(match_thresholds=(4.0, 2.0)).tp_error_threshold == 2.0
 
 
 # -- average precision: the hand-computed oracle ----------------------------------
@@ -239,6 +261,178 @@ def test_average_precision_matches_the_per_point_reference(frames, kind, min_rec
     got = average_precision(evals, ObjectClass.CAR, 2.0, config)
     want = _reference_average_precision(evals, ObjectClass.CAR, 2.0, config)
     assert got == want
+
+
+# -- the class-split matcher against the per-threshold oracle ----------------------
+#
+# Verbatim copies of `match` and `evaluate_frame` as they were before matching
+# split by class and computed each pair's distance once for every threshold.
+# The new ones must give equal MatchResult and FrameEval values, bit for bit.
+
+
+def _reference_planar_dist(a: Box3D, b: Box3D) -> float:
+    return math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
+
+
+def _reference_match(
+    preds: Sequence[Box3D], gts: Sequence[Box3D], threshold: float
+) -> MatchResult:
+    """Greedy one-frame matching.
+
+    Predictions are visited in descending confidence (ties keep input order);
+    each claims the nearest still-unmatched ground-truth box of the same
+    class within `threshold` meters of planar center distance.
+    """
+    order = sorted(range(len(preds)), key=lambda i: (-preds[i].confidence, i))
+    taken = [False] * len(gts)
+    pairs: List[Tuple[int, int]] = []
+    for pi in order:
+        pred = preds[pi]
+        best: Optional[Tuple[float, int]] = None
+        for gi, gt in enumerate(gts):
+            if taken[gi] or gt.cls is not pred.cls:
+                continue
+            d = _reference_planar_dist(pred, gt)
+            if d <= threshold and (best is None or (d, gi) < best):
+                best = (d, gi)
+        if best is not None:
+            taken[best[1]] = True
+            pairs.append((pi, best[1]))
+    matched_p = {p for p, _ in pairs}
+    return MatchResult(
+        pairs=tuple(sorted(pairs)),
+        unmatched_preds=tuple(i for i in range(len(preds)) if i not in matched_p),
+        unmatched_gts=tuple(i for i, t in enumerate(taken) if not t),
+    )
+
+
+def _reference_evaluate_frame(
+    preds: Sequence[Box3D], gts: Sequence[Box3D], config: Optional[EvalConfig] = None
+) -> FrameEval:
+    config = config or EvalConfig()
+    gt_counts = {c: 0 for c in config.classes}
+    for gt in gts:
+        if gt.cls in gt_counts:
+            gt_counts[gt.cls] += 1
+
+    pred_records: Dict[ObjectClass, Dict[float, Tuple[Tuple[float, bool], ...]]] = {
+        c: {} for c in config.classes
+    }
+    tp_errors: Dict[ObjectClass, Tuple[Tuple[float, float], ...]] = {c: () for c in config.classes}
+    fp_counts = {c: 0 for c in config.classes}
+    fn_counts = {c: 0 for c in config.classes}
+
+    for threshold in config.match_thresholds:
+        result = _reference_match(preds, gts, threshold)
+        tp_pred = {p for p, _ in result.pairs}
+        for cls in config.classes:
+            recs = [
+                (preds[i].confidence, i in tp_pred)
+                for i in range(len(preds))
+                if preds[i].cls is cls
+            ]
+            recs.sort(key=lambda r: -r[0])
+            pred_records[cls][threshold] = tuple(recs)
+
+        if threshold == config.tp_error_threshold:
+            errs: Dict[ObjectClass, List[Tuple[float, float]]] = {c: [] for c in config.classes}
+            for pi, gi in result.pairs:
+                pred, gt = preds[pi], gts[gi]
+                if pred.cls not in errs:
+                    continue
+                terr = _reference_planar_dist(pred, gt)
+                verr = math.hypot(
+                    pred.velocity[0] - gt.velocity[0], pred.velocity[1] - gt.velocity[1]
+                )
+                errs[pred.cls].append((terr, verr))
+            for cls in config.classes:
+                tp_errors[cls] = tuple(errs[cls])
+                fp_counts[cls] = sum(
+                    1 for i in result.unmatched_preds if preds[i].cls is cls
+                )
+                fn_counts[cls] = sum(1 for i in result.unmatched_gts if gts[i].cls is cls)
+
+    return FrameEval(
+        gt_counts=gt_counts,
+        pred_records=pred_records,
+        tp_errors=tp_errors,
+        fp_counts=fp_counts,
+        fn_counts=fn_counts,
+    )
+
+
+_RECALL_GRID = np.linspace(0.0, 1.0, 101)
+
+
+_CLASSES = (ObjectClass.CAR, ObjectClass.BUS, ObjectClass.PEDESTRIAN)
+# lattice offsets put pairs exactly 0.5, 1, 2, 4 and 5 m apart, and make ties
+_coord = st.sampled_from([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+_boxes = st.lists(
+    st.builds(
+        box,
+        x=_coord,
+        y=_coord,
+        cls=st.sampled_from(_CLASSES),
+        conf=st.sampled_from([0.2, 0.5, 0.5, 0.9, 1.0]),  # repeats: ties
+        vx=st.sampled_from([0.0, 1.0, -2.5]),
+        vy=st.sampled_from([0.0, 0.5]),
+    ),
+    max_size=8,
+)
+# two threshold tuples (one unsorted), the floor at 0 and 0.1, and a class
+# list that leaves PEDESTRIAN boxes outside it
+_configs = st.sampled_from(
+    [
+        EvalConfig(
+            match_thresholds=thresholds,
+            tp_error_threshold=error_threshold,
+            min_recall=min_recall,
+            classes=classes,
+        )
+        for thresholds, error_threshold in (((0.5, 1.0, 2.0, 4.0), 2.0), ((2.0, 0.5), 0.5))
+        for min_recall in (0.0, 0.1)
+        for classes in (tuple(ObjectClass), (ObjectClass.CAR, ObjectClass.BUS))
+    ]
+)
+_EDGE = [box(0.0, 0.0), box(2.0, 0.0, conf=0.5), box(0.0, 0.5, cls=ObjectClass.PEDESTRIAN)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(preds=_boxes, gts=_boxes, threshold=st.sampled_from((0.5, 1.0, 2.0, 4.0, 5.0)))
+@example(preds=[], gts=_EDGE, threshold=2.0)
+@example(preds=_EDGE, gts=[], threshold=2.0)
+def test_match_equals_the_per_threshold_oracle(preds, gts, threshold):
+    assert match(preds, gts, threshold) == _reference_match(preds, gts, threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(preds=_boxes, gts=_boxes, config=_configs)
+@example(preds=[], gts=_EDGE, config=EvalConfig())
+@example(preds=_EDGE, gts=[], config=EvalConfig())
+def test_evaluate_frame_equals_the_per_threshold_oracle(preds, gts, config):
+    assert evaluate_frame(preds, gts, config) == _reference_evaluate_frame(preds, gts, config)
+
+
+@settings(max_examples=500, deadline=None)
+@given(preds=_boxes, gts=_boxes, config=_configs)
+@example(preds=[], gts=[], config=EvalConfig())
+@example(preds=[], gts=_EDGE, config=EvalConfig())
+@example(preds=_EDGE, gts=[], config=EvalConfig())
+@example(preds=_EDGE, gts=_EDGE[:2], config=EvalConfig(min_recall=0.0))
+def test_frame_detection_score_equals_the_summarized_frame(preds, gts, config):
+    want = summarize([evaluate_frame(preds, gts, config)], config)["DS"]
+    assert frame_detection_score(preds, gts, config) == want
+
+
+def test_frame_detection_score_hand_case():
+    gts = [box(0.0, 0.0), box(20.0, 0.0)]
+    preds = [box(0.0, 0.0, conf=0.9), box(40.0, 0.0, conf=0.8), box(20.0, 0.0, conf=0.7),
+             box(60.0, 0.0, conf=0.6), box(80.0, 0.0, conf=0.5)]
+    # every threshold's AP is 22/27 and both true positives are exact
+    assert frame_detection_score(preds, gts) == pytest.approx(
+        detection_score(22.0 / 27.0, 0.0, 0.0), abs=1e-12)
+    assert frame_detection_score([], gts) == 0.0
+    assert frame_detection_score(preds, []) == 0.0
 
 
 # -- composite score ----------------------------------------------------------------
