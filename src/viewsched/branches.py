@@ -241,16 +241,6 @@ class DeviceProfile:
         except (KeyError, TypeError, ValueError) as exc:
             raise ProfileError(f"malformed device profile: {exc}") from exc
 
-    @classmethod
-    def load(cls, path: str) -> "DeviceProfile":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def branch_latency(branch: BranchConfig, device: DeviceProfile) -> float:
     """Per-view marginal latency of one branch in ms.

@@ -439,10 +439,6 @@ def _get_models(man: RunManifest) -> PerformanceModels:
 # -- operations ------------------------------------------------------------
 
 
-def _deploy(man: RunManifest) -> Tuple[BranchConfig, ...]:
-    return adapt(man.device, man.target_ms)
-
-
 def _system(man: RunManifest, branches: Tuple[BranchConfig, ...], models) -> SystemConfig:
     return SystemConfig(
         branches=branches,
@@ -471,7 +467,7 @@ def _episode_block(ep: EpisodeLog) -> dict:
 
 
 def cmd_simulate(man: RunManifest, out: Optional[str], policy: str = "adaptive") -> dict:
-    branches = _deploy(man)
+    branches = adapt(man.device, man.target_ms)
     models = _get_models(man) if policy in ("adaptive", "per_frame") else None
     ep = run_episode(man.scenario, _system(man, branches, models), policy=policy)
 
@@ -533,7 +529,7 @@ def cmd_train_predictor(man: RunManifest, out: Optional[str]) -> dict:
 
 
 def cmd_adapt(man: RunManifest, out: Optional[str]) -> dict:
-    branches = _deploy(man)
+    branches = adapt(man.device, man.target_ms)
     fixed_ms = fixed_latency(man.device)
     report = _envelope(man, "adapt")
     report.update(
@@ -561,7 +557,7 @@ def cmd_compare(
     out: Optional[str],
     policies: Sequence[str] = ("adaptive", "per_frame", "all_tracker"),
 ) -> dict:
-    branches = _deploy(man)
+    branches = adapt(man.device, man.target_ms)
     models = _get_models(man)
     system = _system(man, branches, models)
 

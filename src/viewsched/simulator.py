@@ -252,16 +252,6 @@ class ScenarioConfig:
             ego=EgoPath.from_dict(data.get("ego", {})),
         )
 
-    @classmethod
-    def load(cls, path: str) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class GroundTruthFrame:
@@ -622,16 +612,6 @@ class CapabilityProfile:
         except (KeyError, TypeError) as exc:
             raise CapabilityError(f"malformed capability profile: {exc}") from exc
 
-    @classmethod
-    def load(cls, path: str) -> "CapabilityProfile":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def default_capability() -> CapabilityProfile:
     """The bundled capability profile (ratio anchors included)."""
@@ -780,7 +760,6 @@ class FrameLog:
     timestamp: float
     warmup: bool
     ego: EgoPose
-    gt_ids: Tuple[int, ...]
     gt_boxes: Tuple[Box3D, ...]
     track_count_pre: int
     assignment: Tuple[int, ...]  # catalog branch index per view
@@ -798,7 +777,6 @@ class FrameLog:
     detections: Tuple[Tuple[Box3D, ...], ...]  # per view, ego frame
     outputs: Tuple[Box3D, ...]  # what the system emitted downstream
     track_ids: Tuple[int, ...]
-    track_confidences: Tuple[float, ...]
 
 
 @dataclass
@@ -808,7 +786,6 @@ class EpisodeLog:
     target_ms: float
     branch_indices: Tuple[int, ...]  # deployed catalog subset
     frames: List[FrameLog]
-    frame_evals: List[FrameEval]
     summary: dict
 
     @property
@@ -893,8 +870,7 @@ def run_episode(
     the best single branch for all views, "fixed:<idx>" pins one branch,
     "round_robin" rotates detection branches while periodically resting views
     on the tracker (data collection sees fresh and stale forecasts), and
-    "all_tracker" never detects (diagnostic; pair with a tracker config that
-    penalizes uncovered views to watch tracks decay).
+    "all_tracker" never detects (diagnostic).
     """
     fixed_idx: Optional[int] = None
     if policy.startswith("fixed:"):
@@ -916,7 +892,7 @@ def run_episode(
 
     lats = np.array([branch_latency(b, system.device) for b in branches])
     heavy_row = max(det_rows, key=lambda r: lats[r]) if det_rows else 0
-    tracker = MultiObjectTracker(system.tracker_config, system.kalman, rig)
+    tracker = MultiObjectTracker(system.tracker_config, system.kalman)
     true_update = _true_update_model(system.device)
     fixed_ms = fixed_latency(system.device)
     lat_rng = (
@@ -930,8 +906,9 @@ def run_episode(
 
     for frame in frames:
         n_pre = len(tracker.tracks)
-        # the frame's one forecast: the plan, the log, the outputs of the
-        # tracker-branch views and the tracker update all use it
+        # the frame's one forecast, placed in views once: the plan, the log,
+        # the outputs of the tracker-branch views and the tracker's misses
+        # all use it
         forecast = frame_forecast(forecast_all(tracker.tracks, dt, system.kalman), frame.ego, rig)
         plan: Optional[FramePlan] = None
         decision: Optional[ScheduleDecision] = None  # the plan's decision that runs
@@ -990,20 +967,16 @@ def run_episode(
             detections_by_view.append(tuple(dets))
 
         forecast_boxes = forecast.boxes()
-        forecast_views = tuple(forecast.views.tolist())
+        observed = np.isin(forecast.views, sorted(covered))
         outputs: List[Box3D] = []
         for dets in detections_by_view:
             outputs.extend(dets)
-        for b, v in zip(forecast_boxes, forecast_views):
-            if v not in covered:
-                outputs.append(b)
+        outputs.extend(b for b, seen in zip(forecast_boxes, observed) if not seen)
 
         detections_global = [
             box_to_global(d, frame.ego) for dets in detections_by_view for d in dets
         ]
-        tracker.step(
-            detections_global, dt, forecast.tracks, covered_views=covered, ego_pose=frame.ego
-        )
+        tracker.step(detections_global, dt, forecast.tracks, observed)
 
         update_true_ms = true_update.predict(n_pre)
         actual = realized_latency(
@@ -1027,7 +1000,6 @@ def run_episode(
             timestamp=frame.timestamp,
             warmup=warmup,
             ego=frame.ego,
-            gt_ids=frame.ids,
             gt_boxes=frame.boxes,
             track_count_pre=n_pre,
             assignment=assignment,
@@ -1041,11 +1013,10 @@ def run_episode(
             compliant=compliant,
             distributions=tuple(tuple(d.ratios.tolist()) for d in forecast.distributions),
             forecast_boxes=forecast_boxes,
-            forecast_views=forecast_views,
+            forecast_views=tuple(forecast.views.tolist()),
             detections=tuple(detections_by_view),
             outputs=tuple(outputs),
             track_ids=tuple(t.track_id for t in tracker.tracks),
-            track_confidences=tuple(t.confidence for t in tracker.tracks),
         )
         frame_logs.append(log)
         frame_evals.append(evaluate_frame(log.outputs, frame.boxes, system.eval_config))
@@ -1067,6 +1038,5 @@ def run_episode(
         target_ms=system.target_ms,
         branch_indices=tuple(b.index for b in branches),
         frames=frame_logs,
-        frame_evals=frame_evals,
         summary=summary,
     )

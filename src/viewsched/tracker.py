@@ -6,10 +6,11 @@ carried alongside but not filtered. Tracks are value objects;
 `associate` and `update` are pure, and `MultiObjectTracker` owns the track
 list plus id allocation for the closed loop.
 
-When only a subset of camera views is served by a detector (the rest fall to
-the zero-latency tracker branch), unmatched tracks in the unserved views are
-exempt from the miss penalty: absence of a detection there carries no
-evidence that the object vanished.
+The caller decides which forecast rows a miss counts for: when only some
+camera views are served by a detector (the rest fall to the zero-latency
+tracker branch), unmatched tracks in the unserved views are exempt from the
+miss penalty, because the absence of a detection there carries no evidence
+that the object vanished. The tracker itself knows no camera geometry.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Box3D, CameraRig, EgoPose, ObjectClass, rows_to_ego, views_of
+from .core import Box3D, ObjectClass
 
 logger = logging.getLogger(__name__)
 
@@ -63,8 +64,6 @@ class TrackerConfig:
     base_gate_m: float = 2.0
     confidence_threshold: float = 0.10
     confidence_halving: float = 0.5
-    # diagnostic: charge the miss penalty even in views no detector covered
-    penalize_uncovered_views: bool = False
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,6 @@ class TrackTable:
     @property
     def confidences(self) -> np.ndarray:
         return np.array([t.confidence for t in self.tracks], dtype=np.float64)
-
-    def states(self) -> List[TrackState]:
-        return [
-            replace(t, mean=m, covariance=c)
-            for t, m, c in zip(self.tracks, self.means, self.covariances)
-        ]
 
 
 def forecast_all(tracks: Sequence[TrackState], dt: float, model: KalmanModel) -> TrackTable:
@@ -240,19 +233,12 @@ class MultiObjectTracker:
 
     Tracks live in whatever frame the detections are given in; the caller is
     responsible for keeping that frame consistent across steps (the simulator
-    uses the global frame). `covered_views` names the views that had a
-    detector this frame; pass None when every view did.
+    uses the global frame).
     """
 
-    def __init__(
-        self,
-        config: Optional[TrackerConfig] = None,
-        model: Optional[KalmanModel] = None,
-        rig: Optional[CameraRig] = None,
-    ):
+    def __init__(self, config: Optional[TrackerConfig] = None, model: Optional[KalmanModel] = None):
         self.config = config or TrackerConfig()
         self.model = model or KalmanModel()
-        self.rig = rig or CameraRig.default()
         self.tracks: List[TrackState] = []
         self._next_id = 1
 
@@ -261,25 +247,32 @@ class MultiObjectTracker:
         detections: Sequence[Box3D],
         dt: float,
         forecast: TrackTable,
-        covered_views: Optional[Set[int]] = None,
-        ego_pose: Optional[EgoPose] = None,
+        observed: Optional[np.ndarray] = None,
     ) -> List[TrackState]:
         """Advance one frame from its forecast: associate, update, births,
         removals.
 
         `forecast` is `forecast_all(self.tracks, dt, self.model)`, made once
         per frame by the caller, which plans on it before detecting.
-        Unmatched tracks are penalized (confidence exactly halved, miss count
-        incremented) only when their forecast position lies in a covered
-        view; tracks below the confidence threshold are dropped. Unmatched
-        detections start new tracks with fresh, never-reused ids.
+        `observed` holds one bool per forecast row: did a detector cover that
+        row's view this frame (None: every row)? Unmatched tracks are
+        penalized (confidence exactly halved, miss count incremented) only in
+        observed rows; tracks below the confidence threshold are dropped.
+        Unmatched detections start new tracks with fresh, never-reused ids.
         """
         if len(forecast) != len(self.tracks) or any(
             f is not t for f, t in zip(forecast.tracks, self.tracks)
         ):
             raise ValueError("forecast must be of this tracker's live tracks")
-        penalized = self._penalized(forecast, covered_views, ego_pose)
-        predicted = forecast.states()
+        if observed is None:
+            observed = np.ones(len(forecast), dtype=bool)
+        elif np.shape(observed) != (len(forecast),):
+            raise ValueError("observed must hold one flag per forecast row")
+        # survivors are one frame older; births below start at age 0
+        predicted = [
+            replace(t, mean=m, covariance=c, age=t.age + 1)
+            for t, m, c in zip(forecast.tracks, forecast.means, forecast.covariances)
+        ]
         matches, um_tracks, um_dets = associate(predicted, detections, self.config, dt)
 
         survivors: List[TrackState] = [None] * len(predicted)  # type: ignore[list-item]
@@ -288,7 +281,7 @@ class MultiObjectTracker:
 
         for ti in um_tracks:
             track = predicted[ti]
-            if penalized[ti]:
+            if observed[ti]:
                 conf = track.confidence * self.config.confidence_halving
                 if conf < self.config.confidence_threshold:
                     continue  # removed
@@ -296,7 +289,7 @@ class MultiObjectTracker:
             else:
                 survivors[ti] = track
 
-        new_tracks = [replace(t, age=t.age + 1) for t in survivors if t is not None]
+        new_tracks = [t for t in survivors if t is not None]
 
         for di in um_dets:
             det = detections[di]
@@ -316,15 +309,3 @@ class MultiObjectTracker:
 
         self.tracks = new_tracks
         return new_tracks
-
-    def _penalized(
-        self,
-        forecast: TrackTable,
-        covered_views: Optional[Set[int]],
-        ego_pose: Optional[EgoPose],
-    ) -> np.ndarray:
-        """Per forecast row: would a miss there count against the track?"""
-        if self.config.penalize_uncovered_views or covered_views is None:
-            return np.ones(len(forecast), dtype=bool)
-        rows = forecast.means if ego_pose is None else rows_to_ego(forecast.means, ego_pose)
-        return np.isin(views_of(rows, self.rig), sorted(covered_views))

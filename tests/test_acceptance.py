@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from track_helpers import forecast, track_frame
 from viewsched.branches import branch_by_label, default_device_profile, enumerate_branches
 from viewsched.cli import main
 from viewsched.core import Box3D, CameraRig, EgoPose, ObjectClass, categorize
@@ -44,20 +45,9 @@ from viewsched.tracker import (
     MultiObjectTracker,
     TrackerConfig,
     TrackState,
-    forecast_all,
     measurement_vector,
     update,
 )
-
-
-def forecast(track, dt, model):
-    """One track through the batched forecast."""
-    return forecast_all([track], dt, model).states()[0]
-
-
-def track_frame(tracker, detections, dt, **views):
-    """One tracker frame on its own forecast, as the closed loop runs it."""
-    return tracker.step(detections, dt, forecast_all(tracker.tracks, dt, tracker.model), **views)
 
 
 def car(x, y, vx=0.0, vy=0.0, conf=1.0, z=0.8):

@@ -1,5 +1,6 @@
 """Branch catalog, device profile, and deployment-adaptation tests."""
 
+import json
 import math
 
 import pytest
@@ -99,15 +100,14 @@ def test_default_device_latencies_are_ordered():
         assert fused > sparse
 
 
-def test_device_round_trip_and_anchor_validation(tmp_path):
+def test_device_round_trip_and_anchor_validation():
     device = default_device_profile()
     data = device.to_dict()
     clone = DeviceProfile.from_dict(data)
     for b in enumerate_branches():
         assert branch_latency(b, clone) == pytest.approx(branch_latency(b, device))
-    path = tmp_path / "device.json"
-    device.save(str(path))
-    loaded = DeviceProfile.load(str(path))
+    # through JSON text, as manifests reference device files
+    loaded = DeviceProfile.from_dict(json.loads(json.dumps(data)))
     assert loaded.to_dict() == data
     # a corrupted anchor must be rejected
     bad = dict(data)

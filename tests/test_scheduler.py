@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from track_helpers import states
 from viewsched import scheduler
 from viewsched.branches import (
     branch_latency,
@@ -610,17 +611,17 @@ def test_schedule_frame_plumbing():
 def test_frame_forecast_matches_the_per_box_pipeline(tracks, pose, view_count):
     # the forecast-to-distribution block the closed loop ran per box before
     model = KalmanModel()
-    states = [
+    live = [
         TrackState(track_id=i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
                    covariance=model.birth_cov(), cls=cls, confidence=conf, yaw=yaw)
         for i, (x, y, vx, vy, yaw, conf, cls) in enumerate(tracks)
     ]
     rig = CameraRig.default(view_count)
     ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
-    predicted = forecast_all(states, 0.1, model)
+    predicted = forecast_all(live, 0.1, model)
     got = frame_forecast(predicted, ego, rig)
 
-    boxes = tuple(box_to_ego(t.to_box(), ego) for t in predicted.states())
+    boxes = tuple(box_to_ego(t.to_box(), ego) for t in states(predicted))
     views = [view_of(b.center, rig) for b in boxes]
     counts = np.zeros((view_count, len(DistributionVector.empty().ratios)))
     for box, view in zip(boxes, views):

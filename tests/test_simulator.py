@@ -1,12 +1,13 @@
 """Scenario generation, synthetic detection, and closed-loop tests."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from viewsched import scheduler, simulator, tracker
+from viewsched import core, scheduler, simulator, tracker
 from viewsched.branches import (
     adapt,
     branch_by_label,
@@ -116,13 +117,12 @@ def test_scenario_config_validation():
     assert cfg.dt == pytest.approx(0.1)
 
 
-def test_scenario_round_trip(tmp_path):
+def test_scenario_round_trip():
     cfg = small_scenario()
     clone = ScenarioConfig.from_dict(cfg.to_dict())
     assert clone == cfg
-    p = tmp_path / "scenario.json"
-    cfg.save(str(p))
-    assert ScenarioConfig.load(str(p)) == cfg
+    # through JSON text, as manifests reference scenario files
+    assert ScenarioConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_generate_scenario_is_deterministic():
@@ -444,6 +444,8 @@ def test_run_episode_all_tracker_never_detects():
         assert all(len(v) == 0 for v in f.detections)
     # warmup frame detected, so tracks exist and keep being forecast
     assert any(len(f.outputs) > 0 for f in ep.frames[1:])
+    # no view is observed after the warmup: no miss is charged, no track dies
+    assert all(f.track_ids == ep.frames[1].track_ids for f in ep.frames[1:])
 
 
 def test_run_episode_round_robin_rests_views_on_tracker():
@@ -523,6 +525,21 @@ def test_run_episode_forecasts_once_per_frame(monkeypatch, policy):
     assert len(forecast_sizes) == len(ep.frames)
     # the warmup frame forecasts no tracks; later frames forecast live ones
     assert forecast_sizes[0] == 0 and all(forecast_sizes[1:])
+
+
+def test_run_episode_places_views_once_per_frame(monkeypatch):
+    original = core.views_of
+    calls = []
+
+    def counting(rows, rig):
+        calls.append(len(rows))
+        return original(rows, rig)
+
+    for module in (scheduler, simulator, tracker):
+        if hasattr(module, "views_of"):
+            monkeypatch.setattr(module, "views_of", counting)
+    ep = run_episode(small_scenario(duration_s=1.5), tiny_system(), policy="round_robin")
+    assert len(calls) == len(ep.frames)
 
 
 def test_system_config_validation():

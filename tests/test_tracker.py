@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from track_helpers import forecast, states, track_frame
 from viewsched.core import Box3D, CameraRig, EgoPose, ObjectClass, box_to_ego, view_of
+from viewsched.scheduler import frame_forecast
 from viewsched.tracker import (
     KalmanModel,
     MultiObjectTracker,
@@ -19,16 +21,6 @@ from viewsched.tracker import (
     measurement_vector,
     update,
 )
-
-
-def forecast(track, dt, model):
-    """One track through the batched forecast."""
-    return forecast_all([track], dt, model).states()[0]
-
-
-def track_frame(tracker, detections, dt, **views):
-    """One tracker frame on its own forecast, as the closed loop runs it."""
-    return tracker.step(detections, dt, forecast_all(tracker.tracks, dt, tracker.model), **views)
 
 
 def det(x, y, vx=0.0, vy=0.0, cls=ObjectClass.CAR, conf=0.9, z=0.8):
@@ -239,41 +231,48 @@ def test_track_removed_below_confidence_threshold():
 
 
 def test_miss_penalty_skipped_in_uncovered_views():
-    rig = CameraRig.default()
-    tracker = MultiObjectTracker(rig=rig)
-    ego = EgoPose(0.0, 0.0, 0.0, 0.0)
-    d = det(20.0, 0.0, conf=0.8)
-    front_view = view_of(d.center, rig)
-    track_frame(tracker, [d], 0.1, covered_views={front_view}, ego_pose=ego)
-    # frame with no detections, but the track's view was not covered: no penalty
-    other = (front_view + 3) % rig.view_count
-    track_frame(tracker, [], 0.1, covered_views={other}, ego_pose=ego)
-    assert tracker.tracks[0].confidence == 0.8
-    assert tracker.tracks[0].misses == 0
-    # now the view is covered and the detector saw nothing: penalized
-    track_frame(tracker, [], 0.1, covered_views={front_view}, ego_pose=ego)
-    assert tracker.tracks[0].confidence == 0.4
-    assert tracker.tracks[0].misses == 1
+    tracker = MultiObjectTracker()
+    track_frame(tracker, [det(20.0, 0.0, conf=0.8), det(-20.0, 0.0, conf=0.8)], 0.1)
+    # frame with no detections, but no row was observed: no penalty
+    track_frame(tracker, [], 0.1, observed=np.array([False, False]))
+    assert [t.confidence for t in tracker.tracks] == [0.8, 0.8]
+    assert [t.misses for t in tracker.tracks] == [0, 0]
+    # now the first row is observed and the detector saw nothing there:
+    # only that track is penalized
+    track_frame(tracker, [], 0.1, observed=np.array([True, False]))
+    assert [t.confidence for t in tracker.tracks] == [0.4, 0.8]
+    assert [t.misses for t in tracker.tracks] == [1, 0]
 
 
 def test_covered_views_none_means_all_covered():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(0.0, 0.0, conf=0.8)], 0.1)
-    track_frame(tracker, [], 0.1, covered_views=None)
+    track_frame(tracker, [], 0.1, observed=None)
     assert tracker.tracks[0].confidence == 0.4
+
+
+def test_observed_mask_needs_one_flag_per_forecast_row():
+    tracker = MultiObjectTracker()
+    track_frame(tracker, [det(0.0, 0.0), det(10.0, 0.0)], 0.1)
+    table = forecast_all(tracker.tracks, 0.1, tracker.model)
+    for bad in ([True], np.ones(3, dtype=bool), np.ones((2, 1), dtype=bool)):
+        with pytest.raises(ValueError):
+            tracker.step([], 0.1, table, bad)
+    assert len(tracker.tracks) == 2
 
 
 def test_uncovered_view_exemption_uses_ego_frame():
     # track sits at global (20, 0); the ego has turned 180 degrees, so in the
     # ego frame the object is behind, i.e. in the rear view
     rig = CameraRig.default()
-    tracker = MultiObjectTracker(rig=rig)
-    ego0 = EgoPose(0.0, 0.0, 0.0, 0.0)
-    d = det(20.0, 0.0, conf=0.8)
-    track_frame(tracker, [d], 0.1, covered_views={view_of(d.center, rig)}, ego_pose=ego0)
+    tracker = MultiObjectTracker()
+    track_frame(tracker, [det(20.0, 0.0, conf=0.8)], 0.1)
     turned = EgoPose(0.0, 0.0, math.pi, 0.1)
     rear_view = rig.view_of_angle(math.pi)  # object bearing in the turned frame
-    track_frame(tracker, [], 0.1, covered_views={rear_view}, ego_pose=turned)
+    table = forecast_all(tracker.tracks, 0.1, tracker.model)
+    # the mask comes from the frame's one placement, as `run_episode` makes it
+    observed = np.isin(frame_forecast(table, turned, rig).views, [rear_view])
+    tracker.step([], 0.1, table, observed)
     assert tracker.tracks[0].misses == 1  # penalized: its ego-frame view was covered
 
 
@@ -293,7 +292,7 @@ def test_forecast_all_preserves_track_count():
     ahead = forecast_all(tracker.tracks, 0.5, tracker.model)
     assert len(ahead) == 3
     assert ahead.means.shape == (3, 9) and ahead.covariances.shape == (3, 9, 9)
-    assert [t.track_id for t in ahead.states()] == [t.track_id for t in tracker.tracks]
+    assert [t.track_id for t in states(ahead)] == [t.track_id for t in tracker.tracks]
     # pure function: the tracker's own state is untouched
     assert all(t.age == 0 for t in tracker.tracks)
     assert len(forecast_all([], 0.5, tracker.model)) == 0
@@ -342,7 +341,7 @@ def test_batched_forecast_matches_the_per_track_forecast(count, dt, scale, seed,
         tracks.append(TrackState(track_id=i, mean=mean, covariance=root @ root.T,
                                  cls=ObjectClass.CAR, confidence=0.5))
     got = forecast_all(tracks, dt, model)
-    for track, row in zip(tracks, got.states()):
+    for track, row in zip(tracks, states(got)):
         want = _reference_forecast(track, dt, model)
         assert np.array_equal(row.mean, want.mean)
         assert np.array_equal(row.covariance, want.covariance)
@@ -380,10 +379,11 @@ def test_covariance_stays_psd_under_any_forecast_and_update_sequence(steps, nois
 def test_misses_count_only_in_covered_views_of_the_ego_frame(positions, pose, covered):
     rig = CameraRig.default()
     ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
-    tracker = MultiObjectTracker(rig=rig)
+    tracker = MultiObjectTracker()
     track_frame(tracker, [det(x, y, 1.0, -0.5) for x, y in positions], 0.1)
-    ahead = forecast_all(tracker.tracks, 0.1, tracker.model).states()
+    table = forecast_all(tracker.tracks, 0.1, tracker.model)
     want = {t.track_id: view_of(box_to_ego(t.to_box(), ego).center, rig) in covered
-            for t in ahead}
-    track_frame(tracker, [], 0.1, covered_views=covered, ego_pose=ego)
+            for t in states(table)}
+    observed = np.isin(frame_forecast(table, ego, rig).views, sorted(covered))
+    tracker.step([], 0.1, table, observed)
     assert {t.track_id: t.misses == 1 for t in tracker.tracks} == want
