@@ -12,7 +12,6 @@ from .core import (
     Box3D,
     CameraRig,
     CategoryLevel,
-    DistributionVector,
     EgoPose,
     ObjectClass,
     categorize,
@@ -38,7 +37,6 @@ __all__ = [
     "Box3D",
     "CameraRig",
     "CategoryLevel",
-    "DistributionVector",
     "EgoPose",
     "ObjectClass",
     "categorize",

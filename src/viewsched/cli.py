@@ -38,19 +38,11 @@ from .branches import (
     enumerate_branches,
     fixed_latency,
 )
-from .core import Box3D, CameraRig, view_of
+from .core import Box3D, CameraRig
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
 from .metrics import EvalConfig, evaluate_frame, frame_detection_score, summarize  # noqa: F401
-from .predictors import (
-    FEATURE_WIDTH,
-    GBRTParams,
-    PerformanceModels,
-    accuracy_features,
-    fit_update_latency,
-    train_gbrt,
-    view_confidences,
-)
-from .scheduler import InfeasibleError
+from .predictors import FEATURE_WIDTH, GBRTParams, PerformanceModels, fit_update_latency, train_gbrt
+from .scheduler import InfeasibleError, frame_features
 from .simulator import (
     CapabilityError,
     CapabilityProfile,
@@ -315,6 +307,7 @@ def build_training_set(
     rig = rig or CameraRig.default()
     eval_config = eval_config or EvalConfig()
     catalog = enumerate_branches()
+    catalog_indices = [b.index for b in catalog]
     rows = sum(len(ep.frames) for ep in episodes) * rig.view_count * len(catalog)
     feats = np.empty((rows, FEATURE_WIDTH), dtype=np.float64)
     targets = np.empty(rows, dtype=np.float64)
@@ -325,20 +318,11 @@ def build_training_set(
         rng = rng_stream(ep.scenario.seed, "training")
         max_range = ep.scenario.despawn_radius_m
         for log in ep.frames:
-            counts.append(log.track_count_pre)
-            gt_by_view: List[List[Box3D]] = [[] for _ in range(rig.view_count)]
-            for box in log.gt_boxes:
-                gt_by_view[view_of(box.center, rig)].append(box)
+            counts.append(len(log.forecast.tracks))
             fc_by_view: List[List[Box3D]] = [[] for _ in range(rig.view_count)]
-            for box, v in zip(log.forecast_boxes, log.forecast_views):
+            for box, v in zip(log.forecast.boxes(), log.forecast.views):
                 fc_by_view[v].append(box)
-            frame_feats = accuracy_features(
-                log.distributions,
-                [b.index for b in catalog],
-                view_confidences(
-                    [b.confidence for b in log.forecast_boxes], log.forecast_views, rig.view_count
-                ),
-            )
+            frame_feats = frame_features(log.forecast, catalog_indices)
             # view by view, then branch by branch, like the targets below
             frame_feats = frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH)
             feats[row : row + len(frame_feats)] = frame_feats
@@ -350,13 +334,13 @@ def build_training_set(
                     else:
                         preds = synth_detect(
                             branch,
-                            gt_by_view[j],
+                            log.gt_by_view[j],
                             capability,
                             rng,
                             rig.sectors[j],
                             max_range,
                         )
-                    targets[row] = frame_detection_score(preds, gt_by_view[j], eval_config)
+                    targets[row] = frame_detection_score(preds, log.gt_by_view[j], eval_config)
                     row += 1
 
     return feats, targets, np.asarray(counts, dtype=np.float64)

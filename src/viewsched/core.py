@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -255,45 +255,6 @@ def categorize(box: Box3D) -> CategoryLevel:
     )
 
 
-class DistributionVector:
-    """Per-view category histogram: 80 ratios summing to 1 (or all zero)."""
-
-    __slots__ = ("_ratios",)
-
-    def __init__(self, ratios: Sequence[float]):
-        arr = np.asarray(ratios, dtype=np.float64)
-        if arr.shape != (NUM_CATEGORIES,):
-            raise ValueError(f"expected {NUM_CATEGORIES} ratios, got shape {arr.shape}")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("ratios must lie in [0, 1]")
-        total = float(arr.sum())
-        if not (abs(total - 1.0) <= 1e-9 or total == 0.0):
-            raise ValueError(f"ratios must sum to 1 or be all zero, got {total}")
-        arr.setflags(write=False)
-        self._ratios = arr
-
-    @property
-    def ratios(self) -> np.ndarray:
-        return self._ratios
-
-    @property
-    def is_empty(self) -> bool:
-        return float(self._ratios.sum()) == 0.0
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DistributionVector):
-            return NotImplemented
-        return bool(np.array_equal(self._ratios, other._ratios))
-
-    def __repr__(self) -> str:
-        nz = int(np.count_nonzero(self._ratios))
-        return f"DistributionVector(nonzero_bins={nz})"
-
-    @classmethod
-    def empty(cls) -> "DistributionVector":
-        return cls(np.zeros(NUM_CATEGORIES))
-
-
 def category_indices(rows: np.ndarray) -> np.ndarray:
     """`categorize(box).index` of every box row."""
     distance = list(map(math.hypot, rows[:, 0].tolist(), rows[:, 1].tolist()))
@@ -308,21 +269,19 @@ def category_indices(rows: np.ndarray) -> np.ndarray:
     )
 
 
-def distribution(rows: np.ndarray, views: np.ndarray, view_count: int) -> List[DistributionVector]:
-    """Per-view category distributions for a set of box rows (one ego frame).
+def distribution(rows: np.ndarray, views: np.ndarray, view_count: int) -> np.ndarray:
+    """Per-view category distributions for a set of box rows (one ego frame),
+    as a (view_count, 80) array.
 
-    `views` holds each row's view. A view with no boxes gets the all-zero
-    vector. Each object contributes 1/count to its category bin within its
-    view, so every non-empty vector sums to 1 exactly up to float rounding.
+    `views` holds each row's view. A view with no boxes gets an all-zero row.
+    Each object contributes 1/count to its category bin within its view, so
+    every non-empty row sums to 1 exactly up to float rounding.
     """
     cells = np.asarray(views, dtype=np.int64) * NUM_CATEGORIES + category_indices(rows)
     counts = np.bincount(cells, minlength=view_count * NUM_CATEGORIES).astype(np.float64)
     counts = counts.reshape(view_count, NUM_CATEGORIES)
-    out: List[DistributionVector] = []
-    for row in counts:
-        total = row.sum()
-        out.append(DistributionVector(row / total if total > 0 else row))
-    return out
+    totals = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
 
 
 def ego_transform(box: Box3D, from_pose: EgoPose, to_pose: EgoPose) -> Box3D:

@@ -41,13 +41,6 @@ class EvalConfig:
             raise ValueError("min_recall leaves no recall-grid point above the floor")
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    pairs: Tuple[Tuple[int, int], ...]  # (pred_idx, gt_idx)
-    unmatched_preds: Tuple[int, ...]
-    unmatched_gts: Tuple[int, ...]
-
-
 # per prediction, the claimed (gt index, planar distance), or None
 Claims = List[Optional[Tuple[int, float]]]
 
@@ -107,26 +100,6 @@ def _greedy_claims(
             claims.append(claim)
         out.append(claims)
     return out
-
-
-def match(preds: Sequence[Box3D], gts: Sequence[Box3D], threshold: float) -> MatchResult:
-    """Greedy one-frame matching.
-
-    Predictions are visited in descending confidence (ties keep input order);
-    each claims the nearest still-unmatched ground-truth box of the same
-    class within `threshold` meters of planar center distance.
-    """
-    pairs: List[Tuple[int, int]] = []
-    for p_idx, g_idx in _by_class(preds, gts).values():
-        (claims,) = _greedy_claims(preds, gts, p_idx, g_idx, (threshold,))
-        pairs.extend((pi, c[0]) for pi, c in zip(p_idx, claims) if c is not None)
-    matched_p = {p for p, _ in pairs}
-    matched_g = {g for _, g in pairs}
-    return MatchResult(
-        pairs=tuple(sorted(pairs)),
-        unmatched_preds=tuple(i for i in range(len(preds)) if i not in matched_p),
-        unmatched_gts=tuple(i for i in range(len(gts)) if i not in matched_g),
-    )
 
 
 def _class_outcome(

@@ -43,7 +43,6 @@ from .core import (
     GLOBAL_FRAME,
     Box3D,
     CameraRig,
-    DistributionVector,
     EgoPose,
     distribution,
     rows_to_ego,
@@ -376,14 +375,14 @@ class FrameForecast:
 
     `tracks` are the forecast tracks (global frame); `ego_rows` are their
     box rows in the frame's ego coordinates, `views` each row's view, and
-    `distributions` the per-view category distributions.
+    `distributions` the (views, 80) per-view category distributions.
     """
 
     tracks: TrackTable
     ego_pose: EgoPose
     ego_rows: np.ndarray
     views: np.ndarray
-    distributions: Tuple[DistributionVector, ...]
+    distributions: np.ndarray
 
     def boxes(self) -> Tuple[Box3D, ...]:
         """The forecast as ego-frame boxes, equal to `box_to_ego(track.to_box(), pose)`."""
@@ -407,8 +406,18 @@ def frame_forecast(tracks: TrackTable, ego_pose: EgoPose, rig: CameraRig) -> Fra
     """Place forecast tracks in the frame: ego rows, views, distributions."""
     rows = rows_to_ego(tracks.means, ego_pose)
     views = views_of(rows, rig)
-    return FrameForecast(
-        tracks, ego_pose, rows, views, tuple(distribution(rows, views, rig.view_count))
+    return FrameForecast(tracks, ego_pose, rows, views, distribution(rows, views, rig.view_count))
+
+
+def frame_features(forecast: FrameForecast, branch_indices: Sequence[int]) -> np.ndarray:
+    """The accuracy model's feature rows for every (branch, view) cell of a
+    frame, shaped (branches, views, width): the planner and the training set
+    both featurize a frame here (see `accuracy_features`)."""
+    dists = forecast.distributions
+    return accuracy_features(
+        dists,
+        branch_indices,
+        view_confidences(forecast.tracks.confidences, forecast.views, len(dists)),
     )
 
 
@@ -422,7 +431,6 @@ class FramePlan:
     update_pred_ms: float
     fixed_ms: float
     raw_scores: np.ndarray
-    norm_scores: np.ndarray
     uniform_decision: Optional[ScheduleDecision]
 
 
@@ -441,12 +449,7 @@ def schedule_frame(
     if not branches or not branches[0].is_tracker:
         raise ValueError("branch set must start with the tracker branch")
 
-    dists = forecast.distributions
-    feats = accuracy_features(
-        np.stack([d.ratios for d in dists]),
-        [b.index for b in branches],
-        view_confidences(forecast.tracks.confidences, forecast.views, len(dists)),
-    )
+    feats = frame_features(forecast, [b.index for b in branches])
     raw = models.accuracy.predict_batch(feats.reshape(-1, FEATURE_WIDTH)).reshape(feats.shape[:2])
 
     lats = np.array([branch_latency(b, device) for b in branches])
@@ -466,7 +469,6 @@ def schedule_frame(
         update_pred_ms=update_pred,
         fixed_ms=fixed_ms,
         raw_scores=raw,
-        norm_scores=norm,
         uniform_decision=uniform,
     )
 

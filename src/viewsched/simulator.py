@@ -48,6 +48,7 @@ from .core import (
 from .metrics import EvalConfig, FrameEval, evaluate_frame, summarize
 from .predictors import LinearLatencyModel, PerformanceModels
 from .scheduler import (
+    FrameForecast,
     FramePlan,
     ScheduleDecision,
     assignment_latency,
@@ -760,8 +761,8 @@ class FrameLog:
     timestamp: float
     warmup: bool
     ego: EgoPose
-    gt_boxes: Tuple[Box3D, ...]
-    track_count_pre: int
+    gt_by_view: Tuple[Tuple[Box3D, ...], ...]  # ego frame
+    forecast: FrameForecast  # the tracks forecast into this frame, placed in views
     assignment: Tuple[int, ...]  # catalog branch index per view
     predicted_objective: Optional[float]
     uniform_objective: Optional[float]  # best single-branch counterfactual
@@ -771,9 +772,6 @@ class FrameLog:
     predicted_frame_ms: Optional[float]
     actual_ms: float
     compliant: bool
-    distributions: Tuple[Tuple[float, ...], ...]  # per view, 80 ratios
-    forecast_boxes: Tuple[Box3D, ...]  # ego frame
-    forecast_views: Tuple[int, ...]
     detections: Tuple[Tuple[Box3D, ...], ...]  # per view, ego frame
     outputs: Tuple[Box3D, ...]  # what the system emitted downstream
     track_ids: Tuple[int, ...]
@@ -794,10 +792,7 @@ class EpisodeLog:
 
     @property
     def compliance(self) -> float:
-        sched_frames = self.scheduled_frames
-        if not sched_frames:
-            return 1.0
-        return sum(1 for f in sched_frames if f.compliant) / len(sched_frames)
+        return self.summary["latency"]["compliance"]
 
 
 _POLICIES = ("adaptive", "per_frame", "round_robin", "all_tracker")
@@ -905,7 +900,6 @@ def run_episode(
     frame_evals: List[FrameEval] = []
 
     for frame in frames:
-        n_pre = len(tracker.tracks)
         # the frame's one forecast, placed in views once: the plan, the log,
         # the outputs of the tracker-branch views and the tracker's misses
         # all use it
@@ -966,19 +960,18 @@ def run_episode(
             )
             detections_by_view.append(tuple(dets))
 
-        forecast_boxes = forecast.boxes()
         observed = np.isin(forecast.views, sorted(covered))
         outputs: List[Box3D] = []
         for dets in detections_by_view:
             outputs.extend(dets)
-        outputs.extend(b for b, seen in zip(forecast_boxes, observed) if not seen)
+        outputs.extend(b for b, seen in zip(forecast.boxes(), observed) if not seen)
 
         detections_global = [
             box_to_global(d, frame.ego) for dets in detections_by_view for d in dets
         ]
         tracker.step(detections_global, dt, forecast.tracks, observed)
 
-        update_true_ms = true_update.predict(n_pre)
+        update_true_ms = true_update.predict(len(forecast.tracks))
         actual = realized_latency(
             rows,
             branches,
@@ -1000,8 +993,8 @@ def run_episode(
             timestamp=frame.timestamp,
             warmup=warmup,
             ego=frame.ego,
-            gt_boxes=frame.boxes,
-            track_count_pre=n_pre,
+            gt_by_view=tuple(map(tuple, gt_by_view)),
+            forecast=forecast,
             assignment=assignment,
             predicted_objective=decision.predicted_objective if decision is not None else None,
             uniform_objective=uniform.predicted_objective if uniform is not None else None,
@@ -1011,9 +1004,6 @@ def run_episode(
             predicted_frame_ms=marginal + fixed_ms + update_ms,
             actual_ms=actual,
             compliant=compliant,
-            distributions=tuple(tuple(d.ratios.tolist()) for d in forecast.distributions),
-            forecast_boxes=forecast_boxes,
-            forecast_views=tuple(forecast.views.tolist()),
             detections=tuple(detections_by_view),
             outputs=tuple(outputs),
             track_ids=tuple(t.track_id for t in tracker.tracks),

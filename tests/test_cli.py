@@ -365,20 +365,21 @@ def test_training_set_of_an_empty_scene(quickstart_manifest, seed, frames):
         episodes = collect_training_episodes(man)
         feats, targets, counts = build_training_set(episodes, man.capability)
     logs = episodes[0].frames
-    assert all(not log.gt_boxes for log in logs)
+    assert all(not any(log.gt_by_view) for log in logs)
     assert targets.tolist() == [0.0] * len(targets)
     catalog = enumerate_branches()
     views = 6
     cells = feats.reshape(len(logs), views, len(catalog), FEATURE_WIDTH)
     for log, frame_cells in zip(logs, cells):
+        boxes = log.forecast.boxes()
         conf = np.zeros(views)
         for v in range(views):
-            here = [b.confidence for b, w in zip(log.forecast_boxes, log.forecast_views) if w == v]
+            here = [b.confidence for b, w in zip(boxes, log.forecast.views) if w == v]
             if here:
                 conf[v] = np.mean(here)
         for b, branch in enumerate(catalog):
             cell = frame_cells[:, b]
-            assert (cell[:, :NUM_CATEGORIES] == np.asarray(log.distributions)).all()
+            assert (cell[:, :NUM_CATEGORIES] == log.forecast.distributions).all()
             one_hot = cell[:, NUM_CATEGORIES : NUM_CATEGORIES + NUM_BRANCHES]
             assert (one_hot == np.eye(NUM_BRANCHES)[branch.index]).all()
             assert (cell[:, -1] == (conf if branch.is_tracker else 0.0)).all()

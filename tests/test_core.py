@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from viewsched.core import (
     DISTANCE_EDGES_M,
@@ -15,7 +16,6 @@ from viewsched.core import (
     Box3D,
     CameraRig,
     CategoryLevel,
-    DistributionVector,
     EgoPose,
     ObjectClass,
     box_to_ego,
@@ -183,8 +183,8 @@ def test_box_rows_match_their_boxes(rows, pose, edge):
     rig = CameraRig.default()
     assert views_of(got, rig).tolist() == [view_of(b.center, rig) for b in want]
     assert category_indices(got).tolist() == [categorize(b).index for b in want]
-    assert distribution(got, views_of(got, rig), rig.view_count) == (
-        _reference_distribution(want, rig)
+    assert np.array_equal(
+        distribution(got, views_of(got, rig), rig.view_count), _reference_distribution(want, rig)
     )
 
 
@@ -193,7 +193,7 @@ def _reference_distribution(boxes, rig):
     counts = np.zeros((rig.view_count, NUM_CATEGORIES))
     for box in boxes:
         counts[view_of(box.center, rig), categorize(box).index] += 1.0
-    return [DistributionVector(row / row.sum() if row.sum() > 0 else row) for row in counts]
+    return np.array([row / row.sum() if row.sum() > 0 else row for row in counts])
 
 
 def test_category_indices_use_the_planar_norm_of_categorize():
@@ -251,20 +251,21 @@ def test_category_level_validation():
         CategoryLevel(0, 0, -1)
 
 
-# -- distribution vectors -----------------------------------------------------
+# -- distributions ------------------------------------------------------------
 
 
-def test_distribution_vector_validation():
-    with pytest.raises(ValueError):
-        DistributionVector(np.zeros(79))
-    with pytest.raises(ValueError):
-        DistributionVector(np.full(NUM_CATEGORIES, 0.5))  # sums to 40
-    bad = np.zeros(NUM_CATEGORIES)
-    bad[0] = -0.5
-    bad[1] = 1.5
-    with pytest.raises(ValueError):
-        DistributionVector(bad)
-    assert DistributionVector.empty().is_empty
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 200), view_count=st.integers(1, 24))
+def test_distribution_rows_are_ratios_or_zero(data, n, view_count):
+    rows = data.draw(arrays(np.float64, (n, 9), elements=st.floats(-60.0, 60.0)))
+    views = data.draw(arrays(np.int64, n, elements=st.integers(0, view_count - 1)))
+    got = distribution(rows, views, view_count)
+    assert got.shape == (view_count, NUM_CATEGORIES)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    totals = got.sum(axis=1)
+    empty = ~np.isin(np.arange(view_count), views)
+    assert np.all(got[empty] == 0.0)
+    assert np.all(np.abs(totals[~empty] - 1.0) <= 1e-9)
 
 
 def test_distribution_splits_mass_per_view():
@@ -277,14 +278,14 @@ def test_distribution_splits_mass_per_view():
     assert len(dists) == rig.view_count
     front_view = view_of(front_a.center, rig)
     rear_view = view_of(rear.center, rig)
-    assert dists[front_view].ratios.sum() == pytest.approx(1.0)
-    assert dists[rear_view].ratios.sum() == pytest.approx(1.0)
+    assert dists[front_view].sum() == pytest.approx(1.0)
+    assert dists[rear_view].sum() == pytest.approx(1.0)
     for j, d in enumerate(dists):
         if j not in (front_view, rear_view):
-            assert d.is_empty
+            assert not d.any()
     # both front boxes share a category bin -> single bin holds all the mass
     assert categorize(front_a).index == categorize(front_b).index
-    assert dists[front_view].ratios[categorize(front_a).index] == pytest.approx(1.0)
+    assert dists[front_view][categorize(front_a).index] == pytest.approx(1.0)
 
 
 def test_distribution_mixed_categories_sum_to_one():
@@ -294,9 +295,9 @@ def test_distribution_mixed_categories_sum_to_one():
     view = view_of(boxes[0].center, rig)
     assert all(view_of(b.center, rig) == view for b in boxes)
     d = distribution_of(boxes, rig)[view]
-    assert d.ratios.sum() == pytest.approx(1.0)
-    assert np.count_nonzero(d.ratios) == 3
-    assert np.all((d.ratios == 0) | np.isclose(d.ratios, 1 / 3))
+    assert d.sum() == pytest.approx(1.0)
+    assert np.count_nonzero(d) == 3
+    assert np.all((d == 0) | np.isclose(d, 1 / 3))
 
 
 # -- frame transforms ---------------------------------------------------------

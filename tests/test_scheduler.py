@@ -17,9 +17,9 @@ from viewsched.branches import (
     group_cost,
 )
 from viewsched.core import (
+    NUM_CATEGORIES,
     Box3D,
     CameraRig,
-    DistributionVector,
     EgoPose,
     ObjectClass,
     box_to_ego,
@@ -587,7 +587,7 @@ def test_schedule_frame_plumbing():
         33.0 - plan.update_pred_ms - plan.fixed_ms)
     assert plan.update_pred_ms == pytest.approx(models.update_latency.predict(3))
     assert plan.raw_scores.shape == (len(branches), rig.view_count)
-    assert len(forecast.distributions) == rig.view_count
+    assert forecast.distributions.shape == (rig.view_count, NUM_CATEGORIES)
     assert len(forecast.boxes()) == 3
     assert all(0 <= v < rig.view_count for v in forecast.views)
     # the solver's plan is within budget
@@ -623,14 +623,15 @@ def test_frame_forecast_matches_the_per_box_pipeline(tracks, pose, view_count):
 
     boxes = tuple(box_to_ego(t.to_box(), ego) for t in states(predicted))
     views = [view_of(b.center, rig) for b in boxes]
-    counts = np.zeros((view_count, len(DistributionVector.empty().ratios)))
+    counts = np.zeros((view_count, NUM_CATEGORIES))
     for box, view in zip(boxes, views):
         counts[view, categorize(box).index] += 1.0
     assert got.boxes() == boxes
     assert got.views.tolist() == views
-    assert list(got.distributions) == [
-        DistributionVector(row / row.sum() if row.sum() > 0 else row) for row in counts
-    ]
+    assert np.array_equal(
+        got.distributions,
+        np.array([row / row.sum() if row.sum() > 0 else row for row in counts]),
+    )
 
 
 def test_schedule_frame_requires_tracker_first():
