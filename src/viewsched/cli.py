@@ -293,8 +293,6 @@ def collect_training_episodes(man: RunManifest) -> List[EpisodeLog]:
 def build_training_set(
     episodes: Sequence[EpisodeLog],
     capability: CapabilityProfile,
-    rig: Optional[CameraRig] = None,
-    eval_config: Optional[EvalConfig] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score every (frame, view, branch) cell against per-view ground truth.
 
@@ -302,10 +300,11 @@ def build_training_set(
     logged detections only cover whichever branch the collection policy ran);
     the tracker branch is scored on the logged forecasts. Returns features,
     detection-score targets, and the per-frame track counts for the latency
-    fit.
+    fit. The episodes must come from `SystemConfig`'s default rig, as every
+    training episode does: the logged views and ground truth are that rig's.
     """
-    rig = rig or CameraRig.default()
-    eval_config = eval_config or EvalConfig()
+    rig = CameraRig.default()
+    eval_config = EvalConfig()
     catalog = enumerate_branches()
     catalog_indices = [b.index for b in catalog]
     rows = sum(len(ep.frames) for ep in episodes) * rig.view_count * len(catalog)

@@ -10,15 +10,13 @@ Scores are first normalized per view against the most powerful branch (the
 one with the largest marginal latency), so a score of 1.0 reads as "as good
 as the best we could possibly run here".
 
-Tie-breaking is fully deterministic everywhere: maximize the objective, then
-minimize total latency, then take the lexicographically smallest assignment
-vector. At alpha = 1 the knapsack ranks float score sums and 0.1 ms grid
-units. Under a batching discount both are sums of integers (`_score_ticks`,
-`_latency_ticks`), exact in any order, so no rounding decides (a float sum can
-rank two plans by a 1e-134 ms batch that a later 1 ms batch absorbs); plans
-that then tie only by permuting rows over identical score columns go to the
-larger objective summed view by view, as reported. `solve_bruteforce` is the
-independent enumeration check; it must never be folded into `solve`.
+Every plan is ranked by one rule: the most score ticks (`_score_ticks`), then
+the least latency, then the lexicographically smallest assignment vector.
+Ticks are integers, so a plan's tick sum is exact in any order of addition,
+where a float sum's rounding depends on that order. Latency is compared in
+`_latency_ticks`; at alpha = 1 the knapsack counts 0.1 ms grid units, which
+on the grid is the same order. `solve_bruteforce` is the independent
+enumeration check; it must never be folded into `solve`.
 """
 
 from __future__ import annotations
@@ -206,10 +204,11 @@ def _dp_assign(scores: np.ndarray, weights: np.ndarray, budget: int) -> Optional
     """Exact multiple-choice knapsack: pick one row per column.
 
     scores is (M, N); weights are the rows' integer grid units. Returns the
-    chosen rows (max total score, then fewest units, then lexicographic) or
+    chosen rows (most score ticks, then fewest units, then lexicographic) or
     None when some column has no row that fits even alone.
     """
     m, n = scores.shape
+    scores = _score_ticks(scores)
     suffix = [np.zeros(budget + 1)]  # suffix[col][u]: best of columns col.. in u units
     for col in range(n - 1, -1, -1):
         cand = np.full((m, budget + 1), -np.inf)
@@ -273,23 +272,7 @@ def _batched_assign(
     full = (1,) * n + (budget,)
     if state[0][full] == -np.inf:
         return None
-    return _settle_view_order(problem.scores, tuple(int(state[2][full]) // w % m for w in place))
-
-
-def _settle_view_order(scores: np.ndarray, plan: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The best reordering of `plan`'s rows over views with identical score
-    columns: such plans tie on ticks, but the objective is reported summed view
-    by view, so take the largest, then the lexicographically smallest."""
-    group = np.unique(scores.T, axis=0, return_inverse=True)[1].ravel()
-    plans = np.array([plan])
-    for views in (np.flatnonzero(group == g) for g in range(group.max() + 1)):
-        rows = np.array(sorted(set(itertools.permutations([plan[j] for j in views]))))
-        plans = np.repeat(plans, len(rows), axis=0)
-        plans[:, views] = np.tile(rows, (len(plans) // len(rows), 1))
-    total = np.zeros(len(plans))
-    for j in range(len(plan)):
-        total = total + scores[plans[:, j], j]
-    return min(tuple(int(r) for r in p) for p in plans[total == total.max()])
+    return tuple(int(state[2][full]) // w % m for w in place)
 
 
 def solve(problem: ScheduleProblem) -> ScheduleDecision:
@@ -315,33 +298,27 @@ def solve(problem: ScheduleProblem) -> ScheduleDecision:
 
 def solve_bruteforce(problem: ScheduleProblem) -> ScheduleDecision:
     """Independent enumeration twin of `solve`, for verification only: same
-    objective, feasibility (true batched latency within the budget) and
-    tie-breaking, ranked as under a batching discount, which on dyadic scores
-    and latencies on the 0.1 ms grid is also the order at alpha = 1. Refuses
+    objective, feasibility (true batched latency within the budget) and rank:
+    score ticks, then latency ticks, then lexicographic. At alpha = 1 `solve`
+    counts grid units instead, the same order on the 0.1 ms grid. Refuses
     instances beyond 1e6 assignments."""
     m, n = problem.num_branches, problem.num_views
     if m**n > _BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {_BRUTE_FORCE_LIMIT} assignments, got {m}**{n}")
     ticks = _score_ticks(problem.scores)
-    same = [[k for k in range(n) if np.array_equal(problem.scores[:, k], problem.scores[:, j])]
-            for j in range(n)]  # views whose score columns are identical
     best: Optional[Tuple[tuple, ScheduleDecision]] = None
     for assignment in itertools.product(range(m), repeat=n):
         latency = assignment_latency(assignment, problem.latencies_ms, problem.alpha)
         if latency > problem.t_max_ms + 1e-9:
             continue
-        objective = sum(float(problem.scores[assignment[j], j]) for j in range(n))
-        # a plan's permutations over identical columns share this form: their rows
-        # in ascending order there; the smallest form wins, then the objective
-        form = tuple(sorted(assignment[k] for k in same[j])[same[j].index(j)] for j in range(n))
         rank = (
             sum(float(ticks[assignment[j], j]) for j in range(n)),
             -sum(_latency_ticks(group_cost(float(problem.latencies_ms[r]), c, problem.alpha))
                  for r, c in Counter(assignment).items()),
-            tuple(-r for r in form),
-            objective,
+            tuple(-r for r in assignment),
         )
         if best is None or rank > best[0]:
+            objective = sum(float(problem.scores[assignment[j], j]) for j in range(n))
             best = (rank, ScheduleDecision(assignment, objective, latency))
     if best is None:
         raise InfeasibleError("no assignment fits the budget")
@@ -351,19 +328,18 @@ def solve_bruteforce(problem: ScheduleProblem) -> ScheduleDecision:
 def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
     """Best same-branch-everywhere assignment, None if nothing uniform fits.
     It is the baseline the adaptive decision must dominate, so it is priced as
-    `solve` prices it: one batch of all views under a discount, else per view."""
+    `solve` prices it: one batch of all views under a discount, else per view,
+    and ranked as `solve` ranks: score ticks, then latency."""
     n = problem.num_views
     alpha, prices, budget = _pricing(problem)
     cost_units = prices[n - 1] if alpha < 1.0 else prices[0] * n
-    best: Optional[Tuple[float, float, ScheduleDecision]] = None
-    for i in range(problem.num_branches):
-        if cost_units[i] > budget:
-            continue
-        objective = sum(float(problem.scores[i, j]) for j in range(n))
-        latency = assignment_latency([i] * n, problem.latencies_ms, problem.alpha)
-        if best is None or (objective, -latency) > best[:2]:
-            best = (objective, -latency, ScheduleDecision((i,) * n, objective, latency))
-    return None if best is None else best[2]
+    ticks = _score_ticks(problem.scores).sum(axis=1)
+    latency = {i: assignment_latency([i] * n, problem.latencies_ms, problem.alpha)
+               for i in range(problem.num_branches) if cost_units[i] <= budget}
+    if not latency:
+        return None
+    i = max(latency, key=lambda i: (ticks[i], -latency[i]))  # ties go to the lowest row
+    return ScheduleDecision((i,) * n, sum(float(problem.scores[i, j]) for j in range(n)), latency[i])
 
 
 # -- frame-level orchestration ------------------------------------------------

@@ -61,16 +61,19 @@ def stub_models(score=0.5, slope=0.05, intercept=1.0):
 DEVICE_LATENCIES = tuple(
     branch_latency(b, default_device_profile()) for b in enumerate_branches()
 )
+DYADIC_SCORES = st.integers(0, 1024).map(lambda k: k / 1024.0)  # float sums are exact
+NON_DYADIC_SCORES = st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3])  # float sums round
 
 
 @st.composite
 def problems(draw, alpha=st.just(1.0), latencies="on_grid", views=st.integers(1, 4),
-             max_assignments=None, scores=st.integers(0, 1024).map(lambda k: k / 1024.0)):
+             max_assignments=None, scores=DYADIC_SCORES):
     """Random instance with scores that are multiples of 1/1024 by default.
 
-    Such scores sum exactly in any order. "on_grid" latencies and budgets sit
-    on the solver's 0.1 ms grid (latencies are multiples of 0.2 under a
-    batching discount, so group costs stay on-grid at alpha = 0.5).
+    Such scores sum exactly in any order. "on_grid" latencies, budgets and
+    group costs sit on the solver's 0.1 ms grid: latencies are multiples of
+    0.1 ms at alpha = 1, of 0.2 ms at alpha = 0.5 and of 1 ms at the other
+    discounts, which are multiples of 0.1.
     "off_grid" latencies and budgets are any floats in [0, 8] and [0, 12];
     "device" latencies are the default device's branch latencies. Budgets
     include zero. Up to 6 branches, fewer where M**N would pass
@@ -82,8 +85,9 @@ def problems(draw, alpha=st.just(1.0), latencies="on_grid", views=st.integers(1,
     a = draw(alpha)
     values = np.array(draw(st.lists(scores, min_size=m * n, max_size=m * n)))
     if latencies == "on_grid":
-        lats = np.array(draw(st.lists(st.integers(0, 50), min_size=m, max_size=m)))
-        lats = lats * (0.2 if a != 1.0 else 0.1)
+        step = {1.0: 0.1, 0.5: 0.2}.get(a, 1.0)
+        lats = np.array(draw(st.lists(st.integers(0, 50 if step < 1.0 else 10),
+                                      min_size=m, max_size=m))) * step
     elif latencies == "off_grid":
         lats = np.array(draw(st.lists(st.floats(0.0, 8.0), min_size=m, max_size=m)))
     else:
@@ -189,7 +193,8 @@ def test_solver_matches_bruteforce_on_dyadic_instances(problem):
 
 @settings(max_examples=100, deadline=None)
 @given(problems(alpha=st.just(0.5), views=st.integers(1, 6), max_assignments=4096))
-@example(  # views 1 and 2 score alike; summed view by view, (0, 1, 0) scores higher
+@example(  # views 1 and 2 score alike, so (0, 1, 0) and (0, 0, 1) tie: the lexicographic pick
+    # (0, 0, 1) wins, although its float sum, added view by view, is the smaller
     ScheduleProblem(np.array([[0.43, 0.06, 0.06], [0.215, 0.87, 0.87]]), np.array([0.0, 1.0]),
                     1.0, 0.5)
 )
@@ -198,8 +203,13 @@ def test_solver_matches_bruteforce_with_batching_discount(problem):
 
 
 @settings(max_examples=100, deadline=None)
-@given(problems(alpha=st.sampled_from([0.7, 0.5, 0.3]), views=st.integers(1, 6),
-                max_assignments=4096, scores=st.sampled_from([0.0, 0.1, 0.2, 0.3, 1 / 3])))
+@given(problems(alpha=st.sampled_from([1.0, 0.7, 0.5, 0.3]), views=st.integers(1, 6),
+                max_assignments=4096, scores=NON_DYADIC_SCORES))
+@example(  # (2, 1, 0, 2) and (1, 1, 2, 2) score alike, but summed from the last view
+    # (1, 1, 2, 2) reads one ulp lower; in ticks they tie, and 3.2 ms wins over 4.8
+    ScheduleProblem(np.array([[0.0, 0.2, 0.2, 0.2], [0.1, 1 / 3, 0.0, 0.2],
+                              [0.0, 0.0, 0.1, 1 / 3]]), np.array([2.5, 0.9, 0.7]), 4.8)
+)
 @example(  # equal objectives that float sums in another order tell apart: 4.8 ms, not 11.8
     ScheduleProblem(np.array([[1 / 3, 0.3, 1 / 3, 0.1, 1 / 3], [0.2, 0.0, 0.2, 0.0, 0.3],
                               [1 / 3, 0.0, 0.3, 0.3, 0.3], [0.0, 0.3, 0.1, 0.1, 0.0]]),
@@ -291,10 +301,13 @@ def test_best_uniform_is_best_single_branch():
 
 @settings(max_examples=150, deadline=None)
 @given(
-    problems(
-        alpha=st.sampled_from([1.0, 0.5]),
-        latencies="off_grid",
-        views=st.one_of(st.integers(1, 5), st.integers(9, 10)),
+    st.sampled_from([DYADIC_SCORES, NON_DYADIC_SCORES]).flatmap(
+        lambda scores: problems(
+            alpha=st.sampled_from([1.0, 0.5]),
+            latencies="off_grid",
+            views=st.one_of(st.integers(1, 5), st.integers(9, 10)),
+            scores=scores,
+        )
     )
 )
 def test_adaptive_dominates_uniform_structurally(problem):
@@ -347,11 +360,13 @@ def test_batching_fallback_once_the_key_would_overflow(caplog):
 
 # The solver and best_uniform as they were before they shared one pricing
 # rule (`_pricing`): alpha = 1 had its own DP set-up and best_uniform its own
-# grid arithmetic. Wherever the old code is right (every alpha = 1 instance,
-# and alpha < 1 up to the exact-batching limit) the new code must agree with
-# it field for field, off the grid as well, where brute force cannot judge.
-# The old search ranked a partition's plans by grid units, so below alpha = 1
-# it can miss the plan brute force picks; the new code may return that plan
+# grid arithmetic. Wherever the old code is right (alpha = 1 instances whose
+# float sums are exact, and alpha < 1 up to the exact-batching limit) the new
+# code must agree with it field for field, off the grid as well, where brute
+# force cannot judge. The old code ranked float score sums, so at alpha = 1
+# rounding could break a tie that score ticks keep, and the old search ranked
+# a partition's plans by grid units, so below alpha = 1 it can miss the plan
+# brute force picks; in both cases the new code may return brute force's plan
 # instead, as long as the grid admits it.
 # The oracle keeps its own copies of that solver's knapsack DP and partition
 # search, so it stays the old code after `solve` stopped using them.
