@@ -13,7 +13,8 @@ as the best we could possibly run here".
 Every plan is ranked by one rule: the most score ticks (`_score_ticks`), then
 the least latency, then the lexicographically smallest assignment vector.
 Ticks are integers, so a plan's tick sum is exact in any order of addition,
-where a float sum's rounding depends on that order. Latency is compared in
+where a float sum's rounding depends on that order; `predicted_objective` is
+that tick sum in score units. Latency is compared in
 `_latency_ticks`; at alpha = 1 the knapsack counts 0.1 ms grid units, which
 on the grid is the same order. `solve_bruteforce` is the independent
 enumeration check; it must never be folded into `solve`.
@@ -104,7 +105,7 @@ class ScheduleProblem:
 @dataclass(frozen=True)
 class ScheduleDecision:
     assignment: Tuple[int, ...]  # one branch row per view
-    predicted_objective: float
+    predicted_objective: float  # score-tick sum (`_objective`), not the float sum
     predicted_latency_ms: float
 
 
@@ -167,11 +168,24 @@ def _latency_ticks(latency_ms: float) -> int:
     return round(latency_ms * _GRID_PER_MS * _TICKS_PER_UNIT)
 
 
-def _score_ticks(scores: np.ndarray) -> np.ndarray:
-    """Scores -> whole ticks of 2**-50 times the largest total a plan could
-    reach, the unit the objective is ranked in; float64 holds every sum exactly."""
+def _tick_exponent(scores: np.ndarray) -> int:
+    """A score tick is 2**e: about 2**-50 of the largest total a plan could reach."""
     top = float(np.abs(scores).max(initial=0.0)) * scores.shape[1]
-    return np.round(np.ldexp(scores, 50 - math.frexp(top)[1]))
+    return math.frexp(top)[1] - 50
+
+
+def _score_ticks(scores: np.ndarray) -> np.ndarray:
+    """Scores -> whole ticks, the unit the objective is ranked in; float64
+    holds every sum exactly."""
+    return np.round(np.ldexp(scores, -_tick_exponent(scores)))
+
+
+def _objective(scores: np.ndarray, assignment: Sequence[int]) -> float:
+    """A plan's tick sum in score units, the objective as ranked and reported:
+    a plan that ranks higher never reports less, as its float score sum can."""
+    ticks = _score_ticks(scores)
+    total = sum(float(ticks[r, j]) for j, r in enumerate(assignment))
+    return math.ldexp(total, _tick_exponent(scores))
 
 
 def _budget_units(t_max_ms: float, cap: int) -> int:
@@ -291,7 +305,7 @@ def solve(problem: ScheduleProblem) -> ScheduleDecision:
         raise InfeasibleError("no branch combination fits the budget")
     return ScheduleDecision(
         assignment=assignment,
-        predicted_objective=sum(float(problem.scores[assignment[j], j]) for j in range(n)),
+        predicted_objective=_objective(problem.scores, assignment),
         predicted_latency_ms=assignment_latency(assignment, problem.latencies_ms, problem.alpha),
     )
 
@@ -318,8 +332,8 @@ def solve_bruteforce(problem: ScheduleProblem) -> ScheduleDecision:
             tuple(-r for r in assignment),
         )
         if best is None or rank > best[0]:
-            objective = sum(float(problem.scores[assignment[j], j]) for j in range(n))
-            best = (rank, ScheduleDecision(assignment, objective, latency))
+            best = (rank, ScheduleDecision(assignment, _objective(problem.scores, assignment),
+                                           latency))
     if best is None:
         raise InfeasibleError("no assignment fits the budget")
     return best[1]
@@ -339,7 +353,7 @@ def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
     if not latency:
         return None
     i = max(latency, key=lambda i: (ticks[i], -latency[i]))  # ties go to the lowest row
-    return ScheduleDecision((i,) * n, sum(float(problem.scores[i, j]) for j in range(n)), latency[i])
+    return ScheduleDecision((i,) * n, _objective(problem.scores, (i,) * n), latency[i])
 
 
 # -- frame-level orchestration ------------------------------------------------
