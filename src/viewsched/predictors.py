@@ -6,6 +6,12 @@ It is a gradient-boosted ensemble of shallow regression trees, written out
 here directly: training must be exactly reproducible and the model has to
 serialize to plain JSON, which rules out an external boosting dependency.
 
+Each split is the exact greedy one over every distinct feature value. A node
+scores all of them from histograms of value codes (the larger child's is its
+parent's minus the smaller child's), then rescans exactly, in sorted order,
+every column within a proven rounding margin of the best; so the model file
+is byte for byte the one a sorted scan of every column would give.
+
 The latency side is much simpler: the per-frame tracker-update cost is affine
 in the number of live tracks, fit by least squares; branch execution costs
 come straight from the device profile.
@@ -116,164 +122,257 @@ def _parse_tree(node: Mapping, columns: _NodeColumns) -> int:
     return i
 
 
-# Split search and list partitioning handle at most this many (feature, row)
-# cells at once, which bounds their temporaries to a few MB whatever the node.
-_BLOCK_CELLS = 1 << 18
+# -- split search -----------------------------------------------------------
+#
+# A histogram adds the residuals in another order than a sorted scan does, so
+# its gain for a column is known only to within `_margin` of the scan's.
 
-# A node's presorted lists: for every non-constant column, the node's rows in
-# stable order of that column (int32) and their value codes in the same order.
-# A column's code is the rank of the value among the column's distinct values.
-_NodeLists = Tuple[np.ndarray, np.ndarray]
+_U = 2.0**-53  # unit roundoff of float64
+# A histogram is accumulated from at most this many (row, column) cells at
+# once, which bounds its temporaries to a few MB whatever the node.
+_HIST_BLOCK_CELLS = 1 << 18
+_TINY = float(np.finfo(np.float64).tiny)
 
 
-def _blocks(rows: int, width: int) -> List[slice]:
-    step = max(1, _BLOCK_CELLS // width)
-    return [slice(j, j + step) for j in range(0, rows, step)]
+def _gamma(m: float) -> float:
+    """Relative error bound of m chained float64 roundings (Higham's gamma_m)."""
+    return m * _U / (1.0 - m * _U)
+
+
+class _Codes(NamedTuple):
+    """A fit's non-constant feature columns, coded once.
+
+    Cell (i, j) holds bin j * width + code, where code is the rank of
+    x[i, cols[j]] among that column's distinct values and width is the most
+    distinct values of any column; `values[b]` is the feature value of bin b
+    and `counts[j, code]` its row count in the whole fit, the same for every
+    root.
+    """
+
+    cols: np.ndarray
+    cells: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+
+
+class _Hist(NamedTuple):
+    """One node's residual sums and row counts per (column, code), (d, width).
+
+    `err` bounds the summed absolute error of any one column's sums.
+    """
+
+    sums: np.ndarray
+    counts: np.ndarray
+    err: float
+
+
+def _code_columns(x: np.ndarray) -> _Codes:
+    cols = np.flatnonzero(x.min(axis=0) != x.max(axis=0))
+    # intp, the type np.bincount counts in, so no node converts its cells
+    cells = np.empty((len(x), len(cols)), dtype=np.intp)
+    uniques: List[np.ndarray] = []
+    for j, c in enumerate(cols):
+        order = np.argsort(x[:, c], kind="stable")
+        xs = x[order, c]
+        rises = xs[1:] > xs[:-1]
+        cells[order[0], j] = 0
+        cells[order[1:], j] = np.cumsum(rises)
+        uniques.append(xs[np.flatnonzero(np.concatenate(([True], rises)))])
+    width = max((len(u) for u in uniques), default=1)
+    cells += np.arange(len(cols)) * width
+    values = np.zeros(len(cols) * width)
+    for j, u in enumerate(uniques):
+        values[j * width : j * width + len(u)] = u
+    counts = np.bincount(cells.ravel(), None, len(values)).reshape(len(cols), width)
+    return _Codes(cols, cells, values, counts)
+
+
+def _abs_sum(r: np.ndarray) -> float:
+    return float(np.abs(r).sum())
+
+
+def _histogram(codes: _Codes, rows: np.ndarray, y: np.ndarray) -> _Hist:
+    """The histogram of `rows`, accumulated directly."""
+    d, width = codes.counts.shape
+    root = len(rows) == len(y)
+    yr = y[rows]
+    sums = np.zeros(d * width)
+    counts = codes.counts.ravel() if root else np.zeros(d * width, dtype=np.intp)
+    step = max(1, _HIST_BLOCK_CELLS // max(d, 1))
+    for start in range(0, len(rows), step):
+        blk = slice(start, start + step)
+        cells = (codes.cells[blk] if root else codes.cells[rows[blk]]).ravel()
+        sums += np.bincount(cells, np.repeat(yr[blk], d), d * width)
+        if not root:
+            counts += np.bincount(cells, None, d * width)
+    err = _gamma(len(rows)) * _abs_sum(yr)
+    return _Hist(sums.reshape(d, width), counts.reshape(d, width), err)
+
+
+def _sibling(parent: _Hist, child: _Hist, y_rows: np.ndarray) -> _Hist:
+    """The other child's histogram as parent - child; `y_rows` are its residuals."""
+    err = parent.err + child.err
+    return _Hist(
+        parent.sums - child.sums,
+        parent.counts - child.counts,
+        err + _U * (_abs_sum(y_rows) + err),
+    )
+
+
+def _margin(hist: _Hist, r: np.ndarray, top: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """Per column, a bound on |approximate gain - exact gain| at one node.
+
+    With the node's residuals r (n of them), a = sum|r|, m = max|r| and
+    g(k) = _gamma(k), the bound adds up the following:
+    - A directly accumulated bin sums its rows in some order, so one
+      column's bins err by at most g(n) a together.
+    - parent - child adds both errors and one rounding per bin:
+      err_P + err_C + u (a_sibling + err_P + err_C).
+    - The cumulative sum over a column's w bins adds g(w) (a + err), and
+      the exact scan's own cumulative sum errs by g(n) a, so the two left
+      sums differ by at most D = err + g(w) (a + err) + g(n) a.
+    - As |left| <= k m + D and |total - left| <= (n - k) m + D + g(n) a, the
+      score left^2/k + (total - left)^2/(n - k) moves by at most
+      D (4 m + 4 D + 2 g(n) a); its five roundings add g(5) times each of
+      the two scores, at most `top` (the column's best approximate score)
+      each; subtracting the parent rounds each gain by u |gain|.
+    The factor 2 covers the dropped (1 + O(n u)) factors and the rounding of
+    this formula, and _TINY the underflow of a square.
+    """
+    n = len(r)
+    magnitudes = np.abs(r)
+    a = float(magnitudes.sum())
+    m = float(magnitudes.max())
+    err = hist.err
+    d_left = err + _gamma(hist.sums.shape[1]) * (a + err) + _gamma(n) * a
+    d_score = d_left * (4.0 * m + 4.0 * d_left + 2.0 * _gamma(n) * a)
+    return 2.0 * (d_score + 2.0 * _gamma(5) * top + 2.0 * _U * np.abs(gains)) + _TINY
+
+
+def _exact_split(
+    codes: _Codes, j: int, y: np.ndarray, idx: np.ndarray, total: float, min_leaf: int
+) -> Tuple[float, float, np.ndarray]:
+    """Column j's best split by a sorted scan: (score, threshold, rows sent left).
+
+    The node's rows `idx` ascend, so each cumulative sum adds the targets in
+    the order of a stable sort of the column. Only positions where the
+    sorted code changes can split. Ties go to the earliest split point.
+    """
+    n = len(idx)
+    lo, hi = min_leaf, n - min_leaf  # rows sent left, k, satisfy lo <= k <= hi
+    col = codes.cells[idx, j]
+    order = np.argsort(col, kind="stable")
+    sorted_col = col[order]
+    k = np.flatnonzero(sorted_col[lo : hi + 1] > sorted_col[lo - 1 : hi]) + lo
+    left_sum = np.cumsum(y[idx[order[: k[-1]]]])[k - 1]
+    score = left_sum**2 / k + (total - left_sum) ** 2 / (n - k)
+    c = int(np.argmax(score))
+    below, above = codes.values[sorted_col[k[c] - 1]], codes.values[sorted_col[k[c]]]
+    thr = (below + above) / 2.0
+    if thr >= above:  # adjacent floats can collapse the midpoint
+        thr = np.nextafter(above, -np.inf)
+    return float(score[c]), float(thr), col <= sorted_col[k[c] - 1]
+
+
+def _histogram_gains(
+    hist: _Hist, r: np.ndarray, total: float, min_leaf: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each splittable column's best gain by the histogram, and its margin.
+
+    `r` are the node's residuals and `total` their sum. Returns (columns,
+    gains, margins), the columns ascending.
+    """
+    n = len(r)
+    parent = total * total / n
+    lo, hi = min_leaf, n - min_leaf  # rows sent left, k, satisfy lo <= k <= hi
+    counts = np.cumsum(hist.counts, axis=1)
+    f, b = np.nonzero((hist.counts > 0) & (counts >= lo) & (counts <= hi))
+    if len(f) == 0:
+        return f, np.zeros(0), np.zeros(0)
+    k = counts[f, b]
+    left_sum = np.cumsum(hist.sums, axis=1)[f, b]
+    score = left_sum**2 / k + (total - left_sum) ** 2 / (n - k)
+    starts = np.flatnonzero(np.diff(f, prepend=-1))
+    top = np.maximum.reduceat(score, starts)
+    gains = top - parent
+    return f[starts], gains, _margin(hist, r, top, gains)
 
 
 def _best_split(
-    y: np.ndarray,
-    idx: np.ndarray,
-    lists: _NodeLists,
-    uniques: Sequence[np.ndarray],
-    min_leaf: int,
-) -> Optional[Tuple[int, float, int]]:
+    codes: _Codes, hist: _Hist, y: np.ndarray, idx: np.ndarray, min_leaf: int
+) -> Optional[Tuple[int, float, np.ndarray]]:
     """Exact greedy split of one node: (column, threshold, rows sent left).
 
-    `idx` holds the node's rows in ascending order, so each cumulative sum
-    adds the targets in the order a stable argsort of the node's column
-    would. Only positions where the sorted value changes can split, and only
-    those are scored. Maximizes squared-error reduction; deterministic
-    tie-breaking (lowest column, then earliest split point). Returns None
-    when nothing beats the parent.
+    Maximizes squared-error reduction; deterministic tie-breaking (lowest
+    column, then earliest split point). Returns None when nothing beats the
+    parent by more than 1e-12.
     """
-    orders, codes = lists
-    n = len(idx)
-    total = float(y[idx].sum())
-    parent = total * total / n
-    lo, hi = min_leaf, n - min_leaf  # rows sent left, k, satisfy lo <= k <= hi
-    best_gain = 1e-12
-    best: Optional[Tuple[int, float, int]] = None
+    r = y[idx]
+    total = float(r.sum())
+    parent = total * total / len(idx)
+    cols, gains, margin = _histogram_gains(hist, r, total, min_leaf)
+    # the columns whose gain may clear the floor and reach the best one's
+    close = (gains + margin > 1e-12) & (gains + margin >= np.max(gains - margin, initial=-np.inf))
 
-    for blk in _blocks(len(orders), n):
-        cb = codes[blk]
-        cells = np.flatnonzero(cb[:, lo : hi + 1] > cb[:, lo - 1 : hi])
-        if len(cells) == 0:
-            continue
-        f, k = np.divmod(cells, hi - lo + 1)
-        k += lo
-        left_sum = np.cumsum(y[orders[blk, : int(k.max())]], axis=1)[f, k - 1]
-        score = left_sum**2 / k + (total - left_sum) ** 2 / (n - k)
-        starts = np.flatnonzero(np.diff(f, prepend=-1))
-        gains = np.maximum.reduceat(score, starts) - parent
-        b = int(np.argmax(gains))
-        if gains[b] > best_gain:
-            best_gain = float(gains[b])
-            stop = starts[b + 1] if b + 1 < len(starts) else len(f)
-            c = starts[b] + int(np.argmax(score[starts[b] : stop]))
-            j = blk.start + int(f[c])
-            below = uniques[j][cb[f[c], k[c] - 1]]
-            above = uniques[j][cb[f[c], k[c]]]
-            thr = (below + above) / 2.0
-            if thr >= above:  # adjacent floats can collapse the midpoint
-                thr = float(np.nextafter(above, -np.inf))
-            best = (j, float(thr), int(k[c]))
+    best_gain = 1e-12
+    best: Optional[Tuple[int, float, np.ndarray]] = None
+    for j in cols[close].tolist():
+        score, thr, go_left = _exact_split(codes, j, y, idx, total, min_leaf)
+        if score - parent > best_gain:
+            best_gain = score - parent
+            best = (j, thr, go_left)
     return best
 
 
-def _partition(
-    lists: _NodeLists, go_left: np.ndarray, n_left: int, wanted: Sequence[bool]
-) -> List[Optional[_NodeLists]]:
-    """Split a node's lists stably into its (left, right) children's lists.
-
-    `go_left` marks the rows sent left; a child not `wanted` (a leaf) gets
-    None.
-    """
-    d, n = lists[0].shape
-    kids = [
-        tuple(np.empty((d, size), dtype=a.dtype) for a in lists) if want else None
-        for size, want in zip((n_left, n - n_left), wanted)
-    ]
-    for blk in _blocks(d, n):
-        side = go_left.take(lists[0][blk])
-        for kid, sent in zip(kids, (side, ~side)):
-            if kid is not None:
-                cells = np.flatnonzero(sent)
-                for src, dst in zip(lists, kid):
-                    dst[blk] = src[blk].take(cells).reshape(-1, dst.shape[1])
-    return kids
-
-
 def _grow_tree(
-    cols: np.ndarray,
-    uniques: Sequence[np.ndarray],
-    lists: _NodeLists,
+    codes: _Codes,
     y: np.ndarray,
     max_depth: int,
     min_leaf: int,
     columns: _NodeColumns,
     fitted: np.ndarray,
 ) -> int:
-    """Grow one tree from the root's presorted lists; returns its root.
+    """Grow one tree on the residuals `y`; returns its root.
 
     The tree's nodes are appended to `columns`, and each row's leaf value is
-    written to `fitted`. List row j is feature `cols[j]`, whose distinct
-    values are `uniques[j]`. Each split partitions every list stably, so a
-    node's lists stay the stable argsorts of its own rows; nodes that will
-    be leaves get no lists.
+    written to `fitted`. Of a split's children the smaller one's histogram
+    is accumulated and the larger one's is the parent's minus it; nodes
+    that will be leaves get none.
     """
 
     def is_leaf(size: int, depth: int) -> bool:
         return depth >= max_depth or size < 2 * min_leaf
 
-    def grow(idx: np.ndarray, node_lists: Optional[_NodeLists], depth: int) -> int:
+    def grow(idx: np.ndarray, hist: Optional[_Hist], depth: int) -> int:
         value = float(y[idx].mean())
         i = _add_leaf(columns, value)
-        split = None if node_lists is None else _best_split(y, idx, node_lists, uniques, min_leaf)
+        split = None if hist is None else _best_split(codes, hist, y, idx, min_leaf)
         if split is None:
             fitted[idx] = value
             return i
-        j, thr, k = split
-        columns[0][i] = int(cols[j])
+        j, thr, go_left = split
+        columns[0][i] = int(codes.cols[j])
         columns[1][i] = thr
-        go_left = np.zeros(len(y), dtype=bool)
-        go_left[node_lists[0][j, :k]] = True
-        in_left = go_left[idx]
-        kids = (idx[in_left], idx[~in_left])
-        kid_lists = _partition(
-            node_lists, go_left, k, [not is_leaf(len(kid), depth + 1) for kid in kids]
-        )
-        # popped, so each child's lists are freed once its subtree is grown
-        columns[2][i] = grow(kids[0], kid_lists.pop(0), depth + 1)
-        columns[3][i] = grow(kids[1], kid_lists.pop(0), depth + 1)
+        kids = (idx[go_left], idx[~go_left])
+        wanted = [not is_leaf(len(kid), depth + 1) for kid in kids]
+        hists: List[Optional[_Hist]] = [None, None]
+        if any(wanted):
+            small = int(len(kids[1]) < len(kids[0]))
+            hists[small] = _histogram(codes, kids[small], y)
+            if wanted[1 - small]:
+                hists[1 - small] = _sibling(hist, hists[small], y[kids[1 - small]])
+            if not wanted[small]:
+                hists[small] = None
+        columns[2][i] = grow(kids[0], hists[0], depth + 1)
+        columns[3][i] = grow(kids[1], hists[1], depth + 1)
         return i
 
     n = len(y)
-    root = grow(np.arange(n), None if is_leaf(n, 0) else lists, 0)
+    root = grow(np.arange(n), None if is_leaf(n, 0) else _histogram(codes, np.arange(n), y), 0)
     # `grow` refers to itself through its closure; unbinding it frees this
     # round's targets now rather than at the next full garbage collection
     del grow
     return root
-
-
-def _presort(x: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray], _NodeLists]:
-    """The root's lists over the non-constant columns of `x`.
-
-    Returns the columns kept, each one's distinct values and the lists.
-    """
-    n = len(x)
-    cols = np.flatnonzero(x.min(axis=0) != x.max(axis=0))
-    orders = np.empty((len(cols), n), dtype=np.int32)
-    codes = np.empty((len(cols), n), dtype=np.min_scalar_type(n - 1))
-    uniques: List[np.ndarray] = []
-    for j, c in enumerate(cols):
-        orders[j] = np.argsort(x[:, c], kind="stable")
-        xs = x[orders[j], c]
-        rises = xs[1:] > xs[:-1]
-        codes[j, 0] = 0
-        np.cumsum(rises, out=codes[j, 1:])
-        uniques.append(xs[np.flatnonzero(np.concatenate(([True], rises)))])
-    return cols, uniques, (orders, codes)
 
 
 @dataclass(frozen=True)
@@ -404,8 +503,9 @@ def train_gbrt(
 ) -> GBRTModel:
     """Fit the boosted ensemble on squared error.
 
-    Deterministic: exact greedy splits, no subsampling, no randomness; the
-    same inputs always produce the identical model file. Targets must lie in
+    Deterministic: exact greedy splits found by the histogram search of the
+    module docstring, no subsampling, no randomness; the same inputs always
+    produce the identical model file. Targets must be finite and lie in
     [0, 1] (they are detection scores).
     """
     params = params or GBRTParams()
@@ -415,14 +515,14 @@ def train_gbrt(
         raise ValueError("features must be (n, d) with matching targets")
     if len(y) == 0:
         raise ValueError("no training samples")
-    if np.any(y < 0.0) or np.any(y > 1.0):
+    if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both comparisons
         raise ValueError("targets must lie in [0, 1]")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
 
     # x is fixed across rounds: drop the constant columns (nothing splits
-    # them) and sort each remaining one once
-    cols, uniques, lists = _presort(x)
+    # them) and code each remaining one once
+    codes = _code_columns(x)
 
     base = float(y.mean())
     pred = np.full(len(y), base)
@@ -433,10 +533,7 @@ def train_gbrt(
     for _ in range(params.rounds):
         resid = y - pred
         roots.append(
-            _grow_tree(
-                cols, uniques, lists, resid, params.max_depth, params.min_samples_leaf,
-                columns, fitted,
-            )
+            _grow_tree(codes, resid, params.max_depth, params.min_samples_leaf, columns, fitted)
         )
         pred += params.learning_rate * fitted
         mse_trace.append(float(np.mean((y - pred) ** 2)))

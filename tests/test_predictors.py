@@ -1,10 +1,11 @@
 """Accuracy / latency predictor unit tests."""
 
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viewsched import predictors
@@ -126,6 +127,11 @@ def test_gbrt_input_validation():
         train_gbrt(x, np.zeros(9))
     with pytest.raises(ValueError):
         train_gbrt(np.full((10, 3), np.nan), np.zeros(10))
+    for bad in (np.nan, np.inf, -np.inf):  # NaN passes both range comparisons
+        y = np.linspace(0.0, 1.0, 10)
+        y[3] = bad
+        with pytest.raises(ValueError, match="targets"):
+            train_gbrt(np.arange(10.0)[:, None], y)
 
 
 def test_gbrt_round_trip_preserves_predictions():
@@ -139,9 +145,9 @@ def test_gbrt_round_trip_preserves_predictions():
     assert clone.to_dict() == model.to_dict()
 
 
-# Reference implementation: the split search as it was before the presorted
-# one, which re-sorts every column at every node. The presorted search must
-# build the same trees bit for bit.
+# Reference implementation: the split search as it was before the histogram
+# one, which re-sorts every column at every node and scans it. The histogram
+# search must build the same trees bit for bit.
 
 
 def _reference_best_split(
@@ -301,9 +307,21 @@ def _column(kind: str, rng: np.random.Generator, n: int, previous: List[np.ndarr
     rounds=st.integers(1, 4),
     max_depth=st.integers(1, 4),
     discrete_targets=st.booleans(),
-    block_cells=st.sampled_from((1, 16, predictors._BLOCK_CELLS)),
+    block_cells=st.sampled_from((1, 16, predictors._HIST_BLOCK_CELLS)),
     seed=st.integers(0, 2**32 - 1),
 )
+# every column constant: no column is left to split
+@example(n=6, kinds=["constant", "constant"], leaf="one", rounds=2, max_depth=2,
+         discrete_targets=False, block_cells=16, seed=1)
+# more than 255 distinct values in one column: codes wider than a byte
+@example(n=300, kinds=["uniform", "few_values"], leaf="one", rounds=3, max_depth=3,
+         discrete_targets=False, block_cells=16, seed=2)
+# n < 2 * min_samples_leaf: the root is a leaf
+@example(n=9, kinds=["uniform"], leaf="over_half", rounds=2, max_depth=3,
+         discrete_targets=False, block_cells=16, seed=3)
+# a single row
+@example(n=1, kinds=["uniform", "few_values"], leaf="one", rounds=2, max_depth=2,
+         discrete_targets=False, block_cells=16, seed=4)
 def test_gbrt_matches_the_reference_split_search(
     n, kinds, leaf, rounds, max_depth, discrete_targets, block_cells, seed
 ):
@@ -320,13 +338,13 @@ def test_gbrt_matches_the_reference_split_search(
     min_leaf = {"one": 1, "half": max(1, n // 2), "over_half": n // 2 + 1}[leaf]
     params = GBRTParams(rounds=rounds, max_depth=max_depth, learning_rate=0.3,
                         min_samples_leaf=min_leaf)
-    # small blocks split the columns and the lists across several passes
-    saved = predictors._BLOCK_CELLS
-    predictors._BLOCK_CELLS = block_cells
+    # small blocks accumulate each histogram over several passes
+    saved = predictors._HIST_BLOCK_CELLS
+    predictors._HIST_BLOCK_CELLS = block_cells
     try:
         got = train_gbrt(x, y, params)
     finally:
-        predictors._BLOCK_CELLS = saved
+        predictors._HIST_BLOCK_CELLS = saved
     want, want_mse = _reference_train_gbrt(x, y, params)
     assert got.to_dict() == want
     assert list(got.training_mse) == want_mse
@@ -334,7 +352,7 @@ def test_gbrt_matches_the_reference_split_search(
 
 def test_gbrt_matches_the_reference_on_wide_sparse_features():
     # the shape of the real training set: sparse ratios, one-hot columns, a
-    # constant column and a continuous one, with 16-bit value codes
+    # constant column and a continuous one with thousands of distinct values
     rng = np.random.default_rng(5)
     n = 3000
     ratios = rng.dirichlet(np.full(20, 0.2), size=n)
@@ -447,26 +465,127 @@ def test_performance_models_need_the_feature_width():
     assert PerformanceModels.from_dict(bundle).accuracy.n_features == FEATURE_WIDTH
 
 
-def test_presorted_lists_stay_stable_argsorts_of_each_node():
+def test_sibling_histograms_stay_within_their_error_bound():
     rng = np.random.default_rng(23)
-    n = 400  # long enough that an unstable sort would reorder ties
+    n = 400
     x = np.column_stack([
         rng.choice([0.0, 0.5, 1.0], size=n),
         rng.integers(0, 2, size=n).astype(float),
         rng.uniform(size=n),
         np.full(n, 0.3),
     ])
-    cols, uniques, lists = predictors._presort(x)
-    assert list(cols) == [0, 1, 2]
-    go_left = rng.uniform(size=n) < 0.4
-    kids = predictors._partition(lists, go_left, int(go_left.sum()), [True, True])
-    for rows, (orders, codes) in ((np.arange(n), lists),
-                                  (np.flatnonzero(go_left), kids[0]),
-                                  (np.flatnonzero(~go_left), kids[1])):
-        for j, c in enumerate(cols):
-            want = rows[np.argsort(x[rows, c], kind="stable")]
-            assert np.array_equal(orders[j], want)
-            assert np.array_equal(uniques[j][codes[j]], x[want, c])
+    # residuals of mixed sign and scale, so that sums visibly round
+    r = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    codes = predictors._code_columns(x)
+    width = codes.counts.shape[1]
+    assert list(codes.cols) == [0, 1, 2]
+    for j, c in enumerate(codes.cols):
+        assert np.array_equal(codes.values[codes.cells[:, j]], x[:, c])
+
+    def error(h, rows):
+        """Per column, the summed |error| of h's bin sums, in exact arithmetic."""
+        out = []
+        for j in range(len(codes.cols)):
+            cells = codes.cells[rows, j] - j * width
+            out.append(sum(
+                abs(Fraction(h.sums[j, code]) - sum(map(Fraction, r[rows[cells == code]])))
+                for code in range(width)
+            ))
+        return out
+
+    rows = np.arange(n)
+    hist = predictors._histogram(codes, rows, r)
+    # two levels of parent - child, so one derived histogram derives another
+    for depth in range(2):
+        go_left = rng.uniform(size=len(rows)) < 0.4
+        small, large = rows[go_left], rows[~go_left]
+        child = predictors._histogram(codes, small, r)
+        derived = predictors._sibling(hist, child, r[large])
+        direct = predictors._histogram(codes, large, r)
+        assert np.array_equal(derived.counts, direct.counts)
+        assert np.array_equal(direct.counts.sum(axis=1), np.full(3, len(large)))
+        for h in (child, direct, derived):
+            assert h.err > 0.0
+        assert derived.err > direct.err
+        for h, part in ((child, small), (direct, large), (derived, large)):
+            assert max(error(h, part)) <= Fraction(h.err)
+        assert not np.array_equal(derived.sums, direct.sums)  # rounding shows
+        hist, rows = derived, large
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5),
+    scale=st.sampled_from((1e-9, 1.0, 1e9)),
+    shift=st.sampled_from((0.0, 1.0)),
+    min_leaf=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_margin_bounds_every_columns_gain_error(n, kinds, scale, shift, min_leaf, seed):
+    rng = np.random.default_rng(seed)
+    columns: List[np.ndarray] = []
+    for kind in kinds:
+        columns.append(_column(kind, rng, n, columns))
+    x = np.column_stack(columns)
+    r = (rng.normal(size=n) + shift) * scale
+    codes = predictors._code_columns(x)
+    rows = np.arange(n)
+    hist = predictors._histogram(codes, rows, r)
+    # the root, then a chain of children derived as parent - sibling
+    while len(rows) >= 2 * min_leaf:
+        total = float(r[rows].sum())
+        parent = total * total / len(rows)
+        cols, gains, margin = predictors._histogram_gains(hist, r[rows], total, min_leaf)
+        for j, gain, bound in zip(cols.tolist(), gains, margin):
+            score = predictors._exact_split(codes, j, r, rows, total, min_leaf)[0]
+            assert abs(gain - (score - parent)) <= bound
+        go_left = rng.uniform(size=len(rows)) < 0.3
+        if go_left.all() or not go_left.any():
+            break
+        small, rows = rows[go_left], rows[~go_left]
+        hist = predictors._sibling(hist, predictors._histogram(codes, small, r), r[rows])
+
+
+def test_near_tied_columns_are_scored_again_exactly():
+    # Column 1 splits the rows into codes {0: rows 0-3, 1: rows 4-7, 2: rows
+    # 8-11}; column 0 sends rows 0-7 left. Both sorted scans add rows 0-7 in
+    # row order, so their exact gains tie and column 0, the lower one, wins.
+    # Column 1's histogram adds rows 0-3 and 4-7 separately, and that
+    # rounding ranks it first. Only the exact re-score finds the tie.
+    rng = np.random.default_rng(3)
+    y = np.concatenate([rng.uniform(0.0, 0.3, 8), rng.uniform(0.7, 1.0, 4)])
+    x = np.column_stack([np.repeat([0.0, 1.0], [8, 4]), np.repeat([0.0, 1.0, 2.0], 4)])
+    r = y - y.mean()
+    n, k, total = 12, 8, float(r.sum())
+
+    def score(left):
+        return left**2 / k + (total - left) ** 2 / (n - k)
+
+    scan = np.cumsum(r)[k - 1]
+    binned = np.cumsum(r[:4])[-1] + np.cumsum(r[4:8])[-1]
+    assert score(binned) > score(scan)  # the approximate gains rank column 1 first
+
+    params = GBRTParams(rounds=1, max_depth=1, min_samples_leaf=1)
+    got = train_gbrt(x, y, params)
+    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert got.nodes.feature[got.roots[0]] == 0
+
+
+def test_ties_across_many_duplicate_columns_go_to_the_lowest():
+    # Column 0 splits the root; in each child the 1,500 identical columns after
+    # it tie exactly. The children's residual sums are far from 0, so a
+    # cumulative sum that ran across columns instead of restarting at each
+    # would carry rounding from all the columns before into every gain.
+    y = np.array([0.1, 0.1, 0.2, 0.25, 0.9, 0.9, 0.95, 1.0])
+    first = np.repeat([0.0, 1.0], 4)
+    x = np.column_stack([first] + [np.tile([0.0, 0.0, 1.0, 1.0], 2)] * 1500)
+    params = GBRTParams(rounds=2, max_depth=2, min_samples_leaf=1)
+    got = train_gbrt(x, y, params)
+    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    feature = got.nodes.feature
+    assert feature[got.roots[0]] == 0
+    assert sorted(set(feature[feature > 0].tolist())) == [1]
 
 
 # -- update-latency model -----------------------------------------------------
