@@ -128,6 +128,8 @@ class DeviceProfile:
         self.name = name
         self.memory_limit_mb = float(memory_limit_mb)
         self.modules: Dict[str, ModuleProfile] = {m.name: m for m in modules}
+        if len(self.modules) != len(modules):
+            raise ProfileError("duplicate module names")
         self.branch_modules: Dict[int, Tuple[str, ...]] = {
             int(i): tuple(names) for i, names in branch_modules.items()
         }
@@ -137,8 +139,6 @@ class DeviceProfile:
         self._validate()
 
     def _validate(self) -> None:
-        if len(self.modules) != len(set(self.modules)):
-            raise ProfileError("duplicate module names")
         if not 0 < self.memory_limit_mb < math.inf:
             raise ProfileError("memory limit must be positive and finite")
         if self.update_slope_ms_per_track < 0 or self.update_intercept_ms < 0:
@@ -248,17 +248,9 @@ def branch_latency(branch: BranchConfig, device: DeviceProfile) -> float:
     Sum of the branch's non-fixed module latencies; the tracker branch costs
     nothing. Fixed modules are charged once per frame via `fixed_latency`.
     """
-    if branch.is_tracker:
-        return 0.0
-    try:
-        names = device.branch_modules[branch.index]
-    except KeyError as exc:
-        raise ProfileError(f"branch {branch.label} not in profile") from exc
     total = 0.0
-    for n in names:
-        mod = device.modules.get(n)
-        if mod is None:
-            raise ProfileError(f"branch {branch.label} references unknown module {n!r}")
+    for n in device.branch_modules[branch.index]:
+        mod = device.modules[n]
         if not mod.fixed:
             total += mod.latency_ms
     return total

@@ -300,8 +300,7 @@ def build_training_set(
     logged detections only cover whichever branch the collection policy ran);
     the tracker branch is scored on the logged forecasts. Returns features,
     detection-score targets, and the per-frame track counts for the latency
-    fit. The episodes must come from `SystemConfig`'s default rig, as every
-    training episode does: the logged views and ground truth are that rig's.
+    fit.
     """
     rig = CameraRig.default()
     eval_config = EvalConfig()

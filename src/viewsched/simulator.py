@@ -30,9 +30,11 @@ from .branches import (
     DeviceProfile,
     branch_latency,
     fixed_latency,
-    group_cost,
 )
 from .core import (
+    NUM_DISTANCE_LEVELS,
+    NUM_SIZE_LEVELS,
+    NUM_VELOCITY_LEVELS,
     Box3D,
     CameraRig,
     CategoryLevel,
@@ -45,7 +47,7 @@ from .core import (
     view_of,
     wrap_angle,
 )
-from .metrics import EvalConfig, FrameEval, evaluate_frame, summarize
+from .metrics import FrameEval, evaluate_frame, summarize
 from .predictors import LinearLatencyModel, PerformanceModels
 from .scheduler import (
     FrameForecast,
@@ -55,7 +57,7 @@ from .scheduler import (
     frame_forecast,
     schedule_frame,
 )
-from .tracker import KalmanModel, MultiObjectTracker, TrackerConfig, forecast_all
+from .tracker import MultiObjectTracker, forecast_all
 
 
 def rng_stream(seed: int, *names: str) -> np.random.Generator:
@@ -495,12 +497,30 @@ class CapabilityProfile:
 
     def validate(self) -> None:
         keys = [b.key for b in BackboneKind]
+        # the lookups below index every backbone and every level `categorize` returns
+        by_backbone = {
+            "recall_by_backbone": self.recall_by_backbone,
+            "position_sigma.backbone_factor": self.pos_backbone_factor,
+            "size_sigma.backbone_factor": self.size_backbone_factor,
+            "false_positives.rate_by_backbone": self.fp_rate_by_backbone,
+        }
+        for table, values in by_backbone.items():
+            missing = [k for k in keys if k not in values]
+            if missing:
+                raise CapabilityError(f"{table} is missing backbone {missing[0]}")
+        by_level = {
+            "position_sigma.base_by_distance": (self.pos_base, NUM_DISTANCE_LEVELS),
+            "velocity_sigma.distance_factor": (self.vel_distance_factor, NUM_DISTANCE_LEVELS),
+            "velocity_sigma.base_by_vlevel": (self.vel_base, NUM_VELOCITY_LEVELS),
+            "size_sigma.base_by_slevel": (self.size_base, NUM_SIZE_LEVELS),
+            **{f"recall_by_backbone.{k}": (self.recall_by_backbone[k], NUM_DISTANCE_LEVELS)
+               for k in keys},
+        }
+        for table, (values, levels) in by_level.items():
+            if len(values) != levels:
+                raise CapabilityError(f"{table} needs {levels} entries, got {len(values)}")
         for k in keys:
-            if k not in self.recall_by_backbone:
-                raise CapabilityError(f"missing recall row for backbone {k}")
             row = self.recall_by_backbone[k]
-            if len(row) != len(self.pos_base):
-                raise CapabilityError(f"recall row for {k} has wrong length")
             if any(not 0.0 <= p <= 1.0 for p in row):
                 raise CapabilityError(f"recall out of [0,1] for {k}")
             # (a) recall never improves with distance
@@ -521,9 +541,8 @@ class CapabilityProfile:
         for k in _MODIFIER_KEYS:
             if self.vel_modifiers[k] < 0:
                 raise CapabilityError("velocity modifiers must be non-negative")
-        for k in keys:
-            if self.fp_rate_by_backbone.get(k, 0.0) < 0:
-                raise CapabilityError("false-positive rates must be non-negative")
+        if any(self.fp_rate_by_backbone[k] < 0 for k in keys):
+            raise CapabilityError("false-positive rates must be non-negative")
         c = self.confidence
         if not (0.0 <= c.clip_lo < c.clip_hi <= 1.0):
             raise CapabilityError("confidence clip bounds must satisfy 0 <= lo < hi <= 1")
@@ -720,17 +739,16 @@ def synth_detect(
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Everything the runtime loop needs besides the scenario."""
+    """Everything the runtime loop needs besides the scenario.
+
+    The loop always runs the default rig, tracker and evaluation settings.
+    """
 
     branches: Tuple[BranchConfig, ...]
     device: DeviceProfile
     capability: CapabilityProfile
     models: Optional[PerformanceModels]
     target_ms: float
-    rig: CameraRig = field(default_factory=CameraRig.default)
-    tracker_config: TrackerConfig = field(default_factory=TrackerConfig)
-    kalman: KalmanModel = field(default_factory=KalmanModel)
-    eval_config: EvalConfig = field(default_factory=EvalConfig)
     alpha: float = 1.0
     latency_noise_sigma: float = 0.0
     sched_margin_ms: float = 0.0
@@ -807,23 +825,21 @@ def _true_update_model(device: DeviceProfile) -> LinearLatencyModel:
 
 def realized_latency(
     assignment_rows: Sequence[int],
-    branches: Sequence[BranchConfig],
-    device: DeviceProfile,
+    lats: np.ndarray,
+    fixed_ms: float,
     update_ms: float,
     alpha: float,
     sigma: float,
     rng: Optional[np.random.Generator],
 ) -> float:
-    """Simulated actual frame latency.
+    """Simulated actual frame latency: the planner's price plus noise.
 
-    Deterministic profile sums; with sigma > 0 each executed module group and
-    the update step draw one multiplicative lognormal factor. With sigma = 0
-    no draws happen at all, so enabling noise elsewhere never shifts streams.
-
-    This stands for the device, not for the planner's price
-    (`scheduler.assignment_latency`): it sums per module so that noise can
-    be drawn per module, adds the fixed modules and the true update cost,
-    and its float order defines `actual_ms`.
+    The assignment is priced by `scheduler.assignment_latency`, the planner's
+    one cost model, then the fixed modules and the true update cost are
+    added. With sigma > 0 each of the three terms draws one multiplicative
+    lognormal factor, in that order. With sigma = 0 no draws happen at all,
+    so enabling noise elsewhere never shifts streams, and the result is
+    exactly `predicted_marginal_ms + fixed_ms + update_ms`.
     """
 
     def noise() -> float:
@@ -831,24 +847,8 @@ def realized_latency(
             return 1.0
         return float(np.exp(sigma * rng.standard_normal()))
 
-    counts: Dict[int, int] = {}
-    for row in assignment_rows:
-        b = branches[row]
-        if not b.is_tracker:
-            counts[b.index] = counts.get(b.index, 0) + 1
-    total = 0.0
-    for idx in sorted(counts):
-        k = counts[idx]
-        for name in device.branch_modules[idx]:
-            mod = device.modules[name]
-            if not mod.fixed:
-                total += group_cost(mod.latency_ms, k, alpha) * noise()
-    for name in sorted(device.modules):
-        mod = device.modules[name]
-        if mod.fixed:
-            total += mod.latency_ms * noise()
-    total += update_ms * noise()
-    return total
+    marginal = assignment_latency(assignment_rows, lats, alpha)
+    return marginal * noise() + fixed_ms * noise() + update_ms * noise()
 
 
 def run_episode(
@@ -877,7 +877,7 @@ def run_episode(
         raise ValueError(f"policy {policy!r} needs trained models")
 
     frames = generate_scenario(scenario)
-    rig = system.rig
+    rig = CameraRig.default()
     n_views = rig.view_count
     branches = system.branches
     det_rows = [r for r, b in enumerate(branches) if not b.is_tracker]
@@ -887,7 +887,7 @@ def run_episode(
 
     lats = np.array([branch_latency(b, system.device) for b in branches])
     heavy_row = max(det_rows, key=lambda r: lats[r]) if det_rows else 0
-    tracker = MultiObjectTracker(system.tracker_config, system.kalman)
+    tracker = MultiObjectTracker()
     true_update = _true_update_model(system.device)
     fixed_ms = fixed_latency(system.device)
     lat_rng = (
@@ -903,7 +903,7 @@ def run_episode(
         # the frame's one forecast, placed in views once: the plan, the log,
         # the outputs of the tracker-branch views and the tracker's misses
         # all use it
-        forecast = frame_forecast(forecast_all(tracker.tracks, dt, system.kalman), frame.ego, rig)
+        forecast = frame_forecast(forecast_all(tracker.tracks, dt, tracker.model), frame.ego, rig)
         plan: Optional[FramePlan] = None
         decision: Optional[ScheduleDecision] = None  # the plan's decision that runs
         warmup = frame.index == 0
@@ -973,13 +973,7 @@ def run_episode(
 
         update_true_ms = true_update.predict(len(forecast.tracks))
         actual = realized_latency(
-            rows,
-            branches,
-            system.device,
-            update_true_ms,
-            system.alpha,
-            system.latency_noise_sigma,
-            lat_rng,
+            rows, lats, fixed_ms, update_true_ms, system.alpha, system.latency_noise_sigma, lat_rng
         )
         compliant = actual <= system.target_ms + 1e-9
 
@@ -1009,9 +1003,9 @@ def run_episode(
             track_ids=tuple(t.track_id for t in tracker.tracks),
         )
         frame_logs.append(log)
-        frame_evals.append(evaluate_frame(log.outputs, frame.boxes, system.eval_config))
+        frame_evals.append(evaluate_frame(log.outputs, frame.boxes))
 
-    summary = summarize(frame_evals, system.eval_config)
+    summary = summarize(frame_evals)
     n_sched = max(len(frame_logs) - 1, 0)
     n_ok = sum(1 for f in frame_logs if not f.warmup and f.compliant)
     summary["latency"] = {

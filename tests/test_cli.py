@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from viewsched.branches import NUM_BRANCHES, enumerate_branches
+from viewsched.branches import (
+    NUM_BRANCHES,
+    DeviceProfile,
+    ProfileError,
+    default_device_profile,
+    enumerate_branches,
+)
 
 from viewsched.cli import (
     ConfigError,
@@ -31,7 +37,7 @@ from viewsched.cli import (
 )
 from viewsched.core import NUM_CATEGORIES
 from viewsched.predictors import FEATURE_WIDTH
-from viewsched.simulator import SystemConfig
+from viewsched.simulator import SystemConfig, default_capability
 
 
 @pytest.fixture(scope="session")
@@ -218,6 +224,63 @@ def test_manifest_relative_references(tmp_path, quickstart_model_file):
     (tmp_path / "m.json").write_text(json.dumps(data))
     man = load_manifest(str(tmp_path / "m.json"))
     assert man.scenario == ScenarioConfig.from_dict(scenario)
+
+
+def _manifest_referencing(tmp_path, key, document):
+    """A quickstart manifest whose `key` reference is a file holding `document`."""
+    (tmp_path / f"{key}.json").write_text(json.dumps(document))
+    data = {
+        "name": "broken-" + key,
+        "scenario": "builtin:scenario_quickstart",
+        "device": "builtin:device_orin",
+        "capability": "builtin:capability_default",
+        key: f"{key}.json",
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_device_listing_a_module_twice_is_a_config_error(tmp_path, capsys):
+    data = default_device_profile().to_dict()
+    data["modules"].append(dict(data["modules"][0]))
+    with pytest.raises(ProfileError, match="duplicate module"):
+        DeviceProfile.from_dict(data)
+    assert main(["adapt", "--manifest", _manifest_referencing(tmp_path, "device", data)]) == 2
+    assert "duplicate module" in capsys.readouterr().err
+
+
+def _drop_nearest_distance_level(cap):
+    # the far-recall anchor still holds one level nearer, so only the length is wrong
+    for key in ("r34", "r50", "r101", "r152"):
+        del cap["recall_by_backbone"][key][0]
+    del cap["position_sigma"]["base_by_distance"][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda cap: cap["false_positives"]["rate_by_backbone"].pop("r152"),
+        lambda cap: cap["position_sigma"]["backbone_factor"].pop("r152"),
+        lambda cap: cap["size_sigma"]["backbone_factor"].pop("r152"),
+        _drop_nearest_distance_level,
+        lambda cap: cap["velocity_sigma"]["distance_factor"].pop(),
+        lambda cap: cap["velocity_sigma"]["base_by_vlevel"].pop(),
+        lambda cap: cap["size_sigma"]["base_by_slevel"].pop(),
+    ],
+    ids=["fp-rate-missing-backbone", "position-factor-missing-backbone",
+         "size-factor-missing-backbone", "distance-levels-short",
+         "velocity-distance-factor-short", "velocity-levels-short", "size-levels-short"],
+)
+def test_main_rejects_a_capability_that_cannot_price_every_box(tmp_path, capsys, corrupt):
+    cap = default_capability().to_dict()
+    corrupt(cap)
+    manifest = _manifest_referencing(tmp_path, "capability", cap)
+    code = main(["simulate", "--manifest", manifest, "--policy", "fixed:16", "--target-ms", "400"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration")
+    assert "Traceback" not in err
 
 
 # -- commands ---------------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from viewsched import core, scheduler, simulator, tracker
 from viewsched.branches import (
@@ -357,26 +359,29 @@ def test_synth_detect_rejects_tracker():
 # -- realized latency -------------------------------------------------------------------
 
 
+def _catalog_latencies(device):
+    return np.array([branch_latency(b, device) for b in enumerate_branches()])
+
+
 def test_realized_latency_deterministic_sum():
     device = default_device_profile()
-    branches = enumerate_branches()
-    from viewsched.branches import branch_latency, fixed_latency
+    lats = _catalog_latencies(device)
     # two views on branch 3, one on branch 7, three on the tracker
     rows = [3, 3, 7, 0, 0, 0]
-    got = realized_latency(rows, branches, device, update_ms=1.4, alpha=1.0,
+    got = realized_latency(rows, lats, fixed_latency(device), update_ms=1.4, alpha=1.0,
                            sigma=0.0, rng=None)
-    want = fixed_latency(device) + 2 * branch_latency(branches[3], device) \
-        + branch_latency(branches[7], device) + 1.4
+    want = fixed_latency(device) + 2 * lats[3] + lats[7] + 1.4
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_realized_latency_noise_is_multiplicative_and_seeded():
     device = default_device_profile()
-    branches = enumerate_branches()
+    lats = _catalog_latencies(device)
+    fixed_ms = fixed_latency(device)
     rows = [1, 1, 1, 1, 1, 1]
-    base = realized_latency(rows, branches, device, 1.0, 1.0, 0.0, None)
-    a = realized_latency(rows, branches, device, 1.0, 1.0, 0.05, rng_stream(9, "latnoise"))
-    b = realized_latency(rows, branches, device, 1.0, 1.0, 0.05, rng_stream(9, "latnoise"))
+    base = realized_latency(rows, lats, fixed_ms, 1.0, 1.0, 0.0, None)
+    a = realized_latency(rows, lats, fixed_ms, 1.0, 1.0, 0.05, rng_stream(9, "latnoise"))
+    b = realized_latency(rows, lats, fixed_ms, 1.0, 1.0, 0.05, rng_stream(9, "latnoise"))
     assert a == b  # same stream, same value
     assert a != base
     assert a == pytest.approx(base, rel=0.5)  # lognormal sigma=0.05 stays near 1
@@ -384,11 +389,31 @@ def test_realized_latency_noise_is_multiplicative_and_seeded():
 
 def test_realized_latency_sigma_zero_consumes_no_randomness():
     device = default_device_profile()
-    branches = enumerate_branches()
+    lats = _catalog_latencies(device)
     rng = rng_stream(9, "latnoise")
-    realized_latency([1, 0, 0, 0, 0, 0], branches, device, 1.0, 1.0, 0.0, rng)
+    realized_latency([1, 0, 0, 0, 0, 0], lats, fixed_latency(device), 1.0, 1.0, 0.0, rng)
     untouched = rng_stream(9, "latnoise")
     assert rng.random() == untouched.random()
+
+
+@st.composite
+def _priced_assignments(draw):
+    lats = draw(st.lists(st.floats(0.0, 100.0), min_size=1, max_size=17))
+    rows = draw(st.lists(st.integers(0, len(lats) - 1), min_size=0, max_size=8))
+    return rows, np.array(lats)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _priced_assignments(),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(0.0, 50.0),
+    st.floats(0.0, 50.0),
+)
+def test_realized_latency_without_noise_is_the_planner_price(priced, alpha, fixed_ms, update_ms):
+    rows, lats = priced
+    got = realized_latency(rows, lats, fixed_ms, update_ms, alpha, 0.0, rng_stream(0, "latnoise"))
+    assert got == assignment_latency(rows, lats, alpha) + fixed_ms + update_ms
 
 
 # -- closed loop ----------------------------------------------------------------------
@@ -413,7 +438,7 @@ def test_run_episode_fixed_policy_structure():
     ep = run_episode(cfg, system, policy="fixed:3")
     assert len(ep.frames) == cfg.frame_count
     assert ep.frames[0].warmup and not any(f.warmup for f in ep.frames[1:])
-    n_views = system.rig.view_count
+    n_views = CameraRig.default().view_count
     for f in ep.frames[1:]:
         assert f.assignment == (3,) * n_views
         assert f.actual_ms > 0.0
@@ -482,7 +507,7 @@ def test_run_episode_warmup_uses_heaviest_deployed_branch():
     system = tiny_system()
     ep = run_episode(cfg, system, policy="all_tracker")
     # heaviest of the deployed set (tracker + indices 1..5) is branch 5
-    assert ep.frames[0].assignment == (5,) * system.rig.view_count
+    assert ep.frames[0].assignment == (5,) * CameraRig.default().view_count
 
 
 @pytest.mark.parametrize("policy", ["adaptive", "per_frame"])
@@ -494,11 +519,17 @@ def test_run_episode_logs_the_plan_it_ran(quickstart_manifest, quickstart_traine
     ep = run_episode(man.scenario, system, policy=policy)
     lats = np.array([branch_latency(b, man.device) for b in system.branches])
     row_of = {b.index: r for r, b in enumerate(system.branches)}
+    true_update = LinearLatencyModel(man.device.update_slope_ms_per_track,
+                                     man.device.update_intercept_ms)
     for f in ep.scheduled_frames:
         rows = [row_of[i] for i in f.assignment]
         assert f.predicted_marginal_ms == assignment_latency(rows, lats, system.alpha)
         assert f.predicted_frame_ms == (
             f.predicted_marginal_ms + fixed_latency(man.device) + f.update_pred_ms
+        )
+        assert f.actual_ms == (
+            f.predicted_marginal_ms + fixed_latency(man.device)
+            + true_update.predict(len(f.forecast.tracks))
         )
         if policy == "per_frame":
             assert len(set(f.assignment)) == 1
