@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -93,151 +93,185 @@ def branch_by_label(label: str) -> BranchConfig:
     raise KeyError(f"no branch labeled {label!r}")
 
 
-@dataclass(frozen=True)
-class ModuleProfile:
-    name: str
-    latency_ms: float
-    memory_mb: float
-    fixed: bool = False
-    synthetic: bool = True
+# -- configuration files ------------------------------------------------------
+#
+# Every configuration file (manifest, scenario, device and capability profile)
+# is read by these rules, so a value means the same wherever it appears.
 
 
-@dataclass(frozen=True)
-class FrameAnchor:
-    """Known full-frame latency for one branch run on every view."""
+def json_object(what: str, value: object, keys: frozenset) -> dict:
+    """A JSON object whose keys all lie in `keys`."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {value!r}")
+    if not keys.issuperset(value):
+        raise ValueError(f"unknown {what} keys {sorted(set(value) - keys)}")
+    return value
 
-    label: str
-    views: int
-    frame_ms: float
-    synthetic: bool = False
+
+def json_number(key: str, value: object, nonnegative: bool = False) -> float:
+    """A finite JSON int or float, not a boolean or a string, as a float."""
+    if (type(value) is float or type(value) is int) and (
+        0.0 <= value < math.inf if nonnegative else -math.inf < value < math.inf
+    ):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    sign = "non-negative " if nonnegative else ""
+    raise ValueError(f"{key} must be a finite {sign}number, got {value!r}")
+
+
+def json_count(key: str, value: object) -> int:
+    """A JSON int >= 0, not a boolean."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def json_flag(key: str, value: object) -> bool:
+    """A JSON boolean."""
+    if type(value) is not bool:
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def json_copy(value: Any) -> Any:
+    """A deep copy of a value read from JSON."""
+    if type(value) is dict:
+        return {k: json_copy(v) for k, v in value.items()}
+    if type(value) is list:
+        return [json_copy(v) for v in value]
+    return value
+
+
+# -- device profile -----------------------------------------------------------
+
+
+_DEVICE_KEYS = frozenset(("version", "name", "memory_limit_mb", "update_latency", "modules",
+                          "anchors", "branches"))
+_UPDATE_KEYS = frozenset(("slope_ms_per_track", "intercept_ms", "synthetic"))
+_MODULE_KEYS = frozenset(("name", "latency_ms", "memory_mb", "fixed", "synthetic"))
+_ANCHOR_KEYS = frozenset(("label", "views", "frame_ms", "synthetic"))
+_PATH_KEYS = frozenset(("index", "modules"))
+
+
+def _read_module(m: object) -> dict:
+    m = json_object("module", m, _MODULE_KEYS)
+    return {
+        "name": m["name"],
+        "latency_ms": json_number("module latency_ms", m["latency_ms"], nonnegative=True),
+        "memory_mb": json_number("module memory_mb", m["memory_mb"], nonnegative=True),
+        "fixed": json_flag("module fixed", m.get("fixed", False)),
+        "synthetic": json_flag("module synthetic", m.get("synthetic", True)),
+    }
+
+
+def _read_anchor(a: object) -> dict:
+    a = json_object("anchor", a, _ANCHOR_KEYS)
+    return {
+        "label": a["label"],
+        "views": json_count("anchor views", a["views"]),
+        "frame_ms": json_number("anchor frame_ms", a["frame_ms"], nonnegative=True),
+        "synthetic": json_flag("anchor synthetic", a.get("synthetic", False)),
+    }
+
+
+def _read_paths(entries: list) -> List[dict]:
+    """Exactly one module path per catalog index, in index order."""
+    paths: List[Optional[list]] = [None] * NUM_BRANCHES
+    for entry in entries:
+        entry = json_object("branches entry", entry, _PATH_KEYS)
+        i = json_count("branch index", entry["index"])
+        if i >= NUM_BRANCHES or paths[i] is not None:
+            raise ProfileError(f"branch index {i} is not in the catalog or is listed twice")
+        paths[i] = list(entry["modules"])
+    if None in paths:
+        raise ProfileError(f"branch {paths.index(None)} has no module path")
+    return [{"index": i, "modules": names} for i, names in enumerate(paths)]
 
 
 class DeviceProfile:
-    """Module table plus branch->module paths for one target device."""
+    """Module table, one module path per catalog branch, and each branch's
+    price for one target device. `from_dict` reads the device file."""
 
-    def __init__(
-        self,
-        name: str,
-        memory_limit_mb: float,
-        modules: Sequence[ModuleProfile],
-        branch_modules: Mapping[int, Sequence[str]],
-        update_slope_ms_per_track: float,
-        update_intercept_ms: float,
-        anchors: Sequence[FrameAnchor] = (),
-    ):
-        self.name = name
-        self.memory_limit_mb = float(memory_limit_mb)
-        self.modules: Dict[str, ModuleProfile] = {m.name: m for m in modules}
-        if len(self.modules) != len(modules):
+    def __init__(self, canonical: dict):
+        # `canonical` is `from_dict`'s reading of the file; `to_dict` returns it
+        self._canonical = canonical
+        self.memory_limit_mb: float = canonical["memory_limit_mb"]
+        update = canonical["update_latency"]
+        self.update_slope_ms_per_track: float = update["slope_ms_per_track"]
+        self.update_intercept_ms: float = update["intercept_ms"]
+        # name -> the module's canonical entry
+        self.modules: Dict[str, dict] = {m["name"]: m for m in canonical["modules"]}
+        if len(self.modules) != len(canonical["modules"]):
             raise ProfileError("duplicate module names")
-        self.branch_modules: Dict[int, Tuple[str, ...]] = {
-            int(i): tuple(names) for i, names in branch_modules.items()
-        }
-        self.update_slope_ms_per_track = float(update_slope_ms_per_track)
-        self.update_intercept_ms = float(update_intercept_ms)
-        self.anchors = tuple(anchors)
-        self._validate()
-
-    def _validate(self) -> None:
-        if not 0 < self.memory_limit_mb < math.inf:
-            raise ProfileError("memory limit must be positive and finite")
-        if self.update_slope_ms_per_track < 0 or self.update_intercept_ms < 0:
-            raise ProfileError("update latency coefficients must be non-negative")
-        for m in self.modules.values():
-            if m.latency_ms < 0 or m.memory_mb < 0:
-                raise ProfileError(f"module {m.name}: negative latency or memory")
-        fixed_mb = sum(m.memory_mb for m in self.modules.values() if m.fixed)
+        if self.memory_limit_mb <= 0:
+            raise ProfileError("memory limit must be positive")
+        fixed_mb = sum(m["memory_mb"] for m in self.modules.values() if m["fixed"])
         if fixed_mb > self.memory_limit_mb:
             raise ProfileError(
                 f"fixed modules alone need {fixed_mb:.0f} MB, limit is {self.memory_limit_mb:.0f} MB"
             )
-        for branch in enumerate_branches():
-            if branch.index not in self.branch_modules:
-                raise ProfileError(f"branch {branch.index} ({branch.label}) has no module path")
-            names = self.branch_modules[branch.index]
-            if branch.is_tracker and names:
-                raise ProfileError("tracker branch must have an empty module path")
+        # indexed by catalog index, like `marginal_ms`
+        self.branch_modules: Tuple[Tuple[str, ...], ...] = tuple(
+            tuple(b["modules"]) for b in canonical["branches"]
+        )
+        if self.branch_modules[TRACKER_BRANCH_INDEX]:
+            raise ProfileError("tracker branch must have an empty module path")
+        marginal = []
+        for branch, names in zip(enumerate_branches(), self.branch_modules):
+            total = 0.0
             for n in names:
-                if n not in self.modules:
+                mod = self.modules.get(n)
+                if mod is None:
                     raise ProfileError(f"branch {branch.label} references unknown module {n!r}")
-        for anchor in self.anchors:
-            branch = branch_by_label(anchor.label)
-            got = anchor.views * branch_latency(branch, self) + fixed_latency(self)
-            if not math.isclose(got, anchor.frame_ms, rel_tol=0, abs_tol=1e-6):
+                if not mod["fixed"]:
+                    total += mod["latency_ms"]
+            marginal.append(total)
+        self.marginal_ms: Tuple[float, ...] = tuple(marginal)
+        self.fixed_ms: float = sum(m["latency_ms"] for m in self.modules.values() if m["fixed"])
+        for anchor in canonical["anchors"]:
+            branch = branch_by_label(anchor["label"])
+            got = anchor["views"] * branch_latency(branch, self) + fixed_latency(self)
+            if not math.isclose(got, anchor["frame_ms"], rel_tol=0, abs_tol=1e-6):
                 raise ProfileError(
-                    f"anchor mismatch for {anchor.label}: profile gives {got:.6f} ms, "
-                    f"anchor says {anchor.frame_ms} ms"
+                    f"anchor mismatch for {anchor['label']}: profile gives {got:.6f} ms, "
+                    f"anchor says {anchor['frame_ms']} ms"
                 )
-
-    # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "name": self.name,
-            "memory_limit_mb": self.memory_limit_mb,
-            "update_latency": {
-                "slope_ms_per_track": self.update_slope_ms_per_track,
-                "intercept_ms": self.update_intercept_ms,
-                "synthetic": True,
-            },
-            "modules": [
-                {
-                    "name": m.name,
-                    "latency_ms": m.latency_ms,
-                    "memory_mb": m.memory_mb,
-                    "fixed": m.fixed,
-                    "synthetic": m.synthetic,
-                }
-                for m in self.modules.values()
-            ],
-            "anchors": [
-                {
-                    "label": a.label,
-                    "views": a.views,
-                    "frame_ms": a.frame_ms,
-                    "synthetic": a.synthetic,
-                }
-                for a in self.anchors
-            ],
-            "branches": [
-                {"index": i, "modules": list(names)}
-                for i, names in sorted(self.branch_modules.items())
-            ],
-        }
+        return json_copy(self._canonical)
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "DeviceProfile":
+    def from_dict(cls, data: object) -> "DeviceProfile":
+        """Read a device file: only known keys, every number finite and
+        non-negative, `fixed`/`synthetic` JSON booleans, anchor `views` a
+        JSON int, one module path per catalog index; then the memory, path
+        and anchor checks."""
         try:
-            modules = [
-                ModuleProfile(
-                    name=m["name"],
-                    latency_ms=float(m["latency_ms"]),
-                    memory_mb=float(m["memory_mb"]),
-                    fixed=bool(m.get("fixed", False)),
-                    synthetic=bool(m.get("synthetic", True)),
-                )
-                for m in data["modules"]
-            ]
-            anchors = [
-                FrameAnchor(
-                    label=a["label"],
-                    views=int(a["views"]),
-                    frame_ms=float(a["frame_ms"]),
-                    synthetic=bool(a.get("synthetic", False)),
-                )
-                for a in data.get("anchors", [])
-            ]
-            update = data["update_latency"]
-            return cls(
-                name=data["name"],
-                memory_limit_mb=float(data["memory_limit_mb"]),
-                modules=modules,
-                branch_modules={int(b["index"]): b["modules"] for b in data["branches"]},
-                update_slope_ms_per_track=float(update["slope_ms_per_track"]),
-                update_intercept_ms=float(update["intercept_ms"]),
-                anchors=anchors,
-            )
+            d = json_object("device profile", data, _DEVICE_KEYS)
+            update = json_object("update_latency", d["update_latency"], _UPDATE_KEYS)
+            json_flag("update_latency.synthetic", update.get("synthetic", True))
+            return cls({
+                "version": 1,
+                "name": d["name"],
+                "memory_limit_mb": json_number(
+                    "memory_limit_mb", d["memory_limit_mb"], nonnegative=True
+                ),
+                "update_latency": {
+                    "slope_ms_per_track": json_number(
+                        "update_latency.slope_ms_per_track", update["slope_ms_per_track"],
+                        nonnegative=True,
+                    ),
+                    "intercept_ms": json_number(
+                        "update_latency.intercept_ms", update["intercept_ms"], nonnegative=True
+                    ),
+                    "synthetic": True,
+                },
+                "modules": [_read_module(m) for m in d["modules"]],
+                "anchors": [_read_anchor(a) for a in d.get("anchors", [])],
+                "branches": _read_paths(d["branches"]),
+            })
         except (KeyError, TypeError, ValueError) as exc:
             raise ProfileError(f"malformed device profile: {exc}") from exc
 
@@ -245,20 +279,16 @@ class DeviceProfile:
 def branch_latency(branch: BranchConfig, device: DeviceProfile) -> float:
     """Per-view marginal latency of one branch in ms.
 
-    Sum of the branch's non-fixed module latencies; the tracker branch costs
-    nothing. Fixed modules are charged once per frame via `fixed_latency`.
+    Sum of the branch's non-fixed module latencies, taken once at load; the
+    tracker branch costs nothing. Fixed modules are charged once per frame
+    via `fixed_latency`.
     """
-    total = 0.0
-    for n in device.branch_modules[branch.index]:
-        mod = device.modules[n]
-        if not mod.fixed:
-            total += mod.latency_ms
-    return total
+    return device.marginal_ms[branch.index]
 
 
 def fixed_latency(device: DeviceProfile) -> float:
     """Per-frame cost of the fixed modules (shared head etc.)."""
-    return sum(m.latency_ms for m in device.modules.values() if m.fixed)
+    return device.fixed_ms
 
 
 def group_cost(marginal_ms: float, count: int, alpha: float = 1.0) -> float:
@@ -296,14 +326,14 @@ def adapt(device: DeviceProfile, target_latency_ms: float) -> Tuple[BranchConfig
     catalog = enumerate_branches()
     alive = [b.index for b in catalog if not b.is_tracker]
 
-    fixed_names = {m.name for m in device.modules.values() if m.fixed}
+    fixed_names = {n for n, m in device.modules.items() if m["fixed"]}
     while True:
         needed = _branch_module_set(device, alive) | fixed_names
-        used = sum(device.modules[n].memory_mb for n in needed)
+        used = sum(device.modules[n]["memory_mb"] for n in needed)
         if used <= device.memory_limit_mb:
             break
         # the fixed modules fit (`DeviceProfile` checks), so something is left to evict
-        victim = max(needed - fixed_names, key=lambda n: (device.modules[n].memory_mb, n))
+        victim = max(needed - fixed_names, key=lambda n: (device.modules[n]["memory_mb"], n))
         alive = [i for i in alive if victim not in device.branch_modules[i]]
 
     fixed_ms = fixed_latency(device)

@@ -37,6 +37,9 @@ from .branches import (
     branch_latency,
     enumerate_branches,
     fixed_latency,
+    json_count,
+    json_number,
+    json_object,
 )
 from .core import Box3D, CameraRig
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
@@ -53,6 +56,7 @@ from .simulator import (
     rng_stream,
     run_episode,
     synth_detect,
+    true_update_model,
 )
 
 logger = logging.getLogger(__name__)
@@ -127,31 +131,23 @@ _DEFAULT_TRAINING = {
     "learning_rate": 0.1,
     "min_samples_leaf": 5,
 }
+_TRAINING_KEYS = frozenset(_DEFAULT_TRAINING)
 
 
 def _gbrt_params(training: dict) -> GBRTParams:
     return GBRTParams(
-        rounds=int(training["rounds"]),
-        max_depth=int(training["max_depth"]),
-        learning_rate=float(training["learning_rate"]),
-        min_samples_leaf=int(training["min_samples_leaf"]),
+        rounds=json_count("training.rounds", training["rounds"]),
+        max_depth=json_count("training.max_depth", training["max_depth"]),
+        learning_rate=json_number("training.learning_rate", training["learning_rate"]),
+        min_samples_leaf=json_count("training.min_samples_leaf", training["min_samples_leaf"]),
     )
 
 
 def _check_seeds(seeds: object) -> None:
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
-    ):
+    if type(seeds) is not list or not seeds:
         raise ValueError(f"training seeds must be a non-empty list of integers, got {seeds!r}")
-
-
-def _number(key: str, value: object) -> float:
-    """A manifest number: a JSON int or float, not a boolean or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    for s in seeds:
+        json_count("training seed", s)
 
 
 def load_manifest(
@@ -170,11 +166,10 @@ def load_manifest(
     else:
         base_dir = os.path.dirname(os.path.abspath(path))
         data = _load_ref(os.path.abspath(path), base_dir)
-    if not isinstance(data, dict):
-        raise ConfigError("manifest must be a JSON object")
-    unknown = sorted(set(data) - _MANIFEST_KEYS)
-    if unknown:
-        raise ConfigError(f"invalid configuration: unknown manifest keys {unknown}")
+    try:
+        json_object("manifest", data, _MANIFEST_KEYS)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
 
     try:
         scenario_dict = _load_ref(data["scenario"], base_dir)
@@ -186,7 +181,7 @@ def load_manifest(
     try:
         memory_limit = data.get("memory_limit_mb")
         if memory_limit is not None:
-            memory_limit = _number("memory_limit_mb", memory_limit)
+            memory_limit = json_number("memory_limit_mb", memory_limit)
             device_dict = {**device_dict, "memory_limit_mb": memory_limit}
         scenario = ScenarioConfig.from_dict(scenario_dict)
         if seed_override is not None:
@@ -194,15 +189,15 @@ def load_manifest(
         device = DeviceProfile.from_dict(device_dict)
         capability = CapabilityProfile.from_dict(capability_dict)
         target = data.get("target_ms", 33.0) if target_override is None else target_override
-        target_ms = _number("target_ms", target)
-        alpha = _number("alpha", data.get("alpha", 1.0))
-        sigma = _number("latency_noise_sigma", data.get("latency_noise_sigma", 0.0))
-        margin = _number("sched_margin_ms", data.get("sched_margin_ms", 0.0))
+        target_ms = json_number("target_ms", target)
+        alpha = json_number("alpha", data.get("alpha", 1.0))
+        sigma = json_number("latency_noise_sigma", data.get("latency_noise_sigma", 0.0))
+        margin = json_number("sched_margin_ms", data.get("sched_margin_ms", 0.0))
         check_timing(target_ms, alpha, sigma, margin)
-        training = {**_DEFAULT_TRAINING, **data.get("training", {})}
-        unknown = sorted(set(training) - set(_DEFAULT_TRAINING))
-        if unknown:
-            raise ValueError(f"unknown training keys {unknown}")
+        training = {
+            **_DEFAULT_TRAINING,
+            **json_object("training", data.get("training", {}), _TRAINING_KEYS),
+        }
         _check_seeds(training["seeds"])
         _gbrt_params(training)
     except (ValueError, TypeError, KeyError, OverflowError, ProfileError, CapabilityError) as exc:
@@ -353,14 +348,16 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     own closed-loop policy (long dwells included) and refits on the union.
     """
     params = _gbrt_params(man.training)
+    true_update = true_update_model(man.device)
+
+    def fit_update(counts: np.ndarray):
+        # labels: the simulated device's own update cost at each frame's track count
+        return fit_update_latency(counts.astype(int), [true_update.predict(n) for n in counts])
+
     episodes = collect_training_episodes(man)
     x, y, counts = build_training_set(episodes, man.capability)
-    update = fit_update_latency(
-        counts.astype(int),
-        man.device.update_intercept_ms + man.device.update_slope_ms_per_track * counts,
-    )
     provisional = PerformanceModels(
-        accuracy=train_gbrt(x, y, params), update_latency=update
+        accuracy=train_gbrt(x, y, params), update_latency=fit_update(counts)
     )
 
     policy_seeds = [int(s) + 50000 for s in man.training["seeds"]]
@@ -385,12 +382,7 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     del x, x2, episodes, on_policy, provisional, on_policy_system
 
     accuracy = train_gbrt(x_all, y_all, params)
-    update = fit_update_latency(
-        counts_all.astype(int),
-        man.device.update_intercept_ms
-        + man.device.update_slope_ms_per_track * counts_all,
-    )
-    models = PerformanceModels(accuracy=accuracy, update_latency=update)
+    models = PerformanceModels(accuracy=accuracy, update_latency=fit_update(counts_all))
     var = float(np.var(y_all))
     mse = accuracy.training_mse[-1] if accuracy.training_mse else var
     info = {

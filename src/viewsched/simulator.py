@@ -17,9 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from .branches import (
     DeviceProfile,
     branch_latency,
     fixed_latency,
+    json_copy,
+    json_count,
+    json_flag,
+    json_number,
+    json_object,
 )
 from .core import (
     NUM_DISTANCE_LEVELS,
@@ -37,7 +43,6 @@ from .core import (
     NUM_VELOCITY_LEVELS,
     Box3D,
     CameraRig,
-    CategoryLevel,
     EgoPose,
     ObjectClass,
     box_to_ego,
@@ -55,6 +60,7 @@ from .scheduler import (
     ScheduleDecision,
     assignment_latency,
     frame_forecast,
+    most_powerful_row,
     schedule_frame,
 )
 from .tracker import MultiObjectTracker, forecast_all
@@ -137,18 +143,17 @@ class EgoPath:
                 wrap_angle(a),
                 t,
             )
-        # waypoints, constant speed, stop at the end
+        # waypoints, constant speed, stop at the end of the last segment
         pts = self.points
         dist = self.speed_mps * t
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        last = len(pts) - 2
+        for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:])):
             seg = math.hypot(x1 - x0, y1 - y0)
             heading = math.atan2(y1 - y0, x1 - x0)
-            if dist <= seg or (x1, y1) == pts[-1]:
+            if dist <= seg or i == last:
                 f = min(dist / seg, 1.0) if seg > 0 else 0.0
                 return EgoPose(x0 + f * (x1 - x0), y0 + f * (y1 - y0), heading, t)
             dist -= seg
-        x, y = pts[-1]
-        return EgoPose(x, y, 0.0, t)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind, "speed_mps": self.speed_mps}
@@ -161,14 +166,22 @@ class EgoPath:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "EgoPath":
-        return cls(
-            kind=data.get("kind", "straight"),
-            speed_mps=float(data.get("speed_mps", 4.0)),
-            heading_rad=float(data.get("heading_rad", 0.0)),
-            radius_m=float(data.get("radius_m", 20.0)),
-            points=tuple((float(x), float(y)) for x, y in data.get("points", [])),
-        )
+    def from_dict(cls, data: object) -> "EgoPath":
+        """Read an ego block: only known keys, every number finite; absent
+        keys take the field defaults."""
+        kwargs = dict(json_object("ego", data, frozenset(f.name for f in fields(cls))))
+        for key, value in kwargs.items():
+            if key == "points":
+                kwargs[key] = tuple(_json_pair("ego.points", p) for p in value)
+            elif key != "kind":
+                kwargs[key] = json_number(f"ego.{key}", value)
+        return cls(**kwargs)
+
+
+def _json_pair(key: str, value: object) -> Tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"{key} entries must be pairs of numbers, got {value!r}")
+    return json_number(key, value[0]), json_number(key, value[1])
 
 
 @dataclass(frozen=True)
@@ -191,6 +204,8 @@ class ScenarioConfig:
     ego: EgoPath = field(default_factory=EgoPath)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.fps <= 0 or self.duration_s <= 0:
             raise ValueError("fps and duration must be positive")
         if self.world_radius_m <= 0 or self.despawn_radius_m < self.world_radius_m:
@@ -232,28 +247,25 @@ class ScenarioConfig:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "ScenarioConfig":
-        return cls(
-            seed=int(data["seed"]),
-            duration_s=float(data.get("duration_s", 6.0)),
-            fps=float(data.get("fps", 10.0)),
-            world_radius_m=float(data.get("world_radius_m", 60.0)),
-            despawn_radius_m=float(data.get("despawn_radius_m", 60.0)),
-            spawn_rate_per_s=float(data.get("spawn_rate_per_s", 2.0)),
-            initial_count=int(data.get("initial_count", 12)),
-            velocity_jitter=float(data.get("velocity_jitter", 0.3)),
-            turn_rate_max_rps=float(data.get("turn_rate_max_rps", 0.4)),
-            class_mix={
-                ObjectClass(k): float(v) for k, v in data.get("class_mix", {}).items()
-            }
-            or dict(_DEFAULT_MIX),
-            speed_ranges={
-                ObjectClass(k): (float(v[0]), float(v[1]))
-                for k, v in data.get("speed_ranges", {}).items()
-            }
-            or dict(_DEFAULT_SPEEDS),
-            ego=EgoPath.from_dict(data.get("ego", {})),
-        )
+    def from_dict(cls, data: object) -> "ScenarioConfig":
+        """Read a scenario file: only known keys, `seed` and `initial_count`
+        JSON ints, every other number finite; absent keys take the field
+        defaults."""
+        kwargs: dict = {}
+        known = frozenset(("version", *(f.name for f in fields(cls))))
+        for key, value in json_object("scenario", data, known).items():
+            if key in ("seed", "initial_count"):
+                kwargs[key] = json_count(key, value)
+            elif key in ("class_mix", "speed_ranges"):
+                table = json_object(key, value, frozenset(c.value for c in ObjectClass))
+                if table:  # an empty table keeps the default
+                    read = json_number if key == "class_mix" else _json_pair
+                    kwargs[key] = {ObjectClass(c): read(f"{key}.{c}", v) for c, v in table.items()}
+            elif key == "ego":
+                kwargs[key] = EgoPath.from_dict(value)
+            elif key != "version":
+                kwargs[key] = json_number(key, value)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -412,224 +424,183 @@ class CapabilityError(Exception):
     """Raised when a capability profile violates its ordering constraints."""
 
 
+class DetectorRow(NamedTuple):
+    """One detector branch's capability, indexed by `categorize`'s levels.
+    `recall` is the profile's own list: nothing writes to a row."""
+
+    recall: List[float]  # [distance level]
+    sigma_pos: List[float]  # [distance level]
+    sigma_vel: List[List[float]]  # [velocity level][distance level]
+    sigma_size: List[float]  # [size level]
+    fp_rate: float
+
+
+_BACKBONES = tuple(b.key for b in BackboneKind)
 _MODIFIER_KEYS = ("sparse_plain", "sparse_fused", "dense_plain", "dense_fused")
+_CONFIDENCE_DEFAULTS = asdict(ConfidenceParams())
+
+# The capability file: per block, the `synthetic` flag its canonical form
+# states and each entry's shape: an int is a list of that many numbers,
+# _BACKBONES one number per backbone, None a single number.
+_CAPABILITY_LAYOUT: Dict[str, Tuple[bool, dict]] = {
+    "recall_by_backbone": (True, dict.fromkeys(_BACKBONES, NUM_DISTANCE_LEVELS)),
+    "position_sigma": (True, {"base_by_distance": NUM_DISTANCE_LEVELS,
+                              "backbone_factor": _BACKBONES, "dense_factor": None}),
+    "velocity_sigma": (True, {"base_by_vlevel": NUM_VELOCITY_LEVELS,
+                              "distance_factor": NUM_DISTANCE_LEVELS}),
+    "velocity_modifiers": (False, dict.fromkeys(_MODIFIER_KEYS)),
+    "size_sigma": (True, {"base_by_slevel": NUM_SIZE_LEVELS, "backbone_factor": _BACKBONES}),
+    "false_positives": (True, {"rate_by_backbone": _BACKBONES}),
+    "confidence": (True, dict.fromkeys(_CONFIDENCE_DEFAULTS)),
+    "ratio_anchors": (False, dict.fromkeys(("recall_far_ratio", "vel_fused_ratio"))),
+}
+_CAPABILITY_KEYS = frozenset(("version", "name", *_CAPABILITY_LAYOUT))
+_BACKBONE_KEYS = frozenset(_BACKBONES)
+_BLOCK_KEYS = {
+    name: frozenset(("synthetic", *shapes)) for name, (_, shapes) in _CAPABILITY_LAYOUT.items()
+}
+
+
+def _read_numbers(key: str, value: object, shape: object) -> object:
+    """One entry of a capability block, each number finite and non-negative."""
+    if shape is None:
+        return json_number(key, value, True)
+    if type(shape) is int:
+        if type(value) is not list or len(value) != shape:
+            raise ValueError(f"{key} needs {shape} entries, got {value!r}")
+        return [json_number(key, v, True) for v in value]
+    if len(json_object(key, value, _BACKBONE_KEYS)) != len(_BACKBONES):
+        raise ValueError(f"{key} needs an entry for each of {list(_BACKBONES)}")
+    return {k: json_number(f"{key}.{k}", value[k], True) for k in _BACKBONES}
+
+
+def _read_capability(data: object) -> dict:
+    """The capability file's one reader: check `data` and return its
+    canonical form. Absent confidence entries take `ConfidenceParams`'
+    defaults; the ratio anchors are optional, and a block that names none
+    pins nothing."""
+    d = json_object("capability profile", data, _CAPABILITY_KEYS)
+    out: dict = {"version": 1, "name": d["name"], "ratio_anchors": None}
+    for name, (synthetic, shapes) in _CAPABILITY_LAYOUT.items():
+        if name == "ratio_anchors" and d.get(name) is None:
+            continue
+        block = json_object(name, d[name], _BLOCK_KEYS[name])
+        json_flag(f"{name}.synthetic", block.get("synthetic", synthetic))
+        if name == "confidence":
+            block = {**_CONFIDENCE_DEFAULTS, **block}
+        entries = out[name] = {"synthetic": synthetic}
+        for key, shape in shapes.items():
+            if key in block:
+                entries[key] = _read_numbers(f"{name}.{key}", block[key], shape)
+            elif name != "ratio_anchors":
+                raise ValueError(f"{name} is missing {key}")
+    if out["ratio_anchors"] is not None and len(out["ratio_anchors"]) == 1:
+        out["ratio_anchors"] = None
+    _check_capability(out)
+    return out
+
+
+def _check_capability(c: dict) -> None:
+    """The orderings and anchors a readable capability profile must obey."""
+    recall = c["recall_by_backbone"]
+    for k in _BACKBONES:
+        if max(recall[k]) > 1.0:
+            raise CapabilityError(f"recall out of [0,1] for {k}")
+        # (a) recall never improves with distance
+        if any(map(operator.lt, recall[k], recall[k][1:])):
+            raise CapabilityError(f"recall must be non-increasing in distance for {k}")
+    # (b) bigger backbone never worse, per distance level
+    for small, big in zip(_BACKBONES, _BACKBONES[1:]):
+        if any(map(operator.gt, recall[small], recall[big])):
+            raise CapabilityError(f"backbone recall ordering violated: {small} beats {big}")
+    # (e) dense never worse than sparse for position noise
+    if c["position_sigma"]["dense_factor"] > 1.0:
+        raise CapabilityError("dense depth head must not increase position noise")
+    conf = c["confidence"]
+    if not conf["clip_lo"] < conf["clip_hi"] <= 1.0:
+        raise CapabilityError("confidence clip bounds must satisfy 0 <= lo < hi <= 1")
+
+    anchors = c["ratio_anchors"] or {}
+    want = anchors.get("recall_far_ratio")
+    if want is not None:
+        far = NUM_DISTANCE_LEVELS - 2  # the anchored far bin (one below open-ended)
+        small, big = recall[_BACKBONES[0]][far], recall[_BACKBONES[-1]][far]
+        if small <= 0 or abs(big / small - want) > 0.01:
+            raise CapabilityError(f"far-bin recall ratio {big}/{small} misses anchor {want}")
+    want = anchors.get("vel_fused_ratio")
+    if want is not None:
+        mods = c["velocity_modifiers"]
+        fused = mods["dense_fused"]
+        if fused <= 0 or abs(mods["sparse_plain"] / fused - want) > 0.01:
+            raise CapabilityError(
+                f"velocity modifier ratio {mods['sparse_plain']}/{fused} misses anchor {want}"
+            )
 
 
 class CapabilityProfile:
-    """Synthetic detector capability tables, parameterized per branch family.
+    """Synthetic detector capability, read from its file by `from_dict`.
 
     Recall depends on (backbone, distance level); noise sigmas factor into a
     per-level base times branch-family modifiers. Ordering constraints are
-    validated on construction: recall never improves with distance, bigger
+    checked on reading: recall never improves with distance, bigger
     backbones never have worse recall, and the dense depth head never has
     worse position noise than the sparse one. Profiles that declare ratio
     anchors additionally pin the far-distance recall ratio and the
-    fused-vs-plain velocity-noise ratio.
+    fused-vs-plain velocity-noise ratio. Each detector branch's products are
+    built once, on first use, into the row `row` returns.
     """
 
-    def __init__(
-        self,
-        name: str,
-        recall_by_backbone: Mapping[str, Sequence[float]],
-        pos_base: Sequence[float],
-        pos_backbone_factor: Mapping[str, float],
-        pos_dense_factor: float,
-        vel_base: Sequence[float],
-        vel_distance_factor: Sequence[float],
-        vel_modifiers: Mapping[str, float],
-        size_base: Sequence[float],
-        size_backbone_factor: Mapping[str, float],
-        fp_rate_by_backbone: Mapping[str, float],
-        confidence: ConfidenceParams = ConfidenceParams(),
-        ratio_anchors: Optional[Mapping[str, float]] = None,
-    ):
-        self.name = name
-        self.recall_by_backbone = {k: tuple(float(x) for x in v) for k, v in recall_by_backbone.items()}
-        self.pos_base = tuple(float(x) for x in pos_base)
-        self.pos_backbone_factor = {k: float(v) for k, v in pos_backbone_factor.items()}
-        self.pos_dense_factor = float(pos_dense_factor)
-        self.vel_base = tuple(float(x) for x in vel_base)
-        self.vel_distance_factor = tuple(float(x) for x in vel_distance_factor)
-        self.vel_modifiers = {k: float(vel_modifiers[k]) for k in _MODIFIER_KEYS}
-        self.size_base = tuple(float(x) for x in size_base)
-        self.size_backbone_factor = {k: float(v) for k, v in size_backbone_factor.items()}
-        self.fp_rate_by_backbone = {k: float(v) for k, v in fp_rate_by_backbone.items()}
-        self.confidence = confidence
-        self.ratio_anchors = dict(ratio_anchors) if ratio_anchors else None
-        self.validate()
+    def __init__(self, canonical: dict):
+        # `canonical` is `from_dict`'s reading of the file; `to_dict` returns it
+        self._canonical = canonical
+        c = canonical["confidence"]
+        self.confidence = ConfidenceParams(**{k: c[k] for k in _CONFIDENCE_DEFAULTS})
+        self._rows: Dict[int, DetectorRow] = {}
 
-    # lookups take the real BranchConfig so callers cannot mix up families
+    def row(self, branch: BranchConfig) -> DetectorRow:
+        """A detector branch's row, built on first use; the tracker branch
+        has none."""
+        row = self._rows.get(branch.index)
+        if row is None:
+            row = self._rows[branch.index] = self._build_row(branch)
+        return row
 
-    def recall(self, branch: BranchConfig, level: CategoryLevel) -> float:
-        self._require_detection(branch)
-        return self.recall_by_backbone[branch.backbone.key][level.distance_level]
-
-    def sigma_pos(self, branch: BranchConfig, level: CategoryLevel) -> float:
-        self._require_detection(branch)
-        s = self.pos_base[level.distance_level] * self.pos_backbone_factor[branch.backbone.key]
-        if branch.depthnet is DepthNetKind.DENSE:
-            s *= self.pos_dense_factor
-        return s
-
-    def sigma_vel(self, branch: BranchConfig, level: CategoryLevel) -> float:
-        self._require_detection(branch)
-        key = ("dense" if branch.depthnet is DepthNetKind.DENSE else "sparse") + (
-            "_fused" if branch.temporal_fusion else "_plain"
-        )
-        return (
-            self.vel_base[level.velocity_level]
-            * self.vel_distance_factor[level.distance_level]
-            * self.vel_modifiers[key]
-        )
-
-    def sigma_size(self, branch: BranchConfig, level: CategoryLevel) -> float:
-        self._require_detection(branch)
-        return self.size_base[level.size_level] * self.size_backbone_factor[branch.backbone.key]
-
-    def fp_rate(self, branch: BranchConfig) -> float:
-        self._require_detection(branch)
-        return self.fp_rate_by_backbone[branch.backbone.key]
-
-    @staticmethod
-    def _require_detection(branch: BranchConfig) -> None:
+    def _build_row(self, branch: BranchConfig) -> DetectorRow:
         if branch.is_tracker:
             raise ValueError("the tracker branch has no detector capability")
-
-    def validate(self) -> None:
-        keys = [b.key for b in BackboneKind]
-        # the lookups below index every backbone and every level `categorize` returns
-        by_backbone = {
-            "recall_by_backbone": self.recall_by_backbone,
-            "position_sigma.backbone_factor": self.pos_backbone_factor,
-            "size_sigma.backbone_factor": self.size_backbone_factor,
-            "false_positives.rate_by_backbone": self.fp_rate_by_backbone,
-        }
-        for table, values in by_backbone.items():
-            missing = [k for k in keys if k not in values]
-            if missing:
-                raise CapabilityError(f"{table} is missing backbone {missing[0]}")
-        by_level = {
-            "position_sigma.base_by_distance": (self.pos_base, NUM_DISTANCE_LEVELS),
-            "velocity_sigma.distance_factor": (self.vel_distance_factor, NUM_DISTANCE_LEVELS),
-            "velocity_sigma.base_by_vlevel": (self.vel_base, NUM_VELOCITY_LEVELS),
-            "size_sigma.base_by_slevel": (self.size_base, NUM_SIZE_LEVELS),
-            **{f"recall_by_backbone.{k}": (self.recall_by_backbone[k], NUM_DISTANCE_LEVELS)
-               for k in keys},
-        }
-        for table, (values, levels) in by_level.items():
-            if len(values) != levels:
-                raise CapabilityError(f"{table} needs {levels} entries, got {len(values)}")
-        for k in keys:
-            row = self.recall_by_backbone[k]
-            if any(not 0.0 <= p <= 1.0 for p in row):
-                raise CapabilityError(f"recall out of [0,1] for {k}")
-            # (a) recall never improves with distance
-            if any(row[i] < row[i + 1] for i in range(len(row) - 1)):
-                raise CapabilityError(f"recall must be non-increasing in distance for {k}")
-        # (b) bigger backbone never worse, per distance level
-        for d in range(len(self.pos_base)):
-            col = [self.recall_by_backbone[k][d] for k in keys]
-            if any(col[i] > col[i + 1] for i in range(len(col) - 1)):
-                raise CapabilityError(f"backbone recall ordering violated at distance level {d}")
-        if any(s < 0 for s in self.pos_base + self.vel_base + self.size_base):
-            raise CapabilityError("noise sigmas must be non-negative")
-        if any(v < 0 for v in self.vel_distance_factor):
-            raise CapabilityError("velocity distance factors must be non-negative")
-        # (e) dense never worse than sparse for position noise
-        if self.pos_dense_factor > 1.0:
-            raise CapabilityError("dense depth head must not increase position noise")
-        for k in _MODIFIER_KEYS:
-            if self.vel_modifiers[k] < 0:
-                raise CapabilityError("velocity modifiers must be non-negative")
-        if any(self.fp_rate_by_backbone[k] < 0 for k in keys):
-            raise CapabilityError("false-positive rates must be non-negative")
-        c = self.confidence
-        if not (0.0 <= c.clip_lo < c.clip_hi <= 1.0):
-            raise CapabilityError("confidence clip bounds must satisfy 0 <= lo < hi <= 1")
-
-        if self.ratio_anchors:
-            far = len(self.pos_base) - 2  # the anchored far bin (one below open-ended)
-            want = self.ratio_anchors.get("recall_far_ratio")
-            if want is not None:
-                small = self.recall_by_backbone[keys[0]][far]
-                big = self.recall_by_backbone[keys[-1]][far]
-                if small <= 0 or abs(big / small - want) > 0.01:
-                    raise CapabilityError(
-                        f"far-bin recall ratio {big}/{small} misses anchor {want}"
-                    )
-            want = self.ratio_anchors.get("vel_fused_ratio")
-            if want is not None:
-                got = self.vel_modifiers["sparse_plain"] / self.vel_modifiers["dense_fused"]
-                if abs(got - want) > 0.01:
-                    raise CapabilityError(
-                        f"velocity modifier ratio {got:.3f} misses anchor {want}"
-                    )
+        c = self._canonical
+        k = branch.backbone.key  # type: ignore[union-attr]
+        dense = branch.depthnet is DepthNetKind.DENSE
+        family = f"{branch.depthnet.value}_{'fused' if branch.temporal_fusion else 'plain'}"
+        # each product in the noise model's order: position is base x backbone
+        # factor (x dense factor), velocity (base x distance factor) x family
+        # modifier, size base x backbone factor
+        pos = c["position_sigma"]
+        sigma_pos = [b * pos["backbone_factor"][k] for b in pos["base_by_distance"]]
+        if dense:
+            sigma_pos = [s * pos["dense_factor"] for s in sigma_pos]
+        vel = c["velocity_sigma"]
+        mod = c["velocity_modifiers"][family]
+        sigma_vel = [[v * f * mod for f in vel["distance_factor"]] for v in vel["base_by_vlevel"]]
+        size = c["size_sigma"]
+        return DetectorRow(
+            recall=c["recall_by_backbone"][k],
+            sigma_pos=sigma_pos,
+            sigma_vel=sigma_vel,
+            sigma_size=[b * size["backbone_factor"][k] for b in size["base_by_slevel"]],
+            fp_rate=c["false_positives"]["rate_by_backbone"][k],
+        )
 
     def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "name": self.name,
-            "recall_by_backbone": {"synthetic": True, **{k: list(v) for k, v in self.recall_by_backbone.items()}},
-            "position_sigma": {
-                "synthetic": True,
-                "base_by_distance": list(self.pos_base),
-                "backbone_factor": dict(self.pos_backbone_factor),
-                "dense_factor": self.pos_dense_factor,
-            },
-            "velocity_sigma": {
-                "synthetic": True,
-                "base_by_vlevel": list(self.vel_base),
-                "distance_factor": list(self.vel_distance_factor),
-            },
-            "velocity_modifiers": {"synthetic": False, **dict(self.vel_modifiers)},
-            "size_sigma": {
-                "synthetic": True,
-                "base_by_slevel": list(self.size_base),
-                "backbone_factor": dict(self.size_backbone_factor),
-            },
-            "false_positives": {"synthetic": True, "rate_by_backbone": dict(self.fp_rate_by_backbone)},
-            "confidence": {
-                "synthetic": True,
-                "tp_mean": self.confidence.tp_mean,
-                "tp_sd": self.confidence.tp_sd,
-                "fp_mean": self.confidence.fp_mean,
-                "fp_sd": self.confidence.fp_sd,
-                "clip_lo": self.confidence.clip_lo,
-                "clip_hi": self.confidence.clip_hi,
-            },
-            "ratio_anchors": (
-                {"synthetic": False, **self.ratio_anchors} if self.ratio_anchors else None
-            ),
-        }
+        return json_copy(self._canonical)
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "CapabilityProfile":
-        def block(name: str) -> dict:
-            b = dict(data[name])
-            b.pop("synthetic", None)
-            return b
-
+    def from_dict(cls, data: object) -> "CapabilityProfile":
+        """Read a capability file: only known keys, every number finite and
+        non-negative, every table complete; then the orderings and anchors."""
         try:
-            conf = block("confidence")
-            anchors = data.get("ratio_anchors")
-            if anchors:
-                anchors = {k: v for k, v in anchors.items() if k != "synthetic"}
-            return cls(
-                name=data["name"],
-                recall_by_backbone=block("recall_by_backbone"),
-                pos_base=data["position_sigma"]["base_by_distance"],
-                pos_backbone_factor=data["position_sigma"]["backbone_factor"],
-                pos_dense_factor=data["position_sigma"]["dense_factor"],
-                vel_base=data["velocity_sigma"]["base_by_vlevel"],
-                vel_distance_factor=data["velocity_sigma"]["distance_factor"],
-                vel_modifiers=block("velocity_modifiers"),
-                size_base=data["size_sigma"]["base_by_slevel"],
-                size_backbone_factor=data["size_sigma"]["backbone_factor"],
-                fp_rate_by_backbone=data["false_positives"]["rate_by_backbone"],
-                confidence=ConfidenceParams(**conf),
-                ratio_anchors=anchors,
-            )
-        except (KeyError, TypeError) as exc:
+            return cls(_read_capability(data))
+        except (KeyError, TypeError, ValueError) as exc:
             raise CapabilityError(f"malformed capability profile: {exc}") from exc
 
 
@@ -641,21 +612,24 @@ def default_capability() -> CapabilityProfile:
 
 def perfect_capability() -> CapabilityProfile:
     """Recall 1, zero noise, no false positives; for oracle-bound tests."""
-    ones = [1.0] * 5
-    return CapabilityProfile(
-        name="perfect",
-        recall_by_backbone={b.key: ones for b in BackboneKind},
-        pos_base=[0.0] * 5,
-        pos_backbone_factor={b.key: 1.0 for b in BackboneKind},
-        pos_dense_factor=1.0,
-        vel_base=[0.0] * 4,
-        vel_distance_factor=[1.0] * 5,
-        vel_modifiers={k: 1.0 for k in _MODIFIER_KEYS},
-        size_base=[0.0] * 4,
-        size_backbone_factor={b.key: 1.0 for b in BackboneKind},
-        fp_rate_by_backbone={b.key: 0.0 for b in BackboneKind},
-        confidence=ConfidenceParams(tp_mean=0.9, tp_sd=0.0, fp_mean=0.3, fp_sd=0.0),
-    )
+    ones = dict.fromkeys(_BACKBONES, 1.0)
+    return CapabilityProfile.from_dict({
+        "name": "perfect",
+        "recall_by_backbone": dict.fromkeys(_BACKBONES, [1.0] * NUM_DISTANCE_LEVELS),
+        "position_sigma": {
+            "base_by_distance": [0.0] * NUM_DISTANCE_LEVELS,
+            "backbone_factor": ones,
+            "dense_factor": 1.0,
+        },
+        "velocity_sigma": {
+            "base_by_vlevel": [0.0] * NUM_VELOCITY_LEVELS,
+            "distance_factor": [1.0] * NUM_DISTANCE_LEVELS,
+        },
+        "velocity_modifiers": dict.fromkeys(_MODIFIER_KEYS, 1.0),
+        "size_sigma": {"base_by_slevel": [0.0] * NUM_SIZE_LEVELS, "backbone_factor": ones},
+        "false_positives": {"rate_by_backbone": dict.fromkeys(_BACKBONES, 0.0)},
+        "confidence": {"tp_mean": 0.9, "tp_sd": 0.0, "fp_mean": 0.3, "fp_sd": 0.0},
+    })
 
 
 # -- synthetic detection -------------------------------------------------------
@@ -674,18 +648,18 @@ def synth_detect(
     Each ground-truth box survives with its category recall, then gets
     position/velocity/size noise per the profile; Poisson false positives are
     placed uniformly over the sector's area. Deterministic given the rng
-    stream. The tracker branch detects nothing by definition.
+    stream. The tracker branch has no capability row: it raises ValueError.
     """
-    if branch.is_tracker:
-        raise ValueError("synth_detect is undefined for the tracker branch")
+    row = capability.row(branch)
     out: List[Box3D] = []
     for box in boxes:
         level = categorize(box)
-        if rng.random() >= capability.recall(branch, level):
+        dist = level.distance_level
+        if rng.random() >= row.recall[dist]:
             continue
-        sp = capability.sigma_pos(branch, level)
-        sv = capability.sigma_vel(branch, level)
-        ss = capability.sigma_size(branch, level)
+        sp = row.sigma_pos[dist]
+        sv = row.sigma_vel[level.velocity_level][dist]
+        ss = row.sigma_size[level.size_level]
         dx, dy = (rng.normal(0.0, sp, 2) if sp > 0 else (0.0, 0.0))
         dvx, dvy = (rng.normal(0.0, sv, 2) if sv > 0 else (0.0, 0.0))
         dsize = rng.normal(0.0, ss, 3) if ss > 0 else np.zeros(3)
@@ -704,7 +678,7 @@ def synth_detect(
             )
         )
 
-    lam = capability.fp_rate(branch)
+    lam = row.fp_rate
     n_fp = int(rng.poisson(lam)) if lam > 0 else 0
     lo, hi = sector
     width = hi - lo
@@ -816,7 +790,8 @@ class EpisodeLog:
 _POLICIES = ("adaptive", "per_frame", "round_robin", "all_tracker")
 
 
-def _true_update_model(device: DeviceProfile) -> LinearLatencyModel:
+def true_update_model(device: DeviceProfile) -> LinearLatencyModel:
+    """The simulated device's own tracker-update cost."""
     return LinearLatencyModel(
         slope_ms_per_track=device.update_slope_ms_per_track,
         intercept_ms=device.update_intercept_ms,
@@ -886,9 +861,9 @@ def run_episode(
         raise ValueError(f"branch {fixed_idx} is not in the deployed set")
 
     lats = np.array([branch_latency(b, system.device) for b in branches])
-    heavy_row = max(det_rows, key=lambda r: lats[r]) if det_rows else 0
+    heavy_row = most_powerful_row(lats)
     tracker = MultiObjectTracker()
-    true_update = _true_update_model(system.device)
+    true_update = true_update_model(system.device)
     fixed_ms = fixed_latency(system.device)
     lat_rng = (
         rng_stream(scenario.seed, "latnoise") if system.latency_noise_sigma > 0 else None

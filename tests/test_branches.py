@@ -12,8 +12,6 @@ from viewsched.branches import (
     BranchConfig,
     DepthNetKind,
     DeviceProfile,
-    FrameAnchor,
-    ModuleProfile,
     ProfileError,
     adapt,
     branch_by_label,
@@ -184,8 +182,8 @@ def test_adapt_memory_pass_evicts_heavy_modules():
     needed = set()
     for b in branches:
         needed.update(tight.branch_modules[b.index])
-    needed.update(n for n, m in tight.modules.items() if m.fixed)
-    assert sum(tight.modules[n].memory_mb for n in needed) <= tight.memory_limit_mb
+    needed.update(n for n, m in tight.modules.items() if m["fixed"])
+    assert sum(tight.modules[n]["memory_mb"] for n in needed) <= tight.memory_limit_mb
 
 
 def test_adapt_memory_eviction_is_deterministic():

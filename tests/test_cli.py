@@ -117,11 +117,15 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"memory_limit_mb": 100},
         {"scenario": 5},
         {"model": ["m.json"]},
+        {"training": {"rounds": 7.5}},
+        {"training": {"learning_rate": "0.1"}},
+        {"training": {"seeds": [101, -1]}},
     ],
     ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero",
          "unknown-top-level-key", "sigma-negative", "margin-not-below-target",
          "memory-limit-string", "target-nan", "target-infinite",
-         "memory-limit-below-fixed-modules", "scenario-not-a-string", "model-not-a-string"],
+         "memory-limit-below-fixed-modules", "scenario-not-a-string", "model-not-a-string",
+         "rounds-fractional", "learning-rate-string", "seed-negative"],
 )
 def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
     data = {
@@ -281,6 +285,96 @@ def test_main_rejects_a_capability_that_cannot_price_every_box(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration")
     assert "Traceback" not in err
+
+
+def _set(path, value):
+    """A corruption that sets the entry at `path` (keys and list indices) to `value`."""
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return corrupt
+
+
+def _module(name, **changes):
+    def corrupt(device):
+        next(m for m in device["modules"] if m["name"] == name).update(changes)
+    return corrupt
+
+
+def _nan_latency_without_anchors(device):
+    device["modules"][0]["latency_ms"] = math.nan
+    del device["anchors"]
+
+
+def _index_2_listed_again_with_branch_16s_modules(device):
+    device["branches"].append({"index": 2, "modules": list(device["branches"][16]["modules"])})
+
+
+def _rename(old, new):
+    def corrupt(doc):
+        doc[new] = doc.pop(old)
+    return corrupt
+
+
+_NEWLY_REJECTED = [
+    ("capability", _set(["position_sigma", "backbone_factor", "r34"], -1.0),
+     "negative-r34-position-factor"),
+    ("capability", _set(["position_sigma", "dense_factor"], -0.5), "negative-dense-factor"),
+    ("capability", _set(["confidence", "tp_sd"], -0.1), "negative-tp-sd"),
+    ("capability", _set(["position_sigma", "base_by_distance", 0], math.nan), "nan-base-sigma"),
+    ("capability", _set(["velocity_modifiers", "sparse_fused"], "0.55"), "number-as-string"),
+    ("capability", _rename("ratio_anchors", "ratio_anchor"), "typo-ratio-anchor"),
+    ("capability", _set(["velocity_modifiers", "dense_fused"], 0.0), "anchor-over-zero-modifier"),
+    ("device", _index_2_listed_again_with_branch_16s_modules, "index-listed-twice"),
+    ("device", _module("bev_head", fixed="false"), "fixed-as-string"),
+    ("device", _nan_latency_without_anchors, "nan-latency-without-anchors"),
+    ("device", _set(["comment"], "orin-like"), "unknown-device-key"),
+    ("device", _module("backbone_r34", memory_mb=10**400), "int-beyond-float-range"),
+    ("scenario", _set(["duration_s"], math.inf), "infinite-duration"),
+    ("scenario", _set(["fps"], math.nan), "nan-fps"),
+    ("scenario", _set(["seed"], -1), "negative-seed"),
+    ("scenario", _set(["ego", "speed_mps"], math.inf), "infinite-ego-speed"),
+    ("scenario", _set(["world_radius_m"], math.nan), "nan-world-radius"),
+    ("scenario", _set(["fps"], True), "boolean-fps"),
+    ("scenario", _set(["seed"], 7.5), "fractional-seed"),
+    ("scenario", _rename("initial_count", "initial_cout"), "typo-initial-count"),
+    ("scenario", lambda scenario: _rename("radius_m", "radus_m")(scenario["ego"]),
+     "typo-ego-radius"),
+]
+
+
+@pytest.mark.parametrize(
+    "key,corrupt", [case[:2] for case in _NEWLY_REJECTED], ids=[case[2] for case in _NEWLY_REJECTED]
+)
+def test_main_rejects_a_malformed_profile_or_scenario_at_load(tmp_path, capsys, key, corrupt):
+    bundled = {
+        "capability": lambda: default_capability().to_dict(),
+        "device": lambda: default_device_profile().to_dict(),
+        "scenario": lambda: load_manifest("builtin:manifest_quickstart").scenario.to_dict(),
+    }
+    document = bundled[key]()
+    corrupt(document)
+    manifest = _manifest_referencing(tmp_path, key, document)
+    assert main(["simulate", "--manifest", manifest, "--policy", "all_tracker"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration")
+    assert "Traceback" not in err
+
+
+# SHA-256 fingerprints of the bundled manifests' resolved configuration. They
+# cover every profile and scenario number as read, so a reader that changes
+# any value, default or canonical form moves them.
+BUNDLED_MANIFEST_FINGERPRINTS = {
+    "quickstart": "2e8b118284af5ce0daa068d0db70cefe1eefe42472c8c73c0c0bba16b7841761",
+    "compare": "115c58f0791bf503525dc8442bedc9f91ff2f5bc46072907021805f8e08511a4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_MANIFEST_FINGERPRINTS))
+def test_bundled_manifest_fingerprints_are_pinned(name):
+    man = load_manifest(f"builtin:manifest_{name}")
+    assert man.fingerprint == BUNDLED_MANIFEST_FINGERPRINTS[name]
 
 
 # -- commands ---------------------------------------------------------------------

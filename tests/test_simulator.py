@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from viewsched import core, scheduler, simulator, tracker
 from viewsched.branches import (
+    DeviceProfile,
     adapt,
     branch_by_label,
     branch_latency,
@@ -18,7 +19,7 @@ from viewsched.branches import (
     enumerate_branches,
     fixed_latency,
 )
-from viewsched.core import Box3D, CameraRig, CategoryLevel, ObjectClass, categorize
+from viewsched.core import Box3D, CameraRig, ObjectClass, categorize
 from viewsched.predictors import FEATURE_WIDTH, GBRTModel, LinearLatencyModel, PerformanceModels
 from viewsched.scheduler import assignment_latency
 from viewsched.simulator import (
@@ -86,6 +87,22 @@ def test_circular_path_stays_on_radius():
     for r in rates:
         wrapped = math.remainder(r, 2 * math.pi)
         assert wrapped == pytest.approx(rate, abs=1e-6) or abs(wrapped) <= math.pi
+
+
+def test_waypoint_path_walks_every_segment_then_stops():
+    # the last point repeats the second: the path must not stop at (10, 0)
+    # the first time it passes there
+    path = EgoPath(kind="waypoints", speed_mps=1.0,
+                   points=((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (10.0, 0.0)))
+    for t, want in [(0.0, (0.0, 0.0)), (5.0, (5.0, 0.0)), (10.0, (10.0, 0.0)),
+                    (15.0, (10.0, 5.0)), (20.0, (10.0, 10.0)), (25.0, (10.0, 5.0)),
+                    (30.0, (10.0, 0.0)), (45.0, (10.0, 0.0))]:
+        pose = path.pose_at(t)
+        assert (pose.x, pose.y) == want, t
+    assert path.pose_at(25.0).yaw == pytest.approx(-math.pi / 2)
+    assert path.pose_at(45.0).yaw == pytest.approx(-math.pi / 2)  # heading of the last segment
+    clone = EgoPath.from_dict(json.loads(json.dumps(path.to_dict())))
+    assert clone == path
 
 
 def test_ego_path_round_trip():
@@ -184,9 +201,8 @@ def test_scenario_objects_move_between_frames():
 
 
 def test_default_capability_passes_validation():
-    cap = default_capability()
-    cap.validate()  # must not raise
-    assert cap.ratio_anchors is not None
+    cap = default_capability()  # reading checks every constraint; must not raise
+    assert cap.to_dict()["ratio_anchors"] is not None
 
 
 def test_capability_ordering_violations_are_rejected():
@@ -228,43 +244,42 @@ def test_capability_anchor_violations_are_rejected():
         CapabilityProfile.from_dict(bad)
     # dropping the anchors entirely relaxes the numeric pin but keeps orderings
     del data["ratio_anchors"]
-    CapabilityProfile.from_dict(data).validate()
+    CapabilityProfile.from_dict(data)
 
 
 def test_capability_round_trip():
     cap = default_capability()
     clone = CapabilityProfile.from_dict(cap.to_dict())
     branch = branch_by_label("r101-dense+tf")
-    level = CategoryLevel(3, 2, 1)
-    assert clone.recall(branch, level) == cap.recall(branch, level)
-    assert clone.sigma_pos(branch, level) == cap.sigma_pos(branch, level)
-    assert clone.sigma_vel(branch, level) == cap.sigma_vel(branch, level)
-    assert clone.sigma_size(branch, level) == cap.sigma_size(branch, level)
-    assert clone.fp_rate(branch) == cap.fp_rate(branch)
+    d, v, s = 3, 2, 1
+    assert clone.row(branch).recall[d] == cap.row(branch).recall[d]
+    assert clone.row(branch).sigma_pos[d] == cap.row(branch).sigma_pos[d]
+    assert clone.row(branch).sigma_vel[v][d] == cap.row(branch).sigma_vel[v][d]
+    assert clone.row(branch).sigma_size[s] == cap.row(branch).sigma_size[s]
+    assert clone.row(branch).fp_rate == cap.row(branch).fp_rate
     assert clone.to_dict() == cap.to_dict()
 
 
 def test_capability_lookups_follow_the_declared_orderings():
     cap = default_capability()
-    sparse = branch_by_label("r50-sparse")
-    dense = branch_by_label("r50-dense")
-    fused_dense = branch_by_label("r50-dense+tf")
+    sparse = cap.row(branch_by_label("r50-sparse"))
+    dense = cap.row(branch_by_label("r50-dense"))
+    fused_dense = cap.row(branch_by_label("r50-dense+tf"))
     for d in range(5):
-        level = CategoryLevel(d, 1, 1)
-        assert cap.sigma_pos(dense, level) < cap.sigma_pos(sparse, level)
+        assert dense.sigma_pos[d] < sparse.sigma_pos[d]
         if d:
-            prev = CategoryLevel(d - 1, 1, 1)
-            assert cap.recall(sparse, level) <= cap.recall(sparse, prev)
+            assert sparse.recall[d] <= sparse.recall[d - 1]
     for d in range(5):
-        level = CategoryLevel(d, 3, 1)
-        assert cap.sigma_vel(fused_dense, level) < cap.sigma_vel(sparse, level)
+        assert fused_dense.sigma_vel[3][d] < sparse.sigma_vel[3][d]
 
 
 def test_capability_rejects_tracker_branch():
     cap = default_capability()
     tracker = enumerate_branches()[0]
     with pytest.raises(ValueError):
-        cap.recall(tracker, CategoryLevel(0, 0, 0))
+        cap.row(tracker)
+    with pytest.raises(ValueError):
+        synth_detect(tracker, [], cap, rng_stream(0, "tracker"), CameraRig.default().sectors[0])
 
 
 # -- synthetic detection ---------------------------------------------------------------
@@ -291,7 +306,7 @@ def test_synth_detect_recall_matches_profile():
     )
     # FP cars inside the sector are rare enough not to break the tolerance,
     # but exclude them anyway by counting detections near the object
-    assert cap.recall(branch, categorize(gt)) == pytest.approx(0.20)
+    assert cap.row(branch).recall[categorize(gt).distance_level] == pytest.approx(0.20)
     assert hits / 10_000 == pytest.approx(0.20, abs=0.02)
 
 
@@ -323,7 +338,7 @@ def test_synth_detect_noise_scales_with_profile():
                 errs.append((d.center[0] - 45.0, d.center[1] - 0.0))
     errs = np.asarray(errs)
     assert len(errs) > 150
-    sigma = cap.sigma_pos(branch, level)
+    sigma = cap.row(branch).sigma_pos[level.distance_level]
     assert errs[:, 0].std() == pytest.approx(sigma, rel=0.15)
     assert errs[:, 1].std() == pytest.approx(sigma, rel=0.15)
 
@@ -335,7 +350,7 @@ def test_synth_detect_false_positive_rate():
     sector = CameraRig.default().sectors[0]
     n = 20_000
     total_fp = sum(len(synth_detect(branch, [], cap, rng, sector)) for _ in range(n))
-    assert total_fp / n == pytest.approx(cap.fp_rate(branch), abs=0.01)
+    assert total_fp / n == pytest.approx(cap.row(branch).fp_rate, abs=0.01)
 
 
 def test_synth_detect_false_positives_stay_in_sector():
@@ -508,6 +523,22 @@ def test_run_episode_warmup_uses_heaviest_deployed_branch():
     ep = run_episode(cfg, system, policy="all_tracker")
     # heaviest of the deployed set (tracker + indices 1..5) is branch 5
     assert ep.frames[0].assignment == (5,) * CameraRig.default().view_count
+
+
+def test_run_episode_warmup_breaks_a_latency_tie_like_the_score_reference():
+    # a free fusion module ties r34-sparse (index 1) with r34-sparse+tf (2);
+    # the warmup takes the row `scheduler.most_powerful_row` normalizes
+    # scores against, where ties go to the higher row
+    data = default_device_profile().to_dict()
+    next(m for m in data["modules"] if m["name"] == "temporal_fusion")["latency_ms"] = 0.0
+    device = DeviceProfile.from_dict(data)
+    branches = enumerate_branches()[:3]
+    lats = np.array([branch_latency(b, device) for b in branches])
+    assert lats[1] == lats[2] == lats.max()
+    assert scheduler.most_powerful_row(lats) == 2
+    system = tiny_system(branches=branches, device=device)
+    ep = run_episode(small_scenario(duration_s=0.5), system, policy="all_tracker")
+    assert ep.frames[0].assignment == (2,) * CameraRig.default().view_count
 
 
 @pytest.mark.parametrize("policy", ["adaptive", "per_frame"])
