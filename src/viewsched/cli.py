@@ -41,7 +41,7 @@ from .branches import (
     json_number,
     json_object,
 )
-from .core import Box3D, CameraRig
+from .core import Box3D, CameraRig, group_by_view
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
 from .metrics import EvalConfig, evaluate_frame, frame_detection_score, summarize  # noqa: F401
 from .predictors import FEATURE_WIDTH, GBRTParams, PerformanceModels, fit_update_latency, train_gbrt
@@ -312,9 +312,7 @@ def build_training_set(
         max_range = ep.scenario.despawn_radius_m
         for log in ep.frames:
             counts.append(len(log.forecast.tracks))
-            fc_by_view: List[List[Box3D]] = [[] for _ in range(rig.view_count)]
-            for box, v in zip(log.forecast.boxes(), log.forecast.views):
-                fc_by_view[v].append(box)
+            fc_by_view = group_by_view(log.forecast.boxes(), log.forecast.views, rig.view_count)
             frame_feats = frame_features(log.forecast, catalog_indices)
             # view by view, then branch by branch, like the targets below
             frame_feats = frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH)

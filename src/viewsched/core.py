@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -205,14 +205,26 @@ def view_of(center: Tuple[float, float, float], rig: CameraRig) -> int:
 
 # Box rows: boxes as arrays, one row each, laid out as (x, y, z, vx, vy, vz,
 # w, h, l) like the tracker's state. The functions below give the same bits
-# as their per-box counterparts; bearings and planar norms go through `math`,
-# whose atan2 and hypot NumPy's do not always match.
+# as their per-box counterparts; bearings and planar norms go through `math`
+# by `math_map`, as NumPy's atan2 and hypot do not always match `math`'s.
+
+
+def math_map(fn, *columns: np.ndarray) -> np.ndarray:
+    """A `math` function of array columns, element by element, as a float array."""
+    return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=np.float64)
 
 
 def views_of(rows: np.ndarray, rig: CameraRig) -> np.ndarray:
     """`view_of` of every row's center."""
-    angles = list(map(math.atan2, rows[:, 1].tolist(), rows[:, 0].tolist()))
-    return rig.views_of_angles(np.array(angles, dtype=np.float64))
+    return rig.views_of_angles(math_map(math.atan2, rows[:, 1], rows[:, 0]))
+
+
+def group_by_view(items: Sequence, views: np.ndarray, view_count: int) -> Tuple[tuple, ...]:
+    """`items` split by their views (`views_of` of their rows), in order."""
+    groups: List[list] = [[] for _ in range(view_count)]
+    for item, view in zip(items, views.tolist()):
+        groups[view].append(item)
+    return tuple(map(tuple, groups))
 
 
 @dataclass(frozen=True)
@@ -257,8 +269,8 @@ def categorize(box: Box3D) -> CategoryLevel:
 
 def category_indices(rows: np.ndarray) -> np.ndarray:
     """`categorize(box).index` of every box row."""
-    distance = list(map(math.hypot, rows[:, 0].tolist(), rows[:, 1].tolist()))
-    speed = list(map(math.hypot, rows[:, 3].tolist(), rows[:, 4].tolist()))
+    distance = math_map(math.hypot, rows[:, 0], rows[:, 1])
+    speed = math_map(math.hypot, rows[:, 3], rows[:, 4])
     volume = rows[:, 6] * rows[:, 7] * rows[:, 8]
     return (
         np.searchsorted(DISTANCE_EDGES_M, distance, side="right")
@@ -332,6 +344,29 @@ def rows_to_ego(rows: np.ndarray, pose: EgoPose) -> np.ndarray:
         out[:, 0], out[:, 1], out[:, 3], out[:, 4], GLOBAL_FRAME, pose
     )
     return out
+
+
+def ego_boxes(
+    rows: np.ndarray,
+    yaws: Iterable[float],
+    classes: Iterable[ObjectClass],
+    confidences: Iterable[float],
+    pose: EgoPose,
+) -> Tuple[Box3D, ...]:
+    """The boxes of `rows_to_ego(global_rows, pose)`, each equal to `box_to_ego`
+    of its global box; `yaws` are the global headings."""
+    return tuple(
+        Box3D(
+            center=(x, y, z),
+            size=(w, h, l),
+            velocity=(vx, vy, vz),
+            yaw=wrap_angle(wrap_angle(yaw) + GLOBAL_FRAME.yaw - pose.yaw),
+            cls=cls,
+            confidence=confidence,
+        )
+        for (x, y, z, vx, vy, vz, w, h, l), yaw, cls, confidence
+        in zip(rows.tolist(), yaws, classes, confidences)
+    )
 
 
 def box_to_global(box: Box3D, pose: EgoPose) -> Box3D:

@@ -39,14 +39,13 @@ from .branches import (
     group_cost,
 )
 from .core import (
-    GLOBAL_FRAME,
     Box3D,
     CameraRig,
     EgoPose,
     distribution,
+    ego_boxes,
     rows_to_ego,
     views_of,
-    wrap_angle,
 )
 from .predictors import FEATURE_WIDTH, PerformanceModels, accuracy_features, view_confidences
 from .tracker import KalmanModel, TrackState, TrackTable, forecast_all
@@ -376,19 +375,13 @@ class FrameForecast:
 
     def boxes(self) -> Tuple[Box3D, ...]:
         """The forecast as ego-frame boxes, equal to `box_to_ego(track.to_box(), pose)`."""
-        yaw_shift = self.ego_pose.yaw
-        return tuple(
-            Box3D(
-                center=(x, y, z),
-                size=(w, h, l),
-                velocity=(vx, vy, vz),
-                yaw=wrap_angle(wrap_angle(t.yaw) + GLOBAL_FRAME.yaw - yaw_shift),
-                cls=t.cls,
-                confidence=t.confidence,
-            )
-            for t, (x, y, z, vx, vy, vz, w, h, l) in zip(
-                self.tracks.tracks, self.ego_rows.tolist()
-            )
+        tracks = self.tracks.tracks
+        return ego_boxes(
+            self.ego_rows,
+            [t.yaw for t in tracks],
+            [t.cls for t in tracks],
+            [t.confidence for t in tracks],
+            self.ego_pose,
         )
 
 

@@ -1,7 +1,10 @@
 """Deterministic scene simulation and the synthetic detection oracle.
 
 A scenario is a seeded world of point-ish objects with extent moving at
-roughly constant velocity around a moving ego. Detector branches are stood in
+roughly constant velocity around a moving ego. Its ground truth is box rows,
+like the forecast's: the live objects move as one array, and each frame's
+ego rows are placed in views and turned into boxes by the same functions
+that place and build the forecast's. Detector branches are stood in
 for by a capability profile: per (branch, object category) recall and noise
 levels plus a false-positive rate, calibrated so the relative trends between
 branches (far-object recall gap, fused-velocity error gap) match the system
@@ -15,6 +18,7 @@ forecast, account latency, evaluate.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -45,11 +49,14 @@ from .core import (
     CameraRig,
     EgoPose,
     ObjectClass,
-    box_to_ego,
     box_to_global,
     categorize,
     distribution,  # not called here; perfbench traces calls under this name
-    view_of,
+    ego_boxes,
+    group_by_view,
+    math_map,
+    rows_to_ego,
+    views_of,
     wrap_angle,
 )
 from .metrics import FrameEval, evaluate_frame, summarize
@@ -206,14 +213,18 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.fps <= 0 or self.duration_s <= 0:
-            raise ValueError("fps and duration must be positive")
+        if not (0 < self.fps < math.inf and 0 < self.duration_s < math.inf):
+            raise ValueError("fps and duration must be positive and finite")
         if self.world_radius_m <= 0 or self.despawn_radius_m < self.world_radius_m:
             raise ValueError("need 0 < world radius <= despawn radius")
         if self.spawn_rate_per_s < 0 or self.initial_count < 0:
             raise ValueError("spawn rate and initial count must be non-negative")
         if self.velocity_jitter < 0 or self.turn_rate_max_rps < 0:
             raise ValueError("velocity jitter and turn rate must be non-negative")
+        if self.frame_count < 1:
+            raise ValueError(f"duration {self.duration_s} s at {self.fps} fps makes no frame")
+        if any(w < 0 for w in self.class_mix.values()):
+            raise ValueError("class mix weights must be non-negative")
         total = sum(self.class_mix.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"class mix weights must sum to 1, got {total}")
@@ -275,34 +286,29 @@ class GroundTruthFrame:
     ego: EgoPose
     ids: Tuple[int, ...]
     boxes: Tuple[Box3D, ...]  # ego frame, parallel to ids
+    rows: np.ndarray  # the boxes' rows, as `rows_to_ego` lays them out
 
 
-@dataclass
-class _SimObject:
-    obj_id: int
-    cls: ObjectClass
-    pos: np.ndarray  # (3,), global
-    vel: np.ndarray  # (3,), global
-    size: Tuple[float, float, float]
-    yaw: float
-    yaw_rate: float = 0.0  # velocity heading drifts at this rate
+# A live object is one row: its global box row (x, y, z, vx, vy, vz, w, h, l)
+# laid out like the tracker's state, then its yaw and the yaw rate its
+# velocity heading drifts at.
+_YAW, _YAW_RATE = 9, 10
 
 
-def _spawn_object(
+def _spawn_row(
     rng: np.random.Generator,
     config: ScenarioConfig,
-    obj_id: int,
-    center_xy: Tuple[float, float],
+    classes: Sequence[ObjectClass],
+    probs: np.ndarray,
+    center: EgoPose,
     radius: float,
     inward: bool,
-) -> _SimObject:
-    classes = sorted(config.class_mix, key=lambda c: c.value)
-    weights = np.array([config.class_mix[c] for c in classes])
-    cls = classes[int(rng.choice(len(classes), p=weights / weights.sum()))]
+) -> Tuple[ObjectClass, List[float]]:
+    cls = classes[int(rng.choice(len(classes), p=probs))]
     angle = rng.uniform(-math.pi, math.pi)
     r = radius if inward else radius * math.sqrt(rng.uniform(0.02, 1.0))
-    x = center_xy[0] + r * math.cos(angle)
-    y = center_xy[1] + r * math.sin(angle)
+    x = center.x + r * math.cos(angle)
+    y = center.y + r * math.sin(angle)
     lo, hi = config.speed_ranges.get(cls, (0.0, 10.0))
     speed = rng.uniform(lo, hi)
     if inward:
@@ -310,22 +316,11 @@ def _spawn_object(
     else:
         heading = rng.uniform(-math.pi, math.pi)
     scale = float(np.clip(1.0 + rng.normal(0.0, 0.06), 0.8, 1.25))
-    w, h, l = CLASS_DIMS[cls]
-    size = (w * scale, h * scale, l * scale)
-    yaw_rate = (
-        rng.uniform(-config.turn_rate_max_rps, config.turn_rate_max_rps)
-        if config.turn_rate_max_rps > 0
-        else 0.0
-    )
-    return _SimObject(
-        obj_id=obj_id,
-        cls=cls,
-        pos=np.array([x, y, size[1] / 2.0]),
-        vel=np.array([speed * math.cos(heading), speed * math.sin(heading), 0.0]),
-        size=size,
-        yaw=heading,
-        yaw_rate=yaw_rate,
-    )
+    w, h, l = (d * scale for d in CLASS_DIMS[cls])
+    turn = config.turn_rate_max_rps
+    yaw_rate = rng.uniform(-turn, turn) if turn > 0 else 0.0
+    velocity = [speed * math.cos(heading), speed * math.sin(heading), 0.0]
+    return cls, [x, y, h / 2.0, *velocity, w, h, l, heading, yaw_rate]
 
 
 def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
@@ -333,77 +328,51 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
 
     Objects hold velocity up to a seeded Gaussian per-frame perturbation,
     spawn at the world edge around the ego, and despawn once beyond the
-    despawn radius from the ego.
+    despawn radius from the ego. The live objects move as one array of rows.
     """
     rng = rng_stream(config.seed, "scenario")
     dt = config.dt
-    objects: List[_SimObject] = []
-    next_id = 1
+    classes = sorted(config.class_mix, key=lambda c: c.value)
+    weights = np.array([config.class_mix[c] for c in classes])
+    probs = weights / weights.sum()
+    state = np.empty((0, _YAW_RATE + 1))
+    live: List[Tuple[int, ObjectClass]] = []  # each row's id and class
+    new_ids = itertools.count(1)
 
-    pose0 = config.ego.pose_at(0.0)
-    for _ in range(config.initial_count):
-        objects.append(
-            _spawn_object(
-                rng, config, next_id, (pose0.x, pose0.y), config.world_radius_m * 0.92, False
-            )
-        )
-        next_id += 1
+    def spawn(count: int, center: EgoPose, radius: float, inward: bool) -> None:
+        nonlocal state
+        for _ in range(count):
+            cls, row = _spawn_row(rng, config, classes, probs, center, radius, inward)
+            state = np.vstack([state, row])
+            live.append((next(new_ids), cls))
 
+    spawn(config.initial_count, config.ego.pose_at(0.0), config.world_radius_m * 0.92, False)
     frames: List[GroundTruthFrame] = []
     for i in range(config.frame_count):
         t = i / config.fps
         pose = config.ego.pose_at(t)
         if i > 0:
+            vx, vy, rate = state[:, 3], state[:, 4], state[:, _YAW_RATE]
+            c, s = math_map(math.cos, rate * dt), math_map(math.sin, rate * dt)
+            turned = [c * vx - s * vy, s * vx + c * vy]
+            state[:, 3:5] = np.where(rate != 0.0, turned, [vx, vy]).T
             sigma = config.velocity_jitter * dt
-            for obj in objects:
-                if obj.yaw_rate != 0.0:
-                    a = obj.yaw_rate * dt
-                    c, s = math.cos(a), math.sin(a)
-                    vx, vy = obj.vel[0], obj.vel[1]
-                    obj.vel[0] = c * vx - s * vy
-                    obj.vel[1] = s * vx + c * vy
-                if sigma > 0:
-                    obj.vel[:2] += rng.normal(0.0, sigma, 2)
-                obj.pos += obj.vel * dt
-                sp = math.hypot(obj.vel[0], obj.vel[1])
-                if sp > 0.1:
-                    obj.yaw = math.atan2(obj.vel[1], obj.vel[0])
-            objects = [
-                o
-                for o in objects
-                if math.hypot(o.pos[0] - pose.x, o.pos[1] - pose.y) <= config.despawn_radius_m
-            ]
-            for _ in range(int(rng.poisson(config.spawn_rate_per_s * dt))):
-                objects.append(
-                    _spawn_object(
-                        rng,
-                        config,
-                        next_id,
-                        (pose.x, pose.y),
-                        config.world_radius_m * 0.999,
-                        True,
-                    )
-                )
-                next_id += 1
+            if sigma > 0:
+                state[:, 3:5] += rng.normal(0.0, sigma, (len(state), 2))
+            state[:, :3] += state[:, 3:6] * dt
+            moving = math_map(math.hypot, state[:, 3], state[:, 4]) > 0.1
+            heading = math_map(math.atan2, state[:, 4], state[:, 3])
+            state[:, _YAW] = np.where(moving, heading, state[:, _YAW])
+            gap = math_map(math.hypot, state[:, 0] - pose.x, state[:, 1] - pose.y)
+            keep = gap <= config.despawn_radius_m
+            state, live = state[keep], list(itertools.compress(live, keep))
+            spawn(int(rng.poisson(config.spawn_rate_per_s * dt)), pose,
+                  config.world_radius_m * 0.999, True)
 
-        ids = []
-        boxes = []
-        for o in objects:
-            global_box = Box3D(
-                center=(float(o.pos[0]), float(o.pos[1]), float(o.pos[2])),
-                size=o.size,
-                velocity=(float(o.vel[0]), float(o.vel[1]), float(o.vel[2])),
-                yaw=o.yaw,
-                cls=o.cls,
-                confidence=1.0,
-            )
-            ids.append(o.obj_id)
-            boxes.append(box_to_ego(global_box, pose))
-        frames.append(
-            GroundTruthFrame(
-                index=i, timestamp=t, ego=pose, ids=tuple(ids), boxes=tuple(boxes)
-            )
-        )
+        rows = rows_to_ego(state[:, :_YAW], pose)
+        kinds = [cls for _, cls in live]
+        boxes = ego_boxes(rows, state[:, _YAW].tolist(), kinds, (1.0,) * len(live), pose)
+        frames.append(GroundTruthFrame(i, t, pose, tuple(oid for oid, _ in live), boxes, rows))
     return frames
 
 
@@ -635,6 +604,14 @@ def perfect_capability() -> CapabilityProfile:
 # -- synthetic detection -------------------------------------------------------
 
 
+_FP_CLASSES = tuple(sorted(CLASS_DIMS, key=lambda c: c.value))  # a false positive's classes
+
+
+def _confidence(rng: np.random.Generator, mean: float, sd: float, c: ConfidenceParams) -> float:
+    """A detection's confidence: normal, clipped; no draw when `sd` is 0."""
+    return float(np.clip(rng.normal(mean, sd) if sd > 0 else mean, c.clip_lo, c.clip_hi))
+
+
 def synth_detect(
     branch: BranchConfig,
     boxes: Sequence[Box3D],
@@ -651,6 +628,7 @@ def synth_detect(
     stream. The tracker branch has no capability row: it raises ValueError.
     """
     row = capability.row(branch)
+    c = capability.confidence
     out: List[Box3D] = []
     for box in boxes:
         level = categorize(box)
@@ -664,9 +642,7 @@ def synth_detect(
         dvx, dvy = (rng.normal(0.0, sv, 2) if sv > 0 else (0.0, 0.0))
         dsize = rng.normal(0.0, ss, 3) if ss > 0 else np.zeros(3)
         size = tuple(max(float(s + d), 0.05) for s, d in zip(box.size, dsize))
-        c = capability.confidence
-        conf = float(np.clip(rng.normal(c.tp_mean, c.tp_sd) if c.tp_sd > 0 else c.tp_mean,
-                             c.clip_lo, c.clip_hi))
+        conf = _confidence(rng, c.tp_mean, c.tp_sd, c)
         out.append(
             Box3D(
                 center=(box.center[0] + float(dx), box.center[1] + float(dy), box.center[2]),
@@ -684,17 +660,14 @@ def synth_detect(
     width = hi - lo
     if width <= 0:
         width += 2.0 * math.pi
-    classes = sorted(CLASS_DIMS, key=lambda c_: c_.value)
     for _ in range(n_fp):
         r = math.sqrt(rng.uniform((2.0 / max_range_m) ** 2, 1.0)) * max_range_m
         theta = wrap_angle(lo + rng.uniform(0.0, width))
-        cls_ = classes[int(rng.integers(0, len(classes)))]
+        cls_ = _FP_CLASSES[int(rng.integers(0, len(_FP_CLASSES)))]
         dims = CLASS_DIMS[cls_]
         heading = rng.uniform(-math.pi, math.pi)
         speed = rng.uniform(0.0, 3.0)
-        c = capability.confidence
-        conf = float(np.clip(rng.normal(c.fp_mean, c.fp_sd) if c.fp_sd > 0 else c.fp_mean,
-                             c.clip_lo, c.clip_hi))
+        conf = _confidence(rng, c.fp_mean, c.fp_sd, c)
         out.append(
             Box3D(
                 center=(r * math.cos(theta), r * math.sin(theta), dims[1] / 2.0),
@@ -914,10 +887,7 @@ def run_episode(
         assignment = tuple(branches[r].index for r in rows)
         covered = {j for j in range(n_views) if not branches[rows[j]].is_tracker}
 
-        # ground truth per view (ego frame)
-        gt_by_view: List[List[Box3D]] = [[] for _ in range(n_views)]
-        for box in frame.boxes:
-            gt_by_view[view_of(box.center, rig)].append(box)
+        gt_by_view = group_by_view(frame.boxes, views_of(frame.rows, rig), n_views)
 
         detections_by_view: List[Tuple[Box3D, ...]] = []
         for j in range(n_views):
@@ -962,7 +932,7 @@ def run_episode(
             timestamp=frame.timestamp,
             warmup=warmup,
             ego=frame.ego,
-            gt_by_view=tuple(map(tuple, gt_by_view)),
+            gt_by_view=gt_by_view,
             forecast=forecast,
             assignment=assignment,
             predicted_objective=decision.predicted_objective if decision is not None else None,

@@ -339,6 +339,9 @@ _NEWLY_REJECTED = [
     ("scenario", _set(["fps"], True), "boolean-fps"),
     ("scenario", _set(["seed"], 7.5), "fractional-seed"),
     ("scenario", _rename("initial_count", "initial_cout"), "typo-initial-count"),
+    ("scenario", lambda scenario: scenario["class_mix"].update(truck=-0.38, car=0.9),
+     "negative-class-weight"),
+    ("scenario", _set(["duration_s"], 0.04), "no-frames"),
     ("scenario", lambda scenario: _rename("radius_m", "radus_m")(scenario["ego"]),
      "typo-ego-radius"),
 ]
@@ -428,6 +431,34 @@ def test_cmd_simulate_adaptive_uses_saved_model(manifest_file, tmp_path):
     for d in report["decisions"]:
         assert d["predicted_latency_ms"] <= d["t_max_ms"] + 1e-9
     assert report["summary"]["latency"]["compliance"] == 1.0
+
+
+# SHA-256 of the report `cmd_simulate` writes for each bundled manifest and
+# policy. Adaptive runs read the session's trained models back from the file
+# `train --out` writes. A change to any of them must be deliberate.
+BUNDLED_REPORT_SHA256 = {
+    ("compare", "adaptive"): "9751ae66a161f6e4f54d053ef6f93ed3c2c6454fe10d41cf3f98d43eca202b1c",
+    ("compare", "all_tracker"): "62306a2ad22a54b975aa2846a484f4a0061456ce65026ace98da92f1058cc94f",
+    ("compare", "fixed:2"): "519041ac91605fcf3ba1f2045ad695a7d85b91f4b8dc766951db7ffa086c3174",
+    ("compare", "round_robin"): "48aa96ab376989a4039ba32c36b113814a4cf55ed03322df403373368533fbeb",
+    ("quickstart", "adaptive"): "850a4d54f63cef251dbc70b36e58f388b3e0e75b5e7cceaba5edd59744df7b8e",
+    ("quickstart", "all_tracker"): "ff9f7daabdfe263b567422d116c14b611e22feca5a2d48cd17db37ba6b4db956",
+    ("quickstart", "fixed:2"): "292b269d4db81219746a2c1cb3b0f30facb8f5170832b005f9721aaa202e50de",
+    ("quickstart", "round_robin"): "fe82f8a9a0a76fb0ed298ce8a29c9cde0c723ac7b7796ac5976790758aa1715c",
+}
+
+
+@pytest.mark.parametrize("name,policy", sorted(BUNDLED_REPORT_SHA256))
+def test_bundled_simulate_reports_are_pinned(request, tmp_path, name, policy):
+    man = load_manifest(f"builtin:manifest_{name}")
+    if policy == "adaptive":
+        models, info = request.getfixturevalue(f"{name}_trained")
+        path = str(tmp_path / "models.json")
+        models.save(path, training_info=info)
+        man = replace(man, model_path=path)
+    out = tmp_path / "report.json"
+    cmd_simulate(man, str(out), policy=policy)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_REPORT_SHA256[name, policy]
 
 
 def test_cmd_simulate_missing_model_file_is_config_error(tmp_path):

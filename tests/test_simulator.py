@@ -131,6 +131,13 @@ def test_scenario_config_validation():
         small_scenario(despawn_radius_m=10.0)  # must cover the spawn radius
     with pytest.raises(ValueError):
         small_scenario(fps=0.0)
+    with pytest.raises(ValueError):
+        small_scenario(duration_s=math.inf)  # no frame count
+    with pytest.raises(ValueError):
+        small_scenario(duration_s=0.04)  # round(0.4) frames: none
+    with pytest.raises(ValueError):  # sums to 1, but a weight is negative
+        small_scenario(class_mix={ObjectClass.CAR: 1.38, ObjectClass.TRUCK: -0.38})
+    assert small_scenario(duration_s=0.06).frame_count == 1
     cfg = small_scenario()
     assert cfg.frame_count == 30  # round(duration * fps)
     assert cfg.dt == pytest.approx(0.1)
@@ -600,8 +607,15 @@ def test_run_episode_places_views_once_per_frame(monkeypatch):
     for module in (scheduler, simulator, tracker):
         if hasattr(module, "views_of"):
             monkeypatch.setattr(module, "views_of", counting)
-    ep = run_episode(small_scenario(duration_s=1.5), tiny_system(), policy="round_robin")
-    assert len(calls) == len(ep.frames)
+    scenario = small_scenario(duration_s=1.5)
+    ep = run_episode(scenario, tiny_system(), policy="round_robin")
+    # each frame places its forecast's rows once, then its ground truth's once
+    want = [
+        n
+        for log, frame in zip(ep.frames, generate_scenario(scenario))
+        for n in (len(log.forecast.tracks), len(frame.rows))
+    ]
+    assert calls == want
 
 
 def test_system_config_validation():
