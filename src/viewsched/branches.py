@@ -195,8 +195,9 @@ class DeviceProfile:
     price for one target device. `from_dict` reads the device file."""
 
     def __init__(self, canonical: dict):
-        # `canonical` is `from_dict`'s reading of the file; `to_dict` returns it
-        self._canonical = canonical
+        # `from_dict`'s reading of the file, shared and never changed: the
+        # manifest fingerprint hashes it as is, `to_dict` returns a copy
+        self.canonical = canonical
         self.memory_limit_mb: float = canonical["memory_limit_mb"]
         update = canonical["update_latency"]
         self.update_slope_ms_per_track: float = update["slope_ms_per_track"]
@@ -240,7 +241,7 @@ class DeviceProfile:
                 )
 
     def to_dict(self) -> dict:
-        return json_copy(self._canonical)
+        return json_copy(self.canonical)
 
     @classmethod
     def from_dict(cls, data: object) -> "DeviceProfile":

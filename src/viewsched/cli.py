@@ -41,9 +41,9 @@ from .branches import (
     json_number,
     json_object,
 )
-from .core import Box3D, CameraRig, group_by_view
+from .core import CameraRig, group_by_view
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
-from .metrics import EvalConfig, evaluate_frame, frame_detection_score, summarize  # noqa: F401
+from .metrics import EvalConfig, evaluate_frame, summarize, view_detection_scores  # noqa: F401
 from .predictors import FEATURE_WIDTH, GBRTParams, PerformanceModels, fit_update_latency, train_gbrt
 from .scheduler import InfeasibleError, frame_features
 from .simulator import (
@@ -216,8 +216,8 @@ def load_manifest(
         "tool_version": __version__,
         "name": data.get("name", "unnamed"),
         "scenario": scenario.to_dict(),
-        "device": device.to_dict(),
-        "capability": capability.to_dict(),
+        "device": device.canonical,
+        "capability": capability.canonical,
         "target_ms": target_ms,
         "alpha": alpha,
         "latency_noise_sigma": sigma,
@@ -293,7 +293,8 @@ def build_training_set(
 
     Detection branches are re-synthesized from a dedicated rng stream (the
     logged detections only cover whichever branch the collection policy ran);
-    the tracker branch is scored on the logged forecasts. Returns features,
+    the tracker branch is scored on the logged forecasts. Each view's branches
+    are scored together in one pass. Returns features,
     detection-score targets, and the per-frame track counts for the latency
     fit.
     """
@@ -319,20 +320,17 @@ def build_training_set(
             feats[row : row + len(frame_feats)] = frame_feats
 
             for j in range(rig.view_count):
-                for branch in catalog:
-                    if branch.is_tracker:
-                        preds: Sequence[Box3D] = fc_by_view[j]
-                    else:
-                        preds = synth_detect(
-                            branch,
-                            log.gt_by_view[j],
-                            capability,
-                            rng,
-                            rig.sectors[j],
-                            max_range,
-                        )
-                    targets[row] = frame_detection_score(preds, log.gt_by_view[j], eval_config)
-                    row += 1
+                gts = log.gt_by_view[j]
+                branch_preds = [
+                    fc_by_view[j]
+                    if branch.is_tracker
+                    else synth_detect(branch, gts, capability, rng, rig.sectors[j], max_range)
+                    for branch in catalog
+                ]
+                targets[row : row + len(catalog)] = view_detection_scores(
+                    branch_preds, gts, eval_config
+                )
+                row += len(catalog)
 
     return feats, targets, np.asarray(counts, dtype=np.float64)
 

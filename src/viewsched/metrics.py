@@ -45,16 +45,15 @@ class EvalConfig:
 Claims = List[Optional[Tuple[int, float]]]
 
 
-def _by_class(
-    preds: Sequence[Box3D], gts: Sequence[Box3D]
-) -> Dict[ObjectClass, Tuple[List[int], List[int]]]:
-    """Per class, its prediction indices in visit order (descending
-    confidence, ties in input order) and its ground-truth indices."""
-    groups: Dict[ObjectClass, Tuple[List[int], List[int]]] = {}
-    for pi in sorted(range(len(preds)), key=lambda i: -preds[i].confidence):
-        groups.setdefault(preds[pi].cls, ([], []))[0].append(pi)
-    for gi, gt in enumerate(gts):
-        groups.setdefault(gt.cls, ([], []))[1].append(gi)
+def _by_class(boxes: Sequence[Box3D], ranked: bool = False) -> Dict[ObjectClass, List[int]]:
+    """Per class, its box indices: in input order, or when `ranked` in visit
+    order (descending confidence, ties in input order)."""
+    order = range(len(boxes))
+    if ranked:
+        order = sorted(order, key=lambda i: -boxes[i].confidence)
+    groups: Dict[ObjectClass, List[int]] = {}
+    for i in order:
+        groups.setdefault(boxes[i].cls, []).append(i)
     return groups
 
 
@@ -142,14 +141,14 @@ def evaluate_frame(
     preds: Sequence[Box3D], gts: Sequence[Box3D], config: Optional[EvalConfig] = None
 ) -> FrameEval:
     config = config or EvalConfig()
-    groups = _by_class(preds, gts)
+    p_groups, g_groups = _by_class(preds, ranked=True), _by_class(gts)
     gt_counts: Dict[ObjectClass, int] = {}
     pred_records: Dict[ObjectClass, Dict[float, Tuple[Tuple[float, bool], ...]]] = {}
     tp_errors: Dict[ObjectClass, Tuple[Tuple[float, float], ...]] = {}
     fp_counts: Dict[ObjectClass, int] = {}
     fn_counts: Dict[ObjectClass, int] = {}
     for cls in config.classes:
-        p_idx, g_idx = groups.get(cls, ([], []))
+        p_idx, g_idx = p_groups.get(cls, []), g_groups.get(cls, [])
         flags, errors = _class_outcome(preds, gts, p_idx, g_idx, config)
         confs = [preds[pi].confidence for pi in p_idx]
         gt_counts[cls] = len(g_idx)
@@ -188,8 +187,9 @@ def _interpolated_ap(tp: np.ndarray, npos: np.ndarray, min_recall: float) -> np.
     suffix_max = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
     suffix_max = np.concatenate((suffix_max, np.zeros((len(tp), 1))), axis=1)
     grid = _RECALL_GRID[int(round(min_recall * 100)) + 1 :]
-    # recall is sorted, so counting the entries below r is searchsorted(left)
-    k = (recall[:, None, :] < grid[:, None]).sum(axis=2)
+    # recall is sorted, so counting the entries below r is searchsorted(left);
+    # counted over the leading axis, the count adds whole (rows, grid) slabs
+    k = (recall.T[:, :, None] < grid).sum(axis=0)
     return suffix_max[np.arange(len(tp))[:, None], k].mean(axis=1)
 
 
@@ -219,37 +219,51 @@ def average_precision(
     return float(_interpolated_ap(tp, np.array([npos]), config.min_recall)[0])
 
 
+def view_detection_scores(
+    branch_preds: Sequence[Sequence[Box3D]],
+    gts: Sequence[Box3D],
+    config: Optional[EvalConfig] = None,
+) -> np.ndarray:
+    """Each branch's one-frame composite score on one view: entry b equals
+    ``summarize([evaluate_frame(branch_preds[b], gts, config)], config)["DS"]``
+    bit for bit, as every mean adds the same values in the same order.
+
+    All branches share the classes with ground truth, so their (class,
+    threshold) rows take one AP pass and mAP is a row mean. A view without
+    ground truth, or a branch with no prediction of its classes, scores 0.0.
+    """
+    config = config or EvalConfig()
+    g_groups = _by_class(gts)
+    classes = [cls for cls in config.classes if cls in g_groups]
+    if not classes:
+        return np.zeros(len(branch_preds))  # every AP undefined and the errors worst-case
+    rows: List[List[bool]] = []
+    errors: List[List[Tuple[float, float]]] = []
+    for preds in branch_preds:
+        p_groups = _by_class(preds, ranked=True)
+        errs: List[Tuple[float, float]] = []
+        for cls in classes:
+            p_idx = p_groups.get(cls, [])
+            flags, class_errs = _class_outcome(preds, gts, p_idx, g_groups[cls], config)
+            rows.extend(flags)
+            errs.extend(class_errs)  # by prediction index within a class, as summarize has them
+        errors.append(errs)
+    width = max(map(len, rows))
+    if width == 0:
+        return np.zeros(len(branch_preds))  # every AP is 0.0 and the errors worst-case
+    tp = np.array([row + [False] * (width - len(row)) for row in rows], dtype=bool)
+    npos = np.repeat([len(g_groups[cls]) for cls in classes], len(config.match_thresholds))
+    aps = _interpolated_ap(tp, np.tile(npos, len(branch_preds)), config.min_recall)
+    m_ap = aps.reshape(len(branch_preds), -1).mean(axis=1).tolist()
+    m_err = _branch_mean_errors(errors).tolist()
+    return np.array([detection_score(a, *e) for a, e in zip(m_ap, m_err)])
+
+
 def frame_detection_score(
     preds: Sequence[Box3D], gts: Sequence[Box3D], config: Optional[EvalConfig] = None
 ) -> float:
-    """One frame's composite score, equal to
-    ``summarize([evaluate_frame(preds, gts, config)], config)["DS"]``.
-
-    Computed directly: one greedy matching per class with ground truth and
-    one AP pass over that frame's (class, threshold) rows; the means are taken
-    over the same values in the same order, so the result is bit-identical.
-    A frame with no ground truth, or no prediction of a class that has some,
-    scores exactly 0.0.
-    """
-    config = config or EvalConfig()
-    groups = _by_class(preds, gts)
-    rows: List[List[bool]] = []
-    npos: List[int] = []
-    errors: List[Tuple[float, float]] = []
-    for cls in config.classes:
-        p_idx, g_idx = groups.get(cls, ([], []))
-        if not g_idx:
-            continue  # AP undefined and no true positives
-        flags, errs = _class_outcome(preds, gts, p_idx, g_idx, config)
-        rows.extend(flags)
-        npos.extend([len(g_idx)] * len(flags))
-        errors.extend(errs)
-    width = max(map(len, rows), default=0)
-    if width == 0:
-        return 0.0  # every AP is 0.0 or undefined and the errors are worst-case
-    tp = np.array([row + [False] * (width - len(row)) for row in rows], dtype=bool)
-    m_ap = float(np.mean(_interpolated_ap(tp, np.array(npos), config.min_recall)))
-    return detection_score(m_ap, *_mean_errors(errors))
+    """One frame's composite score: `view_detection_scores` of one branch."""
+    return float(view_detection_scores([preds], gts, config)[0])
 
 
 def _mean_errors(errors: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
@@ -258,6 +272,23 @@ def _mean_errors(errors: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     if not errors:
         return 1.0, 1.0
     return float(np.mean([e[0] for e in errors])), float(np.mean([e[1] for e in errors]))
+
+
+def _branch_mean_errors(errors: Sequence[Sequence[Tuple[float, float]]]) -> np.ndarray:
+    """Per branch, `_mean_errors` of its true-positive errors, without one
+    `np.mean` per branch: branches with as many errors share one array whose
+    error columns are C-contiguous rows, so each sums as `np.mean` sums it
+    alone (a mean across a strided axis adds in another order)."""
+    means = np.ones((len(errors), 2))
+    by_count: Dict[int, List[int]] = {}
+    for b, errs in enumerate(errors):
+        if errs:
+            by_count.setdefault(len(errs), []).append(b)
+    for members in by_count.values():
+        # (2, branches, count): translation rows, then velocity rows
+        columns = np.array([errors[b] for b in members]).transpose(2, 0, 1).copy()
+        means[members] = columns.mean(axis=2).T
+    return means
 
 
 def detection_score(m_ap: float, m_ate: float, m_ave: float) -> float:

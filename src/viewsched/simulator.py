@@ -191,6 +191,11 @@ def _json_pair(key: str, value: object) -> Tuple[float, float]:
     return json_number(key, value[0]), json_number(key, value[1])
 
 
+# a scenario's duration times its frame rate may be at most this many frames
+# (2.8 h at 10 fps): every episode is generated, run and logged in memory
+MAX_FRAME_COUNT = 100_000
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     seed: int
@@ -215,6 +220,8 @@ class ScenarioConfig:
             raise ValueError("seed must be non-negative")
         if not (0 < self.fps < math.inf and 0 < self.duration_s < math.inf):
             raise ValueError("fps and duration must be positive and finite")
+        if self.duration_s * self.fps > MAX_FRAME_COUNT:
+            raise ValueError(f"duration times fps exceeds {MAX_FRAME_COUNT} frames")
         if self.world_radius_m <= 0 or self.despawn_radius_m < self.world_radius_m:
             raise ValueError("need 0 < world radius <= despawn radius")
         if self.spawn_rate_per_s < 0 or self.initial_count < 0:
@@ -520,8 +527,9 @@ class CapabilityProfile:
     """
 
     def __init__(self, canonical: dict):
-        # `canonical` is `from_dict`'s reading of the file; `to_dict` returns it
-        self._canonical = canonical
+        # `from_dict`'s reading of the file, shared and never changed: the
+        # manifest fingerprint hashes it as is, `to_dict` returns a copy
+        self.canonical = canonical
         c = canonical["confidence"]
         self.confidence = ConfidenceParams(**{k: c[k] for k in _CONFIDENCE_DEFAULTS})
         self._rows: Dict[int, DetectorRow] = {}
@@ -537,7 +545,7 @@ class CapabilityProfile:
     def _build_row(self, branch: BranchConfig) -> DetectorRow:
         if branch.is_tracker:
             raise ValueError("the tracker branch has no detector capability")
-        c = self._canonical
+        c = self.canonical
         k = branch.backbone.key  # type: ignore[union-attr]
         dense = branch.depthnet is DepthNetKind.DENSE
         family = f"{branch.depthnet.value}_{'fused' if branch.temporal_fusion else 'plain'}"
@@ -561,7 +569,7 @@ class CapabilityProfile:
         )
 
     def to_dict(self) -> dict:
-        return json_copy(self._canonical)
+        return json_copy(self.canonical)
 
     @classmethod
     def from_dict(cls, data: object) -> "CapabilityProfile":
@@ -609,7 +617,8 @@ _FP_CLASSES = tuple(sorted(CLASS_DIMS, key=lambda c: c.value))  # a false positi
 
 def _confidence(rng: np.random.Generator, mean: float, sd: float, c: ConfidenceParams) -> float:
     """A detection's confidence: normal, clipped; no draw when `sd` is 0."""
-    return float(np.clip(rng.normal(mean, sd) if sd > 0 else mean, c.clip_lo, c.clip_hi))
+    value = float(rng.normal(mean, sd)) if sd > 0 else mean
+    return min(max(value, c.clip_lo), c.clip_hi)
 
 
 def synth_detect(

@@ -342,6 +342,7 @@ _NEWLY_REJECTED = [
     ("scenario", lambda scenario: scenario["class_mix"].update(truck=-0.38, car=0.9),
      "negative-class-weight"),
     ("scenario", _set(["duration_s"], 0.04), "no-frames"),
+    ("scenario", _set(["duration_s"], 1e9), "ten-billion-frames"),
     ("scenario", lambda scenario: _rename("radius_m", "radus_m")(scenario["ego"]),
      "typo-ego-radius"),
 ]
@@ -392,6 +393,32 @@ QUICKSTART_MODEL_SHA256 = "03c033f28922faceb92baa2f9f211d372314bbd9acdaaeb36b8d9
 def test_quickstart_model_file_is_byte_identical(quickstart_model_file):
     with open(quickstart_model_file, "rb") as fh:
         assert hashlib.sha256(fh.read()).hexdigest() == QUICKSTART_MODEL_SHA256
+
+
+@pytest.fixture(scope="module")
+def quickstart_training_set(quickstart_manifest):
+    """(episodes, (features, targets, track counts)) of the quickstart's
+    phase-one collection."""
+    episodes = collect_training_episodes(quickstart_manifest)
+    return episodes, build_training_set(episodes, quickstart_manifest.capability)
+
+
+# SHA-256 of the raw bytes of the quickstart's phase-one training set, the
+# first input of the model above. Like the model, it changes only on purpose.
+QUICKSTART_TRAINING_SET_SHA256 = {
+    "features": "dfc64044bd25d313059f7a35c46dc6282d1a06ab8ecbc1202da10039cd72ed39",
+    "targets": "1f077abf404dd32fcc07f094a5ba2bc4714312e4340a0f360fa1627ec20aba6a",
+    "counts": "552cedc2ad5365c2a11db687f7c6d20aa00865c8753f58538eb7acbaa2bcbec5",
+}
+
+
+def test_quickstart_training_set_is_byte_identical(quickstart_training_set):
+    _, arrays = quickstart_training_set
+    got = {
+        name: hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+        for name, a in zip(("features", "targets", "counts"), arrays)
+    }
+    assert got == QUICKSTART_TRAINING_SET_SHA256
 
 
 def test_cmd_adapt_reports_deployable_branches(tmp_path):
@@ -523,11 +550,10 @@ def test_cmd_compare_reports_dominance(manifest_file, tmp_path):
 # -- training data plumbing ---------------------------------------------------------
 
 
-def test_training_set_shapes(quickstart_manifest):
+def test_training_set_shapes(quickstart_manifest, quickstart_training_set):
     man = quickstart_manifest
-    episodes = collect_training_episodes(man)
+    episodes, (feats, targets, counts) = quickstart_training_set
     assert len(episodes) == len(man.training["seeds"])
-    feats, targets, counts = build_training_set(episodes, man.capability)
     assert feats.ndim == 2 and feats.shape[0] == len(targets)
     assert feats.shape[0] > 0
     # one sample per (frame, view, branch); one track count per frame

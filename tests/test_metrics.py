@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from viewsched import metrics
 from viewsched.core import Box3D, ObjectClass
 from viewsched.metrics import (
     EvalConfig,
@@ -18,6 +19,7 @@ from viewsched.metrics import (
     evaluate_frame,
     frame_detection_score,
     summarize,
+    view_detection_scores,
 )
 
 
@@ -447,6 +449,64 @@ def test_frame_detection_score_hand_case():
         detection_score(22.0 / 27.0, 0.0, 0.0), abs=1e-12)
     assert frame_detection_score([], gts) == 0.0
     assert frame_detection_score(preds, []) == 0.0
+
+
+# three classes with ground truth: 12 AP rows at the default thresholds
+_THREE_CLASSES = [box(0.0, 0.0), box(10.0, 0.0, cls=ObjectClass.BUS),
+                  box(20.0, 0.0, cls=ObjectClass.PEDESTRIAN)]
+# ten cars, each a true positive at the error threshold: 9 and 10 errors,
+# whose mean differs when they are added in turn and not pairwise as NumPy does
+_TEN_CARS = [box(10.0 * i, 0.0) for i in range(10)]
+_TEN_NEAR_CARS = [box(10.0 * i, y, conf=0.5 + 0.04 * i) for i, y in
+                  enumerate([0.43, 0.13, 0.6, 0.43, 0.29, 0.07, 0.41, 0.6, 0.47, 0.41])]
+# car, pedestrian, car: the TP errors in prediction index order (0.2, 1.3,
+# 0.2) sum to another score than in class order (0.2, 0.2 | 1.3)
+_CAR_PED_CAR = [box(0.0, 0.0), box(10.0, 0.0, cls=ObjectClass.PEDESTRIAN), box(20.0, 0.0)]
+_CAR_PED_CAR_NEAR = [box(0.0, 0.2), box(10.0, 1.3, cls=ObjectClass.PEDESTRIAN), box(20.0, 0.2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(branches=st.lists(_boxes, min_size=1, max_size=17), gts=_boxes, config=_configs)
+@example(branches=[_EDGE, [], _EDGE[:1]], gts=[], config=EvalConfig())
+@example(branches=[[], [], []], gts=_EDGE, config=EvalConfig())
+@example(branches=[_EDGE, [], _EDGE[:2], _EDGE[1:]], gts=_EDGE, config=EvalConfig())
+@example(branches=[_THREE_CLASSES, _THREE_CLASSES[1:], []], gts=_THREE_CLASSES,
+         config=EvalConfig(min_recall=0.0))
+@example(branches=[_TEN_NEAR_CARS, _TEN_NEAR_CARS[:9], _TEN_NEAR_CARS[:3]], gts=_TEN_CARS,
+         config=EvalConfig())
+@example(branches=[_CAR_PED_CAR_NEAR, _CAR_PED_CAR_NEAR[:2]], gts=_CAR_PED_CAR,
+         config=EvalConfig())
+def test_view_detection_scores_equal_each_summarized_branch(branches, gts, config):
+    want = [summarize([evaluate_frame(p, gts, config)], config)["DS"] for p in branches]
+    assert view_detection_scores(branches, gts, config).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    width=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_means_equal_each_rows_own_mean(rows, width, seed):
+    # the per-view scorer takes mAP and the TP error means as row means of
+    # one C-contiguous array; each must equal np.mean of the row alone,
+    # also at 8 and more entries, where NumPy sums in unrolled pairs
+    scale = 10.0 ** np.arange(-3, 3).repeat(7)[:width]  # magnitudes that round apart
+    grid = np.random.default_rng(seed).random((rows, width)) * scale
+    assert grid.mean(axis=1).tolist() == [float(np.mean(list(row))) for row in grid]
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 20), min_size=1, max_size=17), seed=st.integers(0, 2**32 - 1))
+def test_branch_mean_errors_equal_each_branchs_own_means(counts, seed):
+    # branches with as many errors share one array; each mean must still
+    # equal `_mean_errors` of that branch's list alone
+    rng = np.random.default_rng(seed)
+    # magnitudes apart, so that adding in another order rounds differently
+    errors = [[tuple(e) for e in rng.random((k, 2)) * 10.0 ** rng.integers(-3, 3, (k, 2))]
+              for k in counts]
+    got = metrics._branch_mean_errors(errors).tolist()
+    assert got == [list(metrics._mean_errors(errs)) for errs in errors]
 
 
 # -- composite score ----------------------------------------------------------------

@@ -137,7 +137,13 @@ def test_scenario_config_validation():
         small_scenario(duration_s=0.04)  # round(0.4) frames: none
     with pytest.raises(ValueError):  # sums to 1, but a weight is negative
         small_scenario(class_mix={ObjectClass.CAR: 1.38, ObjectClass.TRUCK: -0.38})
+    with pytest.raises(ValueError):
+        small_scenario(duration_s=1e9)  # 10^10 frames
+    with pytest.raises(ValueError):
+        small_scenario(duration_s=1e200, fps=1e200)  # a product beyond the float range
     assert small_scenario(duration_s=0.06).frame_count == 1
+    longest = small_scenario(duration_s=simulator.MAX_FRAME_COUNT / 10.0)
+    assert longest.frame_count == simulator.MAX_FRAME_COUNT
     cfg = small_scenario()
     assert cfg.frame_count == 30  # round(duration * fps)
     assert cfg.dt == pytest.approx(0.1)
@@ -376,6 +382,27 @@ def test_synth_detect_rejects_tracker():
     with pytest.raises(ValueError):
         synth_detect(enumerate_branches()[0], [], default_capability(),
                      rng_stream(0, "x"), (-0.5, 0.5))
+
+
+_CLIP = ConfidenceParams(clip_lo=0.05, clip_hi=0.999)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mean=st.sampled_from([0.05, 0.999, 0.0499, 0.9991, 0.5, -1.0, 2.0, math.nan, -math.inf,
+                          math.inf]),
+    sd=st.sampled_from([0.0, 1e-9, 0.12, 5.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_confidence_draws_and_clips_as_np_clip(mean, sd, seed):
+    # the same draw from the same stream, clipped to the same value, NaN included
+    got_rng, want_rng = rng_stream(seed, "conf"), rng_stream(seed, "conf")
+    got = simulator._confidence(got_rng, mean, sd, _CLIP)
+    want = float(np.clip(want_rng.normal(mean, sd) if sd > 0 else mean,
+                         _CLIP.clip_lo, _CLIP.clip_hi))
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert got_rng.random() == want_rng.random()
 
 
 # -- realized latency -------------------------------------------------------------------
