@@ -47,11 +47,13 @@ from .metrics import EvalConfig, evaluate_frame, summarize, view_detection_score
 from .predictors import FEATURE_WIDTH, GBRTParams, PerformanceModels, fit_update_latency, train_gbrt
 from .scheduler import InfeasibleError, frame_features
 from .simulator import (
+    POLICY_USAGE,
     CapabilityError,
     CapabilityProfile,
     EpisodeLog,
     ScenarioConfig,
     SystemConfig,
+    check_policy,
     check_timing,
     rng_stream,
     run_episode,
@@ -261,23 +263,29 @@ def _emit(report: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-# -- predictor training --------------------------------------------------------
-
-
-def _collection_system(man: RunManifest) -> SystemConfig:
-    # data collection runs the full catalog, offline, noise-free
+def _system(man: RunManifest, branches: Tuple[BranchConfig, ...], models) -> SystemConfig:
     return SystemConfig(
-        branches=enumerate_branches(),
+        branches=branches,
         device=man.device,
         capability=man.capability,
-        models=None,
+        models=models,
         target_ms=man.target_ms,
         alpha=man.alpha,
+        latency_noise_sigma=man.latency_noise_sigma,
+        sched_margin_ms=man.sched_margin_ms,
     )
 
 
+# -- predictor training --------------------------------------------------------
+
+
+def _offline_system(man: RunManifest, branches: Tuple[BranchConfig, ...], models) -> SystemConfig:
+    # training episodes run offline: no execution noise, no guard band
+    return replace(_system(man, branches, models), latency_noise_sigma=0.0, sched_margin_ms=0.0)
+
+
 def collect_training_episodes(man: RunManifest) -> List[EpisodeLog]:
-    system = _collection_system(man)
+    system = _offline_system(man, enumerate_branches(), None)  # the full catalog
     episodes = []
     for s in man.training["seeds"]:
         scenario = replace(man.scenario, seed=int(s))
@@ -357,14 +365,7 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     )
 
     policy_seeds = [int(s) + 50000 for s in man.training["seeds"]]
-    on_policy_system = SystemConfig(
-        branches=adapt(man.device, man.target_ms),
-        device=man.device,
-        capability=man.capability,
-        models=provisional,
-        target_ms=man.target_ms,
-        alpha=man.alpha,
-    )
+    on_policy_system = _offline_system(man, adapt(man.device, man.target_ms), provisional)
     on_policy = [
         run_episode(replace(man.scenario, seed=s), on_policy_system, policy="adaptive")
         for s in policy_seeds
@@ -409,19 +410,6 @@ def _get_models(man: RunManifest) -> PerformanceModels:
 # -- operations ------------------------------------------------------------
 
 
-def _system(man: RunManifest, branches: Tuple[BranchConfig, ...], models) -> SystemConfig:
-    return SystemConfig(
-        branches=branches,
-        device=man.device,
-        capability=man.capability,
-        models=models,
-        target_ms=man.target_ms,
-        alpha=man.alpha,
-        latency_noise_sigma=man.latency_noise_sigma,
-        sched_margin_ms=man.sched_margin_ms,
-    )
-
-
 def _episode_block(ep: EpisodeLog) -> dict:
     s = ep.summary
     return {
@@ -438,7 +426,11 @@ def _episode_block(ep: EpisodeLog) -> dict:
 
 def cmd_simulate(man: RunManifest, out: Optional[str], policy: str = "adaptive") -> dict:
     branches = adapt(man.device, man.target_ms)
-    models = _get_models(man) if policy in ("adaptive", "per_frame") else None
+    try:
+        needs_models = check_policy(policy, branches).needs_models
+    except ValueError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from exc
+    models = _get_models(man) if needs_models else None
     ep = run_episode(man.scenario, _system(man, branches, models), policy=policy)
 
     decisions = [
@@ -593,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--policy",
         default="adaptive",
-        help="adaptive | per_frame | round_robin | all_tracker | fixed:<index>",
+        help=POLICY_USAGE,
     )
 
     p_train = sub.add_parser("train", help="fit accuracy and latency predictors")

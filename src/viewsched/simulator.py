@@ -17,6 +17,7 @@ forecast, account latency, evaluate.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -24,7 +25,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -769,9 +770,6 @@ class EpisodeLog:
         return self.summary["latency"]["compliance"]
 
 
-_POLICIES = ("adaptive", "per_frame", "round_robin", "all_tracker")
-
-
 def true_update_model(device: DeviceProfile) -> LinearLatencyModel:
     """The simulated device's own tracker-update cost."""
     return LinearLatencyModel(
@@ -781,22 +779,20 @@ def true_update_model(device: DeviceProfile) -> LinearLatencyModel:
 
 
 def realized_latency(
-    assignment_rows: Sequence[int],
-    lats: np.ndarray,
+    marginal_ms: float,
     fixed_ms: float,
     update_ms: float,
-    alpha: float,
     sigma: float,
     rng: Optional[np.random.Generator],
 ) -> float:
     """Simulated actual frame latency: the planner's price plus noise.
 
-    The assignment is priced by `scheduler.assignment_latency`, the planner's
-    one cost model, then the fixed modules and the true update cost are
-    added. With sigma > 0 each of the three terms draws one multiplicative
-    lognormal factor, in that order. With sigma = 0 no draws happen at all,
-    so enabling noise elsewhere never shifts streams, and the result is
-    exactly `predicted_marginal_ms + fixed_ms + update_ms`.
+    `marginal_ms` is the assignment's price under the planner's one cost
+    model, `scheduler.assignment_latency`; the fixed modules and the true
+    update cost are added to it. With sigma > 0 each of the three terms draws one
+    multiplicative lognormal factor, in that order. With sigma = 0 no draws
+    happen at all, so enabling noise elsewhere never shifts streams, and the
+    result is exactly `marginal_ms + fixed_ms + update_ms`.
     """
 
     def noise() -> float:
@@ -804,8 +800,84 @@ def realized_latency(
             return 1.0
         return float(np.exp(sigma * rng.standard_normal()))
 
-    marginal = assignment_latency(assignment_rows, lats, alpha)
-    return marginal * noise() + fixed_ms * noise() + update_ms * noise()
+    return marginal_ms * noise() + fixed_ms * noise() + update_ms * noise()
+
+
+# -- policies --------------------------------------------------------------------
+
+# A chooser maps (system, frame index, forecast) to the frame's branch rows,
+# one per view, and the plan and decision they came from, if any. It looks
+# `schedule_frame` up at call time, so a test or a tracer may replace it.
+Choice = Tuple[List[int], Optional[FramePlan], Optional[ScheduleDecision]]
+
+
+class Policy(NamedTuple):
+    needs_models: bool
+    choose: Callable[[SystemConfig, int, FrameForecast], Choice]
+
+
+def _planned(uniform: bool) -> Callable[[SystemConfig, int, FrameForecast], Choice]:
+    def choose(system: SystemConfig, index: int, forecast: FrameForecast) -> Choice:
+        plan = schedule_frame(forecast, system.branches, system.device, system.models,
+                              system.target_ms - system.sched_margin_ms, system.alpha)
+        decision = plan.uniform_decision if uniform else plan.decision
+        rows = list(decision.assignment) if decision else [0] * len(forecast.distributions)
+        return rows, plan, decision
+
+    return choose
+
+
+def _round_robin(system: SystemConfig, index: int, forecast: FrameForecast) -> Choice:
+    # rest each view on the tracker 5 frames out of 12 so collected forecast
+    # samples span fresh through several-frames-stale tracks; the detection
+    # branches take turns on the other frames
+    det_rows = [r for r, b in enumerate(system.branches) if not b.is_tracker]
+    rows = [
+        det_rows[(index - 1 + 2 * j) % len(det_rows)]
+        if det_rows and (index - 1 + 7 * j) % 12 >= 5
+        else 0
+        for j in range(len(forecast.distributions))
+    ]
+    return rows, None, None
+
+
+def _fixed(row: int, system: SystemConfig, index: int, forecast: FrameForecast) -> Choice:
+    return [row] * len(forecast.distributions), None, None
+
+
+# Every policy `run_episode` runs: name -> (needs trained models, chooser). A name
+# ending in ":" takes a deployed branch index, whose row `check_policy` binds first.
+POLICIES: Dict[str, Policy] = {
+    "adaptive": Policy(True, _planned(uniform=False)),  # solves the per-view problem
+    "per_frame": Policy(True, _planned(uniform=True)),  # best single branch, all views
+    "round_robin": Policy(False, _round_robin),  # rotates detectors, rests views (training)
+    "all_tracker": Policy(False, functools.partial(_fixed, 0)),  # never detects (diagnostic)
+    "fixed:": Policy(False, _fixed),  # pins one branch on every view
+}
+POLICY_USAGE = " | ".join(n + "<index>" if n.endswith(":") else n for n in POLICIES)
+
+
+def check_policy(policy: str, branches: Sequence[BranchConfig], has_models: bool = True) -> Policy:
+    """`POLICIES`' entry for `policy` over the deployed `branches`, its
+    chooser ready to call. Raises ValueError for an unknown name, a prefix
+    argument that is not a deployed branch index, or a policy that needs
+    trained models when `has_models` is false."""
+    name, sep, arg = policy.partition(":")
+    entry = POLICIES.get(name + sep)
+    if entry is None:
+        raise ValueError(f"unknown policy {policy!r}; choose from {POLICY_USAGE}")
+    if entry.needs_models and not has_models:
+        raise ValueError(f"policy {policy!r} needs trained models")
+    if not sep:
+        return entry
+    try:
+        index = int(arg)
+    except ValueError as exc:
+        raise ValueError(f"policy {policy!r} needs an integer branch index") from exc
+    rows = [r for r, b in enumerate(branches) if b.index == index]
+    if not rows:
+        raise ValueError(f"branch {index} is not in the deployed set")
+    return entry._replace(choose=functools.partial(entry.choose, rows[0]))
 
 
 def run_episode(
@@ -817,39 +889,24 @@ def run_episode(
 
     Frame 0 is a warmup (no tracks exist yet to forecast from): the heaviest
     deployed detection branch covers every view, and the frame is excluded
-    from compliance statistics. From frame 1 on, the configured policy picks
-    the assignment: "adaptive" solves the per-view problem, "per_frame" takes
-    the best single branch for all views, "fixed:<idx>" pins one branch,
-    "round_robin" rotates detection branches while periodically resting views
-    on the tracker (data collection sees fresh and stale forecasts), and
-    "all_tracker" never detects (diagnostic).
+    from compliance statistics. From frame 1 on, the policy's chooser picks
+    the assignment; `POLICIES` lists them, and `check_policy` rejects a name
+    it cannot run before any frame is generated.
     """
-    fixed_idx: Optional[int] = None
-    if policy.startswith("fixed:"):
-        fixed_idx = int(policy.split(":", 1)[1])
-    elif policy not in _POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    needs_models = policy in ("adaptive", "per_frame")
-    if needs_models and system.models is None:
-        raise ValueError(f"policy {policy!r} needs trained models")
+    choose = check_policy(policy, system.branches, system.models is not None).choose
 
     frames = generate_scenario(scenario)
     rig = CameraRig.default()
     n_views = rig.view_count
     branches = system.branches
-    det_rows = [r for r, b in enumerate(branches) if not b.is_tracker]
-    row_by_index = {b.index: r for r, b in enumerate(branches)}
-    if fixed_idx is not None and fixed_idx not in row_by_index:
-        raise ValueError(f"branch {fixed_idx} is not in the deployed set")
+    is_detector = np.array([not b.is_tracker for b in branches])
 
     lats = np.array([branch_latency(b, system.device) for b in branches])
-    heavy_row = most_powerful_row(lats)
+    warm = functools.partial(_fixed, most_powerful_row(lats))
     tracker = MultiObjectTracker()
     true_update = true_update_model(system.device)
     fixed_ms = fixed_latency(system.device)
-    lat_rng = (
-        rng_stream(scenario.seed, "latnoise") if system.latency_noise_sigma > 0 else None
-    )
+    lat_rng = rng_stream(scenario.seed, "latnoise") if system.latency_noise_sigma > 0 else None
     det_rngs = [rng_stream(scenario.seed, f"detect/view{j}") for j in range(n_views)]
 
     dt = scenario.dt
@@ -861,79 +918,29 @@ def run_episode(
         # the outputs of the tracker-branch views and the tracker's misses
         # all use it
         forecast = frame_forecast(forecast_all(tracker.tracks, dt, tracker.model), frame.ego, rig)
-        plan: Optional[FramePlan] = None
-        decision: Optional[ScheduleDecision] = None  # the plan's decision that runs
         warmup = frame.index == 0
-
-        if warmup:
-            rows = [heavy_row] * n_views
-        elif policy == "adaptive" or policy == "per_frame":
-            plan = schedule_frame(
-                forecast,
-                branches,
-                system.device,
-                system.models,
-                system.target_ms - system.sched_margin_ms,
-                system.alpha,
-            )
-            decision = plan.decision if policy == "adaptive" else plan.uniform_decision
-            rows = list(decision.assignment) if decision is not None else [0] * n_views
-        elif policy == "round_robin":
-            # rest each view on the tracker 5 frames out of 12 so collected
-            # forecast samples span fresh through several-frames-stale tracks
-            rows = []
-            for j in range(n_views):
-                phase = (frame.index - 1 + 7 * j) % 12
-                if phase < 5 or not det_rows:
-                    rows.append(0)
-                else:
-                    rows.append(det_rows[(frame.index - 1 + 2 * j) % len(det_rows)])
-        elif policy == "all_tracker":
-            rows = [0] * n_views
-        else:  # fixed branch
-            rows = [row_by_index[fixed_idx]] * n_views
-
-        assignment = tuple(branches[r].index for r in rows)
-        covered = {j for j in range(n_views) if not branches[rows[j]].is_tracker}
-
+        rows, plan, decision = (warm if warmup else choose)(system, frame.index, forecast)
+        detected = is_detector[rows]  # per view: did a detector run there
         gt_by_view = group_by_view(frame.boxes, views_of(frame.rows, rig), n_views)
 
-        detections_by_view: List[Tuple[Box3D, ...]] = []
-        for j in range(n_views):
-            b = branches[rows[j]]
-            if b.is_tracker:
-                detections_by_view.append(())
-                continue
-            dets = synth_detect(
-                b,
-                gt_by_view[j],
-                system.capability,
-                det_rngs[j],
-                rig.sectors[j],
-                scenario.despawn_radius_m,
-            )
-            detections_by_view.append(tuple(dets))
-
-        observed = np.isin(forecast.views, sorted(covered))
-        outputs: List[Box3D] = []
-        for dets in detections_by_view:
-            outputs.extend(dets)
-        outputs.extend(b for b, seen in zip(forecast.boxes(), observed) if not seen)
-
-        detections_global = [
-            box_to_global(d, frame.ego) for dets in detections_by_view for d in dets
+        detections_by_view = [
+            tuple(synth_detect(branches[r], gt_by_view[j], system.capability, det_rngs[j],
+                               rig.sectors[j], scenario.despawn_radius_m))
+            if detected[j] else ()
+            for j, r in enumerate(rows)
         ]
+        observed = detected[forecast.views]
+        outputs = [d for dets in detections_by_view for d in dets]
+        detections_global = [box_to_global(d, frame.ego) for d in outputs]
+        outputs.extend(b for b, seen in zip(forecast.boxes(), observed) if not seen)
         tracker.step(detections_global, dt, forecast.tracks, observed)
 
-        update_true_ms = true_update.predict(len(forecast.tracks))
-        actual = realized_latency(
-            rows, lats, fixed_ms, update_true_ms, system.alpha, system.latency_noise_sigma, lat_rng
-        )
-        compliant = actual <= system.target_ms + 1e-9
-
-        # the planner's view of the frame that ran; without a plan, the true
-        # update cost stands in for the predicted one
+        # the planner's price of the frame that ran, which the device realizes;
+        # without a plan, the true update cost stands in for the predicted one
         marginal = assignment_latency(rows, lats, system.alpha)
+        update_true_ms = true_update.predict(len(forecast.tracks))
+        actual = realized_latency(marginal, fixed_ms, update_true_ms,
+                                  system.latency_noise_sigma, lat_rng)
         update_ms = plan.update_pred_ms if plan is not None else update_true_ms
         uniform = plan.uniform_decision if plan is not None else None
         log = FrameLog(
@@ -943,7 +950,7 @@ def run_episode(
             ego=frame.ego,
             gt_by_view=gt_by_view,
             forecast=forecast,
-            assignment=assignment,
+            assignment=tuple(branches[r].index for r in rows),
             predicted_objective=decision.predicted_objective if decision is not None else None,
             uniform_objective=uniform.predicted_objective if uniform is not None else None,
             predicted_marginal_ms=marginal,
@@ -951,7 +958,7 @@ def run_episode(
             update_pred_ms=plan.update_pred_ms if plan is not None else None,
             predicted_frame_ms=marginal + fixed_ms + update_ms,
             actual_ms=actual,
-            compliant=compliant,
+            compliant=actual <= system.target_ms + 1e-9,
             detections=tuple(detections_by_view),
             outputs=tuple(outputs),
             track_ids=tuple(t.track_id for t in tracker.tracks),

@@ -5,12 +5,14 @@ fixtures; commands that need trained models load them from a file written by
 those fixtures instead of retraining.
 """
 
+import argparse
 import hashlib
 import json
 import math
 import os
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from viewsched.branches import (
     enumerate_branches,
 )
 
+from viewsched import cli
 from viewsched.cli import (
     ConfigError,
     build_training_set,
@@ -37,7 +40,7 @@ from viewsched.cli import (
 )
 from viewsched.core import NUM_CATEGORIES
 from viewsched.predictors import FEATURE_WIDTH
-from viewsched.simulator import SystemConfig, default_capability
+from viewsched.simulator import POLICIES, SystemConfig, default_capability
 
 
 @pytest.fixture(scope="session")
@@ -623,11 +626,37 @@ def test_main_config_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--manifest", missing]) == 2
 
 
-def test_main_runtime_error_exit_code(tmp_path, capsys):
-    # valid manifest, but the simulate policy string is rejected at runtime
-    code = main(["simulate", "--manifest", "builtin:manifest_quickstart",
-                 "--policy", "bogus"])
+def test_main_bad_policy_exit_code(monkeypatch, capsys):
+    # a policy it cannot run is a configuration error, found before any work
+    def no_training(man):
+        raise AssertionError("a bad policy must not reach training")
+
+    monkeypatch.setattr(cli, "train_models", no_training)
+    for policy in ("bogus", "fixed:x", "fixed:", "fixed:16"):  # 16 is not deployed at 33 ms
+        code = main(["simulate", "--manifest", "builtin:manifest_quickstart",
+                     "--policy", policy])
+        assert code == 2, policy
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration"), err
+        assert "Traceback" not in err
+
+
+def test_main_unwritable_output_exit_code(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["adapt", "--manifest", "builtin:manifest_quickstart", "--out", str(out)])
     assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_policy_help_and_readme_name_exactly_the_policy_table():
+    names = [n + "<index>" if n.endswith(":") else n for n in POLICIES]
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    option = next(a for a in subparsers.choices["simulate"]._actions if a.dest == "policy")
+    assert option.help.split(" | ") == names
+    readme = " ".join((Path(__file__).parent.parent / "README.md").read_text("utf-8").split())
+    assert f"`{' | '.join(names)}`" in readme
 
 
 def test_main_seed_and_target_overrides(tmp_path):

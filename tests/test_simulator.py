@@ -416,21 +416,19 @@ def test_realized_latency_deterministic_sum():
     device = default_device_profile()
     lats = _catalog_latencies(device)
     # two views on branch 3, one on branch 7, three on the tracker
-    rows = [3, 3, 7, 0, 0, 0]
-    got = realized_latency(rows, lats, fixed_latency(device), update_ms=1.4, alpha=1.0,
-                           sigma=0.0, rng=None)
+    marginal = assignment_latency([3, 3, 7, 0, 0, 0], lats, 1.0)
+    got = realized_latency(marginal, fixed_latency(device), update_ms=1.4, sigma=0.0, rng=None)
     want = fixed_latency(device) + 2 * lats[3] + lats[7] + 1.4
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_realized_latency_noise_is_multiplicative_and_seeded():
     device = default_device_profile()
-    lats = _catalog_latencies(device)
+    marginal = assignment_latency([1] * 6, _catalog_latencies(device), 1.0)
     fixed_ms = fixed_latency(device)
-    rows = [1, 1, 1, 1, 1, 1]
-    base = realized_latency(rows, lats, fixed_ms, 1.0, 1.0, 0.0, None)
-    a = realized_latency(rows, lats, fixed_ms, 1.0, 1.0, 0.05, rng_stream(9, "latnoise"))
-    b = realized_latency(rows, lats, fixed_ms, 1.0, 1.0, 0.05, rng_stream(9, "latnoise"))
+    base = realized_latency(marginal, fixed_ms, 1.0, 0.0, None)
+    a = realized_latency(marginal, fixed_ms, 1.0, 0.05, rng_stream(9, "latnoise"))
+    b = realized_latency(marginal, fixed_ms, 1.0, 0.05, rng_stream(9, "latnoise"))
     assert a == b  # same stream, same value
     assert a != base
     assert a == pytest.approx(base, rel=0.5)  # lognormal sigma=0.05 stays near 1
@@ -438,9 +436,9 @@ def test_realized_latency_noise_is_multiplicative_and_seeded():
 
 def test_realized_latency_sigma_zero_consumes_no_randomness():
     device = default_device_profile()
-    lats = _catalog_latencies(device)
+    marginal = assignment_latency([1, 0, 0, 0, 0, 0], _catalog_latencies(device), 1.0)
     rng = rng_stream(9, "latnoise")
-    realized_latency([1, 0, 0, 0, 0, 0], lats, fixed_latency(device), 1.0, 1.0, 0.0, rng)
+    realized_latency(marginal, fixed_latency(device), 1.0, 0.0, rng)
     untouched = rng_stream(9, "latnoise")
     assert rng.random() == untouched.random()
 
@@ -461,14 +459,15 @@ def _priced_assignments(draw):
 )
 def test_realized_latency_without_noise_is_the_planner_price(priced, alpha, fixed_ms, update_ms):
     rows, lats = priced
-    got = realized_latency(rows, lats, fixed_ms, update_ms, alpha, 0.0, rng_stream(0, "latnoise"))
-    assert got == assignment_latency(rows, lats, alpha) + fixed_ms + update_ms
+    marginal = assignment_latency(rows, lats, alpha)
+    got = realized_latency(marginal, fixed_ms, update_ms, 0.0, rng_stream(0, "latnoise"))
+    assert got == marginal + fixed_ms + update_ms
 
 
 # -- closed loop ----------------------------------------------------------------------
 
 
-def tiny_system(policy_needs=None, **overrides):
+def tiny_system(**overrides):
     device = default_device_profile()
     defaults = dict(
         branches=enumerate_branches()[:6],
@@ -479,6 +478,45 @@ def tiny_system(policy_needs=None, **overrides):
     )
     defaults.update(overrides)
     return SystemConfig(**defaults)
+
+
+def constant_models():
+    """Predictors that rate every cell 0.5, for policies that need models."""
+    return PerformanceModels(
+        accuracy=GBRTModel.from_dict({"version": 1, "kind": "gbrt", "n_features": FEATURE_WIDTH,
+                                      "base_score": 0.5, "learning_rate": 0.1, "trees": []}),
+        update_latency=LinearLatencyModel(0.05, 1.0),
+    )
+
+
+TINY_DEPLOYED = tuple(b.index for b in enumerate_branches()[:6])  # tiny_system's branches
+
+
+def every_policy(deployed):
+    """Each entry of the policy table; a prefix entry once per deployed index."""
+    for name in simulator.POLICIES:
+        yield from ([f"{name}{i}" for i in deployed] if name.endswith(":") else [name])
+
+
+@pytest.mark.parametrize(
+    "scene", [dict(initial_count=0, spawn_rate_per_s=0.0), {}], ids=["empty", "populated"]
+)
+@pytest.mark.parametrize("policy", list(every_policy(TINY_DEPLOYED)))
+def test_every_policy_runs_deployed_branches_at_the_planner_price(policy, scene):
+    system = tiny_system(models=constant_models())
+    ep = run_episode(small_scenario(duration_s=1.0, **scene), system, policy=policy)
+    lats = np.array([branch_latency(b, system.device) for b in system.branches])
+    heaviest = system.branches[scheduler.most_powerful_row(lats)].index
+    assert ep.frames[0].assignment == (heaviest,) * CameraRig.default().view_count
+    true_update = simulator.true_update_model(system.device)
+    for f in ep.frames:
+        assert set(f.assignment) <= set(TINY_DEPLOYED)
+        assert f.actual_ms == (
+            f.predicted_marginal_ms + fixed_latency(system.device)
+            + true_update.predict(len(f.forecast.tracks))
+        )
+    if not scene:
+        assert any(f.forecast.tracks for f in ep.frames[1:])
 
 
 def test_run_episode_fixed_policy_structure():
@@ -539,8 +577,9 @@ def test_run_episode_validates_policy_and_models():
         run_episode(cfg, tiny_system(), policy="nonsense")
     with pytest.raises(ValueError):
         run_episode(cfg, tiny_system(), policy="adaptive")  # no models
-    with pytest.raises(ValueError):
-        run_episode(cfg, tiny_system(), policy="fixed:16")  # not deployed
+    for bad in ("fixed:16", "fixed:x", "fixed:", "fixed", "adaptive:1"):  # 16 is not deployed
+        with pytest.raises(ValueError):
+            run_episode(cfg, tiny_system(), policy=bad)
 
 
 def test_run_episode_deterministic_latency_is_compliant():
@@ -612,12 +651,8 @@ def test_run_episode_forecasts_once_per_frame(monkeypatch, policy):
 
     for module in (tracker, scheduler, simulator):
         monkeypatch.setattr(module, "forecast_all", counting)
-    constant = PerformanceModels(
-        accuracy=GBRTModel.from_dict({"version": 1, "kind": "gbrt", "n_features": FEATURE_WIDTH,
-                                      "base_score": 0.5, "learning_rate": 0.1, "trees": []}),
-        update_latency=LinearLatencyModel(0.05, 1.0),
-    )
-    ep = run_episode(small_scenario(duration_s=1.5), tiny_system(models=constant), policy=policy)
+    system = tiny_system(models=constant_models())
+    ep = run_episode(small_scenario(duration_s=1.5), system, policy=policy)
     assert len(forecast_sizes) == len(ep.frames)
     # the warmup frame forecasts no tracks; later frames forecast live ones
     assert forecast_sizes[0] == 0 and all(forecast_sizes[1:])
