@@ -11,7 +11,8 @@ contains no timestamps or absolute paths, so a rerun with the same manifest
 and seed is byte-identical.
 
 Exit codes: 0 success, 2 invalid configuration or manifest, 3 runtime
-failure (infeasible schedule, unwritable output).
+failure (infeasible schedule, unwritable output, a training worker that
+died).
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures import BrokenExecutor, Executor
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +43,7 @@ from .branches import (
     json_number,
     json_object,
 )
-from .core import CameraRig, group_by_view
+from .core import CameraRig, categorize, group_by_view
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
 from .metrics import EvalConfig, evaluate_frame, summarize, view_detection_scores  # noqa: F401
 from .predictors import FEATURE_WIDTH, GBRTParams, PerformanceModels, fit_update_latency, train_gbrt
@@ -302,9 +304,9 @@ def build_training_set(
     Detection branches are re-synthesized from a dedicated rng stream (the
     logged detections only cover whichever branch the collection policy ran);
     the tracker branch is scored on the logged forecasts. Each view's branches
-    are scored together in one pass. Returns features,
-    detection-score targets, and the per-frame track counts for the latency
-    fit.
+    are scored together in one pass, on its boxes' levels computed once.
+    Returns features, detection-score targets, and the per-frame track counts
+    for the latency fit. Each episode's rows depend on that episode alone.
     """
     rig = CameraRig.default()
     eval_config = EvalConfig()
@@ -329,10 +331,13 @@ def build_training_set(
 
             for j in range(rig.view_count):
                 gts = log.gt_by_view[j]
+                levels = [categorize(box) for box in gts]
                 branch_preds = [
                     fc_by_view[j]
                     if branch.is_tracker
-                    else synth_detect(branch, gts, capability, rng, rig.sectors[j], max_range)
+                    else synth_detect(
+                        branch, gts, capability, rng, rig.sectors[j], max_range, levels
+                    )
                     for branch in catalog
                 ]
                 targets[row : row + len(catalog)] = view_detection_scores(
@@ -343,6 +348,79 @@ def build_training_set(
     return feats, targets, np.asarray(counts, dtype=np.float64)
 
 
+_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _seed_rows(task: Tuple[ScenarioConfig, SystemConfig, str]) -> _Rows:
+    """One training seed's unit of work: its episode, then its rows."""
+    scenario, system, policy = task
+    episode = run_episode(scenario, system, policy=policy)
+    return build_training_set([episode], system.capability)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _training_pool(tasks: int) -> Optional[Executor]:
+    """A forked worker per seed, up to one per usable CPU; None for one worker."""
+    workers = min(tasks, _usable_cpus())
+    if workers < 2:
+        return None
+    # imported here: only training needs them, and they add about 0.7 MB
+    # to the peak RSS of every other command. Forked workers inherit the
+    # imported package; a fork pool starts them all at its first task,
+    # before its own manager thread
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+
+
+def _training_rows(
+    pool: Optional[Executor],
+    scenario: ScenarioConfig,
+    seeds: Sequence[int],
+    system: SystemConfig,
+    policy: str,
+) -> Iterator[_Rows]:
+    """`build_training_set` of each seed's episode, in seed order.
+
+    Each seed runs in `pool` when one is given, in this process otherwise;
+    the rows are the same bytes either way.
+    """
+    tasks = [(replace(scenario, seed=s), system, policy) for s in seeds]
+    return (map if pool is None else pool.map)(_seed_rows, tasks)
+
+
+@dataclass
+class _RowTable:
+    """Training rows stacked seed by seed as each seed's rows arrive, so no
+    seed's rows are held twice and the final fit needs no join."""
+
+    x: np.ndarray
+    y: np.ndarray
+    counts: np.ndarray
+    rows: int = 0
+    frames: int = 0
+
+    @classmethod
+    def for_frames(cls, frames: int) -> "_RowTable":
+        cells = frames * CameraRig.default().view_count * len(enumerate_branches())
+        return cls(np.empty((cells, FEATURE_WIDTH)), np.empty(cells), np.empty(frames))
+
+    def extend(self, parts: Iterable[_Rows]) -> None:
+        for x, y, counts in parts:
+            end, frames_end = self.rows + len(y), self.frames + len(counts)
+            self.x[self.rows : end] = x
+            self.y[self.rows : end] = y
+            self.counts[self.frames : frames_end] = counts
+            self.rows, self.frames = end, frames_end
+
+    def filled(self) -> _Rows:
+        return self.x[: self.rows], self.y[: self.rows], self.counts[: self.frames]
+
+
 def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     """Two-phase fit, deterministic for a fixed manifest.
 
@@ -350,6 +428,9 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     exhibit short tracker dwells, so a provisional model overrates stale
     forecasts; phase two therefore re-collects under the provisional model's
     own closed-loop policy (long dwells included) and refits on the union.
+    In both phases each seed's episode and rows are built on their own, in
+    parallel with one worker process per usable CPU, and joined in seed
+    order, so the model bytes do not depend on the number of workers.
     """
     params = _gbrt_params(man.training)
     true_update = true_update_model(man.device)
@@ -358,25 +439,27 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
         # labels: the simulated device's own update cost at each frame's track count
         return fit_update_latency(counts.astype(int), [true_update.predict(n) for n in counts])
 
-    episodes = collect_training_episodes(man)
-    x, y, counts = build_training_set(episodes, man.capability)
-    provisional = PerformanceModels(
-        accuracy=train_gbrt(x, y, params), update_latency=fit_update(counts)
-    )
-
-    policy_seeds = [int(s) + 50000 for s in man.training["seeds"]]
-    on_policy_system = _offline_system(man, adapt(man.device, man.target_ms), provisional)
-    on_policy = [
-        run_episode(replace(man.scenario, seed=s), on_policy_system, policy="adaptive")
-        for s in policy_seeds
-    ]
-    x2, y2, counts2 = build_training_set(on_policy, man.capability)
-    x_all = np.concatenate([x, x2])
-    y_all = np.concatenate([y, y2])
-    counts_all = np.concatenate([counts, counts2])
-    n_episodes = len(episodes) + len(on_policy)
-    # the final fit is the memory peak: keep only what it needs alive
-    del x, x2, episodes, on_policy, provisional, on_policy_system
+    seeds = [int(s) for s in man.training["seeds"]]
+    policy_seeds = [s + 50000 for s in seeds]
+    # every episode runs the scenario's every frame; the final fit is the
+    # memory peak, and the table is all it needs alive
+    table = _RowTable.for_frames(len(seeds + policy_seeds) * man.scenario.frame_count)
+    pool = _training_pool(len(seeds))
+    try:
+        collection_system = _offline_system(man, enumerate_branches(), None)  # the full catalog
+        table.extend(_training_rows(pool, man.scenario, seeds, collection_system, "round_robin"))
+        x, y, counts = table.filled()
+        provisional = PerformanceModels(
+            accuracy=train_gbrt(x, y, params), update_latency=fit_update(counts)
+        )
+        on_policy_system = _offline_system(man, adapt(man.device, man.target_ms), provisional)
+        table.extend(
+            _training_rows(pool, man.scenario, policy_seeds, on_policy_system, "adaptive")
+        )
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    x_all, y_all, counts_all = table.filled()
 
     accuracy = train_gbrt(x_all, y_all, params)
     models = PerformanceModels(accuracy=accuracy, update_latency=fit_update(counts_all))
@@ -384,8 +467,8 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     mse = accuracy.training_mse[-1] if accuracy.training_mse else var
     info = {
         "samples": int(len(y_all)),
-        "episodes": n_episodes,
-        "seeds": [int(s) for s in man.training["seeds"]],
+        "episodes": len(seeds) + len(policy_seeds),
+        "seeds": seeds,
         "on_policy_seeds": policy_seeds,
         "final_training_mse": mse,
         "r2_train": (1.0 - mse / var) if var > 0 else 1.0,
@@ -616,7 +699,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleError, ProfileError, CapabilityError) as exc:
+    except (InfeasibleError, ProfileError, CapabilityError, BrokenExecutor) as exc:
+        # a training worker's failure reaches here as itself or, if the
+        # worker died, as a broken pool
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, ValueError) as exc:

@@ -48,6 +48,7 @@ from .core import (
     NUM_VELOCITY_LEVELS,
     Box3D,
     CameraRig,
+    CategoryLevel,
     EgoPose,
     ObjectClass,
     box_to_global,
@@ -629,6 +630,7 @@ def synth_detect(
     rng: np.random.Generator,
     sector: Tuple[float, float],
     max_range_m: float = 60.0,
+    levels: Optional[Sequence[CategoryLevel]] = None,
 ) -> List[Box3D]:
     """Stand-in for running one detector branch on one view.
 
@@ -636,12 +638,13 @@ def synth_detect(
     position/velocity/size noise per the profile; Poisson false positives are
     placed uniformly over the sector's area. Deterministic given the rng
     stream. The tracker branch has no capability row: it raises ValueError.
+    `levels` holds `categorize(box)` of each box, for callers that draw
+    several branches on one view; by default they are computed here.
     """
     row = capability.row(branch)
     c = capability.confidence
     out: List[Box3D] = []
-    for box in boxes:
-        level = categorize(box)
+    for box, level in zip(boxes, map(categorize, boxes) if levels is None else levels):
         dist = level.distance_level
         if rng.random() >= row.recall[dist]:
             continue

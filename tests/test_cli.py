@@ -9,8 +9,10 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from viewsched.branches import (
     NUM_BRANCHES,
     DeviceProfile,
     ProfileError,
+    adapt,
     default_device_profile,
     enumerate_branches,
 )
@@ -39,7 +42,13 @@ from viewsched.cli import (
     main,
 )
 from viewsched.core import NUM_CATEGORIES
-from viewsched.predictors import FEATURE_WIDTH
+from viewsched.predictors import (
+    FEATURE_WIDTH,
+    PerformanceModels,
+    fit_update_latency,
+    train_gbrt,
+)
+from viewsched.scheduler import InfeasibleError
 from viewsched.simulator import POLICIES, SystemConfig, default_capability
 
 
@@ -600,6 +609,82 @@ def test_training_set_of_an_empty_scene(quickstart_manifest, seed, frames):
             one_hot = cell[:, NUM_CATEGORIES : NUM_CATEGORIES + NUM_BRANCHES]
             assert (one_hot == np.eye(NUM_BRANCHES)[branch.index]).all()
             assert (cell[:, -1] == (conf if branch.is_tracker else 0.0)).all()
+
+@pytest.fixture()
+def fork_pool():
+    pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("fork"))
+    yield pool
+    pool.shutdown()
+
+
+def _stacked_rows(pool, man, seeds, system, policy):
+    table = cli._RowTable.for_frames(len(seeds) * man.scenario.frame_count)
+    table.extend(cli._training_rows(pool, man.scenario, seeds, system, policy))
+    assert table.rows == len(table.y) and table.frames == len(table.counts)
+    return table.filled()
+
+
+def test_a_worker_pool_builds_the_same_training_rows(
+    quickstart_manifest, quickstart_training_set, fork_pool
+):
+    # both phases of train_models, in seed order, in a forced 2-worker pool and
+    # in this process; phase one also equals collecting then building at once
+    man = quickstart_manifest
+    seeds = man.training["seeds"]
+    collection = cli._offline_system(man, enumerate_branches(), None)
+    serial = _stacked_rows(None, man, seeds, collection, "round_robin")
+    pooled = _stacked_rows(fork_pool, man, seeds, collection, "round_robin")
+    for got, want, at_once in zip(pooled, serial, quickstart_training_set[1]):
+        assert np.array_equal(got, want) and np.array_equal(want, at_once)
+
+    x, y, counts = serial
+    provisional = PerformanceModels(
+        accuracy=train_gbrt(x, y, cli._gbrt_params(man.training)),
+        update_latency=fit_update_latency([0, 10], [1.0, 2.0]),
+    )
+    on_policy = cli._offline_system(man, adapt(man.device, man.target_ms), provisional)
+    policy_seeds = [s + 50000 for s in seeds]
+    serial = _stacked_rows(None, man, policy_seeds, on_policy, "adaptive")
+    pooled = _stacked_rows(fork_pool, man, policy_seeds, on_policy, "adaptive")
+    for got, want in zip(pooled, serial):
+        assert np.array_equal(got, want)
+
+
+def test_training_pool_has_one_worker_per_seed_up_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert cli._training_pool(4) is None  # one CPU: the seeds run in this process
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+    assert cli._training_pool(1) is None
+    pool = cli._training_pool(3)
+    try:
+        assert pool._max_workers == 3
+    finally:
+        pool.shutdown()
+    assert multiprocessing.active_children() == []
+
+
+def _infeasible(episodes, capability):
+    raise InfeasibleError("no assignment fits the budget")
+
+
+def _worker_dies(episodes, capability):
+    os._exit(1)
+
+
+@pytest.mark.parametrize(
+    "cpus, build",
+    [(1, _infeasible), (2, _infeasible), (2, _worker_dies)],
+    ids=["in-process-raises", "worker-raises", "worker-dies"],
+)
+def test_main_train_exits_3_when_a_training_seed_fails(monkeypatch, capsys, cpus, build):
+    # a forked worker inherits the patch; a dead worker breaks the pool
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "build_training_set", build)
+    assert main(["train", "--manifest", "builtin:manifest_quickstart"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
 
 # -- entry point ----------------------------------------------------------------------
 
