@@ -81,6 +81,10 @@ class ScheduleProblem:
         object.__setattr__(self, "latencies_ms", lats)
         if scores.ndim != 2:
             raise ValueError("scores must be (branches, views)")
+        if scores.shape[0] == 0:
+            raise ValueError("a schedule problem needs at least one branch row")
+        if scores.shape[1] == 0:
+            raise ValueError("a schedule problem needs at least one view")
         if lats.shape != (scores.shape[0],):
             raise ValueError("latencies_ms must have one entry per branch row")
         if not np.all(np.isfinite(scores)):
@@ -179,10 +183,14 @@ def _score_ticks(scores: np.ndarray) -> np.ndarray:
     return np.round(np.ldexp(scores, -_tick_exponent(scores)))
 
 
-def _objective(scores: np.ndarray, assignment: Sequence[int]) -> float:
+def _objective(
+    scores: np.ndarray, assignment: Sequence[int], ticks: Optional[np.ndarray] = None
+) -> float:
     """A plan's tick sum in score units, the objective as ranked and reported:
-    a plan that ranks higher never reports less, as its float score sum can."""
-    ticks = _score_ticks(scores)
+    a plan that ranks higher never reports less, as its float score sum can.
+    `ticks`, if given, is `_score_ticks(scores)`, already computed."""
+    if ticks is None:
+        ticks = _score_ticks(scores)
     total = sum(float(ticks[r, j]) for j, r in enumerate(assignment))
     return math.ldexp(total, _tick_exponent(scores))
 
@@ -198,9 +206,10 @@ def _pricing(problem: ScheduleProblem) -> Tuple[float, np.ndarray, int]:
     the grid price of every batch (`prices[k - 1, i]`: row i on k views; only
     k = 1 at alpha = 1, where merging never lowers a price) and the budget in
     units, capped at the dearest plan priced view by view. The exact batched
-    search costs M * 3^N transitions and keys plans as int64 base-M numbers, so
-    past `_MAX_EXACT_BATCH_VIEWS` views or once M**N reaches 2**63 alpha < 1 is
-    priced as alpha = 1, over-estimating batches."""
+    search costs M * 3^N' transitions over the N' views `solve` leaves open
+    and keys plans as int64 base-M numbers; the limit counts all N views, so
+    past `_MAX_EXACT_BATCH_VIEWS` views or once M**N reaches 2**63 alpha < 1
+    is priced as alpha = 1, over-estimating batches."""
     m, n = problem.num_branches, problem.num_views
     exact = n <= _MAX_EXACT_BATCH_VIEWS and m**n < 2**63
     alpha = problem.alpha if exact else 1.0
@@ -213,21 +222,20 @@ def _pricing(problem: ScheduleProblem) -> Tuple[float, np.ndarray, int]:
     return alpha, prices, _budget_units(problem.t_max_ms, int(prices[0].max()) * n)
 
 
-def _dp_assign(scores: np.ndarray, weights: np.ndarray, budget: int) -> Optional[Tuple[int, ...]]:
+def _dp_assign(ticks: np.ndarray, weights: np.ndarray, budget: int) -> Optional[Tuple[int, ...]]:
     """Exact multiple-choice knapsack: pick one row per column.
 
-    scores is (M, N); weights are the rows' integer grid units. Returns the
-    chosen rows (most score ticks, then fewest units, then lexicographic) or
-    None when some column has no row that fits even alone.
+    ticks is (M, N) score ticks; weights are the rows' integer grid units.
+    Returns the chosen rows (most score ticks, then fewest units, then
+    lexicographic) or None when some column has no row that fits even alone.
     """
-    m, n = scores.shape
-    scores = _score_ticks(scores)
+    m, n = ticks.shape
     suffix = [np.zeros(budget + 1)]  # suffix[col][u]: best of columns col.. in u units
     for col in range(n - 1, -1, -1):
         cand = np.full((m, budget + 1), -np.inf)
         for i, wi in enumerate(weights):
             if wi <= budget:
-                cand[i, wi:] = scores[i, col] + suffix[-1][: budget + 1 - wi]
+                cand[i, wi:] = ticks[i, col] + suffix[-1][: budget + 1 - wi]
         suffix.append(cand.max(axis=0))
     suffix.reverse()
     if suffix[0][budget] == -np.inf:
@@ -236,32 +244,36 @@ def _dp_assign(scores: np.ndarray, weights: np.ndarray, budget: int) -> Optional
     rows = []
     for col in range(n):
         i = next(i for i, wi in enumerate(weights)
-                 if wi <= rem and scores[i, col] + suffix[col + 1][rem - wi] == suffix[col][rem])
+                 if wi <= rem and ticks[i, col] + suffix[col + 1][rem - wi] == suffix[col][rem])
         rows.append(i)
         rem -= int(weights[i])
     return tuple(rows)
 
 
 def _batched_assign(
-    problem: ScheduleProblem, prices: np.ndarray, budget: int
+    ticks: np.ndarray, latencies_ms: np.ndarray, alpha: float, prices: np.ndarray, budget: int
 ) -> Optional[Tuple[int, ...]]:
-    """Exact batched assignment: one DP over branches with setup costs.
+    """Exact batched assignment of the (M, N') score `ticks`: one DP over
+    branches with setup costs, in M * 3^N' steps.
 
     Branch row i takes one set S of the views still open as one batch, at
     `prices[|S| - 1, i]` grid units; merging views that share a branch never
-    costs more units, so this reaches every plan the grid admits. The state
-    (assigned views, units) has one binary axis per view. A cell holds the
-    best plan within that many units by score ticks, then latency ticks, then
-    key: the rows as a base-M number, view 0 most significant, so
-    lexicographic and decoded into the answer.
+    costs more units, so this reaches every plan the grid admits. A row whose
+    one-view price already exceeds the budget takes no set, since prices only
+    grow with |S|. The state (assigned views, units) has one binary axis per
+    view. A cell holds the best plan within that many units by score ticks,
+    then latency ticks (`group_cost` at `alpha`), then key: the rows as a
+    base-M number, view 0 most significant, so lexicographic and decoded
+    into the answer.
     """
-    m, n = problem.scores.shape
-    ticks = _score_ticks(problem.scores)
+    m, n = ticks.shape
     shape = (2,) * n + (budget + 1,)
     state = (np.full(shape, -np.inf), *np.zeros((2,) + shape, dtype=np.int64))  # score, ticks, key
     state[0][(0,) * n] = 0.0
     place = [m ** (n - 1 - j) for j in range(n)]
-    for i, lat in enumerate(problem.latencies_ms):
+    for i, lat in enumerate(latencies_ms):
+        if prices[0, i] > budget:
+            continue
         batch = np.zeros((2,) * n)  # batch[S]: row i's score ticks summed over S
         for j in range(n):
             batch[(slice(None),) * j + (1,)] += ticks[i, j]
@@ -274,7 +286,7 @@ def _batched_assign(
             src = tuple(0 if b else slice(None) for b in s) + (slice(budget + 1 - p),)
             dst = tuple(1 if b else slice(None) for b in s) + (slice(p, None),)
             c_score = prev[0][src] + batch[s]
-            c_lat = prev[1][src] + _latency_ticks(group_cost(float(lat), k, problem.alpha))
+            c_lat = prev[1][src] + _latency_ticks(group_cost(float(lat), k, alpha))
             c_key = prev[2][src] + i * sum(w for w, b in zip(place, s) if b)
             h_score, h_lat, h_key = (a[dst] for a in state)
             better = (c_score > h_score) | (c_score == h_score) & (
@@ -291,20 +303,48 @@ def _batched_assign(
 def solve(problem: ScheduleProblem) -> ScheduleDecision:
     """Exact solver: at alpha = 1 `_dp_assign` prices every view alone; below it
     `_batched_assign` prices each batch whole by `group_cost`, which is not
-    additive per view. See `_pricing` for the limit on exact batching."""
+    additive per view. See `_pricing` for the limit on exact batching.
+
+    Either DP runs only on the contested views. When row 0 is free
+    (`latencies_ms[0] == 0`), every view where row 0 has at least as many
+    score ticks as any other row is fixed to row 0 first. That is exact.
+    Moving a view from any row i to row 0 never adds grid units, because
+    `group_cost` is nondecreasing in the batch size, `_weight_units` is
+    monotone and row 0 costs 0 units at any size. It never lowers the score
+    ticks and adds no latency ticks, and it makes the base-M key strictly
+    smaller. So every optimal plan already puts row 0 on those views. Fixed
+    views are key digit 0, so lexicographic order over the open views is the
+    order over whole plans. The DP ranks with the ticks of the whole problem:
+    ticks recomputed from the open columns alone would be finer
+    (`_tick_exponent`) and could break a near-tie that `solve_bruteforce`
+    keeps even.
+    """
     n = problem.num_views
     alpha, prices, budget = _pricing(problem)
     if alpha != problem.alpha:
         logger.warning("alpha=%.3f with %d views and %d branches exceeds the exact-batching "
                        "limit; pricing without the batching discount (conservative)",
                        problem.alpha, n, problem.num_branches)
-    assignment = (_batched_assign(problem, prices, budget) if alpha < 1.0
-                  else _dp_assign(problem.scores, prices[0], budget))
-    if assignment is None:
+    ticks = _score_ticks(problem.scores)
+    contested = np.arange(n)
+    if problem.latencies_ms[0] == 0.0:
+        contested = np.flatnonzero(ticks[0] < ticks.max(axis=0))
+    sub = ticks[:, contested]
+    if not contested.size:
+        rows: Optional[Tuple[int, ...]] = ()  # every view fixed: the plan is all row 0
+    elif alpha < 1.0:
+        rows = _batched_assign(sub, problem.latencies_ms, alpha, prices, budget)
+    else:
+        rows = _dp_assign(sub, prices[0], budget)
+    if rows is None:
         raise InfeasibleError("no branch combination fits the budget")
+    plan = [0] * n
+    for j, row in zip(contested, rows):
+        plan[j] = row
+    assignment = tuple(plan)
     return ScheduleDecision(
         assignment=assignment,
-        predicted_objective=_objective(problem.scores, assignment),
+        predicted_objective=_objective(problem.scores, assignment, ticks),
         predicted_latency_ms=assignment_latency(assignment, problem.latencies_ms, problem.alpha),
     )
 

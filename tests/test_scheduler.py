@@ -165,6 +165,10 @@ def test_problem_validation():
         ScheduleProblem(np.zeros((2, 3)), np.zeros(2), -1.0)
     with pytest.raises(ValueError):
         ScheduleProblem(np.zeros((2, 3)), np.zeros(2), 1.0, alpha=0.0)
+    with pytest.raises(ValueError, match="branch row"):
+        ScheduleProblem(np.zeros((0, 3)), np.zeros(0), 1.0)
+    with pytest.raises(ValueError, match="view"):
+        ScheduleProblem(np.zeros((2, 0)), np.zeros(2), 1.0, alpha=0.5)
 
 
 # -- exactness against the enumeration twin -------------------------------------
@@ -220,14 +224,85 @@ def test_solver_matches_bruteforce_with_batching_discount(problem):
 )
 def test_solver_matches_bruteforce_when_float_sums_round(problem):
     # scores like 0.1 and 1/3 do not add exactly, so a float sum's rounding
-    # would depend on the order of the additions. At alpha 0.7 and 0.3 a group
-    # cost can fall off the grid (6.2 ms * 1.3), where `solve` rounds up by
-    # design; where brute force's answer fits the grid the two must agree exactly
+    # would depend on the order of the additions
+    _assert_matches_bruteforce_where_it_fits(problem)
+
+
+def _assert_matches_bruteforce_where_it_fits(problem):
+    # at alpha 0.7 and 0.3 a group cost can fall off the grid (6.2 ms * 1.3),
+    # where `solve` rounds up by design; where brute force's answer fits the
+    # grid the two must agree exactly
     try:
         assume(_fits_the_grid(problem, solve_bruteforce(problem).assignment))
     except InfeasibleError:
         pass
     _assert_matches_bruteforce(problem)
+
+
+@st.composite
+def free_row_wins(draw):
+    """A problem with a free row 0 that ties or beats every other row's score
+    on a random subset of the views; the other views keep their drawn scores,
+    a mix of exact and rounding ones."""
+    problem = draw(problems(alpha=st.sampled_from([1.0, 0.7, 0.5, 0.3]), views=st.integers(1, 6),
+                            max_assignments=4096,
+                            scores=st.one_of(DYADIC_SCORES, NON_DYADIC_SCORES)))
+    scores, lats = problem.scores.copy(), problem.latencies_ms.copy()
+    lats[0] = 0.0
+    for j in range(problem.num_views):
+        if draw(st.booleans()):
+            scores[0, j] = scores[:, j].max() + draw(st.sampled_from([0.0, 1 / 1024, 0.1]))
+    return ScheduleProblem(scores, lats, problem.t_max_ms, problem.alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_row_wins())
+@example(  # row 0 wins every view: the plan is all row 0
+    ScheduleProblem(np.array([[0.5, 0.3, 0.2], [0.4, 0.3, 0.1]]), np.array([0.0, 1.0]), 5.0, 0.7)
+)
+@example(  # row 0 wins no view: the whole problem is open
+    ScheduleProblem(np.array([[0.1, 0.1, 0.1], [0.5, 0.2, 0.4], [0.3, 0.6, 0.2]]),
+                    np.array([0.0, 1.0, 2.0]), 3.0, 0.5)
+)
+@example(  # a second free row ties row 0 on view 0: the lower row, 0, wins it
+    ScheduleProblem(np.array([[0.5, 0.2], [0.5, 0.2], [0.1, 0.9]]), np.array([0.0, 0.0, 1.0]),
+                    1.0)
+)
+@example(  # the paid row is 2**-52 ahead on view 0, the same in ticks: row 0 wins it
+    ScheduleProblem(np.array([[0.5, 0.0], [0.5 + 2**-52, 0.25]]), np.array([0.0, 1.0]), 2.0)
+)
+@example(  # row 0 costs 1e-9 ms, so it is not free and nothing may be fixed: the free
+    # row 1 wins every view
+    ScheduleProblem(np.zeros((2, 3)), np.array([1e-9, 0.0]), 0.0)
+)
+@example(  # the largest score sits on fixed view 0: in the whole problem's ticks views 1
+    # and 2 tie, so (0, 0, 1) wins; ticks of the open columns alone are finer and would
+    # pick (0, 1, 0)
+    ScheduleProblem(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5 - 2**-49]]), np.array([0.0, 1.0]),
+                    1.0, 0.7)
+)
+def test_solve_fixes_the_views_the_free_row_wins(problem):
+    _assert_matches_bruteforce_where_it_fits(problem)
+
+
+def test_solve_hands_only_the_contested_views_to_the_dp(monkeypatch):
+    # the free row 0 is strictly best on views 0, 2, 3 and 5, so only views 1
+    # and 4 reach the batched DP
+    seen = []
+    dp = scheduler._batched_assign
+
+    def spy(ticks, *args):
+        seen.append(ticks.shape)
+        return dp(ticks, *args)
+
+    monkeypatch.setattr(scheduler, "_batched_assign", spy)
+    problem = ScheduleProblem(np.array([[0.9, 0.1, 0.8, 0.7, 0.2, 0.6],
+                                        [0.5, 0.6, 0.4, 0.3, 0.9, 0.2],
+                                        [0.1, 0.3, 0.2, 0.1, 0.4, 0.5]]),
+                              np.array([0.0, 2.0, 1.0]), 4.0, alpha=0.7)
+    got = solve(problem)
+    assert seen == [(3, 2)]
+    assert got == solve_bruteforce(problem)
 
 
 @settings(max_examples=150, deadline=None)
