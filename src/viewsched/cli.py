@@ -26,7 +26,7 @@ import sys
 from concurrent.futures import BrokenExecutor, Executor
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -348,10 +348,9 @@ def build_training_set(
     return feats, targets, np.asarray(counts, dtype=np.float64)
 
 
-_Rows = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _seed_rows(task: Tuple[ScenarioConfig, SystemConfig, str]) -> _Rows:
+def _seed_rows(
+    task: Tuple[ScenarioConfig, SystemConfig, str]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One training seed's unit of work: its episode, then its rows."""
     scenario, system, policy = task
     episode = run_episode(scenario, system, policy=policy)
@@ -377,50 +376,6 @@ def _training_pool(tasks: int) -> Optional[Executor]:
     return ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
 
 
-def _training_rows(
-    pool: Optional[Executor],
-    scenario: ScenarioConfig,
-    seeds: Sequence[int],
-    system: SystemConfig,
-    policy: str,
-) -> Iterator[_Rows]:
-    """`build_training_set` of each seed's episode, in seed order.
-
-    Each seed runs in `pool` when one is given, in this process otherwise;
-    the rows are the same bytes either way.
-    """
-    tasks = [(replace(scenario, seed=s), system, policy) for s in seeds]
-    return (map if pool is None else pool.map)(_seed_rows, tasks)
-
-
-@dataclass
-class _RowTable:
-    """Training rows stacked seed by seed as each seed's rows arrive, so no
-    seed's rows are held twice and the final fit needs no join."""
-
-    x: np.ndarray
-    y: np.ndarray
-    counts: np.ndarray
-    rows: int = 0
-    frames: int = 0
-
-    @classmethod
-    def for_frames(cls, frames: int) -> "_RowTable":
-        cells = frames * CameraRig.default().view_count * len(enumerate_branches())
-        return cls(np.empty((cells, FEATURE_WIDTH)), np.empty(cells), np.empty(frames))
-
-    def extend(self, parts: Iterable[_Rows]) -> None:
-        for x, y, counts in parts:
-            end, frames_end = self.rows + len(y), self.frames + len(counts)
-            self.x[self.rows : end] = x
-            self.y[self.rows : end] = y
-            self.counts[self.frames : frames_end] = counts
-            self.rows, self.frames = end, frames_end
-
-    def filled(self) -> _Rows:
-        return self.x[: self.rows], self.y[: self.rows], self.counts[: self.frames]
-
-
 def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     """Two-phase fit, deterministic for a fixed manifest.
 
@@ -429,45 +384,57 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     forecasts; phase two therefore re-collects under the provisional model's
     own closed-loop policy (long dwells included) and refits on the union.
     In both phases each seed's episode and rows are built on their own, in
-    parallel with one worker process per usable CPU, and joined in seed
-    order, so the model bytes do not depend on the number of workers.
+    parallel with one worker process per usable CPU, and each episode's rows
+    go into its own slot of one table, so the model bytes do not depend on
+    the number of workers.
     """
     params = _gbrt_params(man.training)
     true_update = true_update_model(man.device)
-
-    def fit_update(counts: np.ndarray):
-        # labels: the simulated device's own update cost at each frame's track count
-        return fit_update_latency(counts.astype(int), [true_update.predict(n) for n in counts])
-
     seeds = [int(s) for s in man.training["seeds"]]
     policy_seeds = [s + 50000 for s in seeds]
-    # every episode runs the scenario's every frame; the final fit is the
-    # memory peak, and the table is all it needs alive
-    table = _RowTable.for_frames(len(seeds + policy_seeds) * man.scenario.frame_count)
+
+    # episode k (phase one's seeds, then phase two's) fills slot k: every
+    # episode runs the scenario's every frame. The final fit is the memory
+    # peak, and the table is all it needs alive
+    episodes, frames = len(seeds + policy_seeds), man.scenario.frame_count
+    cells = frames * CameraRig.default().view_count * len(enumerate_branches())
+    x = np.empty((episodes, cells, FEATURE_WIDTH))
+    y = np.empty((episodes, cells))
+    counts = np.empty((episodes, frames))
+
+    def collect(first: int, seeds_: Sequence[int], system: SystemConfig, policy: str) -> None:
+        tasks = [(replace(man.scenario, seed=s), system, policy) for s in seeds_]
+        rows = (map if pool is None else pool.map)(_seed_rows, tasks)
+        for k, part in enumerate(rows, first):
+            x[k], y[k], counts[k] = part
+
+    def fit(k: int) -> PerformanceModels:
+        """Both predictors on the first `k` episodes' rows, in episode order."""
+        frame_counts = counts[:k].ravel()
+        # labels: the simulated device's own update cost at each frame's track count
+        update = [true_update.predict(n) for n in frame_counts]
+        return PerformanceModels(
+            accuracy=train_gbrt(x[:k].reshape(-1, FEATURE_WIDTH), y[:k].ravel(), params),
+            update_latency=fit_update_latency(frame_counts.astype(int), update),
+        )
+
     pool = _training_pool(len(seeds))
     try:
-        collection_system = _offline_system(man, enumerate_branches(), None)  # the full catalog
-        table.extend(_training_rows(pool, man.scenario, seeds, collection_system, "round_robin"))
-        x, y, counts = table.filled()
-        provisional = PerformanceModels(
-            accuracy=train_gbrt(x, y, params), update_latency=fit_update(counts)
-        )
+        collect(0, seeds, _offline_system(man, enumerate_branches(), None), "round_robin")
+        provisional = fit(len(seeds))
         on_policy_system = _offline_system(man, adapt(man.device, man.target_ms), provisional)
-        table.extend(
-            _training_rows(pool, man.scenario, policy_seeds, on_policy_system, "adaptive")
-        )
+        collect(len(seeds), policy_seeds, on_policy_system, "adaptive")
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    x_all, y_all, counts_all = table.filled()
 
-    accuracy = train_gbrt(x_all, y_all, params)
-    models = PerformanceModels(accuracy=accuracy, update_latency=fit_update(counts_all))
+    models = fit(episodes)
+    accuracy, y_all = models.accuracy, y.ravel()
     var = float(np.var(y_all))
     mse = accuracy.training_mse[-1] if accuracy.training_mse else var
     info = {
         "samples": int(len(y_all)),
-        "episodes": len(seeds) + len(policy_seeds),
+        "episodes": episodes,
         "seeds": seeds,
         "on_policy_seeds": policy_seeds,
         "final_training_mse": mse,

@@ -25,13 +25,17 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .branches import NUM_BRANCHES
+from .branches import NUM_BRANCHES, json_object
 from .core import NUM_CATEGORIES
 
 FEATURE_WIDTH = NUM_CATEGORIES + NUM_BRANCHES + 1  # 80 + 17 + 1
 _CONF_SLOT = NUM_CATEGORIES + NUM_BRANCHES
 
 MODEL_FORMAT_VERSION = 1
+# the keys of a model file's three JSON objects, as `to_dict` writes them
+_MODELS_KEYS = frozenset(("version", "accuracy", "update_latency", "training"))
+_GBRT_KEYS = frozenset(("version", "kind", "n_features", "base_score", "learning_rate", "trees"))
+_LATENCY_KEYS = frozenset(("slope_ms_per_track", "intercept_ms"))
 
 
 def accuracy_features(
@@ -617,16 +621,19 @@ class PerformanceModels:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PerformanceModels":
+        json_object("models", data, _MODELS_KEYS)
         if data.get("version") != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported models version: {data.get('version')!r}")
-        accuracy = GBRTModel.from_dict(data["accuracy"])
+        accuracy = GBRTModel.from_dict(json_object("accuracy", data["accuracy"], _GBRT_KEYS))
         if accuracy.n_features != FEATURE_WIDTH:
             raise ValueError(
                 f"accuracy model takes {accuracy.n_features} features, not {FEATURE_WIDTH}"
             )
         return cls(
             accuracy=accuracy,
-            update_latency=LinearLatencyModel.from_dict(data["update_latency"]),
+            update_latency=LinearLatencyModel.from_dict(
+                json_object("update_latency", data["update_latency"], _LATENCY_KEYS)
+            ),
         )
 
     def save(self, path: str, training_info: Optional[Mapping] = None) -> None:

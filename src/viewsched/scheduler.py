@@ -183,14 +183,10 @@ def _score_ticks(scores: np.ndarray) -> np.ndarray:
     return np.round(np.ldexp(scores, -_tick_exponent(scores)))
 
 
-def _objective(
-    scores: np.ndarray, assignment: Sequence[int], ticks: Optional[np.ndarray] = None
-) -> float:
+def _objective(scores: np.ndarray, assignment: Sequence[int], ticks: np.ndarray) -> float:
     """A plan's tick sum in score units, the objective as ranked and reported:
     a plan that ranks higher never reports less, as its float score sum can.
-    `ticks`, if given, is `_score_ticks(scores)`, already computed."""
-    if ticks is None:
-        ticks = _score_ticks(scores)
+    `ticks` is `_score_ticks(scores)`."""
     total = sum(float(ticks[r, j]) for j, r in enumerate(assignment))
     return math.ldexp(total, _tick_exponent(scores))
 
@@ -371,8 +367,8 @@ def solve_bruteforce(problem: ScheduleProblem) -> ScheduleDecision:
             tuple(-r for r in assignment),
         )
         if best is None or rank > best[0]:
-            best = (rank, ScheduleDecision(assignment, _objective(problem.scores, assignment),
-                                           latency))
+            objective = _objective(problem.scores, assignment, ticks)
+            best = (rank, ScheduleDecision(assignment, objective, latency))
     if best is None:
         raise InfeasibleError("no assignment fits the budget")
     return best[1]
@@ -386,13 +382,14 @@ def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
     n = problem.num_views
     alpha, prices, budget = _pricing(problem)
     cost_units = prices[n - 1] if alpha < 1.0 else prices[0] * n
-    ticks = _score_ticks(problem.scores).sum(axis=1)
+    ticks = _score_ticks(problem.scores)
+    totals = ticks.sum(axis=1)
     latency = {i: assignment_latency([i] * n, problem.latencies_ms, problem.alpha)
                for i in range(problem.num_branches) if cost_units[i] <= budget}
     if not latency:
         return None
-    i = max(latency, key=lambda i: (ticks[i], -latency[i]))  # ties go to the lowest row
-    return ScheduleDecision((i,) * n, _objective(problem.scores, (i,) * n), latency[i])
+    i = max(latency, key=lambda i: (totals[i], -latency[i]))  # ties go to the lowest row
+    return ScheduleDecision((i,) * n, _objective(problem.scores, (i,) * n, ticks), latency[i])
 
 
 # -- frame-level orchestration ------------------------------------------------

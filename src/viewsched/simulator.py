@@ -240,6 +240,9 @@ class ScenarioConfig:
         for cls_, rng_ in self.speed_ranges.items():
             if rng_[0] < 0 or rng_[1] < rng_[0]:
                 raise ValueError(f"bad speed range for {cls_.value}: {rng_}")
+        for cls_, weight in self.class_mix.items():
+            if weight > 0 and cls_ not in self.speed_ranges:
+                raise ValueError(f"{cls_.value} has a class_mix weight but no speed range")
 
     @property
     def frame_count(self) -> int:
@@ -318,7 +321,7 @@ def _spawn_row(
     r = radius if inward else radius * math.sqrt(rng.uniform(0.02, 1.0))
     x = center.x + r * math.cos(angle)
     y = center.y + r * math.sin(angle)
-    lo, hi = config.speed_ranges.get(cls, (0.0, 10.0))
+    lo, hi = config.speed_ranges[cls]
     speed = rng.uniform(lo, hi)
     if inward:
         heading = wrap_angle(angle + math.pi + rng.uniform(-1.0, 1.0))
@@ -759,8 +762,6 @@ class FrameLog:
 class EpisodeLog:
     scenario: ScenarioConfig
     policy: str
-    target_ms: float
-    branch_indices: Tuple[int, ...]  # deployed catalog subset
     frames: List[FrameLog]
     summary: dict
 
@@ -983,8 +984,6 @@ def run_episode(
     return EpisodeLog(
         scenario=scenario,
         policy=policy,
-        target_ms=system.target_ms,
-        branch_indices=tuple(b.index for b in branches),
         frames=frame_logs,
         summary=summary,
     )

@@ -12,7 +12,6 @@ import math
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +24,6 @@ from viewsched.branches import (
     NUM_BRANCHES,
     DeviceProfile,
     ProfileError,
-    adapt,
     default_device_profile,
     enumerate_branches,
 )
@@ -42,12 +40,7 @@ from viewsched.cli import (
     main,
 )
 from viewsched.core import NUM_CATEGORIES
-from viewsched.predictors import (
-    FEATURE_WIDTH,
-    PerformanceModels,
-    fit_update_latency,
-    train_gbrt,
-)
+from viewsched.predictors import FEATURE_WIDTH
 from viewsched.scheduler import InfeasibleError
 from viewsched.simulator import POLICIES, SystemConfig, default_capability
 
@@ -353,6 +346,7 @@ _NEWLY_REJECTED = [
     ("scenario", _rename("initial_count", "initial_cout"), "typo-initial-count"),
     ("scenario", lambda scenario: scenario["class_mix"].update(truck=-0.38, car=0.9),
      "negative-class-weight"),
+    ("scenario", _set(["speed_ranges"], {"car": [0, 1]}), "partial-speed-ranges"),
     ("scenario", _set(["duration_s"], 0.04), "no-frames"),
     ("scenario", _set(["duration_s"], 1e9), "ten-billion-frames"),
     ("scenario", lambda scenario: _rename("radius_m", "radus_m")(scenario["ego"]),
@@ -546,6 +540,23 @@ def test_main_rejects_a_malformed_model_file(tmp_path, capsys, quickstart_model_
     assert "Traceback" not in err
 
 
+_NO_TREES = {"version": 1, "kind": "gbrt", "n_features": FEATURE_WIDTH, "base_score": 0.5,
+             "learning_rate": 0.1, "trees": []}
+
+
+@pytest.mark.parametrize(
+    "document",
+    [[], {"version": 1, "accuracy": "x"},
+     {"version": 1, "accuracy": _NO_TREES, "update_latency": []}],
+    ids=["list", "accuracy-string", "update-latency-list"],
+)
+def test_main_rejects_a_model_file_that_is_not_json_objects(tmp_path, capsys, document):
+    manifest = _manifest_referencing(tmp_path, "model", document)
+    assert main(["simulate", "--manifest", manifest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file") and "Traceback" not in err
+
+
 def test_cmd_compare_reports_dominance(manifest_file, tmp_path):
     man = load_manifest(manifest_file)
     report = cmd_compare(man, str(tmp_path / "cmp.json"),
@@ -610,44 +621,46 @@ def test_training_set_of_an_empty_scene(quickstart_manifest, seed, frames):
             assert (one_hot == np.eye(NUM_BRANCHES)[branch.index]).all()
             assert (cell[:, -1] == (conf if branch.is_tracker else 0.0)).all()
 
-@pytest.fixture()
-def fork_pool():
-    pool = ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("fork"))
-    yield pool
-    pool.shutdown()
 
+def _train_spied(monkeypatch, man, cpus):
+    """`train_models` at `cpus` usable CPUs, with copies of each fit's inputs:
+    one (features, targets, track counts) per fit, provisional fit first."""
+    gbrt_inputs, update_inputs = [], []
+    train_gbrt_, fit_update_latency_ = cli.train_gbrt, cli.fit_update_latency
 
-def _stacked_rows(pool, man, seeds, system, policy):
-    table = cli._RowTable.for_frames(len(seeds) * man.scenario.frame_count)
-    table.extend(cli._training_rows(pool, man.scenario, seeds, system, policy))
-    assert table.rows == len(table.y) and table.frames == len(table.counts)
-    return table.filled()
+    def spy_gbrt(x, y, params):
+        gbrt_inputs.append((np.array(x), np.array(y)))
+        return train_gbrt_(x, y, params)
+
+    def spy_update(counts, latencies):
+        update_inputs.append(np.array(counts))
+        return fit_update_latency_(counts, latencies)
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "train_gbrt", spy_gbrt)
+    monkeypatch.setattr(cli, "fit_update_latency", spy_update)
+    models, _ = cli.train_models(man)
+    return [(*xy, c) for xy, c in zip(gbrt_inputs, update_inputs, strict=True)], models
 
 
 def test_a_worker_pool_builds_the_same_training_rows(
-    quickstart_manifest, quickstart_training_set, fork_pool
+    monkeypatch, quickstart_manifest, quickstart_training_set
 ):
-    # both phases of train_models, in seed order, in a forced 2-worker pool and
-    # in this process; phase one also equals collecting then building at once
-    man = quickstart_manifest
-    seeds = man.training["seeds"]
-    collection = cli._offline_system(man, enumerate_branches(), None)
-    serial = _stacked_rows(None, man, seeds, collection, "round_robin")
-    pooled = _stacked_rows(fork_pool, man, seeds, collection, "round_robin")
-    for got, want, at_once in zip(pooled, serial, quickstart_training_set[1]):
-        assert np.array_equal(got, want) and np.array_equal(want, at_once)
-
-    x, y, counts = serial
-    provisional = PerformanceModels(
-        accuracy=train_gbrt(x, y, cli._gbrt_params(man.training)),
-        update_latency=fit_update_latency([0, 10], [1.0, 2.0]),
-    )
-    on_policy = cli._offline_system(man, adapt(man.device, man.target_ms), provisional)
-    policy_seeds = [s + 50000 for s in seeds]
-    serial = _stacked_rows(None, man, policy_seeds, on_policy, "adaptive")
-    pooled = _stacked_rows(fork_pool, man, policy_seeds, on_policy, "adaptive")
-    for got, want in zip(pooled, serial):
-        assert np.array_equal(got, want)
+    # both phases of train_models, in this process and in a 2-worker pool;
+    # phase one also equals collecting then building at once
+    serial_fits, serial_models = _train_spied(monkeypatch, quickstart_manifest, 1)
+    pooled_fits, pooled_models = _train_spied(monkeypatch, quickstart_manifest, 2)
+    assert len(serial_fits) == len(pooled_fits) == 2
+    for serial, pooled in zip(serial_fits, pooled_fits):
+        for got, want in zip(pooled, serial):
+            assert np.array_equal(got, want)
+    provisional, final = serial_fits
+    for got, at_once in zip(provisional, quickstart_training_set[1]):
+        assert np.array_equal(got, at_once)
+    # phase one's rows lead the final fit's, in the same order
+    for first, union in zip(provisional, final):
+        assert np.array_equal(union[: len(first)], first) and len(union) == 2 * len(first)
+    assert pooled_models.to_dict() == serial_models.to_dict()
 
 
 def test_training_pool_has_one_worker_per_seed_up_to_the_usable_cpus(monkeypatch):

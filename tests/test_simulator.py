@@ -149,6 +149,14 @@ def test_scenario_config_validation():
     assert cfg.dt == pytest.approx(0.1)
 
 
+def test_a_class_that_can_be_drawn_needs_a_speed_range():
+    with pytest.raises(ValueError, match="truck has a class_mix weight but no speed range"):
+        small_scenario(speed_ranges={ObjectClass.CAR: (0.0, 1.0)})
+    # a class with no weight is never drawn, so it needs none
+    only_cars = {c: 0.0 for c in ObjectClass} | {ObjectClass.CAR: 1.0}
+    small_scenario(class_mix=only_cars, speed_ranges={ObjectClass.CAR: (0.0, 1.0)})
+
+
 def test_scenario_round_trip():
     cfg = small_scenario()
     clone = ScenarioConfig.from_dict(cfg.to_dict())
