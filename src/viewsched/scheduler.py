@@ -22,6 +22,7 @@ enumeration check; it must never be folded into `solve`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -104,6 +105,11 @@ class ScheduleProblem:
     def num_views(self) -> int:
         return int(self.scores.shape[1])
 
+    @functools.cached_property
+    def pricing(self) -> _Pricing:
+        """`_pricing` of this problem, computed once for `solve` and `best_uniform`."""
+        return _pricing(self)
+
 
 @dataclass(frozen=True)
 class ScheduleDecision:
@@ -160,10 +166,11 @@ def assignment_latency(
     return total
 
 
-def _weight_units(latency_ms: float) -> int:
-    """Latency -> integer grid units, rounding off-grid values up."""
-    units = latency_ms * _GRID_PER_MS
-    return int(math.ceil(units - units * _GRID_EPS))
+def _weight_units(latency_ms: np.ndarray | float) -> np.ndarray:
+    """Latency -> integer grid units, rounding off-grid values up; elementwise
+    on an array."""
+    units = np.multiply(latency_ms, _GRID_PER_MS)
+    return np.ceil(units - units * _GRID_EPS).astype(np.int64)
 
 
 def _latency_ticks(latency_ms: float) -> int:
@@ -197,25 +204,50 @@ def _budget_units(t_max_ms: float, cap: int) -> int:
     return cap if raw >= cap else max(int(math.floor(raw)), 0)
 
 
-def _pricing(problem: ScheduleProblem) -> Tuple[float, np.ndarray, int]:
+_Pricing = Tuple[float, np.ndarray, int, np.ndarray]
+
+
+def _pricing(problem: ScheduleProblem) -> _Pricing:
     """The pricing rule `solve` and `best_uniform` share: the effective alpha,
     the grid price of every batch (`prices[k - 1, i]`: row i on k views; only
-    k = 1 at alpha = 1, where merging never lowers a price) and the budget in
-    units, capped at the dearest plan priced view by view. The exact batched
-    search costs M * 3^N' transitions over the N' views `solve` leaves open
-    and keys plans as int64 base-M numbers; the limit counts all N views, so
-    past `_MAX_EXACT_BATCH_VIEWS` views or once M**N reaches 2**63 alpha < 1
-    is priced as alpha = 1, over-estimating batches."""
+    k = 1 at alpha = 1, where merging never lowers a price), the budget in
+    units, capped at the dearest plan priced view by view, and each batch's
+    latency ticks (`lat_ticks[k - 1, i]`). Each problem is priced once: read
+    it through `ScheduleProblem.pricing`. The exact batched search costs up
+    to M * 3^N' transitions over the N' views `solve` leaves open and keys
+    plans as int64 base-M numbers; the limit counts all N views and all M
+    rows, so past `_MAX_EXACT_BATCH_VIEWS` views or once M**N reaches 2**63
+    alpha < 1 is priced as alpha = 1, over-estimating batches."""
     m, n = problem.num_branches, problem.num_views
     exact = n <= _MAX_EXACT_BATCH_VIEWS and m**n < 2**63
     alpha = problem.alpha if exact else 1.0
     sizes = range(1, n + 1) if alpha < 1.0 else (1,)
-    prices = np.array(
-        [[_weight_units(group_cost(float(v), k, alpha)) for v in problem.latencies_ms]
-         for k in sizes],
-        dtype=np.int64,
-    )
-    return alpha, prices, _budget_units(problem.t_max_ms, int(prices[0].max()) * n)
+    costs = np.array([group_cost(problem.latencies_ms, k, alpha) for k in sizes])
+    prices = _weight_units(costs)
+    # `_latency_ticks` elementwise: np.rint rounds half to even, as round does
+    lat_ticks = np.rint(costs * _GRID_PER_MS * _TICKS_PER_UNIT).astype(np.int64)
+    return alpha, prices, _budget_units(problem.t_max_ms, int(prices[0].max()) * n), lat_ticks
+
+
+def _undominated(ticks: np.ndarray, alpha: float, prices: np.ndarray,
+                 lat_ticks: np.ndarray) -> np.ndarray:
+    """Indices of the rows of the (M, N') score `ticks` that no lower row
+    dominates (see `solve`), ascending. Row j < i dominates row i when it has
+    at least i's ticks on every view and, at alpha = 1, costs no more units
+    per view; below it, for every a >= 1 and b >= 0 with a + b <= N', j on
+    a + b views costs no more units and latency ticks than i on a views plus
+    j on b views."""
+    m, n = ticks.shape
+    order = np.arange(m)
+    dominates = (order[:, None] < order) & (ticks[:, None, :] >= ticks).all(axis=2)  # [j, i]
+    if alpha < 1.0:
+        a, b = np.array([(a, b) for a in range(1, n + 1) for b in range(n + 1 - a)]).T
+        t = np.zeros((2, n + 1, m), dtype=np.int64)  # t[:, k]: units, latency ticks on k views
+        t[0, 1:], t[1, 1:] = prices[:n], lat_ticks[:n]
+        dominates &= (t[:, a + b, :, None] <= t[:, a, None, :] + t[:, b, :, None]).all(axis=(0, 1))
+    else:
+        dominates &= prices[0, :, None] <= prices[0]
+    return np.flatnonzero(~dominates.any(axis=0))
 
 
 def _dp_assign(ticks: np.ndarray, weights: np.ndarray, budget: int) -> Optional[Tuple[int, ...]]:
@@ -247,44 +279,50 @@ def _dp_assign(ticks: np.ndarray, weights: np.ndarray, budget: int) -> Optional[
 
 
 def _batched_assign(
-    ticks: np.ndarray, latencies_ms: np.ndarray, alpha: float, prices: np.ndarray, budget: int
+    ticks: np.ndarray, prices: np.ndarray, lat_ticks: np.ndarray, budget: int,
+    rows: np.ndarray, m: int,
 ) -> Optional[Tuple[int, ...]]:
-    """Exact batched assignment of the (M, N') score `ticks`: one DP over
-    branches with setup costs, in M * 3^N' steps.
+    """Exact batched assignment of the (K, N') score `ticks` of problem rows
+    `rows` (ascending, out of m): one DP over branches with setup costs, in
+    K * 3^N' steps.
 
-    Branch row i takes one set S of the views still open as one batch, at
-    `prices[|S| - 1, i]` grid units; merging views that share a branch never
-    costs more units, so this reaches every plan the grid admits. A row whose
-    one-view price already exceeds the budget takes no set, since prices only
-    grow with |S|. The state (assigned views, units) has one binary axis per
-    view. A cell holds the best plan within that many units by score ticks,
-    then latency ticks (`group_cost` at `alpha`), then key: the rows as a
-    base-M number, view 0 most significant, so lexicographic and decoded
-    into the answer.
+    Row r takes one set S of the views still open as one batch, at
+    `prices[|S| - 1, r]` grid units and `lat_ticks[|S| - 1, r]` latency ticks;
+    merging views that share a branch never costs more units, so this reaches
+    every plan the grid admits. Each set's slices, size and key weight are
+    built once per call. A row tries its sets by size and stops at the first
+    size over the budget, since prices only grow with |S|. The state
+    (assigned views, units) has one binary axis per view. A cell holds the
+    best plan within that many units by score ticks, then latency ticks, then
+    key: the problem rows as a base-m number, view 0 most significant, so
+    lexicographic and decoded into the answer.
     """
-    m, n = ticks.shape
+    n = ticks.shape[1]
     shape = (2,) * n + (budget + 1,)
     state = (np.full(shape, -np.inf), *np.zeros((2,) + shape, dtype=np.int64))  # score, ticks, key
     state[0][(0,) * n] = 0.0
     place = [m ** (n - 1 - j) for j in range(n)]
-    for i, lat in enumerate(latencies_ms):
-        if prices[0, i] > budget:
+    subsets = sorted(  # (size, subset, source views, target views, key weight)
+        (sum(s), s, tuple(0 if b else slice(None) for b in s),
+         tuple(1 if b else slice(None) for b in s), sum(w for w, b in zip(place, s) if b))
+        for s in itertools.islice(itertools.product((0, 1), repeat=n), 1, None)
+    )
+    for r, row in enumerate(rows.tolist()):
+        if prices[0, r] > budget:
             continue
-        batch = np.zeros((2,) * n)  # batch[S]: row i's score ticks summed over S
+        batch = np.zeros((2,) * n)  # batch[S]: row r's score ticks summed over S
         for j in range(n):
-            batch[(slice(None),) * j + (1,)] += ticks[i, j]
+            batch[(slice(None),) * j + (1,)] += ticks[r, j]
         prev = [a.copy() for a in state]
-        for s in itertools.islice(itertools.product((0, 1), repeat=n), 1, None):
-            k = sum(s)
-            p = int(prices[k - 1, i])
+        for k, s, src, dst, weight in subsets:
+            p = int(prices[k - 1, r])
             if p > budget:
-                continue
-            src = tuple(0 if b else slice(None) for b in s) + (slice(budget + 1 - p),)
-            dst = tuple(1 if b else slice(None) for b in s) + (slice(p, None),)
-            c_score = prev[0][src] + batch[s]
-            c_lat = prev[1][src] + _latency_ticks(group_cost(float(lat), k, alpha))
-            c_key = prev[2][src] + i * sum(w for w, b in zip(place, s) if b)
-            h_score, h_lat, h_key = (a[dst] for a in state)
+                break
+            src_u, dst_u = src + (slice(budget + 1 - p),), dst + (slice(p, None),)
+            c_score = prev[0][src_u] + batch[s]
+            c_lat = prev[1][src_u] + lat_ticks[k - 1, r]
+            c_key = prev[2][src_u] + row * weight
+            h_score, h_lat, h_key = (a[dst_u] for a in state)
             better = (c_score > h_score) | (c_score == h_score) & (
                 (c_lat < h_lat) | (c_lat == h_lat) & (c_key < h_key)
             )
@@ -314,9 +352,22 @@ def solve(problem: ScheduleProblem) -> ScheduleDecision:
     ticks recomputed from the open columns alone would be finer
     (`_tick_exponent`) and could break a near-tie that `solve_bruteforce`
     keeps even.
+
+    Either DP then sees only the undominated rows (`_undominated`), checked
+    on the DP's own integer tables, so exact at any alpha and off the grid.
+    Take any plan that gives a dominated row i a batch S, and move S onto
+    the row j < i that dominates it, merged with j's batch B (maybe empty).
+    The plan fits in no more units and costs no more latency ticks: that is
+    the dominance condition with a = |S| and b = |B| (at alpha = 1 each view
+    is priced alone and only units rank). It scores no fewer ticks, and its
+    base-M key is strictly smaller. So it ranks strictly higher, and no
+    optimal plan uses row i. That holds even when j is itself dominated:
+    repeating the move strictly lowers the key, so it ends at a plan with no
+    dominated row, and all dominated rows are dropped at once. The kept rows
+    keep their order and, in the batched DP, their problem indices and base M.
     """
     n = problem.num_views
-    alpha, prices, budget = _pricing(problem)
+    alpha, prices, budget, lat_ticks = problem.pricing
     if alpha != problem.alpha:
         logger.warning("alpha=%.3f with %d views and %d branches exceeds the exact-batching "
                        "limit; pricing without the batching discount (conservative)",
@@ -325,13 +376,16 @@ def solve(problem: ScheduleProblem) -> ScheduleDecision:
     contested = np.arange(n)
     if problem.latencies_ms[0] == 0.0:
         contested = np.flatnonzero(ticks[0] < ticks.max(axis=0))
-    sub = ticks[:, contested]
-    if not contested.size:
-        rows: Optional[Tuple[int, ...]] = ()  # every view fixed: the plan is all row 0
-    elif alpha < 1.0:
-        rows = _batched_assign(sub, problem.latencies_ms, alpha, prices, budget)
-    else:
-        rows = _dp_assign(sub, prices[0], budget)
+    rows: Optional[Tuple[int, ...]] = ()  # no view open: the plan is all row 0
+    if contested.size:
+        keep = _undominated(ticks[:, contested], alpha, prices, lat_ticks)
+        sub = ticks[np.ix_(keep, contested)]
+        if alpha < 1.0:
+            rows = _batched_assign(sub, prices[:, keep], lat_ticks[:, keep], budget, keep,
+                                   problem.num_branches)
+        else:
+            picked = _dp_assign(sub, prices[0, keep], budget)
+            rows = None if picked is None else tuple(int(keep[r]) for r in picked)
     if rows is None:
         raise InfeasibleError("no branch combination fits the budget")
     plan = [0] * n
@@ -380,11 +434,11 @@ def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
     `solve` prices it: one batch of all views under a discount, else per view,
     and ranked as `solve` ranks: score ticks, then latency."""
     n = problem.num_views
-    alpha, prices, budget = _pricing(problem)
+    alpha, prices, budget, _ = problem.pricing
     cost_units = prices[n - 1] if alpha < 1.0 else prices[0] * n
     ticks = _score_ticks(problem.scores)
     totals = ticks.sum(axis=1)
-    latency = {i: assignment_latency([i] * n, problem.latencies_ms, problem.alpha)
+    latency = {i: group_cost(float(problem.latencies_ms[i]), n, problem.alpha)
                for i in range(problem.num_branches) if cost_units[i] <= budget}
     if not latency:
         return None

@@ -64,7 +64,7 @@ def _spawn_object(
     r = radius if inward else radius * math.sqrt(rng.uniform(0.02, 1.0))
     x = center_xy[0] + r * math.cos(angle)
     y = center_xy[1] + r * math.sin(angle)
-    lo, hi = config.speed_ranges.get(cls, (0.0, 10.0))
+    lo, hi = config.speed_ranges[cls]
     speed = rng.uniform(lo, hi)
     if inward:
         heading = wrap_angle(angle + math.pi + rng.uniform(-1.0, 1.0))

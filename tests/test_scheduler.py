@@ -305,6 +305,90 @@ def test_solve_hands_only_the_contested_views_to_the_dp(monkeypatch):
     assert got == solve_bruteforce(problem)
 
 
+@st.composite
+def dominated_rows(draw):
+    """A problem where some rows copy a lower row's scores, less a drawn
+    amount on each view, at a latency no lower: rows `solve` may drop before
+    its DP, where the grid tables say so."""
+    problem = draw(problems(alpha=st.sampled_from([1.0, 0.7, 0.5, 0.3]), views=st.integers(1, 6),
+                            max_assignments=4096,
+                            scores=st.one_of(DYADIC_SCORES, NON_DYADIC_SCORES)))
+    scores, lats = problem.scores.copy(), problem.latencies_ms.copy()
+    n = problem.num_views
+    for i in range(1, problem.num_branches):
+        if draw(st.booleans()):
+            j = draw(st.integers(0, i - 1))
+            less = draw(st.lists(st.sampled_from([0.0, 0.0, 1 / 1024, 0.1]), min_size=n,
+                                 max_size=n))
+            scores[i] = scores[j] - np.array(less)
+            lats[i] = lats[j] + draw(st.sampled_from([0.0, 0.0, 0.2, 1.0]))
+    return ScheduleProblem(scores, lats, problem.t_max_ms, problem.alpha)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dominated_rows())
+@example(  # row 1 ties row 2 on every view at equal latency: row 2 goes, and row 1 wins
+    ScheduleProblem(np.array([[0.1, 0.2, 0.1], [0.5, 0.6, 0.4], [0.5, 0.6, 0.4]]),
+                    np.array([0.0, 1.0, 1.0]), 2.0, 0.7)
+)
+@example(  # row 2 is cheaper than row 1 and scores more, but comes later: it stays, and wins
+    ScheduleProblem(np.array([[0.1, 0.1], [0.4, 0.4], [0.6, 0.6]]), np.array([0.0, 2.0, 1.0]),
+                    2.0, 0.7)
+)
+@example(  # rows 1 and 2 tie, and one view costs 10 units on either; at alpha 0.99 two
+    # views cost 20 units on row 1 but 19 on row 2, so price_1(2 + 0) > price_2(2) + 0
+    # and row 2 stays: (2, 2) is the only plan of both views that fits 1.9 ms
+    ScheduleProblem(np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]), np.array([0.0, 1.0, 0.95]),
+                    1.9, 0.99)
+)
+@example(  # rows 1 and 2 tie and cost the same units at every size, but row 2 is faster:
+    # it stays, and (2, 2) wins on latency
+    ScheduleProblem(np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]), np.array([0.0, 1.0, 0.99]),
+                    2.0, 0.7)
+)
+@example(  # rows 1 and 2 tie at 3e-11 ms: one view rounds to 0 latency ticks, two views on
+    # one row to 1, so lat_1(1 + 1) > lat_2(1) + lat_1(1) and row 2 stays: (1, 2) wins
+    ScheduleProblem(np.array([[0.0, 0.0], [0.5, 0.5], [0.5, 0.5]]), np.array([0.0, 3e-11, 3e-11]),
+                    1.0, 0.7)
+)
+def test_solve_drops_only_rows_no_optimal_plan_needs(problem):
+    _assert_matches_bruteforce_where_it_fits(problem)
+
+
+@pytest.mark.parametrize("alpha, dp", [(1.0, "_dp_assign"), (0.7, "_batched_assign")])
+def test_solve_hands_only_the_undominated_rows_to_the_dp(monkeypatch, alpha, dp):
+    # row 1 ties row 2 at the same latency and beats row 3 at less, so both
+    # go; row 5 is cheaper and better than row 1 but comes later, so it stays
+    seen = []
+    inner = getattr(scheduler, dp)
+
+    def spy(ticks, *args):
+        seen.append(ticks)
+        return inner(ticks, *args)
+
+    monkeypatch.setattr(scheduler, dp, spy)
+    problem = ScheduleProblem(np.array([[0.1, 0.1, 0.1], [0.6, 0.5, 0.7], [0.6, 0.4, 0.7],
+                                        [0.5, 0.5, 0.6], [0.9, 0.9, 0.9], [0.7, 0.6, 0.8]]),
+                              np.array([0.0, 1.0, 1.0, 2.0, 3.0, 0.5]), 4.0, alpha)
+    got = solve(problem)
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], scheduler._score_ticks(problem.scores)[[0, 1, 4, 5]])
+    assert got == solve_bruteforce(problem)
+
+
+@pytest.mark.parametrize("seed, t_max_ms", [(0, 22.0), (1, 22.0), (2, 50.0)])
+def test_solve_matches_bruteforce_on_the_device_catalog(seed, t_max_ms):
+    # all 17 catalog branches on 4 views (17**4 plans), scores rising with
+    # branch latency plus noise, as the accuracy model tends to predict
+    lats = np.array(DEVICE_LATENCIES)
+    rng = np.random.default_rng(seed)
+    scores = np.sqrt(lats / lats.max())[:, None] + rng.normal(0.0, 0.05, (len(lats), 4))
+    problem = ScheduleProblem(scores, lats, t_max_ms, 0.7)
+    want = solve_bruteforce(problem)
+    assert _fits_the_grid(problem, want.assignment)
+    assert solve(problem) == want
+
+
 @settings(max_examples=150, deadline=None)
 @given(problems(alpha=st.sampled_from([1.0, 0.5]), latencies="off_grid"))
 @example(ScheduleProblem(np.zeros((2, 2)), np.array([1.0, 1e-9]), 0.0))  # just off the grid
