@@ -8,17 +8,7 @@ simulator with detector capability profiles for validation.
 
 __version__ = "0.1.0"
 
-from .core import (
-    Box3D,
-    CameraRig,
-    CategoryLevel,
-    EgoPose,
-    ObjectClass,
-    categorize,
-    distribution,
-    ego_transform,
-    view_of,
-)
+from .core import BoxRows, CameraRig, EgoPose, ObjectClass, distribution, views_of
 from .branches import (
     BackboneKind,
     BranchConfig,
@@ -34,15 +24,12 @@ from .scheduler import ScheduleDecision, ScheduleProblem, sched, solve, solve_br
 
 __all__ = [
     "__version__",
-    "Box3D",
+    "BoxRows",
     "CameraRig",
-    "CategoryLevel",
     "EgoPose",
     "ObjectClass",
-    "categorize",
     "distribution",
-    "ego_transform",
-    "view_of",
+    "views_of",
     "BackboneKind",
     "BranchConfig",
     "DepthNetKind",

@@ -108,6 +108,16 @@ def json_object(what: str, value: object, keys: frozenset) -> dict:
     return value
 
 
+def json_file(what: str, value: object, keys: frozenset) -> dict:
+    """A file's top-level JSON object: its keys all lie in `keys`, and its
+    `version`, when given, is 1, the only format there is."""
+    d = json_object(what, value, keys)
+    version = d.get("version", 1)
+    if type(version) is not int or version != 1:
+        raise ValueError(f"{what} version must be 1, got {version!r}")
+    return d
+
+
 def json_number(key: str, value: object, nonnegative: bool = False) -> float:
     """A finite JSON int or float, not a boolean or a string, as a float."""
     if (type(value) is float or type(value) is int) and (
@@ -250,7 +260,7 @@ class DeviceProfile:
         JSON int, one module path per catalog index; then the memory, path
         and anchor checks."""
         try:
-            d = json_object("device profile", data, _DEVICE_KEYS)
+            d = json_file("device profile", data, _DEVICE_KEYS)
             update = json_object("update_latency", d["update_latency"], _UPDATE_KEYS)
             json_flag("update_latency.synthetic", update.get("synthetic", True))
             return cls({

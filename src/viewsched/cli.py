@@ -40,10 +40,11 @@ from .branches import (
     enumerate_branches,
     fixed_latency,
     json_count,
+    json_file,
     json_number,
     json_object,
 )
-from .core import CameraRig, categorize, group_by_view
+from .core import CameraRig, category_levels
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
 from .metrics import EvalConfig, evaluate_frame, summarize, view_detection_scores  # noqa: F401
 from .predictors import FEATURE_WIDTH, GBRTParams, PerformanceModels, fit_update_latency, train_gbrt
@@ -171,7 +172,7 @@ def load_manifest(
         base_dir = os.path.dirname(os.path.abspath(path))
         data = _load_ref(os.path.abspath(path), base_dir)
     try:
-        json_object("manifest", data, _MANIFEST_KEYS)
+        json_file("manifest", data, _MANIFEST_KEYS)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
@@ -303,9 +304,9 @@ def build_training_set(
 
     Detection branches are re-synthesized from a dedicated rng stream (the
     logged detections only cover whichever branch the collection policy ran);
-    the tracker branch is scored on the logged forecasts. Each view's branches
-    are scored together in one pass, on its boxes' levels computed once.
-    Returns features, detection-score targets, and the per-frame track counts
+    the tracker branch is scored on the logged forecast boxes. Each view's
+    branches are scored together in one pass, on its boxes' levels computed
+    once. Returns features, detection-score targets, and the per-frame track counts
     for the latency fit. Each episode's rows depend on that episode alone.
     """
     rig = CameraRig.default()
@@ -322,16 +323,17 @@ def build_training_set(
         rng = rng_stream(ep.scenario.seed, "training")
         max_range = ep.scenario.despawn_radius_m
         for log in ep.frames:
-            counts.append(len(log.forecast.tracks))
-            fc_by_view = group_by_view(log.forecast.boxes(), log.forecast.views, rig.view_count)
-            frame_feats = frame_features(log.forecast, catalog_indices)
+            counts.append(len(log.forecast))
+            fc_by_view = log.forecast.by_view(log.forecast_views, rig.view_count)
+            frame_feats = frame_features(log.distributions, log.forecast_views,
+                                         log.forecast.confidences, catalog_indices)
             # view by view, then branch by branch, like the targets below
             frame_feats = frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH)
             feats[row : row + len(frame_feats)] = frame_feats
 
             for j in range(rig.view_count):
                 gts = log.gt_by_view[j]
-                levels = [categorize(box) for box in gts]
+                levels = category_levels(gts.rows)
                 branch_preds = [
                     fc_by_view[j]
                     if branch.is_tracker

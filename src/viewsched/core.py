@@ -4,15 +4,20 @@ Everything downstream (tracker, simulator, metrics, scheduler features) speaks
 in terms of the types defined here: 3D boxes with velocity, ego poses, the
 camera rig's angular sectors, and the 80-bin object category grid
 (5 distance x 4 velocity x 4 size levels).
+
+Boxes are rows, from the ground truth through detection and tracking to the
+metrics: one (n, 9) float64 array laid out as (x, y, z, vx, vy, vz, w, h, l),
+the tracker's state layout, with the class codes, confidences and yaws in
+parallel arrays (`BoxRows`). Bearings and planar norms go through `math` by
+`math_map`, as NumPy's atan2 and hypot do not always round as `math`'s do.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -46,44 +51,6 @@ def wrap_angle(angle: float) -> float:
     elif a > math.pi:
         a -= TWO_PI
     return a
-
-
-@dataclass(frozen=True)
-class Box3D:
-    """A 3D bounding box with velocity, in some ego (or global) frame.
-
-    center : (x, y, z) m
-    size   : (w, h, l) m, each > 0
-    velocity : (vx, vy, vz) m/s, expressed in the same frame's axes
-    yaw    : heading, radians in (-pi, pi]
-    """
-
-    center: Tuple[float, float, float]
-    size: Tuple[float, float, float]
-    velocity: Tuple[float, float, float]
-    yaw: float
-    cls: ObjectClass
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if min(self.size) <= 0.0:
-            raise ValueError(f"box size must be positive, got {self.size}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
-
-    @property
-    def planar_distance(self) -> float:
-        return math.hypot(self.center[0], self.center[1])
-
-    @property
-    def planar_speed(self) -> float:
-        return math.hypot(self.velocity[0], self.velocity[1])
-
-    @property
-    def volume(self) -> float:
-        w, h, l = self.size
-        return w * h * l
 
 
 @dataclass(frozen=True)
@@ -162,51 +129,27 @@ class CameraRig:
             if abs(end - lo_b) > 1e-9:
                 raise ValueError("sectors overlap or leave gaps")
 
-    def view_of_angle(self, angle: float) -> int:
-        a = wrap_angle(angle)
-        if a == math.pi:  # sectors live on [-pi, pi)
-            a = -math.pi
-        for idx, (lo, hi) in enumerate(self._sectors):
-            if lo < hi:
-                if lo <= a < hi:
-                    return idx
-            else:  # wrapped sector
-                if a >= lo or a < hi:
-                    return idx
-        # Partition validation tolerates 1e-9 of construction rounding between
-        # adjacent edges, so an angle can fall into a float-width gap no sector
-        # covers exactly. Claim the sector whose start is nearest at-or-below
-        # the angle (wrapping below the smallest start), which agrees with the
-        # exact rule everywhere else.
-        order = sorted(range(len(self._sectors)), key=lambda i: self._sectors[i][0])
-        best = order[-1]
-        for i in order:
-            if self._sectors[i][0] <= a:
-                best = i
-            else:
-                break
-        return best
-
     def views_of_angles(self, angles: np.ndarray) -> np.ndarray:
-        """`view_of_angle` of every angle at once, float-gap fallback included."""
-        a = np.fmod(np.asarray(angles, dtype=np.float64), TWO_PI)
-        a = np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a))
-        a[a == math.pi] = -math.pi
+        """The view of every angle: the sector that holds it.
+
+        Partition validation tolerates 1e-9 of construction rounding between
+        adjacent edges, so an angle can fall into a float-width gap no sector
+        covers exactly. It goes to the sector whose start is nearest
+        at-or-below it (wrapping below the smallest start), which agrees with
+        the exact rule everywhere else.
+        """
+        a = wrap_angles(angles)
+        a[a == math.pi] = -math.pi  # sectors live on [-pi, pi)
         lo, hi = self._lo, self._hi
         inside = np.where(lo < hi, (lo <= a) & (a < hi), (a >= lo) | (a < hi))
         below = self._by_start[np.searchsorted(self._starts, a, side="right") - 1]
         return np.where(inside.any(axis=0), inside.argmax(axis=0), below)
 
 
-def view_of(center: Tuple[float, float, float], rig: CameraRig) -> int:
-    """View index whose sector contains the box center's bearing."""
-    return rig.view_of_angle(math.atan2(center[1], center[0]))
-
-
-# Box rows: boxes as arrays, one row each, laid out as (x, y, z, vx, vy, vz,
-# w, h, l) like the tracker's state. The functions below give the same bits
-# as their per-box counterparts; bearings and planar norms go through `math`
-# by `math_map`, as NumPy's atan2 and hypot do not always match `math`'s.
+def wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """`wrap_angle` of every angle, bit for bit, as a new array."""
+    a = np.fmod(np.asarray(angles, dtype=np.float64), TWO_PI)
+    return np.where(a <= -math.pi, a + TWO_PI, np.where(a > math.pi, a - TWO_PI, a))
 
 
 def math_map(fn, *columns: np.ndarray) -> np.ndarray:
@@ -214,71 +157,99 @@ def math_map(fn, *columns: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=np.float64)
 
 
+# -- boxes as rows ---------------------------------------------------------------
+
+CLASSES = tuple(ObjectClass)  # a box's class code indexes this
+
+
+def class_codes(classes: Iterable[ObjectClass]) -> np.ndarray:
+    """The class code of each class."""
+    return np.array([CLASSES.index(c) for c in classes], dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class BoxRows:
+    """Boxes in one frame (an ego frame or the global one), one row each.
+
+    rows        : (n, 9) float64, (x, y, z, vx, vy, vz, w, h, l): center m,
+                  velocity m/s along the frame's axes, size m
+    classes     : (n,) int64 class codes, indices into `CLASSES`
+    confidences : (n,) float64, each in [0, 1]
+    yaws        : (n,) float64 headings, radians in (-pi, pi]
+    """
+
+    rows: np.ndarray
+    classes: np.ndarray
+    confidences: np.ndarray
+    yaws: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.classes)
+
+    @classmethod
+    def of(cls, rows, classes, confidences, yaws) -> BoxRows:
+        """Boxes from per-box sequences: rows of 9 numbers, class codes,
+        confidences and yaws."""
+        return cls(
+            np.array(rows, dtype=np.float64).reshape(-1, 9),
+            np.array(classes, dtype=np.int64),
+            np.array(confidences, dtype=np.float64),
+            np.array(yaws, dtype=np.float64),
+        )
+
+    def take(self, index) -> BoxRows:
+        """The boxes a boolean mask or an index array selects, in its order."""
+        return BoxRows(self.rows[index], self.classes[index], self.confidences[index],
+                       self.yaws[index])
+
+    def by_view(self, views: np.ndarray, view_count: int) -> Tuple[BoxRows, ...]:
+        """The boxes split by their views (`views_of` their rows), in order."""
+        ends = np.cumsum(np.bincount(views, minlength=view_count)).tolist()
+        grouped = self.take(np.argsort(views, kind="stable"))
+        columns = (grouped.rows, grouped.classes, grouped.confidences, grouped.yaws)
+        return tuple(BoxRows(*(c[a:b] for c in columns)) for a, b in zip([0, *ends], ends))
+
+    def moved(self, from_pose: EgoPose, to_pose: EgoPose) -> BoxRows:
+        """The boxes re-expressed in `to_pose`'s frame (see `transform_rows`)."""
+        if not len(self):
+            return self
+        return BoxRows(transform_rows(self.rows, from_pose, to_pose), self.classes,
+                       self.confidences, transform_yaws(self.yaws, from_pose, to_pose))
+
+
+def concat_boxes(parts: Sequence[BoxRows]) -> BoxRows:
+    """The boxes of every part, part after part."""
+    return BoxRows(*(np.concatenate(column) for column in zip(*(
+        (p.rows, p.classes, p.confidences, p.yaws) for p in parts))))
+
+
 def views_of(rows: np.ndarray, rig: CameraRig) -> np.ndarray:
-    """`view_of` of every row's center."""
+    """The view of every row's center: the sector holding its planar bearing."""
     return rig.views_of_angles(math_map(math.atan2, rows[:, 1], rows[:, 0]))
 
 
-def group_by_view(items: Sequence, views: np.ndarray, view_count: int) -> Tuple[tuple, ...]:
-    """`items` split by their views (`views_of` of their rows), in order."""
-    groups: List[list] = [[] for _ in range(view_count)]
-    for item, view in zip(items, views.tolist()):
-        groups[view].append(item)
-    return tuple(map(tuple, groups))
+_LEVEL_EDGES = tuple(map(np.array, (DISTANCE_EDGES_M, VELOCITY_EDGES_MPS, SIZE_EDGES_M3)))
+_LEVEL_STRIDES = np.array((1, NUM_DISTANCE_LEVELS, NUM_DISTANCE_LEVELS * NUM_VELOCITY_LEVELS))
 
 
-@dataclass(frozen=True)
-class CategoryLevel:
-    """Discrete (distance, velocity, size) level triple."""
+def category_levels(rows: np.ndarray) -> np.ndarray:
+    """Each box row's (distance, velocity, size) levels, as an (n, 3) int array.
 
-    distance_level: int
-    velocity_level: int
-    size_level: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.distance_level < NUM_DISTANCE_LEVELS:
-            raise ValueError(f"distance_level out of range: {self.distance_level}")
-        if not 0 <= self.velocity_level < NUM_VELOCITY_LEVELS:
-            raise ValueError(f"velocity_level out of range: {self.velocity_level}")
-        if not 0 <= self.size_level < NUM_SIZE_LEVELS:
-            raise ValueError(f"size_level out of range: {self.size_level}")
-
-    @property
-    def index(self) -> int:
-        """Flat index into the 80-bin grid; distance varies fastest."""
-        return (
-            self.distance_level
-            + NUM_DISTANCE_LEVELS * self.velocity_level
-            + NUM_DISTANCE_LEVELS * NUM_VELOCITY_LEVELS * self.size_level
-        )
-
-
-def categorize(box: Box3D) -> CategoryLevel:
-    """Assign a box to its category levels.
-
-    Distance and speed are planar (x, y); size uses full box volume.
-    Bin intervals are half-open, so a value exactly on an edge belongs to
-    the higher bin (e.g. distance 10.0 -> level 1).
+    Distance and speed are planar (x, y); size uses full box volume. Bin
+    intervals are half-open, so a value exactly on an edge belongs to the
+    higher bin (e.g. distance 10.0 -> level 1).
     """
-    return CategoryLevel(
-        distance_level=bisect_right(DISTANCE_EDGES_M, box.planar_distance),
-        velocity_level=bisect_right(VELOCITY_EDGES_MPS, box.planar_speed),
-        size_level=bisect_right(SIZE_EDGES_M3, box.volume),
+    values = (
+        math_map(math.hypot, rows[:, 0], rows[:, 1]),
+        math_map(math.hypot, rows[:, 3], rows[:, 4]),
+        rows[:, 6] * rows[:, 7] * rows[:, 8],
     )
+    return np.array([np.searchsorted(e, v, side="right") for e, v in zip(_LEVEL_EDGES, values)]).T
 
 
 def category_indices(rows: np.ndarray) -> np.ndarray:
-    """`categorize(box).index` of every box row."""
-    distance = math_map(math.hypot, rows[:, 0], rows[:, 1])
-    speed = math_map(math.hypot, rows[:, 3], rows[:, 4])
-    volume = rows[:, 6] * rows[:, 7] * rows[:, 8]
-    return (
-        np.searchsorted(DISTANCE_EDGES_M, distance, side="right")
-        + NUM_DISTANCE_LEVELS * np.searchsorted(VELOCITY_EDGES_MPS, speed, side="right")
-        + NUM_DISTANCE_LEVELS
-        * NUM_VELOCITY_LEVELS
-        * np.searchsorted(SIZE_EDGES_M3, volume, side="right")
-    )
+    """Each box row's flat index into the 80-bin grid; distance varies fastest."""
+    return category_levels(rows) @ _LEVEL_STRIDES
 
 
 def distribution(rows: np.ndarray, views: np.ndarray, view_count: int) -> np.ndarray:
@@ -296,32 +267,9 @@ def distribution(rows: np.ndarray, views: np.ndarray, view_count: int) -> np.nda
     return np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
 
 
-def ego_transform(box: Box3D, from_pose: EgoPose, to_pose: EgoPose) -> Box3D:
-    """Re-express a box given in `from_pose`'s frame in `to_pose`'s frame.
-
-    Planar rigid transform: center translates and rotates, velocity and yaw
-    rotate (velocity is a free vector; no ego-motion subtraction), z and size
-    pass through.
-    """
-    nx, ny, nvx, nvy = _planar_transform(
-        box.center[0], box.center[1], box.velocity[0], box.velocity[1], from_pose, to_pose
-    )
-    return Box3D(
-        center=(nx, ny, box.center[2]),
-        size=box.size,
-        velocity=(nvx, nvy, box.velocity[2]),
-        yaw=wrap_angle(box.yaw + from_pose.yaw - to_pose.yaw),
-        cls=box.cls,
-        confidence=box.confidence,
-    )
-
-
 def _planar_transform(x, y, vx, vy, from_pose: EgoPose, to_pose: EgoPose):
-    """`ego_transform`'s planar arithmetic, on floats or elementwise on arrays.
-
-    Both evaluate the same float operations in the same order, so a box row
-    and a `Box3D` move to the same bits.
-    """
+    """`transform_rows`' planar arithmetic, elementwise on arrays: through
+    the global frame, in a fixed order of float operations."""
     cf, sf = math.cos(from_pose.yaw), math.sin(from_pose.yaw)
     gx = from_pose.x + cf * x - sf * y
     gy = from_pose.y + sf * x + cf * y
@@ -337,43 +285,25 @@ def _planar_transform(x, y, vx, vy, from_pose: EgoPose, to_pose: EgoPose):
     return nx, ny, nvx, nvy
 
 
-def rows_to_ego(rows: np.ndarray, pose: EgoPose) -> np.ndarray:
-    """`box_to_ego` of every global-frame box row."""
+def transform_rows(rows: np.ndarray, from_pose: EgoPose, to_pose: EgoPose) -> np.ndarray:
+    """Re-express box rows given in `from_pose`'s frame in `to_pose`'s frame.
+
+    Planar rigid transform: center translates and rotates, velocity rotates
+    (velocity is a free vector; no ego-motion subtraction), z and size pass
+    through.
+    """
     out = np.array(rows, dtype=np.float64)
     out[:, 0], out[:, 1], out[:, 3], out[:, 4] = _planar_transform(
-        out[:, 0], out[:, 1], out[:, 3], out[:, 4], GLOBAL_FRAME, pose
+        out[:, 0], out[:, 1], out[:, 3], out[:, 4], from_pose, to_pose
     )
     return out
 
 
-def ego_boxes(
-    rows: np.ndarray,
-    yaws: Iterable[float],
-    classes: Iterable[ObjectClass],
-    confidences: Iterable[float],
-    pose: EgoPose,
-) -> Tuple[Box3D, ...]:
-    """The boxes of `rows_to_ego(global_rows, pose)`, each equal to `box_to_ego`
-    of its global box; `yaws` are the global headings."""
-    return tuple(
-        Box3D(
-            center=(x, y, z),
-            size=(w, h, l),
-            velocity=(vx, vy, vz),
-            yaw=wrap_angle(wrap_angle(yaw) + GLOBAL_FRAME.yaw - pose.yaw),
-            cls=cls,
-            confidence=confidence,
-        )
-        for (x, y, z, vx, vy, vz, w, h, l), yaw, cls, confidence
-        in zip(rows.tolist(), yaws, classes, confidences)
+def transform_yaws(yaws: np.ndarray, from_pose: EgoPose, to_pose: EgoPose) -> np.ndarray:
+    """Headings given in `from_pose`'s frame, turned into `to_pose`'s frame and
+    wrapped to (-pi, pi]. A Python loop: a frame holds a few dozen boxes,
+    which NumPy's per-call cost would outweigh."""
+    start, end = from_pose.yaw, to_pose.yaw
+    return np.array(
+        [wrap_angle(wrap_angle(yaw) + start - end) for yaw in yaws.tolist()], dtype=np.float64
     )
-
-
-def box_to_global(box: Box3D, pose: EgoPose) -> Box3D:
-    """Lift an ego-frame box into the global frame."""
-    return ego_transform(box, pose, GLOBAL_FRAME)
-
-
-def box_to_ego(box: Box3D, pose: EgoPose) -> Box3D:
-    """Project a global-frame box into an ego frame."""
-    return ego_transform(box, GLOBAL_FRAME, pose)

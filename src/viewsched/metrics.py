@@ -1,8 +1,10 @@
 """Detection quality metrics on center-distance matching.
 
-Average precision is computed per (class, distance threshold) from
-confidence-ranked predictions matched greedily to ground truth; translation
-and velocity errors come from the true-positive pairs at one fixed threshold.
+Predictions and ground truth are `BoxRows` of one frame. Average precision
+is computed per (class, distance threshold) from confidence-ranked
+predictions matched greedily to ground truth, class code by class code;
+translation and velocity errors come from the true-positive pairs at one
+fixed threshold.
 The composite detection score folds mAP and both error terms into a single
 [0, 1] number used as the scheduler's training target and the comparison
 metric between policies.
@@ -16,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Box3D, ObjectClass
+from .core import BoxRows, ObjectClass, class_codes
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,9 @@ class EvalConfig:
         if len(set(thresholds)) != len(thresholds):
             # a repeated threshold would count its AP cells twice in mAP
             raise ValueError("match_thresholds must be distinct")
+        if len(set(self.classes)) != len(self.classes):
+            # a repeated class would count its AP cells and its errors twice
+            raise ValueError("classes must be distinct")
         if self.tp_error_threshold not in thresholds:
             raise ValueError("tp_error_threshold must be one of match_thresholds")
         if not 0.0 <= self.min_recall < 1.0:
@@ -43,23 +48,27 @@ class EvalConfig:
 
 # per prediction, the claimed (gt index, planar distance), or None
 Claims = List[Optional[Tuple[int, float]]]
+# a frame's box rows as lists of 9 floats, as `BoxRows.rows.tolist()` gives them
+Rows = List[List[float]]
 
 
-def _by_class(boxes: Sequence[Box3D], ranked: bool = False) -> Dict[ObjectClass, List[int]]:
-    """Per class, its box indices: in input order, or when `ranked` in visit
-    order (descending confidence, ties in input order)."""
-    order = range(len(boxes))
+def _by_class(boxes: BoxRows, ranked: bool = False) -> Dict[int, List[int]]:
+    """Per class code, its box indices: in input order, or when `ranked` in
+    visit order (descending confidence, ties in input order)."""
+    codes = boxes.classes.tolist()
+    order: Sequence[int] = range(len(codes))
     if ranked:
-        order = sorted(order, key=lambda i: -boxes[i].confidence)
-    groups: Dict[ObjectClass, List[int]] = {}
+        confidences = boxes.confidences.tolist()
+        order = sorted(order, key=lambda i: -confidences[i])  # stable: ties keep input order
+    groups: Dict[int, List[int]] = {}
     for i in order:
-        groups.setdefault(boxes[i].cls, []).append(i)
+        groups.setdefault(codes[i], []).append(i)
     return groups
 
 
 def _greedy_claims(
-    preds: Sequence[Box3D],
-    gts: Sequence[Box3D],
+    preds: Rows,
+    gts: Rows,
     p_idx: Sequence[int],
     g_idx: Sequence[int],
     thresholds: Sequence[float],
@@ -75,10 +84,10 @@ def _greedy_claims(
     reach = max(thresholds)
     nearest: List[List[Tuple[float, int]]] = []
     for pi in p_idx:
-        px, py = preds[pi].center[0], preds[pi].center[1]
+        px, py = preds[pi][0], preds[pi][1]
         cands = []
         for gi in g_idx:
-            d = math.hypot(px - gts[gi].center[0], py - gts[gi].center[1])
+            d = math.hypot(px - gts[gi][0], py - gts[gi][1])
             if d <= reach:
                 cands.append((d, gi))
         cands.sort()
@@ -102,8 +111,8 @@ def _greedy_claims(
 
 
 def _class_outcome(
-    preds: Sequence[Box3D],
-    gts: Sequence[Box3D],
+    preds: Rows,
+    gts: Rows,
     p_idx: Sequence[int],
     g_idx: Sequence[int],
     config: EvalConfig,
@@ -116,8 +125,8 @@ def _class_outcome(
     at_error = claims[config.match_thresholds.index(config.tp_error_threshold)]
     errors = []
     for pi, (gi, d) in sorted((pi, c) for pi, c in zip(p_idx, at_error) if c is not None):
-        vp, vg = preds[pi].velocity, gts[gi].velocity
-        errors.append((d, math.hypot(vp[0] - vg[0], vp[1] - vg[1])))
+        vp, vg = preds[pi], gts[gi]
+        errors.append((d, math.hypot(vp[3] - vg[3], vp[4] - vg[4])))
     return flags, tuple(errors)
 
 
@@ -138,19 +147,21 @@ class FrameEval:
 
 
 def evaluate_frame(
-    preds: Sequence[Box3D], gts: Sequence[Box3D], config: Optional[EvalConfig] = None
+    preds: BoxRows, gts: BoxRows, config: Optional[EvalConfig] = None
 ) -> FrameEval:
     config = config or EvalConfig()
     p_groups, g_groups = _by_class(preds, ranked=True), _by_class(gts)
+    p_rows, g_rows = preds.rows.tolist(), gts.rows.tolist()
+    confidences = preds.confidences.tolist()
     gt_counts: Dict[ObjectClass, int] = {}
     pred_records: Dict[ObjectClass, Dict[float, Tuple[Tuple[float, bool], ...]]] = {}
     tp_errors: Dict[ObjectClass, Tuple[Tuple[float, float], ...]] = {}
     fp_counts: Dict[ObjectClass, int] = {}
     fn_counts: Dict[ObjectClass, int] = {}
-    for cls in config.classes:
-        p_idx, g_idx = p_groups.get(cls, []), g_groups.get(cls, [])
-        flags, errors = _class_outcome(preds, gts, p_idx, g_idx, config)
-        confs = [preds[pi].confidence for pi in p_idx]
+    for cls, code in zip(config.classes, class_codes(config.classes).tolist()):
+        p_idx, g_idx = p_groups.get(code, []), g_groups.get(code, [])
+        flags, errors = _class_outcome(p_rows, g_rows, p_idx, g_idx, config)
+        confs = [confidences[pi] for pi in p_idx]
         gt_counts[cls] = len(g_idx)
         pred_records[cls] = {
             t: tuple(zip(confs, row)) for t, row in zip(config.match_thresholds, flags)
@@ -220,8 +231,8 @@ def average_precision(
 
 
 def view_detection_scores(
-    branch_preds: Sequence[Sequence[Box3D]],
-    gts: Sequence[Box3D],
+    branch_preds: Sequence[BoxRows],
+    gts: BoxRows,
     config: Optional[EvalConfig] = None,
 ) -> np.ndarray:
     """Each branch's one-frame composite score on one view: entry b equals
@@ -234,17 +245,19 @@ def view_detection_scores(
     """
     config = config or EvalConfig()
     g_groups = _by_class(gts)
-    classes = [cls for cls in config.classes if cls in g_groups]
+    g_rows = gts.rows.tolist()
+    classes = [code for code in class_codes(config.classes).tolist() if code in g_groups]
     if not classes:
         return np.zeros(len(branch_preds))  # every AP undefined and the errors worst-case
     rows: List[List[bool]] = []
     errors: List[List[Tuple[float, float]]] = []
     for preds in branch_preds:
         p_groups = _by_class(preds, ranked=True)
+        p_rows = preds.rows.tolist()
         errs: List[Tuple[float, float]] = []
-        for cls in classes:
-            p_idx = p_groups.get(cls, [])
-            flags, class_errs = _class_outcome(preds, gts, p_idx, g_groups[cls], config)
+        for code in classes:
+            p_idx = p_groups.get(code, [])
+            flags, class_errs = _class_outcome(p_rows, g_rows, p_idx, g_groups[code], config)
             rows.extend(flags)
             errs.extend(class_errs)  # by prediction index within a class, as summarize has them
         errors.append(errs)
@@ -252,18 +265,11 @@ def view_detection_scores(
     if width == 0:
         return np.zeros(len(branch_preds))  # every AP is 0.0 and the errors worst-case
     tp = np.array([row + [False] * (width - len(row)) for row in rows], dtype=bool)
-    npos = np.repeat([len(g_groups[cls]) for cls in classes], len(config.match_thresholds))
+    npos = np.repeat([len(g_groups[code]) for code in classes], len(config.match_thresholds))
     aps = _interpolated_ap(tp, np.tile(npos, len(branch_preds)), config.min_recall)
     m_ap = aps.reshape(len(branch_preds), -1).mean(axis=1).tolist()
     m_err = _branch_mean_errors(errors).tolist()
     return np.array([detection_score(a, *e) for a, e in zip(m_ap, m_err)])
-
-
-def frame_detection_score(
-    preds: Sequence[Box3D], gts: Sequence[Box3D], config: Optional[EvalConfig] = None
-) -> float:
-    """One frame's composite score: `view_detection_scores` of one branch."""
-    return float(view_detection_scores([preds], gts, config)[0])
 
 
 def _mean_errors(errors: Sequence[Tuple[float, float]]) -> Tuple[float, float]:

@@ -40,12 +40,13 @@ from .branches import (
     group_cost,
 )
 from .core import (
-    Box3D,
+    GLOBAL_FRAME,
+    BoxRows,
     CameraRig,
     EgoPose,
     distribution,
-    ego_boxes,
-    rows_to_ego,
+    transform_rows,
+    transform_yaws,
     views_of,
 )
 from .predictors import FEATURE_WIDTH, PerformanceModels, accuracy_features, view_confidences
@@ -464,34 +465,35 @@ class FrameForecast:
     views: np.ndarray
     distributions: np.ndarray
 
-    def boxes(self) -> Tuple[Box3D, ...]:
-        """The forecast as ego-frame boxes, equal to `box_to_ego(track.to_box(), pose)`."""
-        tracks = self.tracks.tracks
-        return ego_boxes(
-            self.ego_rows,
-            [t.yaw for t in tracks],
-            [t.cls for t in tracks],
-            [t.confidence for t in tracks],
-            self.ego_pose,
-        )
+    def box_rows(self) -> BoxRows:
+        """The forecast as ego-frame boxes; the planner reads only their rows."""
+        yaws = np.array([t.yaw for t in self.tracks.tracks], dtype=np.float64)
+        return BoxRows(self.ego_rows, self.tracks.classes, self.tracks.confidences,
+                       transform_yaws(yaws, GLOBAL_FRAME, self.ego_pose))
 
 
 def frame_forecast(tracks: TrackTable, ego_pose: EgoPose, rig: CameraRig) -> FrameForecast:
     """Place forecast tracks in the frame: ego rows, views, distributions."""
-    rows = rows_to_ego(tracks.means, ego_pose)
+    rows = transform_rows(tracks.means, GLOBAL_FRAME, ego_pose)
     views = views_of(rows, rig)
     return FrameForecast(tracks, ego_pose, rows, views, distribution(rows, views, rig.view_count))
 
 
-def frame_features(forecast: FrameForecast, branch_indices: Sequence[int]) -> np.ndarray:
+def frame_features(
+    distributions: np.ndarray,
+    views: np.ndarray,
+    confidences: np.ndarray,
+    branch_indices: Sequence[int],
+) -> np.ndarray:
     """The accuracy model's feature rows for every (branch, view) cell of a
-    frame, shaped (branches, views, width): the planner and the training set
-    both featurize a frame here (see `accuracy_features`)."""
-    dists = forecast.distributions
+    frame, shaped (branches, views, width), from its forecast: the (views,
+    80) distributions and each forecast box's view and confidence. The
+    planner and the training set both featurize a frame here (see
+    `accuracy_features`)."""
     return accuracy_features(
-        dists,
+        distributions,
         branch_indices,
-        view_confidences(forecast.tracks.confidences, forecast.views, len(dists)),
+        view_confidences(confidences, views, len(distributions)),
     )
 
 
@@ -523,7 +525,8 @@ def schedule_frame(
     if not branches or not branches[0].is_tracker:
         raise ValueError("branch set must start with the tracker branch")
 
-    feats = frame_features(forecast, [b.index for b in branches])
+    feats = frame_features(forecast.distributions, forecast.views, forecast.tracks.confidences,
+                           [b.index for b in branches])
     raw = models.accuracy.predict_batch(feats.reshape(-1, FEATURE_WIDTH)).reshape(feats.shape[:2])
 
     lats = np.array([branch_latency(b, device) for b in branches])

@@ -1,10 +1,11 @@
 """Deterministic scene simulation and the synthetic detection oracle.
 
 A scenario is a seeded world of point-ish objects with extent moving at
-roughly constant velocity around a moving ego. Its ground truth is box rows,
-like the forecast's: the live objects move as one array, and each frame's
-ego rows are placed in views and turned into boxes by the same functions
-that place and build the forecast's. Detector branches are stood in
+roughly constant velocity around a moving ego. Boxes are `BoxRows` from the
+ground truth to the metrics: the live objects move as one array, each
+frame's ground truth is their rows in the ego frame, placed in views by the
+same function that places the forecast's, and the synthetic detector draws
+its boxes from those rows. Detector branches are stood in
 for by a capability profile: per (branch, object category) recall and noise
 levels plus a false-positive rate, calibrated so the relative trends between
 branches (far-object recall gap, fused-velocity error gap) match the system
@@ -38,26 +39,25 @@ from .branches import (
     fixed_latency,
     json_copy,
     json_count,
+    json_file,
     json_flag,
     json_number,
     json_object,
 )
 from .core import (
+    CLASSES,
+    GLOBAL_FRAME,
     NUM_DISTANCE_LEVELS,
     NUM_SIZE_LEVELS,
     NUM_VELOCITY_LEVELS,
-    Box3D,
+    BoxRows,
     CameraRig,
-    CategoryLevel,
     EgoPose,
     ObjectClass,
-    box_to_global,
-    categorize,
+    category_levels,
+    concat_boxes,
     distribution,  # not called here; perfbench traces calls under this name
-    ego_boxes,
-    group_by_view,
     math_map,
-    rows_to_ego,
     views_of,
     wrap_angle,
 )
@@ -276,7 +276,7 @@ class ScenarioConfig:
         defaults."""
         kwargs: dict = {}
         known = frozenset(("version", *(f.name for f in fields(cls))))
-        for key, value in json_object("scenario", data, known).items():
+        for key, value in json_file("scenario", data, known).items():
             if key in ("seed", "initial_count"):
                 kwargs[key] = json_count(key, value)
             elif key in ("class_mix", "speed_ranges"):
@@ -297,8 +297,7 @@ class GroundTruthFrame:
     timestamp: float
     ego: EgoPose
     ids: Tuple[int, ...]
-    boxes: Tuple[Box3D, ...]  # ego frame, parallel to ids
-    rows: np.ndarray  # the boxes' rows, as `rows_to_ego` lays them out
+    gt: BoxRows  # ego frame, parallel to ids
 
 
 # A live object is one row: its global box row (x, y, z, vx, vy, vz, w, h, l)
@@ -348,7 +347,7 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
     weights = np.array([config.class_mix[c] for c in classes])
     probs = weights / weights.sum()
     state = np.empty((0, _YAW_RATE + 1))
-    live: List[Tuple[int, ObjectClass]] = []  # each row's id and class
+    live: List[Tuple[int, int]] = []  # each row's id and class code
     new_ids = itertools.count(1)
 
     def spawn(count: int, center: EgoPose, radius: float, inward: bool) -> None:
@@ -356,7 +355,7 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
         for _ in range(count):
             cls, row = _spawn_row(rng, config, classes, probs, center, radius, inward)
             state = np.vstack([state, row])
-            live.append((next(new_ids), cls))
+            live.append((next(new_ids), CLASSES.index(cls)))
 
     spawn(config.initial_count, config.ego.pose_at(0.0), config.world_radius_m * 0.92, False)
     frames: List[GroundTruthFrame] = []
@@ -381,10 +380,10 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
             spawn(int(rng.poisson(config.spawn_rate_per_s * dt)), pose,
                   config.world_radius_m * 0.999, True)
 
-        rows = rows_to_ego(state[:, :_YAW], pose)
-        kinds = [cls for _, cls in live]
-        boxes = ego_boxes(rows, state[:, _YAW].tolist(), kinds, (1.0,) * len(live), pose)
-        frames.append(GroundTruthFrame(i, t, pose, tuple(oid for oid, _ in live), boxes, rows))
+        codes = np.array([code for _, code in live], dtype=np.int64)
+        gt = BoxRows(state[:, :_YAW], codes, np.ones(len(live)), state[:, _YAW])
+        frames.append(GroundTruthFrame(i, t, pose, tuple(oid for oid, _ in live),
+                                       gt.moved(GLOBAL_FRAME, pose)))
     return frames
 
 
@@ -406,7 +405,7 @@ class CapabilityError(Exception):
 
 
 class DetectorRow(NamedTuple):
-    """One detector branch's capability, indexed by `categorize`'s levels.
+    """One detector branch's capability, indexed by `category_levels`' levels.
     `recall` is the profile's own list: nothing writes to a row."""
 
     recall: List[float]  # [distance level]
@@ -460,7 +459,7 @@ def _read_capability(data: object) -> dict:
     canonical form. Absent confidence entries take `ConfidenceParams`'
     defaults; the ratio anchors are optional, and a block that names none
     pins nothing."""
-    d = json_object("capability profile", data, _CAPABILITY_KEYS)
+    d = json_file("capability profile", data, _CAPABILITY_KEYS)
     out: dict = {"version": 1, "name": d["name"], "ratio_anchors": None}
     for name, (synthetic, shapes) in _CAPABILITY_LAYOUT.items():
         if name == "ratio_anchors" and d.get(name) is None:
@@ -618,6 +617,9 @@ def perfect_capability() -> CapabilityProfile:
 
 
 _FP_CLASSES = tuple(sorted(CLASS_DIMS, key=lambda c: c.value))  # a false positive's classes
+_FP_CODES = tuple(CLASSES.index(c) for c in _FP_CLASSES)
+_NO_SIZE_NOISE = (0.0, 0.0, 0.0)
+_NO_BOXES = BoxRows.of((), (), (), ())
 
 
 def _confidence(rng: np.random.Generator, mean: float, sd: float, c: ConfidenceParams) -> float:
@@ -628,47 +630,47 @@ def _confidence(rng: np.random.Generator, mean: float, sd: float, c: ConfidenceP
 
 def synth_detect(
     branch: BranchConfig,
-    boxes: Sequence[Box3D],
+    boxes: BoxRows,
     capability: CapabilityProfile,
     rng: np.random.Generator,
     sector: Tuple[float, float],
     max_range_m: float = 60.0,
-    levels: Optional[Sequence[CategoryLevel]] = None,
-) -> List[Box3D]:
+    levels: Optional[np.ndarray] = None,
+) -> BoxRows:
     """Stand-in for running one detector branch on one view.
 
     Each ground-truth box survives with its category recall, then gets
     position/velocity/size noise per the profile; Poisson false positives are
-    placed uniformly over the sector's area. Deterministic given the rng
-    stream. The tracker branch has no capability row: it raises ValueError.
-    `levels` holds `categorize(box)` of each box, for callers that draw
-    several branches on one view; by default they are computed here.
+    placed uniformly over the sector's area. Draws go box by box, in a fixed
+    order, so the output is deterministic given the rng stream. The tracker
+    branch has no capability row: it raises ValueError. `levels` holds
+    `category_levels(boxes.rows)`, for callers that draw several branches on
+    one view; by default they are computed here.
     """
     row = capability.row(branch)
     c = capability.confidence
-    out: List[Box3D] = []
-    for box, level in zip(boxes, map(categorize, boxes) if levels is None else levels):
-        dist = level.distance_level
+    rows: List[List[float]] = []
+    classes: List[int] = []
+    confidences: List[float] = []
+    yaws: List[float] = []
+    if levels is None:
+        levels = category_levels(boxes.rows)
+    for (x, y, z, vx, vy, vz, *size), (dist, vel, vol), cls, yaw in zip(
+        boxes.rows.tolist(), levels.tolist(), boxes.classes.tolist(), boxes.yaws.tolist()
+    ):
         if rng.random() >= row.recall[dist]:
             continue
         sp = row.sigma_pos[dist]
-        sv = row.sigma_vel[level.velocity_level][dist]
-        ss = row.sigma_size[level.size_level]
+        sv = row.sigma_vel[vel][dist]
+        ss = row.sigma_size[vol]
         dx, dy = (rng.normal(0.0, sp, 2) if sp > 0 else (0.0, 0.0))
         dvx, dvy = (rng.normal(0.0, sv, 2) if sv > 0 else (0.0, 0.0))
-        dsize = rng.normal(0.0, ss, 3) if ss > 0 else np.zeros(3)
-        size = tuple(max(float(s + d), 0.05) for s, d in zip(box.size, dsize))
-        conf = _confidence(rng, c.tp_mean, c.tp_sd, c)
-        out.append(
-            Box3D(
-                center=(box.center[0] + float(dx), box.center[1] + float(dy), box.center[2]),
-                size=size,  # type: ignore[arg-type]
-                velocity=(box.velocity[0] + float(dvx), box.velocity[1] + float(dvy), box.velocity[2]),
-                yaw=box.yaw,
-                cls=box.cls,
-                confidence=conf,
-            )
-        )
+        dsize = rng.normal(0.0, ss, 3) if ss > 0 else _NO_SIZE_NOISE
+        rows.append([x + float(dx), y + float(dy), z, vx + float(dvx), vy + float(dvy), vz,
+                     *(max(float(s + d), 0.05) for s, d in zip(size, dsize))])
+        classes.append(cls)
+        confidences.append(_confidence(rng, c.tp_mean, c.tp_sd, c))
+        yaws.append(yaw)
 
     lam = row.fp_rate
     n_fp = int(rng.poisson(lam)) if lam > 0 else 0
@@ -679,22 +681,16 @@ def synth_detect(
     for _ in range(n_fp):
         r = math.sqrt(rng.uniform((2.0 / max_range_m) ** 2, 1.0)) * max_range_m
         theta = wrap_angle(lo + rng.uniform(0.0, width))
-        cls_ = _FP_CLASSES[int(rng.integers(0, len(_FP_CLASSES)))]
-        dims = CLASS_DIMS[cls_]
+        k = int(rng.integers(0, len(_FP_CLASSES)))
+        w, h, l = CLASS_DIMS[_FP_CLASSES[k]]
         heading = rng.uniform(-math.pi, math.pi)
         speed = rng.uniform(0.0, 3.0)
-        conf = _confidence(rng, c.fp_mean, c.fp_sd, c)
-        out.append(
-            Box3D(
-                center=(r * math.cos(theta), r * math.sin(theta), dims[1] / 2.0),
-                size=dims,
-                velocity=(speed * math.cos(heading), speed * math.sin(heading), 0.0),
-                yaw=heading,
-                cls=cls_,
-                confidence=conf,
-            )
-        )
-    return out
+        rows.append([r * math.cos(theta), r * math.sin(theta), h / 2.0,
+                     speed * math.cos(heading), speed * math.sin(heading), 0.0, w, h, l])
+        classes.append(_FP_CODES[k])
+        confidences.append(_confidence(rng, c.fp_mean, c.fp_sd, c))
+        yaws.append(wrap_angle(heading))
+    return BoxRows.of(rows, classes, confidences, yaws) if rows else _NO_BOXES
 
 
 # -- closed loop ---------------------------------------------------------------
@@ -742,8 +738,10 @@ class FrameLog:
     timestamp: float
     warmup: bool
     ego: EgoPose
-    gt_by_view: Tuple[Tuple[Box3D, ...], ...]  # ego frame
-    forecast: FrameForecast  # the tracks forecast into this frame, placed in views
+    gt_by_view: Tuple[BoxRows, ...]  # ego frame
+    forecast: BoxRows  # the tracks forecast into this frame, as ego-frame boxes
+    forecast_views: np.ndarray  # each forecast box's view
+    distributions: np.ndarray  # the forecast's (views, 80) category distributions
     assignment: Tuple[int, ...]  # catalog branch index per view
     predicted_objective: Optional[float]
     uniform_objective: Optional[float]  # best single-branch counterfactual
@@ -753,8 +751,8 @@ class FrameLog:
     predicted_frame_ms: Optional[float]
     actual_ms: float
     compliant: bool
-    detections: Tuple[Tuple[Box3D, ...], ...]  # per view, ego frame
-    outputs: Tuple[Box3D, ...]  # what the system emitted downstream
+    detections: Tuple[BoxRows, ...]  # per view, ego frame
+    outputs: BoxRows  # what the system emitted downstream, ego frame
     track_ids: Tuple[int, ...]
 
 
@@ -925,19 +923,19 @@ def run_episode(
         warmup = frame.index == 0
         rows, plan, decision = (warm if warmup else choose)(system, frame.index, forecast)
         detected = is_detector[rows]  # per view: did a detector run there
-        gt_by_view = group_by_view(frame.boxes, views_of(frame.rows, rig), n_views)
+        gt_by_view = frame.gt.by_view(views_of(frame.gt.rows, rig), n_views)
 
-        detections_by_view = [
-            tuple(synth_detect(branches[r], gt_by_view[j], system.capability, det_rngs[j],
-                               rig.sectors[j], scenario.despawn_radius_m))
-            if detected[j] else ()
+        detections_by_view = tuple(
+            synth_detect(branches[r], gt_by_view[j], system.capability, det_rngs[j],
+                         rig.sectors[j], scenario.despawn_radius_m)
+            if detected[j] else _NO_BOXES
             for j, r in enumerate(rows)
-        ]
+        )
         observed = detected[forecast.views]
-        outputs = [d for dets in detections_by_view for d in dets]
-        detections_global = [box_to_global(d, frame.ego) for d in outputs]
-        outputs.extend(b for b, seen in zip(forecast.boxes(), observed) if not seen)
-        tracker.step(detections_global, dt, forecast.tracks, observed)
+        forecast_boxes = forecast.box_rows()
+        detections = concat_boxes(detections_by_view)
+        outputs = concat_boxes((detections, forecast_boxes.take(~observed)))
+        tracker.step(detections.moved(frame.ego, GLOBAL_FRAME), dt, forecast.tracks, observed)
 
         # the planner's price of the frame that ran, which the device realizes;
         # without a plan, the true update cost stands in for the predicted one
@@ -953,7 +951,9 @@ def run_episode(
             warmup=warmup,
             ego=frame.ego,
             gt_by_view=gt_by_view,
-            forecast=forecast,
+            forecast=forecast_boxes,
+            forecast_views=forecast.views,
+            distributions=forecast.distributions,
             assignment=tuple(branches[r].index for r in rows),
             predicted_objective=decision.predicted_objective if decision is not None else None,
             uniform_objective=uniform.predicted_objective if uniform is not None else None,
@@ -963,12 +963,12 @@ def run_episode(
             predicted_frame_ms=marginal + fixed_ms + update_ms,
             actual_ms=actual,
             compliant=actual <= system.target_ms + 1e-9,
-            detections=tuple(detections_by_view),
-            outputs=tuple(outputs),
+            detections=detections_by_view,
+            outputs=outputs,
             track_ids=tuple(t.track_id for t in tracker.tracks),
         )
         frame_logs.append(log)
-        frame_evals.append(evaluate_frame(log.outputs, frame.boxes))
+        frame_evals.append(evaluate_frame(outputs, frame.gt))
 
     summary = summarize(frame_evals)
     n_sched = max(len(frame_logs) - 1, 0)

@@ -1,10 +1,13 @@
 """3D multi-object tracking with a constant-velocity Kalman filter.
 
-State per track is 9-dimensional: (x, y, z, vx, vy, vz, w, h, l). Yaw is
-carried alongside but not filtered. Tracks are value objects;
-`forecast_all` (one batched step over every track, returning a `TrackTable`),
-`associate` and `update` are pure, and `MultiObjectTracker` owns the track
-list plus id allocation for the closed loop.
+State per track is 9-dimensional: (x, y, z, vx, vy, vz, w, h, l), the row
+layout of `core.BoxRows`. Yaw is carried alongside but not filtered. Tracks
+are value objects; `forecast_all` (one batched step over every track,
+returning a `TrackTable`), `associate` and `update` are pure, and
+`MultiObjectTracker` owns the track list plus id allocation for the closed
+loop. Detections arrive as `BoxRows`: `associate` gates and costs every
+(track, detection) pair at once on the forecast means and the detection
+rows, and `update` folds one detection row into a track.
 
 The caller decides which forecast rows a miss counts for: when only some
 camera views are served by a detector (the rest fall to the zero-latency
@@ -23,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import Box3D, ObjectClass
+from .core import CLASSES, BoxRows, ObjectClass, class_codes, math_map
 
 logger = logging.getLogger(__name__)
 
@@ -77,28 +80,6 @@ class TrackState:
     age: int = 0
     yaw: float = 0.0
 
-    def to_box(self) -> Box3D:
-        m = self.mean
-        return Box3D(
-            center=(float(m[0]), float(m[1]), float(m[2])),
-            size=(float(m[6]), float(m[7]), float(m[8])),
-            velocity=(float(m[3]), float(m[4]), float(m[5])),
-            yaw=self.yaw,
-            cls=self.cls,
-            confidence=self.confidence,
-        )
-
-    @property
-    def planar_speed(self) -> float:
-        return math.hypot(float(self.mean[3]), float(self.mean[4]))
-
-
-def measurement_vector(box: Box3D) -> np.ndarray:
-    return np.array(
-        [*box.center, *box.velocity, *box.size],
-        dtype=np.float64,
-    )
-
 
 @dataclass(frozen=True)
 class TrackTable:
@@ -121,6 +102,11 @@ class TrackTable:
     def confidences(self) -> np.ndarray:
         return np.array([t.confidence for t in self.tracks], dtype=np.float64)
 
+    @property
+    def classes(self) -> np.ndarray:
+        """Each row's class code (see `core.CLASSES`)."""
+        return class_codes(t.cls for t in self.tracks)
+
 
 def forecast_all(tracks: Sequence[TrackState], dt: float, model: KalmanModel) -> TrackTable:
     """Propagate every track dt seconds ahead in one batched step (pure; no
@@ -141,8 +127,8 @@ def forecast_all(tracks: Sequence[TrackState], dt: float, model: KalmanModel) ->
 
 
 def associate(
-    tracks: Sequence[TrackState],
-    detections: Sequence[Box3D],
+    tracks: TrackTable,
+    detections: BoxRows,
     config: TrackerConfig,
     dt: float,
 ) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
@@ -158,20 +144,17 @@ def associate(
     if nt == 0 or nd == 0:
         return [], list(range(nt)), list(range(nd))
 
-    cost = np.full((nt, nd), _GATING_COST, dtype=np.float64)
-    for ti, track in enumerate(tracks):
-        gate = config.base_gate_m + track.planar_speed * dt
-        tx, ty = float(track.mean[0]), float(track.mean[1])
-        for di, det in enumerate(detections):
-            if det.cls is not track.cls:
-                continue
-            d = math.hypot(det.center[0] - tx, det.center[1] - ty)
-            if d <= gate:
-                cost[ti, di] = d
+    means, rows = tracks.means, detections.rows
+    gate = config.base_gate_m + math_map(math.hypot, means[:, 3], means[:, 4]) * dt
+    dx = rows[:, 0] - means[:, 0, None]
+    dy = rows[:, 1] - means[:, 1, None]
+    dist = math_map(math.hypot, dx.ravel(), dy.ravel()).reshape(nt, nd)
+    same_class = tracks.classes[:, None] == detections.classes
+    cost = np.where(same_class & (dist <= gate[:, None]), dist, _GATING_COST)
 
-    rows, cols = linear_sum_assignment(cost)
+    rows_, cols = linear_sum_assignment(cost)
     matches: List[Tuple[int, int]] = []
-    for ti, di in zip(rows, cols):
+    for ti, di in zip(rows_, cols):
         if cost[ti, di] < _GATING_COST:
             matches.append((int(ti), int(di)))
     matched_t = {ti for ti, _ in matches}
@@ -183,15 +166,18 @@ def associate(
     )
 
 
-def update(track: TrackState, detection: Box3D, model: KalmanModel) -> TrackState:
-    """Fold one detection into a forecast track (standard Kalman update).
+def update(
+    track: TrackState, detections: BoxRows, model: KalmanModel, index: int = 0
+) -> TrackState:
+    """Fold detection `index` into a forecast track (standard Kalman update).
 
-    The full state is measured, so H = I. Covariance is symmetrized after the
-    update; if it still has a meaningfully negative eigenvalue the negative
-    part is clipped and a diagnostic is logged. Confidence keeps the larger
-    of the track's and the detection's value; the miss counter resets.
+    The full state is measured, so H = I and the measurement is the
+    detection's row. Covariance is symmetrized after the update; if it still
+    has a meaningfully negative eigenvalue the negative part is clipped and a
+    diagnostic is logged. Confidence keeps the larger of the track's and the
+    detection's value; the miss counter resets.
     """
-    z = measurement_vector(detection)
+    z = detections.rows[index]
     p = track.covariance
     s = p + model.measurement_cov()
     k = np.linalg.solve(s.T, p.T).T
@@ -222,9 +208,9 @@ def update(track: TrackState, detection: Box3D, model: KalmanModel) -> TrackStat
         track,
         mean=mean,
         covariance=cov,
-        confidence=max(track.confidence, detection.confidence),
+        confidence=max(track.confidence, float(detections.confidences[index])),
         misses=0,
-        yaw=detection.yaw,
+        yaw=float(detections.yaws[index]),
     )
 
 
@@ -244,7 +230,7 @@ class MultiObjectTracker:
 
     def step(
         self,
-        detections: Sequence[Box3D],
+        detections: BoxRows,
         dt: float,
         forecast: TrackTable,
         observed: Optional[np.ndarray] = None,
@@ -273,11 +259,11 @@ class MultiObjectTracker:
             replace(t, mean=m, covariance=c, age=t.age + 1)
             for t, m, c in zip(forecast.tracks, forecast.means, forecast.covariances)
         ]
-        matches, um_tracks, um_dets = associate(predicted, detections, self.config, dt)
+        matches, um_tracks, um_dets = associate(forecast, detections, self.config, dt)
 
         survivors: List[TrackState] = [None] * len(predicted)  # type: ignore[list-item]
         for ti, di in matches:
-            survivors[ti] = update(predicted[ti], detections[di], self.model)
+            survivors[ti] = update(predicted[ti], detections, self.model, di)
 
         for ti in um_tracks:
             track = predicted[ti]
@@ -291,18 +277,20 @@ class MultiObjectTracker:
 
         new_tracks = [t for t in survivors if t is not None]
 
+        classes = detections.classes.tolist()
+        confidences = detections.confidences.tolist()
+        yaws = detections.yaws.tolist()
         for di in um_dets:
-            det = detections[di]
             new_tracks.append(
                 TrackState(
                     track_id=self._next_id,
-                    mean=measurement_vector(det),
+                    mean=detections.rows[di].copy(),
                     covariance=self.model.birth_cov(),
-                    cls=det.cls,
-                    confidence=det.confidence,
+                    cls=CLASSES[classes[di]],
+                    confidence=confidences[di],
                     misses=0,
                     age=0,
-                    yaw=det.yaw,
+                    yaw=yaws[di],
                 )
             )
             self._next_id += 1

@@ -17,7 +17,15 @@ import pytest
 from track_helpers import forecast, track_frame
 from viewsched.branches import branch_by_label, default_device_profile, enumerate_branches
 from viewsched.cli import main
-from viewsched.core import Box3D, CameraRig, EgoPose, ObjectClass, categorize
+from viewsched.core import (
+    CLASSES,
+    BoxRows,
+    CameraRig,
+    EgoPose,
+    ObjectClass,
+    category_levels,
+    concat_boxes,
+)
 from viewsched.metrics import (
     EvalConfig,
     average_precision,
@@ -45,14 +53,14 @@ from viewsched.tracker import (
     MultiObjectTracker,
     TrackerConfig,
     TrackState,
-    measurement_vector,
     update,
 )
 
 
 def car(x, y, vx=0.0, vy=0.0, conf=1.0, z=0.8):
-    return Box3D(center=(x, y, z), size=(1.9, 1.6, 4.5), velocity=(vx, vy, 0.0),
-                 yaw=0.0, cls=ObjectClass.CAR, confidence=conf)
+    """One car, as box rows."""
+    return BoxRows.of([[x, y, z, vx, vy, 0.0, 1.9, 1.6, 4.5]], [CLASSES.index(ObjectClass.CAR)],
+                      [conf], [0.0])
 
 
 # -- criterion 1: solver exactness ----------------------------------------------
@@ -185,9 +193,9 @@ def _mc_map(branch, cap, sector, config, n_frames, seed):
         d = world.uniform(31.0, 39.0)  # distance level 3 objects
         a = world.uniform(sector[0] + 0.05, sector[1] - 0.05)
         gt = car(d * math.cos(a), d * math.sin(a), vx=0.1)
-        assert categorize(gt).distance_level == 3
-        preds = synth_detect(branch, [gt], cap, rng, sector)
-        evals.append(evaluate_frame(preds, [gt], config))
+        assert category_levels(gt.rows)[0, 0] == 3  # distance level
+        preds = synth_detect(branch, gt, cap, rng, sector)
+        evals.append(evaluate_frame(preds, gt, config))
     return summarize(evals, config)["mAP"]
 
 
@@ -202,9 +210,9 @@ def _mc_mave(branch, cap, sector, n_frames, seed):
         heading = world.uniform(-math.pi, math.pi)
         gt = car(d * math.cos(a), d * math.sin(a),
                  vx=speed * math.cos(heading), vy=speed * math.sin(heading))
-        assert categorize(gt).velocity_level == 3
-        preds = synth_detect(branch, [gt], cap, rng, sector)
-        evals.append(evaluate_frame(preds, [gt]))
+        assert category_levels(gt.rows)[0, 1] == 3  # velocity level
+        preds = synth_detect(branch, gt, cap, rng, sector)
+        evals.append(evaluate_frame(preds, gt))
     return summarize(evals)["mAVE"]
 
 
@@ -248,7 +256,7 @@ def test_criterion_5_tracker_properties():
     model = KalmanModel(measurement_noise=(0.01,) * 9)
     dt = 0.1
     vx, vy = 4.0, -2.0
-    track = TrackState(track_id=1, mean=measurement_vector(car(0.0, 0.0)),
+    track = TrackState(track_id=1, mean=car(0.0, 0.0).rows[0],
                        covariance=model.birth_cov(), cls=ObjectClass.CAR,
                        confidence=0.9)
     for k in range(1, 11):
@@ -260,7 +268,7 @@ def test_criterion_5_tracker_properties():
     # (b) covariance positive semi-definiteness across 100,000 random steps
     model = KalmanModel()
     rng = np.random.default_rng(99)
-    track = TrackState(track_id=1, mean=measurement_vector(car(0.0, 0.0)),
+    track = TrackState(track_id=1, mean=car(0.0, 0.0).rows[0],
                        covariance=model.birth_cov(), cls=ObjectClass.CAR,
                        confidence=0.9)
     worst = np.inf
@@ -273,7 +281,7 @@ def test_criterion_5_tracker_properties():
             track = update(track, d, model)
         worst = min(worst, float(np.linalg.eigvalsh(track.covariance).min()))
         if step % 9973 == 0:  # keep the state bounded, explore fresh births
-            track = TrackState(track_id=1, mean=measurement_vector(car(0.0, 0.0)),
+            track = TrackState(track_id=1, mean=car(0.0, 0.0).rows[0],
                                covariance=model.birth_cov(), cls=ObjectClass.CAR,
                                confidence=0.9)
     assert worst >= -1e-9
@@ -293,14 +301,14 @@ def test_criterion_5_tracker_properties():
 def test_criterion_6_metrics_oracle():
     """Hand-computed five-prediction AP case must give 22/27 to 1e-9 and the
     composite-score arithmetic example must give 0.56."""
-    gts = [car(0.0, 0.0), car(20.0, 0.0)]
-    preds = [
+    gts = concat_boxes([car(0.0, 0.0), car(20.0, 0.0)])
+    preds = concat_boxes([
         car(0.0, 0.0, conf=0.9),   # TP  -> recall 0.5, precision 1
         car(40.0, 0.0, conf=0.8),  # FP  -> recall 0.5, precision 1/2
         car(20.0, 0.0, conf=0.7),  # TP  -> recall 1.0, precision 2/3
         car(60.0, 0.0, conf=0.6),  # FP  -> recall 1.0, precision 2/4
         car(80.0, 0.0, conf=0.5),  # FP  -> recall 1.0, precision 2/5
-    ]
+    ])
     # interpolated precision: 1 for r <= 0.5, 2/3 beyond; of the 90 recall
     # grid points above the 0.10 floor, forty read 1 and fifty read 2/3:
     # AP = (40 + 50 * 2/3) / 90 = 22/27
@@ -381,8 +389,8 @@ def test_criterion_9_scheduling_overhead(quickstart_trained):
         d = rng.uniform(5.0, 45.0)
         box = car(d * math.cos(a), d * math.sin(a),
                   float(rng.normal(0, 4)), float(rng.normal(0, 4)), conf=0.8)
-        tracks.append(TrackState(track_id=i + 1, mean=measurement_vector(box),
-                                 covariance=kalman.birth_cov(), cls=box.cls,
+        tracks.append(TrackState(track_id=i + 1, mean=box.rows[0],
+                                 covariance=kalman.birth_cov(), cls=ObjectClass.CAR,
                                  confidence=0.8))
     ego = EgoPose(0.0, 0.0, 0.0, 0.0)
 

@@ -322,6 +322,16 @@ def _rename(old, new):
     return corrupt
 
 
+# each referenced file kind's bundled document, as a fresh copy
+_BUNDLED = {
+    "capability": lambda: default_capability().to_dict(),
+    "device": lambda: default_device_profile().to_dict(),
+    "scenario": lambda: load_manifest("builtin:manifest_quickstart").scenario.to_dict(),
+    "manifest": lambda: {"name": "versioned", "scenario": "builtin:scenario_quickstart",
+                         "device": "builtin:device_orin",
+                         "capability": "builtin:capability_default"},
+}
+
 _NEWLY_REJECTED = [
     ("capability", _set(["position_sigma", "backbone_factor", "r34"], -1.0),
      "negative-r34-position-factor"),
@@ -358,18 +368,41 @@ _NEWLY_REJECTED = [
     "key,corrupt", [case[:2] for case in _NEWLY_REJECTED], ids=[case[2] for case in _NEWLY_REJECTED]
 )
 def test_main_rejects_a_malformed_profile_or_scenario_at_load(tmp_path, capsys, key, corrupt):
-    bundled = {
-        "capability": lambda: default_capability().to_dict(),
-        "device": lambda: default_device_profile().to_dict(),
-        "scenario": lambda: load_manifest("builtin:manifest_quickstart").scenario.to_dict(),
-    }
-    document = bundled[key]()
+    document = _BUNDLED[key]()
     corrupt(document)
     manifest = _manifest_referencing(tmp_path, key, document)
     assert main(["simulate", "--manifest", manifest, "--policy", "all_tracker"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration")
     assert "Traceback" not in err
+
+
+# one bad version per file kind: any value but 1 is rejected at load, absent means 1
+@pytest.mark.parametrize(
+    "key,version",
+    [("scenario", 99), ("capability", "banana"), ("device", [1]), ("manifest", 2)],
+    ids=["scenario", "capability", "device", "manifest"],
+)
+def test_main_rejects_a_file_version_other_than_1(tmp_path, capsys, key, version):
+    document = _BUNDLED[key]()
+    document.pop("version", None)
+    if key == "manifest":
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(document))
+        manifest = str(path)
+    else:
+        manifest = _manifest_referencing(tmp_path, key, document)
+    assert main(["adapt", "--manifest", manifest]) == 0  # absent: version 1
+    document["version"] = version
+    if key == "manifest":
+        path.write_text(json.dumps(document))
+    else:
+        manifest = _manifest_referencing(tmp_path, key, document)
+    capsys.readouterr()
+    assert main(["adapt", "--manifest", manifest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration")
+    assert f"version must be 1, got {version!r}" in err
 
 
 # SHA-256 fingerprints of the bundled manifests' resolved configuration. They
@@ -608,15 +641,14 @@ def test_training_set_of_an_empty_scene(quickstart_manifest, seed, frames):
     views = 6
     cells = feats.reshape(len(logs), views, len(catalog), FEATURE_WIDTH)
     for log, frame_cells in zip(logs, cells):
-        boxes = log.forecast.boxes()
         conf = np.zeros(views)
         for v in range(views):
-            here = [b.confidence for b, w in zip(boxes, log.forecast.views) if w == v]
+            here = [c for c, w in zip(log.forecast.confidences, log.forecast_views) if w == v]
             if here:
                 conf[v] = np.mean(here)
         for b, branch in enumerate(catalog):
             cell = frame_cells[:, b]
-            assert (cell[:, :NUM_CATEGORIES] == log.forecast.distributions).all()
+            assert (cell[:, :NUM_CATEGORIES] == log.distributions).all()
             one_hot = cell[:, NUM_CATEGORIES : NUM_CATEGORIES + NUM_BRANCHES]
             assert (one_hot == np.eye(NUM_BRANCHES)[branch.index]).all()
             assert (cell[:, -1] == (conf if branch.is_tracker else 0.0)).all()

@@ -1,5 +1,6 @@
 """Geometry, category grid, and frame-transform unit tests."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,31 +9,46 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from viewsched.core import (
-    DISTANCE_EDGES_M,
-    NUM_CATEGORIES,
-    SIZE_EDGES_M3,
-    VELOCITY_EDGES_MPS,
+from box_oracles import (
     Box3D,
-    CameraRig,
     CategoryLevel,
-    EgoPose,
-    ObjectClass,
     box_to_ego,
     box_to_global,
     categorize,
-    category_indices,
-    distribution,
     ego_transform,
-    rows_to_ego,
+    to_boxes,
+    to_rows,
     view_of,
+    view_of_angle,
+)
+from viewsched.core import (
+    DISTANCE_EDGES_M,
+    GLOBAL_FRAME,
+    NUM_CATEGORIES,
+    SIZE_EDGES_M3,
+    VELOCITY_EDGES_MPS,
+    BoxRows,
+    CameraRig,
+    EgoPose,
+    ObjectClass,
+    category_indices,
+    category_levels,
+    concat_boxes,
+    distribution,
+    transform_rows,
     views_of,
     wrap_angle,
+    wrap_angles,
 )
 
 
 def box_rows(boxes):
-    return np.array([[*b.center, *b.velocity, *b.size] for b in boxes]).reshape(-1, 9)
+    return to_rows(boxes).rows
+
+
+def view_at(rig, angle):
+    """The rig's view of one angle."""
+    return int(rig.views_of_angles(np.array([angle]))[0])
 
 
 def distribution_of(boxes, rig):
@@ -89,29 +105,29 @@ def test_default_rig_covers_the_full_circle():
     assert total == pytest.approx(2 * math.pi)
     # every angle lands in exactly one view
     for a in np.linspace(-math.pi + 1e-6, math.pi, 720):
-        views = [rig.view_of_angle(float(a))]
+        views = [view_at(rig, float(a))]
         assert 0 <= views[0] < 6
 
 
 def test_view_of_uses_planar_angle():
     rig = CameraRig.default()
+    boxes = [make_box(x=10.0), make_box(x=-10.0), make_box(x=10.0, z=5.0)]
+    front, back, raised = views_of(box_rows(boxes), rig).tolist()
     # straight ahead is the front view; directly behind is a different view
-    front = view_of((10.0, 0.0, 0.0), rig)
-    back = view_of((-10.0, 0.0, 0.0), rig)
     assert front != back
     # z must not matter
-    assert view_of((10.0, 0.0, 5.0), rig) == front
+    assert raised == front
 
 
 def test_view_of_angle_is_stable_on_sector_edges():
     rig = CameraRig.default()
     for lo, hi in rig.sectors:
-        v_lo = rig.view_of_angle(lo)
-        v_hi = rig.view_of_angle(hi)
+        v_lo = view_at(rig, lo)
+        v_hi = view_at(rig, hi)
         assert 0 <= v_lo < rig.view_count
         assert 0 <= v_hi < rig.view_count
         # an edge belongs to exactly one of its two sectors, deterministically
-        assert rig.view_of_angle(lo) == v_lo
+        assert view_at(rig, lo) == v_lo
 
 
 def _gapped_rig(view_count: int, gap: float) -> CameraRig:
@@ -141,7 +157,8 @@ def test_vectorised_view_assignment_matches_view_of_angle(view_count, gap, angle
     rig = _gapped_rig(view_count, gap) if gap else CameraRig.default(view_count)
     probe = angles + _edge_angles(rig)
     got = rig.views_of_angles(np.array(probe))
-    assert got.tolist() == [rig.view_of_angle(a) for a in probe]
+    assert got.tolist() == [view_of_angle(rig, a) for a in probe]
+    assert repr(wrap_angles(np.array(probe)).tolist()) == repr([wrap_angle(a) for a in probe])
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,7 +173,7 @@ def test_view_of_partitions_the_circle(view_count, angle):
         return lo <= a < hi if lo < hi else (a >= lo or a < hi)
 
     owners = [j for j, sector in enumerate(rig.sectors) if holds(sector)]
-    view = rig.view_of_angle(angle)
+    view = view_at(rig, angle)
     assert 0 <= view < view_count
     if owners:
         assert view == owners[0]
@@ -175,17 +192,28 @@ def test_view_of_partitions_the_circle(view_count, angle):
 def test_box_rows_match_their_boxes(rows, pose, edge):
     rows = rows + [(edge, 0.0, 0.0, edge, 0.0, 0.0, 1.0, 1.0, edge),
                    (0.0, -edge, 1.0, 0.0, -edge, 0.0, edge, 1.0, 1.0)]
-    boxes = [make_box(*r) for r in rows]
+    boxes = [make_box(*r, yaw=yaw) for r, yaw in zip(rows, itertools.cycle(_YAWS))]
     ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
-    got = rows_to_ego(box_rows(boxes), ego)
+    got = transform_rows(box_rows(boxes), GLOBAL_FRAME, ego)
     want = [box_to_ego(b, ego) for b in boxes]
     assert got.tolist() == box_rows(want).tolist()
+    # every box moves as its row does, both ways, yaw and all
+    moved = to_rows(boxes).moved(GLOBAL_FRAME, ego)
+    assert repr(to_boxes(moved)) == repr(want)
+    assert repr(to_boxes(moved.moved(ego, GLOBAL_FRAME))) == repr(
+        [box_to_global(b, ego) for b in want])
     rig = CameraRig.default()
     assert views_of(got, rig).tolist() == [view_of(b.center, rig) for b in want]
     assert category_indices(got).tolist() == [categorize(b).index for b in want]
+    assert category_levels(got).tolist() == [
+        [lv.distance_level, lv.velocity_level, lv.size_level] for lv in map(categorize, want)]
     assert np.array_equal(
         distribution(got, views_of(got, rig), rig.view_count), _reference_distribution(want, rig)
     )
+
+
+# headings of every kind: wrapped, on the +-pi edge and far outside it
+_YAWS = (0.0, math.pi, -math.pi, 3.5, -7.25, 0.75)
 
 
 def _reference_distribution(boxes, rig):
@@ -206,6 +234,20 @@ def test_category_indices_use_the_planar_norm_of_categorize():
     boxes = [make_box(x=x, y=y) for x, y in points] + [
         make_box(x=5.0, vx=vx, vy=vy) for vx, vy in speeds]
     assert category_indices(box_rows(boxes)).tolist() == [categorize(b).index for b in boxes]
+
+
+def test_box_rows_split_and_join_in_order():
+    boxes = [make_box(x=15.0, conf=0.9), make_box(x=-15.0, cls=ObjectClass.BUS, conf=0.5),
+             make_box(x=16.0, y=0.5, yaw=1.0, conf=0.7)]
+    rows = to_rows(boxes)
+    assert len(rows) == 3 and len(BoxRows.of((), (), (), ())) == 0
+    rig = CameraRig.default()
+    views = views_of(rows.rows, rig)
+    parts = rows.by_view(views, rig.view_count)
+    assert [len(p) for p in parts] == [2, 0, 0, 1, 0, 0]
+    assert repr(to_boxes(parts[0])) == repr([boxes[0], boxes[2]])
+    assert repr(to_boxes(concat_boxes(parts))) == repr([boxes[0], boxes[2], boxes[1]])
+    assert repr(to_boxes(rows.take(np.array([2, 0])))) == repr([boxes[2], boxes[0]])
 
 
 # -- category grid ------------------------------------------------------------

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import box_oracles
+from box_oracles import Box3D, to_rows
 from viewsched import metrics
-from viewsched.core import Box3D, ObjectClass
+from viewsched.core import ObjectClass
 from viewsched.metrics import (
     EvalConfig,
     FrameEval,
     average_precision,
     detection_score,
-    evaluate_frame,
-    frame_detection_score,
     summarize,
     view_detection_scores,
 )
@@ -26,6 +26,16 @@ from viewsched.metrics import (
 def box(x, y, cls=ObjectClass.CAR, conf=0.9, vx=0.0, vy=0.0):
     return Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(vx, vy, 0.0),
                  yaw=0.0, cls=cls, confidence=conf)
+
+
+def evaluate_frame(preds, gts, config=None):
+    """`metrics.evaluate_frame` of boxes, passed as box rows."""
+    return metrics.evaluate_frame(to_rows(preds), to_rows(gts), config)
+
+
+def view_scores(branches, gts, config=None):
+    """`view_detection_scores` of each branch's boxes, passed as box rows."""
+    return view_detection_scores([to_rows(p) for p in branches], to_rows(gts), config)
 
 
 # -- matching -------------------------------------------------------------------
@@ -130,6 +140,16 @@ def test_eval_config_validation():
                            EvalConfig(min_recall=0.994))
     assert ap == pytest.approx(2.0 / 3.0)
     assert EvalConfig(match_thresholds=(4.0, 2.0)).tp_error_threshold == 2.0
+
+
+def test_eval_config_rejects_repeated_classes():
+    # a repeated class would count its AP cells and its errors twice
+    for classes in ((ObjectClass.CAR, ObjectClass.CAR, ObjectClass.PEDESTRIAN),
+                    (ObjectClass.BUS,) * 2):
+        with pytest.raises(ValueError, match="classes"):
+            EvalConfig(classes=classes)
+    assert EvalConfig(classes=(ObjectClass.PEDESTRIAN, ObjectClass.CAR)).classes == (
+        ObjectClass.PEDESTRIAN, ObjectClass.CAR)
 
 
 # -- average precision: the hand-computed oracle ----------------------------------
@@ -426,29 +446,20 @@ _EDGE = [box(0.0, 0.0), box(2.0, 0.0, conf=0.5), box(0.0, 0.5, cls=ObjectClass.P
 @example(preds=[], gts=_EDGE, config=EvalConfig())
 @example(preds=_EDGE, gts=[], config=EvalConfig())
 def test_evaluate_frame_equals_the_per_threshold_oracle(preds, gts, config):
-    assert evaluate_frame(preds, gts, config) == _reference_evaluate_frame(preds, gts, config)
+    got = evaluate_frame(preds, gts, config)
+    assert got == _reference_evaluate_frame(preds, gts, config)
+    assert got == box_oracles.evaluate_frame(preds, gts, config)
 
 
-@settings(max_examples=500, deadline=None)
-@given(preds=_boxes, gts=_boxes, config=_configs)
-@example(preds=[], gts=[], config=EvalConfig())
-@example(preds=[], gts=_EDGE, config=EvalConfig())
-@example(preds=_EDGE, gts=[], config=EvalConfig())
-@example(preds=_EDGE, gts=_EDGE[:2], config=EvalConfig(min_recall=0.0))
-def test_frame_detection_score_equals_the_summarized_frame(preds, gts, config):
-    want = summarize([evaluate_frame(preds, gts, config)], config)["DS"]
-    assert frame_detection_score(preds, gts, config) == want
-
-
-def test_frame_detection_score_hand_case():
+def test_one_branch_view_score_hand_case():
     gts = [box(0.0, 0.0), box(20.0, 0.0)]
     preds = [box(0.0, 0.0, conf=0.9), box(40.0, 0.0, conf=0.8), box(20.0, 0.0, conf=0.7),
              box(60.0, 0.0, conf=0.6), box(80.0, 0.0, conf=0.5)]
     # every threshold's AP is 22/27 and both true positives are exact
-    assert frame_detection_score(preds, gts) == pytest.approx(
+    assert view_scores([preds], gts)[0] == pytest.approx(
         detection_score(22.0 / 27.0, 0.0, 0.0), abs=1e-12)
-    assert frame_detection_score([], gts) == 0.0
-    assert frame_detection_score(preds, []) == 0.0
+    assert view_scores([[]], gts)[0] == 0.0
+    assert view_scores([preds], [])[0] == 0.0
 
 
 # three classes with ground truth: 12 AP rows at the default thresholds
@@ -476,9 +487,13 @@ _CAR_PED_CAR_NEAR = [box(0.0, 0.2), box(10.0, 1.3, cls=ObjectClass.PEDESTRIAN), 
          config=EvalConfig())
 @example(branches=[_CAR_PED_CAR_NEAR, _CAR_PED_CAR_NEAR[:2]], gts=_CAR_PED_CAR,
          config=EvalConfig())
+@example(branches=[[]], gts=[], config=EvalConfig())
+@example(branches=[[]], gts=_EDGE, config=EvalConfig())
+@example(branches=[_EDGE], gts=[], config=EvalConfig())
+@example(branches=[_EDGE], gts=_EDGE[:2], config=EvalConfig(min_recall=0.0))
 def test_view_detection_scores_equal_each_summarized_branch(branches, gts, config):
     want = [summarize([evaluate_frame(p, gts, config)], config)["DS"] for p in branches]
-    assert view_detection_scores(branches, gts, config).tolist() == want
+    assert view_scores(branches, gts, config).tolist() == want
 
 
 @settings(max_examples=200, deadline=None)

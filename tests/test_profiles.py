@@ -33,15 +33,15 @@ from viewsched.branches import (
     enumerate_branches,
     fixed_latency,
 )
+import box_oracles
+from box_oracles import Box3D, CategoryLevel, categorize, to_boxes, to_rows
 from viewsched.core import (
     NUM_DISTANCE_LEVELS,
     NUM_SIZE_LEVELS,
     NUM_VELOCITY_LEVELS,
-    Box3D,
     CameraRig,
-    CategoryLevel,
     ObjectClass,
-    categorize,
+    category_levels,
     wrap_angle,
 )
 from viewsched.simulator import (
@@ -579,11 +579,12 @@ def _with(doc, changes):
 @st.composite
 def capability_documents(draw):
     """The bundled or the perfect profile (as files give them: every number
-    a float), some numbers replaced by floats in [0, 2], anchors kept or
-    dropped. Replacements can break an ordering or an anchor; both readers
-    must then reject the document."""
+    a float, but the format version the JSON int 1 that the reader requires
+    and the earlier one ignored), some numbers replaced by floats in [0, 2],
+    anchors kept or dropped. Replacements can break an ordering or an
+    anchor; both readers must then reject the document."""
     doc = draw(st.sampled_from([
-        json.loads(json.dumps(_bundled("capability_default")), parse_int=float),
+        {**json.loads(json.dumps(_bundled("capability_default")), parse_int=float), "version": 1},
         perfect_capability().to_dict(),
     ]))
     paths = list(_float_paths(doc))
@@ -686,12 +687,18 @@ def test_synth_detect_draws_as_the_per_box_lookups_did(doc, branch, boxes, seed,
         got, want = CapabilityProfile.from_dict(doc), _ReferenceCapabilityProfile.from_dict(doc)
     sector = CameraRig.default().sectors[view]
     want_boxes = _reference_synth_detect(branch, boxes, want, rng_stream(seed, "oracle"), sector)
-    assert synth_detect(branch, boxes, got, rng_stream(seed, "oracle"), sector) == want_boxes
+    rows = to_rows(boxes)
+    got_boxes = to_boxes(synth_detect(branch, rows, got, rng_stream(seed, "oracle"), sector))
+    assert repr(got_boxes) == repr(want_boxes)
+    assert got_boxes == box_oracles.synth_detect(
+        branch, boxes, got, rng_stream(seed, "oracle"), sector)
     # levels computed once by the caller, as the training set does per view
-    levels = [categorize(box) for box in boxes]
-    assert synth_detect(
-        branch, boxes, got, rng_stream(seed, "oracle"), sector, levels=levels
-    ) == want_boxes
+    levels = category_levels(rows.rows)
+    assert levels.tolist() == [[lv.distance_level, lv.velocity_level, lv.size_level]
+                               for lv in map(categorize, boxes)]
+    assert to_boxes(synth_detect(
+        branch, rows, got, rng_stream(seed, "oracle"), sector, levels=levels
+    )) == want_boxes
 
 
 @settings(max_examples=200, deadline=None)

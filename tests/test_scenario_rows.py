@@ -3,10 +3,10 @@
 `generate_scenario` moves every live object as one row of an array. The
 functions in the first section are verbatim copies of the generator that came
 before: one `_SimObject` per object, moved in a Python loop, and a global
-`Box3D` per object per frame taken to the ego frame with `box_to_ego`. They
-stay as the reference. Over seeds, jitter, turn rates, ego paths and spawn
-rates, both must give the same ids, ego poses and boxes, compared by `repr`,
-which also tells 0.0 from -0.0.
+`Box3D` per object per frame taken to the ego frame with `box_to_ego` (both
+kept in `box_oracles`). They stay as the reference. Over seeds, jitter, turn
+rates, ego paths and spawn rates, both must give the same ids, ego poses and
+boxes, compared by `repr`, which also tells 0.0 from -0.0.
 """
 
 import math
@@ -17,7 +17,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from viewsched.core import Box3D, EgoPose, ObjectClass, box_to_ego, wrap_angle
+from box_oracles import Box3D, box_to_ego, to_boxes
+from viewsched.core import EgoPose, ObjectClass, wrap_angle
 from viewsched.simulator import (
     CLASS_DIMS,
     EgoPath,
@@ -210,7 +211,7 @@ def test_row_generator_matches_the_per_object_generator(
     assert len(got) == len(want) == config.frame_count
     for g, w in zip(got, want):
         assert (g.index, g.timestamp, g.ids, g.ego) == (w.index, w.timestamp, w.ids, w.ego)
-        assert repr(g.boxes) == repr(w.boxes)
+        assert repr(to_boxes(g.gt)) == repr(list(w.boxes))
         # the rows the views are placed from are the boxes' own numbers
         rows = [[*b.center, *b.velocity, *b.size] for b in w.boxes]
-        assert repr(g.rows.tolist()) == repr(rows)
+        assert repr(g.gt.rows.tolist()) == repr(rows)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from box_oracles import box_to_ego, categorize, to_boxes, track_box, view_of
 from track_helpers import states
 from viewsched import scheduler
 from viewsched.branches import (
@@ -16,16 +17,7 @@ from viewsched.branches import (
     enumerate_branches,
     group_cost,
 )
-from viewsched.core import (
-    NUM_CATEGORIES,
-    Box3D,
-    CameraRig,
-    EgoPose,
-    ObjectClass,
-    box_to_ego,
-    categorize,
-    view_of,
-)
+from viewsched.core import NUM_CATEGORIES, CameraRig, EgoPose, ObjectClass
 from viewsched.predictors import (
     FEATURE_WIDTH,
     GBRTModel,
@@ -47,7 +39,7 @@ from viewsched.scheduler import (
     solve,
     solve_bruteforce,
 )
-from viewsched.tracker import KalmanModel, TrackState, forecast_all, measurement_vector
+from viewsched.tracker import KalmanModel, TrackState, forecast_all
 
 
 def stub_models(score=0.5, slope=0.05, intercept=1.0):
@@ -740,11 +732,9 @@ def make_tracks(positions, conf=0.8):
     model = KalmanModel()
     tracks = []
     for i, (x, y) in enumerate(positions, start=1):
-        box = Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(1.0, 0.0, 0.0),
-                    yaw=0.0, cls=ObjectClass.CAR, confidence=conf)
-        tracks.append(TrackState(track_id=i, mean=measurement_vector(box),
-                                 covariance=model.birth_cov(), cls=box.cls,
-                                 confidence=conf))
+        mean = np.array([x, y, 0.8, 1.0, 0.0, 0.0, 1.9, 1.6, 4.5])
+        tracks.append(TrackState(track_id=i, mean=mean, covariance=model.birth_cov(),
+                                 cls=ObjectClass.CAR, confidence=conf))
     return tracks
 
 
@@ -769,7 +759,7 @@ def test_schedule_frame_plumbing():
     assert plan.update_pred_ms == pytest.approx(models.update_latency.predict(3))
     assert plan.raw_scores.shape == (len(branches), rig.view_count)
     assert forecast.distributions.shape == (rig.view_count, NUM_CATEGORIES)
-    assert len(forecast.boxes()) == 3
+    assert len(forecast.box_rows()) == 3
     assert all(0 <= v < rig.view_count for v in forecast.views)
     # the solver's plan is within budget
     assert plan.decision.predicted_latency_ms <= plan.t_max_ms + 1e-9
@@ -802,12 +792,12 @@ def test_frame_forecast_matches_the_per_box_pipeline(tracks, pose, view_count):
     predicted = forecast_all(live, 0.1, model)
     got = frame_forecast(predicted, ego, rig)
 
-    boxes = tuple(box_to_ego(t.to_box(), ego) for t in states(predicted))
+    boxes = [box_to_ego(track_box(t), ego) for t in states(predicted)]
     views = [view_of(b.center, rig) for b in boxes]
     counts = np.zeros((view_count, NUM_CATEGORIES))
     for box, view in zip(boxes, views):
         counts[view, categorize(box).index] += 1.0
-    assert got.boxes() == boxes
+    assert repr(to_boxes(got.box_rows())) == repr(boxes)
     assert got.views.tolist() == views
     assert np.array_equal(
         got.distributions,

@@ -19,7 +19,8 @@ from viewsched.branches import (
     enumerate_branches,
     fixed_latency,
 )
-from viewsched.core import Box3D, CameraRig, ObjectClass, categorize
+from box_oracles import Box3D, categorize, to_boxes, to_rows, view_of
+from viewsched.core import CameraRig, ObjectClass
 from viewsched.predictors import FEATURE_WIDTH, GBRTModel, LinearLatencyModel, PerformanceModels
 from viewsched.scheduler import assignment_latency
 from viewsched.simulator import (
@@ -172,14 +173,14 @@ def test_generate_scenario_is_deterministic():
     assert len(a) == len(b) == cfg.frame_count
     for fa, fb in zip(a, b):
         assert fa.ids == fb.ids
-        assert fa.boxes == fb.boxes
+        assert to_boxes(fa.gt) == to_boxes(fb.gt)
         assert (fa.ego.x, fa.ego.y, fa.ego.yaw) == (fb.ego.x, fb.ego.y, fb.ego.yaw)
 
 
 def test_generate_scenario_seed_changes_world():
     a = generate_scenario(small_scenario(seed=5))
     b = generate_scenario(small_scenario(seed=6))
-    assert a[0].boxes != b[0].boxes
+    assert to_boxes(a[0].gt) != to_boxes(b[0].gt)
 
 
 def test_scenario_frames_are_well_formed():
@@ -189,9 +190,9 @@ def test_scenario_frames_are_well_formed():
     for k, frame in enumerate(frames):
         assert frame.index == k
         assert frame.timestamp == pytest.approx(k * cfg.dt)
-        assert len(frame.ids) == len(frame.boxes)
+        assert len(frame.ids) == len(frame.gt)
         assert len(set(frame.ids)) == len(frame.ids)
-        for oid, b in zip(frame.ids, frame.boxes):
+        for oid, b in zip(frame.ids, to_boxes(frame.gt)):
             # ego-frame boxes stay within the despawn radius of the ego
             assert b.planar_distance <= cfg.despawn_radius_m + 1e-6
             assert isinstance(b.cls, ObjectClass)
@@ -208,8 +209,8 @@ def test_scenario_objects_move_between_frames():
     assert shared
     moved = 0
     for oid in shared:
-        b0 = f0.boxes[f0.ids.index(oid)]
-        b1 = f1.boxes[f1.ids.index(oid)]
+        b0 = to_boxes(f0.gt)[f0.ids.index(oid)]
+        b1 = to_boxes(f1.gt)[f1.ids.index(oid)]
         if b0.planar_speed > 0.5:
             delta = math.hypot(b1.center[0] - b0.center[0],
                                b1.center[1] - b0.center[1])
@@ -300,10 +301,15 @@ def test_capability_rejects_tracker_branch():
     with pytest.raises(ValueError):
         cap.row(tracker)
     with pytest.raises(ValueError):
-        synth_detect(tracker, [], cap, rng_stream(0, "tracker"), CameraRig.default().sectors[0])
+        detect(tracker, [], cap, rng_stream(0, "tracker"), CameraRig.default().sectors[0])
 
 
 # -- synthetic detection ---------------------------------------------------------------
+
+
+def detect(branch, gts, cap, rng, sector, **kwargs):
+    """`synth_detect` on boxes, passed and returned as box rows."""
+    return to_boxes(synth_detect(branch, to_rows(gts), cap, rng, sector, **kwargs))
 
 
 def gt_box(d, speed=0.0, cls=ObjectClass.CAR):
@@ -323,7 +329,7 @@ def test_synth_detect_recall_matches_profile():
     sector = CameraRig.default().sectors[0]
     hits = sum(
         1 for _ in range(10_000)
-        if any(d.cls is ObjectClass.CAR for d in synth_detect(branch, [gt], cap, rng, sector))
+        if any(d.cls is ObjectClass.CAR for d in detect(branch, [gt], cap, rng, sector))
     )
     # FP cars inside the sector are rare enough not to break the tolerance,
     # but exclude them anyway by counting detections near the object
@@ -336,7 +342,7 @@ def test_synth_detect_perfect_capability_is_exact():
     branch = branch_by_label("r152-dense+tf")
     gts = [gt_box(10.0), gt_box(30.0, speed=3.0)]
     rng = rng_stream(1, "perfect")
-    out = synth_detect(branch, gts, cap, rng, CameraRig.default().sectors[0])
+    out = detect(branch, gts, cap, rng, CameraRig.default().sectors[0])
     assert len(out) == 2
     for got, want in zip(out, gts):
         assert got.center == want.center
@@ -354,7 +360,7 @@ def test_synth_detect_noise_scales_with_profile():
     sector = CameraRig.default().sectors[0]
     errs = []
     for _ in range(4000):
-        for d in synth_detect(branch, [gt], cap, rng, sector):
+        for d in detect(branch, [gt], cap, rng, sector):
             if d.cls is ObjectClass.CAR and math.hypot(d.center[0] - 45.0, d.center[1]) < 3.0:
                 errs.append((d.center[0] - 45.0, d.center[1] - 0.0))
     errs = np.asarray(errs)
@@ -370,7 +376,7 @@ def test_synth_detect_false_positive_rate():
     rng = rng_stream(3, "fp")
     sector = CameraRig.default().sectors[0]
     n = 20_000
-    total_fp = sum(len(synth_detect(branch, [], cap, rng, sector)) for _ in range(n))
+    total_fp = sum(len(detect(branch, [], cap, rng, sector)) for _ in range(n))
     assert total_fp / n == pytest.approx(cap.row(branch).fp_rate, abs=0.01)
 
 
@@ -381,14 +387,14 @@ def test_synth_detect_false_positives_stay_in_sector():
     rig = CameraRig.default()
     lo, hi = rig.sectors[2]
     for _ in range(2000):
-        for d in synth_detect(branch, [], cap, rng, (lo, hi), max_range_m=60.0):
-            assert rig.view_of_angle(math.atan2(d.center[1], d.center[0])) == 2
+        for d in detect(branch, [], cap, rng, (lo, hi), max_range_m=60.0):
+            assert view_of(d.center, rig) == 2
             assert d.planar_distance <= 60.0 + 1e-9
 
 
 def test_synth_detect_rejects_tracker():
     with pytest.raises(ValueError):
-        synth_detect(enumerate_branches()[0], [], default_capability(),
+        detect(enumerate_branches()[0], [], default_capability(),
                      rng_stream(0, "x"), (-0.5, 0.5))
 
 
@@ -521,10 +527,10 @@ def test_every_policy_runs_deployed_branches_at_the_planner_price(policy, scene)
         assert set(f.assignment) <= set(TINY_DEPLOYED)
         assert f.actual_ms == (
             f.predicted_marginal_ms + fixed_latency(system.device)
-            + true_update.predict(len(f.forecast.tracks))
+            + true_update.predict(len(f.forecast))
         )
     if not scene:
-        assert any(f.forecast.tracks for f in ep.frames[1:])
+        assert any(len(f.forecast) for f in ep.frames[1:])
 
 
 def test_run_episode_fixed_policy_structure():
@@ -552,7 +558,7 @@ def test_run_episode_is_deterministic():
     for fa, fb in zip(a.frames, b.frames):
         assert fa.assignment == fb.assignment
         assert fa.actual_ms == fb.actual_ms
-        assert fa.outputs == fb.outputs
+        assert to_boxes(fa.outputs) == to_boxes(fb.outputs)
         assert fa.track_ids == fb.track_ids
 
 
@@ -641,7 +647,7 @@ def test_run_episode_logs_the_plan_it_ran(quickstart_manifest, quickstart_traine
         )
         assert f.actual_ms == (
             f.predicted_marginal_ms + fixed_latency(man.device)
-            + true_update.predict(len(f.forecast.tracks))
+            + true_update.predict(len(f.forecast))
         )
         if policy == "per_frame":
             assert len(set(f.assignment)) == 1
@@ -683,7 +689,7 @@ def test_run_episode_places_views_once_per_frame(monkeypatch):
     want = [
         n
         for log, frame in zip(ep.frames, generate_scenario(scenario))
-        for n in (len(log.forecast.tracks), len(frame.rows))
+        for n in (len(log.forecast), len(frame.gt))
     ]
     assert calls == want
 

@@ -6,33 +6,36 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from track_helpers import forecast, states, track_frame
-from viewsched.core import Box3D, CameraRig, EgoPose, ObjectClass, box_to_ego, view_of
+import box_oracles
+from box_oracles import Box3D, box_to_ego, to_rows, track_box, track_speed, view_of
+from track_helpers import NO_BOXES, forecast, join, states, track_frame
+from viewsched.core import CLASSES, BoxRows, CameraRig, EgoPose, ObjectClass
 from viewsched.scheduler import frame_forecast
 from viewsched.tracker import (
     KalmanModel,
     MultiObjectTracker,
     TrackerConfig,
     TrackState,
+    TrackTable,
+    associate,
     forecast_all,
-    measurement_vector,
     update,
 )
 
 
 def det(x, y, vx=0.0, vy=0.0, cls=ObjectClass.CAR, conf=0.9, z=0.8):
-    return Box3D(center=(x, y, z), size=(1.9, 1.6, 4.5), velocity=(vx, vy, 0.0),
-                 yaw=0.0, cls=cls, confidence=conf)
+    """One detection, as box rows."""
+    return BoxRows.of([[x, y, z, vx, vy, 0.0, 1.9, 1.6, 4.5]], [CLASSES.index(cls)], [conf], [0.0])
 
 
 def fresh_track(x=0.0, y=0.0, vx=0.0, vy=0.0, conf=0.9, track_id=1):
     model = KalmanModel()
     return TrackState(
         track_id=track_id,
-        mean=measurement_vector(det(x, y, vx, vy, conf=conf)),
+        mean=det(x, y, vx, vy, conf=conf).rows[0],
         covariance=model.birth_cov(),
         cls=ObjectClass.CAR,
         confidence=conf,
@@ -74,6 +77,15 @@ def test_update_pulls_state_toward_measurement():
     assert updated.misses == 0
 
 
+def test_update_reads_the_given_detection_row():
+    model = KalmanModel()
+    t = fresh_track()
+    want = update(t, det(1.0, 0.5, conf=0.95), model)
+    got = update(t, join([det(-4.0, 3.0), det(1.0, 0.5, conf=0.95)]), model, 1)
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.covariance, want.covariance)
+    assert (got.confidence, got.yaw, got.misses) == (want.confidence, want.yaw, want.misses)
+
+
 def test_update_resets_miss_count_and_refreshes_confidence():
     model = KalmanModel()
     t = fresh_track(conf=0.3)
@@ -92,7 +104,7 @@ def test_zero_noise_constant_velocity_convergence():
     model = KalmanModel(measurement_noise=(0.01,) * 9)
     dt = 0.1
     vx, vy = 4.0, -2.0
-    track = TrackState(track_id=1, mean=measurement_vector(det(0.0, 0.0, 0.0, 0.0)),
+    track = TrackState(track_id=1, mean=det(0.0, 0.0, 0.0, 0.0).rows[0],
                        covariance=model.birth_cov(), cls=ObjectClass.CAR,
                        confidence=0.9)
     for k in range(1, 15):
@@ -111,7 +123,7 @@ def test_operational_birth_tracks_constant_velocity_exactly():
     model = KalmanModel()
     dt = 0.1
     vx, vy = 4.0, -2.0
-    track = TrackState(track_id=1, mean=measurement_vector(det(0.0, 0.0, vx, vy)),
+    track = TrackState(track_id=1, mean=det(0.0, 0.0, vx, vy).rows[0],
                        covariance=model.birth_cov(), cls=ObjectClass.CAR,
                        confidence=0.9)
     for k in range(1, 12):
@@ -139,11 +151,12 @@ def test_covariance_stays_symmetric_psd_under_random_updates():
 
 def test_track_to_box_round_trip():
     t = fresh_track(x=3.0, y=-4.0, vx=1.0, vy=2.0, conf=0.75)
-    b = t.to_box()
+    b = track_box(t)
     assert b.center == (3.0, -4.0, 0.8)
     assert b.velocity == (1.0, 2.0, 0.0)
     assert b.confidence == 0.75
-    assert t.planar_speed == pytest.approx(math.hypot(1.0, 2.0))
+    assert track_speed(t) == pytest.approx(math.hypot(1.0, 2.0))
+    assert to_rows([b]).rows[0].tolist() == t.mean.tolist()
 
 
 # -- data association ---------------------------------------------------------
@@ -257,7 +270,7 @@ def test_observed_mask_needs_one_flag_per_forecast_row():
     table = forecast_all(tracker.tracks, 0.1, tracker.model)
     for bad in ([True], np.ones(3, dtype=bool), np.ones((2, 1), dtype=bool)):
         with pytest.raises(ValueError):
-            tracker.step([], 0.1, table, bad)
+            tracker.step(NO_BOXES, 0.1, table, bad)
     assert len(tracker.tracks) == 2
 
 
@@ -268,11 +281,11 @@ def test_uncovered_view_exemption_uses_ego_frame():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(20.0, 0.0, conf=0.8)], 0.1)
     turned = EgoPose(0.0, 0.0, math.pi, 0.1)
-    rear_view = rig.view_of_angle(math.pi)  # object bearing in the turned frame
+    rear_view = int(rig.views_of_angles(np.array([math.pi]))[0])  # bearing in the turned frame
     table = forecast_all(tracker.tracks, 0.1, tracker.model)
     # the mask comes from the frame's one placement, as `run_episode` makes it
     observed = np.isin(frame_forecast(table, turned, rig).views, [rear_view])
-    tracker.step([], 0.1, table, observed)
+    tracker.step(NO_BOXES, 0.1, table, observed)
     assert tracker.tracks[0].misses == 1  # penalized: its ego-frame view was covered
 
 
@@ -304,9 +317,9 @@ def test_step_needs_the_forecast_of_its_own_tracks():
     stale = forecast_all(tracker.tracks, 0.1, tracker.model)
     track_frame(tracker, [det(0.1, 0.0)], 0.1)
     with pytest.raises(ValueError):
-        tracker.step([], 0.1, stale)
+        tracker.step(NO_BOXES, 0.1, stale)
     with pytest.raises(ValueError):
-        tracker.step([], 0.1, forecast_all([], 0.1, tracker.model))
+        tracker.step(NO_BOXES, 0.1, forecast_all([], 0.1, tracker.model))
 
 
 # Reference implementation: the per-track forecast the batched one replaced.
@@ -382,8 +395,53 @@ def test_misses_count_only_in_covered_views_of_the_ego_frame(positions, pose, co
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(x, y, 1.0, -0.5) for x, y in positions], 0.1)
     table = forecast_all(tracker.tracks, 0.1, tracker.model)
-    want = {t.track_id: view_of(box_to_ego(t.to_box(), ego).center, rig) in covered
+    want = {t.track_id: view_of(box_to_ego(track_box(t), ego).center, rig) in covered
             for t in states(table)}
     observed = np.isin(frame_forecast(table, ego, rig).views, sorted(covered))
-    tracker.step([], 0.1, table, observed)
+    tracker.step(NO_BOXES, 0.1, table, observed)
     assert {t.track_id: t.misses == 1 for t in tracker.tracks} == want
+
+
+# The per-pair association loop (`box_oracles.associate`) is the reference
+# for the array one: the same matches, the same unmatched tracks and
+# detections. Lattice positions and 3-4-5 speeds put pairs exactly on the gate.
+
+_lattice = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
+_pair_classes = st.sampled_from([ObjectClass.CAR, ObjectClass.PEDESTRIAN, ObjectClass.BUS])
+_velocities = st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (3.0, 4.0), (-0.6, 0.8), (1.0, 0.0)])
+
+
+def _track_table(tracks):
+    means = np.array([t.mean for t in tracks], dtype=np.float64).reshape(-1, 9)
+    covs = np.array([t.covariance for t in tracks], dtype=np.float64).reshape(-1, 9, 9)
+    return TrackTable(tuple(tracks), means, covs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    tracks=st.lists(st.tuples(_lattice, _lattice, _velocities, _pair_classes), max_size=8),
+    dets=st.lists(st.tuples(_lattice, _lattice, _pair_classes), max_size=8),
+    dt=st.sampled_from([0.0, 0.1, 0.2]),
+    base_gate=st.sampled_from([1.0, 2.0]),
+)
+@example(tracks=[], dets=[(0.0, 0.0, ObjectClass.CAR)], dt=0.1, base_gate=2.0)
+@example(tracks=[(0.0, 0.0, (0.0, 0.0), ObjectClass.CAR)], dets=[], dt=0.1, base_gate=2.0)
+@example(tracks=[], dets=[], dt=0.1, base_gate=2.0)
+@example(  # one at the gate of a still track, one at the gate of a moving one, one class off
+    tracks=[(0.0, 0.0, (0.0, 0.0), ObjectClass.CAR), (0.0, 0.0, (3.0, 4.0), ObjectClass.CAR)],
+    dets=[(2.0, 0.0, ObjectClass.CAR), (-3.0, 0.0, ObjectClass.CAR),
+          (0.0, 0.0, ObjectClass.BUS)],
+    dt=0.2, base_gate=2.0,
+)
+def test_array_association_matches_the_per_pair_loop(tracks, dets, dt, base_gate):
+    model = KalmanModel()
+    live = [
+        TrackState(track_id=i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
+                   covariance=model.birth_cov(), cls=cls, confidence=0.5)
+        for i, (x, y, (vx, vy), cls) in enumerate(tracks)
+    ]
+    boxes = [Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(0.0, 0.0, 0.0),
+                   yaw=0.0, cls=cls, confidence=0.9) for x, y, cls in dets]
+    config = TrackerConfig(base_gate_m=base_gate)
+    want = box_oracles.associate(live, boxes, config, dt)
+    assert associate(_track_table(live), to_rows(boxes), config, dt) == want

@@ -2,7 +2,15 @@
 
 from dataclasses import replace
 
+from viewsched.core import BoxRows, concat_boxes
 from viewsched.tracker import forecast_all
+
+NO_BOXES = BoxRows.of((), (), (), ())
+
+
+def join(boxes):
+    """Box rows joined into one `BoxRows`, in order; none gives no boxes."""
+    return concat_boxes([NO_BOXES, *boxes])
 
 
 def states(table):
@@ -19,7 +27,8 @@ def forecast(track, dt, model):
 
 
 def track_frame(tracker, detections, dt, observed=None):
-    """One tracker frame on its own forecast, as the closed loop runs it."""
+    """One tracker frame on its own forecast, as the closed loop runs it;
+    `detections` is a list of box rows, joined in order."""
     return tracker.step(
-        detections, dt, forecast_all(tracker.tracks, dt, tracker.model), observed
+        join(detections), dt, forecast_all(tracker.tracks, dt, tracker.model), observed
     )
