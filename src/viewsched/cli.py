@@ -105,7 +105,7 @@ def _load_ref(ref: str, base_dir: str) -> dict:
             raise ConfigError(f"cannot read {ref!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{ref!r} is not valid JSON: {exc}") from exc
 
 
@@ -451,7 +451,7 @@ def _get_models(man: RunManifest) -> PerformanceModels:
     if man.model_path and os.path.exists(man.model_path):
         try:
             return PerformanceModels.load(man.model_path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ConfigError(f"model file {man.model_path!r} is invalid: {exc}") from exc
     if man.model_path:
         raise ConfigError(f"model file {man.model_path!r} does not exist")

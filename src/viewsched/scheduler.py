@@ -467,9 +467,8 @@ class FrameForecast:
 
     def box_rows(self) -> BoxRows:
         """The forecast as ego-frame boxes; the planner reads only their rows."""
-        yaws = np.array([t.yaw for t in self.tracks.tracks], dtype=np.float64)
         return BoxRows(self.ego_rows, self.tracks.classes, self.tracks.confidences,
-                       transform_yaws(yaws, GLOBAL_FRAME, self.ego_pose))
+                       transform_yaws(self.tracks.yaws, GLOBAL_FRAME, self.ego_pose))
 
 
 def frame_forecast(tracks: TrackTable, ego_pose: EgoPose, rig: CameraRig) -> FrameForecast:
@@ -564,7 +563,7 @@ def sched(
 ) -> ScheduleDecision:
     """One-call planning entry point: forecast `tracks` (global frame) dt
     ahead, place them in `ego_pose`'s frame and plan; see `schedule_frame`."""
-    predicted = forecast_all(tracks, dt, kalman or KalmanModel())
+    predicted = forecast_all(TrackTable.of(tracks), dt, kalman or KalmanModel())
     return schedule_frame(
         frame_forecast(predicted, ego_pose, rig), branches, device, models, target_ms, alpha
     ).decision

@@ -197,6 +197,11 @@ def _json_pair(key: str, value: object) -> Tuple[float, float]:
 # (2.8 h at 10 fps): every episode is generated, run and logged in memory
 MAX_FRAME_COUNT = 100_000
 
+# a scene starts at most this many objects and spawns at most this many a second
+# (bundled: 12-16 and 2.5-4): generating it costs time quadratic in its objects
+MAX_INITIAL_COUNT = 1_000
+MAX_SPAWN_RATE_PER_S = 100.0
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -228,6 +233,9 @@ class ScenarioConfig:
             raise ValueError("need 0 < world radius <= despawn radius")
         if self.spawn_rate_per_s < 0 or self.initial_count < 0:
             raise ValueError("spawn rate and initial count must be non-negative")
+        if self.initial_count > MAX_INITIAL_COUNT or self.spawn_rate_per_s > MAX_SPAWN_RATE_PER_S:
+            raise ValueError(f"initial count may be at most {MAX_INITIAL_COUNT} and spawn rate "
+                             f"at most {MAX_SPAWN_RATE_PER_S:g} per s")
         if self.velocity_jitter < 0 or self.turn_rate_max_rps < 0:
             raise ValueError("velocity jitter and turn rate must be non-negative")
         if self.frame_count < 1:
@@ -965,7 +973,7 @@ def run_episode(
             compliant=actual <= system.target_ms + 1e-9,
             detections=detections_by_view,
             outputs=outputs,
-            track_ids=tuple(t.track_id for t in tracker.tracks),
+            track_ids=tuple(tracker.tracks.ids.tolist()),
         )
         frame_logs.append(log)
         frame_evals.append(evaluate_frame(outputs, frame.gt))

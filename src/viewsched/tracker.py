@@ -2,12 +2,12 @@
 
 State per track is 9-dimensional: (x, y, z, vx, vy, vz, w, h, l), the row
 layout of `core.BoxRows`. Yaw is carried alongside but not filtered. Tracks
-are value objects; `forecast_all` (one batched step over every track,
-returning a `TrackTable`), `associate` and `update` are pure, and
-`MultiObjectTracker` owns the track list plus id allocation for the closed
-loop. Detections arrive as `BoxRows`: `associate` gates and costs every
-(track, detection) pair at once on the forecast means and the detection
-rows, and `update` folds one detection row into a track.
+are one `TrackTable` of columns, as in AB3DMOT (Weng et al., IROS 2020).
+`forecast_all`, `associate` and `update` are pure and batched over its rows:
+one step advances every track, every (track, detection) pair is gated and
+costed at once on the forecast means and the detection rows, and one Kalman
+update folds every matched detection row in. `MultiObjectTracker` owns the
+live table plus id allocation for the closed loop.
 
 The caller decides which forecast rows a miss counts for: when only some
 camera views are served by a detector (the rest fall to the zero-latency
@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import CLASSES, BoxRows, ObjectClass, class_codes, math_map
+from .core import BoxRows, ObjectClass, class_codes, math_map
 
 logger = logging.getLogger(__name__)
 
@@ -71,6 +71,9 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class TrackState:
+    """One track as a record, the form `TrackTable.of` reads (`scheduler.sched`
+    takes its tracks this way)."""
+
     track_id: int
     mean: np.ndarray  # (9,)
     covariance: np.ndarray  # (9, 9)
@@ -81,36 +84,60 @@ class TrackState:
     yaw: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrackTable:
-    """Tracks as arrays, one row each (as in AB3DMOT): (T, 9) state means
-    and (T, 9, 9) covariances.
+    """Tracks as columns, one row each (as in AB3DMOT).
 
-    `tracks` supplies everything else about row i (id, class, confidence,
-    misses, age, yaw); the row's state is `means[i]` and `covariances[i]`,
-    not the mean and covariance `tracks[i]` carries.
+    ids         : (T,) int64 track ids, never reused
+    classes     : (T,) int64 class codes, indices into `core.CLASSES`
+    confidences : (T,) float64
+    misses      : (T,) int64 consecutive misses in observed views
+    ages        : (T,) int64 frames since birth
+    yaws        : (T,) float64 headings, carried but not filtered
+    means       : (T, 9) float64 states, in the `core.BoxRows` row layout
+    covariances : (T, 9, 9) float64
     """
 
-    tracks: Tuple[TrackState, ...]
+    ids: np.ndarray
+    classes: np.ndarray
+    confidences: np.ndarray
+    misses: np.ndarray
+    ages: np.ndarray
+    yaws: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.tracks)
+        return len(self.ids)
 
-    @property
-    def confidences(self) -> np.ndarray:
-        return np.array([t.confidence for t in self.tracks], dtype=np.float64)
+    @classmethod
+    def of(cls, states: Sequence[TrackState]) -> TrackTable:
+        """The tracks of per-track records, in order."""
+        return cls(
+            np.array([t.track_id for t in states], dtype=np.int64),
+            class_codes(t.cls for t in states),
+            np.array([t.confidence for t in states], dtype=np.float64),
+            np.array([t.misses for t in states], dtype=np.int64),
+            np.array([t.age for t in states], dtype=np.int64),
+            np.array([t.yaw for t in states], dtype=np.float64),
+            np.array([t.mean for t in states], dtype=np.float64).reshape(-1, STATE_DIM),
+            np.array([t.covariance for t in states], dtype=np.float64).reshape(
+                -1, STATE_DIM, STATE_DIM),
+        )
 
-    @property
-    def classes(self) -> np.ndarray:
-        """Each row's class code (see `core.CLASSES`)."""
-        return class_codes(t.cls for t in self.tracks)
+    def columns(self) -> Tuple[np.ndarray, ...]:
+        """Every column, in field order."""
+        return (self.ids, self.classes, self.confidences, self.misses, self.ages, self.yaws,
+                self.means, self.covariances)
+
+    def take(self, index) -> TrackTable:
+        """The tracks a boolean mask or an index array selects, in its order."""
+        return TrackTable(*(column[index] for column in self.columns()))
 
 
-def forecast_all(tracks: Sequence[TrackState], dt: float, model: KalmanModel) -> TrackTable:
+def forecast_all(tracks: TrackTable, dt: float, model: KalmanModel) -> TrackTable:
     """Propagate every track dt seconds ahead in one batched step (pure; no
-    data association).
+    data association). Only the means and covariances change.
 
     `A @ m` runs as a stack of matrix-vector products, which round like the
     single-track product; a matrix-matrix `means @ A.T` does not always.
@@ -118,12 +145,8 @@ def forecast_all(tracks: Sequence[TrackState], dt: float, model: KalmanModel) ->
     if dt < 0:
         raise ValueError("dt must be non-negative")
     a = model.transition(dt)
-    means = np.array([t.mean for t in tracks], dtype=np.float64).reshape(-1, STATE_DIM)
-    covs = np.array([t.covariance for t in tracks], dtype=np.float64)
-    covs = covs.reshape(-1, STATE_DIM, STATE_DIM)
-    return TrackTable(
-        tuple(tracks), (a @ means[..., None])[..., 0], a @ covs @ a.T + model.process_cov(dt)
-    )
+    return TrackTable(*tracks.columns()[:-2], (a @ tracks.means[..., None])[..., 0],
+                      a @ tracks.covariances @ a.T + model.process_cov(dt))
 
 
 def associate(
@@ -152,70 +175,51 @@ def associate(
     same_class = tracks.classes[:, None] == detections.classes
     cost = np.where(same_class & (dist <= gate[:, None]), dist, _GATING_COST)
 
-    rows_, cols = linear_sum_assignment(cost)
-    matches: List[Tuple[int, int]] = []
-    for ti, di in zip(rows_, cols):
-        if cost[ti, di] < _GATING_COST:
-            matches.append((int(ti), int(di)))
-    matched_t = {ti for ti, _ in matches}
-    matched_d = {di for _, di in matches}
-    return (
-        matches,
-        [i for i in range(nt) if i not in matched_t],
-        [i for i in range(nd) if i not in matched_d],
-    )
+    ti, di = linear_sum_assignment(cost)
+    admissible = cost[ti, di] < _GATING_COST
+    ti, di = ti[admissible].tolist(), di[admissible].tolist()
+    return (list(zip(ti, di)), sorted(set(range(nt)).difference(ti)),
+            sorted(set(range(nd)).difference(di)))
 
 
 def update(
-    track: TrackState, detections: BoxRows, model: KalmanModel, index: int = 0
-) -> TrackState:
-    """Fold detection `index` into a forecast track (standard Kalman update).
+    means: np.ndarray, covariances: np.ndarray, rows: np.ndarray, model: KalmanModel,
+    ids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold measurement row i into track row i, every row at once (standard
+    Kalman update; pure). Returns the new (means, covariances).
 
-    The full state is measured, so H = I and the measurement is the
-    detection's row. Covariance is symmetrized after the update; if it still
-    has a meaningfully negative eigenvalue the negative part is clipped and a
-    diagnostic is logged. Confidence keeps the larger of the track's and the
-    detection's value; the miss counter resets.
+    The full state is measured, so H = I and each measurement is a detection
+    row. Covariances are symmetrized; one that still has a meaningfully
+    negative eigenvalue is clipped, with a diagnostic naming its id from
+    `ids`. Non-positive sizes become 0.05 m. The stacked `solve` and matrix
+    products round like the one-track ones; `einsum`, or a contiguous copy of
+    K, would not.
     """
-    z = detections.rows[index]
-    p = track.covariance
-    s = p + model.measurement_cov()
-    k = np.linalg.solve(s.T, p.T).T
-    mean = track.mean + k @ (z - track.mean)
-    cov = (np.eye(STATE_DIM) - k) @ p
-    cov = (cov + cov.T) / 2.0
+    s = covariances + model.measurement_cov()
+    k = np.linalg.solve(s.transpose(0, 2, 1), covariances.transpose(0, 2, 1)).transpose(0, 2, 1)
+    means = means + (k @ (rows - means)[..., None])[..., 0]
+    covs = (np.eye(STATE_DIM) - k) @ covariances
+    covs = (covs + covs.transpose(0, 2, 1)) / 2.0
 
-    eigvals = np.linalg.eigvalsh(cov)
-    if eigvals[0] < -1e-9:
+    lowest = np.linalg.eigvalsh(covs)[:, 0]
+    for i in np.flatnonzero(lowest < -1e-9):
         logger.warning(
             "track %d covariance lost positive semidefiniteness (min eig %.3e); clipping",
-            track.track_id,
-            eigvals[0],
+            ids[i],
+            lowest[i],
         )
-        w, v = np.linalg.eigh(cov)
+        w, v = np.linalg.eigh(covs[i])
         cov = (v * np.maximum(w, 0.0)) @ v.T
-        cov = (cov + cov.T) / 2.0
+        covs[i] = (cov + cov.T) / 2.0
 
-    sizes = mean[6:9]
-    bad = sizes <= 0.0
-    if bad.any():
-        sizes = sizes.copy()
-        sizes[bad] = 0.05
-        mean = mean.copy()
-        mean[6:9] = sizes
-
-    return replace(
-        track,
-        mean=mean,
-        covariance=cov,
-        confidence=max(track.confidence, float(detections.confidences[index])),
-        misses=0,
-        yaw=float(detections.yaws[index]),
-    )
+    sizes = means[:, 6:9]
+    means[:, 6:9] = np.where(sizes <= 0.0, 0.05, sizes)
+    return means, covs
 
 
 class MultiObjectTracker:
-    """Owns the live track list; one `step` per frame.
+    """Owns the live tracks, as one `TrackTable`; one `step` per frame.
 
     Tracks live in whatever frame the detections are given in; the caller is
     responsible for keeping that frame consistent across steps (the simulator
@@ -225,7 +229,7 @@ class MultiObjectTracker:
     def __init__(self, config: Optional[TrackerConfig] = None, model: Optional[KalmanModel] = None):
         self.config = config or TrackerConfig()
         self.model = model or KalmanModel()
-        self.tracks: List[TrackState] = []
+        self.tracks = TrackTable.of(())
         self._next_id = 1
 
     def step(
@@ -234,66 +238,54 @@ class MultiObjectTracker:
         dt: float,
         forecast: TrackTable,
         observed: Optional[np.ndarray] = None,
-    ) -> List[TrackState]:
+    ) -> TrackTable:
         """Advance one frame from its forecast: associate, update, births,
-        removals.
+        removals; returns the new live tracks.
 
         `forecast` is `forecast_all(self.tracks, dt, self.model)`, made once
         per frame by the caller, which plans on it before detecting.
         `observed` holds one bool per forecast row: did a detector cover that
-        row's view this frame (None: every row)? Unmatched tracks are
-        penalized (confidence exactly halved, miss count incremented) only in
-        observed rows; tracks below the confidence threshold are dropped.
-        Unmatched detections start new tracks with fresh, never-reused ids.
+        row's view this frame (None: every row)? Matched tracks take one
+        batched `update`. Unmatched tracks are penalized (confidence exactly
+        halved, miss count incremented) only in observed rows; tracks below
+        the confidence threshold are dropped. Survivors keep their order and
+        age a frame; unmatched detections follow as new tracks with fresh,
+        never-reused ids.
         """
-        if len(forecast) != len(self.tracks) or any(
-            f is not t for f, t in zip(forecast.tracks, self.tracks)
-        ):
+        # ids are never reused and every survivor ages each step, so a
+        # forecast of earlier tracks differs from the live ones in one or both
+        live = self.tracks
+        same = np.array_equal(forecast.ids, live.ids) and np.array_equal(forecast.ages, live.ages)
+        if not same:
             raise ValueError("forecast must be of this tracker's live tracks")
-        if observed is None:
-            observed = np.ones(len(forecast), dtype=bool)
-        elif np.shape(observed) != (len(forecast),):
+        missed = np.ones(len(forecast), bool) if observed is None else np.array(observed, bool)
+        if missed.shape != (len(forecast),):
             raise ValueError("observed must hold one flag per forecast row")
-        # survivors are one frame older; births below start at age 0
-        predicted = [
-            replace(t, mean=m, covariance=c, age=t.age + 1)
-            for t, m, c in zip(forecast.tracks, forecast.means, forecast.covariances)
-        ]
-        matches, um_tracks, um_dets = associate(forecast, detections, self.config, dt)
+        matches, _, unmatched = associate(forecast, detections, self.config, dt)
 
-        survivors: List[TrackState] = [None] * len(predicted)  # type: ignore[list-item]
-        for ti, di in matches:
-            survivors[ti] = update(predicted[ti], detections, self.model, di)
+        means, covs, yaws = forecast.means, forecast.covariances, forecast.yaws.copy()
+        confidences, misses = forecast.confidences.copy(), forecast.misses.copy()
+        if matches:
+            ti, di = np.array(matches).T
+            means, covs = means.copy(), covs.copy()
+            means[ti], covs[ti] = update(
+                means[ti], covs[ti], detections.rows[di], self.model, forecast.ids[ti])
+            confidences[ti] = np.maximum(confidences[ti], detections.confidences[di])
+            misses[ti] = 0
+            yaws[ti] = detections.yaws[di]
+            missed[ti] = False
+        confidences[missed] *= self.config.confidence_halving
+        misses[missed] += 1
+        removed = missed & (confidences < self.config.confidence_threshold)
+        survivors = TrackTable(forecast.ids, forecast.classes, confidences, misses,
+                               forecast.ages + 1, yaws, means, covs).take(~removed)
 
-        for ti in um_tracks:
-            track = predicted[ti]
-            if observed[ti]:
-                conf = track.confidence * self.config.confidence_halving
-                if conf < self.config.confidence_threshold:
-                    continue  # removed
-                survivors[ti] = replace(track, confidence=conf, misses=track.misses + 1)
-            else:
-                survivors[ti] = track
-
-        new_tracks = [t for t in survivors if t is not None]
-
-        classes = detections.classes.tolist()
-        confidences = detections.confidences.tolist()
-        yaws = detections.yaws.tolist()
-        for di in um_dets:
-            new_tracks.append(
-                TrackState(
-                    track_id=self._next_id,
-                    mean=detections.rows[di].copy(),
-                    covariance=self.model.birth_cov(),
-                    cls=CLASSES[classes[di]],
-                    confidence=confidences[di],
-                    misses=0,
-                    age=0,
-                    yaw=yaws[di],
-                )
-            )
-            self._next_id += 1
-
-        self.tracks = new_tracks
-        return new_tracks
+        born = detections.take(unmatched)
+        n = len(born)
+        births = TrackTable(
+            np.arange(self._next_id, self._next_id + n), born.classes, born.confidences,
+            np.zeros(n, np.int64), np.zeros(n, np.int64), born.yaws, born.rows,
+            np.broadcast_to(self.model.birth_cov(), (n, STATE_DIM, STATE_DIM)))
+        self._next_id += n
+        self.tracks = TrackTable(*map(np.concatenate, zip(survivors.columns(), births.columns())))
+        return self.tracks

@@ -1,4 +1,5 @@
-"""Per-box reference code, kept as oracles for the box-row code.
+"""Per-box and per-track reference code, kept as oracles for the box-row
+and track-table code.
 
 The package carries boxes as rows (`core.BoxRows`). Before it did, every box
 was a `Box3D` object, moved, placed, categorized, detected, tracked and scored
@@ -9,7 +10,10 @@ code against it:
 - core: `Box3D`, `CategoryLevel`, `categorize`, `ego_transform` (with
   `box_to_global` / `box_to_ego`), `view_of` and the rig's `view_of_angle`
 - tracker: `TrackState.to_box` and `planar_speed` as `track_box` and
-  `track_speed`, `measurement_vector`, and the per-pair `associate`
+  `track_speed`, `measurement_vector`, the per-pair `associate`, and the
+  per-track tracker: `forecast`, `update` and `MultiObjectTracker.step` over
+  a list of `TrackState`s, from before the tracker kept its tracks as one
+  `TrackTable`
 - simulator: the body of `synth_detect`
 - metrics: the body of `evaluate_frame`, with its class grouping and
   greedy matcher
@@ -17,9 +21,10 @@ code against it:
 
 from __future__ import annotations
 
+import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +47,16 @@ from viewsched.core import (
 )
 from viewsched.metrics import EvalConfig, FrameEval
 from viewsched.simulator import CLASS_DIMS, _confidence
-from viewsched.tracker import TrackerConfig, TrackState
+from viewsched.tracker import (
+    STATE_DIM,
+    KalmanModel,
+    TrackerConfig,
+    TrackState,
+    TrackTable,
+    associate as associate_rows,
+)
+
+logger = logging.getLogger(__name__)
 
 # -- converters ----------------------------------------------------------------
 
@@ -295,6 +309,126 @@ def associate(
         [i for i in range(nt) if i not in matched_t],
         [i for i in range(nd) if i not in matched_d],
     )
+
+
+def forecast(track: TrackState, dt: float, model: KalmanModel) -> TrackState:
+    """One track propagated dt seconds ahead."""
+    a = model.transition(dt)
+    mean = a @ track.mean
+    cov = a @ track.covariance @ a.T + model.process_cov(dt)
+    return replace(track, mean=mean, covariance=cov)
+
+
+def update(
+    track: TrackState, detections: BoxRows, model: KalmanModel, index: int = 0
+) -> TrackState:
+    """Fold detection `index` into a forecast track (standard Kalman update).
+
+    The full state is measured, so H = I and the measurement is the
+    detection's row. Covariance is symmetrized after the update; if it still
+    has a meaningfully negative eigenvalue the negative part is clipped and a
+    diagnostic is logged. Confidence keeps the larger of the track's and the
+    detection's value; the miss counter resets.
+    """
+    z = detections.rows[index]
+    p = track.covariance
+    s = p + model.measurement_cov()
+    k = np.linalg.solve(s.T, p.T).T
+    mean = track.mean + k @ (z - track.mean)
+    cov = (np.eye(STATE_DIM) - k) @ p
+    cov = (cov + cov.T) / 2.0
+
+    eigvals = np.linalg.eigvalsh(cov)
+    if eigvals[0] < -1e-9:
+        logger.warning(
+            "track %d covariance lost positive semidefiniteness (min eig %.3e); clipping",
+            track.track_id,
+            eigvals[0],
+        )
+        w, v = np.linalg.eigh(cov)
+        cov = (v * np.maximum(w, 0.0)) @ v.T
+        cov = (cov + cov.T) / 2.0
+
+    sizes = mean[6:9]
+    bad = sizes <= 0.0
+    if bad.any():
+        sizes = sizes.copy()
+        sizes[bad] = 0.05
+        mean = mean.copy()
+        mean[6:9] = sizes
+
+    return replace(
+        track,
+        mean=mean,
+        covariance=cov,
+        confidence=max(track.confidence, float(detections.confidences[index])),
+        misses=0,
+        yaw=float(detections.yaws[index]),
+    )
+
+
+class MultiObjectTracker:
+    """The live tracks as a list of `TrackState`s; one `step` per frame."""
+
+    def __init__(self, config: Optional[TrackerConfig] = None, model: Optional[KalmanModel] = None):
+        self.config = config or TrackerConfig()
+        self.model = model or KalmanModel()
+        self.tracks: List[TrackState] = []
+        self._next_id = 1
+
+    def step(
+        self, detections: BoxRows, dt: float, observed: Optional[Sequence[bool]] = None
+    ) -> List[TrackState]:
+        """Forecast, associate, update, births, removals: one frame.
+
+        `observed` holds one bool per live track (None: every track); an
+        unmatched track is penalized only where it is set. Association runs
+        the package's `associate` on the forecast tracks.
+        """
+        forecast_ = [forecast(t, dt, self.model) for t in self.tracks]
+        if observed is None:
+            observed = [True] * len(forecast_)
+        # survivors are one frame older; births below start at age 0
+        predicted = [replace(t, age=t.age + 1) for t in forecast_]
+        matches, um_tracks, um_dets = associate_rows(
+            TrackTable.of(forecast_), detections, self.config, dt)
+
+        survivors: List[TrackState] = [None] * len(predicted)  # type: ignore[list-item]
+        for ti, di in matches:
+            survivors[ti] = update(predicted[ti], detections, self.model, di)
+
+        for ti in um_tracks:
+            track = predicted[ti]
+            if observed[ti]:
+                conf = track.confidence * self.config.confidence_halving
+                if conf < self.config.confidence_threshold:
+                    continue  # removed
+                survivors[ti] = replace(track, confidence=conf, misses=track.misses + 1)
+            else:
+                survivors[ti] = track
+
+        new_tracks = [t for t in survivors if t is not None]
+
+        classes = detections.classes.tolist()
+        confidences = detections.confidences.tolist()
+        yaws = detections.yaws.tolist()
+        for di in um_dets:
+            new_tracks.append(
+                TrackState(
+                    track_id=self._next_id,
+                    mean=detections.rows[di].copy(),
+                    covariance=self.model.birth_cov(),
+                    cls=CLASSES[classes[di]],
+                    confidence=confidences[di],
+                    misses=0,
+                    age=0,
+                    yaw=yaws[di],
+                )
+            )
+            self._next_id += 1
+
+        self.tracks = new_tracks
+        return new_tracks
 
 
 # -- simulator --------------------------------------------------------------------

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from track_helpers import forecast, track_frame
+from track_helpers import fold, track_frame
 from viewsched.branches import branch_by_label, default_device_profile, enumerate_branches
 from viewsched.cli import main
 from viewsched.core import (
@@ -53,7 +53,8 @@ from viewsched.tracker import (
     MultiObjectTracker,
     TrackerConfig,
     TrackState,
-    update,
+    TrackTable,
+    forecast_all,
 )
 
 
@@ -193,8 +194,9 @@ def _mc_map(branch, cap, sector, config, n_frames, seed):
         d = world.uniform(31.0, 39.0)  # distance level 3 objects
         a = world.uniform(sector[0] + 0.05, sector[1] - 0.05)
         gt = car(d * math.cos(a), d * math.sin(a), vx=0.1)
-        assert category_levels(gt.rows)[0, 0] == 3  # distance level
-        preds = synth_detect(branch, gt, cap, rng, sector)
+        levels = category_levels(gt.rows)
+        assert levels[0, 0] == 3  # distance level
+        preds = synth_detect(branch, gt, cap, rng, sector, levels=levels)
         evals.append(evaluate_frame(preds, gt, config))
     return summarize(evals, config)["mAP"]
 
@@ -210,8 +212,9 @@ def _mc_mave(branch, cap, sector, n_frames, seed):
         heading = world.uniform(-math.pi, math.pi)
         gt = car(d * math.cos(a), d * math.sin(a),
                  vx=speed * math.cos(heading), vy=speed * math.sin(heading))
-        assert category_levels(gt.rows)[0, 1] == 3  # velocity level
-        preds = synth_detect(branch, gt, cap, rng, sector)
+        levels = category_levels(gt.rows)
+        assert levels[0, 1] == 3  # velocity level
+        preds = synth_detect(branch, gt, cap, rng, sector, levels=levels)
         evals.append(evaluate_frame(preds, gt))
     return summarize(evals)["mAVE"]
 
@@ -247,43 +250,46 @@ def test_criterion_4_capability_trend_ratios():
 # -- criterion 5: tracker correctness ----------------------------------------------
 
 
+def _newborn(model):
+    """A car track just born at the origin, as a one-row table."""
+    return TrackTable.of([TrackState(track_id=1, mean=car(0.0, 0.0).rows[0],
+                                     covariance=model.birth_cov(), cls=ObjectClass.CAR,
+                                     confidence=0.9)])
+
+
 def test_criterion_5_tracker_properties():
     """Zero-noise convergence by frame 10; covariance stays PSD over 1e5
     random updates; confidence after k straight misses is exactly
     initial * 0.5^k."""
+    # tracks are one-row tables, updated by the tracker's own batched update
     # (a) convergence under an ideal detector (tight measurement covariance),
     # starting from a deliberately wrong velocity estimate
     model = KalmanModel(measurement_noise=(0.01,) * 9)
     dt = 0.1
     vx, vy = 4.0, -2.0
-    track = TrackState(track_id=1, mean=car(0.0, 0.0).rows[0],
-                       covariance=model.birth_cov(), cls=ObjectClass.CAR,
-                       confidence=0.9)
+    track = _newborn(model)
     for k in range(1, 11):
         x, y = vx * dt * k, vy * dt * k
-        track = update(forecast(track, dt, model), car(x, y, vx, vy), model)
-    assert math.hypot(track.mean[0] - x, track.mean[1] - y) < 0.05
-    assert math.hypot(track.mean[3] - vx, track.mean[4] - vy) < 0.1
+        track = fold(forecast_all(track, dt, model), car(x, y, vx, vy), model)
+    mean = track.means[0]
+    assert math.hypot(mean[0] - x, mean[1] - y) < 0.05
+    assert math.hypot(mean[3] - vx, mean[4] - vy) < 0.1
 
     # (b) covariance positive semi-definiteness across 100,000 random steps
     model = KalmanModel()
     rng = np.random.default_rng(99)
-    track = TrackState(track_id=1, mean=car(0.0, 0.0).rows[0],
-                       covariance=model.birth_cov(), cls=ObjectClass.CAR,
-                       confidence=0.9)
+    track = _newborn(model)
     worst = np.inf
     for step in range(100_000):
-        track = forecast(track, float(rng.uniform(0.02, 0.5)), model)
+        track = forecast_all(track, float(rng.uniform(0.02, 0.5)), model)
         if rng.random() < 0.7:
-            d = car(float(track.mean[0] + rng.normal(0, 2.0)),
-                    float(track.mean[1] + rng.normal(0, 2.0)),
+            d = car(float(track.means[0, 0] + rng.normal(0, 2.0)),
+                    float(track.means[0, 1] + rng.normal(0, 2.0)),
                     float(rng.normal(0, 5.0)), float(rng.normal(0, 5.0)))
-            track = update(track, d, model)
-        worst = min(worst, float(np.linalg.eigvalsh(track.covariance).min()))
+            track = fold(track, d, model)
+        worst = min(worst, float(np.linalg.eigvalsh(track.covariances[0]).min()))
         if step % 9973 == 0:  # keep the state bounded, explore fresh births
-            track = TrackState(track_id=1, mean=car(0.0, 0.0).rows[0],
-                               covariance=model.birth_cov(), cls=ObjectClass.CAR,
-                               confidence=0.9)
+            track = _newborn(model)
     assert worst >= -1e-9
 
     # (c) exact confidence halving per consecutive miss
@@ -292,7 +298,7 @@ def test_criterion_5_tracker_properties():
     track_frame(tracker, [car(0.0, 0.0, conf=initial)], 0.1)
     for k in range(1, 21):
         track_frame(tracker, [], 0.1)
-        assert tracker.tracks[0].confidence == initial * 0.5**k
+        assert tracker.tracks.confidences[0] == initial * 0.5**k
 
 
 # -- criterion 6: metrics oracle ----------------------------------------------------

@@ -28,7 +28,7 @@ from viewsched.branches import (
     enumerate_branches,
 )
 
-from viewsched import cli
+from viewsched import cli, simulator
 from viewsched.cli import (
     ConfigError,
     build_training_set,
@@ -375,6 +375,47 @@ def test_main_rejects_a_malformed_profile_or_scenario_at_load(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: invalid configuration")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("initial_count", 1_000_000), ("spawn_rate_per_s", 1e6)])
+def test_main_rejects_an_oversized_scene_before_generating_it(tmp_path, capsys, monkeypatch,
+                                                              key, value):
+    def no_scene(config):
+        raise AssertionError("an oversized scene must not be generated")
+
+    monkeypatch.setattr(simulator, "generate_scenario", no_scene)
+    document = _BUNDLED["scenario"]()
+    document[key] = value
+    manifest = _manifest_referencing(tmp_path, "scenario", document)
+    assert main(["simulate", "--manifest", manifest, "--policy", "all_tracker"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration") and "at most" in err
+
+
+def _deep_model_text(depth):
+    """A model file whose one tree is `depth` splits deep, as JSON text."""
+    tree = ('{"feature_index": 0, "threshold": 0.5, "left": ' * depth + '{"leaf_value": 0.5}'
+            + ', "right": {"leaf_value": 0.5}}' * depth)
+    document = {"version": 1, "accuracy": dict(_NO_TREES, trees=["TREE"]),
+                "update_latency": {"slope_ms_per_track": 0.1, "intercept_ms": 1.0}}
+    return json.dumps(document).replace('"TREE"', tree)
+
+
+# a file nested deeper than the JSON decoder recurses is a configuration error
+@pytest.mark.parametrize("key", ["manifest", "scenario", "device", "capability", "model"])
+def test_main_rejects_a_deeply_nested_file(tmp_path, capsys, key):
+    if key == "model":
+        manifest = _manifest_referencing(tmp_path, "model", {})
+        (tmp_path / "model.json").write_text(_deep_model_text(3_000))
+        command = ["simulate", "--manifest", manifest]
+    else:
+        manifest = _manifest_referencing(tmp_path, key, {})
+        deep = tmp_path / ("m.json" if key == "manifest" else f"{key}.json")
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        command = ["adapt", "--manifest", manifest]
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "recursion" in err and "Traceback" not in err
 
 
 # one bad version per file kind: any value but 1 is rejected at load, absent means 1

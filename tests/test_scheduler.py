@@ -39,7 +39,7 @@ from viewsched.scheduler import (
     solve,
     solve_bruteforce,
 )
-from viewsched.tracker import KalmanModel, TrackState, forecast_all
+from viewsched.tracker import KalmanModel, TrackState, TrackTable, forecast_all
 
 
 def stub_models(score=0.5, slope=0.05, intercept=1.0):
@@ -739,7 +739,8 @@ def make_tracks(positions, conf=0.8):
 
 
 def forecast_at_origin(tracks, rig):
-    return frame_forecast(forecast_all(tracks, 0.1, KalmanModel()), EgoPose(0, 0, 0, 0), rig)
+    return frame_forecast(forecast_all(TrackTable.of(tracks), 0.1, KalmanModel()),
+                          EgoPose(0, 0, 0, 0), rig)
 
 
 def test_schedule_frame_plumbing():
@@ -789,7 +790,7 @@ def test_frame_forecast_matches_the_per_box_pipeline(tracks, pose, view_count):
     ]
     rig = CameraRig.default(view_count)
     ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
-    predicted = forecast_all(live, 0.1, model)
+    predicted = forecast_all(TrackTable.of(live), 0.1, model)
     got = frame_forecast(predicted, ego, rig)
 
     boxes = [box_to_ego(track_box(t), ego) for t in states(predicted)]

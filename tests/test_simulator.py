@@ -150,6 +150,19 @@ def test_scenario_config_validation():
     assert cfg.dt == pytest.approx(0.1)
 
 
+def test_scene_size_is_bounded():
+    # only the configuration is built here: a scene this size takes hours to generate
+    with pytest.raises(ValueError, match="initial count may be at most 1000"):
+        small_scenario(initial_count=simulator.MAX_INITIAL_COUNT + 1)
+    with pytest.raises(ValueError, match="spawn rate at most 100 per s"):
+        small_scenario(spawn_rate_per_s=simulator.MAX_SPAWN_RATE_PER_S * 1.001)
+    with pytest.raises(ValueError):
+        small_scenario(initial_count=1_000_000)
+    largest = small_scenario(initial_count=simulator.MAX_INITIAL_COUNT,
+                             spawn_rate_per_s=simulator.MAX_SPAWN_RATE_PER_S)
+    assert ScenarioConfig.from_dict(largest.to_dict()) == largest
+
+
 def test_a_class_that_can_be_drawn_needs_a_speed_range():
     with pytest.raises(ValueError, match="truck has a class_mix weight but no speed range"):
         small_scenario(speed_ranges={ObjectClass.CAR: (0.0, 1.0)})

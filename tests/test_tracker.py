@@ -1,5 +1,6 @@
 """Kalman filter and multi-object tracker unit tests."""
 
+import logging
 import math
 
 from dataclasses import replace
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import box_oracles
 from box_oracles import Box3D, box_to_ego, to_rows, track_box, track_speed, view_of
-from track_helpers import NO_BOXES, forecast, join, states, track_frame
+from track_helpers import NO_BOXES, fold, join, states, track_frame
 from viewsched.core import CLASSES, BoxRows, CameraRig, EgoPose, ObjectClass
 from viewsched.scheduler import frame_forecast
 from viewsched.tracker import (
@@ -22,7 +23,6 @@ from viewsched.tracker import (
     TrackTable,
     associate,
     forecast_all,
-    update,
 )
 
 
@@ -32,14 +32,15 @@ def det(x, y, vx=0.0, vy=0.0, cls=ObjectClass.CAR, conf=0.9, z=0.8):
 
 
 def fresh_track(x=0.0, y=0.0, vx=0.0, vy=0.0, conf=0.9, track_id=1):
+    """One newborn track, as a one-row table."""
     model = KalmanModel()
-    return TrackState(
+    return TrackTable.of([TrackState(
         track_id=track_id,
         mean=det(x, y, vx, vy, conf=conf).rows[0],
         covariance=model.birth_cov(),
         cls=ObjectClass.CAR,
         confidence=conf,
-    )
+    )])
 
 
 # -- filter primitives --------------------------------------------------------
@@ -48,52 +49,77 @@ def fresh_track(x=0.0, y=0.0, vx=0.0, vy=0.0, conf=0.9, track_id=1):
 def test_forecast_moves_position_by_velocity():
     model = KalmanModel()
     t = fresh_track(x=1.0, y=2.0, vx=3.0, vy=-1.0)
-    f = forecast(t, 0.5, model)
-    assert f.mean[0] == pytest.approx(2.5)
-    assert f.mean[1] == pytest.approx(1.5)
+    f = forecast_all(t, 0.5, model)
+    assert f.means[0, 0] == pytest.approx(2.5)
+    assert f.means[0, 1] == pytest.approx(1.5)
     # velocity and size are unchanged by the constant-velocity model
-    assert np.allclose(f.mean[3:6], t.mean[3:6])
-    assert np.allclose(f.mean[6:9], t.mean[6:9])
+    assert np.allclose(f.means[0, 3:6], t.means[0, 3:6])
+    assert np.allclose(f.means[0, 6:9], t.means[0, 6:9])
     # uncertainty must grow
-    assert np.trace(f.covariance) > np.trace(t.covariance)
+    assert np.trace(f.covariances[0]) > np.trace(t.covariances[0])
 
 
 def test_forecast_zero_dt_adds_no_motion():
     model = KalmanModel()
     t = fresh_track(x=1.0, y=2.0, vx=3.0)
-    f = forecast(t, 0.0, model)
-    assert np.allclose(f.mean, t.mean)
+    f = forecast_all(t, 0.0, model)
+    assert np.allclose(f.means, t.means)
     with pytest.raises(ValueError):
-        forecast(t, -0.1, model)
+        forecast_all(t, -0.1, model)
 
 
 def test_update_pulls_state_toward_measurement():
     model = KalmanModel()
     t = fresh_track(x=0.0, y=0.0)
-    updated = update(t, det(1.0, 0.0), model)
-    assert 0.0 < updated.mean[0] < 1.0
+    updated = fold(t, det(1.0, 0.0), model)
+    assert 0.0 < updated.means[0, 0] < 1.0
     # covariance shrinks after fusing a measurement
-    assert np.trace(updated.covariance) < np.trace(t.covariance)
-    assert updated.misses == 0
+    assert np.trace(updated.covariances[0]) < np.trace(t.covariances[0])
 
 
 def test_update_reads_the_given_detection_row():
+    # row i of the batch folds detection row i into track row i, as the
+    # same update of that one pair alone does
     model = KalmanModel()
-    t = fresh_track()
-    want = update(t, det(1.0, 0.5, conf=0.95), model)
-    got = update(t, join([det(-4.0, 3.0), det(1.0, 0.5, conf=0.95)]), model, 1)
-    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.covariance, want.covariance)
-    assert (got.confidence, got.yaw, got.misses) == (want.confidence, want.yaw, want.misses)
+    pair = forecast_all(TrackTable.of(states(fresh_track()) * 2), 0.1, model)
+    dets = [det(-4.0, 3.0), det(1.0, 0.5, conf=0.95)]
+    got = fold(pair, join(dets), model)
+    for i, d in enumerate(dets):
+        want = fold(pair.take([i]), d, model)
+        assert np.array_equal(got.means[i], want.means[0])
+        assert np.array_equal(got.covariances[i], want.covariances[0])
 
 
 def test_update_resets_miss_count_and_refreshes_confidence():
+    tracker = MultiObjectTracker()
+    t = states(fresh_track(conf=0.3))[0]
+    tracker.tracks = TrackTable.of([replace(t, misses=2, age=5)])
+    track_frame(tracker, [det(0.0, 0.0, conf=0.95)], 0.1)
+    assert tracker.tracks.misses.tolist() == [0]
+    assert tracker.tracks.confidences.tolist() == [0.95]  # the larger of the two
+    tracker.tracks = TrackTable.of([replace(t, confidence=0.8, misses=2)])
+    track_frame(tracker, [det(0.0, 0.0, conf=0.3)], 0.1)
+    assert tracker.tracks.misses.tolist() == [0]
+    assert tracker.tracks.confidences.tolist() == [0.8]
+
+
+def test_update_clamps_non_positive_sizes():
     model = KalmanModel()
-    t = fresh_track(conf=0.3)
-    t = TrackState(track_id=t.track_id, mean=t.mean, covariance=t.covariance,
-                   cls=t.cls, confidence=0.3, misses=2, age=5)
-    updated = update(t, det(0.0, 0.0, conf=0.95), model)
-    assert updated.misses == 0
-    assert updated.confidence >= 0.3
+    shrunk = BoxRows.of([[0.0, 0.0, 0.8, 0.0, 0.0, 0.0, -9.0, 1.6, -0.1]], [0], [0.9], [0.0])
+    got = fold(fresh_track(), shrunk, model)
+    assert got.means[0, 6] == 0.05  # the filter would put it below zero
+    assert got.means[0, 7] > 0.05 and 0.05 < got.means[0, 8] < 4.5
+
+
+def test_update_clips_a_covariance_that_lost_semidefiniteness(caplog):
+    model = KalmanModel()
+    t = states(fresh_track(track_id=7))[0]
+    broken = TrackTable.of([replace(t, covariance=model.birth_cov() - np.eye(9) * 0.6)])
+    with caplog.at_level(logging.WARNING, logger="viewsched.tracker"):
+        got = fold(broken, det(0.5, 0.0), model)
+    assert [r.getMessage().split(" covariance")[0] for r in caplog.records] == ["track 7"]
+    assert float(np.linalg.eigvalsh(got.covariances[0]).min()) >= -1e-9
+    assert np.array_equal(got.covariances[0], got.covariances[0].T)
 
 
 def test_zero_noise_constant_velocity_convergence():
@@ -104,15 +130,14 @@ def test_zero_noise_constant_velocity_convergence():
     model = KalmanModel(measurement_noise=(0.01,) * 9)
     dt = 0.1
     vx, vy = 4.0, -2.0
-    track = TrackState(track_id=1, mean=det(0.0, 0.0, 0.0, 0.0).rows[0],
-                       covariance=model.birth_cov(), cls=ObjectClass.CAR,
-                       confidence=0.9)
+    track = replace(fresh_track(), covariances=model.birth_cov()[None])
     for k in range(1, 15):
         x, y = vx * dt * k, vy * dt * k
-        track = update(forecast(track, dt, model), det(x, y, vx, vy), model)
+        track = fold(forecast_all(track, dt, model), det(x, y, vx, vy), model)
         if k >= 10:
-            pos_err = math.hypot(track.mean[0] - x, track.mean[1] - y)
-            vel_err = math.hypot(track.mean[3] - vx, track.mean[4] - vy)
+            mean = track.means[0]
+            pos_err = math.hypot(mean[0] - x, mean[1] - y)
+            vel_err = math.hypot(mean[3] - vx, mean[4] - vy)
             assert pos_err < 0.05
             assert vel_err < 0.1
 
@@ -123,14 +148,13 @@ def test_operational_birth_tracks_constant_velocity_exactly():
     model = KalmanModel()
     dt = 0.1
     vx, vy = 4.0, -2.0
-    track = TrackState(track_id=1, mean=det(0.0, 0.0, vx, vy).rows[0],
-                       covariance=model.birth_cov(), cls=ObjectClass.CAR,
-                       confidence=0.9)
+    track = fresh_track(vx=vx, vy=vy)
     for k in range(1, 12):
         x, y = vx * dt * k, vy * dt * k
-        track = update(forecast(track, dt, model), det(x, y, vx, vy), model)
-        assert math.hypot(track.mean[0] - x, track.mean[1] - y) < 0.05
-        assert math.hypot(track.mean[3] - vx, track.mean[4] - vy) < 0.1
+        track = fold(forecast_all(track, dt, model), det(x, y, vx, vy), model)
+        mean = track.means[0]
+        assert math.hypot(mean[0] - x, mean[1] - y) < 0.05
+        assert math.hypot(mean[3] - vx, mean[4] - vy) < 0.1
 
 
 def test_covariance_stays_symmetric_psd_under_random_updates():
@@ -138,25 +162,28 @@ def test_covariance_stays_symmetric_psd_under_random_updates():
     rng = np.random.default_rng(42)
     track = fresh_track()
     for step in range(2000):
-        track = forecast(track, float(rng.uniform(0.05, 0.3)), model)
+        track = forecast_all(track, float(rng.uniform(0.05, 0.3)), model)
         if rng.random() < 0.8:
-            d = det(float(track.mean[0] + rng.normal(0, 1.0)),
-                    float(track.mean[1] + rng.normal(0, 1.0)),
+            d = det(float(track.means[0, 0] + rng.normal(0, 1.0)),
+                    float(track.means[0, 1] + rng.normal(0, 1.0)),
                     float(rng.normal(0, 3.0)), float(rng.normal(0, 3.0)))
-            track = update(track, d, model)
-        cov = track.covariance
+            track = fold(track, d, model)
+        cov = track.covariances[0]
         assert np.allclose(cov, cov.T, atol=1e-9)
         assert float(np.linalg.eigvalsh(cov).min()) >= -1e-9
 
 
 def test_track_to_box_round_trip():
-    t = fresh_track(x=3.0, y=-4.0, vx=1.0, vy=2.0, conf=0.75)
+    table = fresh_track(x=3.0, y=-4.0, vx=1.0, vy=2.0, conf=0.75)
+    (t,) = states(table)
     b = track_box(t)
     assert b.center == (3.0, -4.0, 0.8)
     assert b.velocity == (1.0, 2.0, 0.0)
     assert b.confidence == 0.75
     assert track_speed(t) == pytest.approx(math.hypot(1.0, 2.0))
     assert to_rows([b]).rows[0].tolist() == t.mean.tolist()
+    again = TrackTable.of(states(table))
+    assert all(np.array_equal(a, b) for a, b in zip(again.columns(), table.columns()))
 
 
 # -- data association ---------------------------------------------------------
@@ -166,11 +193,11 @@ def test_tracker_step_starts_tracks_with_unique_ids():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(5.0, 0.0), det(-5.0, 0.0)], 0.1)
     assert len(tracker.tracks) == 2
-    ids = {t.track_id for t in tracker.tracks}
+    ids = set(tracker.tracks.ids.tolist())
     assert len(ids) == 2
     track_frame(tracker, [det(5.0, 0.0), det(-5.0, 0.0), det(0.0, 20.0)], 0.1)
     assert len(tracker.tracks) == 3
-    all_ids = {t.track_id for t in tracker.tracks}
+    all_ids = set(tracker.tracks.ids.tolist())
     assert ids <= all_ids  # old tracks kept their ids
 
 
@@ -178,26 +205,26 @@ def test_tracker_never_reuses_ids():
     config = TrackerConfig(confidence_threshold=0.5)
     tracker = MultiObjectTracker(config)
     track_frame(tracker, [det(5.0, 0.0, conf=0.6)], 0.1)
-    first_id = tracker.tracks[0].track_id
+    first_id = tracker.tracks.ids[0]
     # one miss halves 0.6 -> 0.3 < 0.5: the track dies
     track_frame(tracker, [], 0.1)
-    assert tracker.tracks == []
+    assert len(tracker.tracks) == 0
     track_frame(tracker, [det(5.0, 0.0, conf=0.6)], 0.1)
-    assert tracker.tracks[0].track_id != first_id
+    assert tracker.tracks.ids[0] != first_id
 
 
 def test_association_matches_nearest_same_class():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(0.0, 0.0), det(10.0, 0.0)], 0.1)
-    id_near = [t.track_id for t in tracker.tracks if abs(t.mean[0]) < 5][0]
-    id_far = [t.track_id for t in tracker.tracks if abs(t.mean[0]) > 5][0]
+    id_near = [t.track_id for t in states(tracker.tracks) if abs(t.mean[0]) < 5][0]
+    id_far = [t.track_id for t in states(tracker.tracks) if abs(t.mean[0]) > 5][0]
     # detections shifted slightly; each must update its own track
     track_frame(tracker, [det(0.3, 0.0), det(10.3, 0.0)], 0.1)
     assert len(tracker.tracks) == 2
-    by_id = {t.track_id: t for t in tracker.tracks}
+    by_id = {t.track_id: t for t in states(tracker.tracks)}
     assert by_id[id_near].mean[0] < 5
     assert by_id[id_far].mean[0] > 5
-    assert all(t.misses == 0 for t in tracker.tracks)
+    assert tracker.tracks.misses.tolist() == [0, 0]
 
 
 def test_association_respects_class():
@@ -205,17 +232,17 @@ def test_association_respects_class():
     track_frame(tracker, [det(0.0, 0.0, cls=ObjectClass.CAR)], 0.1)
     # a pedestrian detection at the same spot must not claim the car track
     track_frame(tracker, [det(0.0, 0.0, cls=ObjectClass.PEDESTRIAN)], 0.1)
-    classes = sorted(t.cls.value for t in tracker.tracks)
+    classes = sorted(CLASSES[code].value for code in tracker.tracks.classes.tolist())
     assert classes == ["car", "pedestrian"]
 
 
 def test_association_gates_far_detections():
     tracker = MultiObjectTracker(TrackerConfig(base_gate_m=2.0))
     track_frame(tracker, [det(0.0, 0.0)], 0.1)
-    tid = tracker.tracks[0].track_id
+    tid = tracker.tracks.ids[0]
     # 30 m away: outside any reasonable gate, must spawn a new track
     track_frame(tracker, [det(30.0, 0.0)], 0.1)
-    ids = {t.track_id for t in tracker.tracks}
+    ids = set(tracker.tracks.ids.tolist())
     assert tid in ids and len(ids) == 2
 
 
@@ -228,8 +255,8 @@ def test_confidence_halves_exactly_per_miss():
     for k in range(1, 6):
         track_frame(tracker, [], 0.1)
         assert len(tracker.tracks) == 1
-        assert tracker.tracks[0].confidence == 0.9 * 0.5**k
-        assert tracker.tracks[0].misses == k
+        assert tracker.tracks.confidences[0] == 0.9 * 0.5**k
+        assert tracker.tracks.misses[0] == k
 
 
 def test_track_removed_below_confidence_threshold():
@@ -240,7 +267,7 @@ def test_track_removed_below_confidence_threshold():
     track_frame(tracker, [], 0.1)
     assert len(tracker.tracks) == 1
     track_frame(tracker, [], 0.1)
-    assert tracker.tracks == []
+    assert len(tracker.tracks) == 0
 
 
 def test_miss_penalty_skipped_in_uncovered_views():
@@ -248,20 +275,20 @@ def test_miss_penalty_skipped_in_uncovered_views():
     track_frame(tracker, [det(20.0, 0.0, conf=0.8), det(-20.0, 0.0, conf=0.8)], 0.1)
     # frame with no detections, but no row was observed: no penalty
     track_frame(tracker, [], 0.1, observed=np.array([False, False]))
-    assert [t.confidence for t in tracker.tracks] == [0.8, 0.8]
-    assert [t.misses for t in tracker.tracks] == [0, 0]
+    assert tracker.tracks.confidences.tolist() == [0.8, 0.8]
+    assert tracker.tracks.misses.tolist() == [0, 0]
     # now the first row is observed and the detector saw nothing there:
     # only that track is penalized
     track_frame(tracker, [], 0.1, observed=np.array([True, False]))
-    assert [t.confidence for t in tracker.tracks] == [0.4, 0.8]
-    assert [t.misses for t in tracker.tracks] == [1, 0]
+    assert tracker.tracks.confidences.tolist() == [0.4, 0.8]
+    assert tracker.tracks.misses.tolist() == [1, 0]
 
 
 def test_covered_views_none_means_all_covered():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(0.0, 0.0, conf=0.8)], 0.1)
     track_frame(tracker, [], 0.1, observed=None)
-    assert tracker.tracks[0].confidence == 0.4
+    assert tracker.tracks.confidences[0] == 0.4
 
 
 def test_observed_mask_needs_one_flag_per_forecast_row():
@@ -286,17 +313,17 @@ def test_uncovered_view_exemption_uses_ego_frame():
     # the mask comes from the frame's one placement, as `run_episode` makes it
     observed = np.isin(frame_forecast(table, turned, rig).views, [rear_view])
     tracker.step(NO_BOXES, 0.1, table, observed)
-    assert tracker.tracks[0].misses == 1  # penalized: its ego-frame view was covered
+    assert tracker.tracks.misses[0] == 1  # penalized: its ego-frame view was covered
 
 
 def test_ages_increment_each_step():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(0.0, 0.0)], 0.1)
-    assert tracker.tracks[0].age == 0
+    assert tracker.tracks.ages.tolist() == [0]
     track_frame(tracker, [det(0.0, 0.0)], 0.1)
-    assert tracker.tracks[0].age == 1
-    track_frame(tracker, [det(0.0, 0.0)], 0.1)
-    assert tracker.tracks[0].age == 2
+    assert tracker.tracks.ages.tolist() == [1]
+    track_frame(tracker, [det(0.0, 0.0), det(20.0, 0.0)], 0.1)
+    assert tracker.tracks.ages.tolist() == [2, 0]  # a birth starts at 0
 
 
 def test_forecast_all_preserves_track_count():
@@ -305,10 +332,11 @@ def test_forecast_all_preserves_track_count():
     ahead = forecast_all(tracker.tracks, 0.5, tracker.model)
     assert len(ahead) == 3
     assert ahead.means.shape == (3, 9) and ahead.covariances.shape == (3, 9, 9)
-    assert [t.track_id for t in states(ahead)] == [t.track_id for t in tracker.tracks]
+    assert ahead.ids.tolist() == tracker.tracks.ids.tolist()
     # pure function: the tracker's own state is untouched
-    assert all(t.age == 0 for t in tracker.tracks)
-    assert len(forecast_all([], 0.5, tracker.model)) == 0
+    assert tracker.tracks.ages.tolist() == [0, 0, 0]
+    assert not np.array_equal(ahead.covariances, tracker.tracks.covariances)
+    assert len(forecast_all(TrackTable.of([]), 0.5, tracker.model)) == 0
 
 
 def test_step_needs_the_forecast_of_its_own_tracks():
@@ -319,17 +347,11 @@ def test_step_needs_the_forecast_of_its_own_tracks():
     with pytest.raises(ValueError):
         tracker.step(NO_BOXES, 0.1, stale)
     with pytest.raises(ValueError):
-        tracker.step(NO_BOXES, 0.1, forecast_all([], 0.1, tracker.model))
+        tracker.step(NO_BOXES, 0.1, forecast_all(TrackTable.of([]), 0.1, tracker.model))
 
 
-# Reference implementation: the per-track forecast the batched one replaced.
-
-
-def _reference_forecast(track: TrackState, dt: float, model: KalmanModel) -> TrackState:
-    a = model.transition(dt)
-    mean = a @ track.mean
-    cov = a @ track.covariance @ a.T + model.process_cov(dt)
-    return replace(track, mean=mean, covariance=cov)
+# Reference implementation: the per-track forecast the batched one replaced
+# (`box_oracles.forecast`).
 
 
 _floats = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -353,9 +375,9 @@ def test_batched_forecast_matches_the_per_track_forecast(count, dt, scale, seed,
         mean[int(rng.integers(9))] = edge
         tracks.append(TrackState(track_id=i, mean=mean, covariance=root @ root.T,
                                  cls=ObjectClass.CAR, confidence=0.5))
-    got = forecast_all(tracks, dt, model)
+    got = forecast_all(TrackTable.of(tracks), dt, model)
     for track, row in zip(tracks, states(got)):
-        want = _reference_forecast(track, dt, model)
+        want = box_oracles.forecast(track, dt, model)
         assert np.array_equal(row.mean, want.mean)
         assert np.array_equal(row.covariance, want.covariance)
         assert replace(row, mean=want.mean, covariance=want.covariance) == want
@@ -374,10 +396,10 @@ def test_covariance_stays_psd_under_any_forecast_and_update_sequence(steps, nois
     model = KalmanModel(measurement_noise=(noise,) * 6 + (noise / 4,) * 3)
     track = fresh_track()
     for dt, detected, x, y, vx, vy in steps:
-        track = forecast(track, dt, model)
+        track = forecast_all(track, dt, model)
         if detected:
-            track = update(track, det(x, y, vx, vy), model)
-        cov = track.covariance
+            track = fold(track, det(x, y, vx, vy), model)
+        cov = track.covariances[0]
         assert np.allclose(cov, cov.T, atol=1e-9)
         assert float(np.linalg.eigvalsh(cov).min()) >= -1e-9 * max(1.0, float(np.abs(cov).max()))
 
@@ -399,7 +421,7 @@ def test_misses_count_only_in_covered_views_of_the_ego_frame(positions, pose, co
             for t in states(table)}
     observed = np.isin(frame_forecast(table, ego, rig).views, sorted(covered))
     tracker.step(NO_BOXES, 0.1, table, observed)
-    assert {t.track_id: t.misses == 1 for t in tracker.tracks} == want
+    assert dict(zip(tracker.tracks.ids.tolist(), (tracker.tracks.misses == 1).tolist())) == want
 
 
 # The per-pair association loop (`box_oracles.associate`) is the reference
@@ -409,12 +431,6 @@ def test_misses_count_only_in_covered_views_of_the_ego_frame(positions, pose, co
 _lattice = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
 _pair_classes = st.sampled_from([ObjectClass.CAR, ObjectClass.PEDESTRIAN, ObjectClass.BUS])
 _velocities = st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (3.0, 4.0), (-0.6, 0.8), (1.0, 0.0)])
-
-
-def _track_table(tracks):
-    means = np.array([t.mean for t in tracks], dtype=np.float64).reshape(-1, 9)
-    covs = np.array([t.covariance for t in tracks], dtype=np.float64).reshape(-1, 9, 9)
-    return TrackTable(tuple(tracks), means, covs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -444,4 +460,104 @@ def test_array_association_matches_the_per_pair_loop(tracks, dets, dt, base_gate
                    yaw=0.0, cls=cls, confidence=0.9) for x, y, cls in dets]
     config = TrackerConfig(base_gate_m=base_gate)
     want = box_oracles.associate(live, boxes, config, dt)
-    assert associate(_track_table(live), to_rows(boxes), config, dt) == want
+    assert associate(TrackTable.of(live), to_rows(boxes), config, dt) == want
+
+
+# The per-track tracker (`box_oracles.MultiObjectTracker`: a list of
+# `TrackState`s, the per-track forecast and update) is the reference for the
+# table one: over whole frame sequences, the same tracks in the same order,
+# bit for bit, and the same clipping warnings. Lattice positions make matches
+# common; negative sizes drive the size clamp, and the starting tracks whose
+# covariances lost semidefiniteness drive the clipping branch.
+
+_codes = st.sampled_from([0, 3, 5])
+_confs = st.sampled_from([0.05, 0.12, 0.3, 0.9, 1.0])
+_sizes = st.sampled_from([4.5, 1.9, 0.0, -3.0, -40.0])
+_detections = st.lists(
+    st.tuples(_lattice, _lattice, _velocities, _codes, _confs, _sizes,
+              st.floats(-math.pi, math.pi)),
+    max_size=6,
+)
+_frames = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.1, 0.5]), _detections,
+              st.none() | st.lists(st.booleans(), min_size=1, max_size=5)),
+    min_size=1, max_size=8,
+)
+_starts = st.lists(
+    st.tuples(_lattice, _lattice, _velocities, _codes, _confs, st.sampled_from([0.0, -0.6]),
+              st.integers(0, 3), st.integers(0, 9), st.floats(-math.pi, math.pi)),
+    max_size=4,
+)
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _detection_rows(dets):
+    return BoxRows.of(
+        [[x, y, 0.8, vx, vy, 0.0, 1.9, size, 4.5] for x, y, (vx, vy), _, _, size, _ in dets],
+        [code for _, _, _, code, _, _, _ in dets],
+        [conf for *_, conf, _, _ in dets],
+        [yaw for *_, yaw in dets],
+    )
+
+
+def _same_tracks(table, want):
+    assert table.ids.tolist() == [t.track_id for t in want]
+    assert table.classes.tolist() == [CLASSES.index(t.cls) for t in want]
+    assert table.misses.tolist() == [t.misses for t in want]
+    assert table.ages.tolist() == [t.age for t in want]
+    for column, values in ((table.confidences, [t.confidence for t in want]),
+                           (table.yaws, [t.yaw for t in want]),
+                           (table.means, [t.mean for t in want]),
+                           (table.covariances, [t.covariance for t in want])):
+        assert column.tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(starts=_starts, frames=_frames, threshold=st.sampled_from([0.1, 0.3]))
+@example(  # a negative size folded in: the clamp
+    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, 0.0, 0, 0, 0.0)],
+    frames=[(0.1, [(0.0, 0.0, (0.0, 0.0), 0, 0.9, -40.0, 0.0)], None)],
+    threshold=0.1,
+)
+@example(  # a start that lost semidefiniteness, matched: clipped with a warning
+    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, -0.6, 0, 0, 0.0),
+            (3.0, 3.0, (0.0, 0.0), 3, 0.3, 0.0, 2, 4, 1.0)],
+    frames=[(0.1, [(0.5, 0.0, (1.0, 0.0), 0, 0.3, 1.9, 0.5)], [True]),
+            (0.1, [], [False, True])],
+    threshold=0.3,
+)
+def test_step_matches_the_per_track_tracker(starts, frames, threshold):
+    model = KalmanModel()
+    config = TrackerConfig(confidence_threshold=threshold)
+    start = [
+        TrackState(track_id=1000 + i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
+                   covariance=model.birth_cov() + shift * np.eye(9), cls=CLASSES[code],
+                   confidence=conf, misses=misses, age=age, yaw=yaw)
+        for i, (x, y, (vx, vy), code, conf, shift, misses, age, yaw) in enumerate(starts)
+    ]
+    tracker, oracle = MultiObjectTracker(config, model), box_oracles.MultiObjectTracker(config, model)
+    tracker.tracks, oracle.tracks = TrackTable.of(start), list(start)
+    logs = {name: _Messages() for name in ("viewsched.tracker", "box_oracles")}
+    for name, handler in logs.items():
+        logging.getLogger(name).addHandler(handler)
+    try:
+        for dt, dets, flags in frames:
+            n = len(tracker.tracks)
+            observed = None if flags is None else np.array([flags[i % len(flags)] for i in range(n)])
+            got = tracker.step(_detection_rows(dets), dt,
+                               forecast_all(tracker.tracks, dt, model), observed)
+            want = oracle.step(_detection_rows(dets), dt, observed)
+            assert got is tracker.tracks
+            _same_tracks(got, want)
+    finally:
+        for name, handler in logs.items():
+            logging.getLogger(name).removeHandler(handler)
+    assert logs["viewsched.tracker"].messages == logs["box_oracles"].messages

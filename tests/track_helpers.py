@@ -2,8 +2,8 @@
 
 from dataclasses import replace
 
-from viewsched.core import BoxRows, concat_boxes
-from viewsched.tracker import forecast_all
+from viewsched.core import CLASSES, BoxRows, concat_boxes
+from viewsched.tracker import TrackState, forecast_all, update
 
 NO_BOXES = BoxRows.of((), (), (), ())
 
@@ -14,16 +14,22 @@ def join(boxes):
 
 
 def states(table):
-    """Each row of a `TrackTable` as a `TrackState` with the row's state."""
+    """Each row of a `TrackTable` as a `TrackState`: `TrackTable.of` undone."""
     return [
-        replace(t, mean=m, covariance=c)
-        for t, m, c in zip(table.tracks, table.means, table.covariances)
+        TrackState(track_id=i, mean=m, covariance=c, cls=CLASSES[code], confidence=conf,
+                   misses=misses, age=age, yaw=yaw)
+        for i, code, conf, misses, age, yaw, m, c in zip(
+            table.ids.tolist(), table.classes.tolist(), table.confidences.tolist(),
+            table.misses.tolist(), table.ages.tolist(), table.yaws.tolist(), table.means,
+            table.covariances)
     ]
 
 
-def forecast(track, dt, model):
-    """One track through the batched forecast."""
-    return states(forecast_all([track], dt, model))[0]
+def fold(table, detections, model):
+    """`tracker.update` of detection row i into track row i, every row at
+    once; the other columns stay as they are."""
+    means, covs = update(table.means, table.covariances, detections.rows, model, table.ids)
+    return replace(table, means=means, covariances=covs)
 
 
 def track_frame(tracker, detections, dt, observed=None):
