@@ -47,8 +47,15 @@ from .branches import (
 from .core import CameraRig, category_levels
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
 from .metrics import EvalConfig, evaluate_frame, summarize, view_detection_scores  # noqa: F401
-from .predictors import FEATURE_WIDTH, GBRTParams, PerformanceModels, fit_update_latency, train_gbrt
-from .scheduler import InfeasibleError, frame_features
+from .predictors import (
+    FEATURE_WIDTH,
+    GBRTParams,
+    PerformanceModels,
+    accuracy_features,
+    fit_update_latency,
+    train_gbrt,
+)
+from .scheduler import InfeasibleError
 from .simulator import (
     POLICY_USAGE,
     CapabilityError,
@@ -325,8 +332,8 @@ def build_training_set(
         for log in ep.frames:
             counts.append(len(log.forecast))
             fc_by_view = log.forecast.by_view(log.forecast_views, rig.view_count)
-            frame_feats = frame_features(log.distributions, log.forecast_views,
-                                         log.forecast.confidences, catalog_indices)
+            frame_feats = accuracy_features(log.distributions, log.forecast_views,
+                                            log.forecast.confidences, catalog_indices)
             # view by view, then branch by branch, like the targets below
             frame_feats = frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH)
             feats[row : row + len(frame_feats)] = frame_feats
@@ -451,7 +458,7 @@ def _get_models(man: RunManifest) -> PerformanceModels:
     if man.model_path and os.path.exists(man.model_path):
         try:
             return PerformanceModels.load(man.model_path)
-        except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ConfigError(f"model file {man.model_path!r} is invalid: {exc}") from exc
     if man.model_path:
         raise ConfigError(f"model file {man.model_path!r} does not exist")
@@ -672,6 +679,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # a training worker's failure reaches here as itself or, if the
         # worker died, as a broken pool
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        # e.g. a training table for more seeds or frames than memory holds
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (OSError, ValueError) as exc:
         logger.debug("runtime failure", exc_info=True)

@@ -25,7 +25,7 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .branches import NUM_BRANCHES, json_object
+from .branches import NUM_BRANCHES, json_count, json_number, json_object
 from .core import NUM_CATEGORIES
 
 FEATURE_WIDTH = NUM_CATEGORIES + NUM_BRANCHES + 1  # 80 + 17 + 1
@@ -39,39 +39,35 @@ _LATENCY_KEYS = frozenset(("slope_ms_per_track", "intercept_ms"))
 
 
 def accuracy_features(
-    ratios: np.ndarray, branch_indices: Sequence[int], view_confidence: np.ndarray
+    distributions: np.ndarray,
+    views: np.ndarray,
+    confidences: np.ndarray,
+    branch_indices: Sequence[int],
 ) -> np.ndarray:
-    """Feature rows for every (branch, view) cell, shaped (branches, views, width).
-
-    `ratios` holds each view's 80 distribution ratios, `branch_indices` the
-    catalog index of each branch and `view_confidence` each view's mean
-    tracked confidence (see `view_confidences`). Layout: 80 ratios, 17-wide
-    branch one-hot, then one slot for the mean confidence. The confidence
-    slot is only meaningful for the tracker branch; detection branches carry
-    0 there so the width never varies.
+    """The accuracy model's rows for every (branch, view) cell of a placed
+    forecast, shaped (branches, views, width): each view's 80 `distributions`
+    ratios, the one-hot of its catalog index in `branch_indices`, then the
+    mean `confidences` of the boxes whose `views` entry is that view (0 for
+    a view without any). Only the tracker branch fills that last slot;
+    detection branches carry 0 there so the width never varies. The planner
+    and the training set both featurize here.
     """
     idx = np.asarray(branch_indices, dtype=np.int64)
     if np.any(idx < 0) or np.any(idx >= NUM_BRANCHES):
         raise ValueError(f"branch index out of range: {idx.tolist()}")
-    ratios = np.asarray(ratios, dtype=np.float64)
+    ratios = np.asarray(distributions, dtype=np.float64)
+    conf = np.asarray(confidences, dtype=np.float64)
+    views = np.asarray(views)
+    # each view's own mean: a bincount sum would add in another order
+    view_conf = np.zeros(len(ratios))
+    for v in range(len(ratios)):
+        here = conf[views == v]
+        if len(here):
+            view_conf[v] = here.mean()
     out = np.zeros((len(idx), len(ratios), FEATURE_WIDTH))
     out[:, :, :NUM_CATEGORIES] = ratios
     out[np.arange(len(idx)), :, NUM_CATEGORIES + idx] = 1.0
-    out[idx == 0, :, _CONF_SLOT] = view_confidence
-    return out
-
-
-def view_confidences(
-    confidences: Sequence[float], views: Sequence[int], view_count: int
-) -> np.ndarray:
-    """Mean confidence of the objects in each view; 0 for a view without any."""
-    conf = np.asarray(confidences, dtype=np.float64)
-    views = np.asarray(views)
-    out = np.zeros(view_count)
-    for v in range(view_count):
-        here = conf[views == v]
-        if len(here):
-            out[v] = here.mean()
+    out[idx == 0, :, _CONF_SLOT] = view_conf
     return out
 
 
@@ -115,12 +111,21 @@ def _stack(columns: _NodeColumns) -> TreeNodes:
 
 
 def _parse_tree(node: Mapping, columns: _NodeColumns) -> int:
-    """Append one serialized tree's nodes in preorder; returns its root."""
+    """Append one serialized tree's nodes in preorder; returns its root.
+    Feature indices must be JSON ints and the other numbers JSON numbers."""
     if "leaf_value" in node:
-        return _add_leaf(columns, float(node["leaf_value"]))
+        value = node["leaf_value"]
+        if type(value) is not float and type(value) is not int:
+            raise ValueError(f"leaf_value must be a number, got {value!r}")
+        return _add_leaf(columns, value)
+    feature, threshold = node["feature_index"], node["threshold"]
+    if type(feature) is not int:
+        raise ValueError(f"feature_index must be an integer, got {feature!r}")
+    if type(threshold) is not float and type(threshold) is not int:
+        raise ValueError(f"threshold must be a number, got {threshold!r}")
     i = _add_leaf(columns, 0.0)
-    columns[0][i] = int(node["feature_index"])
-    columns[1][i] = float(node["threshold"])
+    columns[0][i] = feature
+    columns[1][i] = threshold
     columns[2][i] = _parse_tree(node["left"], columns)
     columns[3][i] = _parse_tree(node["right"], columns)
     return i
@@ -493,12 +498,15 @@ class GBRTModel:
             raise ValueError(f"unsupported model kind: {data.get('kind')!r}")
         columns: _NodeColumns = ([], [], [], [], [])
         roots = [_parse_tree(tree, columns) for tree in data["trees"]]
+        nodes = _stack(columns)
+        if not np.isfinite(np.concatenate([nodes.threshold, nodes.value])).all():
+            raise ValueError("every threshold and leaf_value must be finite")
         return cls(
-            base_score=float(data["base_score"]),
-            learning_rate=float(data["learning_rate"]),
-            nodes=_stack(columns),
+            base_score=json_number("base_score", data["base_score"]),
+            learning_rate=json_number("learning_rate", data["learning_rate"]),
+            nodes=nodes,
             roots=roots,
-            n_features=int(data["n_features"]),
+            n_features=json_count("n_features", data["n_features"]),
         )
 
 
@@ -572,8 +580,8 @@ class LinearLatencyModel:
     @classmethod
     def from_dict(cls, data: Mapping) -> "LinearLatencyModel":
         return cls(
-            slope_ms_per_track=float(data["slope_ms_per_track"]),
-            intercept_ms=float(data["intercept_ms"]),
+            slope_ms_per_track=json_number("slope_ms_per_track", data["slope_ms_per_track"]),
+            intercept_ms=json_number("intercept_ms", data["intercept_ms"]),
         )
 
 

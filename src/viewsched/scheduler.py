@@ -49,7 +49,7 @@ from .core import (
     transform_yaws,
     views_of,
 )
-from .predictors import FEATURE_WIDTH, PerformanceModels, accuracy_features, view_confidences
+from .predictors import FEATURE_WIDTH, PerformanceModels, accuracy_features
 from .tracker import KalmanModel, TrackState, TrackTable, forecast_all
 
 logger = logging.getLogger(__name__)
@@ -478,24 +478,6 @@ def frame_forecast(tracks: TrackTable, ego_pose: EgoPose, rig: CameraRig) -> Fra
     return FrameForecast(tracks, ego_pose, rows, views, distribution(rows, views, rig.view_count))
 
 
-def frame_features(
-    distributions: np.ndarray,
-    views: np.ndarray,
-    confidences: np.ndarray,
-    branch_indices: Sequence[int],
-) -> np.ndarray:
-    """The accuracy model's feature rows for every (branch, view) cell of a
-    frame, shaped (branches, views, width), from its forecast: the (views,
-    80) distributions and each forecast box's view and confidence. The
-    planner and the training set both featurize a frame here (see
-    `accuracy_features`)."""
-    return accuracy_features(
-        distributions,
-        branch_indices,
-        view_confidences(confidences, views, len(distributions)),
-    )
-
-
 @dataclass(frozen=True)
 class FramePlan:
     """Everything `schedule_frame` computed for one frame, kept for logging/audit."""
@@ -524,8 +506,8 @@ def schedule_frame(
     if not branches or not branches[0].is_tracker:
         raise ValueError("branch set must start with the tracker branch")
 
-    feats = frame_features(forecast.distributions, forecast.views, forecast.tracks.confidences,
-                           [b.index for b in branches])
+    feats = accuracy_features(forecast.distributions, forecast.views,
+                              forecast.tracks.confidences, [b.index for b in branches])
     raw = models.accuracy.predict_batch(feats.reshape(-1, FEATURE_WIDTH)).reshape(feats.shape[:2])
 
     lats = np.array([branch_latency(b, device) for b in branches])

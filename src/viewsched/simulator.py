@@ -743,9 +743,7 @@ def check_timing(target_ms: float, alpha: float, noise_sigma: float, margin_ms: 
 @dataclass
 class FrameLog:
     index: int
-    timestamp: float
     warmup: bool
-    ego: EgoPose
     gt_by_view: Tuple[BoxRows, ...]  # ego frame
     forecast: BoxRows  # the tracks forecast into this frame, as ego-frame boxes
     forecast_views: np.ndarray  # each forecast box's view
@@ -955,9 +953,7 @@ def run_episode(
         uniform = plan.uniform_decision if plan is not None else None
         log = FrameLog(
             index=frame.index,
-            timestamp=frame.timestamp,
             warmup=warmup,
-            ego=frame.ego,
             gt_by_view=gt_by_view,
             forecast=forecast_boxes,
             forecast_views=forecast.views,

@@ -583,15 +583,37 @@ def test_cmd_simulate_missing_model_file_is_config_error(tmp_path):
         cmd_simulate(man, None, policy="adaptive")
 
 
-def _break_first_split(model: dict) -> None:
-    root = next(t for t in model["accuracy"]["trees"] if "feature_index" in t)
-    root["feature_index"] = 500
+def _first_split(model: dict) -> dict:
+    return next(t for t in model["accuracy"]["trees"] if "feature_index" in t)
 
 
+def _first_leaf(model: dict) -> dict:
+    node = _first_split(model)
+    while "leaf_value" not in node:
+        node = node["left"]
+    return node
+
+
+# each edit breaks one rule of the model file; a number must be a finite JSON
+# number, and an index or count a JSON int
 @pytest.mark.parametrize(
     "corrupt",
-    [_break_first_split, lambda model: model["accuracy"].update(n_features=97)],
-    ids=["feature-index-500", "n-features-97"],
+    [
+        lambda model: _first_split(model).update(feature_index=500),
+        lambda model: model["accuracy"].update(n_features=97),
+        lambda model: _first_split(model).update(threshold="NaN"),
+        lambda model: _first_split(model).update(threshold=float("nan")),
+        lambda model: model["accuracy"].update(base_score=True),
+        lambda model: model["accuracy"].update(n_features="98"),
+        lambda model: model["accuracy"].update(learning_rate="1e308"),
+        lambda model: _first_split(model).update(feature_index=3.7),
+        lambda model: model["update_latency"].update(slope_ms_per_track="inf"),
+        lambda model: _first_leaf(model).update(leaf_value="nan"),
+        lambda model: _first_leaf(model).update(leaf_value=10**400),
+    ],
+    ids=["feature-index-500", "n-features-97", "threshold-string-nan", "threshold-nan",
+         "base-score-true", "n-features-string", "learning-rate-string", "feature-index-3.7",
+         "slope-string-inf", "leaf-value-string-nan", "leaf-value-beyond-float"],
 )
 def test_main_rejects_a_malformed_model_file(tmp_path, capsys, quickstart_model_file, corrupt):
     with open(quickstart_model_file, encoding="utf-8") as fh:
@@ -757,10 +779,16 @@ def _worker_dies(episodes, capability):
     os._exit(1)
 
 
+def _out_of_memory(episodes, capability):
+    return np.empty(1 << 58)  # 2 EiB, more than any address space holds
+
+
 @pytest.mark.parametrize(
     "cpus, build",
-    [(1, _infeasible), (2, _infeasible), (2, _worker_dies)],
-    ids=["in-process-raises", "worker-raises", "worker-dies"],
+    [(1, _infeasible), (2, _infeasible), (2, _worker_dies), (1, _out_of_memory),
+     (2, _out_of_memory)],
+    ids=["in-process-raises", "worker-raises", "worker-dies", "in-process-out-of-memory",
+         "worker-out-of-memory"],
 )
 def test_main_train_exits_3_when_a_training_seed_fails(monkeypatch, capsys, cpus, build):
     # a forked worker inherits the patch; a dead worker breaks the pool

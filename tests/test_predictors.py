@@ -1,7 +1,7 @@
 """Accuracy / latency predictor unit tests."""
 
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from viewsched import predictors
+from viewsched.branches import NUM_BRANCHES
 from viewsched.core import NUM_CATEGORIES
 from viewsched.predictors import (
     FEATURE_WIDTH,
@@ -19,7 +20,6 @@ from viewsched.predictors import (
     accuracy_features,
     fit_update_latency,
     train_gbrt,
-    view_confidences,
 )
 
 
@@ -32,7 +32,7 @@ def one_hot_ratios(*bin_indices):
 
 
 def test_feature_vector_layout():
-    f = accuracy_features(one_hot_ratios(7, 2), [3, 0], np.array([0.6, 0.4]))
+    f = accuracy_features(one_hot_ratios(7, 2), [0, 1], [0.6, 0.4], [3, 0])
     assert f.shape == (2, 2, FEATURE_WIDTH)  # (branches, views, width)
     assert FEATURE_WIDTH == NUM_CATEGORIES + 17 + 1
     cell = f[0, 0]
@@ -47,28 +47,102 @@ def test_feature_vector_layout():
 
 
 def test_confidence_slot_only_for_tracker():
-    f = accuracy_features(one_hot_ratios(0), [0, 5], np.array([0.42]))
+    f = accuracy_features(one_hot_ratios(0), [0], [0.42], [0, 5])
     assert f[0, 0, -1] == pytest.approx(0.42)
     assert f[1, 0, -1] == 0.0
 
 
 def test_feature_branch_index_validated():
     with pytest.raises(ValueError):
-        accuracy_features(one_hot_ratios(0), [17], np.zeros(1))
+        accuracy_features(one_hot_ratios(0), [], [], [17])
     with pytest.raises(ValueError):
-        accuracy_features(one_hot_ratios(0), [-1], np.zeros(1))
+        accuracy_features(one_hot_ratios(0), [], [], [-1])
+
+
+def _tracker_slot(confidences, views, view_count):
+    """The tracker row's confidence slot, one entry per view."""
+    ratios = np.zeros((view_count, NUM_CATEGORIES))
+    return accuracy_features(ratios, views, confidences, [0])[0, :, -1]
 
 
 def test_view_confidences_are_per_view_means():
-    got = view_confidences([0.2, 0.9, 0.4], [2, 0, 2], 3)
+    got = _tracker_slot([0.2, 0.9, 0.4], [2, 0, 2], 3)
     assert got.tolist() == [0.9, 0.0, float(np.mean([0.2, 0.4]))]
-    assert view_confidences([], [], 2).tolist() == [0.0, 0.0]
+    assert _tracker_slot([], [], 2).tolist() == [0.0, 0.0]
     # many per view, where the mean's pairwise sum differs from a running one
     rng = np.random.default_rng(4)
     conf, views = rng.uniform(size=200), rng.integers(0, 6, size=200)
     want = [float(np.mean([c for c, v in zip(conf.tolist(), views.tolist()) if v == j]))
             for j in range(6)]
-    assert view_confidences(conf, views, 6).tolist() == want
+    assert _tracker_slot(conf, views, 6).tolist() == want
+
+
+# Oracle: the featurizer in two steps, the per-view mean confidences and then
+# the row layout. `accuracy_features` must match it bit for bit, or every
+# model trained on its rows changes. Boxes in a view past the last are ignored.
+
+
+def _oracle_view_confidences(
+    confidences: Sequence[float], views: Sequence[int], view_count: int
+) -> np.ndarray:
+    """Mean confidence of the objects in each view; 0 for a view without any."""
+    conf = np.asarray(confidences, dtype=np.float64)
+    views = np.asarray(views)
+    out = np.zeros(view_count)
+    for v in range(view_count):
+        here = conf[views == v]
+        if len(here):
+            out[v] = here.mean()
+    return out
+
+
+def _oracle_layout(
+    ratios: np.ndarray, branch_indices: Sequence[int], view_confidence: np.ndarray
+) -> np.ndarray:
+    idx = np.asarray(branch_indices, dtype=np.int64)
+    if np.any(idx < 0) or np.any(idx >= NUM_BRANCHES):
+        raise ValueError(f"branch index out of range: {idx.tolist()}")
+    ratios = np.asarray(ratios, dtype=np.float64)
+    out = np.zeros((len(idx), len(ratios), FEATURE_WIDTH))
+    out[:, :, :NUM_CATEGORIES] = ratios
+    out[np.arange(len(idx)), :, NUM_CATEGORIES + idx] = 1.0
+    out[idx == 0, :, predictors._CONF_SLOT] = view_confidence
+    return out
+
+
+def _oracle_features(distributions, views, confidences, branch_indices):
+    return _oracle_layout(
+        distributions,
+        branch_indices,
+        _oracle_view_confidences(confidences, views, len(distributions)),
+    )
+
+
+# 13 boxes in view 1, whose pairwise mean differs from a running one
+_EIGHT_PLUS = [(1, 0.1 + 0.07 * k) for k in range(13)] + [(4, 0.3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    view_count=st.integers(1, 6),
+    boxes=st.lists(st.tuples(st.integers(0, 5), st.floats(0.0, 1.0)), max_size=40),
+    branch_indices=st.lists(st.integers(0, NUM_BRANCHES - 1), min_size=1, max_size=NUM_BRANCHES,
+                            unique=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(view_count=6, boxes=[], branch_indices=[0, 4], seed=0)  # no boxes
+@example(view_count=6, boxes=[(0, 0.5), (2, 0.25)], branch_indices=[0, 1], seed=1)  # empty views
+@example(view_count=6, boxes=_EIGHT_PLUS, branch_indices=[0, 16], seed=2)  # pairwise mean
+@example(view_count=6, boxes=_EIGHT_PLUS, branch_indices=[3, 5, 9], seed=3)  # no tracker
+@example(view_count=1, boxes=[(0, 0.9), (0, 0.7)], branch_indices=[0], seed=4)  # one view
+def test_accuracy_features_match_the_two_step_oracle(view_count, boxes, branch_indices, seed):
+    distributions = np.random.default_rng(seed).dirichlet(np.ones(NUM_CATEGORIES), view_count)
+    views = np.array([v for v, _ in boxes], dtype=np.int64)
+    confidences = np.array([c for _, c in boxes])
+    got = accuracy_features(distributions, views, confidences, branch_indices)
+    want = _oracle_features(distributions, views, confidences, branch_indices)
+    assert got.shape == want.shape == (len(branch_indices), view_count, FEATURE_WIDTH)
+    assert got.tobytes() == want.tobytes()
 
 
 # -- gradient-boosted trees ---------------------------------------------------
