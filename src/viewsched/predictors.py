@@ -8,9 +8,10 @@ serialize to plain JSON, which rules out an external boosting dependency.
 
 Each split is the exact greedy one over every distinct feature value. A node
 scores all of them from histograms of value codes (the larger child's is its
-parent's minus the smaller child's), then rescans exactly, in sorted order,
-every column within a proven rounding margin of the best; so the model file
-is byte for byte the one a sorted scan of every column would give.
+parent's minus the smaller child's). Each boosting round first rounds its
+residuals onto a power-of-two grid coarse enough that every sum of them is
+exact, so a histogram's sums, and the model file, are bit for bit those of a
+sorted scan of every column.
 
 The latency side is much simpler: the per-frame tracker-update cost is affine
 in the number of live tracks, fit by least squares; branch execution costs
@@ -20,6 +21,7 @@ come straight from the device profile.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -112,12 +114,19 @@ def _stack(columns: _NodeColumns) -> TreeNodes:
 
 def _parse_tree(node: Mapping, columns: _NodeColumns) -> int:
     """Append one serialized tree's nodes in preorder; returns its root.
-    Feature indices must be JSON ints and the other numbers JSON numbers."""
-    if "leaf_value" in node:
+    Each node is a JSON object with exactly a leaf's or a split's keys;
+    feature indices must be JSON ints and the other numbers JSON numbers."""
+    if not isinstance(node, dict):
+        raise TypeError(f"a tree node must be a JSON object, got {node!r}")
+    if len(node) == 1 and "leaf_value" in node:
         value = node["leaf_value"]
         if type(value) is not float and type(value) is not int:
             raise ValueError(f"leaf_value must be a number, got {value!r}")
         return _add_leaf(columns, value)
+    # a split reads each of its four keys below, so four keys are exactly those
+    if len(node) != 4:
+        raise ValueError("a tree node holds exactly leaf_value, or feature_index, threshold, "
+                         f"left and right; got {sorted(node)}")
     feature, threshold = node["feature_index"], node["threshold"]
     if type(feature) is not int:
         raise ValueError(f"feature_index must be an integer, got {feature!r}")
@@ -132,20 +141,19 @@ def _parse_tree(node: Mapping, columns: _NodeColumns) -> int:
 
 
 # -- split search -----------------------------------------------------------
-#
-# A histogram adds the residuals in another order than a sorted scan does, so
-# its gain for a column is known only to within `_margin` of the scan's.
 
-_U = 2.0**-53  # unit roundoff of float64
 # A histogram is accumulated from at most this many (row, column) cells at
 # once, which bounds its temporaries to a few MB whatever the node.
 _HIST_BLOCK_CELLS = 1 << 18
-_TINY = float(np.finfo(np.float64).tiny)
 
 
-def _gamma(m: float) -> float:
-    """Relative error bound of m chained float64 roundings (Higham's gamma_m)."""
-    return m * _U / (1.0 - m * _U)
+def _on_grid(r: np.ndarray) -> np.ndarray:
+    """`r` rounded to the nearest multiples of 2**e, where len(r) * max|r|
+    < 2**(e + 51). Any sum of these values is then a multiple of 2**e below
+    2**(e + 52), which float64 holds exactly: it is the same in every order.
+    """
+    e = math.frexp(len(r) * float(np.abs(r).max()))[1] - 51
+    return np.ldexp(np.rint(np.ldexp(r, -e)), e)
 
 
 class _Codes(NamedTuple):
@@ -165,14 +173,10 @@ class _Codes(NamedTuple):
 
 
 class _Hist(NamedTuple):
-    """One node's residual sums and row counts per (column, code), (d, width).
-
-    `err` bounds the summed absolute error of any one column's sums.
-    """
+    """One node's residual sums and row counts per (column, code), (d, width)."""
 
     sums: np.ndarray
     counts: np.ndarray
-    err: float
 
 
 def _code_columns(x: np.ndarray) -> _Codes:
@@ -196,10 +200,6 @@ def _code_columns(x: np.ndarray) -> _Codes:
     return _Codes(cols, cells, values, counts)
 
 
-def _abs_sum(r: np.ndarray) -> float:
-    return float(np.abs(r).sum())
-
-
 def _histogram(codes: _Codes, rows: np.ndarray, y: np.ndarray) -> _Hist:
     """The histogram of `rows`, accumulated directly."""
     d, width = codes.counts.shape
@@ -214,123 +214,44 @@ def _histogram(codes: _Codes, rows: np.ndarray, y: np.ndarray) -> _Hist:
         sums += np.bincount(cells, np.repeat(yr[blk], d), d * width)
         if not root:
             counts += np.bincount(cells, None, d * width)
-    err = _gamma(len(rows)) * _abs_sum(yr)
-    return _Hist(sums.reshape(d, width), counts.reshape(d, width), err)
+    return _Hist(sums.reshape(d, width), counts.reshape(d, width))
 
 
-def _sibling(parent: _Hist, child: _Hist, y_rows: np.ndarray) -> _Hist:
-    """The other child's histogram as parent - child; `y_rows` are its residuals."""
-    err = parent.err + child.err
-    return _Hist(
-        parent.sums - child.sums,
-        parent.counts - child.counts,
-        err + _U * (_abs_sum(y_rows) + err),
-    )
+def _best_split(
+    codes: _Codes, hist: _Hist, idx: np.ndarray, total: float, min_leaf: int
+) -> Optional[Tuple[int, float, np.ndarray]]:
+    """Exact greedy split of the node of rows `idx`, whose on-grid residuals
+    sum to `total`: (column, threshold, rows sent left), or None when no
+    column beats the parent by more than 1e-12.
 
-
-def _margin(hist: _Hist, r: np.ndarray, top: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Per column, a bound on |approximate gain - exact gain| at one node.
-
-    With the node's residuals r (n of them), a = sum|r|, m = max|r| and
-    g(k) = _gamma(k), the bound adds up the following:
-    - A directly accumulated bin sums its rows in some order, so one
-      column's bins err by at most g(n) a together.
-    - parent - child adds both errors and one rounding per bin:
-      err_P + err_C + u (a_sibling + err_P + err_C).
-    - The cumulative sum over a column's w bins adds g(w) (a + err), and
-      the exact scan's own cumulative sum errs by g(n) a, so the two left
-      sums differ by at most D = err + g(w) (a + err) + g(n) a.
-    - As |left| <= k m + D and |total - left| <= (n - k) m + D + g(n) a, the
-      score left^2/k + (total - left)^2/(n - k) moves by at most
-      D (4 m + 4 D + 2 g(n) a); its five roundings add g(5) times each of
-      the two scores, at most `top` (the column's best approximate score)
-      each; subtracting the parent rounds each gain by u |gain|.
-    The factor 2 covers the dropped (1 + O(n u)) factors and the rounding of
-    this formula, and _TINY the underflow of a square.
-    """
-    n = len(r)
-    magnitudes = np.abs(r)
-    a = float(magnitudes.sum())
-    m = float(magnitudes.max())
-    err = hist.err
-    d_left = err + _gamma(hist.sums.shape[1]) * (a + err) + _gamma(n) * a
-    d_score = d_left * (4.0 * m + 4.0 * d_left + 2.0 * _gamma(n) * a)
-    return 2.0 * (d_score + 2.0 * _gamma(5) * top + 2.0 * _U * np.abs(gains)) + _TINY
-
-
-def _exact_split(
-    codes: _Codes, j: int, y: np.ndarray, idx: np.ndarray, total: float, min_leaf: int
-) -> Tuple[float, float, np.ndarray]:
-    """Column j's best split by a sorted scan: (score, threshold, rows sent left).
-
-    The node's rows `idx` ascend, so each cumulative sum adds the targets in
-    the order of a stable sort of the column. Only positions where the
-    sorted code changes can split. Ties go to the earliest split point.
+    Maximizes squared-error reduction. Every sum is exact, so the scores are
+    the sorted scan's bit for bit. Ties go to the lowest column, then to the
+    earliest split point.
     """
     n = len(idx)
-    lo, hi = min_leaf, n - min_leaf  # rows sent left, k, satisfy lo <= k <= hi
-    col = codes.cells[idx, j]
-    order = np.argsort(col, kind="stable")
-    sorted_col = col[order]
-    k = np.flatnonzero(sorted_col[lo : hi + 1] > sorted_col[lo - 1 : hi]) + lo
-    left_sum = np.cumsum(y[idx[order[: k[-1]]]])[k - 1]
-    score = left_sum**2 / k + (total - left_sum) ** 2 / (n - k)
-    c = int(np.argmax(score))
-    below, above = codes.values[sorted_col[k[c] - 1]], codes.values[sorted_col[k[c]]]
-    thr = (below + above) / 2.0
-    if thr >= above:  # adjacent floats can collapse the midpoint
-        thr = np.nextafter(above, -np.inf)
-    return float(score[c]), float(thr), col <= sorted_col[k[c] - 1]
-
-
-def _histogram_gains(
-    hist: _Hist, r: np.ndarray, total: float, min_leaf: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each splittable column's best gain by the histogram, and its margin.
-
-    `r` are the node's residuals and `total` their sum. Returns (columns,
-    gains, margins), the columns ascending.
-    """
-    n = len(r)
-    parent = total * total / n
     lo, hi = min_leaf, n - min_leaf  # rows sent left, k, satisfy lo <= k <= hi
     counts = np.cumsum(hist.counts, axis=1)
     f, b = np.nonzero((hist.counts > 0) & (counts >= lo) & (counts <= hi))
     if len(f) == 0:
-        return f, np.zeros(0), np.zeros(0)
+        return None
     k = counts[f, b]
     left_sum = np.cumsum(hist.sums, axis=1)[f, b]
     score = left_sum**2 / k + (total - left_sum) ** 2 / (n - k)
     starts = np.flatnonzero(np.diff(f, prepend=-1))
-    top = np.maximum.reduceat(score, starts)
-    gains = top - parent
-    return f[starts], gains, _margin(hist, r, top, gains)
-
-
-def _best_split(
-    codes: _Codes, hist: _Hist, y: np.ndarray, idx: np.ndarray, min_leaf: int
-) -> Optional[Tuple[int, float, np.ndarray]]:
-    """Exact greedy split of one node: (column, threshold, rows sent left).
-
-    Maximizes squared-error reduction; deterministic tie-breaking (lowest
-    column, then earliest split point). Returns None when nothing beats the
-    parent by more than 1e-12.
-    """
-    r = y[idx]
-    total = float(r.sum())
-    parent = total * total / len(idx)
-    cols, gains, margin = _histogram_gains(hist, r, total, min_leaf)
-    # the columns whose gain may clear the floor and reach the best one's
-    close = (gains + margin > 1e-12) & (gains + margin >= np.max(gains - margin, initial=-np.inf))
-
-    best_gain = 1e-12
-    best: Optional[Tuple[int, float, np.ndarray]] = None
-    for j in cols[close].tolist():
-        score, thr, go_left = _exact_split(codes, j, y, idx, total, min_leaf)
-        if score - parent > best_gain:
-            best_gain = score - parent
-            best = (j, thr, go_left)
-    return best
+    gains = np.maximum.reduceat(score, starts) - total * total / n
+    c = int(np.argmax(gains))
+    if gains[c] <= 1e-12:
+        return None
+    j = int(f[starts[c]])
+    mine = np.flatnonzero(f == j)
+    below = int(b[mine[np.argmax(score[mine])]])  # the last code sent left
+    above = below + 1 + int(np.flatnonzero(hist.counts[j, below + 1 :])[0])
+    base = j * hist.counts.shape[1]
+    low, high = codes.values[base + below], codes.values[base + above]
+    thr = (low + high) / 2.0
+    if thr >= high:  # adjacent floats can collapse the midpoint
+        thr = np.nextafter(high, -np.inf)
+    return j, float(thr), codes.cells[idx, j] <= base + below
 
 
 def _grow_tree(
@@ -341,21 +262,22 @@ def _grow_tree(
     columns: _NodeColumns,
     fitted: np.ndarray,
 ) -> int:
-    """Grow one tree on the residuals `y`; returns its root.
+    """Grow one tree on the on-grid residuals `y`; returns its root.
 
-    The tree's nodes are appended to `columns`, and each row's leaf value is
-    written to `fitted`. Of a split's children the smaller one's histogram
-    is accumulated and the larger one's is the parent's minus it; nodes
-    that will be leaves get none.
+    The tree's nodes are appended to `columns`, and each row's leaf value,
+    the mean of its leaf's residuals, is written to `fitted`. Of a split's
+    children the smaller one's histogram is accumulated and the larger
+    one's is the parent's minus it; nodes that will be leaves get none.
     """
 
     def is_leaf(size: int, depth: int) -> bool:
         return depth >= max_depth or size < 2 * min_leaf
 
     def grow(idx: np.ndarray, hist: Optional[_Hist], depth: int) -> int:
-        value = float(y[idx].mean())
+        total = float(y[idx].sum())
+        value = total / len(idx)
         i = _add_leaf(columns, value)
-        split = None if hist is None else _best_split(codes, hist, y, idx, min_leaf)
+        split = None if hist is None else _best_split(codes, hist, idx, total, min_leaf)
         if split is None:
             fitted[idx] = value
             return i
@@ -369,7 +291,8 @@ def _grow_tree(
             small = int(len(kids[1]) < len(kids[0]))
             hists[small] = _histogram(codes, kids[small], y)
             if wanted[1 - small]:
-                hists[1 - small] = _sibling(hist, hists[small], y[kids[1 - small]])
+                hists[1 - small] = _Hist(hist.sums - hists[small].sums,
+                                         hist.counts - hists[small].counts)
             if not wanted[small]:
                 hists[small] = None
         columns[2][i] = grow(kids[0], hists[0], depth + 1)
@@ -492,8 +415,9 @@ class GBRTModel:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "GBRTModel":
-        if data.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported model version: {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model version: {version!r}")
         if data.get("kind") != "gbrt":
             raise ValueError(f"unsupported model kind: {data.get('kind')!r}")
         columns: _NodeColumns = ([], [], [], [], [])
@@ -501,9 +425,12 @@ class GBRTModel:
         nodes = _stack(columns)
         if not np.isfinite(np.concatenate([nodes.threshold, nodes.value])).all():
             raise ValueError("every threshold and leaf_value must be finite")
+        learning_rate = json_number("learning_rate", data["learning_rate"])
+        if not 0.0 < learning_rate <= 2.0:  # the range GBRTParams trains with
+            raise ValueError(f"learning_rate must be in (0, 2], got {learning_rate!r}")
         return cls(
             base_score=json_number("base_score", data["base_score"]),
-            learning_rate=json_number("learning_rate", data["learning_rate"]),
+            learning_rate=learning_rate,
             nodes=nodes,
             roots=roots,
             n_features=json_count("n_features", data["n_features"]),
@@ -515,10 +442,11 @@ def train_gbrt(
 ) -> GBRTModel:
     """Fit the boosted ensemble on squared error.
 
-    Deterministic: exact greedy splits found by the histogram search of the
-    module docstring, no subsampling, no randomness; the same inputs always
-    produce the identical model file. Targets must be finite and lie in
-    [0, 1] (they are detection scores).
+    Deterministic: each round's trees are grown on its residuals rounded
+    onto a grid (`_on_grid`), with exact greedy splits found by the histogram
+    search of the module docstring, no subsampling, no randomness; the same
+    inputs always produce the identical model file. Targets must be finite
+    and lie in [0, 1] (they are detection scores).
     """
     params = params or GBRTParams()
     x = np.asarray(features, dtype=np.float64)
@@ -543,7 +471,7 @@ def train_gbrt(
     roots: List[int] = []
     mse_trace: List[float] = []
     for _ in range(params.rounds):
-        resid = y - pred
+        resid = _on_grid(y - pred)
         roots.append(
             _grow_tree(codes, resid, params.max_depth, params.min_samples_leaf, columns, fitted)
         )
@@ -630,8 +558,9 @@ class PerformanceModels:
     @classmethod
     def from_dict(cls, data: Mapping) -> "PerformanceModels":
         json_object("models", data, _MODELS_KEYS)
-        if data.get("version") != MODEL_FORMAT_VERSION:
-            raise ValueError(f"unsupported models version: {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported models version: {version!r}")
         accuracy = GBRTModel.from_dict(json_object("accuracy", data["accuracy"], _GBRT_KEYS))
         if accuracy.n_features != FEATURE_WIDTH:
             raise ValueError(

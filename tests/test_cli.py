@@ -467,7 +467,7 @@ def test_bundled_manifest_fingerprints_are_pinned(name):
 # SHA-256 of the quickstart predictors as `viewsched train --out` writes them.
 # Any change to the model bytes must be deliberate: update it only together
 # with a note on why the model changed.
-QUICKSTART_MODEL_SHA256 = "03c033f28922faceb92baa2f9f211d372314bbd9acdaaeb36b8d9688b5784365"
+QUICKSTART_MODEL_SHA256 = "689fda581f1a533da3f112ac4f01e32ae373bb22647b4b89daab1ee4e4e3411c"
 
 
 def test_quickstart_model_file_is_byte_identical(quickstart_model_file):
@@ -544,11 +544,11 @@ def test_cmd_simulate_adaptive_uses_saved_model(manifest_file, tmp_path):
 # policy. Adaptive runs read the session's trained models back from the file
 # `train --out` writes. A change to any of them must be deliberate.
 BUNDLED_REPORT_SHA256 = {
-    ("compare", "adaptive"): "9751ae66a161f6e4f54d053ef6f93ed3c2c6454fe10d41cf3f98d43eca202b1c",
+    ("compare", "adaptive"): "6a679fef537843f6a9210f0d19d982d319124fb4e3b7ef7a2da11f085a3ea032",
     ("compare", "all_tracker"): "62306a2ad22a54b975aa2846a484f4a0061456ce65026ace98da92f1058cc94f",
     ("compare", "fixed:2"): "519041ac91605fcf3ba1f2045ad695a7d85b91f4b8dc766951db7ffa086c3174",
     ("compare", "round_robin"): "48aa96ab376989a4039ba32c36b113814a4cf55ed03322df403373368533fbeb",
-    ("quickstart", "adaptive"): "850a4d54f63cef251dbc70b36e58f388b3e0e75b5e7cceaba5edd59744df7b8e",
+    ("quickstart", "adaptive"): "01ada8616aa9cd5eaa360dfab60617cb60d48e4dbe386e1f80f5211a067cec06",
     ("quickstart", "all_tracker"): "ff9f7daabdfe263b567422d116c14b611e22feca5a2d48cd17db37ba6b4db956",
     ("quickstart", "fixed:2"): "292b269d4db81219746a2c1cb3b0f30facb8f5170832b005f9721aaa202e50de",
     ("quickstart", "round_robin"): "fe82f8a9a0a76fb0ed298ce8a29c9cde0c723ac7b7796ac5976790758aa1715c",
@@ -595,7 +595,9 @@ def _first_leaf(model: dict) -> dict:
 
 
 # each edit breaks one rule of the model file; a number must be a finite JSON
-# number, and an index or count a JSON int
+# number, and an index or count a JSON int; a tree node holds exactly a
+# leaf's or a split's keys; a version is the JSON int 1; the learning rate
+# lies in (0, 2]
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -610,10 +612,20 @@ def _first_leaf(model: dict) -> dict:
         lambda model: model["update_latency"].update(slope_ms_per_track="inf"),
         lambda model: _first_leaf(model).update(leaf_value="nan"),
         lambda model: _first_leaf(model).update(leaf_value=10**400),
+        lambda model: _first_split(model).update(treshold=0.5),
+        lambda model: _first_split(model).update(leaf_value=0.5),
+        lambda model: _first_split(model).update(treshold=_first_split(model).pop("threshold")),
+        lambda model: model.update(version=True),
+        lambda model: model["accuracy"].update(version=1.0),
+        lambda model: model["accuracy"].update(learning_rate=-5.0),
+        lambda model: model["accuracy"].update(learning_rate=1e308),
     ],
     ids=["feature-index-500", "n-features-97", "threshold-string-nan", "threshold-nan",
          "base-score-true", "n-features-string", "learning-rate-string", "feature-index-3.7",
-         "slope-string-inf", "leaf-value-string-nan", "leaf-value-beyond-float"],
+         "slope-string-inf", "leaf-value-string-nan", "leaf-value-beyond-float",
+         "split-extra-key", "split-with-leaf-value", "split-key-misspelled", "version-true",
+         "accuracy-version-1.0",
+         "learning-rate-negative", "learning-rate-1e308"],
 )
 def test_main_rejects_a_malformed_model_file(tmp_path, capsys, quickstart_model_file, corrupt):
     with open(quickstart_model_file, encoding="utf-8") as fh:

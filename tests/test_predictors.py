@@ -1,5 +1,6 @@
 """Accuracy / latency predictor unit tests."""
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -333,6 +334,13 @@ def _reference_tree_dict(tree: _Tree, i: int = 0) -> dict:
     }
 
 
+def _reference_on_grid(r: np.ndarray) -> np.ndarray:
+    """Each residual rounded, one at a time, to the nearest multiple of 2**e,
+    e the exponent of len(r) * max|r| less 51."""
+    e = math.frexp(len(r) * max(abs(v) for v in r.tolist()))[1] - 51
+    return np.array([math.ldexp(round(math.ldexp(v, -e)), e) for v in r.tolist()])
+
+
 def _reference_train_gbrt(x, y, params: GBRTParams) -> Tuple[dict, List[float]]:
     """The model file and training-loss trace the reference fit produces."""
     base = float(y.mean())
@@ -340,7 +348,7 @@ def _reference_train_gbrt(x, y, params: GBRTParams) -> Tuple[dict, List[float]]:
     trees = []
     mse_trace = []
     for _ in range(params.rounds):
-        resid = y - pred
+        resid = _reference_on_grid(y - pred)
         tree = _reference_grow_tree(x, resid, params.max_depth, params.min_samples_leaf)
         trees.append(tree)
         pred += params.learning_rate * _reference_tree_predict(tree, x)
@@ -539,7 +547,36 @@ def test_performance_models_need_the_feature_width():
     assert PerformanceModels.from_dict(bundle).accuracy.n_features == FEATURE_WIDTH
 
 
-def test_sibling_histograms_stay_within_their_error_bound():
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40_000),
+    scale=st.sampled_from((0.0, 1e-310, 1e-9, 1.0, 3.0)),
+    kind=st.sampled_from(("mixed", "same_sign", "at_bound")),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every residual of one sign and at max|r|: the largest sums the grid allows
+@example(n=3, scale=0.7, kind="at_bound", seed=0)
+@example(n=1000, scale=0.7, kind="at_bound", seed=0)
+def test_on_grid_sums_are_exact_in_any_order(n, scale, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "at_bound":
+        r = np.full(n, scale)
+    elif kind == "same_sign":
+        r = rng.uniform(0.0, 1.0, n) * scale
+    else:
+        r = rng.normal(size=n) * scale
+    g = predictors._on_grid(r)
+    exact = sum(map(Fraction, g.tolist()), Fraction(0))
+    shuffled = g[rng.permutation(n)]
+    assert Fraction(float(np.cumsum(shuffled)[-1])) == exact  # one running sum
+    assert Fraction(float(shuffled.sum())) == exact  # NumPy's pairwise sum
+    # a sibling histogram's bin: the parent's sum minus the child's
+    child = rng.uniform(size=n) < 0.5
+    sibling = float(g.sum()) - float(g[child].sum())
+    assert Fraction(sibling) == sum(map(Fraction, g[~child].tolist()), Fraction(0))
+
+
+def test_sibling_histograms_equal_the_direct_ones_on_the_grid():
     rng = np.random.default_rng(23)
     n = 400
     x = np.column_stack([
@@ -548,97 +585,66 @@ def test_sibling_histograms_stay_within_their_error_bound():
         rng.uniform(size=n),
         np.full(n, 0.3),
     ])
-    # residuals of mixed sign and scale, so that sums visibly round
-    r = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    # residuals of mixed sign and scale, so that their raw sums visibly round
+    raw = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    r = predictors._on_grid(raw)
     codes = predictors._code_columns(x)
     width = codes.counts.shape[1]
     assert list(codes.cols) == [0, 1, 2]
     for j, c in enumerate(codes.cols):
         assert np.array_equal(codes.values[codes.cells[:, j]], x[:, c])
 
-    def error(h, rows):
-        """Per column, the summed |error| of h's bin sums, in exact arithmetic."""
-        out = []
-        for j in range(len(codes.cols)):
-            cells = codes.cells[rows, j] - j * width
-            out.append(sum(
-                abs(Fraction(h.sums[j, code]) - sum(map(Fraction, r[rows[cells == code]])))
-                for code in range(width)
-            ))
-        return out
+    def sibling(parent, child):
+        return predictors._Hist(parent.sums - child.sums, parent.counts - child.counts)
+
+    def exact(h, rows):
+        """Whether every bin sum of h is the exact sum of its rows' residuals."""
+        return all(
+            Fraction(h.sums[j, code]) == sum(map(Fraction, r[rows[cells == code]]), Fraction(0))
+            for j in range(len(codes.cols))
+            for cells in [codes.cells[rows, j] - j * width]
+            for code in range(width)
+        )
 
     rows = np.arange(n)
     hist = predictors._histogram(codes, rows, r)
+    raw_hist = predictors._histogram(codes, rows, raw)
     # two levels of parent - child, so one derived histogram derives another
     for depth in range(2):
         go_left = rng.uniform(size=len(rows)) < 0.4
         small, large = rows[go_left], rows[~go_left]
         child = predictors._histogram(codes, small, r)
-        derived = predictors._sibling(hist, child, r[large])
+        derived = sibling(hist, child)
         direct = predictors._histogram(codes, large, r)
         assert np.array_equal(derived.counts, direct.counts)
         assert np.array_equal(direct.counts.sum(axis=1), np.full(3, len(large)))
-        for h in (child, direct, derived):
-            assert h.err > 0.0
-        assert derived.err > direct.err
-        for h, part in ((child, small), (direct, large), (derived, large)):
-            assert max(error(h, part)) <= Fraction(h.err)
-        assert not np.array_equal(derived.sums, direct.sums)  # rounding shows
-        hist, rows = derived, large
+        assert np.array_equal(derived.sums, direct.sums)
+        assert exact(child, small) and exact(direct, large)
+        # off the grid, the same derivation rounds
+        raw_derived = sibling(raw_hist, predictors._histogram(codes, small, raw))
+        assert not np.array_equal(raw_derived.sums, predictors._histogram(codes, large, raw).sums)
+        hist, raw_hist, rows = derived, raw_derived, large
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    n=st.integers(2, 60),
-    kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5),
-    scale=st.sampled_from((1e-9, 1.0, 1e9)),
-    shift=st.sampled_from((0.0, 1.0)),
-    min_leaf=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_margin_bounds_every_columns_gain_error(n, kinds, scale, shift, min_leaf, seed):
-    rng = np.random.default_rng(seed)
-    columns: List[np.ndarray] = []
-    for kind in kinds:
-        columns.append(_column(kind, rng, n, columns))
-    x = np.column_stack(columns)
-    r = (rng.normal(size=n) + shift) * scale
-    codes = predictors._code_columns(x)
-    rows = np.arange(n)
-    hist = predictors._histogram(codes, rows, r)
-    # the root, then a chain of children derived as parent - sibling
-    while len(rows) >= 2 * min_leaf:
-        total = float(r[rows].sum())
-        parent = total * total / len(rows)
-        cols, gains, margin = predictors._histogram_gains(hist, r[rows], total, min_leaf)
-        for j, gain, bound in zip(cols.tolist(), gains, margin):
-            score = predictors._exact_split(codes, j, r, rows, total, min_leaf)[0]
-            assert abs(gain - (score - parent)) <= bound
-        go_left = rng.uniform(size=len(rows)) < 0.3
-        if go_left.all() or not go_left.any():
-            break
-        small, rows = rows[go_left], rows[~go_left]
-        hist = predictors._sibling(hist, predictors._histogram(codes, small, r), r[rows])
-
-
-def test_near_tied_columns_are_scored_again_exactly():
+def test_near_tied_columns_tie_exactly_on_the_grid():
     # Column 1 splits the rows into codes {0: rows 0-3, 1: rows 4-7, 2: rows
-    # 8-11}; column 0 sends rows 0-7 left. Both sorted scans add rows 0-7 in
-    # row order, so their exact gains tie and column 0, the lower one, wins.
-    # Column 1's histogram adds rows 0-3 and 4-7 separately, and that
-    # rounding ranks it first. Only the exact re-score finds the tie.
+    # 8-11}; column 0 sends rows 0-7 left. Both send the same rows left, so
+    # their gains tie and column 0, the lower one, wins. Column 1's histogram
+    # adds rows 0-3 and 4-7 separately: off the grid that sum rounds another
+    # way than the sorted scan's, on the grid the two are equal.
     rng = np.random.default_rng(3)
     y = np.concatenate([rng.uniform(0.0, 0.3, 8), rng.uniform(0.7, 1.0, 4)])
     x = np.column_stack([np.repeat([0.0, 1.0], [8, 4]), np.repeat([0.0, 1.0, 2.0], 4)])
-    r = y - y.mean()
-    n, k, total = 12, 8, float(r.sum())
+    k = 8
 
-    def score(left):
-        return left**2 / k + (total - left) ** 2 / (n - k)
+    def binned_and_scanned(r):
+        return np.cumsum(r[:4])[-1] + np.cumsum(r[4:8])[-1], np.cumsum(r)[k - 1]
 
-    scan = np.cumsum(r)[k - 1]
-    binned = np.cumsum(r[:4])[-1] + np.cumsum(r[4:8])[-1]
-    assert score(binned) > score(scan)  # the approximate gains rank column 1 first
+    raw = y - y.mean()  # the first round's residuals
+    binned, scan = binned_and_scanned(raw)
+    assert binned != scan
+    binned, scan = binned_and_scanned(predictors._on_grid(raw))
+    assert binned == scan
 
     params = GBRTParams(rounds=1, max_depth=1, min_samples_leaf=1)
     got = train_gbrt(x, y, params)
