@@ -44,9 +44,9 @@ from .branches import (
     json_number,
     json_object,
 )
-from .core import CameraRig, category_levels
+from .core import BoxRows, CameraRig, category_levels
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
-from .metrics import EvalConfig, evaluate_frame, summarize, view_detection_scores  # noqa: F401
+from .metrics import EvalConfig, detection_scores, evaluate_frame, evaluate_pairs, summarize  # noqa: F401
 from .predictors import (
     FEATURE_WIDTH,
     GBRTParams,
@@ -312,9 +312,10 @@ def build_training_set(
     Detection branches are re-synthesized from a dedicated rng stream (the
     logged detections only cover whichever branch the collection policy ran);
     the tracker branch is scored on the logged forecast boxes. Each view's
-    branches are scored together in one pass, on its boxes' levels computed
-    once. Returns features, detection-score targets, and the per-frame track counts
-    for the latency fit. Each episode's rows depend on that episode alone.
+    boxes' levels are computed once for all its branches, and each episode's
+    cells are scored together in one matcher call. Returns features,
+    detection-score targets, and the per-frame track counts for the latency
+    fit. Each episode's rows depend on that episode alone.
     """
     rig = CameraRig.default()
     eval_config = EvalConfig()
@@ -329,6 +330,8 @@ def build_training_set(
     for ep in episodes:
         rng = rng_stream(ep.scenario.seed, "training")
         max_range = ep.scenario.despawn_radius_m
+        first = row
+        pairs: List[Tuple[BoxRows, BoxRows]] = []  # (branch predictions, view ground truth)
         for log in ep.frames:
             counts.append(len(log.forecast))
             fc_by_view = log.forecast.by_view(log.forecast_views, rig.view_count)
@@ -337,6 +340,7 @@ def build_training_set(
             # view by view, then branch by branch, like the targets below
             frame_feats = frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH)
             feats[row : row + len(frame_feats)] = frame_feats
+            row += len(frame_feats)
 
             for j in range(rig.view_count):
                 gts = log.gt_by_view[j]
@@ -349,10 +353,8 @@ def build_training_set(
                     )
                     for branch in catalog
                 ]
-                targets[row : row + len(catalog)] = view_detection_scores(
-                    branch_preds, gts, eval_config
-                )
-                row += len(catalog)
+                pairs.extend((preds, gts) for preds in branch_preds)
+        targets[first:row] = detection_scores(evaluate_pairs(pairs, eval_config))
 
     return feats, targets, np.asarray(counts, dtype=np.float64)
 

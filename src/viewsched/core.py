@@ -153,8 +153,10 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
 
 
 def math_map(fn, *columns: np.ndarray) -> np.ndarray:
-    """A `math` function of array columns, element by element, as a float array."""
-    return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=np.float64)
+    """A `math` function of 1-D array columns, element by element, as a float
+    array; the values stream into it, with no list of results in between."""
+    return np.fromiter(map(fn, *(c.tolist() for c in columns)), dtype=np.float64,
+                       count=len(columns[0]))
 
 
 # -- boxes as rows ---------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Detection quality metrics on center-distance matching.
 
-Predictions and ground truth are `BoxRows` of one frame. Average precision
-is computed per (class, distance threshold) from confidence-ranked
-predictions matched greedily to ground truth, class code by class code;
-translation and velocity errors come from the true-positive pairs at one
-fixed threshold.
+Predictions and ground truth come as (predictions, ground truth) pairs of
+`BoxRows`, one pair per frame or per (view, branch), and one matcher scores
+every pair at once (`evaluate_pairs`). Within a pair, each class matches on
+its own: confidence-ranked predictions claim ground truth greedily, and
+average precision is computed per (class, distance threshold); translation
+and velocity errors come from the true-positive pairs at one fixed
+threshold. `summarize` reads an episode off all pairs together,
+`detection_scores` reads each pair alone.
 The composite detection score folds mAP and both error terms into a single
 [0, 1] number used as the scheduler's training target and the comparison
 metric between policies.
@@ -14,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import BoxRows, ObjectClass, class_codes
+from .core import CLASSES, BoxRows, ObjectClass, class_codes, math_map
 
 
 @dataclass(frozen=True)
@@ -46,136 +49,136 @@ class EvalConfig:
             raise ValueError("min_recall leaves no recall-grid point above the floor")
 
 
-# per prediction, the claimed (gt index, planar distance), or None
-Claims = List[Optional[Tuple[int, float]]]
-# a frame's box rows as lists of 9 floats, as `BoxRows.rows.tolist()` gives them
-Rows = List[List[float]]
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """The greedy matches of many (predictions, ground truth) pairs.
 
-
-def _by_class(boxes: BoxRows, ranked: bool = False) -> Dict[int, List[int]]:
-    """Per class code, its box indices: in input order, or when `ranked` in
-    visit order (descending confidence, ties in input order)."""
-    codes = boxes.classes.tolist()
-    order: Sequence[int] = range(len(codes))
-    if ranked:
-        confidences = boxes.confidences.tolist()
-        order = sorted(order, key=lambda i: -confidences[i])  # stable: ties keep input order
-    groups: Dict[int, List[int]] = {}
-    for i in order:
-        groups.setdefault(codes[i], []).append(i)
-    return groups
-
-
-def _greedy_claims(
-    preds: Rows,
-    gts: Rows,
-    p_idx: Sequence[int],
-    g_idx: Sequence[int],
-    thresholds: Sequence[float],
-) -> List[Claims]:
-    """Greedy matching of one class at every threshold.
-
-    The predictions `p_idx` are visited in order; each claims the nearest
-    still-unclaimed ground truth in `g_idx` within the threshold (distance
-    ties go to the lower index). A prediction only ever claims ground truth
-    of its own class, so classes match independently, and each pair's planar
-    center distance is computed once for all thresholds.
-    """
-    reach = max(thresholds)
-    nearest: List[List[Tuple[float, int]]] = []
-    for pi in p_idx:
-        px, py = preds[pi][0], preds[pi][1]
-        cands = []
-        for gi in g_idx:
-            d = math.hypot(px - gts[gi][0], py - gts[gi][1])
-            if d <= reach:
-                cands.append((d, gi))
-        cands.sort()
-        nearest.append(cands)
-    out: List[Claims] = []
-    for threshold in thresholds:
-        taken = set()
-        claims: Claims = []
-        for cands in nearest:
-            claim = None
-            for d, gi in cands:
-                if d > threshold:
-                    break
-                if gi not in taken:
-                    taken.add(gi)
-                    claim = (gi, d)
-                    break
-            claims.append(claim)
-        out.append(claims)
-    return out
-
-
-def _class_outcome(
-    preds: Rows,
-    gts: Rows,
-    p_idx: Sequence[int],
-    g_idx: Sequence[int],
-    config: EvalConfig,
-) -> Tuple[List[List[bool]], Tuple[Tuple[float, float], ...]]:
-    """One class's matches: per threshold, the TP flag of each prediction in
-    visit order; and (translation m, velocity m/s) per true positive at the
-    error threshold, in prediction index order."""
-    claims = _greedy_claims(preds, gts, p_idx, g_idx, config.match_thresholds)
-    flags = [[c is not None for c in row] for row in claims]
-    at_error = claims[config.match_thresholds.index(config.tp_error_threshold)]
-    errors = []
-    for pi, (gi, d) in sorted((pi, c) for pi, c in zip(p_idx, at_error) if c is not None):
-        vp, vg = preds[pi], gts[gi]
-        errors.append((d, math.hypot(vp[3] - vg[3], vp[4] - vg[4])))
-    return flags, tuple(errors)
-
-
-@dataclass(frozen=True)
-class FrameEval:
-    """Match bookkeeping for one frame at every configured threshold.
-
-    pred_records holds, per class and threshold, the frame's predictions as
-    (confidence, is_tp) in descending confidence; tp_errors holds
-    (translation m, velocity m/s) per true positive at the error threshold.
+    Per prediction of a class in `config.classes`, in input order (pair
+    after pair):
+    pairs       : (P,) int64, the pair it came from
+    classes     : (P,) int64, its class's position in `config.classes`
+    confidences : (P,) float64
+    tp          : (P, thresholds) bool, a true positive at each match threshold
+    translation : (P,) float64 m, and `velocity` (P,) float64 m/s: its planar
+                  errors to the ground truth it claimed at the error
+                  threshold, NaN where it claimed none
+    gt_counts is (pairs, classes) int64: each pair's ground truth per class.
     """
 
-    gt_counts: Mapping[ObjectClass, int]
-    pred_records: Mapping[ObjectClass, Mapping[float, Tuple[Tuple[float, bool], ...]]]
-    tp_errors: Mapping[ObjectClass, Tuple[Tuple[float, float], ...]]
-    fp_counts: Mapping[ObjectClass, int]
-    fn_counts: Mapping[ObjectClass, int]
+    config: EvalConfig
+    gt_counts: np.ndarray
+    pairs: np.ndarray
+    classes: np.ndarray
+    confidences: np.ndarray
+    tp: np.ndarray
+    translation: np.ndarray
+    velocity: np.ndarray
+
+
+_NO_BOXES = BoxRows.of([], [], [], [])
+
+
+def _configured(
+    parts: Sequence[BoxRows], position: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every part's boxes of a configured class, part after part: their part
+    index, class position (`position` of the class code), the center and
+    velocity columns of their rows, and confidences."""
+    boxes = [_NO_BOXES, *parts]  # a part at least, for np.concatenate
+    classes = [b.classes for b in boxes]
+    part = np.repeat(np.arange(-1, len(parts)), list(map(len, classes)))
+    cls = position[np.concatenate(classes)]
+    keep = cls >= 0
+    rows = np.concatenate([b.rows[:, :5] for b in boxes])[keep]  # the matcher reads no size
+    confidences = np.concatenate([b.confidences for b in boxes])[keep]
+    return part[keep], cls[keep], rows, confidences
+
+
+def evaluate_pairs(
+    pairs: Sequence[Tuple[BoxRows, BoxRows]], config: Optional[EvalConfig] = None
+) -> Matches:
+    """Greedy matches of every (predictions, ground truth) pair, at every
+    configured threshold, all pairs at once.
+
+    Within a pair, each class matches on its own: its predictions are visited
+    in descending confidence (ties in input order), and each claims the
+    nearest still-unclaimed ground truth of its class within the threshold;
+    a distance tie goes to the earlier ground truth. A group is one (pair,
+    class) with predictions and ground truth. Step r visits every group's
+    r-th prediction together, on a claimed mask of shape (groups, thresholds,
+    the largest group's ground truth), so no step holds more than that.
+    Boxes of classes outside `config.classes` are dropped.
+    """
+    config = config or EvalConfig()
+    n_cls = len(config.classes)
+    thresholds = np.array(config.match_thresholds)
+    error_t = config.match_thresholds.index(config.tp_error_threshold)
+    position = np.full(len(CLASSES), -1)
+    position[class_codes(config.classes)] = np.arange(n_cls)
+    p_pair, p_cls, p_rows, p_conf = _configured([p for p, _ in pairs], position)
+    g_pair, g_cls, g_rows, _ = _configured([g for _, g in pairs], position)
+
+    # a cell is one (pair, class); its ground truth sits together, in input order
+    g_cell = g_pair * n_cls + g_cls
+    gt_counts = np.bincount(g_cell, minlength=len(pairs) * n_cls)
+    g_order = np.argsort(g_cell, kind="stable")
+    g_start = np.cumsum(gt_counts) - gt_counts
+    # the predictions that can match, cell by cell in visit order
+    p_cell = p_pair * n_cls + p_cls
+    ranked = np.flatnonzero(gt_counts[p_cell] > 0)
+    ranked = ranked[np.lexsort((-p_conf[ranked], p_cell[ranked]))]
+    cells, group, sizes = np.unique(p_cell[ranked], return_inverse=True, return_counts=True)
+    rank = np.arange(len(ranked)) - (np.cumsum(sizes) - sizes)[group]
+    # each group's ground truth, padded to the widest group
+    widths = gt_counts[cells]
+    slots = np.arange(widths.max(initial=0))
+    valid = slots < widths[:, None]
+    gt_of = g_order[np.where(valid, g_start[cells, None] + slots, 0)]
+    gx, gy = g_rows[gt_of, 0], g_rows[gt_of, 1]
+
+    claimed = np.zeros((len(cells), len(thresholds), len(slots)), dtype=bool)
+    tp = np.zeros((len(ranked), len(thresholds)), dtype=bool)
+    claim = np.zeros(len(ranked), dtype=np.int64)  # the ground truth claimed at the error threshold
+    distance = np.zeros(len(ranked))
+    by_step = np.argsort(rank, kind="stable")  # each step's predictions in group order
+    ends = np.cumsum(np.bincount(rank)).tolist()
+    for lo, hi in zip([0, *ends], ends):
+        at = by_step[lo:hi]
+        g, p = group[at], ranked[at]
+        near = np.full((len(at), len(slots)), np.inf)
+        ok = valid[g]
+        near[ok] = math_map(math.hypot, (p_rows[p, 0, None] - gx[g])[ok],
+                            (p_rows[p, 1, None] - gy[g])[ok])
+        # the nearest free slot: the first free one by distance, a tie to the lower slot
+        by_near = np.argsort(near, axis=1, kind="stable")
+        free = (near[:, None, :] <= thresholds[:, None]) & ~claimed[g]
+        free = np.take_along_axis(free, by_near[:, None, :], axis=2)
+        first = free.argmax(axis=2)
+        hit = np.take_along_axis(free, first[:, :, None], axis=2)[:, :, 0]
+        slot = np.take_along_axis(by_near, first, axis=1)
+        a, t = np.nonzero(hit)
+        claimed[g[a], t, slot[a, t]] = True
+        tp[at] = hit
+        claim[at] = gt_of[g, slot[:, error_t]]
+        distance[at] = near[np.arange(len(at)), slot[:, error_t]]
+
+    out_tp = np.zeros((len(p_pair), len(thresholds)), dtype=bool)
+    out_tp[ranked] = tp
+    translation = np.full(len(p_pair), np.nan)
+    velocity = np.full(len(p_pair), np.nan)
+    won = tp[:, error_t]
+    p, q = ranked[won], claim[won]
+    translation[p] = distance[won]
+    velocity[p] = math_map(math.hypot, p_rows[p, 3] - g_rows[q, 3], p_rows[p, 4] - g_rows[q, 4])
+    return Matches(config, gt_counts.reshape(len(pairs), n_cls), p_pair, p_cls, p_conf,
+                   out_tp, translation, velocity)
 
 
 def evaluate_frame(
     preds: BoxRows, gts: BoxRows, config: Optional[EvalConfig] = None
-) -> FrameEval:
-    config = config or EvalConfig()
-    p_groups, g_groups = _by_class(preds, ranked=True), _by_class(gts)
-    p_rows, g_rows = preds.rows.tolist(), gts.rows.tolist()
-    confidences = preds.confidences.tolist()
-    gt_counts: Dict[ObjectClass, int] = {}
-    pred_records: Dict[ObjectClass, Dict[float, Tuple[Tuple[float, bool], ...]]] = {}
-    tp_errors: Dict[ObjectClass, Tuple[Tuple[float, float], ...]] = {}
-    fp_counts: Dict[ObjectClass, int] = {}
-    fn_counts: Dict[ObjectClass, int] = {}
-    for cls, code in zip(config.classes, class_codes(config.classes).tolist()):
-        p_idx, g_idx = p_groups.get(code, []), g_groups.get(code, [])
-        flags, errors = _class_outcome(p_rows, g_rows, p_idx, g_idx, config)
-        confs = [confidences[pi] for pi in p_idx]
-        gt_counts[cls] = len(g_idx)
-        pred_records[cls] = {
-            t: tuple(zip(confs, row)) for t, row in zip(config.match_thresholds, flags)
-        }
-        tp_errors[cls] = errors
-        fp_counts[cls] = len(p_idx) - len(errors)
-        fn_counts[cls] = len(g_idx) - len(errors)
-    return FrameEval(
-        gt_counts=gt_counts,
-        pred_records=pred_records,
-        tp_errors=tp_errors,
-        fp_counts=fp_counts,
-        fn_counts=fn_counts,
-    )
+) -> Matches:
+    """One frame's matches: `evaluate_pairs` of the one pair."""
+    return evaluate_pairs([(preds, gts)], config)
 
 
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
@@ -198,103 +201,97 @@ def _interpolated_ap(tp: np.ndarray, npos: np.ndarray, min_recall: float) -> np.
     suffix_max = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
     suffix_max = np.concatenate((suffix_max, np.zeros((len(tp), 1))), axis=1)
     grid = _RECALL_GRID[int(round(min_recall * 100)) + 1 :]
-    # recall is sorted, so counting the entries below r is searchsorted(left);
-    # counted over the leading axis, the count adds whole (rows, grid) slabs
-    k = (recall.T[:, :, None] < grid).sum(axis=0)
-    return suffix_max[np.arange(len(tp))[:, None], k].mean(axis=1)
+    # k counts each row's recalls below each grid point (recall is sorted, so
+    # it is searchsorted(left)). A recall lies below every grid point from the
+    # first one above it on, so k is a running count of those first points:
+    # memory per row grows with its width plus the grid, not their product
+    rows = np.arange(len(tp))[:, None]
+    first_above = np.searchsorted(grid, recall, side="right")
+    starts = np.bincount((rows * (len(grid) + 1) + first_above).ravel(),
+                         minlength=len(tp) * (len(grid) + 1))
+    k = starts.reshape(len(tp), len(grid) + 1).cumsum(axis=1)[:, :-1]
+    return suffix_max[rows, k].mean(axis=1)
+
+
+def _run_means(values: np.ndarray, counts: np.ndarray, empty: float) -> np.ndarray:
+    """The mean of each run of `values`, run s holding the next `counts[s]`
+    entries; `empty` for an empty run. Runs of one length share one
+    C-contiguous array whose rows NumPy sums as it sums each run alone, so
+    every mean has the bits of `np.mean` of its run (a mean across a strided
+    axis adds in another order)."""
+    means = np.full(len(counts), empty)
+    starts = np.cumsum(counts) - counts
+    for k in np.unique(counts[counts > 0]).tolist():
+        runs = np.flatnonzero(counts == k)
+        means[runs] = values[starts[runs, None] + np.arange(k)].mean(axis=1)
+    return means
+
+
+def _set_scores(
+    matches: Matches, per_pair: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The AP of every (set, class, threshold) cell, NaN where the set holds
+    no ground truth of the class; then each set's mAP, mATE and mAVE. A set
+    is one pair, or all pairs together when `per_pair` is false.
+
+    A cell's predictions are ranked by descending confidence, ties in input
+    order. mAP averages a set's defined cells in class, then threshold order
+    (0.0 without any); the error means add the set's true positives in pair,
+    then class, then input order (1.0 without any).
+    """
+    config = matches.config
+    n_cls, n_thr = len(config.classes), len(config.match_thresholds)
+    npos = matches.gt_counts if per_pair else matches.gt_counts.sum(axis=0, keepdims=True)
+    sets = matches.pairs if per_pair else np.zeros_like(matches.pairs)
+    cells = sets * n_cls + matches.classes
+    ranked = matches.tp[np.lexsort((-matches.confidences, cells))]
+    widths = np.bincount(cells, minlength=npos.size)
+    starts = np.cumsum(widths) - widths
+    defined = np.flatnonzero(npos.ravel() > 0)
+    aps = np.full((npos.size, n_thr), np.nan)
+    aps[defined] = 0.0  # the AP of a cell without predictions, as most are
+    # one AP pass per row width: padded to the widest row, every row of the
+    # pass would take that width
+    for w in sorted(set(widths[defined].tolist()) - {0}):
+        rows = defined[widths[defined] == w]
+        flags = ranked[starts[rows, None] + np.arange(w)].transpose(0, 2, 1)
+        npos_rows = np.repeat(npos.ravel()[rows], n_thr)
+        aps[rows] = _interpolated_ap(flags.reshape(-1, w), npos_rows,
+                                     config.min_recall).reshape(-1, n_thr)
+    m_ap = _run_means(aps[defined].ravel(), (npos > 0).sum(axis=1) * n_thr, 0.0)
+
+    hits = np.flatnonzero(matches.tp[:, config.match_thresholds.index(config.tp_error_threshold)])
+    hits = hits[np.lexsort((matches.classes[hits], matches.pairs[hits]))]
+    per_set = np.bincount(sets[hits], minlength=len(npos))
+    m_ate = _run_means(matches.translation[hits], per_set, 1.0)
+    m_ave = _run_means(matches.velocity[hits], per_set, 1.0)
+    return aps.reshape(len(npos), n_cls, n_thr), m_ap, m_ate, m_ave
 
 
 def average_precision(
-    frames: Sequence[FrameEval],
-    cls: ObjectClass,
-    threshold: float,
-    config: Optional[EvalConfig] = None,
+    matches: Matches, cls: ObjectClass, threshold: float
 ) -> Optional[float]:
-    """AP for one class at one match threshold, accumulated across frames.
+    """AP for one class at one match threshold, accumulated over every pair.
 
     Returns None when the class has no ground truth anywhere (undefined),
-    0.0 when it has ground truth but no predictions.
+    0.0 when it has ground truth but no predictions. Raises ValueError for
+    a class or threshold the matches were not made with.
     """
-    config = config or EvalConfig()
-    npos = sum(f.gt_counts.get(cls, 0) for f in frames)
-    if npos == 0:
-        return None
-
-    records: List[Tuple[float, bool]] = []
-    for f in frames:
-        records.extend(f.pred_records.get(cls, {}).get(threshold, ()))
-    if not records:
-        return 0.0
-    records.sort(key=lambda r: -r[0])
-    tp = np.array([[is_tp for _, is_tp in records]], dtype=bool)
-    return float(_interpolated_ap(tp, np.array([npos]), config.min_recall)[0])
+    config = matches.config
+    if cls not in config.classes or threshold not in config.match_thresholds:
+        raise ValueError(f"no AP cell for {cls} at {threshold} m: not in the EvalConfig")
+    aps = _set_scores(matches, per_pair=False)[0]
+    ap = aps[0, config.classes.index(cls), config.match_thresholds.index(threshold)]
+    return None if math.isnan(ap) else float(ap)
 
 
-def view_detection_scores(
-    branch_preds: Sequence[BoxRows],
-    gts: BoxRows,
-    config: Optional[EvalConfig] = None,
-) -> np.ndarray:
-    """Each branch's one-frame composite score on one view: entry b equals
-    ``summarize([evaluate_frame(branch_preds[b], gts, config)], config)["DS"]``
-    bit for bit, as every mean adds the same values in the same order.
-
-    All branches share the classes with ground truth, so their (class,
-    threshold) rows take one AP pass and mAP is a row mean. A view without
-    ground truth, or a branch with no prediction of its classes, scores 0.0.
-    """
-    config = config or EvalConfig()
-    g_groups = _by_class(gts)
-    g_rows = gts.rows.tolist()
-    classes = [code for code in class_codes(config.classes).tolist() if code in g_groups]
-    if not classes:
-        return np.zeros(len(branch_preds))  # every AP undefined and the errors worst-case
-    rows: List[List[bool]] = []
-    errors: List[List[Tuple[float, float]]] = []
-    for preds in branch_preds:
-        p_groups = _by_class(preds, ranked=True)
-        p_rows = preds.rows.tolist()
-        errs: List[Tuple[float, float]] = []
-        for code in classes:
-            p_idx = p_groups.get(code, [])
-            flags, class_errs = _class_outcome(p_rows, g_rows, p_idx, g_groups[code], config)
-            rows.extend(flags)
-            errs.extend(class_errs)  # by prediction index within a class, as summarize has them
-        errors.append(errs)
-    width = max(map(len, rows))
-    if width == 0:
-        return np.zeros(len(branch_preds))  # every AP is 0.0 and the errors worst-case
-    tp = np.array([row + [False] * (width - len(row)) for row in rows], dtype=bool)
-    npos = np.repeat([len(g_groups[code]) for code in classes], len(config.match_thresholds))
-    aps = _interpolated_ap(tp, np.tile(npos, len(branch_preds)), config.min_recall)
-    m_ap = aps.reshape(len(branch_preds), -1).mean(axis=1).tolist()
-    m_err = _branch_mean_errors(errors).tolist()
-    return np.array([detection_score(a, *e) for a, e in zip(m_ap, m_err)])
-
-
-def _mean_errors(errors: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
-    """Mean translation and velocity error over true positives; without any,
-    the worst case 1.0 for both."""
-    if not errors:
-        return 1.0, 1.0
-    return float(np.mean([e[0] for e in errors])), float(np.mean([e[1] for e in errors]))
-
-
-def _branch_mean_errors(errors: Sequence[Sequence[Tuple[float, float]]]) -> np.ndarray:
-    """Per branch, `_mean_errors` of its true-positive errors, without one
-    `np.mean` per branch: branches with as many errors share one array whose
-    error columns are C-contiguous rows, so each sums as `np.mean` sums it
-    alone (a mean across a strided axis adds in another order)."""
-    means = np.ones((len(errors), 2))
-    by_count: Dict[int, List[int]] = {}
-    for b, errs in enumerate(errors):
-        if errs:
-            by_count.setdefault(len(errs), []).append(b)
-    for members in by_count.values():
-        # (2, branches, count): translation rows, then velocity rows
-        columns = np.array([errors[b] for b in members]).transpose(2, 0, 1).copy()
-        means[members] = columns.mean(axis=2).T
-    return means
+def detection_scores(matches: Matches) -> np.ndarray:
+    """Each pair's composite score on its own: entry i equals
+    ``summarize`` of pair i alone's ``"DS"`` bit for bit. A pair without
+    ground truth, or with no prediction of its classes, scores 0.0."""
+    _, m_ap, m_ate, m_ave = _set_scores(matches, per_pair=True)
+    scores = zip(m_ap.tolist(), m_ate.tolist(), m_ave.tolist())
+    return np.array([detection_score(*s) for s in scores], dtype=np.float64)
 
 
 def detection_score(m_ap: float, m_ate: float, m_ave: float) -> float:
@@ -303,49 +300,40 @@ def detection_score(m_ap: float, m_ate: float, m_ave: float) -> float:
     return (6.0 * m_ap + 2.0 * max(1.0 - m_ate, 0.0) + 2.0 * max(1.0 - m_ave, 0.0)) / 10.0
 
 
-def summarize(frames: Sequence[FrameEval], config: Optional[EvalConfig] = None) -> dict:
-    """Episode-level metrics from accumulated frame evaluations.
+def summarize(matches: Matches) -> dict:
+    """Episode-level metrics over every pair of `matches`.
 
     mAP averages AP over every (class with ground truth, threshold) cell.
     mATE / mAVE are plain means over true-positive errors at the error
     threshold and fall back to the worst case 1.0 when there are no true
     positives at all (flagged).
     """
-    config = config or EvalConfig()
-    flags: List[str] = []
+    config = matches.config
+    aps, m_ap, m_ate, m_ave = (v[0] for v in _set_scores(matches, per_pair=False))
+    npos = matches.gt_counts.sum(axis=0).tolist()
+    hit = matches.tp[:, config.match_thresholds.index(config.tp_error_threshold)]
     per_class: Dict[str, dict] = {}
-    ap_values: List[float] = []
-
-    for cls in config.classes:
-        npos = sum(f.gt_counts.get(cls, 0) for f in frames)
-        aps: Dict[str, Optional[float]] = {}
-        for threshold in config.match_thresholds:
-            ap = average_precision(frames, cls, threshold, config)
-            aps[f"{threshold:g}"] = ap
-            if ap is not None:
-                ap_values.append(ap)
-        errs = [e for f in frames for e in f.tp_errors.get(cls, ())]
+    for c, cls in enumerate(config.classes):
+        mine = matches.classes == c
+        ours = hit & mine
+        translation, velocity = matches.translation[ours], matches.velocity[ours]
         per_class[cls.value] = {
-            "gt": npos,
-            "ap": aps,
-            "tp": len(errs),
-            "fp": sum(f.fp_counts.get(cls, 0) for f in frames),
-            "fn": sum(f.fn_counts.get(cls, 0) for f in frames),
-            "ate": float(np.mean([e[0] for e in errs])) if errs else None,
-            "ave": float(np.mean([e[1] for e in errs])) if errs else None,
+            "gt": npos[c],
+            "ap": {f"{t:g}": ap if npos[c] else None
+                   for t, ap in zip(config.match_thresholds, aps[c].tolist())},
+            "tp": len(translation),
+            "fp": int(np.count_nonzero(mine)) - len(translation),
+            "fn": npos[c] - len(translation),
+            "ate": float(np.mean(translation)) if len(translation) else None,
+            "ave": float(np.mean(velocity)) if len(velocity) else None,
         }
 
-    if ap_values:
-        m_ap = float(np.mean(ap_values))
-    else:
-        m_ap = 0.0
+    flags = []
+    if not any(npos):
         flags.append("no_ground_truth")
-
-    all_errs = [e for f in frames for cls in config.classes for e in f.tp_errors.get(cls, ())]
-    m_ate, m_ave = _mean_errors(all_errs)
-    if not all_errs:
+    if not hit.any():
         flags.append("no_true_positives")
-
+    m_ap, m_ate, m_ave = float(m_ap), float(m_ate), float(m_ave)
     return {
         "mAP": m_ap,
         "mATE": m_ate,

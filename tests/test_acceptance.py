@@ -31,6 +31,7 @@ from viewsched.metrics import (
     average_precision,
     detection_score,
     evaluate_frame,
+    evaluate_pairs,
     summarize,
 )
 from viewsched.predictors import GBRTParams, fit_update_latency, train_gbrt
@@ -189,22 +190,21 @@ def test_criterion_3_per_view_dominance(compare_manifest, compare_trained):
 def _mc_map(branch, cap, sector, config, n_frames, seed):
     rng = rng_stream(seed, f"mc-map/{branch.label}")
     world = np.random.default_rng(seed + 1)
-    evals = []
+    pairs = []
     for _ in range(n_frames):
         d = world.uniform(31.0, 39.0)  # distance level 3 objects
         a = world.uniform(sector[0] + 0.05, sector[1] - 0.05)
         gt = car(d * math.cos(a), d * math.sin(a), vx=0.1)
         levels = category_levels(gt.rows)
         assert levels[0, 0] == 3  # distance level
-        preds = synth_detect(branch, gt, cap, rng, sector, levels=levels)
-        evals.append(evaluate_frame(preds, gt, config))
-    return summarize(evals, config)["mAP"]
+        pairs.append((synth_detect(branch, gt, cap, rng, sector, levels=levels), gt))
+    return summarize(evaluate_pairs(pairs, config))["mAP"]
 
 
 def _mc_mave(branch, cap, sector, n_frames, seed):
     rng = rng_stream(seed, f"mc-ave/{branch.label}")
     world = np.random.default_rng(seed + 1)
-    evals = []
+    pairs = []
     for _ in range(n_frames):
         d = world.uniform(12.0, 18.0)
         a = world.uniform(sector[0] + 0.05, sector[1] - 0.05)
@@ -214,9 +214,8 @@ def _mc_mave(branch, cap, sector, n_frames, seed):
                  vx=speed * math.cos(heading), vy=speed * math.sin(heading))
         levels = category_levels(gt.rows)
         assert levels[0, 1] == 3  # velocity level
-        preds = synth_detect(branch, gt, cap, rng, sector, levels=levels)
-        evals.append(evaluate_frame(preds, gt))
-    return summarize(evals)["mAVE"]
+        pairs.append((synth_detect(branch, gt, cap, rng, sector, levels=levels), gt))
+    return summarize(evaluate_pairs(pairs))["mAVE"]
 
 
 def test_criterion_4_capability_trend_ratios():
@@ -319,7 +318,7 @@ def test_criterion_6_metrics_oracle():
     # grid points above the 0.10 floor, forty read 1 and fifty read 2/3:
     # AP = (40 + 50 * 2/3) / 90 = 22/27
     frame = evaluate_frame(preds, gts)
-    ap = average_precision([frame], ObjectClass.CAR, 2.0)
+    ap = average_precision(frame, ObjectClass.CAR, 2.0)
     assert ap == pytest.approx(22.0 / 27.0, abs=1e-9)
 
     assert detection_score(0.5, 0.4, 0.3) == pytest.approx(0.56, abs=1e-12)

@@ -1,5 +1,6 @@
 """Detection-metric unit tests, built around hand-checkable oracles."""
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -10,16 +11,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import box_oracles
-from box_oracles import Box3D, to_rows
+from box_oracles import Box3D, FrameEval, frame_evals, to_rows
 from viewsched import metrics
 from viewsched.core import ObjectClass
 from viewsched.metrics import (
     EvalConfig,
-    FrameEval,
+    Matches,
     average_precision,
     detection_score,
+    detection_scores,
+    evaluate_pairs,
     summarize,
-    view_detection_scores,
 )
 
 
@@ -33,14 +35,26 @@ def evaluate_frame(preds, gts, config=None):
     return metrics.evaluate_frame(to_rows(preds), to_rows(gts), config)
 
 
+def evaluate_frames(frames, config=None):
+    """`evaluate_pairs` of (predictions, ground truth) box lists."""
+    return evaluate_pairs([(to_rows(p), to_rows(g)) for p, g in frames], config)
+
+
+def frame_eval(preds, gts, config=None):
+    """One frame's matches, read off as a `FrameEval`."""
+    (ev,) = frame_evals(evaluate_frame(preds, gts, config))
+    return ev
+
+
 def view_scores(branches, gts, config=None):
-    """`view_detection_scores` of each branch's boxes, passed as box rows."""
-    return view_detection_scores([to_rows(p) for p in branches], to_rows(gts), config)
+    """`detection_scores` of each branch's boxes against one view's ground truth."""
+    return detection_scores(evaluate_frames([(p, gts) for p in branches], config))
 
 
 # -- matching -------------------------------------------------------------------
-# read off `evaluate_frame` at the 2 m threshold: the TP flags in descending
-# confidence, the translation error of each pair, and the fp/fn counts
+# read off one frame's matches at the 2 m threshold: the TP flags in
+# descending confidence, the translation error of each pair, and the fp/fn
+# counts
 
 
 def tp_flags(ev, cls=ObjectClass.CAR, threshold=2.0):
@@ -54,7 +68,7 @@ def pair_distances(ev, cls=ObjectClass.CAR):
 def test_match_pairs_nearest_within_threshold():
     gts = [box(0.0, 0.0), box(10.0, 0.0)]
     preds = [box(0.4, 0.0, conf=0.9), box(10.3, 0.0, conf=0.8)]
-    ev = evaluate_frame(preds, gts)
+    ev = frame_eval(preds, gts)
     assert tp_flags(ev) == [True, True]
     assert pair_distances(ev) == pytest.approx([0.4, 0.3])  # pred 0 -> gt 0, pred 1 -> gt 1
     assert ev.fp_counts[ObjectClass.CAR] == 0
@@ -66,7 +80,7 @@ def test_match_is_greedy_by_confidence():
     # even though the other is closer
     gts = [box(0.0, 0.0)]
     preds = [box(1.0, 0.0, conf=0.95), box(0.1, 0.0, conf=0.5)]
-    ev = evaluate_frame(preds, gts)
+    ev = frame_eval(preds, gts)
     assert tp_flags(ev) == [True, False]
     assert pair_distances(ev) == [1.0]
     assert ev.fp_counts[ObjectClass.CAR] == 1
@@ -77,7 +91,7 @@ def test_match_respects_class_and_threshold():
     gts = [box(0.0, 0.0, cls=ObjectClass.CAR)]
     preds = [box(0.1, 0.0, cls=ObjectClass.TRUCK, conf=0.9),
              box(5.0, 0.0, cls=ObjectClass.CAR, conf=0.8)]
-    ev = evaluate_frame(preds, gts)
+    ev = frame_eval(preds, gts)
     assert tp_flags(ev) == [False]
     assert tp_flags(ev, ObjectClass.TRUCK) == [False]
     assert pair_distances(ev) == [] and pair_distances(ev, ObjectClass.TRUCK) == []
@@ -89,7 +103,7 @@ def test_match_respects_class_and_threshold():
 def test_match_threshold_is_inclusive():
     gts = [box(0.0, 0.0)]
     preds = [box(2.0, 0.0)]
-    ev = evaluate_frame(preds, gts)
+    ev = frame_eval(preds, gts)
     assert tp_flags(ev) == [True]
     assert tp_flags(ev, threshold=1.0) == [False]
     assert pair_distances(ev) == [2.0]
@@ -101,7 +115,7 @@ def test_match_threshold_is_inclusive():
 def test_evaluate_frame_counts_fp_fn_at_error_threshold():
     gts = [box(0.0, 0.0), box(10.0, 0.0)]
     preds = [box(0.5, 0.0, conf=0.9), box(40.0, 0.0, conf=0.8)]
-    ev = evaluate_frame(preds, gts)
+    ev = frame_eval(preds, gts)
     assert ev.gt_counts[ObjectClass.CAR] == 2
     assert ev.fp_counts[ObjectClass.CAR] == 1
     assert ev.fn_counts[ObjectClass.CAR] == 1
@@ -114,7 +128,7 @@ def test_evaluate_frame_counts_fp_fn_at_error_threshold():
 def test_evaluate_frame_velocity_error_is_planar():
     gts = [box(0.0, 0.0, vx=3.0, vy=0.0)]
     preds = [box(0.0, 0.0, vx=3.0, vy=4.0, conf=0.9)]
-    ev = evaluate_frame(preds, gts)
+    ev = frame_eval(preds, gts)
     _, verr = ev.tp_errors[ObjectClass.CAR][0]
     assert verr == pytest.approx(4.0)
 
@@ -136,8 +150,7 @@ def test_eval_config_validation():
         with pytest.raises(ValueError):
             EvalConfig(match_thresholds=thresholds)
     # the last floor that leaves a grid point, and a threshold order of any kind
-    ap = average_precision([_five_box_frame()], ObjectClass.CAR, 2.0,
-                           EvalConfig(min_recall=0.994))
+    ap = average_precision(_five_box_frame(EvalConfig(min_recall=0.994)), ObjectClass.CAR, 2.0)
     assert ap == pytest.approx(2.0 / 3.0)
     assert EvalConfig(match_thresholds=(4.0, 2.0)).tp_error_threshold == 2.0
 
@@ -173,7 +186,7 @@ def test_eval_config_rejects_repeated_classes():
 #   AP = (40 * 1 + 50 * (2/3)) / 90 = 220/270 = 22/27.
 
 
-def _five_box_frame():
+def _five_box_frame(config=None):
     gts = [box(0.0, 0.0), box(20.0, 0.0)]
     preds = [
         box(0.0, 0.0, conf=0.9),    # TP on the first gt (distance 0)
@@ -182,31 +195,44 @@ def _five_box_frame():
         box(60.0, 0.0, conf=0.6),   # FP
         box(80.0, 0.0, conf=0.5),   # FP
     ]
-    return evaluate_frame(preds, gts)
+    return evaluate_frame(preds, gts, config)
 
 
 def test_average_precision_hand_case():
     frame = _five_box_frame()
     want = (40.0 * 1.0 + 50.0 * (2.0 / 3.0)) / 90.0  # 22/27
     for threshold in (0.5, 1.0, 2.0, 4.0):
-        ap = average_precision([frame], ObjectClass.CAR, threshold)
+        ap = average_precision(frame, ObjectClass.CAR, threshold)
         assert ap == pytest.approx(want, abs=1e-9)
         assert ap == pytest.approx(22.0 / 27.0, abs=1e-9)
 
 
 def test_average_precision_no_recall_floor():
-    frame = _five_box_frame()
+    frame = _five_box_frame(EvalConfig(min_recall=0.0))
     # without the floor all 100 grid points count: fifty at 1, fifty at 2/3
-    ap = average_precision([frame], ObjectClass.CAR, 2.0,
-                           EvalConfig(min_recall=0.0))
+    ap = average_precision(frame, ObjectClass.CAR, 2.0)
     assert ap == pytest.approx((50.0 + 50.0 * (2.0 / 3.0)) / 100.0, abs=1e-9)
 
 
 def test_average_precision_edge_cases():
     frame = _five_box_frame()
-    assert average_precision([frame], ObjectClass.BUS, 2.0) is None  # no gt
+    assert average_precision(frame, ObjectClass.BUS, 2.0) is None  # no gt
     empty = evaluate_frame([], [box(0.0, 0.0)])
-    assert average_precision([empty], ObjectClass.CAR, 2.0) == 0.0
+    assert average_precision(empty, ObjectClass.CAR, 2.0) == 0.0
+
+
+def test_average_precision_rejects_an_unconfigured_cell():
+    # one perfect match: AP 1.0 at a configured threshold; a threshold or a
+    # class the matches were not made with has no AP
+    frame = evaluate_frame([box(0.0, 0.0)], [box(0.0, 0.0)])
+    assert average_precision(frame, ObjectClass.CAR, 2.0) == 1.0
+    for threshold in (3.0, 0.0, math.nan):
+        with pytest.raises(ValueError, match="EvalConfig"):
+            average_precision(frame, ObjectClass.CAR, threshold)
+    cars = evaluate_frame([box(0.0, 0.0)], [box(0.0, 0.0)],
+                          EvalConfig(classes=(ObjectClass.CAR,)))
+    with pytest.raises(ValueError, match="EvalConfig"):
+        average_precision(cars, ObjectClass.BUS, 2.0)
 
 
 def test_perfect_detector_gets_ap_one():
@@ -214,14 +240,14 @@ def test_perfect_detector_gets_ap_one():
     preds = [box(0.0, 0.0, conf=0.9), box(10.0, 0.0, conf=0.8),
              box(-10.0, 5.0, conf=0.7)]
     ev = evaluate_frame(preds, gts)
-    assert average_precision([ev], ObjectClass.CAR, 2.0) == pytest.approx(1.0)
+    assert average_precision(ev, ObjectClass.CAR, 2.0) == pytest.approx(1.0)
 
 
 def test_ap_accumulates_across_frames():
     # one TP frame and one miss frame: recall never reaches 1
-    f1 = evaluate_frame([box(0.0, 0.0, conf=0.9)], [box(0.0, 0.0)])
-    f2 = evaluate_frame([], [box(0.0, 0.0)])
-    ap = average_precision([f1, f2], ObjectClass.CAR, 2.0)
+    frames = evaluate_frames([([box(0.0, 0.0, conf=0.9)], [box(0.0, 0.0)]),
+                              ([], [box(0.0, 0.0)])])
+    ap = average_precision(frames, ObjectClass.CAR, 2.0)
     # recall 0.5 at precision 1; grid points above 0.5 read 0
     assert ap == pytest.approx(40.0 / 90.0, abs=1e-9)
 
@@ -271,6 +297,25 @@ def _frame(gt: int, records) -> FrameEval:
     )
 
 
+def _matches(frames, config: EvalConfig) -> Matches:
+    """Car predictions holding each frame's (confidence, is_tp) records, a
+    true positive at every threshold alike, over each frame's car count."""
+    records = [r for _, frame_records in frames for r in frame_records]
+    gt_counts = np.zeros((len(frames), len(config.classes)), dtype=np.int64)
+    gt_counts[:, config.classes.index(ObjectClass.CAR)] = [gt for gt, _ in frames]
+    tp = np.array([is_tp for _, is_tp in records], dtype=bool)
+    return Matches(
+        config,
+        gt_counts,
+        pairs=np.repeat(np.arange(len(frames)), [len(r) for _, r in frames]),
+        classes=np.full(len(records), config.classes.index(ObjectClass.CAR)),
+        confidences=np.array([c for c, _ in records], dtype=np.float64),
+        tp=np.repeat(tp[:, None], len(config.match_thresholds), axis=1),
+        translation=np.full(len(records), np.nan),
+        velocity=np.full(len(records), np.nan),
+    )
+
+
 _confidences = st.sampled_from([0.1, 0.35, 0.5, 0.5, 0.8, 0.95])  # repeats: ties
 _record = st.tuples(_confidences, st.booleans())
 
@@ -284,7 +329,7 @@ _record = st.tuples(_confidences, st.booleans())
     min_recall=st.sampled_from((0.0, 0.1)),
 )
 def test_average_precision_matches_the_per_point_reference(frames, kind, min_recall):
-    evals = []
+    kept = []
     for gt, records in frames:
         if kind == "all_tp":
             records = [(c, True) for c, _ in records]
@@ -292,10 +337,11 @@ def test_average_precision_matches_the_per_point_reference(frames, kind, min_rec
             records = [(c, False) for c, _ in records]
         elif kind == "no_predictions":
             records = []
-        evals.append(_frame(gt, records))
+        kept.append((gt, records))
     config = EvalConfig(min_recall=min_recall)
-    got = average_precision(evals, ObjectClass.CAR, 2.0, config)
-    want = _reference_average_precision(evals, ObjectClass.CAR, 2.0, config)
+    got = average_precision(_matches(kept, config), ObjectClass.CAR, 2.0)
+    want = _reference_average_precision([_frame(gt, records) for gt, records in kept],
+                                        ObjectClass.CAR, 2.0, config)
     assert got == want
 
 
@@ -303,8 +349,8 @@ def test_average_precision_matches_the_per_point_reference(frames, kind, min_rec
 #
 # Verbatim copies of the one-threshold matcher and `evaluate_frame` as they
 # were before matching split by class and computed each pair's distance once
-# for every threshold. `evaluate_frame` must give equal FrameEval values, bit
-# for bit.
+# for every threshold. One frame's matches, read off as a FrameEval, must
+# equal it bit for bit.
 
 
 @dataclass(frozen=True)
@@ -446,9 +492,9 @@ _EDGE = [box(0.0, 0.0), box(2.0, 0.0, conf=0.5), box(0.0, 0.5, cls=ObjectClass.P
 @example(preds=[], gts=_EDGE, config=EvalConfig())
 @example(preds=_EDGE, gts=[], config=EvalConfig())
 def test_evaluate_frame_equals_the_per_threshold_oracle(preds, gts, config):
-    got = evaluate_frame(preds, gts, config)
+    got = frame_eval(preds, gts, config)
     assert got == _reference_evaluate_frame(preds, gts, config)
-    assert got == box_oracles.evaluate_frame(preds, gts, config)
+    assert got == box_oracles.evaluate_frame(to_rows(preds), to_rows(gts), config)
 
 
 def test_one_branch_view_score_hand_case():
@@ -492,8 +538,49 @@ _CAR_PED_CAR_NEAR = [box(0.0, 0.2), box(10.0, 1.3, cls=ObjectClass.PEDESTRIAN), 
 @example(branches=[_EDGE], gts=[], config=EvalConfig())
 @example(branches=[_EDGE], gts=_EDGE[:2], config=EvalConfig(min_recall=0.0))
 def test_view_detection_scores_equal_each_summarized_branch(branches, gts, config):
-    want = [summarize([evaluate_frame(p, gts, config)], config)["DS"] for p in branches]
+    want = [summarize(evaluate_frame(p, gts, config))["DS"] for p in branches]
     assert view_scores(branches, gts, config).tolist() == want
+
+
+# -- the array scorer against the per-class oracle, many calls at once -------------
+#
+# A call is one view: each branch's predictions against the view's ground
+# truth, as the training set scores them. Every (branch, view) pair of every
+# call goes into one `evaluate_pairs`; each pair's matches, each pair's score
+# and the summary of all pairs as one episode must equal the per-class
+# oracle's (`box_oracles`) bit for bit.
+
+# a tie at 1 m: the first prediction sits between two ground-truth cars and
+# must claim the earlier one, or the second finds no car within 2 m
+_TIE_GTS = [box(-1.0, 0.0), box(1.0, 0.0), box(0.0, 3.0)]
+_TIE_PREDS = [box(0.0, 0.0, conf=0.5), box(2.0, 0.0, conf=0.5), box(0.0, 2.0, conf=0.5)]
+_BUSES = [box(0.0, 0.0, cls=ObjectClass.BUS), box(3.0, 0.0, cls=ObjectClass.BUS, conf=0.4)]
+_calls = st.lists(st.tuples(st.lists(_boxes, max_size=5), _boxes), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=_calls, config=_configs)
+@example(calls=[([_EDGE, []], [])], config=EvalConfig())  # an empty view
+@example(calls=[([[], [], _EDGE[:1]], _EDGE), ([[]], _EDGE[1:])], config=EvalConfig())
+@example(calls=[([_TIE_PREDS, _TIE_PREDS[::-1], _TIE_PREDS[1:]], _TIE_GTS)],
+         config=EvalConfig())  # exact distance ties and equal confidences
+@example(calls=[([_BUSES, _BUSES + _EDGE], _EDGE), ([_BUSES], [])],
+         config=EvalConfig())  # a class with predictions but no ground truth
+@example(calls=[([_TEN_NEAR_CARS, _TEN_NEAR_CARS[:2]], _TEN_CARS), ([_EDGE], _EDGE[:1]),
+                ([_TEN_NEAR_CARS[5:], []], _TEN_CARS[:3])],
+         config=EvalConfig())  # groups of very different widths
+@example(calls=[([_TIE_PREDS, _EDGE], _TIE_GTS + _EDGE), ([_EDGE], _EDGE[1:])],
+         config=EvalConfig(match_thresholds=(2.0, 0.5), tp_error_threshold=0.5,
+                           min_recall=0.0, classes=(ObjectClass.BUS, ObjectClass.CAR)))
+@example(calls=[], config=EvalConfig())
+def test_array_scorer_equals_the_per_class_oracle_over_many_calls(calls, config):
+    pairs = [(to_rows(p), to_rows(gts)) for branches, gts in calls for p in branches]
+    matches = evaluate_pairs(pairs, config)
+    oracle = [box_oracles.evaluate_frame(p, g, config) for p, g in pairs]
+    assert frame_evals(matches) == oracle
+    want = np.array([box_oracles.summarize([f], config)["DS"] for f in oracle], dtype=np.float64)
+    assert detection_scores(matches).tobytes() == want.tobytes()
+    assert json.dumps(summarize(matches)) == json.dumps(box_oracles.summarize(oracle, config))
 
 
 @settings(max_examples=200, deadline=None)
@@ -512,16 +599,21 @@ def test_row_means_equal_each_rows_own_mean(rows, width, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(counts=st.lists(st.integers(0, 20), min_size=1, max_size=17), seed=st.integers(0, 2**32 - 1))
+@given(
+    counts=st.lists(st.integers(0, 20) | st.sampled_from([129, 1000, 10_000]),
+                    min_size=1, max_size=17),
+    seed=st.integers(0, 2**32 - 1),
+)
 def test_branch_mean_errors_equal_each_branchs_own_means(counts, seed):
-    # branches with as many errors share one array; each mean must still
-    # equal `_mean_errors` of that branch's list alone
+    # runs of one length share one array; each mean must still equal np.mean
+    # of that run's list alone, also past the 128 entries where NumPy's
+    # pairwise sum splits a run
     rng = np.random.default_rng(seed)
     # magnitudes apart, so that adding in another order rounds differently
-    errors = [[tuple(e) for e in rng.random((k, 2)) * 10.0 ** rng.integers(-3, 3, (k, 2))]
-              for k in counts]
-    got = metrics._branch_mean_errors(errors).tolist()
-    assert got == [list(metrics._mean_errors(errs)) for errs in errors]
+    values = rng.random(sum(counts)) * 10.0 ** rng.integers(-3, 3, sum(counts))
+    got = metrics._run_means(values, np.array(counts), 1.0).tolist()
+    runs = np.split(values, np.cumsum(counts)[:-1])
+    assert got == [float(np.mean(run.tolist())) if len(run) else 1.0 for run in runs]
 
 
 # -- composite score ----------------------------------------------------------------
@@ -543,7 +635,7 @@ def test_detection_score_clips_error_complements():
 
 def test_summarize_reports_all_fields():
     frame = _five_box_frame()
-    out = summarize([frame])
+    out = summarize(frame)
     assert set(out) == {"mAP", "mATE", "mAVE", "DS", "per_class", "flags"}
     # only cars have ground truth: mAP averages the car APs = 22/27 everywhere
     assert out["mAP"] == pytest.approx(22.0 / 27.0, abs=1e-9)
@@ -556,23 +648,22 @@ def test_summarize_reports_all_fields():
 
 
 def test_summarize_flags_empty_inputs():
-    out = summarize([])
+    out = summarize(evaluate_pairs([]))
     assert "no_ground_truth" in out["flags"]
     assert out["mAP"] == 0.0
     assert out["mATE"] == 1.0 and out["mAVE"] == 1.0
     # ground truth but no predictions: worst-case errors are flagged
     ev = evaluate_frame([], [box(0.0, 0.0)])
-    out = summarize([ev])
+    out = summarize(ev)
     assert "no_true_positives" in out["flags"]
     assert out["mAP"] == 0.0
     assert out["DS"] == pytest.approx(0.0)
 
 
 def test_summarize_mean_errors_over_true_positives():
-    f1 = evaluate_frame([box(0.3, 0.0, conf=0.9, vx=1.0)],
-                        [box(0.0, 0.0, vx=0.0)])
-    f2 = evaluate_frame([box(10.5, 0.0, conf=0.9, vx=0.0)],
-                        [box(10.0, 0.0, vx=2.0)])
-    out = summarize([f1, f2])
+    out = summarize(evaluate_frames([
+        ([box(0.3, 0.0, conf=0.9, vx=1.0)], [box(0.0, 0.0, vx=0.0)]),
+        ([box(10.5, 0.0, conf=0.9, vx=0.0)], [box(10.0, 0.0, vx=2.0)]),
+    ]))
     assert out["mATE"] == pytest.approx((0.3 + 0.5) / 2, abs=1e-12)
     assert out["mAVE"] == pytest.approx((1.0 + 2.0) / 2, abs=1e-12)

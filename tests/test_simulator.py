@@ -19,6 +19,7 @@ from viewsched.branches import (
     enumerate_branches,
     fixed_latency,
 )
+import box_oracles
 from box_oracles import Box3D, categorize, to_boxes, to_rows, view_of
 from viewsched.core import CameraRig, ObjectClass
 from viewsched.predictors import FEATURE_WIDTH, GBRTModel, LinearLatencyModel, PerformanceModels
@@ -639,6 +640,27 @@ def test_run_episode_warmup_breaks_a_latency_tie_like_the_score_reference():
     system = tiny_system(branches=branches, device=device)
     ep = run_episode(small_scenario(duration_s=0.5), system, policy="all_tracker")
     assert ep.frames[0].assignment == (2,) * CameraRig.default().view_count
+
+
+@pytest.mark.parametrize("policy,empty", [("round_robin", False), ("all_tracker", False),
+                                          ("round_robin", True)])
+def test_episode_summary_equals_the_per_frame_oracle(quickstart_manifest, policy, empty):
+    # the episode is scored once, at its end; its summary must be the one the
+    # per-frame oracle gives, frame by frame, on the scene's ground truth
+    man = quickstart_manifest
+    scenario = dataclasses.replace(man.scenario, duration_s=2.0)
+    if empty:  # the scene starts with no object; spawns fill it
+        scenario = dataclasses.replace(scenario, initial_count=0)
+    system = SystemConfig(branches=adapt(man.device, man.target_ms), device=man.device,
+                          capability=man.capability, models=None, target_ms=man.target_ms)
+    ep = run_episode(scenario, system, policy=policy)
+    frames = generate_scenario(scenario)
+    assert (len(frames[0].gt) == 0) == empty and len(frames[-1].gt) > 0
+    oracle = [box_oracles.evaluate_frame(log.outputs, frame.gt)
+              for log, frame in zip(ep.frames, frames)]
+    want = box_oracles.summarize(oracle)
+    want["latency"] = ep.summary["latency"]
+    assert json.dumps(ep.summary).encode() == json.dumps(want).encode()
 
 
 @pytest.mark.parametrize("policy", ["adaptive", "per_frame"])
