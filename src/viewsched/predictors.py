@@ -7,11 +7,11 @@ here directly: training must be exactly reproducible and the model has to
 serialize to plain JSON, which rules out an external boosting dependency.
 
 Each split is the exact greedy one over every distinct feature value. A node
-scores all of them from histograms of value codes (the larger child's is its
-parent's minus the smaller child's). Each boosting round first rounds its
-residuals onto a power-of-two grid coarse enough that every sum of them is
-exact, so a histogram's sums, and the model file, are bit for bit those of a
-sorted scan of every column.
+scores all of them from one flat histogram, a bin per (column, value) (the
+larger child's is its parent's minus the smaller child's). Each boosting
+round first rounds its residuals onto a power-of-two grid coarse enough that
+every sum of them is exact, so a histogram's sums, and the model file, are
+bit for bit those of a sorted scan of every column.
 
 The latency side is much simpler: the per-frame tracker-update cost is affine
 in the number of live tracks, fit by least squares; branch execution costs
@@ -157,23 +157,20 @@ def _on_grid(r: np.ndarray) -> np.ndarray:
 
 
 class _Codes(NamedTuple):
-    """A fit's non-constant feature columns, coded once.
-
-    Cell (i, j) holds bin j * width + code, where code is the rank of
-    x[i, cols[j]] among that column's distinct values and width is the most
-    distinct values of any column; `values[b]` is the feature value of bin b
-    and `counts[j, code]` its row count in the whole fit, the same for every
-    root.
-    """
+    """A fit's non-constant columns, coded once: column j owns the ragged bins
+    start[j] … start[j+1] - 1, one per distinct value, ascending. Cell (i, j)
+    holds the bin of x[i, cols[j]], `values[b]` bin b's feature value and
+    `counts[b]` its row count in the whole fit."""
 
     cols: np.ndarray
     cells: np.ndarray
+    start: np.ndarray
     values: np.ndarray
     counts: np.ndarray
 
 
 class _Hist(NamedTuple):
-    """One node's residual sums and row counts per (column, code), (d, width)."""
+    """One node's residual sums and row counts per bin, flat as in `_Codes`."""
 
     sums: np.ndarray
     counts: np.ndarray
@@ -183,38 +180,43 @@ def _code_columns(x: np.ndarray) -> _Codes:
     cols = np.flatnonzero(x.min(axis=0) != x.max(axis=0))
     # intp, the type np.bincount counts in, so no node converts its cells
     cells = np.empty((len(x), len(cols)), dtype=np.intp)
-    uniques: List[np.ndarray] = []
+    uniques: List[np.ndarray] = [np.zeros(0)]
+    start = [0]
     for j, c in enumerate(cols):
         order = np.argsort(x[:, c], kind="stable")
         xs = x[order, c]
-        rises = xs[1:] > xs[:-1]
-        cells[order[0], j] = 0
-        cells[order[1:], j] = np.cumsum(rises)
-        uniques.append(xs[np.flatnonzero(np.concatenate(([True], rises)))])
-    width = max((len(u) for u in uniques), default=1)
-    cells += np.arange(len(cols)) * width
-    values = np.zeros(len(cols) * width)
-    for j, u in enumerate(uniques):
-        values[j * width : j * width + len(u)] = u
-    counts = np.bincount(cells.ravel(), None, len(values)).reshape(len(cols), width)
-    return _Codes(cols, cells, values, counts)
+        new = np.concatenate(([True], xs[1:] > xs[:-1]))  # the first row of each value
+        cells[order, j] = np.cumsum(new) + (start[-1] - 1)
+        uniques.append(xs[new])
+        start.append(start[-1] + len(uniques[-1]))
+    counts = np.bincount(cells.ravel(), None, start[-1])
+    return _Codes(cols, cells, np.asarray(start), np.concatenate(uniques), counts)
 
 
 def _histogram(codes: _Codes, rows: np.ndarray, y: np.ndarray) -> _Hist:
     """The histogram of `rows`, accumulated directly."""
-    d, width = codes.counts.shape
+    bins, d = len(codes.values), len(codes.cols)
     root = len(rows) == len(y)
     yr = y[rows]
-    sums = np.zeros(d * width)
-    counts = codes.counts.ravel() if root else np.zeros(d * width, dtype=np.intp)
+    sums = np.zeros(bins)
+    counts = codes.counts if root else np.zeros(bins, dtype=np.intp)
     step = max(1, _HIST_BLOCK_CELLS // max(d, 1))
-    for start in range(0, len(rows), step):
-        blk = slice(start, start + step)
+    for at in range(0, len(rows), step):
+        blk = slice(at, at + step)
         cells = (codes.cells[blk] if root else codes.cells[rows[blk]]).ravel()
-        sums += np.bincount(cells, np.repeat(yr[blk], d), d * width)
+        sums += np.bincount(cells, np.repeat(yr[blk], d), bins)
         if not root:
-            counts += np.bincount(cells, None, d * width)
-    return _Hist(sums.reshape(d, width), counts.reshape(d, width))
+            counts += np.bincount(cells, None, bins)
+    return _Hist(sums, counts)
+
+
+def _left_sums(codes: _Codes, per_bin: np.ndarray, total: float) -> np.ndarray:
+    """Each bin's sum over its column's bins up to it, where each column's
+    bins add up to `total`: one cumsum that restarts at every column, so it
+    runs inside a column as minus the sum of its later bins, exact on the grid."""
+    per_bin = per_bin.copy()
+    per_bin[codes.start[:-1]] -= total
+    return np.cumsum(per_bin) + total
 
 
 def _best_split(
@@ -224,18 +226,18 @@ def _best_split(
     sum to `total`: (column, threshold, rows sent left), or None when no
     column beats the parent by more than 1e-12.
 
-    Maximizes squared-error reduction. Every sum is exact, so the scores are
-    the sorted scan's bit for bit. Ties go to the lowest column, then to the
-    earliest split point.
+    Maximizes squared-error reduction over every bin at once. Every sum is
+    exact, so the scores are the sorted scan's bit for bit. Ties go to the
+    lowest column, then to the earliest split point.
     """
     n = len(idx)
     lo, hi = min_leaf, n - min_leaf  # rows sent left, k, satisfy lo <= k <= hi
-    counts = np.cumsum(hist.counts, axis=1)
-    f, b = np.nonzero((hist.counts > 0) & (counts >= lo) & (counts <= hi))
-    if len(f) == 0:
+    counts = _left_sums(codes, hist.counts, n)  # every column counts the n rows
+    b = np.flatnonzero((hist.counts > 0) & (counts >= lo) & (counts <= hi))
+    if len(b) == 0:
         return None
-    k = counts[f, b]
-    left_sum = np.cumsum(hist.sums, axis=1)[f, b]
+    f, k = np.searchsorted(codes.start, b, "right") - 1, counts[b]  # f: b's column
+    left_sum = _left_sums(codes, hist.sums, total)[b]
     score = left_sum**2 / k + (total - left_sum) ** 2 / (n - k)
     starts = np.flatnonzero(np.diff(f, prepend=-1))
     gains = np.maximum.reduceat(score, starts) - total * total / n
@@ -244,14 +246,13 @@ def _best_split(
         return None
     j = int(f[starts[c]])
     mine = np.flatnonzero(f == j)
-    below = int(b[mine[np.argmax(score[mine])]])  # the last code sent left
-    above = below + 1 + int(np.flatnonzero(hist.counts[j, below + 1 :])[0])
-    base = j * hist.counts.shape[1]
-    low, high = codes.values[base + below], codes.values[base + above]
+    below = int(b[mine[np.argmax(score[mine])]])  # the last bin sent left
+    above = below + 1 + int(np.flatnonzero(hist.counts[below + 1 : codes.start[j + 1]])[0])
+    low, high = codes.values[below], codes.values[above]
     thr = (low + high) / 2.0
     if thr >= high:  # adjacent floats can collapse the midpoint
         thr = np.nextafter(high, -np.inf)
-    return j, float(thr), codes.cells[idx, j] <= base + below
+    return j, float(thr), codes.cells[idx, j] <= below
 
 
 def _grow_tree(
@@ -291,8 +292,7 @@ def _grow_tree(
             small = int(len(kids[1]) < len(kids[0]))
             hists[small] = _histogram(codes, kids[small], y)
             if wanted[1 - small]:
-                hists[1 - small] = _Hist(hist.sums - hists[small].sums,
-                                         hist.counts - hists[small].counts)
+                hists[1 - small] = _Hist(*(p - q for p, q in zip(hist, hists[small])))
             if not wanted[small]:
                 hists[small] = None
         columns[2][i] = grow(kids[0], hists[0], depth + 1)
@@ -451,8 +451,8 @@ def train_gbrt(
     params = params or GBRTParams()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(targets, dtype=np.float64)
-    if x.ndim != 2 or len(x) != len(y):
-        raise ValueError("features must be (n, d) with matching targets")
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+        raise ValueError(f"features must be (n, d) and targets (n,), got {x.shape} and {y.shape}")
     if len(y) == 0:
         raise ValueError("no training samples")
     if not np.all((y >= 0.0) & (y <= 1.0)):  # NaN fails both comparisons

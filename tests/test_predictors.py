@@ -1,5 +1,6 @@
 """Accuracy / latency predictor unit tests."""
 
+import itertools
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -200,6 +201,8 @@ def test_gbrt_input_validation():
         train_gbrt(np.zeros((0, 3)), np.zeros(0))
     with pytest.raises(ValueError):
         train_gbrt(x, np.zeros(9))
+    with pytest.raises(ValueError, match="targets"):  # y - pred would broadcast to (n, n)
+        train_gbrt(x, np.zeros((10, 1)))
     with pytest.raises(ValueError):
         train_gbrt(np.full((10, 3), np.nan), np.zeros(10))
     for bad in (np.nan, np.inf, -np.inf):  # NaN passes both range comparisons
@@ -398,6 +401,11 @@ def _column(kind: str, rng: np.random.Generator, n: int, previous: List[np.ndarr
 # more than 255 distinct values in one column: codes wider than a byte
 @example(n=300, kinds=["uniform", "few_values"], leaf="one", rounds=3, max_depth=3,
          discrete_targets=False, block_cells=16, seed=2)
+# the 300-value column first, then last, beside narrow ones: ragged bins
+@example(n=300, kinds=["uniform", "few_values", "few_values"], leaf="one", rounds=3,
+         max_depth=3, discrete_targets=False, block_cells=16, seed=5)
+@example(n=300, kinds=["few_values", "few_values", "uniform"], leaf="one", rounds=3,
+         max_depth=3, discrete_targets=False, block_cells=16, seed=6)
 # n < 2 * min_samples_leaf: the root is a leaf
 @example(n=9, kinds=["uniform"], leaf="over_half", rounds=2, max_depth=3,
          discrete_targets=False, block_cells=16, seed=3)
@@ -589,9 +597,11 @@ def test_sibling_histograms_equal_the_direct_ones_on_the_grid():
     raw = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
     r = predictors._on_grid(raw)
     codes = predictors._code_columns(x)
-    width = codes.counts.shape[1]
     assert list(codes.cols) == [0, 1, 2]
+    distinct = [np.unique(x[:, c]) for c in codes.cols]
     for j, c in enumerate(codes.cols):
+        # column j's bins hold its own distinct values, in ascending order
+        assert np.array_equal(codes.values[codes.start[j] : codes.start[j + 1]], distinct[j])
         assert np.array_equal(codes.values[codes.cells[:, j]], x[:, c])
 
     def sibling(parent, child):
@@ -600,15 +610,16 @@ def test_sibling_histograms_equal_the_direct_ones_on_the_grid():
     def exact(h, rows):
         """Whether every bin sum of h is the exact sum of its rows' residuals."""
         return all(
-            Fraction(h.sums[j, code]) == sum(map(Fraction, r[rows[cells == code]]), Fraction(0))
+            Fraction(h.sums[b]) == sum(map(Fraction, r[rows[cells == b]]), Fraction(0))
             for j in range(len(codes.cols))
-            for cells in [codes.cells[rows, j] - j * width]
-            for code in range(width)
+            for cells in [codes.cells[rows, j]]
+            for b in range(codes.start[j], codes.start[j + 1])
         )
 
     rows = np.arange(n)
     hist = predictors._histogram(codes, rows, r)
     raw_hist = predictors._histogram(codes, rows, raw)
+    assert len(hist.sums) == sum(map(len, distinct))  # 3 + 2 + 400 bins, no padding
     # two levels of parent - child, so one derived histogram derives another
     for depth in range(2):
         go_left = rng.uniform(size=len(rows)) < 0.4
@@ -617,13 +628,64 @@ def test_sibling_histograms_equal_the_direct_ones_on_the_grid():
         derived = sibling(hist, child)
         direct = predictors._histogram(codes, large, r)
         assert np.array_equal(derived.counts, direct.counts)
-        assert np.array_equal(direct.counts.sum(axis=1), np.full(3, len(large)))
+        assert np.array_equal(np.add.reduceat(direct.counts, codes.start[:-1]),
+                              np.full(3, len(large)))
         assert np.array_equal(derived.sums, direct.sums)
         assert exact(child, small) and exact(direct, large)
         # off the grid, the same derivation rounds
         raw_derived = sibling(raw_hist, predictors._histogram(codes, small, raw))
         assert not np.array_equal(raw_derived.sums, predictors._histogram(codes, large, raw).sums)
         hist, raw_hist, rows = derived, raw_derived, large
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    widths=st.lists(st.integers(2, 500), min_size=2, max_size=12),
+    at=st.integers(0, 11),
+    extra_rows=st.integers(0, 300),
+    scale=st.sampled_from((0.0, 1e-310, 1e-9, 1.0, 3.0)),
+    kind=st.sampled_from(("mixed", "same_sign", "at_bound")),
+    subset=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+# every residual of one sign and at max|r|, beside a 500-value column first
+# and last: a cumsum run across the columns would grow past the grid
+@example(widths=[2] * 11 + [500], at=0, extra_rows=0, scale=0.7, kind="at_bound",
+         subset=False, seed=0)
+@example(widths=[2] * 11 + [500], at=11, extra_rows=0, scale=0.7, kind="at_bound",
+         subset=False, seed=0)
+def test_restarted_cumsum_gives_exact_left_sums(widths, at, extra_rows, scale, kind, subset,
+                                                seed):
+    rng = np.random.default_rng(seed)
+    widths = list(widths)
+    widest = int(np.argmax(widths))
+    at %= len(widths)
+    widths[at], widths[widest] = widths[widest], widths[at]
+    n = max(widths) + extra_rows
+    x = np.column_stack([rng.permutation(np.arange(n) % w) / w for w in widths])
+    if kind == "at_bound":
+        raw = np.full(n, scale)
+    elif kind == "same_sign":
+        raw = rng.uniform(0.0, 1.0, n) * scale
+    else:
+        raw = rng.normal(size=n) * scale
+    r = predictors._on_grid(raw)
+    rows = np.flatnonzero(rng.uniform(size=n) < 0.5) if subset else np.arange(n)
+    codes = predictors._code_columns(x)
+    assert np.diff(codes.start).tolist() == widths
+    hist = predictors._histogram(codes, rows, r)
+    left = predictors._left_sums(codes, hist.sums, float(r[rows].sum()))
+    left_counts = predictors._left_sums(codes, hist.counts, len(rows))
+    residuals = list(map(Fraction, r[rows].tolist()))
+    for j, w in enumerate(widths):
+        # the exact sum of column j's rows in each bin, then at or below it
+        bins = codes.cells[rows, j] - codes.start[j]
+        in_bin = [Fraction(0)] * w
+        for b, v in zip(bins.tolist(), residuals):
+            in_bin[b] += v
+        mine = slice(codes.start[j], codes.start[j + 1])
+        assert list(map(Fraction, left[mine].tolist())) == list(itertools.accumulate(in_bin))
+        assert np.array_equal(left_counts[mine], np.cumsum(np.bincount(bins, None, w)))
 
 
 def test_near_tied_columns_tie_exactly_on_the_grid():
