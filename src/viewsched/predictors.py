@@ -6,12 +6,15 @@ It is a gradient-boosted ensemble of shallow regression trees, written out
 here directly: training must be exactly reproducible and the model has to
 serialize to plain JSON, which rules out an external boosting dependency.
 
-Each split is the exact greedy one over every distinct feature value. A node
-scores all of them from one flat histogram, a bin per (column, value) (the
-larger child's is its parent's minus the smaller child's). Each boosting
-round first rounds its residuals onto a power-of-two grid coarse enough that
-every sum of them is exact, so a histogram's sums, and the model file, are
-bit for bit those of a sorted scan of every column.
+Each split is the exact greedy one over every distinct feature value. Rows
+with equal features always share a leaf, so a fit grows its trees on its
+distinct rows, each weighted by its row count and carrying the sum of its
+rows' residuals. A node scores every split from one flat histogram, a bin
+per (column, value) (the larger child's is its parent's minus the smaller
+child's). Each boosting round first rounds its residuals onto a power-of-two
+grid coarse enough that every sum of them is exact, so a histogram's sums,
+and the model file, are bit for bit those of a sorted scan of every column
+over every row.
 
 The latency side is much simpler: the per-frame tracker-update cost is affine
 in the number of live tracks, fit by least squares; branch execution costs
@@ -157,16 +160,22 @@ def _on_grid(r: np.ndarray) -> np.ndarray:
 
 
 class _Codes(NamedTuple):
-    """A fit's non-constant columns, coded once: column j owns the ragged bins
-    start[j] … start[j+1] - 1, one per distinct value, ascending. Cell (i, j)
-    holds the bin of x[i, cols[j]], `values[b]` bin b's feature value and
-    `counts[b]` its row count in the whole fit."""
+    """A fit's distinct rows, coded once over its non-constant columns.
+
+    Row i of the fit is distinct row group[i], and distinct row r stands for
+    weight[r] rows (a float holding an exact integer). Column j owns the
+    ragged bins start[j] … start[j+1] - 1, one per distinct value, ascending.
+    Cell (r, j) holds the bin of distinct row r's value in column cols[j],
+    `values[b]` bin b's feature value and `counts[b]` its row count in the
+    whole fit."""
 
     cols: np.ndarray
     cells: np.ndarray
     start: np.ndarray
     values: np.ndarray
     counts: np.ndarray
+    group: np.ndarray
+    weight: np.ndarray
 
 
 class _Hist(NamedTuple):
@@ -178,35 +187,54 @@ class _Hist(NamedTuple):
 
 def _code_columns(x: np.ndarray) -> _Codes:
     cols = np.flatnonzero(x.min(axis=0) != x.max(axis=0))
-    # intp, the type np.bincount counts in, so no node converts its cells
-    cells = np.empty((len(x), len(cols)), dtype=np.intp)
+    # each row's value ranks in the columns so far, as one radix key below
+    # `span`: equal keys, equal rows
+    key, span = np.zeros(len(x), dtype=np.int64), 1
     uniques: List[np.ndarray] = [np.zeros(0)]
     start = [0]
-    for j, c in enumerate(cols):
-        order = np.argsort(x[:, c], kind="stable")
-        xs = x[order, c]
+    for c in cols:
+        column = x[:, c].copy()  # contiguous: sorts and gathers faster
+        order = np.argsort(column, kind="stable")
+        xs = column[order]
         new = np.concatenate(([True], xs[1:] > xs[:-1]))  # the first row of each value
-        cells[order, j] = np.cumsum(new) + (start[-1] - 1)
         uniques.append(xs[new])
-        start.append(start[-1] + len(uniques[-1]))
-    counts = np.bincount(cells.ravel(), None, start[-1])
-    return _Codes(cols, cells, np.asarray(start), np.concatenate(uniques), counts)
+        width = len(uniques[-1])
+        start.append(start[-1] + width)
+        if span * width > 2**62:  # re-rank the keys so far, to stay in int64
+            kept, key = np.unique(key, return_inverse=True)
+            span = len(kept)
+        rank = np.empty(len(x), dtype=np.int64)
+        rank[order] = np.cumsum(new) - 1
+        key = key * width + rank
+        span *= width
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    values = np.concatenate(uniques)
+    # intp, the type np.bincount counts in, so no node converts its cells;
+    # the distinct rows hold every value of a column, so a search finds its bin
+    cells = np.empty((len(first), len(cols)), dtype=np.intp)
+    for j, c in enumerate(cols):
+        cells[:, j] = np.searchsorted(values[start[j] : start[j + 1]], x[first, c]) + start[j]
+    weight = np.bincount(group).astype(float)
+    # float like every node's counts, also with no column (np.bincount gives int64)
+    counts = np.bincount(cells.ravel(), np.repeat(weight, len(cols)), start[-1]).astype(float)
+    return _Codes(cols, cells, np.asarray(start), values, counts, group, weight)
 
 
 def _histogram(codes: _Codes, rows: np.ndarray, y: np.ndarray) -> _Hist:
-    """The histogram of `rows`, accumulated directly."""
+    """The histogram of the distinct rows `rows`, accumulated directly: each
+    adds its residual sum from `y` and counts its weight."""
     bins, d = len(codes.values), len(codes.cols)
     root = len(rows) == len(y)
-    yr = y[rows]
+    yr, wr = y[rows], codes.weight[rows]
     sums = np.zeros(bins)
-    counts = codes.counts if root else np.zeros(bins, dtype=np.intp)
+    counts = codes.counts if root else np.zeros(bins)
     step = max(1, _HIST_BLOCK_CELLS // max(d, 1))
     for at in range(0, len(rows), step):
         blk = slice(at, at + step)
         cells = (codes.cells[blk] if root else codes.cells[rows[blk]]).ravel()
         sums += np.bincount(cells, np.repeat(yr[blk], d), bins)
         if not root:
-            counts += np.bincount(cells, None, bins)
+            counts += np.bincount(cells, np.repeat(wr[blk], d), bins)
     return _Hist(sums, counts)
 
 
@@ -220,17 +248,17 @@ def _left_sums(codes: _Codes, per_bin: np.ndarray, total: float) -> np.ndarray:
 
 
 def _best_split(
-    codes: _Codes, hist: _Hist, idx: np.ndarray, total: float, min_leaf: int
+    codes: _Codes, hist: _Hist, idx: np.ndarray, total: float, n: float, min_leaf: int
 ) -> Optional[Tuple[int, float, np.ndarray]]:
-    """Exact greedy split of the node of rows `idx`, whose on-grid residuals
-    sum to `total`: (column, threshold, rows sent left), or None when no
-    column beats the parent by more than 1e-12.
+    """Exact greedy split of the node of distinct rows `idx`, which stand for
+    `n` rows whose on-grid residuals sum to `total`: (column, threshold,
+    distinct rows sent left), or None when no column beats the parent by
+    more than 1e-12.
 
     Maximizes squared-error reduction over every bin at once. Every sum is
     exact, so the scores are the sorted scan's bit for bit. Ties go to the
     lowest column, then to the earliest split point.
     """
-    n = len(idx)
     lo, hi = min_leaf, n - min_leaf  # rows sent left, k, satisfy lo <= k <= hi
     counts = _left_sums(codes, hist.counts, n)  # every column counts the n rows
     b = np.flatnonzero((hist.counts > 0) & (counts >= lo) & (counts <= hi))
@@ -263,22 +291,25 @@ def _grow_tree(
     columns: _NodeColumns,
     fitted: np.ndarray,
 ) -> int:
-    """Grow one tree on the on-grid residuals `y`; returns its root.
+    """Grow one tree on the distinct rows, `y` holding each one's sum of
+    on-grid residuals; returns its root.
 
-    The tree's nodes are appended to `columns`, and each row's leaf value,
-    the mean of its leaf's residuals, is written to `fitted`. Of a split's
-    children the smaller one's histogram is accumulated and the larger
-    one's is the parent's minus it; nodes that will be leaves get none.
+    A node's size is the sum of its distinct rows' weights, its row count.
+    The tree's nodes are appended to `columns`, and each distinct row's leaf
+    value, the mean of its leaf's residuals, is written to `fitted`. Of a
+    split's children the one with fewer distinct rows has its histogram
+    accumulated and the other's is the parent's minus it; nodes that will be
+    leaves get none.
     """
 
-    def is_leaf(size: int, depth: int) -> bool:
+    def is_leaf(size: float, depth: int) -> bool:
         return depth >= max_depth or size < 2 * min_leaf
 
-    def grow(idx: np.ndarray, hist: Optional[_Hist], depth: int) -> int:
+    def grow(idx: np.ndarray, size: float, hist: Optional[_Hist], depth: int) -> int:
         total = float(y[idx].sum())
-        value = total / len(idx)
+        value = total / size
         i = _add_leaf(columns, value)
-        split = None if hist is None else _best_split(codes, hist, idx, total, min_leaf)
+        split = None if hist is None else _best_split(codes, hist, idx, total, size, min_leaf)
         if split is None:
             fitted[idx] = value
             return i
@@ -286,7 +317,8 @@ def _grow_tree(
         columns[0][i] = int(codes.cols[j])
         columns[1][i] = thr
         kids = (idx[go_left], idx[~go_left])
-        wanted = [not is_leaf(len(kid), depth + 1) for kid in kids]
+        sizes = [float(codes.weight[kid].sum()) for kid in kids]
+        wanted = [not is_leaf(s, depth + 1) for s in sizes]
         hists: List[Optional[_Hist]] = [None, None]
         if any(wanted):
             small = int(len(kids[1]) < len(kids[0]))
@@ -295,12 +327,12 @@ def _grow_tree(
                 hists[1 - small] = _Hist(*(p - q for p, q in zip(hist, hists[small])))
             if not wanted[small]:
                 hists[small] = None
-        columns[2][i] = grow(kids[0], hists[0], depth + 1)
-        columns[3][i] = grow(kids[1], hists[1], depth + 1)
+        columns[2][i] = grow(kids[0], sizes[0], hists[0], depth + 1)
+        columns[3][i] = grow(kids[1], sizes[1], hists[1], depth + 1)
         return i
 
-    n = len(y)
-    root = grow(np.arange(n), None if is_leaf(n, 0) else _histogram(codes, np.arange(n), y), 0)
+    every, n = np.arange(len(y)), float(len(codes.group))
+    root = grow(every, n, None if is_leaf(n, 0) else _histogram(codes, every, y), 0)
     # `grow` refers to itself through its closure; unbinding it frees this
     # round's targets now rather than at the next full garbage collection
     del grow
@@ -445,8 +477,10 @@ def train_gbrt(
     Deterministic: each round's trees are grown on its residuals rounded
     onto a grid (`_on_grid`), with exact greedy splits found by the histogram
     search of the module docstring, no subsampling, no randomness; the same
-    inputs always produce the identical model file. Targets must be finite
-    and lie in [0, 1] (they are detection scores).
+    inputs always produce the identical model file. The trees grow on the
+    distinct rows of `features`, each weighted by its row count, and each row
+    takes its distinct row's leaf. Targets must be finite and lie in [0, 1]
+    (they are detection scores).
     """
     params = params or GBRTParams()
     x = np.asarray(features, dtype=np.float64)
@@ -461,21 +495,22 @@ def train_gbrt(
         raise ValueError("features must be finite")
 
     # x is fixed across rounds: drop the constant columns (nothing splits
-    # them) and code each remaining one once
+    # them), code each remaining one and find the distinct rows once
     codes = _code_columns(x)
 
     base = float(y.mean())
     pred = np.full(len(y), base)
-    fitted = np.empty(len(y))
+    fitted = np.empty(len(codes.weight))
     columns: _NodeColumns = ([], [], [], [], [])
     roots: List[int] = []
     mse_trace: List[float] = []
     for _ in range(params.rounds):
-        resid = _on_grid(y - pred)
+        # on the grid, each distinct row's residual sum is exact in any order
+        resid = np.bincount(codes.group, _on_grid(y - pred), len(fitted))
         roots.append(
             _grow_tree(codes, resid, params.max_depth, params.min_samples_leaf, columns, fitted)
         )
-        pred += params.learning_rate * fitted
+        pred += params.learning_rate * fitted[codes.group]
         mse_trace.append(float(np.mean((y - pred) ** 2)))
     return GBRTModel(base, params.learning_rate, _stack(columns), roots, x.shape[1], mse_trace)
 

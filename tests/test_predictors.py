@@ -409,6 +409,16 @@ def _column(kind: str, rng: np.random.Generator, n: int, previous: List[np.ndarr
 # n < 2 * min_samples_leaf: the root is a leaf
 @example(n=9, kinds=["uniform"], leaf="over_half", rounds=2, max_depth=3,
          discrete_targets=False, block_cells=16, seed=3)
+# at most 16 distinct rows among 48, so trees grow on weighted rows, and in
+# blocks of one cell a weighted histogram is accumulated over many passes
+@example(n=48, kinds=["few_values", "few_values"], leaf="half", rounds=3, max_depth=3,
+         discrete_targets=True, block_cells=1, seed=7)
+@example(n=48, kinds=["few_values", "duplicate", "constant"], leaf="one", rounds=3,
+         max_depth=4, discrete_targets=False, block_cells=16, seed=8)
+# at most 12 distinct rows and min_samples_leaf 20: a node's size is its row
+# count, not its distinct-row count
+@example(n=40, kinds=["adjacent_floats", "few_values"], leaf="half", rounds=2, max_depth=3,
+         discrete_targets=False, block_cells=16, seed=9)
 # a single row
 @example(n=1, kinds=["uniform", "few_values"], leaf="one", rounds=2, max_depth=2,
          discrete_targets=False, block_cells=16, seed=4)
@@ -455,6 +465,116 @@ def test_gbrt_matches_the_reference_on_wide_sparse_features():
     want, want_mse = _reference_train_gbrt(x, y, params)
     assert got.to_dict() == want
     assert list(got.training_mse) == want_mse
+
+
+def _repeat_rows(rng: np.random.Generator, base: np.ndarray, most: int) -> np.ndarray:
+    """Each row of `base` 1 to `most` times, shuffled, with the sign of each
+    repeated 0.0 drawn at random: -0.0 == 0.0, so the copies stay equal rows."""
+    x = np.repeat(base, rng.integers(1, most + 1, size=len(base)), axis=0)
+    x = x[rng.permutation(len(x))]
+    x[(x == 0.0) & (rng.uniform(size=x.shape) < 0.5)] = -0.0
+    return x
+
+
+def _unique_rows(x: np.ndarray) -> np.ndarray:
+    """Each row's index among the distinct rows of `x`, in NumPy's row order."""
+    return np.unique(x, axis=0, return_inverse=True)[1].ravel()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    distinct=st.integers(1, 24),
+    kinds=st.lists(st.sampled_from(_COLUMN_KINDS), min_size=1, max_size=5),
+    leaf=st.sampled_from(("one", "over_distinct", "half")),
+    rounds=st.integers(1, 3),
+    max_depth=st.integers(1, 4),
+    discrete_targets=st.booleans(),
+    block_cells=st.sampled_from((1, 16, predictors._HIST_BLOCK_CELLS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gbrt_on_repeated_rows_matches_the_reference(
+    distinct, kinds, leaf, rounds, max_depth, discrete_targets, block_cells, seed
+):
+    rng = np.random.default_rng(seed)
+    columns: List[np.ndarray] = []
+    for kind in kinds:
+        columns.append(_column(kind, rng, distinct, columns))
+    # few_values columns hold 0.0, which some copies carry as -0.0
+    x = _repeat_rows(rng, np.column_stack(columns), 17)
+    n = len(x)
+    codes = predictors._code_columns(x)
+    assert np.array_equal(codes.group, _unique_rows(x))
+    assert codes.weight.tolist() == np.bincount(codes.group).tolist()
+    # equal rows may have different targets
+    y = rng.choice([0.0, 0.5, 1.0], size=n) if discrete_targets else rng.uniform(size=n)
+    # over_distinct: more than the root's distinct rows, at most its rows
+    min_leaf = {"one": 1, "over_distinct": min(len(codes.weight) + 1, n),
+                "half": max(1, n // 2)}[leaf]
+    params = GBRTParams(rounds=rounds, max_depth=max_depth, learning_rate=0.3,
+                        min_samples_leaf=min_leaf)
+    saved = predictors._HIST_BLOCK_CELLS
+    predictors._HIST_BLOCK_CELLS = block_cells
+    try:
+        got = train_gbrt(x, y, params)
+    finally:
+        predictors._HIST_BLOCK_CELLS = saved
+    want, want_mse = _reference_train_gbrt(x, y, params)
+    assert got.to_dict() == want
+    assert list(got.training_mse) == want_mse
+
+
+def test_min_samples_leaf_counts_rows_not_distinct_rows():
+    # three distinct rows, ten copies each; the first's copies carry 0.0 or -0.0
+    x = np.repeat([[0.0], [1.0], [2.0]], 10, axis=0)
+    x[:10:2] = -0.0
+    rng = np.random.default_rng(17)
+    y = np.concatenate([rng.uniform(0.0, 0.2, 10), rng.uniform(0.4, 0.6, 10),
+                        rng.uniform(0.8, 1.0, 10)])
+    codes = predictors._code_columns(x)
+    assert codes.weight.tolist() == [10.0, 10.0, 10.0]
+    assert np.array_equal(codes.group, np.repeat([0, 1, 2], 10))
+    # every node holds at most 3 distinct rows, fewer than min_samples_leaf
+    params = GBRTParams(rounds=2, max_depth=2, min_samples_leaf=10)
+    got = train_gbrt(x, y, params)
+    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert (got.nodes.feature == 0).sum() == 4  # both trees split twice
+
+
+def test_row_key_is_re_ranked_before_it_overflows():
+    # 12 columns of 3,000 to 3,400 values each: the product of the columns'
+    # widths passes 2**62 after six of them, so the rows' radix key is
+    # re-ranked on the way. Twin rows differ from another in only the first
+    # or only the last column, so those columns' ranks must both survive.
+    rng = np.random.default_rng(29)
+    base = rng.uniform(0.25, 1.25, size=(3000, 12))
+    first, last = base[:400].copy(), base[400:800].copy()
+    first[:, 0] += 1.0
+    last[:, -1] += 1.0
+    x = _repeat_rows(rng, np.vstack([base, first, last]), 3)
+    codes = predictors._code_columns(x)
+    assert math.prod(np.diff(codes.start).tolist()) > 2**62
+    assert np.array_equal(codes.group, _unique_rows(x))
+    assert codes.weight.tolist() == np.bincount(codes.group).tolist()
+    y = rng.uniform(size=len(x))
+    params = GBRTParams(rounds=2, max_depth=3, min_samples_leaf=4)
+    got = train_gbrt(x, y, params)
+    want, want_mse = _reference_train_gbrt(x, y, params)
+    assert got.to_dict() == want
+    assert list(got.training_mse) == want_mse
+
+
+def test_all_constant_columns_give_one_group_and_one_leaf():
+    x = np.full((20, 3), 0.7)
+    x[:, 2] = 0.0
+    x[::2, 2] = -0.0  # equal to 0.0, so this column is constant too
+    codes = predictors._code_columns(x)
+    assert len(codes.cols) == 0 and codes.cells.shape == (1, 0)
+    assert codes.group.tolist() == [0] * 20 and codes.weight.tolist() == [20.0]
+    y = np.random.default_rng(2).uniform(size=20)
+    params = GBRTParams(rounds=3, min_samples_leaf=1)
+    got = train_gbrt(x, y, params)
+    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert got.nodes.feature.tolist() == [-1, -1, -1]
 
 
 def test_gbrt_threshold_between_adjacent_floats():
@@ -586,55 +706,84 @@ def test_on_grid_sums_are_exact_in_any_order(n, scale, kind, seed):
 
 def test_sibling_histograms_equal_the_direct_ones_on_the_grid():
     rng = np.random.default_rng(23)
-    n = 400
-    x = np.column_stack([
-        rng.choice([0.0, 0.5, 1.0], size=n),
-        rng.integers(0, 2, size=n).astype(float),
-        rng.uniform(size=n),
-        np.full(n, 0.3),
+    distinct = 400
+    base = np.column_stack([
+        rng.choice([0.0, 0.5, 1.0], size=distinct),
+        rng.integers(0, 2, size=distinct).astype(float),
+        rng.uniform(size=distinct),
+        np.full(distinct, 0.3),
     ])
+    # each row 1 to 4 times: the histograms are of weighted distinct rows
+    x = _repeat_rows(rng, base, 4)
+    n = len(x)
     # residuals of mixed sign and scale, so that their raw sums visibly round
     raw = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
     r = predictors._on_grid(raw)
     codes = predictors._code_columns(x)
     assert list(codes.cols) == [0, 1, 2]
-    distinct = [np.unique(x[:, c]) for c in codes.cols]
+    assert len(codes.weight) == distinct and codes.weight.sum() == n
+    distinct_values = [np.unique(x[:, c]) for c in codes.cols]
     for j, c in enumerate(codes.cols):
         # column j's bins hold its own distinct values, in ascending order
-        assert np.array_equal(codes.values[codes.start[j] : codes.start[j + 1]], distinct[j])
-        assert np.array_equal(codes.values[codes.cells[:, j]], x[:, c])
+        assert np.array_equal(codes.values[codes.start[j] : codes.start[j + 1]],
+                              distinct_values[j])
+        assert np.array_equal(codes.values[codes.cells[codes.group, j]], x[:, c])
+
+    def group_sums(res):
+        """Each distinct row's sum of its rows' residuals, as a round gives them."""
+        return np.bincount(codes.group, res, distinct)
+
+    # every row on its own, of weight 1: the histograms the weighted ones replace
+    expanded = codes._replace(cells=codes.cells[codes.group], group=np.arange(n),
+                              weight=np.ones(n))
+
+    def members(rows):
+        """The rows of x that the distinct rows `rows` stand for."""
+        return np.flatnonzero(np.isin(codes.group, rows))
+
+    def histogram(rows, res):
+        """The weighted histogram of the distinct rows `rows`; its counts,
+        and on the grid its sums, are bit for bit those of the rows they
+        stand for, each of weight 1."""
+        h = predictors._histogram(codes, rows, group_sums(res))
+        e = predictors._histogram(expanded, members(rows), res)
+        if res is r:
+            assert h.sums.tobytes() == e.sums.tobytes()
+        assert h.counts.tobytes() == e.counts.tobytes()
+        return h
 
     def sibling(parent, child):
         return predictors._Hist(parent.sums - child.sums, parent.counts - child.counts)
 
     def exact(h, rows):
         """Whether every bin sum of h is the exact sum of its rows' residuals."""
+        mine = members(rows)
         return all(
-            Fraction(h.sums[b]) == sum(map(Fraction, r[rows[cells == b]]), Fraction(0))
+            Fraction(h.sums[b]) == sum(map(Fraction, r[mine[cells == b]]), Fraction(0))
             for j in range(len(codes.cols))
-            for cells in [codes.cells[rows, j]]
+            for cells in [codes.cells[codes.group[mine], j]]
             for b in range(codes.start[j], codes.start[j + 1])
         )
 
-    rows = np.arange(n)
-    hist = predictors._histogram(codes, rows, r)
-    raw_hist = predictors._histogram(codes, rows, raw)
-    assert len(hist.sums) == sum(map(len, distinct))  # 3 + 2 + 400 bins, no padding
+    rows = np.arange(distinct)
+    hist = histogram(rows, r)
+    raw_hist = histogram(rows, raw)
+    assert len(hist.sums) == sum(map(len, distinct_values))  # 3 + 2 + 400 bins, no padding
     # two levels of parent - child, so one derived histogram derives another
     for depth in range(2):
         go_left = rng.uniform(size=len(rows)) < 0.4
         small, large = rows[go_left], rows[~go_left]
-        child = predictors._histogram(codes, small, r)
+        child = histogram(small, r)
         derived = sibling(hist, child)
-        direct = predictors._histogram(codes, large, r)
+        direct = histogram(large, r)
         assert np.array_equal(derived.counts, direct.counts)
         assert np.array_equal(np.add.reduceat(direct.counts, codes.start[:-1]),
-                              np.full(3, len(large)))
+                              np.full(3, len(members(large))))
         assert np.array_equal(derived.sums, direct.sums)
         assert exact(child, small) and exact(direct, large)
         # off the grid, the same derivation rounds
-        raw_derived = sibling(raw_hist, predictors._histogram(codes, small, raw))
-        assert not np.array_equal(raw_derived.sums, predictors._histogram(codes, large, raw).sums)
+        raw_derived = sibling(raw_hist, histogram(small, raw))
+        assert not np.array_equal(raw_derived.sums, histogram(large, raw).sums)
         hist, raw_hist, rows = derived, raw_derived, large
 
 
@@ -661,8 +810,10 @@ def test_restarted_cumsum_gives_exact_left_sums(widths, at, extra_rows, scale, k
     widest = int(np.argmax(widths))
     at %= len(widths)
     widths[at], widths[widest] = widths[widest], widths[at]
-    n = max(widths) + extra_rows
-    x = np.column_stack([rng.permutation(np.arange(n) % w) / w for w in widths])
+    x = np.column_stack([rng.permutation(np.arange(max(widths) + extra_rows) % w) / w
+                         for w in widths])
+    x = _repeat_rows(rng, x, 3)  # weighted distinct rows
+    n = len(x)
     if kind == "at_bound":
         raw = np.full(n, scale)
     elif kind == "same_sign":
@@ -670,22 +821,24 @@ def test_restarted_cumsum_gives_exact_left_sums(widths, at, extra_rows, scale, k
     else:
         raw = rng.normal(size=n) * scale
     r = predictors._on_grid(raw)
-    rows = np.flatnonzero(rng.uniform(size=n) < 0.5) if subset else np.arange(n)
     codes = predictors._code_columns(x)
     assert np.diff(codes.start).tolist() == widths
-    hist = predictors._histogram(codes, rows, r)
-    left = predictors._left_sums(codes, hist.sums, float(r[rows].sum()))
-    left_counts = predictors._left_sums(codes, hist.counts, len(rows))
-    residuals = list(map(Fraction, r[rows].tolist()))
+    distinct = len(codes.weight)
+    rows = np.flatnonzero(rng.uniform(size=distinct) < 0.5) if subset else np.arange(distinct)
+    mine = np.flatnonzero(np.isin(codes.group, rows))  # the rows of x they stand for
+    hist = predictors._histogram(codes, rows, np.bincount(codes.group, r, distinct))
+    left = predictors._left_sums(codes, hist.sums, float(r[mine].sum()))
+    left_counts = predictors._left_sums(codes, hist.counts, len(mine))
+    residuals = list(map(Fraction, r[mine].tolist()))
     for j, w in enumerate(widths):
         # the exact sum of column j's rows in each bin, then at or below it
-        bins = codes.cells[rows, j] - codes.start[j]
+        bins = codes.cells[codes.group[mine], j] - codes.start[j]
         in_bin = [Fraction(0)] * w
         for b, v in zip(bins.tolist(), residuals):
             in_bin[b] += v
-        mine = slice(codes.start[j], codes.start[j + 1])
-        assert list(map(Fraction, left[mine].tolist())) == list(itertools.accumulate(in_bin))
-        assert np.array_equal(left_counts[mine], np.cumsum(np.bincount(bins, None, w)))
+        mine_bins = slice(codes.start[j], codes.start[j + 1])
+        assert list(map(Fraction, left[mine_bins].tolist())) == list(itertools.accumulate(in_bin))
+        assert np.array_equal(left_counts[mine_bins], np.cumsum(np.bincount(bins, None, w)))
 
 
 def test_near_tied_columns_tie_exactly_on_the_grid():
