@@ -46,7 +46,7 @@ from .branches import (
 )
 from .core import BoxRows, CameraRig, category_levels
 # evaluate_frame and summarize are not called here; perfbench's tracer wraps them as cli attributes
-from .metrics import EvalConfig, detection_scores, evaluate_frame, evaluate_pairs, summarize  # noqa: F401
+from .metrics import detection_scores, evaluate_frame, evaluate_pairs, summarize  # noqa: F401
 from .predictors import (
     FEATURE_WIDTH,
     GBRTParams,
@@ -318,7 +318,6 @@ def build_training_set(
     fit. Each episode's rows depend on that episode alone.
     """
     rig = CameraRig.default()
-    eval_config = EvalConfig()
     catalog = enumerate_branches()
     catalog_indices = [b.index for b in catalog]
     rows = sum(len(ep.frames) for ep in episodes) * rig.view_count * len(catalog)
@@ -354,7 +353,7 @@ def build_training_set(
                     for branch in catalog
                 ]
                 pairs.extend((preds, gts) for preds in branch_preds)
-        targets[first:row] = detection_scores(evaluate_pairs(pairs, eval_config))
+        targets[first:row] = detection_scores(evaluate_pairs(pairs))
 
     return feats, targets, np.asarray(counts, dtype=np.float64)
 

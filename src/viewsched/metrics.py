@@ -17,32 +17,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CLASSES, BoxRows, ObjectClass, class_codes, math_map
+from .core import CLASSES, BoxRows, ObjectClass, math_map
 
 
 @dataclass(frozen=True)
 class EvalConfig:
-    match_thresholds: Tuple[float, ...] = (0.5, 1.0, 2.0, 4.0)
-    tp_error_threshold: float = 2.0  # must be one of match_thresholds
+    """The detection score's settings: nuScenes fixes the match thresholds,
+    the error threshold and the classes, so only the AP's recall floor is a field."""
+
+    match_thresholds: ClassVar[Tuple[float, ...]] = (0.5, 1.0, 2.0, 4.0)
+    tp_error_threshold: ClassVar[float] = 2.0  # one of match_thresholds
+    classes: ClassVar[Tuple[ObjectClass, ...]] = CLASSES  # a class code is its position
     min_recall: float = 0.10
-    classes: Tuple[ObjectClass, ...] = tuple(ObjectClass)
 
     def __post_init__(self) -> None:
-        thresholds = self.match_thresholds
-        if not thresholds or not all(math.isfinite(t) and t > 0.0 for t in thresholds):
-            raise ValueError("match_thresholds must be non-empty, finite and positive")
-        if len(set(thresholds)) != len(thresholds):
-            # a repeated threshold would count its AP cells twice in mAP
-            raise ValueError("match_thresholds must be distinct")
-        if len(set(self.classes)) != len(self.classes):
-            # a repeated class would count its AP cells and its errors twice
-            raise ValueError("classes must be distinct")
-        if self.tp_error_threshold not in thresholds:
-            raise ValueError("tp_error_threshold must be one of match_thresholds")
         if not 0.0 <= self.min_recall < 1.0:
             raise ValueError("min_recall must be in [0, 1)")
         if round(self.min_recall * 100) >= 100:
@@ -53,10 +45,9 @@ class EvalConfig:
 class Matches:
     """The greedy matches of many (predictions, ground truth) pairs.
 
-    Per prediction of a class in `config.classes`, in input order (pair
-    after pair):
+    Per prediction, in input order (pair after pair):
     pairs       : (P,) int64, the pair it came from
-    classes     : (P,) int64, its class's position in `config.classes`
+    classes     : (P,) int64, its class code, its position in `config.classes`
     confidences : (P,) float64
     tp          : (P, thresholds) bool, a true positive at each match threshold
     translation : (P,) float64 m, and `velocity` (P,) float64 m/s: its planar
@@ -78,27 +69,21 @@ class Matches:
 _NO_BOXES = BoxRows.of([], [], [], [])
 
 
-def _configured(
-    parts: Sequence[BoxRows], position: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every part's boxes of a configured class, part after part: their part
-    index, class position (`position` of the class code), the center and
-    velocity columns of their rows, and confidences."""
+def _stacked(parts: Sequence[BoxRows]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every part's boxes, part after part: their part index, class code, the
+    center and velocity columns of their rows, and confidences."""
     boxes = [_NO_BOXES, *parts]  # a part at least, for np.concatenate
     classes = [b.classes for b in boxes]
     part = np.repeat(np.arange(-1, len(parts)), list(map(len, classes)))
-    cls = position[np.concatenate(classes)]
-    keep = cls >= 0
-    rows = np.concatenate([b.rows[:, :5] for b in boxes])[keep]  # the matcher reads no size
-    confidences = np.concatenate([b.confidences for b in boxes])[keep]
-    return part[keep], cls[keep], rows, confidences
+    rows = np.concatenate([b.rows[:, :5] for b in boxes])  # the matcher reads no size
+    return part, np.concatenate(classes), rows, np.concatenate([b.confidences for b in boxes])
 
 
 def evaluate_pairs(
     pairs: Sequence[Tuple[BoxRows, BoxRows]], config: Optional[EvalConfig] = None
 ) -> Matches:
     """Greedy matches of every (predictions, ground truth) pair, at every
-    configured threshold, all pairs at once.
+    match threshold, all pairs at once.
 
     Within a pair, each class matches on its own: its predictions are visited
     in descending confidence (ties in input order), and each claims the
@@ -107,16 +92,14 @@ def evaluate_pairs(
     class) with predictions and ground truth. Step r visits every group's
     r-th prediction together, on a claimed mask of shape (groups, thresholds,
     the largest group's ground truth), so no step holds more than that.
-    Boxes of classes outside `config.classes` are dropped.
+    Every class is scored, so every box takes part.
     """
     config = config or EvalConfig()
     n_cls = len(config.classes)
     thresholds = np.array(config.match_thresholds)
     error_t = config.match_thresholds.index(config.tp_error_threshold)
-    position = np.full(len(CLASSES), -1)
-    position[class_codes(config.classes)] = np.arange(n_cls)
-    p_pair, p_cls, p_rows, p_conf = _configured([p for p, _ in pairs], position)
-    g_pair, g_cls, g_rows, _ = _configured([g for _, g in pairs], position)
+    p_pair, p_cls, p_rows, p_conf = _stacked([p for p, _ in pairs])
+    g_pair, g_cls, g_rows, _ = _stacked([g for _, g in pairs])
 
     # a cell is one (pair, class); its ground truth sits together, in input order
     g_cell = g_pair * n_cls + g_cls
@@ -275,11 +258,11 @@ def average_precision(
 
     Returns None when the class has no ground truth anywhere (undefined),
     0.0 when it has ground truth but no predictions. Raises ValueError for
-    a class or threshold the matches were not made with.
+    a threshold that is not a match threshold.
     """
     config = matches.config
-    if cls not in config.classes or threshold not in config.match_thresholds:
-        raise ValueError(f"no AP cell for {cls} at {threshold} m: not in the EvalConfig")
+    if threshold not in config.match_thresholds:
+        raise ValueError(f"no AP cell at {threshold} m: not a match threshold of the EvalConfig")
     aps = _set_scores(matches, per_pair=False)[0]
     ap = aps[0, config.classes.index(cls), config.match_thresholds.index(threshold)]
     return None if math.isnan(ap) else float(ap)

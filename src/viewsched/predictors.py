@@ -145,11 +145,6 @@ def _parse_tree(node: Mapping, columns: _NodeColumns) -> int:
 
 # -- split search -----------------------------------------------------------
 
-# A histogram is accumulated from at most this many (row, column) cells at
-# once, which bounds its temporaries to a few MB whatever the node.
-_HIST_BLOCK_CELLS = 1 << 18
-
-
 def _on_grid(r: np.ndarray) -> np.ndarray:
     """`r` rounded to the nearest multiples of 2**e, where len(r) * max|r|
     < 2**(e + 51). Any sum of these values is then a multiple of 2**e below
@@ -221,21 +216,18 @@ def _code_columns(x: np.ndarray) -> _Codes:
 
 
 def _histogram(codes: _Codes, rows: np.ndarray, y: np.ndarray) -> _Hist:
-    """The histogram of the distinct rows `rows`, accumulated directly: each
-    adds its residual sum from `y` and counts its weight."""
+    """The histogram of the distinct rows `rows`: one `np.bincount` adds each
+    row's residual sum from `y` to its cells' bins, and one its weight. The
+    root's counts are the fit's own, `codes.counts`."""
     bins, d = len(codes.values), len(codes.cols)
     root = len(rows) == len(y)
-    yr, wr = y[rows], codes.weight[rows]
-    sums = np.zeros(bins)
-    counts = codes.counts if root else np.zeros(bins)
-    step = max(1, _HIST_BLOCK_CELLS // max(d, 1))
-    for at in range(0, len(rows), step):
-        blk = slice(at, at + step)
-        cells = (codes.cells[blk] if root else codes.cells[rows[blk]]).ravel()
-        sums += np.bincount(cells, np.repeat(yr[blk], d), bins)
-        if not root:
-            counts += np.bincount(cells, np.repeat(wr[blk], d), bins)
-    return _Hist(sums, counts)
+    cells = (codes.cells if root else codes.cells[rows]).ravel()
+
+    def per_bin(values: np.ndarray) -> np.ndarray:
+        # float also without cells, where np.bincount gives int64
+        return np.bincount(cells, np.repeat(values, d), bins).astype(float, copy=False)
+
+    return _Hist(per_bin(y[rows]), codes.counts if root else per_bin(codes.weight[rows]))
 
 
 def _left_sums(codes: _Codes, per_bin: np.ndarray, total: float) -> np.ndarray:

@@ -737,6 +737,9 @@ def check_timing(target_ms: float, alpha: float, noise_sigma: float, margin_ms: 
         raise ValueError("alpha must lie in (0, 1]")
     if noise_sigma < 0 or margin_ms < 0:
         raise ValueError("noise sigma and margin must be non-negative")
+    if noise_sigma > 10.0:
+        # NumPy's normal never draws |z| >= 14, and exp(10 * 14) is finite
+        raise ValueError("noise sigma must be at most 10")
     if margin_ms >= target_ms:
         raise ValueError("margin must leave a positive scheduling target")
 

@@ -115,6 +115,7 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"alpha": 0},
         {"alhpa": 0.5},
         {"latency_noise_sigma": -1},
+        {"latency_noise_sigma": 1000},
         {"sched_margin_ms": 40},
         {"memory_limit_mb": "abc"},
         {"target_ms": float("nan")},
@@ -127,8 +128,8 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"training": {"seeds": [101, -1]}},
     ],
     ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero",
-         "unknown-top-level-key", "sigma-negative", "margin-not-below-target",
-         "memory-limit-string", "target-nan", "target-infinite",
+         "unknown-top-level-key", "sigma-negative", "sigma-above-bound",
+         "margin-not-below-target", "memory-limit-string", "target-nan", "target-infinite",
          "memory-limit-below-fixed-modules", "scenario-not-a-string", "model-not-a-string",
          "rounds-fractional", "learning-rate-string", "seed-negative"],
 )

@@ -1,5 +1,6 @@
 """Detection-metric unit tests, built around hand-checkable oracles."""
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -133,9 +134,19 @@ def test_evaluate_frame_velocity_error_is_planar():
     assert verr == pytest.approx(4.0)
 
 
+def test_eval_config_fixes_the_nuscenes_settings():
+    # the recall floor is the one field; the thresholds and classes are constants
+    assert [f.name for f in dataclasses.fields(EvalConfig)] == ["min_recall"]
+    config = EvalConfig()
+    assert config.match_thresholds == (0.5, 1.0, 2.0, 4.0)
+    assert config.tp_error_threshold == 2.0
+    assert config.classes == tuple(ObjectClass)
+    for setting in ("match_thresholds", "tp_error_threshold", "classes"):
+        with pytest.raises(TypeError):
+            EvalConfig(**{setting: getattr(config, setting)})
+
+
 def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(tp_error_threshold=3.0)  # not a match threshold
     with pytest.raises(ValueError):
         EvalConfig(min_recall=1.0)
     # the floor rounds to the last grid point: no recall point lies above it
@@ -145,24 +156,9 @@ def test_eval_config_validation():
     for min_recall in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError):
             EvalConfig(min_recall=min_recall)
-    for thresholds in ((), (0.0, 2.0), (-1.0, 2.0), (math.inf, 2.0), (math.nan, 2.0),
-                       (2.0, 2.0), (0.5, 2.0, 0.5)):
-        with pytest.raises(ValueError):
-            EvalConfig(match_thresholds=thresholds)
-    # the last floor that leaves a grid point, and a threshold order of any kind
+    # the last floor that leaves a grid point
     ap = average_precision(_five_box_frame(EvalConfig(min_recall=0.994)), ObjectClass.CAR, 2.0)
     assert ap == pytest.approx(2.0 / 3.0)
-    assert EvalConfig(match_thresholds=(4.0, 2.0)).tp_error_threshold == 2.0
-
-
-def test_eval_config_rejects_repeated_classes():
-    # a repeated class would count its AP cells and its errors twice
-    for classes in ((ObjectClass.CAR, ObjectClass.CAR, ObjectClass.PEDESTRIAN),
-                    (ObjectClass.BUS,) * 2):
-        with pytest.raises(ValueError, match="classes"):
-            EvalConfig(classes=classes)
-    assert EvalConfig(classes=(ObjectClass.PEDESTRIAN, ObjectClass.CAR)).classes == (
-        ObjectClass.PEDESTRIAN, ObjectClass.CAR)
 
 
 # -- average precision: the hand-computed oracle ----------------------------------
@@ -222,17 +218,13 @@ def test_average_precision_edge_cases():
 
 
 def test_average_precision_rejects_an_unconfigured_cell():
-    # one perfect match: AP 1.0 at a configured threshold; a threshold or a
-    # class the matches were not made with has no AP
+    # one perfect match: AP 1.0 at a match threshold; any other threshold
+    # has no AP
     frame = evaluate_frame([box(0.0, 0.0)], [box(0.0, 0.0)])
     assert average_precision(frame, ObjectClass.CAR, 2.0) == 1.0
     for threshold in (3.0, 0.0, math.nan):
         with pytest.raises(ValueError, match="EvalConfig"):
             average_precision(frame, ObjectClass.CAR, threshold)
-    cars = evaluate_frame([box(0.0, 0.0)], [box(0.0, 0.0)],
-                          EvalConfig(classes=(ObjectClass.CAR,)))
-    with pytest.raises(ValueError, match="EvalConfig"):
-        average_precision(cars, ObjectClass.BUS, 2.0)
 
 
 def test_perfect_detector_gets_ap_one():
@@ -454,7 +446,7 @@ def _reference_evaluate_frame(
 _RECALL_GRID = np.linspace(0.0, 1.0, 101)
 
 
-_CLASSES = (ObjectClass.CAR, ObjectClass.BUS, ObjectClass.PEDESTRIAN)
+_CLASSES = tuple(ObjectClass)
 # lattice offsets put pairs exactly 0.5, 1, 2, 4 and 5 m apart, and make ties
 _coord = st.sampled_from([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
 _boxes = st.lists(
@@ -469,21 +461,8 @@ _boxes = st.lists(
     ),
     max_size=8,
 )
-# two threshold tuples (one unsorted), the floor at 0 and 0.1, and a class
-# list that leaves PEDESTRIAN boxes outside it
-_configs = st.sampled_from(
-    [
-        EvalConfig(
-            match_thresholds=thresholds,
-            tp_error_threshold=error_threshold,
-            min_recall=min_recall,
-            classes=classes,
-        )
-        for thresholds, error_threshold in (((0.5, 1.0, 2.0, 4.0), 2.0), ((2.0, 0.5), 0.5))
-        for min_recall in (0.0, 0.1)
-        for classes in (tuple(ObjectClass), (ObjectClass.CAR, ObjectClass.BUS))
-    ]
-)
+# the floor at 0 and 0.1
+_configs = st.sampled_from([EvalConfig(min_recall=0.0), EvalConfig(min_recall=0.1)])
 _EDGE = [box(0.0, 0.0), box(2.0, 0.0, conf=0.5), box(0.0, 0.5, cls=ObjectClass.PEDESTRIAN)]
 
 
@@ -570,8 +549,7 @@ _calls = st.lists(st.tuples(st.lists(_boxes, max_size=5), _boxes), max_size=6)
                 ([_TEN_NEAR_CARS[5:], []], _TEN_CARS[:3])],
          config=EvalConfig())  # groups of very different widths
 @example(calls=[([_TIE_PREDS, _EDGE], _TIE_GTS + _EDGE), ([_EDGE], _EDGE[1:])],
-         config=EvalConfig(match_thresholds=(2.0, 0.5), tp_error_threshold=0.5,
-                           min_recall=0.0, classes=(ObjectClass.BUS, ObjectClass.CAR)))
+         config=EvalConfig(min_recall=0.0))
 @example(calls=[], config=EvalConfig())
 def test_array_scorer_equals_the_per_class_oracle_over_many_calls(calls, config):
     pairs = [(to_rows(p), to_rows(gts)) for branches, gts in calls for p in branches]

@@ -1,6 +1,7 @@
 """Accuracy / latency predictor unit tests."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -169,7 +170,7 @@ def test_gbrt_is_deterministic():
     y = np.clip(0.3 + 0.4 * x[:, 0] - 0.2 * x[:, 1], 0.0, 1.0)
     a = train_gbrt(x, y, GBRTParams(rounds=20))
     b = train_gbrt(x, y, GBRTParams(rounds=20))
-    assert a.to_dict() == b.to_dict()
+    assert _model_bytes(a.to_dict()) == _model_bytes(b.to_dict())
 
 
 def test_gbrt_predictions_clamped_to_unit_interval():
@@ -220,7 +221,7 @@ def test_gbrt_round_trip_preserves_predictions():
     clone = GBRTModel.from_dict(model.to_dict())
     probe = rng.uniform(0.0, 1.0, size=(40, FEATURE_WIDTH))
     assert np.array_equal(model.predict_batch(probe), clone.predict_batch(probe))
-    assert clone.to_dict() == model.to_dict()
+    assert _model_bytes(clone.to_dict()) == _model_bytes(model.to_dict())
 
 
 # Reference implementation: the split search as it was before the histogram
@@ -344,6 +345,12 @@ def _reference_on_grid(r: np.ndarray) -> np.ndarray:
     return np.array([math.ldexp(round(math.ldexp(v, -e)), e) for v in r.tolist()])
 
 
+def _model_bytes(model: dict) -> str:
+    """A model as the model file writes it: -0.0 and 0.0, or 1 and 1.0, are
+    equal numbers but different bytes."""
+    return json.dumps(model, sort_keys=True)
+
+
 def _reference_train_gbrt(x, y, params: GBRTParams) -> Tuple[dict, List[float]]:
     """The model file and training-loss trace the reference fit produces."""
     base = float(y.mean())
@@ -392,38 +399,36 @@ def _column(kind: str, rng: np.random.Generator, n: int, previous: List[np.ndarr
     rounds=st.integers(1, 4),
     max_depth=st.integers(1, 4),
     discrete_targets=st.booleans(),
-    block_cells=st.sampled_from((1, 16, predictors._HIST_BLOCK_CELLS)),
     seed=st.integers(0, 2**32 - 1),
 )
 # every column constant: no column is left to split
 @example(n=6, kinds=["constant", "constant"], leaf="one", rounds=2, max_depth=2,
-         discrete_targets=False, block_cells=16, seed=1)
+         discrete_targets=False, seed=1)
 # more than 255 distinct values in one column: codes wider than a byte
 @example(n=300, kinds=["uniform", "few_values"], leaf="one", rounds=3, max_depth=3,
-         discrete_targets=False, block_cells=16, seed=2)
+         discrete_targets=False, seed=2)
 # the 300-value column first, then last, beside narrow ones: ragged bins
 @example(n=300, kinds=["uniform", "few_values", "few_values"], leaf="one", rounds=3,
-         max_depth=3, discrete_targets=False, block_cells=16, seed=5)
+         max_depth=3, discrete_targets=False, seed=5)
 @example(n=300, kinds=["few_values", "few_values", "uniform"], leaf="one", rounds=3,
-         max_depth=3, discrete_targets=False, block_cells=16, seed=6)
+         max_depth=3, discrete_targets=False, seed=6)
 # n < 2 * min_samples_leaf: the root is a leaf
 @example(n=9, kinds=["uniform"], leaf="over_half", rounds=2, max_depth=3,
-         discrete_targets=False, block_cells=16, seed=3)
-# at most 16 distinct rows among 48, so trees grow on weighted rows, and in
-# blocks of one cell a weighted histogram is accumulated over many passes
+         discrete_targets=False, seed=3)
+# at most 16 distinct rows among 48, so trees grow on weighted rows
 @example(n=48, kinds=["few_values", "few_values"], leaf="half", rounds=3, max_depth=3,
-         discrete_targets=True, block_cells=1, seed=7)
+         discrete_targets=True, seed=7)
 @example(n=48, kinds=["few_values", "duplicate", "constant"], leaf="one", rounds=3,
-         max_depth=4, discrete_targets=False, block_cells=16, seed=8)
+         max_depth=4, discrete_targets=False, seed=8)
 # at most 12 distinct rows and min_samples_leaf 20: a node's size is its row
 # count, not its distinct-row count
 @example(n=40, kinds=["adjacent_floats", "few_values"], leaf="half", rounds=2, max_depth=3,
-         discrete_targets=False, block_cells=16, seed=9)
+         discrete_targets=False, seed=9)
 # a single row
 @example(n=1, kinds=["uniform", "few_values"], leaf="one", rounds=2, max_depth=2,
-         discrete_targets=False, block_cells=16, seed=4)
+         discrete_targets=False, seed=4)
 def test_gbrt_matches_the_reference_split_search(
-    n, kinds, leaf, rounds, max_depth, discrete_targets, block_cells, seed
+    n, kinds, leaf, rounds, max_depth, discrete_targets, seed
 ):
     rng = np.random.default_rng(seed)
     columns: List[np.ndarray] = []
@@ -438,15 +443,9 @@ def test_gbrt_matches_the_reference_split_search(
     min_leaf = {"one": 1, "half": max(1, n // 2), "over_half": n // 2 + 1}[leaf]
     params = GBRTParams(rounds=rounds, max_depth=max_depth, learning_rate=0.3,
                         min_samples_leaf=min_leaf)
-    # small blocks accumulate each histogram over several passes
-    saved = predictors._HIST_BLOCK_CELLS
-    predictors._HIST_BLOCK_CELLS = block_cells
-    try:
-        got = train_gbrt(x, y, params)
-    finally:
-        predictors._HIST_BLOCK_CELLS = saved
+    got = train_gbrt(x, y, params)
     want, want_mse = _reference_train_gbrt(x, y, params)
-    assert got.to_dict() == want
+    assert _model_bytes(got.to_dict()) == _model_bytes(want)
     assert list(got.training_mse) == want_mse
 
 
@@ -463,7 +462,7 @@ def test_gbrt_matches_the_reference_on_wide_sparse_features():
     params = GBRTParams(rounds=6)
     got = train_gbrt(x, y, params)
     want, want_mse = _reference_train_gbrt(x, y, params)
-    assert got.to_dict() == want
+    assert _model_bytes(got.to_dict()) == _model_bytes(want)
     assert list(got.training_mse) == want_mse
 
 
@@ -489,11 +488,10 @@ def _unique_rows(x: np.ndarray) -> np.ndarray:
     rounds=st.integers(1, 3),
     max_depth=st.integers(1, 4),
     discrete_targets=st.booleans(),
-    block_cells=st.sampled_from((1, 16, predictors._HIST_BLOCK_CELLS)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gbrt_on_repeated_rows_matches_the_reference(
-    distinct, kinds, leaf, rounds, max_depth, discrete_targets, block_cells, seed
+    distinct, kinds, leaf, rounds, max_depth, discrete_targets, seed
 ):
     rng = np.random.default_rng(seed)
     columns: List[np.ndarray] = []
@@ -512,14 +510,9 @@ def test_gbrt_on_repeated_rows_matches_the_reference(
                 "half": max(1, n // 2)}[leaf]
     params = GBRTParams(rounds=rounds, max_depth=max_depth, learning_rate=0.3,
                         min_samples_leaf=min_leaf)
-    saved = predictors._HIST_BLOCK_CELLS
-    predictors._HIST_BLOCK_CELLS = block_cells
-    try:
-        got = train_gbrt(x, y, params)
-    finally:
-        predictors._HIST_BLOCK_CELLS = saved
+    got = train_gbrt(x, y, params)
     want, want_mse = _reference_train_gbrt(x, y, params)
-    assert got.to_dict() == want
+    assert _model_bytes(got.to_dict()) == _model_bytes(want)
     assert list(got.training_mse) == want_mse
 
 
@@ -536,7 +529,7 @@ def test_min_samples_leaf_counts_rows_not_distinct_rows():
     # every node holds at most 3 distinct rows, fewer than min_samples_leaf
     params = GBRTParams(rounds=2, max_depth=2, min_samples_leaf=10)
     got = train_gbrt(x, y, params)
-    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert _model_bytes(got.to_dict()) == _model_bytes(_reference_train_gbrt(x, y, params)[0])
     assert (got.nodes.feature == 0).sum() == 4  # both trees split twice
 
 
@@ -559,7 +552,7 @@ def test_row_key_is_re_ranked_before_it_overflows():
     params = GBRTParams(rounds=2, max_depth=3, min_samples_leaf=4)
     got = train_gbrt(x, y, params)
     want, want_mse = _reference_train_gbrt(x, y, params)
-    assert got.to_dict() == want
+    assert _model_bytes(got.to_dict()) == _model_bytes(want)
     assert list(got.training_mse) == want_mse
 
 
@@ -573,7 +566,7 @@ def test_all_constant_columns_give_one_group_and_one_leaf():
     y = np.random.default_rng(2).uniform(size=20)
     params = GBRTParams(rounds=3, min_samples_leaf=1)
     got = train_gbrt(x, y, params)
-    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert _model_bytes(got.to_dict()) == _model_bytes(_reference_train_gbrt(x, y, params)[0])
     assert got.nodes.feature.tolist() == [-1, -1, -1]
 
 
@@ -587,10 +580,28 @@ def test_gbrt_threshold_between_adjacent_floats():
     y = np.array([0.0] * 6 + [1.0] * 6)
     params = GBRTParams(rounds=2, min_samples_leaf=2)
     got = train_gbrt(x, y, params)
-    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert _model_bytes(got.to_dict()) == _model_bytes(_reference_train_gbrt(x, y, params)[0])
     assert got.nodes.threshold[got.roots[0]] == low
     first = GBRTModel.from_dict({**got.to_dict(), "trees": got.to_dict()["trees"][:1]})
     assert list(first.raw_batch(x) > first.base_score) == [False] * 6 + [True] * 6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gbrt_threshold_steps_down_next_to_a_signed_zero(seed):
+    # -0.0 and 0.0 are one value between the two subnormals. The midpoint of
+    # -5e-324 and the zero rounds to -0.0, not below the zero, so the
+    # threshold steps down to -5e-324; the model must hold the reference's
+    # bytes, signs of zero included
+    rng = np.random.default_rng(seed)
+    values = np.array([-5e-324, -0.0, 0.0, 5e-324])
+    which = np.repeat(np.arange(4), rng.integers(2, 9, size=4))  # each value 2 to 8 times
+    x = values[rng.permutation(which)][:, None]
+    y = np.where(x[:, 0] < 0.0, 0.1, np.where(x[:, 0] > 0.0, 0.5, 0.9))
+    y = np.clip(y + rng.normal(0.0, 0.05, size=len(y)), 0.0, 1.0)
+    params = GBRTParams(rounds=3, max_depth=2, min_samples_leaf=1)
+    got = train_gbrt(x, y, params)
+    assert _model_bytes(got.to_dict()) == _model_bytes(_reference_train_gbrt(x, y, params)[0])
+    assert -5e-324 in got.nodes.threshold.tolist()
 
 
 @st.composite
@@ -803,6 +814,8 @@ def test_sibling_histograms_equal_the_direct_ones_on_the_grid():
          subset=False, seed=0)
 @example(widths=[2] * 11 + [500], at=11, extra_rows=0, scale=0.7, kind="at_bound",
          subset=False, seed=0)
+# a subset of no distinct rows: its histogram is float zeros
+@example(widths=[2, 2], at=0, extra_rows=288, scale=0.0, kind="mixed", subset=True, seed=114)
 def test_restarted_cumsum_gives_exact_left_sums(widths, at, extra_rows, scale, kind, subset,
                                                 seed):
     rng = np.random.default_rng(seed)
@@ -863,7 +876,7 @@ def test_near_tied_columns_tie_exactly_on_the_grid():
 
     params = GBRTParams(rounds=1, max_depth=1, min_samples_leaf=1)
     got = train_gbrt(x, y, params)
-    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert _model_bytes(got.to_dict()) == _model_bytes(_reference_train_gbrt(x, y, params)[0])
     assert got.nodes.feature[got.roots[0]] == 0
 
 
@@ -877,7 +890,7 @@ def test_ties_across_many_duplicate_columns_go_to_the_lowest():
     x = np.column_stack([first] + [np.tile([0.0, 0.0, 1.0, 1.0], 2)] * 1500)
     params = GBRTParams(rounds=2, max_depth=2, min_samples_leaf=1)
     got = train_gbrt(x, y, params)
-    assert got.to_dict() == _reference_train_gbrt(x, y, params)[0]
+    assert _model_bytes(got.to_dict()) == _model_bytes(_reference_train_gbrt(x, y, params)[0])
     feature = got.nodes.feature
     assert feature[got.roots[0]] == 0
     assert sorted(set(feature[feature > 0].tolist())) == [1]

@@ -738,3 +738,6 @@ def test_system_config_validation():
         tiny_system(target_ms=0.0)
     with pytest.raises(ValueError):
         tiny_system(sched_margin_ms=50.0)  # must stay below the target
+    with pytest.raises(ValueError, match="at most 10"):
+        tiny_system(latency_noise_sigma=10.5)  # exp(sigma * z) could overflow
+    assert tiny_system(latency_noise_sigma=10.0).latency_noise_sigma == 10.0
