@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 logger = logging.getLogger(__name__)
 
@@ -145,15 +145,6 @@ def json_flag(key: str, value: object) -> bool:
     return value
 
 
-def json_copy(value: Any) -> Any:
-    """A deep copy of a value read from JSON."""
-    if type(value) is dict:
-        return {k: json_copy(v) for k, v in value.items()}
-    if type(value) is list:
-        return [json_copy(v) for v in value]
-    return value
-
-
 # -- device profile -----------------------------------------------------------
 
 
@@ -206,7 +197,7 @@ class DeviceProfile:
 
     def __init__(self, canonical: dict):
         # `from_dict`'s reading of the file, shared and never changed: the
-        # manifest fingerprint hashes it as is, `to_dict` returns a copy
+        # manifest fingerprint hashes it as is
         self.canonical = canonical
         self.memory_limit_mb: float = canonical["memory_limit_mb"]
         update = canonical["update_latency"]
@@ -249,9 +240,6 @@ class DeviceProfile:
                     f"anchor mismatch for {anchor['label']}: profile gives {got:.6f} ms, "
                     f"anchor says {anchor['frame_ms']} ms"
                 )
-
-    def to_dict(self) -> dict:
-        return json_copy(self.canonical)
 
     @classmethod
     def from_dict(cls, data: object) -> "DeviceProfile":

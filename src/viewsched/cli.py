@@ -304,58 +304,49 @@ def collect_training_episodes(man: RunManifest) -> List[EpisodeLog]:
 
 
 def build_training_set(
-    episodes: Sequence[EpisodeLog],
+    episode: EpisodeLog,
     capability: CapabilityProfile,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Score every (frame, view, branch) cell against per-view ground truth.
+    """Score one episode's every (frame, view, branch) cell against per-view
+    ground truth.
 
     Detection branches are re-synthesized from a dedicated rng stream (the
     logged detections only cover whichever branch the collection policy ran);
     the tracker branch is scored on the logged forecast boxes. Each view's
-    boxes' levels are computed once for all its branches, and each episode's
-    cells are scored together in one matcher call. Returns features,
-    detection-score targets, and the per-frame track counts for the latency
-    fit. Each episode's rows depend on that episode alone.
+    boxes' levels are computed once for all its branches, and the episode's
+    cells are scored together in one matcher call. Returns features and
+    detection-score targets, frame by frame, view by view, then branch by
+    branch, and the per-frame track counts for the latency fit.
     """
     rig = CameraRig.default()
     catalog = enumerate_branches()
     catalog_indices = [b.index for b in catalog]
-    rows = sum(len(ep.frames) for ep in episodes) * rig.view_count * len(catalog)
-    feats = np.empty((rows, FEATURE_WIDTH), dtype=np.float64)
-    targets = np.empty(rows, dtype=np.float64)
-    counts: List[int] = []
-    row = 0
+    rng = rng_stream(episode.scenario.seed, "training")
+    max_range = episode.scenario.despawn_radius_m
+    feats: List[np.ndarray] = []
+    pairs: List[Tuple[BoxRows, BoxRows]] = []  # (branch predictions, view ground truth)
+    for log in episode.frames:
+        fc_by_view = log.forecast.by_view(log.forecast_views, rig.view_count)
+        frame_feats = accuracy_features(log.distributions, log.forecast_views,
+                                        log.forecast.confidences, catalog_indices)
+        # view by view, then branch by branch, like the targets below
+        feats.append(frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH))
 
-    for ep in episodes:
-        rng = rng_stream(ep.scenario.seed, "training")
-        max_range = ep.scenario.despawn_radius_m
-        first = row
-        pairs: List[Tuple[BoxRows, BoxRows]] = []  # (branch predictions, view ground truth)
-        for log in ep.frames:
-            counts.append(len(log.forecast))
-            fc_by_view = log.forecast.by_view(log.forecast_views, rig.view_count)
-            frame_feats = accuracy_features(log.distributions, log.forecast_views,
-                                            log.forecast.confidences, catalog_indices)
-            # view by view, then branch by branch, like the targets below
-            frame_feats = frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH)
-            feats[row : row + len(frame_feats)] = frame_feats
-            row += len(frame_feats)
+        for j in range(rig.view_count):
+            gts = log.gt_by_view[j]
+            levels = category_levels(gts.rows)
+            branch_preds = [
+                fc_by_view[j]
+                if branch.is_tracker
+                else synth_detect(
+                    branch, gts, capability, rng, rig.sectors[j], max_range, levels
+                )
+                for branch in catalog
+            ]
+            pairs.extend((preds, gts) for preds in branch_preds)
 
-            for j in range(rig.view_count):
-                gts = log.gt_by_view[j]
-                levels = category_levels(gts.rows)
-                branch_preds = [
-                    fc_by_view[j]
-                    if branch.is_tracker
-                    else synth_detect(
-                        branch, gts, capability, rng, rig.sectors[j], max_range, levels
-                    )
-                    for branch in catalog
-                ]
-                pairs.extend((preds, gts) for preds in branch_preds)
-        targets[first:row] = detection_scores(evaluate_pairs(pairs))
-
-    return feats, targets, np.asarray(counts, dtype=np.float64)
+    counts = np.array([len(log.forecast) for log in episode.frames], dtype=np.float64)
+    return np.concatenate(feats), detection_scores(evaluate_pairs(pairs)), counts
 
 
 def _seed_rows(
@@ -364,7 +355,7 @@ def _seed_rows(
     """One training seed's unit of work: its episode, then its rows."""
     scenario, system, policy = task
     episode = run_episode(scenario, system, policy=policy)
-    return build_training_set([episode], system.capability)
+    return build_training_set(episode, system.capability)
 
 
 def _usable_cpus() -> int:
@@ -398,6 +389,10 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     go into its own slot of one table, so the model bytes do not depend on
     the number of workers.
     """
+    if man.scenario.frame_count < 2:
+        # frame 0 is the warm-up and forecasts no track, so one frame leaves
+        # the latency fit a single track count
+        raise ConfigError("training needs scenarios of at least 2 frames")
     params = _gbrt_params(man.training)
     true_update = true_update_model(man.device)
     seeds = [int(s) for s in man.training["seeds"]]
@@ -574,36 +569,25 @@ def cmd_adapt(man: RunManifest, out: Optional[str]) -> dict:
     return report
 
 
-def cmd_compare(
-    man: RunManifest,
-    out: Optional[str],
-    policies: Sequence[str] = ("adaptive", "per_frame", "all_tracker"),
-) -> dict:
+def cmd_compare(man: RunManifest, out: Optional[str]) -> dict:
     branches = adapt(man.device, man.target_ms)
     models = _get_models(man)
     system = _system(man, branches, models)
 
-    runs = {}
-    adaptive_ep: Optional[EpisodeLog] = None
-    for policy in policies:
-        ep = run_episode(man.scenario, system, policy=policy)
-        runs[policy] = _episode_block(ep)
-        if policy == "adaptive":
-            adaptive_ep = ep
+    adaptive_ep = run_episode(man.scenario, system, policy="adaptive")
+    runs = {"adaptive": _episode_block(adaptive_ep)}
+    for policy in ("per_frame", "all_tracker"):
+        runs[policy] = _episode_block(run_episode(man.scenario, system, policy=policy))
 
-    dominance = None
-    if adaptive_ep is not None:
-        checked = [
-            f
-            for f in adaptive_ep.scheduled_frames
-            if f.predicted_objective is not None and f.uniform_objective is not None
-        ]
-        violations = sum(
-            1 for f in checked if f.predicted_objective < f.uniform_objective
-        )
-        dominance = {"frames_checked": len(checked), "violations": violations}
+    checked = [
+        f
+        for f in adaptive_ep.scheduled_frames
+        if f.predicted_objective is not None and f.uniform_objective is not None
+    ]
+    violations = sum(1 for f in checked if f.predicted_objective < f.uniform_objective)
+    dominance = {"frames_checked": len(checked), "violations": violations}
 
-    best = max(runs, key=lambda p: runs[p]["DS"]) if runs else None
+    best = max(runs, key=lambda p: runs[p]["DS"])
     report = _envelope(man, "compare")
     report.update(
         {

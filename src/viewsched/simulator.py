@@ -37,7 +37,6 @@ from .branches import (
     DeviceProfile,
     branch_latency,
     fixed_latency,
-    json_copy,
     json_count,
     json_file,
     json_flag,
@@ -302,8 +301,9 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class GroundTruthFrame:
+    """Frame `index`'s objects; its time is `ego.t`."""
+
     index: int
-    timestamp: float
     ego: EgoPose
     ids: Tuple[int, ...]
     gt: BoxRows  # ego frame, parallel to ids
@@ -391,7 +391,7 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
 
         codes = np.array([code for _, code in live], dtype=np.int64)
         gt = BoxRows(state[:, :_YAW], codes, np.ones(len(live)), state[:, _YAW])
-        frames.append(GroundTruthFrame(i, t, pose, tuple(oid for oid, _ in live),
+        frames.append(GroundTruthFrame(i, pose, tuple(oid for oid, _ in live),
                                        gt.moved(GLOBAL_FRAME, pose)))
     return frames
 
@@ -541,7 +541,7 @@ class CapabilityProfile:
 
     def __init__(self, canonical: dict):
         # `from_dict`'s reading of the file, shared and never changed: the
-        # manifest fingerprint hashes it as is, `to_dict` returns a copy
+        # manifest fingerprint hashes it as is
         self.canonical = canonical
         c = canonical["confidence"]
         self.confidence = ConfidenceParams(**{k: c[k] for k in _CONFIDENCE_DEFAULTS})
@@ -580,9 +580,6 @@ class CapabilityProfile:
             sigma_size=[b * size["backbone_factor"][k] for b in size["base_by_slevel"]],
             fp_rate=c["false_positives"]["rate_by_backbone"][k],
         )
-
-    def to_dict(self) -> dict:
-        return json_copy(self.canonical)
 
     @classmethod
     def from_dict(cls, data: object) -> "CapabilityProfile":

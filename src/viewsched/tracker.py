@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -40,12 +40,13 @@ class KalmanModel:
 
     Diagonals only; process noise is scaled by dt at forecast time. The
     measurement covers the full state (detectors report position, velocity
-    and size).
+    and size). The process noise and the birth covariance's scale are fixed;
+    the measurement noise is the one field.
     """
 
-    process_noise: Tuple[float, ...] = (0.1,) * 6 + (0.01,) * 3
+    process_noise: ClassVar[Tuple[float, ...]] = (0.1,) * 6 + (0.01,) * 3
+    birth_cov_scale: ClassVar[float] = 2.0
     measurement_noise: Tuple[float, ...] = (0.25,) * 6 + (0.04,) * 3
-    birth_cov_scale: float = 2.0
 
     def transition(self, dt: float) -> np.ndarray:
         a = np.eye(STATE_DIM)
@@ -64,9 +65,12 @@ class KalmanModel:
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    base_gate_m: float = 2.0
+    """The gate (base_gate_m + track speed * dt) and the miss halving are fixed;
+    the confidence below which a missed track is dropped is the one field."""
+
+    base_gate_m: ClassVar[float] = 2.0
+    confidence_halving: ClassVar[float] = 0.5
     confidence_threshold: float = 0.10
-    confidence_halving: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -237,7 +241,7 @@ class MultiObjectTracker:
         detections: BoxRows,
         dt: float,
         forecast: TrackTable,
-        observed: Optional[np.ndarray] = None,
+        observed: np.ndarray,
     ) -> TrackTable:
         """Advance one frame from its forecast: associate, update, births,
         removals; returns the new live tracks.
@@ -245,12 +249,11 @@ class MultiObjectTracker:
         `forecast` is `forecast_all(self.tracks, dt, self.model)`, made once
         per frame by the caller, which plans on it before detecting.
         `observed` holds one bool per forecast row: did a detector cover that
-        row's view this frame (None: every row)? Matched tracks take one
-        batched `update`. Unmatched tracks are penalized (confidence exactly
-        halved, miss count incremented) only in observed rows; tracks below
-        the confidence threshold are dropped. Survivors keep their order and
-        age a frame; unmatched detections follow as new tracks with fresh,
-        never-reused ids.
+        row's view this frame? Matched tracks take one batched `update`.
+        Unmatched tracks are penalized (confidence exactly halved, miss count
+        incremented) only in observed rows; tracks below the confidence
+        threshold are dropped. Survivors keep their order and age a frame;
+        unmatched detections follow as new tracks with fresh, never-reused ids.
         """
         # ids are never reused and every survivor ages each step, so a
         # forecast of earlier tracks differs from the live ones in one or both
@@ -258,7 +261,7 @@ class MultiObjectTracker:
         same = np.array_equal(forecast.ids, live.ids) and np.array_equal(forecast.ages, live.ages)
         if not same:
             raise ValueError("forecast must be of this tracker's live tracks")
-        missed = np.ones(len(forecast), bool) if observed is None else np.array(observed, bool)
+        missed = np.array(observed, bool)
         if missed.shape != (len(forecast),):
             raise ValueError("observed must hold one flag per forecast row")
         matches, _, unmatched = associate(forecast, detections, self.config, dt)

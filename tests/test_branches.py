@@ -100,13 +100,13 @@ def test_default_device_latencies_are_ordered():
 
 def test_device_round_trip_and_anchor_validation():
     device = default_device_profile()
-    data = device.to_dict()
+    data = device.canonical
     clone = DeviceProfile.from_dict(data)
     for b in enumerate_branches():
         assert branch_latency(b, clone) == pytest.approx(branch_latency(b, device))
     # through JSON text, as manifests reference device files
     loaded = DeviceProfile.from_dict(json.loads(json.dumps(data)))
-    assert loaded.to_dict() == data
+    assert loaded.canonical == data
     # a corrupted anchor must be rejected
     bad = dict(data)
     bad["anchors"] = [dict(a) for a in data.get("anchors", [])]
@@ -119,7 +119,7 @@ def test_device_round_trip_and_anchor_validation():
 
 def test_device_validation_rejects_broken_tables():
     device = default_device_profile()
-    data = device.to_dict()
+    data = device.canonical
     missing = dict(data)
     missing["branches"] = [b for b in data["branches"] if b["index"] != 16]
     with pytest.raises(ProfileError):
@@ -169,7 +169,7 @@ def test_adapt_degenerate_target_leaves_only_tracker():
 
 def test_adapt_memory_pass_evicts_heavy_modules():
     device = default_device_profile()
-    data = device.to_dict()
+    data = device.canonical
     # find the memory footprint of the full deployment, then force a cut
     full_mb = sum(m["memory_mb"] for m in data["modules"])
     data = dict(data)
@@ -188,7 +188,7 @@ def test_adapt_memory_pass_evicts_heavy_modules():
 
 def test_adapt_memory_eviction_is_deterministic():
     device = default_device_profile()
-    data = dict(device.to_dict())
+    data = dict(device.canonical)
     data["memory_limit_mb"] = sum(m["memory_mb"] for m in data["modules"]) * 0.5
     a = [b.index for b in adapt(DeviceProfile.from_dict(data), 100.0)]
     b = [b.index for b in adapt(DeviceProfile.from_dict(data), 100.0)]
@@ -196,7 +196,7 @@ def test_adapt_memory_eviction_is_deterministic():
 
 
 def test_profile_rejects_a_limit_below_the_fixed_modules():
-    data = dict(default_device_profile().to_dict())
+    data = dict(default_device_profile().canonical)
     fixed_mb = sum(m["memory_mb"] for m in data["modules"] if m.get("fixed"))
     DeviceProfile.from_dict({**data, "memory_limit_mb": fixed_mb})
     with pytest.raises(ProfileError, match="fixed modules alone need"):
@@ -205,7 +205,7 @@ def test_profile_rejects_a_limit_below_the_fixed_modules():
 
 def test_profile_rejects_tracker_with_modules():
     device = default_device_profile()
-    data = dict(device.to_dict())
+    data = dict(device.canonical)
     some_module = data["modules"][0]["name"]
     data["branches"] = [
         {"index": b["index"], "modules": [some_module] if b["index"] == 0 else b["modules"]}

@@ -6,6 +6,7 @@ those fixtures instead of retraining.
 """
 
 import argparse
+import copy
 import hashlib
 import json
 import math
@@ -252,7 +253,7 @@ def _manifest_referencing(tmp_path, key, document):
 
 
 def test_device_listing_a_module_twice_is_a_config_error(tmp_path, capsys):
-    data = default_device_profile().to_dict()
+    data = copy.deepcopy(default_device_profile().canonical)
     data["modules"].append(dict(data["modules"][0]))
     with pytest.raises(ProfileError, match="duplicate module"):
         DeviceProfile.from_dict(data)
@@ -283,7 +284,7 @@ def _drop_nearest_distance_level(cap):
          "velocity-distance-factor-short", "velocity-levels-short", "size-levels-short"],
 )
 def test_main_rejects_a_capability_that_cannot_price_every_box(tmp_path, capsys, corrupt):
-    cap = default_capability().to_dict()
+    cap = copy.deepcopy(default_capability().canonical)
     corrupt(cap)
     manifest = _manifest_referencing(tmp_path, "capability", cap)
     code = main(["simulate", "--manifest", manifest, "--policy", "fixed:16", "--target-ms", "400"])
@@ -325,8 +326,8 @@ def _rename(old, new):
 
 # each referenced file kind's bundled document, as a fresh copy
 _BUNDLED = {
-    "capability": lambda: default_capability().to_dict(),
-    "device": lambda: default_device_profile().to_dict(),
+    "capability": lambda: copy.deepcopy(default_capability().canonical),
+    "device": lambda: copy.deepcopy(default_device_profile().canonical),
     "scenario": lambda: load_manifest("builtin:manifest_quickstart").scenario.to_dict(),
     "manifest": lambda: {"name": "versioned", "scenario": "builtin:scenario_quickstart",
                          "device": "builtin:device_orin",
@@ -481,7 +482,8 @@ def quickstart_training_set(quickstart_manifest):
     """(episodes, (features, targets, track counts)) of the quickstart's
     phase-one collection."""
     episodes = collect_training_episodes(quickstart_manifest)
-    return episodes, build_training_set(episodes, quickstart_manifest.capability)
+    parts = [build_training_set(ep, quickstart_manifest.capability) for ep in episodes]
+    return episodes, tuple(map(np.concatenate, zip(*parts)))
 
 
 # SHA-256 of the raw bytes of the quickstart's phase-one training set, the
@@ -668,15 +670,16 @@ def test_main_rejects_a_model_file_that_is_not_json_objects(tmp_path, capsys, do
 
 def test_cmd_compare_reports_dominance(manifest_file, tmp_path):
     man = load_manifest(manifest_file)
-    report = cmd_compare(man, str(tmp_path / "cmp.json"),
-                         policies=("adaptive", "per_frame"))
-    assert set(report["policies"]) == {"adaptive", "per_frame"}
+    report = cmd_compare(man, str(tmp_path / "cmp.json"))
+    assert list(report["policies"]) == ["adaptive", "per_frame", "all_tracker"]
     dom = report["predicted_dominance"]
     assert dom["frames_checked"] > 0
     assert dom["violations"] == 0
     assert report["best_policy_by_ds"] in report["policies"]
     for block in report["policies"].values():
         assert {"mAP", "mATE", "mAVE", "DS"} <= set(block)
+    with pytest.raises(TypeError):  # the three policies are fixed
+        cmd_compare(man, None, policies=("adaptive",))
 
 
 # -- training data plumbing ---------------------------------------------------------
@@ -697,6 +700,13 @@ def test_training_set_shapes(quickstart_manifest, quickstart_training_set):
 
 
 
+def test_training_set_is_built_one_episode_at_a_time(quickstart_manifest, quickstart_training_set):
+    episodes, _ = quickstart_training_set
+    feats, targets, counts = build_training_set(episodes[0], quickstart_manifest.capability)
+    frames = len(episodes[0].frames)
+    assert feats.shape == (frames * 6 * 17, FEATURE_WIDTH) and targets.shape == (frames * 6 * 17,)
+    assert counts.shape == (frames,)
+
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 10_000), frames=st.integers(1, 6))
 def test_training_set_of_an_empty_scene(quickstart_manifest, seed, frames):
@@ -709,7 +719,7 @@ def test_training_set_of_an_empty_scene(quickstart_manifest, seed, frames):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         episodes = collect_training_episodes(man)
-        feats, targets, counts = build_training_set(episodes, man.capability)
+        feats, targets, counts = build_training_set(episodes[0], man.capability)
     logs = episodes[0].frames
     assert all(not any(log.gt_by_view) for log in logs)
     assert targets.tolist() == [0.0] * len(targets)
@@ -784,15 +794,15 @@ def test_training_pool_has_one_worker_per_seed_up_to_the_usable_cpus(monkeypatch
     assert multiprocessing.active_children() == []
 
 
-def _infeasible(episodes, capability):
+def _infeasible(episode, capability):
     raise InfeasibleError("no assignment fits the budget")
 
 
-def _worker_dies(episodes, capability):
+def _worker_dies(episode, capability):
     os._exit(1)
 
 
-def _out_of_memory(episodes, capability):
+def _out_of_memory(episode, capability):
     return np.empty(1 << 58)  # 2 EiB, more than any address space holds
 
 
@@ -811,6 +821,24 @@ def test_main_train_exits_3_when_a_training_seed_fails(monkeypatch, capsys, cpus
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+def test_training_on_one_frame_scenarios_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # frame 0 is the warm-up: a one-frame episode logs one track count, 0,
+    # so the latency fit could never run. No episode may run before that is known
+    scenario = _BUNDLED["scenario"]()
+    scenario["duration_s"] = 1.0 / scenario["fps"]
+    manifest = _manifest_referencing(tmp_path, "scenario", scenario)
+    monkeypatch.setattr(cli, "run_episode", _infeasible)
+    for argv in (["train"], ["simulate", "--policy", "adaptive"], ["compare"]):
+        assert main([*argv, "--manifest", manifest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training needs") and "Traceback" not in err
+    monkeypatch.undo()
+    out = tmp_path / "report.json"
+    assert main(["simulate", "--policy", "all_tracker", "--manifest", manifest,
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["decisions"] == []  # its one frame is the warm-up
 
 
 # -- entry point ----------------------------------------------------------------------

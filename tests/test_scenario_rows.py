@@ -210,7 +210,7 @@ def test_row_generator_matches_the_per_object_generator(
     got = generate_scenario(config)
     assert len(got) == len(want) == config.frame_count
     for g, w in zip(got, want):
-        assert (g.index, g.timestamp, g.ids, g.ego) == (w.index, w.timestamp, w.ids, w.ego)
+        assert (g.index, g.ego.t, g.ids, g.ego) == (w.index, w.timestamp, w.ids, w.ego)
         assert repr(to_boxes(g.gt)) == repr(list(w.boxes))
         # the rows the views are placed from are the boxes' own numbers
         rows = [[*b.center, *b.velocity, *b.size] for b in w.boxes]

@@ -1,5 +1,6 @@
 """Scenario generation, synthetic detection, and closed-loop tests."""
 
+import copy
 import dataclasses
 import json
 import math
@@ -203,7 +204,7 @@ def test_scenario_frames_are_well_formed():
     seen = {}
     for k, frame in enumerate(frames):
         assert frame.index == k
-        assert frame.timestamp == pytest.approx(k * cfg.dt)
+        assert frame.ego.t == pytest.approx(k * cfg.dt)
         assert len(frame.ids) == len(frame.gt)
         assert len(set(frame.ids)) == len(frame.ids)
         for oid, b in zip(frame.ids, to_boxes(frame.gt)):
@@ -238,12 +239,12 @@ def test_scenario_objects_move_between_frames():
 
 def test_default_capability_passes_validation():
     cap = default_capability()  # reading checks every constraint; must not raise
-    assert cap.to_dict()["ratio_anchors"] is not None
+    assert cap.canonical["ratio_anchors"] is not None
 
 
 def test_capability_ordering_violations_are_rejected():
     cap = default_capability()
-    data = cap.to_dict()
+    data = cap.canonical
 
     worse_with_distance = dict(data)
     recall = {k: list(v) for k, v in data["recall_by_backbone"].items()
@@ -271,7 +272,7 @@ def test_capability_ordering_violations_are_rejected():
 
 def test_capability_anchor_violations_are_rejected():
     cap = default_capability()
-    data = cap.to_dict()
+    data = copy.deepcopy(cap.canonical)
     bad = dict(data)
     anchors = dict(data["ratio_anchors"])
     anchors["recall_far_ratio"] = 5.0  # tables are built for 2.7
@@ -285,7 +286,7 @@ def test_capability_anchor_violations_are_rejected():
 
 def test_capability_round_trip():
     cap = default_capability()
-    clone = CapabilityProfile.from_dict(cap.to_dict())
+    clone = CapabilityProfile.from_dict(cap.canonical)
     branch = branch_by_label("r101-dense+tf")
     d, v, s = 3, 2, 1
     assert clone.row(branch).recall[d] == cap.row(branch).recall[d]
@@ -293,7 +294,7 @@ def test_capability_round_trip():
     assert clone.row(branch).sigma_vel[v][d] == cap.row(branch).sigma_vel[v][d]
     assert clone.row(branch).sigma_size[s] == cap.row(branch).sigma_size[s]
     assert clone.row(branch).fp_rate == cap.row(branch).fp_rate
-    assert clone.to_dict() == cap.to_dict()
+    assert clone.canonical == cap.canonical
 
 
 def test_capability_lookups_follow_the_declared_orderings():
@@ -630,7 +631,7 @@ def test_run_episode_warmup_breaks_a_latency_tie_like_the_score_reference():
     # a free fusion module ties r34-sparse (index 1) with r34-sparse+tf (2);
     # the warmup takes the row `scheduler.most_powerful_row` normalizes
     # scores against, where ties go to the higher row
-    data = default_device_profile().to_dict()
+    data = copy.deepcopy(default_device_profile().canonical)
     next(m for m in data["modules"] if m["name"] == "temporal_fusion")["latency_ms"] = 0.0
     device = DeviceProfile.from_dict(data)
     branches = enumerate_branches()[:3]

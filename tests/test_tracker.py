@@ -3,7 +3,7 @@
 import logging
 import math
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -237,7 +237,7 @@ def test_association_respects_class():
 
 
 def test_association_gates_far_detections():
-    tracker = MultiObjectTracker(TrackerConfig(base_gate_m=2.0))
+    tracker = MultiObjectTracker()  # gate 2 m + speed * dt
     track_frame(tracker, [det(0.0, 0.0)], 0.1)
     tid = tracker.tracks.ids[0]
     # 30 m away: outside any reasonable gate, must spawn a new track
@@ -339,15 +339,38 @@ def test_forecast_all_preserves_track_count():
     assert len(forecast_all(TrackTable.of([]), 0.5, tracker.model)) == 0
 
 
+def test_tracker_fixes_its_gate_halving_and_process_noise():
+    # only the drop threshold and the measurement noise are settings
+    assert [f.name for f in fields(TrackerConfig)] == ["confidence_threshold"]
+    assert [f.name for f in fields(KalmanModel)] == ["measurement_noise"]
+    assert (TrackerConfig.base_gate_m, TrackerConfig.confidence_halving) == (2.0, 0.5)
+    assert KalmanModel.process_noise == (0.1,) * 6 + (0.01,) * 3
+    assert KalmanModel.birth_cov_scale == 2.0
+    with pytest.raises(TypeError):
+        TrackerConfig(base_gate_m=1.0)
+    with pytest.raises(TypeError):
+        TrackerConfig(confidence_halving=0.25)
+    with pytest.raises(TypeError):
+        KalmanModel(process_noise=(0.2,) * 9)
+    with pytest.raises(TypeError):
+        KalmanModel(birth_cov_scale=1.0)
+    # the caller says which forecast rows were observed, every frame
+    tracker = MultiObjectTracker()
+    forecast = forecast_all(tracker.tracks, 0.1, tracker.model)
+    with pytest.raises(TypeError):
+        tracker.step(NO_BOXES, 0.1, forecast)
+
+
 def test_step_needs_the_forecast_of_its_own_tracks():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(0.0, 0.0)], 0.1)
     stale = forecast_all(tracker.tracks, 0.1, tracker.model)
     track_frame(tracker, [det(0.1, 0.0)], 0.1)
     with pytest.raises(ValueError):
-        tracker.step(NO_BOXES, 0.1, stale)
+        tracker.step(NO_BOXES, 0.1, stale, np.ones(1, dtype=bool))
     with pytest.raises(ValueError):
-        tracker.step(NO_BOXES, 0.1, forecast_all(TrackTable.of([]), 0.1, tracker.model))
+        tracker.step(NO_BOXES, 0.1, forecast_all(TrackTable.of([]), 0.1, tracker.model),
+                     np.ones(0, dtype=bool))
 
 
 # Reference implementation: the per-track forecast the batched one replaced
@@ -438,18 +461,17 @@ _velocities = st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (3.0, 4.0), (-0.6, 0.8),
     tracks=st.lists(st.tuples(_lattice, _lattice, _velocities, _pair_classes), max_size=8),
     dets=st.lists(st.tuples(_lattice, _lattice, _pair_classes), max_size=8),
     dt=st.sampled_from([0.0, 0.1, 0.2]),
-    base_gate=st.sampled_from([1.0, 2.0]),
 )
-@example(tracks=[], dets=[(0.0, 0.0, ObjectClass.CAR)], dt=0.1, base_gate=2.0)
-@example(tracks=[(0.0, 0.0, (0.0, 0.0), ObjectClass.CAR)], dets=[], dt=0.1, base_gate=2.0)
-@example(tracks=[], dets=[], dt=0.1, base_gate=2.0)
+@example(tracks=[], dets=[(0.0, 0.0, ObjectClass.CAR)], dt=0.1)
+@example(tracks=[(0.0, 0.0, (0.0, 0.0), ObjectClass.CAR)], dets=[], dt=0.1)
+@example(tracks=[], dets=[], dt=0.1)
 @example(  # one at the gate of a still track, one at the gate of a moving one, one class off
     tracks=[(0.0, 0.0, (0.0, 0.0), ObjectClass.CAR), (0.0, 0.0, (3.0, 4.0), ObjectClass.CAR)],
     dets=[(2.0, 0.0, ObjectClass.CAR), (-3.0, 0.0, ObjectClass.CAR),
           (0.0, 0.0, ObjectClass.BUS)],
-    dt=0.2, base_gate=2.0,
+    dt=0.2,
 )
-def test_array_association_matches_the_per_pair_loop(tracks, dets, dt, base_gate):
+def test_array_association_matches_the_per_pair_loop(tracks, dets, dt):
     model = KalmanModel()
     live = [
         TrackState(track_id=i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
@@ -458,7 +480,7 @@ def test_array_association_matches_the_per_pair_loop(tracks, dets, dt, base_gate
     ]
     boxes = [Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(0.0, 0.0, 0.0),
                    yaw=0.0, cls=cls, confidence=0.9) for x, y, cls in dets]
-    config = TrackerConfig(base_gate_m=base_gate)
+    config = TrackerConfig()
     want = box_oracles.associate(live, boxes, config, dt)
     assert associate(TrackTable.of(live), to_rows(boxes), config, dt) == want
 
@@ -551,7 +573,8 @@ def test_step_matches_the_per_track_tracker(starts, frames, threshold):
     try:
         for dt, dets, flags in frames:
             n = len(tracker.tracks)
-            observed = None if flags is None else np.array([flags[i % len(flags)] for i in range(n)])
+            observed = (np.ones(n, dtype=bool) if flags is None
+                        else np.array([flags[i % len(flags)] for i in range(n)]))
             got = tracker.step(_detection_rows(dets), dt,
                                forecast_all(tracker.tracks, dt, model), observed)
             want = oracle.step(_detection_rows(dets), dt, observed)

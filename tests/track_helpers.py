@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import numpy as np
+
 from viewsched.core import CLASSES, BoxRows, concat_boxes
 from viewsched.tracker import TrackState, forecast_all, update
 
@@ -34,7 +36,10 @@ def fold(table, detections, model):
 
 def track_frame(tracker, detections, dt, observed=None):
     """One tracker frame on its own forecast, as the closed loop runs it;
-    `detections` is a list of box rows, joined in order."""
+    `detections` is a list of box rows, joined in order. No `observed` flags
+    means every forecast row was observed."""
+    if observed is None:
+        observed = np.ones(len(tracker.tracks), dtype=bool)
     return tracker.step(
         join(detections), dt, forecast_all(tracker.tracks, dt, tracker.model), observed
     )
