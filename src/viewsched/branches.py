@@ -27,18 +27,10 @@ class ProfileError(Exception):
 
 
 class BackboneKind(Enum):
-    R34 = ("r34", (256, 448))
-    R50 = ("r50", (400, 704))
-    R101 = ("r101", (544, 960))
-    R152 = ("r152", (720, 1280))
-
-    @property
-    def key(self) -> str:
-        return self.value[0]
-
-    @property
-    def input_hw(self) -> Tuple[int, int]:
-        return self.value[1]
+    R34 = "r34"
+    R50 = "r50"
+    R101 = "r101"
+    R152 = "r152"
 
 
 class DepthNetKind(Enum):
@@ -64,7 +56,7 @@ class BranchConfig:
         if self.is_tracker:
             return "tracker"
         assert self.backbone is not None and self.depthnet is not None
-        name = f"{self.backbone.key}-{self.depthnet.value}"
+        name = f"{self.backbone.value}-{self.depthnet.value}"
         return name + "+tf" if self.temporal_fusion else name
 
 

@@ -24,7 +24,7 @@ import logging
 import os
 import sys
 from concurrent.futures import BrokenExecutor, Executor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -136,13 +136,7 @@ _MANIFEST_KEYS = frozenset((
     "latency_noise_sigma", "sched_margin_ms", "memory_limit_mb", "training",
 ))
 
-_DEFAULT_TRAINING = {
-    "seeds": [101, 202],
-    "rounds": 80,
-    "max_depth": 3,
-    "learning_rate": 0.1,
-    "min_samples_leaf": 5,
-}
+_DEFAULT_TRAINING = {"seeds": [101, 202], **asdict(GBRTParams())}
 _TRAINING_KEYS = frozenset(_DEFAULT_TRAINING)
 
 
@@ -393,6 +387,11 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
         # frame 0 is the warm-up and forecasts no track, so one frame leaves
         # the latency fit a single track count
         raise ConfigError("training needs scenarios of at least 2 frames")
+    if man.scenario.initial_count == 0 and man.scenario.spawn_rate_per_s == 0:
+        # no object ever enters the scene: the predictors would learn from
+        # false positives alone
+        raise ConfigError("training needs a scene that holds objects: "
+                          "initial_count and spawn_rate_per_s are both 0")
     params = _gbrt_params(man.training)
     true_update = true_update_model(man.device)
     seeds = [int(s) for s in man.training["seeds"]]

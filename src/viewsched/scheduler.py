@@ -480,14 +480,12 @@ def frame_forecast(tracks: TrackTable, ego_pose: EgoPose, rig: CameraRig) -> Fra
 
 @dataclass(frozen=True)
 class FramePlan:
-    """Everything `schedule_frame` computed for one frame, kept for logging/audit."""
+    """What `schedule_frame` decided for one frame, and the budget it planned in."""
 
     decision: ScheduleDecision
     branch_indices: Tuple[int, ...]  # catalog indices, one per view
     t_max_ms: float
     update_pred_ms: float
-    fixed_ms: float
-    raw_scores: np.ndarray
     uniform_decision: Optional[ScheduleDecision]
 
 
@@ -512,9 +510,8 @@ def schedule_frame(
 
     lats = np.array([branch_latency(b, device) for b in branches])
     norm = normalize_scores(raw, lats)
-    fixed_ms = fixed_latency(device)
     update_pred = models.update_latency.predict(len(forecast.tracks))
-    t_max = effective_budget(target_ms, update_pred, fixed_ms)
+    t_max = effective_budget(target_ms, update_pred, fixed_latency(device))
 
     problem = ScheduleProblem(norm, lats, t_max, alpha)
     decision = solve(problem)
@@ -525,8 +522,6 @@ def schedule_frame(
         branch_indices=tuple(branches[r].index for r in decision.assignment),
         t_max_ms=t_max,
         update_pred_ms=update_pred,
-        fixed_ms=fixed_ms,
-        raw_scores=raw,
         uniform_decision=uniform,
     )
 

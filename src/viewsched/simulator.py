@@ -424,7 +424,7 @@ class DetectorRow(NamedTuple):
     fp_rate: float
 
 
-_BACKBONES = tuple(b.key for b in BackboneKind)
+_BACKBONES = tuple(b.value for b in BackboneKind)
 _MODIFIER_KEYS = ("sparse_plain", "sparse_fused", "dense_plain", "dense_fused")
 _CONFIDENCE_DEFAULTS = asdict(ConfidenceParams())
 
@@ -559,7 +559,7 @@ class CapabilityProfile:
         if branch.is_tracker:
             raise ValueError("the tracker branch has no detector capability")
         c = self.canonical
-        k = branch.backbone.key  # type: ignore[union-attr]
+        k = branch.backbone.value  # type: ignore[union-attr]
         dense = branch.depthnet is DepthNetKind.DENSE
         family = f"{branch.depthnet.value}_{'fused' if branch.temporal_fusion else 'plain'}"
         # each product in the noise model's order: position is base x backbone
@@ -754,13 +754,10 @@ class FrameLog:
     uniform_objective: Optional[float]  # best single-branch counterfactual
     predicted_marginal_ms: Optional[float]
     t_max_ms: Optional[float]
-    update_pred_ms: Optional[float]
     predicted_frame_ms: Optional[float]
     actual_ms: float
     compliant: bool
-    detections: Tuple[BoxRows, ...]  # per view, ego frame
     outputs: BoxRows  # what the system emitted downstream, ego frame
-    track_ids: Tuple[int, ...]
 
 
 @dataclass
@@ -923,23 +920,22 @@ def run_episode(
 
     for frame in frames:
         # the frame's one forecast, placed in views once: the plan, the log,
-        # the outputs of the tracker-branch views and the tracker's misses
-        # all use it
+        # the outputs of the tracker-branch views and the tracker's miss
+        # penalty all use it
         forecast = frame_forecast(forecast_all(tracker.tracks, dt, tracker.model), frame.ego, rig)
         warmup = frame.index == 0
         rows, plan, decision = (warm if warmup else choose)(system, frame.index, forecast)
         detected = is_detector[rows]  # per view: did a detector run there
         gt_by_view = frame.gt.by_view(views_of(frame.gt.rows, rig), n_views)
 
-        detections_by_view = tuple(
+        detections = concat_boxes([
             synth_detect(branches[r], gt_by_view[j], system.capability, det_rngs[j],
                          rig.sectors[j], scenario.despawn_radius_m)
             if detected[j] else _NO_BOXES
             for j, r in enumerate(rows)
-        )
+        ])
         observed = detected[forecast.views]
         forecast_boxes = forecast.box_rows()
-        detections = concat_boxes(detections_by_view)
         outputs = concat_boxes((detections, forecast_boxes.take(~observed)))
         tracker.step(detections.moved(frame.ego, GLOBAL_FRAME), dt, forecast.tracks, observed)
 
@@ -963,13 +959,10 @@ def run_episode(
             uniform_objective=uniform.predicted_objective if uniform is not None else None,
             predicted_marginal_ms=marginal,
             t_max_ms=plan.t_max_ms if plan is not None else None,
-            update_pred_ms=plan.update_pred_ms if plan is not None else None,
             predicted_frame_ms=marginal + fixed_ms + update_ms,
             actual_ms=actual,
             compliant=actual <= system.target_ms + 1e-9,
-            detections=detections_by_view,
             outputs=outputs,
-            track_ids=tuple(tracker.tracks.ids.tolist()),
         )
         frame_logs.append(log)
 

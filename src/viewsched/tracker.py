@@ -13,7 +13,9 @@ The caller decides which forecast rows a miss counts for: when only some
 camera views are served by a detector (the rest fall to the zero-latency
 tracker branch), unmatched tracks in the unserved views are exempt from the
 miss penalty, because the absence of a detection there carries no evidence
-that the object vanished. The tracker itself knows no camera geometry.
+that the object vanished. A miss halves a track's confidence, and a track
+whose confidence falls below the threshold is dropped; unlike AB3DMOT, no
+miss count is kept. The tracker itself knows no camera geometry.
 """
 
 from __future__ import annotations
@@ -83,7 +85,6 @@ class TrackState:
     covariance: np.ndarray  # (9, 9)
     cls: ObjectClass
     confidence: float
-    misses: int = 0
     age: int = 0
     yaw: float = 0.0
 
@@ -94,8 +95,7 @@ class TrackTable:
 
     ids         : (T,) int64 track ids, never reused
     classes     : (T,) int64 class codes, indices into `core.CLASSES`
-    confidences : (T,) float64
-    misses      : (T,) int64 consecutive misses in observed views
+    confidences : (T,) float64, halved on each miss in an observed view
     ages        : (T,) int64 frames since birth
     yaws        : (T,) float64 headings, carried but not filtered
     means       : (T, 9) float64 states, in the `core.BoxRows` row layout
@@ -105,7 +105,6 @@ class TrackTable:
     ids: np.ndarray
     classes: np.ndarray
     confidences: np.ndarray
-    misses: np.ndarray
     ages: np.ndarray
     yaws: np.ndarray
     means: np.ndarray
@@ -121,7 +120,6 @@ class TrackTable:
             np.array([t.track_id for t in states], dtype=np.int64),
             class_codes(t.cls for t in states),
             np.array([t.confidence for t in states], dtype=np.float64),
-            np.array([t.misses for t in states], dtype=np.int64),
             np.array([t.age for t in states], dtype=np.int64),
             np.array([t.yaw for t in states], dtype=np.float64),
             np.array([t.mean for t in states], dtype=np.float64).reshape(-1, STATE_DIM),
@@ -131,8 +129,8 @@ class TrackTable:
 
     def columns(self) -> Tuple[np.ndarray, ...]:
         """Every column, in field order."""
-        return (self.ids, self.classes, self.confidences, self.misses, self.ages, self.yaws,
-                self.means, self.covariances)
+        return (self.ids, self.classes, self.confidences, self.ages, self.yaws, self.means,
+                self.covariances)
 
     def take(self, index) -> TrackTable:
         """The tracks a boolean mask or an index array selects, in its order."""
@@ -158,18 +156,18 @@ def associate(
     detections: BoxRows,
     config: TrackerConfig,
     dt: float,
-) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
+) -> Tuple[List[Tuple[int, int]], List[int]]:
     """Match forecast tracks to detections.
 
     Cost is planar center distance. A pair is admissible only if the classes
     agree and the distance is within base_gate + track_speed * dt (faster
     objects are allowed to drift further between frames). Returns
-    (matches as (track_idx, det_idx), unmatched track indices, unmatched
-    detection indices); the assignment minimizes total admissible cost.
+    (matches as (track_idx, det_idx), unmatched detection indices); the
+    assignment minimizes total admissible cost.
     """
     nt, nd = len(tracks), len(detections)
     if nt == 0 or nd == 0:
-        return [], list(range(nt)), list(range(nd))
+        return [], list(range(nd))
 
     means, rows = tracks.means, detections.rows
     gate = config.base_gate_m + math_map(math.hypot, means[:, 3], means[:, 4]) * dt
@@ -182,8 +180,7 @@ def associate(
     ti, di = linear_sum_assignment(cost)
     admissible = cost[ti, di] < _GATING_COST
     ti, di = ti[admissible].tolist(), di[admissible].tolist()
-    return (list(zip(ti, di)), sorted(set(range(nt)).difference(ti)),
-            sorted(set(range(nd)).difference(di)))
+    return list(zip(ti, di)), sorted(set(range(nd)).difference(di))
 
 
 def update(
@@ -250,10 +247,10 @@ class MultiObjectTracker:
         per frame by the caller, which plans on it before detecting.
         `observed` holds one bool per forecast row: did a detector cover that
         row's view this frame? Matched tracks take one batched `update`.
-        Unmatched tracks are penalized (confidence exactly halved, miss count
-        incremented) only in observed rows; tracks below the confidence
-        threshold are dropped. Survivors keep their order and age a frame;
-        unmatched detections follow as new tracks with fresh, never-reused ids.
+        Unmatched tracks are penalized (confidence exactly halved) only in
+        observed rows; tracks below the confidence threshold are dropped.
+        Survivors keep their order and age a frame; unmatched detections
+        follow as new tracks with fresh, never-reused ids.
         """
         # ids are never reused and every survivor ages each step, so a
         # forecast of earlier tracks differs from the live ones in one or both
@@ -264,30 +261,28 @@ class MultiObjectTracker:
         missed = np.array(observed, bool)
         if missed.shape != (len(forecast),):
             raise ValueError("observed must hold one flag per forecast row")
-        matches, _, unmatched = associate(forecast, detections, self.config, dt)
+        matches, unmatched = associate(forecast, detections, self.config, dt)
 
         means, covs, yaws = forecast.means, forecast.covariances, forecast.yaws.copy()
-        confidences, misses = forecast.confidences.copy(), forecast.misses.copy()
+        confidences = forecast.confidences.copy()
         if matches:
             ti, di = np.array(matches).T
             means, covs = means.copy(), covs.copy()
             means[ti], covs[ti] = update(
                 means[ti], covs[ti], detections.rows[di], self.model, forecast.ids[ti])
             confidences[ti] = np.maximum(confidences[ti], detections.confidences[di])
-            misses[ti] = 0
             yaws[ti] = detections.yaws[di]
             missed[ti] = False
         confidences[missed] *= self.config.confidence_halving
-        misses[missed] += 1
         removed = missed & (confidences < self.config.confidence_threshold)
-        survivors = TrackTable(forecast.ids, forecast.classes, confidences, misses,
-                               forecast.ages + 1, yaws, means, covs).take(~removed)
+        survivors = TrackTable(forecast.ids, forecast.classes, confidences, forecast.ages + 1,
+                               yaws, means, covs).take(~removed)
 
         born = detections.take(unmatched)
         n = len(born)
         births = TrackTable(
             np.arange(self._next_id, self._next_id + n), born.classes, born.confidences,
-            np.zeros(n, np.int64), np.zeros(n, np.int64), born.yaws, born.rows,
+            np.zeros(n, np.int64), born.yaws, born.rows,
             np.broadcast_to(self.model.birth_cov(), (n, STATE_DIM, STATE_DIM)))
         self._next_id += n
         self.tracks = TrackTable(*map(np.concatenate, zip(survivors.columns(), births.columns())))

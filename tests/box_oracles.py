@@ -276,18 +276,18 @@ def associate(
     detections: Sequence[Box3D],
     config: TrackerConfig,
     dt: float,
-) -> Tuple[List[Tuple[int, int]], List[int], List[int]]:
+) -> Tuple[List[Tuple[int, int]], List[int]]:
     """Match forecast tracks to detections.
 
     Cost is planar center distance. A pair is admissible only if the classes
     agree and the distance is within base_gate + track_speed * dt (faster
     objects are allowed to drift further between frames). Returns
-    (matches as (track_idx, det_idx), unmatched track indices, unmatched
-    detection indices); the assignment minimizes total admissible cost.
+    (matches as (track_idx, det_idx), unmatched detection indices); the
+    assignment minimizes total admissible cost.
     """
     nt, nd = len(tracks), len(detections)
     if nt == 0 or nd == 0:
-        return [], list(range(nt)), list(range(nd))
+        return [], list(range(nd))
 
     cost = np.full((nt, nd), _GATING_COST, dtype=np.float64)
     for ti, track in enumerate(tracks):
@@ -305,13 +305,8 @@ def associate(
     for ti, di in zip(rows, cols):
         if cost[ti, di] < _GATING_COST:
             matches.append((int(ti), int(di)))
-    matched_t = {ti for ti, _ in matches}
     matched_d = {di for _, di in matches}
-    return (
-        matches,
-        [i for i in range(nt) if i not in matched_t],
-        [i for i in range(nd) if i not in matched_d],
-    )
+    return matches, [i for i in range(nd) if i not in matched_d]
 
 
 def forecast(track: TrackState, dt: float, model: KalmanModel) -> TrackState:
@@ -331,7 +326,7 @@ def update(
     detection's row. Covariance is symmetrized after the update; if it still
     has a meaningfully negative eigenvalue the negative part is clipped and a
     diagnostic is logged. Confidence keeps the larger of the track's and the
-    detection's value; the miss counter resets.
+    detection's value.
     """
     z = detections.rows[index]
     p = track.covariance
@@ -365,7 +360,6 @@ def update(
         mean=mean,
         covariance=cov,
         confidence=max(track.confidence, float(detections.confidences[index])),
-        misses=0,
         yaw=float(detections.yaws[index]),
     )
 
@@ -393,20 +387,22 @@ class MultiObjectTracker:
             observed = [True] * len(forecast_)
         # survivors are one frame older; births below start at age 0
         predicted = [replace(t, age=t.age + 1) for t in forecast_]
-        matches, um_tracks, um_dets = associate_rows(
+        matches, um_dets = associate_rows(
             TrackTable.of(forecast_), detections, self.config, dt)
 
         survivors: List[TrackState] = [None] * len(predicted)  # type: ignore[list-item]
         for ti, di in matches:
             survivors[ti] = update(predicted[ti], detections, self.model, di)
 
-        for ti in um_tracks:
-            track = predicted[ti]
+        matched = {ti for ti, _ in matches}
+        for ti, track in enumerate(predicted):
+            if ti in matched:
+                continue
             if observed[ti]:
                 conf = track.confidence * self.config.confidence_halving
                 if conf < self.config.confidence_threshold:
                     continue  # removed
-                survivors[ti] = replace(track, confidence=conf, misses=track.misses + 1)
+                survivors[ti] = replace(track, confidence=conf)
             else:
                 survivors[ti] = track
 
@@ -423,7 +419,6 @@ class MultiObjectTracker:
                     covariance=self.model.birth_cov(),
                     cls=CLASSES[classes[di]],
                     confidence=confidences[di],
-                    misses=0,
                     age=0,
                     yaw=yaws[di],
                 )

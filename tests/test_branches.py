@@ -8,7 +8,6 @@ import pytest
 from viewsched.branches import (
     NUM_BRANCHES,
     TRACKER_BRANCH_INDEX,
-    BackboneKind,
     BranchConfig,
     DepthNetKind,
     DeviceProfile,
@@ -50,14 +49,6 @@ def test_branch_by_label_round_trip():
         assert branch_by_label(b.label) == b
     with pytest.raises(KeyError):
         branch_by_label("r9000-sparse")
-
-
-def test_backbone_input_resolutions_grow_with_depth():
-    sizes = [BackboneKind.R34.input_hw, BackboneKind.R50.input_hw,
-             BackboneKind.R101.input_hw, BackboneKind.R152.input_hw]
-    areas = [h * w for h, w in sizes]
-    assert areas == sorted(areas)
-    assert len(set(areas)) == 4
 
 
 # -- latency arithmetic -------------------------------------------------------

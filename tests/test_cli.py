@@ -841,6 +841,19 @@ def test_training_on_one_frame_scenarios_is_a_config_error(tmp_path, capsys, mon
     assert json.loads(out.read_text())["decisions"] == []  # its one frame is the warm-up
 
 
+def test_training_on_a_scene_without_objects_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # no object is there at the start and none ever spawns: the episodes
+    # would hold false positives alone. No episode may run before that is known
+    scenario = _BUNDLED["scenario"]()
+    scenario.update(duration_s=0.2, initial_count=0, spawn_rate_per_s=0.0)
+    manifest = _manifest_referencing(tmp_path, "scenario", scenario)
+    monkeypatch.setattr(cli, "run_episode", _infeasible)
+    for argv in (["train"], ["simulate", "--policy", "adaptive"], ["compare"]):
+        assert main([*argv, "--manifest", manifest]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training needs a scene") and "Traceback" not in err
+
+
 # -- entry point ----------------------------------------------------------------------
 
 

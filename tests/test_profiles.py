@@ -275,11 +275,11 @@ class _ReferenceCapabilityProfile:
 
     def recall(self, branch: BranchConfig, level: CategoryLevel) -> float:
         self._require_detection(branch)
-        return self.recall_by_backbone[branch.backbone.key][level.distance_level]
+        return self.recall_by_backbone[branch.backbone.value][level.distance_level]
 
     def sigma_pos(self, branch: BranchConfig, level: CategoryLevel) -> float:
         self._require_detection(branch)
-        s = self.pos_base[level.distance_level] * self.pos_backbone_factor[branch.backbone.key]
+        s = self.pos_base[level.distance_level] * self.pos_backbone_factor[branch.backbone.value]
         if branch.depthnet is DepthNetKind.DENSE:
             s *= self.pos_dense_factor
         return s
@@ -297,11 +297,11 @@ class _ReferenceCapabilityProfile:
 
     def sigma_size(self, branch: BranchConfig, level: CategoryLevel) -> float:
         self._require_detection(branch)
-        return self.size_base[level.size_level] * self.size_backbone_factor[branch.backbone.key]
+        return self.size_base[level.size_level] * self.size_backbone_factor[branch.backbone.value]
 
     def fp_rate(self, branch: BranchConfig) -> float:
         self._require_detection(branch)
-        return self.fp_rate_by_backbone[branch.backbone.key]
+        return self.fp_rate_by_backbone[branch.backbone.value]
 
     @staticmethod
     def _require_detection(branch: BranchConfig) -> None:
@@ -309,7 +309,7 @@ class _ReferenceCapabilityProfile:
             raise ValueError("the tracker branch has no detector capability")
 
     def validate(self) -> None:
-        keys = [b.key for b in BackboneKind]
+        keys = [b.value for b in BackboneKind]
         # the lookups below index every backbone and every level `categorize` returns
         by_backbone = {
             "recall_by_backbone": self.recall_by_backbone,
@@ -451,16 +451,16 @@ def _reference_perfect_capability() -> _ReferenceCapabilityProfile:
     ones = [1.0] * 5
     return _ReferenceCapabilityProfile(
         name="perfect",
-        recall_by_backbone={b.key: ones for b in BackboneKind},
+        recall_by_backbone={b.value: ones for b in BackboneKind},
         pos_base=[0.0] * 5,
-        pos_backbone_factor={b.key: 1.0 for b in BackboneKind},
+        pos_backbone_factor={b.value: 1.0 for b in BackboneKind},
         pos_dense_factor=1.0,
         vel_base=[0.0] * 4,
         vel_distance_factor=[1.0] * 5,
         vel_modifiers={k: 1.0 for k in _REFERENCE_MODIFIER_KEYS},
         size_base=[0.0] * 4,
-        size_backbone_factor={b.key: 1.0 for b in BackboneKind},
-        fp_rate_by_backbone={b.key: 0.0 for b in BackboneKind},
+        size_backbone_factor={b.value: 1.0 for b in BackboneKind},
+        fp_rate_by_backbone={b.value: 0.0 for b in BackboneKind},
         confidence=ConfidenceParams(tp_mean=0.9, tp_sd=0.0, fp_mean=0.3, fp_sd=0.0),
     )
 

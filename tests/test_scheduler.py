@@ -15,6 +15,7 @@ from viewsched.branches import (
     branch_latency,
     default_device_profile,
     enumerate_branches,
+    fixed_latency,
     group_cost,
 )
 from viewsched.core import NUM_CATEGORIES, CameraRig, EgoPose, ObjectClass
@@ -756,9 +757,8 @@ def test_schedule_frame_plumbing():
     for row, idx in zip(plan.decision.assignment, plan.branch_indices):
         assert branches[row].index == idx
     assert plan.t_max_ms == pytest.approx(
-        33.0 - plan.update_pred_ms - plan.fixed_ms)
+        33.0 - plan.update_pred_ms - fixed_latency(device))
     assert plan.update_pred_ms == pytest.approx(models.update_latency.predict(3))
-    assert plan.raw_scores.shape == (len(branches), rig.view_count)
     assert forecast.distributions.shape == (rig.view_count, NUM_CATEGORIES)
     assert len(forecast.box_rows()) == 3
     assert all(0 <= v < rig.view_count for v in forecast.views)
@@ -831,7 +831,6 @@ def test_schedule_frame_tight_budget_degenerates_to_tracker():
     branches = enumerate_branches()[:6]
     models = stub_models(slope=0.0, intercept=0.0)
     # target equal to the fixed cost: nothing but the tracker fits
-    from viewsched.branches import fixed_latency
     plan = schedule_frame(forecast_at_origin(make_tracks([(20.0, 0.0)]), rig), branches,
                           device, models, target_ms=fixed_latency(device) + 1e-6)
     assert plan.decision.assignment == (0,) * rig.view_count

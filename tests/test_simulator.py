@@ -574,7 +574,7 @@ def test_run_episode_is_deterministic():
         assert fa.assignment == fb.assignment
         assert fa.actual_ms == fb.actual_ms
         assert to_boxes(fa.outputs) == to_boxes(fb.outputs)
-        assert fa.track_ids == fb.track_ids
+        assert to_boxes(fa.forecast) == to_boxes(fb.forecast)
 
 
 def test_run_episode_all_tracker_never_detects():
@@ -582,11 +582,12 @@ def test_run_episode_all_tracker_never_detects():
     ep = run_episode(cfg, tiny_system(), policy="all_tracker")
     for f in ep.frames[1:]:
         assert all(idx == 0 for idx in f.assignment)
-        assert all(len(v) == 0 for v in f.detections)
+        assert to_boxes(f.outputs) == to_boxes(f.forecast)  # no detection joins them
     # warmup frame detected, so tracks exist and keep being forecast
     assert any(len(f.outputs) > 0 for f in ep.frames[1:])
     # no view is observed after the warmup: no miss is charged, no track dies
-    assert all(f.track_ids == ep.frames[1].track_ids for f in ep.frames[1:])
+    first = ep.frames[1].forecast.confidences
+    assert all(np.array_equal(f.forecast.confidences, first) for f in ep.frames[1:])
 
 
 def test_run_episode_round_robin_rests_views_on_tracker():
@@ -679,7 +680,8 @@ def test_run_episode_logs_the_plan_it_ran(quickstart_manifest, quickstart_traine
         rows = [row_of[i] for i in f.assignment]
         assert f.predicted_marginal_ms == assignment_latency(rows, lats, system.alpha)
         assert f.predicted_frame_ms == (
-            f.predicted_marginal_ms + fixed_latency(man.device) + f.update_pred_ms
+            f.predicted_marginal_ms + fixed_latency(man.device)
+            + system.models.update_latency.predict(len(f.forecast))
         )
         assert f.actual_ms == (
             f.predicted_marginal_ms + fixed_latency(man.device)

@@ -91,15 +91,17 @@ def test_update_reads_the_given_detection_row():
 
 
 def test_update_resets_miss_count_and_refreshes_confidence():
+    # a miss leaves no count behind, only a halved confidence: after a match,
+    # the next miss halves the refreshed confidence once
     tracker = MultiObjectTracker()
     t = states(fresh_track(conf=0.3))[0]
-    tracker.tracks = TrackTable.of([replace(t, misses=2, age=5)])
+    tracker.tracks = TrackTable.of([replace(t, age=5)])
     track_frame(tracker, [det(0.0, 0.0, conf=0.95)], 0.1)
-    assert tracker.tracks.misses.tolist() == [0]
     assert tracker.tracks.confidences.tolist() == [0.95]  # the larger of the two
-    tracker.tracks = TrackTable.of([replace(t, confidence=0.8, misses=2)])
+    track_frame(tracker, [], 0.1)
+    assert tracker.tracks.confidences.tolist() == [0.95 * 0.5]
+    tracker.tracks = TrackTable.of([replace(t, confidence=0.8)])
     track_frame(tracker, [det(0.0, 0.0, conf=0.3)], 0.1)
-    assert tracker.tracks.misses.tolist() == [0]
     assert tracker.tracks.confidences.tolist() == [0.8]
 
 
@@ -224,7 +226,7 @@ def test_association_matches_nearest_same_class():
     by_id = {t.track_id: t for t in states(tracker.tracks)}
     assert by_id[id_near].mean[0] < 5
     assert by_id[id_far].mean[0] > 5
-    assert tracker.tracks.misses.tolist() == [0, 0]
+    assert tracker.tracks.confidences.tolist() == [0.9, 0.9]  # neither was missed
 
 
 def test_association_respects_class():
@@ -256,7 +258,6 @@ def test_confidence_halves_exactly_per_miss():
         track_frame(tracker, [], 0.1)
         assert len(tracker.tracks) == 1
         assert tracker.tracks.confidences[0] == 0.9 * 0.5**k
-        assert tracker.tracks.misses[0] == k
 
 
 def test_track_removed_below_confidence_threshold():
@@ -276,19 +277,10 @@ def test_miss_penalty_skipped_in_uncovered_views():
     # frame with no detections, but no row was observed: no penalty
     track_frame(tracker, [], 0.1, observed=np.array([False, False]))
     assert tracker.tracks.confidences.tolist() == [0.8, 0.8]
-    assert tracker.tracks.misses.tolist() == [0, 0]
     # now the first row is observed and the detector saw nothing there:
     # only that track is penalized
     track_frame(tracker, [], 0.1, observed=np.array([True, False]))
     assert tracker.tracks.confidences.tolist() == [0.4, 0.8]
-    assert tracker.tracks.misses.tolist() == [1, 0]
-
-
-def test_covered_views_none_means_all_covered():
-    tracker = MultiObjectTracker()
-    track_frame(tracker, [det(0.0, 0.0, conf=0.8)], 0.1)
-    track_frame(tracker, [], 0.1, observed=None)
-    assert tracker.tracks.confidences[0] == 0.4
 
 
 def test_observed_mask_needs_one_flag_per_forecast_row():
@@ -313,7 +305,7 @@ def test_uncovered_view_exemption_uses_ego_frame():
     # the mask comes from the frame's one placement, as `run_episode` makes it
     observed = np.isin(frame_forecast(table, turned, rig).views, [rear_view])
     tracker.step(NO_BOXES, 0.1, table, observed)
-    assert tracker.tracks.misses[0] == 1  # penalized: its ego-frame view was covered
+    assert tracker.tracks.confidences[0] == 0.4  # penalized: its ego-frame view was covered
 
 
 def test_ages_increment_each_step():
@@ -444,12 +436,12 @@ def test_misses_count_only_in_covered_views_of_the_ego_frame(positions, pose, co
             for t in states(table)}
     observed = np.isin(frame_forecast(table, ego, rig).views, sorted(covered))
     tracker.step(NO_BOXES, 0.1, table, observed)
-    assert dict(zip(tracker.tracks.ids.tolist(), (tracker.tracks.misses == 1).tolist())) == want
+    halved = tracker.tracks.confidences == 0.9 * 0.5
+    assert dict(zip(tracker.tracks.ids.tolist(), halved.tolist())) == want
 
 
 # The per-pair association loop (`box_oracles.associate`) is the reference
-# for the array one: the same matches, the same unmatched tracks and
-# detections. Lattice positions and 3-4-5 speeds put pairs exactly on the gate.
+# for the array one: the same matches and the same unmatched detections. Lattice positions and 3-4-5 speeds put pairs exactly on the gate.
 
 _lattice = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
 _pair_classes = st.sampled_from([ObjectClass.CAR, ObjectClass.PEDESTRIAN, ObjectClass.BUS])
@@ -507,7 +499,7 @@ _frames = st.lists(
 )
 _starts = st.lists(
     st.tuples(_lattice, _lattice, _velocities, _codes, _confs, st.sampled_from([0.0, -0.6]),
-              st.integers(0, 3), st.integers(0, 9), st.floats(-math.pi, math.pi)),
+              st.integers(0, 9), st.floats(-math.pi, math.pi)),
     max_size=4,
 )
 
@@ -533,7 +525,6 @@ def _detection_rows(dets):
 def _same_tracks(table, want):
     assert table.ids.tolist() == [t.track_id for t in want]
     assert table.classes.tolist() == [CLASSES.index(t.cls) for t in want]
-    assert table.misses.tolist() == [t.misses for t in want]
     assert table.ages.tolist() == [t.age for t in want]
     for column, values in ((table.confidences, [t.confidence for t in want]),
                            (table.yaws, [t.yaw for t in want]),
@@ -545,13 +536,13 @@ def _same_tracks(table, want):
 @settings(max_examples=100, deadline=None)
 @given(starts=_starts, frames=_frames, threshold=st.sampled_from([0.1, 0.3]))
 @example(  # a negative size folded in: the clamp
-    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, 0.0, 0, 0, 0.0)],
+    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, 0.0, 0, 0.0)],
     frames=[(0.1, [(0.0, 0.0, (0.0, 0.0), 0, 0.9, -40.0, 0.0)], None)],
     threshold=0.1,
 )
 @example(  # a start that lost semidefiniteness, matched: clipped with a warning
-    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, -0.6, 0, 0, 0.0),
-            (3.0, 3.0, (0.0, 0.0), 3, 0.3, 0.0, 2, 4, 1.0)],
+    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, -0.6, 0, 0.0),
+            (3.0, 3.0, (0.0, 0.0), 3, 0.3, 0.0, 4, 1.0)],
     frames=[(0.1, [(0.5, 0.0, (1.0, 0.0), 0, 0.3, 1.9, 0.5)], [True]),
             (0.1, [], [False, True])],
     threshold=0.3,
@@ -562,8 +553,8 @@ def test_step_matches_the_per_track_tracker(starts, frames, threshold):
     start = [
         TrackState(track_id=1000 + i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
                    covariance=model.birth_cov() + shift * np.eye(9), cls=CLASSES[code],
-                   confidence=conf, misses=misses, age=age, yaw=yaw)
-        for i, (x, y, (vx, vy), code, conf, shift, misses, age, yaw) in enumerate(starts)
+                   confidence=conf, age=age, yaw=yaw)
+        for i, (x, y, (vx, vy), code, conf, shift, age, yaw) in enumerate(starts)
     ]
     tracker, oracle = MultiObjectTracker(config, model), box_oracles.MultiObjectTracker(config, model)
     tracker.tracks, oracle.tracks = TrackTable.of(start), list(start)

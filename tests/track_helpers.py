@@ -19,11 +19,10 @@ def states(table):
     """Each row of a `TrackTable` as a `TrackState`: `TrackTable.of` undone."""
     return [
         TrackState(track_id=i, mean=m, covariance=c, cls=CLASSES[code], confidence=conf,
-                   misses=misses, age=age, yaw=yaw)
-        for i, code, conf, misses, age, yaw, m, c in zip(
+                   age=age, yaw=yaw)
+        for i, code, conf, age, yaw, m, c in zip(
             table.ids.tolist(), table.classes.tolist(), table.confidences.tolist(),
-            table.misses.tolist(), table.ages.tolist(), table.yaws.tolist(), table.means,
-            table.covariances)
+            table.ages.tolist(), table.yaws.tolist(), table.means, table.covariances)
     ]
 
 
