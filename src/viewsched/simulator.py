@@ -72,7 +72,8 @@ from .scheduler import (
     most_powerful_row,
     schedule_frame,
 )
-from .tracker import MultiObjectTracker, forecast_all
+# forecast_all is not called here; perfbench's tracer wraps it as a simulator attribute
+from .tracker import MultiObjectTracker, forecast_all  # noqa: F401
 
 
 def rng_stream(seed: int, *names: str) -> np.random.Generator:
@@ -922,7 +923,7 @@ def run_episode(
         # the frame's one forecast, placed in views once: the plan, the log,
         # the outputs of the tracker-branch views and the tracker's miss
         # penalty all use it
-        forecast = frame_forecast(forecast_all(tracker.tracks, dt, tracker.model), frame.ego, rig)
+        forecast = frame_forecast(tracker.forecast(dt), frame.ego, rig)
         warmup = frame.index == 0
         rows, plan, decision = (warm if warmup else choose)(system, frame.index, forecast)
         detected = is_detector[rows]  # per view: did a detector run there
@@ -937,7 +938,7 @@ def run_episode(
         observed = detected[forecast.views]
         forecast_boxes = forecast.box_rows()
         outputs = concat_boxes((detections, forecast_boxes.take(~observed)))
-        tracker.step(detections.moved(frame.ego, GLOBAL_FRAME), dt, forecast.tracks, observed)
+        tracker.step(detections.moved(frame.ego, GLOBAL_FRAME), observed)
 
         # the planner's price of the frame that ran, which the device realizes;
         # without a plan, the true update cost stands in for the predicted one

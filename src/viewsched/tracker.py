@@ -7,7 +7,9 @@ are one `TrackTable` of columns, as in AB3DMOT (Weng et al., IROS 2020).
 one step advances every track, every (track, detection) pair is gated and
 costed at once on the forecast means and the detection rows, and one Kalman
 update folds every matched detection row in. `MultiObjectTracker` owns the
-live table plus id allocation for the closed loop.
+live table plus id allocation for the closed loop: each frame it forecasts
+its own tracks, and `step` updates that same forecast, as AB3DMOT predicts
+then updates.
 
 The caller decides which forecast rows a miss counts for: when only some
 camera views are served by a detector (the rest fall to the zero-latency
@@ -85,7 +87,6 @@ class TrackState:
     covariance: np.ndarray  # (9, 9)
     cls: ObjectClass
     confidence: float
-    age: int = 0
     yaw: float = 0.0
 
 
@@ -96,7 +97,6 @@ class TrackTable:
     ids         : (T,) int64 track ids, never reused
     classes     : (T,) int64 class codes, indices into `core.CLASSES`
     confidences : (T,) float64, halved on each miss in an observed view
-    ages        : (T,) int64 frames since birth
     yaws        : (T,) float64 headings, carried but not filtered
     means       : (T, 9) float64 states, in the `core.BoxRows` row layout
     covariances : (T, 9, 9) float64
@@ -105,7 +105,6 @@ class TrackTable:
     ids: np.ndarray
     classes: np.ndarray
     confidences: np.ndarray
-    ages: np.ndarray
     yaws: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
@@ -120,7 +119,6 @@ class TrackTable:
             np.array([t.track_id for t in states], dtype=np.int64),
             class_codes(t.cls for t in states),
             np.array([t.confidence for t in states], dtype=np.float64),
-            np.array([t.age for t in states], dtype=np.int64),
             np.array([t.yaw for t in states], dtype=np.float64),
             np.array([t.mean for t in states], dtype=np.float64).reshape(-1, STATE_DIM),
             np.array([t.covariance for t in states], dtype=np.float64).reshape(
@@ -129,8 +127,7 @@ class TrackTable:
 
     def columns(self) -> Tuple[np.ndarray, ...]:
         """Every column, in field order."""
-        return (self.ids, self.classes, self.confidences, self.ages, self.yaws, self.means,
-                self.covariances)
+        return (self.ids, self.classes, self.confidences, self.yaws, self.means, self.covariances)
 
     def take(self, index) -> TrackTable:
         """The tracks a boolean mask or an index array selects, in its order."""
@@ -220,7 +217,8 @@ def update(
 
 
 class MultiObjectTracker:
-    """Owns the live tracks, as one `TrackTable`; one `step` per frame.
+    """Owns the live tracks, as one `TrackTable`; one `forecast`, then one
+    `step`, per frame.
 
     Tracks live in whatever frame the detections are given in; the caller is
     responsible for keeping that frame consistent across steps (the simulator
@@ -232,35 +230,35 @@ class MultiObjectTracker:
         self.model = model or KalmanModel()
         self.tracks = TrackTable.of(())
         self._next_id = 1
+        self._pending: Optional[Tuple[TrackTable, float]] = None
 
-    def step(
-        self,
-        detections: BoxRows,
-        dt: float,
-        forecast: TrackTable,
-        observed: np.ndarray,
-    ) -> TrackTable:
-        """Advance one frame from its forecast: associate, update, births,
-        removals; returns the new live tracks.
+    def forecast(self, dt: float) -> TrackTable:
+        """The live tracks dt seconds ahead (`forecast_all`), kept as the
+        forecast the next `step` updates."""
+        table = forecast_all(self.tracks, dt, self.model)
+        self._pending = table, dt
+        return table
 
-        `forecast` is `forecast_all(self.tracks, dt, self.model)`, made once
-        per frame by the caller, which plans on it before detecting.
+    def step(self, detections: BoxRows, observed: np.ndarray) -> TrackTable:
+        """Advance one frame from the pending forecast: associate, update,
+        births, removals; returns the new live tracks.
+
+        The caller plans on `forecast(dt)` before detecting; each forecast
+        serves exactly one step, and a step without one raises `ValueError`.
         `observed` holds one bool per forecast row: did a detector cover that
         row's view this frame? Matched tracks take one batched `update`.
         Unmatched tracks are penalized (confidence exactly halved) only in
         observed rows; tracks below the confidence threshold are dropped.
-        Survivors keep their order and age a frame; unmatched detections
-        follow as new tracks with fresh, never-reused ids.
+        Survivors keep their order; unmatched detections follow as new tracks
+        with fresh, never-reused ids.
         """
-        # ids are never reused and every survivor ages each step, so a
-        # forecast of earlier tracks differs from the live ones in one or both
-        live = self.tracks
-        same = np.array_equal(forecast.ids, live.ids) and np.array_equal(forecast.ages, live.ages)
-        if not same:
-            raise ValueError("forecast must be of this tracker's live tracks")
+        if self._pending is None:
+            raise ValueError("step needs a pending forecast: call forecast(dt) first")
+        forecast, dt = self._pending
         missed = np.array(observed, bool)
         if missed.shape != (len(forecast),):
             raise ValueError("observed must hold one flag per forecast row")
+        self._pending = None
         matches, unmatched = associate(forecast, detections, self.config, dt)
 
         means, covs, yaws = forecast.means, forecast.covariances, forecast.yaws.copy()
@@ -275,14 +273,14 @@ class MultiObjectTracker:
             missed[ti] = False
         confidences[missed] *= self.config.confidence_halving
         removed = missed & (confidences < self.config.confidence_threshold)
-        survivors = TrackTable(forecast.ids, forecast.classes, confidences, forecast.ages + 1,
-                               yaws, means, covs).take(~removed)
+        survivors = TrackTable(forecast.ids, forecast.classes, confidences, yaws, means,
+                               covs).take(~removed)
 
         born = detections.take(unmatched)
         n = len(born)
         births = TrackTable(
             np.arange(self._next_id, self._next_id + n), born.classes, born.confidences,
-            np.zeros(n, np.int64), born.yaws, born.rows,
+            born.yaws, born.rows,
             np.broadcast_to(self.model.birth_cov(), (n, STATE_DIM, STATE_DIM)))
         self._next_id += n
         self.tracks = TrackTable(*map(np.concatenate, zip(survivors.columns(), births.columns())))

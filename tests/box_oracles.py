@@ -385,17 +385,15 @@ class MultiObjectTracker:
         forecast_ = [forecast(t, dt, self.model) for t in self.tracks]
         if observed is None:
             observed = [True] * len(forecast_)
-        # survivors are one frame older; births below start at age 0
-        predicted = [replace(t, age=t.age + 1) for t in forecast_]
         matches, um_dets = associate_rows(
             TrackTable.of(forecast_), detections, self.config, dt)
 
-        survivors: List[TrackState] = [None] * len(predicted)  # type: ignore[list-item]
+        survivors: List[TrackState] = [None] * len(forecast_)  # type: ignore[list-item]
         for ti, di in matches:
-            survivors[ti] = update(predicted[ti], detections, self.model, di)
+            survivors[ti] = update(forecast_[ti], detections, self.model, di)
 
         matched = {ti for ti, _ in matches}
-        for ti, track in enumerate(predicted):
+        for ti, track in enumerate(forecast_):
             if ti in matched:
                 continue
             if observed[ti]:
@@ -419,7 +417,6 @@ class MultiObjectTracker:
                     covariance=self.model.birth_cov(),
                     cls=CLASSES[classes[di]],
                     confidence=confidences[di],
-                    age=0,
                     yaw=yaws[di],
                 )
             )

@@ -111,8 +111,7 @@ def test_manifest_missing_keys_rejected(tmp_path):
     [
         {"training": {"seeds": 5}},
         {"training": {"seeds": []}},
-        {"training": {"rounds": 0}},
-        {"training": {"round": 10}},
+        {"training": {"rounds": 80}},  # the boosting settings are fixed, even at their defaults
         {"alpha": 0},
         {"alhpa": 0.5},
         {"latency_noise_sigma": -1},
@@ -124,15 +123,13 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"memory_limit_mb": 100},
         {"scenario": 5},
         {"model": ["m.json"]},
-        {"training": {"rounds": 7.5}},
-        {"training": {"learning_rate": "0.1"}},
         {"training": {"seeds": [101, -1]}},
     ],
-    ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero",
+    ids=["seeds-not-a-list", "seeds-empty", "unknown-training-key", "alpha-zero",
          "unknown-top-level-key", "sigma-negative", "sigma-above-bound",
          "margin-not-below-target", "memory-limit-string", "target-nan", "target-infinite",
          "memory-limit-below-fixed-modules", "scenario-not-a-string", "model-not-a-string",
-         "rounds-fractional", "learning-rate-string", "seed-negative"],
+         "seed-negative"],
 )
 def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
     data = {
@@ -852,6 +849,23 @@ def test_training_on_a_scene_without_objects_is_a_config_error(tmp_path, capsys,
         assert main([*argv, "--manifest", manifest]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: training needs a scene") and "Traceback" not in err
+
+
+def test_training_on_a_scene_empty_by_chance_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # objects may spawn, but none does in the first episodes: every frame logs
+    # 0 tracks, so the latency fit has no slope. No fit may run before that is known
+    scenario = _BUNDLED["scenario"]()
+    scenario.update(duration_s=0.2, initial_count=0, spawn_rate_per_s=0.5)
+    manifest = _manifest_referencing(tmp_path, "scenario", scenario)
+
+    def no_fit(*args):
+        raise AssertionError("a fit ran")
+
+    monkeypatch.setattr(cli, "train_gbrt", no_fit)
+    assert main(["train", "--manifest", manifest]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: training needs at least two distinct track counts")
+    assert "got [0]" in err and "Traceback" not in err
 
 
 # -- entry point ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ TRACED_ONLY = {
     ("cli", "summarize"),
     ("simulator", "distribution"),
     ("simulator", "evaluate_frame"),
+    ("simulator", "forecast_all"),
 }
 
 

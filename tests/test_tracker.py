@@ -95,7 +95,7 @@ def test_update_resets_miss_count_and_refreshes_confidence():
     # the next miss halves the refreshed confidence once
     tracker = MultiObjectTracker()
     t = states(fresh_track(conf=0.3))[0]
-    tracker.tracks = TrackTable.of([replace(t, age=5)])
+    tracker.tracks = TrackTable.of([t])
     track_frame(tracker, [det(0.0, 0.0, conf=0.95)], 0.1)
     assert tracker.tracks.confidences.tolist() == [0.95]  # the larger of the two
     track_frame(tracker, [], 0.1)
@@ -286,10 +286,13 @@ def test_miss_penalty_skipped_in_uncovered_views():
 def test_observed_mask_needs_one_flag_per_forecast_row():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(0.0, 0.0), det(10.0, 0.0)], 0.1)
-    table = forecast_all(tracker.tracks, 0.1, tracker.model)
+    tracker.forecast(0.1)
     for bad in ([True], np.ones(3, dtype=bool), np.ones((2, 1), dtype=bool)):
         with pytest.raises(ValueError):
-            tracker.step(NO_BOXES, 0.1, table, bad)
+            tracker.step(NO_BOXES, bad)
+    assert len(tracker.tracks) == 2
+    # a rejected mask leaves the forecast pending for the step that follows
+    tracker.step(NO_BOXES, np.zeros(2, dtype=bool))
     assert len(tracker.tracks) == 2
 
 
@@ -301,32 +304,23 @@ def test_uncovered_view_exemption_uses_ego_frame():
     track_frame(tracker, [det(20.0, 0.0, conf=0.8)], 0.1)
     turned = EgoPose(0.0, 0.0, math.pi, 0.1)
     rear_view = int(rig.views_of_angles(np.array([math.pi]))[0])  # bearing in the turned frame
-    table = forecast_all(tracker.tracks, 0.1, tracker.model)
+    table = tracker.forecast(0.1)
     # the mask comes from the frame's one placement, as `run_episode` makes it
     observed = np.isin(frame_forecast(table, turned, rig).views, [rear_view])
-    tracker.step(NO_BOXES, 0.1, table, observed)
+    tracker.step(NO_BOXES, observed)
     assert tracker.tracks.confidences[0] == 0.4  # penalized: its ego-frame view was covered
-
-
-def test_ages_increment_each_step():
-    tracker = MultiObjectTracker()
-    track_frame(tracker, [det(0.0, 0.0)], 0.1)
-    assert tracker.tracks.ages.tolist() == [0]
-    track_frame(tracker, [det(0.0, 0.0)], 0.1)
-    assert tracker.tracks.ages.tolist() == [1]
-    track_frame(tracker, [det(0.0, 0.0), det(20.0, 0.0)], 0.1)
-    assert tracker.tracks.ages.tolist() == [2, 0]  # a birth starts at 0
 
 
 def test_forecast_all_preserves_track_count():
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(0.0, 0.0), det(10.0, 10.0), det(-10.0, 5.0)], 0.1)
+    means = tracker.tracks.means.copy()
     ahead = forecast_all(tracker.tracks, 0.5, tracker.model)
     assert len(ahead) == 3
     assert ahead.means.shape == (3, 9) and ahead.covariances.shape == (3, 9, 9)
     assert ahead.ids.tolist() == tracker.tracks.ids.tolist()
     # pure function: the tracker's own state is untouched
-    assert tracker.tracks.ages.tolist() == [0, 0, 0]
+    assert np.array_equal(tracker.tracks.means, means)
     assert not np.array_equal(ahead.covariances, tracker.tracks.covariances)
     assert len(forecast_all(TrackTable.of([]), 0.5, tracker.model)) == 0
 
@@ -348,21 +342,26 @@ def test_tracker_fixes_its_gate_halving_and_process_noise():
         KalmanModel(birth_cov_scale=1.0)
     # the caller says which forecast rows were observed, every frame
     tracker = MultiObjectTracker()
-    forecast = forecast_all(tracker.tracks, 0.1, tracker.model)
+    tracker.forecast(0.1)
     with pytest.raises(TypeError):
-        tracker.step(NO_BOXES, 0.1, forecast)
+        tracker.step(NO_BOXES)
 
 
 def test_step_needs_the_forecast_of_its_own_tracks():
+    # each forecast the tracker makes serves exactly one step
     tracker = MultiObjectTracker()
-    track_frame(tracker, [det(0.0, 0.0)], 0.1)
-    stale = forecast_all(tracker.tracks, 0.1, tracker.model)
-    track_frame(tracker, [det(0.1, 0.0)], 0.1)
-    with pytest.raises(ValueError):
-        tracker.step(NO_BOXES, 0.1, stale, np.ones(1, dtype=bool))
-    with pytest.raises(ValueError):
-        tracker.step(NO_BOXES, 0.1, forecast_all(TrackTable.of([]), 0.1, tracker.model),
-                     np.ones(0, dtype=bool))
+    with pytest.raises(ValueError):  # no forecast yet
+        tracker.step(NO_BOXES, np.ones(0, dtype=bool))
+    tracker.forecast(0.1)
+    tracker.step(det(0.0, 0.0, vx=10.0), np.ones(0, dtype=bool))
+    with pytest.raises(ValueError):  # that forecast was used
+        tracker.step(NO_BOXES, np.ones(1, dtype=bool))
+    assert tracker.tracks.confidences.tolist() == [0.9]
+    # the step gates on the forecast's own dt: 2 m + 10 m/s * 0.5 s reaches
+    # a detection 5 m past the forecast position
+    assert tracker.forecast(0.5).means[0, 0] == 5.0
+    tracker.step(det(10.0, 0.0, vx=10.0), np.ones(1, dtype=bool))
+    assert len(tracker.tracks) == 1
 
 
 # Reference implementation: the per-track forecast the batched one replaced
@@ -431,11 +430,11 @@ def test_misses_count_only_in_covered_views_of_the_ego_frame(positions, pose, co
     ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
     tracker = MultiObjectTracker()
     track_frame(tracker, [det(x, y, 1.0, -0.5) for x, y in positions], 0.1)
-    table = forecast_all(tracker.tracks, 0.1, tracker.model)
+    table = tracker.forecast(0.1)
     want = {t.track_id: view_of(box_to_ego(track_box(t), ego).center, rig) in covered
             for t in states(table)}
     observed = np.isin(frame_forecast(table, ego, rig).views, sorted(covered))
-    tracker.step(NO_BOXES, 0.1, table, observed)
+    tracker.step(NO_BOXES, observed)
     halved = tracker.tracks.confidences == 0.9 * 0.5
     assert dict(zip(tracker.tracks.ids.tolist(), halved.tolist())) == want
 
@@ -499,7 +498,7 @@ _frames = st.lists(
 )
 _starts = st.lists(
     st.tuples(_lattice, _lattice, _velocities, _codes, _confs, st.sampled_from([0.0, -0.6]),
-              st.integers(0, 9), st.floats(-math.pi, math.pi)),
+              st.floats(-math.pi, math.pi)),
     max_size=4,
 )
 
@@ -525,7 +524,6 @@ def _detection_rows(dets):
 def _same_tracks(table, want):
     assert table.ids.tolist() == [t.track_id for t in want]
     assert table.classes.tolist() == [CLASSES.index(t.cls) for t in want]
-    assert table.ages.tolist() == [t.age for t in want]
     for column, values in ((table.confidences, [t.confidence for t in want]),
                            (table.yaws, [t.yaw for t in want]),
                            (table.means, [t.mean for t in want]),
@@ -536,13 +534,13 @@ def _same_tracks(table, want):
 @settings(max_examples=100, deadline=None)
 @given(starts=_starts, frames=_frames, threshold=st.sampled_from([0.1, 0.3]))
 @example(  # a negative size folded in: the clamp
-    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, 0.0, 0, 0.0)],
+    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, 0.0, 0.0)],
     frames=[(0.1, [(0.0, 0.0, (0.0, 0.0), 0, 0.9, -40.0, 0.0)], None)],
     threshold=0.1,
 )
 @example(  # a start that lost semidefiniteness, matched: clipped with a warning
-    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, -0.6, 0, 0.0),
-            (3.0, 3.0, (0.0, 0.0), 3, 0.3, 0.0, 4, 1.0)],
+    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, -0.6, 0.0),
+            (3.0, 3.0, (0.0, 0.0), 3, 0.3, 0.0, 1.0)],
     frames=[(0.1, [(0.5, 0.0, (1.0, 0.0), 0, 0.3, 1.9, 0.5)], [True]),
             (0.1, [], [False, True])],
     threshold=0.3,
@@ -553,8 +551,8 @@ def test_step_matches_the_per_track_tracker(starts, frames, threshold):
     start = [
         TrackState(track_id=1000 + i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
                    covariance=model.birth_cov() + shift * np.eye(9), cls=CLASSES[code],
-                   confidence=conf, age=age, yaw=yaw)
-        for i, (x, y, (vx, vy), code, conf, shift, age, yaw) in enumerate(starts)
+                   confidence=conf, yaw=yaw)
+        for i, (x, y, (vx, vy), code, conf, shift, yaw) in enumerate(starts)
     ]
     tracker, oracle = MultiObjectTracker(config, model), box_oracles.MultiObjectTracker(config, model)
     tracker.tracks, oracle.tracks = TrackTable.of(start), list(start)
@@ -566,8 +564,8 @@ def test_step_matches_the_per_track_tracker(starts, frames, threshold):
             n = len(tracker.tracks)
             observed = (np.ones(n, dtype=bool) if flags is None
                         else np.array([flags[i % len(flags)] for i in range(n)]))
-            got = tracker.step(_detection_rows(dets), dt,
-                               forecast_all(tracker.tracks, dt, model), observed)
+            tracker.forecast(dt)
+            got = tracker.step(_detection_rows(dets), observed)
             want = oracle.step(_detection_rows(dets), dt, observed)
             assert got is tracker.tracks
             _same_tracks(got, want)

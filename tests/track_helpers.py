@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 
 from viewsched.core import CLASSES, BoxRows, concat_boxes
-from viewsched.tracker import TrackState, forecast_all, update
+from viewsched.tracker import TrackState, update
 
 NO_BOXES = BoxRows.of((), (), (), ())
 
@@ -19,10 +19,10 @@ def states(table):
     """Each row of a `TrackTable` as a `TrackState`: `TrackTable.of` undone."""
     return [
         TrackState(track_id=i, mean=m, covariance=c, cls=CLASSES[code], confidence=conf,
-                   age=age, yaw=yaw)
-        for i, code, conf, age, yaw, m, c in zip(
+                   yaw=yaw)
+        for i, code, conf, yaw, m, c in zip(
             table.ids.tolist(), table.classes.tolist(), table.confidences.tolist(),
-            table.ages.tolist(), table.yaws.tolist(), table.means, table.covariances)
+            table.yaws.tolist(), table.means, table.covariances)
     ]
 
 
@@ -34,11 +34,10 @@ def fold(table, detections, model):
 
 
 def track_frame(tracker, detections, dt, observed=None):
-    """One tracker frame on its own forecast, as the closed loop runs it;
+    """One tracker frame, forecast then step, as the closed loop runs it;
     `detections` is a list of box rows, joined in order. No `observed` flags
     means every forecast row was observed."""
+    forecast = tracker.forecast(dt)
     if observed is None:
-        observed = np.ones(len(tracker.tracks), dtype=bool)
-    return tracker.step(
-        join(detections), dt, forecast_all(tracker.tracks, dt, tracker.model), observed
-    )
+        observed = np.ones(len(forecast), dtype=bool)
+    return tracker.step(join(detections), observed)
