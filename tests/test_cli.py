@@ -111,6 +111,7 @@ def test_manifest_missing_keys_rejected(tmp_path):
     [
         {"training": {"seeds": 5}},
         {"training": {"seeds": []}},
+        {"training": {"rounds": 0}},
         {"training": {"rounds": 80}},  # the boosting settings are fixed, even at their defaults
         {"alpha": 0},
         {"alhpa": 0.5},
@@ -123,13 +124,15 @@ def test_manifest_missing_keys_rejected(tmp_path):
         {"memory_limit_mb": 100},
         {"scenario": 5},
         {"model": ["m.json"]},
+        {"training": {"rounds": 7.5}},
+        {"training": {"learning_rate": "0.1"}},
         {"training": {"seeds": [101, -1]}},
     ],
-    ids=["seeds-not-a-list", "seeds-empty", "unknown-training-key", "alpha-zero",
+    ids=["seeds-not-a-list", "seeds-empty", "rounds-zero", "unknown-training-key", "alpha-zero",
          "unknown-top-level-key", "sigma-negative", "sigma-above-bound",
          "margin-not-below-target", "memory-limit-string", "target-nan", "target-infinite",
          "memory-limit-below-fixed-modules", "scenario-not-a-string", "model-not-a-string",
-         "seed-negative"],
+         "rounds-fractional", "learning-rate-string", "seed-negative"],
 )
 def test_main_rejects_bad_training_block_and_alpha(tmp_path, capsys, override):
     data = {
