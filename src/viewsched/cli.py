@@ -104,7 +104,7 @@ def _load_ref(ref: str, base_dir: str) -> dict:
         except FileNotFoundError as exc:
             raise ConfigError(f"unknown builtin {name!r}") from exc
     else:
-        path = ref if os.path.isabs(ref) else os.path.join(base_dir, ref)
+        path = os.path.join(base_dir, ref)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -205,9 +205,7 @@ def load_manifest(
     if model_ref is not None and not isinstance(model_ref, str):
         raise ConfigError(f"invalid configuration: model {model_ref!r} is not a string")
     if model_ref:
-        model_path = (
-            model_ref if os.path.isabs(model_ref) else os.path.join(base_dir, model_ref)
-        )
+        model_path = os.path.join(base_dir, model_ref)
 
     canonical = {
         "tool_version": __version__,
@@ -311,9 +309,10 @@ def build_training_set(
     feats: List[np.ndarray] = []
     pairs: List[Tuple[BoxRows, BoxRows]] = []  # (branch predictions, view ground truth)
     for log in episode.frames:
-        fc_by_view = log.forecast.by_view(log.forecast_views, rig.view_count)
-        frame_feats = accuracy_features(log.distributions, log.forecast_views,
-                                        log.forecast.confidences, catalog_indices)
+        fc = log.forecast
+        fc_by_view = fc.boxes.by_view(fc.views, rig.view_count)
+        frame_feats = accuracy_features(fc.distributions, fc.views, fc.boxes.confidences,
+                                        catalog_indices)
         # view by view, then branch by branch, like the targets below
         feats.append(frame_feats.transpose(1, 0, 2).reshape(-1, FEATURE_WIDTH))
 
@@ -330,7 +329,7 @@ def build_training_set(
             ]
             pairs.extend((preds, gts) for preds in branch_preds)
 
-    counts = np.array([len(log.forecast) for log in episode.frames], dtype=np.float64)
+    counts = np.array([len(log.forecast.boxes) for log in episode.frames], dtype=np.float64)
     return np.concatenate(feats), detection_scores(evaluate_pairs(pairs)), counts
 
 
@@ -430,7 +429,7 @@ def train_models(man: RunManifest) -> Tuple[PerformanceModels, dict]:
     models = fit(episodes)
     accuracy, y_all = models.accuracy, y.ravel()
     var = float(np.var(y_all))
-    mse = accuracy.training_mse[-1] if accuracy.training_mse else var
+    mse = accuracy.training_mse[-1]
     info = {
         "samples": int(len(y_all)),
         "episodes": episodes,

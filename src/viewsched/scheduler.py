@@ -452,30 +452,26 @@ def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
 
 @dataclass(frozen=True)
 class FrameForecast:
-    """One frame's forecast, as the planner and the frame log see it.
+    """One frame's forecast, placed in the frame once: the planner, the loop's
+    outputs, the frame log and the training set all read this record.
 
-    `tracks` are the forecast tracks (global frame); `ego_rows` are their
-    box rows in the frame's ego coordinates, `views` each row's view, and
-    `distributions` the (views, 80) per-view category distributions.
+    `boxes` are the forecast tracks as ego-frame boxes, `views` each box's
+    view, and `distributions` the (views, 80) per-view category distributions.
     """
 
-    tracks: TrackTable
-    ego_pose: EgoPose
-    ego_rows: np.ndarray
+    boxes: BoxRows
     views: np.ndarray
     distributions: np.ndarray
 
-    def box_rows(self) -> BoxRows:
-        """The forecast as ego-frame boxes; the planner reads only their rows."""
-        return BoxRows(self.ego_rows, self.tracks.classes, self.tracks.confidences,
-                       transform_yaws(self.tracks.yaws, GLOBAL_FRAME, self.ego_pose))
-
 
 def frame_forecast(tracks: TrackTable, ego_pose: EgoPose, rig: CameraRig) -> FrameForecast:
-    """Place forecast tracks in the frame: ego rows, views, distributions."""
+    """Place forecast tracks (global frame) in `ego_pose`'s frame: their
+    ego-frame boxes, views and distributions."""
     rows = transform_rows(tracks.means, GLOBAL_FRAME, ego_pose)
     views = views_of(rows, rig)
-    return FrameForecast(tracks, ego_pose, rows, views, distribution(rows, views, rig.view_count))
+    boxes = BoxRows(rows, tracks.classes, tracks.confidences,
+                    transform_yaws(tracks.yaws, GLOBAL_FRAME, ego_pose))
+    return FrameForecast(boxes, views, distribution(rows, views, rig.view_count))
 
 
 @dataclass(frozen=True)
@@ -505,12 +501,12 @@ def schedule_frame(
         raise ValueError("branch set must start with the tracker branch")
 
     feats = accuracy_features(forecast.distributions, forecast.views,
-                              forecast.tracks.confidences, [b.index for b in branches])
+                              forecast.boxes.confidences, [b.index for b in branches])
     raw = models.accuracy.predict_batch(feats.reshape(-1, FEATURE_WIDTH)).reshape(feats.shape[:2])
 
     lats = np.array([branch_latency(b, device) for b in branches])
     norm = normalize_scores(raw, lats)
-    update_pred = models.update_latency.predict(len(forecast.tracks))
+    update_pred = models.update_latency.predict(len(forecast.boxes))
     t_max = effective_budget(target_ms, update_pred, fixed_latency(device))
 
     problem = ScheduleProblem(norm, lats, t_max, alpha)
@@ -539,7 +535,9 @@ def sched(
     alpha: float = 1.0,
 ) -> ScheduleDecision:
     """One-call planning entry point: forecast `tracks` (global frame) dt
-    ahead, place them in `ego_pose`'s frame and plan; see `schedule_frame`."""
+    ahead, place them in `ego_pose`'s frame with `frame_forecast` and plan;
+    see `schedule_frame`. The placed boxes carry their ego-frame yaws, which
+    the plan does not read."""
     predicted = forecast_all(TrackTable.of(tracks), dt, kalman or KalmanModel())
     return schedule_frame(
         frame_forecast(predicted, ego_pose, rig), branches, device, models, target_ms, alpha

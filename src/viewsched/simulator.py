@@ -744,12 +744,13 @@ def check_timing(target_ms: float, alpha: float, noise_sigma: float, margin_ms: 
 
 @dataclass
 class FrameLog:
+    """One frame of an episode. Frame 0 is the warm-up; `forecast` is the
+    record the frame planned on, kept whole: its ego-frame boxes, their views
+    and the distributions."""
+
     index: int
-    warmup: bool
     gt_by_view: Tuple[BoxRows, ...]  # ego frame
-    forecast: BoxRows  # the tracks forecast into this frame, as ego-frame boxes
-    forecast_views: np.ndarray  # each forecast box's view
-    distributions: np.ndarray  # the forecast's (views, 80) category distributions
+    forecast: FrameForecast
     assignment: Tuple[int, ...]  # catalog branch index per view
     predicted_objective: Optional[float]
     uniform_objective: Optional[float]  # best single-branch counterfactual
@@ -770,7 +771,8 @@ class EpisodeLog:
 
     @property
     def scheduled_frames(self) -> List[FrameLog]:
-        return [f for f in self.frames if not f.warmup]
+        """Every frame after the warm-up."""
+        return self.frames[1:]
 
     @property
     def compliance(self) -> float:
@@ -924,8 +926,7 @@ def run_episode(
         # the outputs of the tracker-branch views and the tracker's miss
         # penalty all use it
         forecast = frame_forecast(tracker.forecast(dt), frame.ego, rig)
-        warmup = frame.index == 0
-        rows, plan, decision = (warm if warmup else choose)(system, frame.index, forecast)
+        rows, plan, decision = (warm if frame.index == 0 else choose)(system, frame.index, forecast)
         detected = is_detector[rows]  # per view: did a detector run there
         gt_by_view = frame.gt.by_view(views_of(frame.gt.rows, rig), n_views)
 
@@ -936,25 +937,21 @@ def run_episode(
             for j, r in enumerate(rows)
         ])
         observed = detected[forecast.views]
-        forecast_boxes = forecast.box_rows()
-        outputs = concat_boxes((detections, forecast_boxes.take(~observed)))
+        outputs = concat_boxes((detections, forecast.boxes.take(~observed)))
         tracker.step(detections.moved(frame.ego, GLOBAL_FRAME), observed)
 
         # the planner's price of the frame that ran, which the device realizes;
         # without a plan, the true update cost stands in for the predicted one
         marginal = assignment_latency(rows, lats, system.alpha)
-        update_true_ms = true_update.predict(len(forecast.tracks))
+        update_true_ms = true_update.predict(len(forecast.boxes))
         actual = realized_latency(marginal, fixed_ms, update_true_ms,
                                   system.latency_noise_sigma, lat_rng)
         update_ms = plan.update_pred_ms if plan is not None else update_true_ms
         uniform = plan.uniform_decision if plan is not None else None
         log = FrameLog(
             index=frame.index,
-            warmup=warmup,
             gt_by_view=gt_by_view,
-            forecast=forecast_boxes,
-            forecast_views=forecast.views,
-            distributions=forecast.distributions,
+            forecast=forecast,
             assignment=tuple(branches[r].index for r in rows),
             predicted_objective=decision.predicted_objective if decision is not None else None,
             uniform_objective=uniform.predicted_objective if uniform is not None else None,
@@ -972,7 +969,7 @@ def run_episode(
     pairs = [(log.outputs, frame.gt) for log, frame in zip(frame_logs, frames)]
     summary = summarize(evaluate_pairs(pairs))
     n_sched = max(len(frame_logs) - 1, 0)
-    n_ok = sum(1 for f in frame_logs if not f.warmup and f.compliant)
+    n_ok = sum(1 for f in frame_logs[1:] if f.compliant)
     summary["latency"] = {
         "frames": len(frame_logs),
         "scheduled_frames": n_sched,

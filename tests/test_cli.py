@@ -729,12 +729,13 @@ def test_training_set_of_an_empty_scene(quickstart_manifest, seed, frames):
     for log, frame_cells in zip(logs, cells):
         conf = np.zeros(views)
         for v in range(views):
-            here = [c for c, w in zip(log.forecast.confidences, log.forecast_views) if w == v]
+            here = [c for c, w in zip(log.forecast.boxes.confidences, log.forecast.views)
+                    if w == v]
             if here:
                 conf[v] = np.mean(here)
         for b, branch in enumerate(catalog):
             cell = frame_cells[:, b]
-            assert (cell[:, :NUM_CATEGORIES] == log.distributions).all()
+            assert (cell[:, :NUM_CATEGORIES] == log.forecast.distributions).all()
             one_hot = cell[:, NUM_CATEGORIES : NUM_CATEGORIES + NUM_BRANCHES]
             assert (one_hot == np.eye(NUM_BRANCHES)[branch.index]).all()
             assert (cell[:, -1] == (conf if branch.is_tracker else 0.0)).all()

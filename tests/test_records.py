@@ -16,13 +16,15 @@ from pathlib import Path
 import pytest
 
 import viewsched
-from viewsched.scheduler import FramePlan, ScheduleDecision
-from viewsched.simulator import EpisodeLog, FrameLog
+from viewsched.cli import RunManifest
+from viewsched.scheduler import FrameForecast, FramePlan, ScheduleDecision
+from viewsched.simulator import EpisodeLog, FrameLog, SystemConfig
 from viewsched.tracker import TrackTable
 
 PACKAGE = Path(viewsched.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-RECORDS = (FrameLog, EpisodeLog, FramePlan, ScheduleDecision, TrackTable)
+RECORDS = (FrameLog, EpisodeLog, FrameForecast, FramePlan, ScheduleDecision, TrackTable,
+           RunManifest, SystemConfig)
 
 
 def attributes_read(paths):

@@ -760,7 +760,7 @@ def test_schedule_frame_plumbing():
         33.0 - plan.update_pred_ms - fixed_latency(device))
     assert plan.update_pred_ms == pytest.approx(models.update_latency.predict(3))
     assert forecast.distributions.shape == (rig.view_count, NUM_CATEGORIES)
-    assert len(forecast.box_rows()) == 3
+    assert len(forecast.boxes) == 3
     assert all(0 <= v < rig.view_count for v in forecast.views)
     # the solver's plan is within budget
     assert plan.decision.predicted_latency_ms <= plan.t_max_ms + 1e-9
@@ -798,7 +798,7 @@ def test_frame_forecast_matches_the_per_box_pipeline(tracks, pose, view_count):
     counts = np.zeros((view_count, NUM_CATEGORIES))
     for box, view in zip(boxes, views):
         counts[view, categorize(box).index] += 1.0
-    assert repr(to_boxes(got.box_rows())) == repr(boxes)
+    assert repr(to_boxes(got.boxes)) == repr(boxes)
     assert got.views.tolist() == views
     assert np.array_equal(
         got.distributions,

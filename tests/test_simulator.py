@@ -542,10 +542,10 @@ def test_every_policy_runs_deployed_branches_at_the_planner_price(policy, scene)
         assert set(f.assignment) <= set(TINY_DEPLOYED)
         assert f.actual_ms == (
             f.predicted_marginal_ms + fixed_latency(system.device)
-            + true_update.predict(len(f.forecast))
+            + true_update.predict(len(f.forecast.boxes))
         )
     if not scene:
-        assert any(len(f.forecast) for f in ep.frames[1:])
+        assert any(len(f.forecast.boxes) for f in ep.frames[1:])
 
 
 def test_run_episode_fixed_policy_structure():
@@ -553,7 +553,8 @@ def test_run_episode_fixed_policy_structure():
     system = tiny_system()
     ep = run_episode(cfg, system, policy="fixed:3")
     assert len(ep.frames) == cfg.frame_count
-    assert ep.frames[0].warmup and not any(f.warmup for f in ep.frames[1:])
+    assert len(ep.scheduled_frames) == len(ep.frames) - 1
+    assert all(s is f for s, f in zip(ep.scheduled_frames, ep.frames[1:]))
     n_views = CameraRig.default().view_count
     for f in ep.frames[1:]:
         assert f.assignment == (3,) * n_views
@@ -574,7 +575,7 @@ def test_run_episode_is_deterministic():
         assert fa.assignment == fb.assignment
         assert fa.actual_ms == fb.actual_ms
         assert to_boxes(fa.outputs) == to_boxes(fb.outputs)
-        assert to_boxes(fa.forecast) == to_boxes(fb.forecast)
+        assert to_boxes(fa.forecast.boxes) == to_boxes(fb.forecast.boxes)
 
 
 def test_run_episode_all_tracker_never_detects():
@@ -582,12 +583,12 @@ def test_run_episode_all_tracker_never_detects():
     ep = run_episode(cfg, tiny_system(), policy="all_tracker")
     for f in ep.frames[1:]:
         assert all(idx == 0 for idx in f.assignment)
-        assert to_boxes(f.outputs) == to_boxes(f.forecast)  # no detection joins them
+        assert to_boxes(f.outputs) == to_boxes(f.forecast.boxes)  # no detection joins them
     # warmup frame detected, so tracks exist and keep being forecast
     assert any(len(f.outputs) > 0 for f in ep.frames[1:])
     # no view is observed after the warmup: no miss is charged, no track dies
-    first = ep.frames[1].forecast.confidences
-    assert all(np.array_equal(f.forecast.confidences, first) for f in ep.frames[1:])
+    first = ep.frames[1].forecast.boxes.confidences
+    assert all(np.array_equal(f.forecast.boxes.confidences, first) for f in ep.frames[1:])
 
 
 def test_run_episode_round_robin_rests_views_on_tracker():
@@ -666,12 +667,24 @@ def test_episode_summary_equals_the_per_frame_oracle(quickstart_manifest, policy
 
 
 @pytest.mark.parametrize("policy", ["adaptive", "per_frame"])
-def test_run_episode_logs_the_plan_it_ran(quickstart_manifest, quickstart_trained, policy):
+def test_run_episode_logs_the_plan_it_ran(monkeypatch, quickstart_manifest, quickstart_trained,
+                                          policy):
     man = quickstart_manifest
     system = SystemConfig(branches=adapt(man.device, man.target_ms), device=man.device,
                           capability=man.capability, models=quickstart_trained[0],
                           target_ms=man.target_ms)
+    planned = []
+    schedule_frame = simulator.schedule_frame
+
+    def spy(forecast, *args):
+        planned.append(forecast)
+        return schedule_frame(forecast, *args)
+
+    monkeypatch.setattr(simulator, "schedule_frame", spy)
     ep = run_episode(man.scenario, system, policy=policy)
+    # the frame log keeps the very forecast each scheduled frame planned on
+    assert len(planned) == len(ep.scheduled_frames)
+    assert all(f.forecast is p for f, p in zip(ep.scheduled_frames, planned))
     lats = np.array([branch_latency(b, man.device) for b in system.branches])
     row_of = {b.index: r for r, b in enumerate(system.branches)}
     true_update = LinearLatencyModel(man.device.update_slope_ms_per_track,
@@ -681,11 +694,11 @@ def test_run_episode_logs_the_plan_it_ran(quickstart_manifest, quickstart_traine
         assert f.predicted_marginal_ms == assignment_latency(rows, lats, system.alpha)
         assert f.predicted_frame_ms == (
             f.predicted_marginal_ms + fixed_latency(man.device)
-            + system.models.update_latency.predict(len(f.forecast))
+            + system.models.update_latency.predict(len(f.forecast.boxes))
         )
         assert f.actual_ms == (
             f.predicted_marginal_ms + fixed_latency(man.device)
-            + true_update.predict(len(f.forecast))
+            + true_update.predict(len(f.forecast.boxes))
         )
         if policy == "per_frame":
             assert len(set(f.assignment)) == 1
@@ -727,7 +740,7 @@ def test_run_episode_places_views_once_per_frame(monkeypatch):
     want = [
         n
         for log, frame in zip(ep.frames, generate_scenario(scenario))
-        for n in (len(log.forecast), len(frame.gt))
+        for n in (len(log.forecast.boxes), len(frame.gt))
     ]
     assert calls == want
 

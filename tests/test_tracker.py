@@ -90,7 +90,7 @@ def test_update_reads_the_given_detection_row():
         assert np.array_equal(got.covariances[i], want.covariances[0])
 
 
-def test_update_resets_miss_count_and_refreshes_confidence():
+def test_a_match_keeps_the_larger_confidence_and_the_next_miss_halves_it():
     # a miss leaves no count behind, only a halved confidence: after a match,
     # the next miss halves the refreshed confidence once
     tracker = MultiObjectTracker()
