@@ -18,6 +18,14 @@ miss penalty, because the absence of a detection there carries no evidence
 that the object vanished. A miss halves a track's confidence, and a track
 whose confidence falls below the threshold is dropped; unlike AB3DMOT, no
 miss count is kept. The tracker itself knows no camera geometry.
+
+`associate` solves its assignment with `linear_sum_assignment`, a port of
+SciPy's shortest augmenting path solver (Crouse, "On implementing 2D
+rectangular assignment algorithms", IEEE TAES 2016) that returns SciPy's
+matches on every input. It lives here because importing `scipy.optimize`
+for this one call would cost every process about 44 MB of resident memory
+and 0.3–0.4 s of start-up (SciPy 1.17 on a 2-core machine), while the
+matrices it solves are tiny: a few tracks by a few detections per frame.
 """
 
 from __future__ import annotations
@@ -28,7 +36,6 @@ from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import BoxRows, ObjectClass, class_codes, math_map
 
@@ -178,6 +185,75 @@ def associate(
     admissible = cost[ti, di] < _GATING_COST
     ti, di = ti[admissible].tolist(), di[admissible].tolist()
     return list(zip(ti, di)), sorted(set(range(nd)).difference(di))
+
+
+def linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The minimum-cost assignment of a 2-D float cost matrix, as
+    `scipy.optimize.linear_sum_assignment` computes it (rows ascending).
+
+    A step-for-step port of SciPy's shortest augmenting path solver (Crouse,
+    IEEE TAES 2016): the same column scan order, float operations and tie
+    rule, so it picks SciPy's assignment among equal-cost ones too. A NaN or
+    -inf entry, or a matrix with no finite assignment, raises `ValueError`.
+    """
+    nr, nc = cost.shape
+    if nr == 0 or nc == 0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    transpose = nc < nr
+    if transpose:
+        cost, nr, nc = cost.T, nc, nr
+    c = cost.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    path, col4row, row4col = [-1] * nc, [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        # shortest augmenting path from row `cur`; the columns are scanned in
+        # reverse order, as in SciPy (a constant matrix then gives the
+        # identity), and a scanned one swaps places with the last
+        costs = [math.inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows, cols = [cur], []
+        i, min_val = cur, 0.0
+        while True:
+            ci, ui = c[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]
+                if r < costs[j]:
+                    path[j] = i
+                    costs[j] = r
+                # on a tie a free column wins: it ends the path
+                if costs[j] < lowest or (costs[j] == lowest and row4col[j] == -1):
+                    lowest, index = costs[j], it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] == -1:
+                break
+            i = row4col[j]
+            rows.append(i)
+
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - costs[col4row[i]]
+        for k in cols:
+            v[k] -= min_val - costs[k]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return np.array([col4row[k] for k in order], np.int64), np.array(order, np.int64)
+    return np.arange(nr, dtype=np.int64), np.array(col4row, np.int64)
 
 
 def update(

@@ -284,6 +284,10 @@ def associate(
     objects are allowed to drift further between frames). Returns
     (matches as (track_idx, det_idx), unmatched detection indices); the
     assignment minimizes total admissible cost.
+
+    Its solver is SciPy's `linear_sum_assignment`, the reference twin of the
+    tracker's port of it, so the association properties check that port on
+    every example they draw.
     """
     nt, nd = len(tracks), len(detections)
     if nt == 0 or nd == 0:

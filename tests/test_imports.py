@@ -1,4 +1,5 @@
-"""Every name a `viewsched` module imports is used in that module.
+"""Every name a `viewsched` module imports is used in that module, and no
+module loads SciPy.
 
 No linter is installed, so this scans each module's syntax tree: a name an
 import binds must be read somewhere in the module, or be re-exported through
@@ -6,6 +7,9 @@ the package's `__all__`. The tracer-only imports are the one exception.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,21 @@ def test_the_scan_finds_an_unused_import(tmp_path):
         "    return os.path.join(x, 'Any', 'to_json')\n"
     )
     assert unused_imports(module) == [("Any", 3), ("to_json", 4)]
+
+
+def test_no_module_loads_scipy():
+    # the runtime needs NumPy alone: importing `scipy.optimize` costs every
+    # process about 44 MB of resident memory (SciPy 1.17); SciPy serves only
+    # as the tests' oracle
+    modules = sorted(f"viewsched.{path.stem}".removesuffix(".__init__")
+                     for path in PACKAGE.glob("*.py"))
+    script = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert run.stdout.strip() == "[]"

@@ -35,6 +35,7 @@ from viewsched.branches import (
 )
 import box_oracles
 from box_oracles import Box3D, CategoryLevel, categorize, to_boxes, to_rows
+from capability_helpers import perfect_capability
 from viewsched.core import (
     NUM_DISTANCE_LEVELS,
     NUM_SIZE_LEVELS,
@@ -49,7 +50,6 @@ from viewsched.simulator import (
     CapabilityError,
     CapabilityProfile,
     ConfidenceParams,
-    perfect_capability,
     rng_stream,
     synth_detect,
 )

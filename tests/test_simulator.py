@@ -22,6 +22,7 @@ from viewsched.branches import (
 )
 import box_oracles
 from box_oracles import Box3D, categorize, to_boxes, to_rows, view_of
+from capability_helpers import perfect_capability
 from viewsched.core import CameraRig, ObjectClass
 from viewsched.predictors import FEATURE_WIDTH, GBRTModel, LinearLatencyModel, PerformanceModels
 from viewsched.scheduler import assignment_latency
@@ -34,7 +35,6 @@ from viewsched.simulator import (
     SystemConfig,
     default_capability,
     generate_scenario,
-    perfect_capability,
     realized_latency,
     rng_stream,
     run_episode,

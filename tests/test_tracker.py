@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment as scipy_assignment
 
 import box_oracles
 from box_oracles import Box3D, box_to_ego, to_rows, track_box, track_speed, view_of
@@ -16,6 +17,7 @@ from track_helpers import NO_BOXES, fold, join, states, track_frame
 from viewsched.core import CLASSES, BoxRows, CameraRig, EgoPose, ObjectClass
 from viewsched.scheduler import frame_forecast
 from viewsched.tracker import (
+    _GATING_COST,
     KalmanModel,
     MultiObjectTracker,
     TrackerConfig,
@@ -23,6 +25,7 @@ from viewsched.tracker import (
     TrackTable,
     associate,
     forecast_all,
+    linear_sum_assignment,
 )
 
 
@@ -474,6 +477,53 @@ def test_array_association_matches_the_per_pair_loop(tracks, dets, dt):
     config = TrackerConfig()
     want = box_oracles.associate(live, boxes, config, dt)
     assert associate(TrackTable.of(live), to_rows(boxes), config, dt) == want
+
+
+# SciPy's solver is the reference for the tracker's port of it: the same
+# (rows, cols) on every matrix, ties and the gate cost included, in both
+# orientations, and a `ValueError` wherever SciPy raises one. Small integers
+# make ties common; +inf entries leave rows with no finite column.
+
+_cell_kinds = st.sampled_from([
+    st.floats(0.0, 100.0),  # uniform costs
+    st.integers(0, 3).map(float),  # small integers: many ties
+    st.integers(0, 3).map(float) | st.just(_GATING_COST),  # ties and the gate
+    st.floats(0.0, 4.0) | st.just(_GATING_COST),  # distances and the gate
+    st.sampled_from([0.0, 1.0, _GATING_COST, math.inf]),  # rows can lose every finite column
+    st.sampled_from([0.0, 1.0, math.inf, -math.inf, math.nan]),  # invalid entries
+])
+
+
+@st.composite
+def _cost_matrices(draw):
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    if draw(st.booleans()):  # a constant matrix
+        cells = [draw(st.integers(0, 3).map(float))] * (rows * cols)
+    else:
+        kind = draw(_cell_kinds)
+        cells = draw(st.lists(kind, min_size=rows * cols, max_size=rows * cols))
+    return np.array(cells, dtype=np.float64).reshape(rows, cols)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cost=_cost_matrices())
+@example(cost=np.zeros((0, 0)))
+@example(cost=np.zeros((0, 3)))
+@example(cost=np.full((3, 4), _GATING_COST))
+@example(cost=np.array([[1.0, math.nan], [0.0, 2.0]]))
+@example(cost=np.array([[1.0, -math.inf], [0.0, 2.0]]))
+@example(cost=np.array([[1.0, 2.0], [math.inf, math.inf]]))
+def test_the_assignment_port_matches_scipy(cost):
+    for matrix in (cost, cost.T):
+        try:
+            want = scipy_assignment(matrix)
+        except ValueError:
+            with pytest.raises(ValueError):
+                linear_sum_assignment(matrix)
+        else:
+            got = linear_sum_assignment(matrix)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+            assert [a.dtype for a in got] == [a.dtype for a in want]
 
 
 # The per-track tracker (`box_oracles.MultiObjectTracker`: a list of
