@@ -723,21 +723,28 @@ def check_timing(target_ms: float, alpha: float, noise_sigma: float, margin_ms: 
 @dataclass
 class FrameLog:
     """One frame of an episode. Frame 0 is the warm-up; `forecast` is the
-    record the frame planned on, kept whole: its ego-frame boxes, their views
+    frame's own forecast record, kept whole: its ego-frame boxes, their views
     and the distributions."""
 
     index: int
-    gt_by_view: Tuple[BoxRows, ...]  # ego frame
+    gt: BoxRows  # ego frame, in the scene's order
     forecast: FrameForecast
     assignment: Tuple[int, ...]  # catalog branch index per view
     predicted_objective: Optional[float]
     uniform_objective: Optional[float]  # best single-branch counterfactual
-    predicted_marginal_ms: Optional[float]
+    predicted_marginal_ms: float
     t_max_ms: Optional[float]
-    predicted_frame_ms: Optional[float]
+    predicted_frame_ms: float
     actual_ms: float
     compliant: bool
     outputs: BoxRows  # what the system emitted downstream, ego frame
+
+    @functools.cached_property
+    def gt_by_view(self) -> Tuple[BoxRows, ...]:
+        """`gt` split by view on the loop's rig, computed on first read: the
+        loop reads it only on frames where a detector runs."""
+        rig = CameraRig.default()
+        return self.gt.by_view(views_of(self.gt.rows, rig), rig.view_count)
 
 
 @dataclass
@@ -795,7 +802,17 @@ def realized_latency(
 # A chooser maps (system, frame index, forecast) to the frame's branch rows,
 # one per view, and the plan and decision they came from, if any. It looks
 # `schedule_frame` up at call time, so a test or a tracer may replace it.
+# A chooser that returns a plan reads only the system and the forecast's
+# `planning_inputs`, so `run_episode` reuses its choice on a frame whose
+# inputs equal the previous frame's byte for byte.
 Choice = Tuple[List[int], Optional[FramePlan], Optional[ScheduleDecision]]
+
+
+def planning_inputs(forecast: FrameForecast) -> Tuple[bytes, bytes, bytes]:
+    """The bytes of all `schedule_frame` reads of a forecast: they fix its
+    features and its track count."""
+    return (forecast.distributions.tobytes(), forecast.views.tobytes(),
+            forecast.boxes.confidences.tobytes())
 
 
 class Policy(NamedTuple):
@@ -878,13 +895,13 @@ def run_episode(
     deployed detection branch covers every view, and the frame is excluded
     from compliance statistics. From frame 1 on, the policy's chooser picks
     the assignment; `POLICIES` lists them, and `check_policy` rejects a name
-    it cannot run before any frame is generated.
+    it cannot run before any frame is generated. A chooser that planned is
+    not asked again while the planning inputs stay the same (see `Choice`).
     """
     choose = check_policy(policy, system.branches, system.models is not None).choose
 
     frames = generate_scenario(scenario)
     rig = CameraRig.default()
-    n_views = rig.view_count
     branches = system.branches
     is_detector = np.array([not b.is_tracker for b in branches])
 
@@ -894,29 +911,29 @@ def run_episode(
     true_update = true_update_model(system.device)
     fixed_ms = fixed_latency(system.device)
     lat_rng = rng_stream(scenario.seed, "latnoise") if system.latency_noise_sigma > 0 else None
-    det_rngs = [rng_stream(scenario.seed, f"detect/view{j}") for j in range(n_views)]
+    det_rngs = [rng_stream(scenario.seed, f"detect/view{j}") for j in range(rig.view_count)]
 
     dt = scenario.dt
     frame_logs: List[FrameLog] = []
+    # the last scheduled frame's planning inputs and choice, while its chooser
+    # returned a plan: a frame whose inputs equal them reuses that choice
+    reusable: Optional[Tuple[Tuple[bytes, bytes, bytes], Choice]] = None
 
     for frame in frames:
         # the frame's one forecast, placed in views once: the plan, the log,
         # the outputs of the tracker-branch views and the tracker's miss
         # penalty all use it
         forecast = frame_forecast(tracker.forecast(dt), frame.ego, rig)
-        rows, plan, decision = (warm if frame.index == 0 else choose)(system, frame.index, forecast)
-        detected = is_detector[rows]  # per view: did a detector run there
-        gt_by_view = frame.gt.by_view(views_of(frame.gt.rows, rig), n_views)
-
-        detections = concat_boxes([
-            synth_detect(branches[r], gt_by_view[j], system.capability, det_rngs[j],
-                         rig.sectors[j], scenario.despawn_radius_m)
-            if detected[j] else _NO_BOXES
-            for j, r in enumerate(rows)
-        ])
-        observed = detected[forecast.views]
-        outputs = concat_boxes((detections, forecast.boxes.take(~observed)))
-        tracker.step(detections.moved(frame.ego, GLOBAL_FRAME), observed)
+        if frame.index == 0:
+            choice = warm(system, 0, forecast)
+        else:
+            inputs = planning_inputs(forecast)
+            if reusable is not None and reusable[0] == inputs:
+                choice = reusable[1]
+            else:
+                choice = choose(system, frame.index, forecast)
+            reusable = (inputs, choice) if choice[1] is not None else None
+        rows, plan, decision = choice
 
         # the planner's price of the frame that ran, which the device realizes;
         # without a plan, the true update cost stands in for the predicted one
@@ -928,7 +945,7 @@ def run_episode(
         uniform = plan.uniform_decision if plan is not None else None
         log = FrameLog(
             index=frame.index,
-            gt_by_view=gt_by_view,
+            gt=frame.gt,
             forecast=forecast,
             assignment=tuple(branches[r].index for r in rows),
             predicted_objective=decision.predicted_objective if decision is not None else None,
@@ -938,14 +955,26 @@ def run_episode(
             predicted_frame_ms=marginal + fixed_ms + update_ms,
             actual_ms=actual,
             compliant=actual <= system.target_ms + 1e-9,
-            outputs=outputs,
+            outputs=forecast.boxes,  # a frame with no detector emits its forecast
         )
         frame_logs.append(log)
 
+        detected = is_detector[rows]  # per view: did a detector run there
+        observed = detected[forecast.views]
+        detections = _NO_BOXES
+        if detected.any():
+            detections = concat_boxes([
+                synth_detect(branches[r], log.gt_by_view[j], system.capability, det_rngs[j],
+                             rig.sectors[j], scenario.despawn_radius_m)
+                if detected[j] else _NO_BOXES
+                for j, r in enumerate(rows)
+            ])
+            log.outputs = concat_boxes((detections, forecast.boxes.take(~observed)))
+        tracker.step(detections.moved(frame.ego, GLOBAL_FRAME), observed)
+
     # every frame at once: its outputs against its ground truth in the scene's
     # order, not split by view, as that order breaks distance ties
-    pairs = [(log.outputs, frame.gt) for log, frame in zip(frame_logs, frames)]
-    summary = summarize(evaluate_pairs(pairs))
+    summary = summarize(evaluate_pairs([(log.outputs, log.gt) for log in frame_logs]))
     n_sched = max(len(frame_logs) - 1, 0)
     n_ok = sum(1 for f in frame_logs[1:] if f.compliant)
     summary["latency"] = {

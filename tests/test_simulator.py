@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import math
 
@@ -666,13 +667,20 @@ def test_episode_summary_equals_the_per_frame_oracle(quickstart_manifest, policy
     assert json.dumps(ep.summary).encode() == json.dumps(want).encode()
 
 
-@pytest.mark.parametrize("policy", ["adaptive", "per_frame"])
-def test_run_episode_logs_the_plan_it_ran(monkeypatch, quickstart_manifest, quickstart_trained,
-                                          policy):
-    man = quickstart_manifest
-    system = SystemConfig(branches=adapt(man.device, man.target_ms), device=man.device,
-                          capability=man.capability, models=quickstart_trained[0],
-                          target_ms=man.target_ms)
+def quickstart_system(man, models, **overrides):
+    return SystemConfig(branches=adapt(man.device, man.target_ms), device=man.device,
+                        capability=man.capability, models=models, target_ms=man.target_ms,
+                        **overrides)
+
+
+def planning_bytes(forecast):
+    """All the planner reads of a forecast, byte for byte."""
+    return (forecast.distributions.tobytes(), forecast.views.tobytes(),
+            forecast.boxes.confidences.tobytes())
+
+
+def spy_on_planner(monkeypatch):
+    """The forecasts `run_episode` hands `schedule_frame`, in order."""
     planned = []
     schedule_frame = simulator.schedule_frame
 
@@ -681,10 +689,33 @@ def test_run_episode_logs_the_plan_it_ran(monkeypatch, quickstart_manifest, quic
         return schedule_frame(forecast, *args)
 
     monkeypatch.setattr(simulator, "schedule_frame", spy)
+    return planned
+
+
+@pytest.mark.parametrize("policy", ["adaptive", "per_frame"])
+def test_run_episode_logs_the_plan_it_ran(monkeypatch, quickstart_manifest, quickstart_trained,
+                                          policy):
+    man = quickstart_manifest
+    system = quickstart_system(man, quickstart_trained[0])
+    planned = spy_on_planner(monkeypatch)
     ep = run_episode(man.scenario, system, policy=policy)
-    # the frame log keeps the very forecast each scheduled frame planned on
-    assert len(planned) == len(ep.scheduled_frames)
-    assert all(f.forecast is p for f, p in zip(ep.scheduled_frames, planned))
+    # the planner runs exactly on the scheduled frames whose planning inputs
+    # differ from the previous scheduled frame's, and the frame log keeps the
+    # very forecast each of them planned on
+    inputs = [planning_bytes(f.forecast) for f in ep.scheduled_frames]
+    replans = [now != before for now, before in zip(inputs, [None, *inputs])]
+    replanned = list(itertools.compress(ep.scheduled_frames, replans))
+    assert len(planned) == len(replanned) < len(ep.scheduled_frames)
+    assert all(f.forecast is p for f, p in zip(replanned, planned))
+    # every other frame reuses the last plan: its forecast's planning inputs
+    # equal the planned forecast's byte for byte, and it runs the same plan
+    for f, replan in zip(ep.scheduled_frames, replans):
+        if replan:
+            last = f
+            continue
+        assert planning_bytes(f.forecast) == planning_bytes(last.forecast)
+        assert (f.assignment, f.predicted_objective, f.uniform_objective, f.t_max_ms) == (
+            last.assignment, last.predicted_objective, last.uniform_objective, last.t_max_ms)
     lats = np.array([branch_latency(b, man.device) for b in system.branches])
     row_of = {b.index: r for r, b in enumerate(system.branches)}
     true_update = LinearLatencyModel(man.device.update_slope_ms_per_track,
@@ -703,6 +734,82 @@ def test_run_episode_logs_the_plan_it_ran(monkeypatch, quickstart_manifest, quic
         if policy == "per_frame":
             assert len(set(f.assignment)) == 1
             assert f.predicted_objective == f.uniform_objective
+
+
+def test_a_plan_depends_on_its_planning_inputs_alone(quickstart_manifest, quickstart_trained):
+    # the contract plan reuse rests on: the planner reads a forecast's
+    # distributions, views and confidences, and nothing else of it
+    man = quickstart_manifest
+    system = quickstart_system(man, quickstart_trained[0])
+    ep = run_episode(man.scenario, system, policy="adaptive")
+    fc = max((f.forecast for f in ep.scheduled_frames), key=lambda fc: len(fc.boxes))
+    boxes = fc.boxes
+    scrambled = scheduler.FrameForecast(
+        core.BoxRows(np.full_like(boxes.rows, np.nan), (boxes.classes + 1) % len(core.CLASSES),
+                     boxes.confidences, -boxes.yaws),
+        fc.views, fc.distributions)
+
+    def plan(forecast):
+        return scheduler.schedule_frame(forecast, system.branches, system.device, system.models,
+                                        system.target_ms, system.alpha)
+
+    assert plan(scrambled) == plan(fc)
+    # and the loop's key tells apart forecasts that differ in any of the three
+    key = simulator.planning_inputs(fc)
+    assert simulator.planning_inputs(scrambled) == key
+    changed = [
+        dataclasses.replace(fc, distributions=fc.distributions[::-1].copy()),
+        dataclasses.replace(fc, views=(fc.views + 1) % CameraRig.default().view_count),
+        dataclasses.replace(
+            fc, boxes=dataclasses.replace(boxes, confidences=boxes.confidences / 2)),
+    ]
+    assert all(simulator.planning_inputs(other) != key for other in changed)
+
+
+@pytest.mark.parametrize("policy", ["adaptive", "per_frame"])
+@pytest.mark.parametrize("timing", [{}, dict(latency_noise_sigma=0.2, sched_margin_ms=4.0)],
+                         ids=["quickstart", "noisy_margin"])
+def test_every_scheduled_frame_logs_what_a_fresh_plan_gives(quickstart_manifest,
+                                                            quickstart_trained, policy, timing):
+    # re-planning every scheduled frame from its logged forecast gives what
+    # the frame logged, bit for bit, whether the loop planned it or reused a plan
+    man = quickstart_manifest
+    system = quickstart_system(man, quickstart_trained[0], **timing)
+    ep = run_episode(man.scenario, system, policy=policy)
+    lats = np.array([branch_latency(b, man.device) for b in system.branches])
+    for f in ep.scheduled_frames:
+        plan = scheduler.schedule_frame(f.forecast, system.branches, system.device,
+                                        system.models, system.target_ms - system.sched_margin_ms,
+                                        system.alpha)
+        decision = plan.uniform_decision if policy == "per_frame" else plan.decision
+        rows = list(decision.assignment) if decision else [0] * len(f.forecast.distributions)
+        marginal = assignment_latency(rows, lats, system.alpha)
+        assert f.assignment == tuple(system.branches[r].index for r in rows)
+        assert f.predicted_objective == (decision.predicted_objective if decision else None)
+        assert f.uniform_objective == (
+            plan.uniform_decision.predicted_objective if plan.uniform_decision else None)
+        assert f.t_max_ms == plan.t_max_ms
+        assert f.predicted_frame_ms == marginal + fixed_latency(man.device) + plan.update_pred_ms
+
+
+def test_an_empty_scene_plans_once_and_rotates_every_frame(monkeypatch):
+    # no object ever exists and the detector makes no false positive, so every
+    # scheduled frame's forecast is the same empty one
+    scenario = small_scenario(duration_s=2.0, initial_count=0, spawn_rate_per_s=0.0)
+    system = tiny_system(models=constant_models(), capability=perfect_capability())
+    planned = spy_on_planner(monkeypatch)
+    ep = run_episode(scenario, system, policy="adaptive")
+    assert all(len(f.forecast.boxes) == 0 for f in ep.frames)
+    assert len(planned) == 1 and planned[0] is ep.scheduled_frames[0].forecast
+    assert len({f.assignment for f in ep.scheduled_frames}) == 1
+    # a planless chooser is asked on every frame: the rotation follows the index
+    ep = run_episode(scenario, system, policy="round_robin")
+    rotate = simulator.POLICIES["round_robin"].choose
+    for f in ep.scheduled_frames:
+        rows, _, _ = rotate(system, f.index, f.forecast)
+        assert f.assignment == tuple(system.branches[r].index for r in rows)
+    assert len({f.assignment for f in ep.scheduled_frames}) > 1
+    assert len(planned) == 1
 
 
 @pytest.mark.parametrize("policy", ["adaptive", "round_robin"])
@@ -743,6 +850,46 @@ def test_run_episode_places_views_once_per_frame(monkeypatch):
         for n in (len(log.forecast.boxes), len(frame.gt))
     ]
     assert calls == want
+
+
+def same_boxes(a, b):
+    return all(np.array_equal(getattr(a, column), getattr(b, column))
+               for column in ("rows", "classes", "confidences", "yaws"))
+
+
+@pytest.mark.parametrize("policy", ["adaptive", "round_robin", "all_tracker"])
+def test_frame_log_splits_its_ground_truth_by_view(policy):
+    scenario = small_scenario(duration_s=1.5)
+    rig = CameraRig.default()
+    ep = run_episode(scenario, tiny_system(models=constant_models()), policy=policy)
+    for log, frame in zip(ep.frames, generate_scenario(scenario)):
+        # the log keeps the scene's ground truth, in the scene's order
+        assert same_boxes(log.gt, frame.gt)
+        want = log.gt.by_view(core.views_of(log.gt.rows, rig), rig.view_count)
+        assert len(log.gt_by_view) == len(want)
+        assert all(map(same_boxes, log.gt_by_view, want))
+        assert log.gt_by_view is log.gt_by_view  # split once
+
+
+@pytest.mark.parametrize("deployed", [1, 6], ids=["tracker_only", "tiny"])
+def test_ground_truth_is_split_only_where_a_detector_runs(monkeypatch, deployed):
+    original = simulator.views_of
+    calls = []
+
+    def counting(rows, rig):
+        calls.append(len(rows))
+        return original(rows, rig)
+
+    monkeypatch.setattr(simulator, "views_of", counting)
+    scenario = small_scenario(duration_s=1.5)
+    system = tiny_system(branches=enumerate_branches()[:deployed])
+    ep = run_episode(scenario, system, policy="all_tracker")
+    # only the warm-up frame can run a detector: the heaviest deployed branch,
+    # which is the tracker when it is the only one
+    frames = generate_scenario(scenario)
+    assert calls == ([] if deployed == 1 else [len(frames[0].gt)])
+    # a frame with no detector emits its forecast as it is
+    assert all(log.outputs is log.forecast.boxes for log in ep.frames[deployed > 1:])
 
 
 def test_system_config_validation():
