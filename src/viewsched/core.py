@@ -14,6 +14,7 @@ parallel arrays (`BoxRows`). Bearings and planar norms go through `math` by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -78,14 +79,18 @@ class CameraRig:
             raise ValueError("rig needs at least one sector")
         self._sectors = tuple((float(lo), float(hi)) for lo, hi in sectors)
         self._validate_partition()
+        # every sector test, and the fallback's search over starts, is
+        # constant between consecutive bounds, so the view of each bound
+        # holds up to the next
         lo, hi = np.array(self._sectors).T
-        self._lo, self._hi = lo[:, None], hi[:, None]
-        self._by_start = np.argsort(lo, kind="stable")
-        self._starts = lo[self._by_start]
+        self._bounds = np.sort(np.concatenate([lo, hi, [-math.pi]]))
+        self._bound_views = _views_by_rule(lo, hi, self._bounds)
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def default(cls, view_count: int = 6) -> "CameraRig":
-        """Evenly split rig; view 0 is centered on the +x axis."""
+        """Evenly split rig; view 0 is centered on the +x axis. One rig per
+        view count is built and shared."""
         if view_count < 1:
             raise ValueError("view_count must be >= 1")
         width = TWO_PI / view_count
@@ -130,20 +135,29 @@ class CameraRig:
                 raise ValueError("sectors overlap or leave gaps")
 
     def views_of_angles(self, angles: np.ndarray) -> np.ndarray:
-        """The view of every angle: the sector that holds it.
+        """The view of every angle: the sector that holds it, looked up in
+        the bounds compiled at construction.
 
         Partition validation tolerates 1e-9 of construction rounding between
         adjacent edges, so an angle can fall into a float-width gap no sector
-        covers exactly. It goes to the sector whose start is nearest
-        at-or-below it (wrapping below the smallest start), which agrees with
-        the exact rule everywhere else.
+        covers exactly, or into an overlap two sectors cover. It goes to the
+        first listed sector that holds it, else to the sector whose start is
+        nearest at-or-below it (wrapping below the smallest start), which
+        agrees with the exact rule everywhere else.
         """
         a = wrap_angles(angles)
         a[a == math.pi] = -math.pi  # sectors live on [-pi, pi)
-        lo, hi = self._lo, self._hi
-        inside = np.where(lo < hi, (lo <= a) & (a < hi), (a >= lo) | (a < hi))
-        below = self._by_start[np.searchsorted(self._starts, a, side="right") - 1]
-        return np.where(inside.any(axis=0), inside.argmax(axis=0), below)
+        return self._bound_views.take(np.searchsorted(self._bounds, a, side="right") - 1)
+
+
+def _views_by_rule(lo: np.ndarray, hi: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """`CameraRig.views_of_angles`' rule, sector by sector, at every angle
+    of `a` in [-pi, pi); sectors with lo > hi wrap through +/-pi."""
+    by_start = np.argsort(lo, kind="stable")
+    below = by_start[np.searchsorted(lo[by_start], a, side="right") - 1]
+    lo, hi = lo[:, None], hi[:, None]
+    inside = np.where(lo < hi, (lo <= a) & (a < hi), (a >= lo) | (a < hi))
+    return np.where(inside.any(axis=0), inside.argmax(axis=0), below)
 
 
 def wrap_angles(angles: np.ndarray) -> np.ndarray:

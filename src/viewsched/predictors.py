@@ -63,12 +63,16 @@ def accuracy_features(
     ratios = np.asarray(distributions, dtype=np.float64)
     conf = np.asarray(confidences, dtype=np.float64)
     views = np.asarray(views)
-    # each view's own mean: a bincount sum would add in another order
+    # each view's mean as `np.mean` takes it, one reduce over the view's
+    # boxes in their order: a bincount or reduceat sum would add in another
+    # order; views outside [0, len(ratios)) fall outside every segment
+    order = np.argsort(views, kind="stable")
+    ends = np.searchsorted(views[order], np.arange(len(ratios) + 1)).tolist()
+    grouped = conf[order]
     view_conf = np.zeros(len(ratios))
-    for v in range(len(ratios)):
-        here = conf[views == v]
-        if len(here):
-            view_conf[v] = here.mean()
+    for v, (a, b) in enumerate(zip(ends, ends[1:])):
+        if b > a:
+            view_conf[v] = np.add.reduce(grouped[a:b]) / (b - a)
     out = np.zeros((len(idx), len(ratios), FEATURE_WIDTH))
     out[:, :, :NUM_CATEGORIES] = ratios
     out[np.arange(len(idx)), :, NUM_CATEGORIES + idx] = 1.0
@@ -407,10 +411,12 @@ class GBRTModel:
         for _ in range(self._depth):
             go_left = cells.take(row_start + self._split.take(node)) <= threshold.take(node)
             node = self._child.take(node + len(self._split) * go_left)
-        out = np.full(len(x), self.base_score, dtype=np.float64)
-        for step in self.learning_rate * self.nodes.value.take(node):
-            out += step
-        return out
+        # row 0 the base score, then each tree's step; accumulate adds them in
+        # tree order, where an axis-0 reduce of one row would sum pairwise
+        steps = np.empty((len(node) + 1, len(x)))
+        steps[0] = self.base_score
+        np.multiply(self.learning_rate, self.nodes.value.take(node), out=steps[1:])
+        return np.add.accumulate(steps, axis=0)[-1]
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
         return np.clip(self.raw_batch(x), 0.0, 1.0)

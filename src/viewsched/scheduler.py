@@ -111,6 +111,11 @@ class ScheduleProblem:
         """`_pricing` of this problem, computed once for `solve` and `best_uniform`."""
         return _pricing(self)
 
+    @functools.cached_property
+    def ticks(self) -> np.ndarray:
+        """`_score_ticks` of the scores, computed once for `solve` and `best_uniform`."""
+        return _score_ticks(self.scores)
+
 
 @dataclass(frozen=True)
 class ScheduleDecision:
@@ -135,12 +140,13 @@ def normalize_scores(scores: np.ndarray, latencies_ms: np.ndarray) -> np.ndarray
     with a diagnostic; relative order within a column holds either way."""
     scores = np.asarray(scores, dtype=np.float64)
     ref = scores[most_powerful_row(latencies_ms)]
-    out = scores.copy()
-    out[:, ref > 0.0] /= ref[ref > 0.0]
-    for j in np.flatnonzero(~(ref > 0.0)):
-        logger.warning(
-            "view %d: reference branch score %.4f is not positive; leaving column raw", j, ref[j]
-        )
+    positive = ref > 0.0
+    out = np.divide(scores, ref, out=scores.copy(), where=positive)
+    if not positive.all():
+        for j in np.flatnonzero(~positive):
+            logger.warning(
+                "view %d: reference branch score %.4f is not positive; leaving column raw",
+                j, ref[j])
     return out
 
 
@@ -373,7 +379,7 @@ def solve(problem: ScheduleProblem) -> ScheduleDecision:
         logger.warning("alpha=%.3f with %d views and %d branches exceeds the exact-batching "
                        "limit; pricing without the batching discount (conservative)",
                        problem.alpha, n, problem.num_branches)
-    ticks = _score_ticks(problem.scores)
+    ticks = problem.ticks
     contested = np.arange(n)
     if problem.latencies_ms[0] == 0.0:
         contested = np.flatnonzero(ticks[0] < ticks.max(axis=0))
@@ -437,7 +443,7 @@ def best_uniform(problem: ScheduleProblem) -> Optional[ScheduleDecision]:
     n = problem.num_views
     alpha, prices, budget, _ = problem.pricing
     cost_units = prices[n - 1] if alpha < 1.0 else prices[0] * n
-    ticks = _score_ticks(problem.scores)
+    ticks = problem.ticks
     totals = ticks.sum(axis=1)
     latency = {i: group_cost(float(problem.latencies_ms[i]), n, problem.alpha)
                for i in range(problem.num_branches) if cost_units[i] <= budget}

@@ -326,7 +326,8 @@ class MultiObjectTracker:
         Unmatched tracks are penalized (confidence exactly halved) only in
         observed rows; tracks below the confidence threshold are dropped.
         Survivors keep their order; unmatched detections follow as new tracks
-        with fresh, never-reused ids.
+        with fresh, never-reused ids. A step with no detections and no
+        observed row is a pure predict step: the forecast itself goes live.
         """
         if self._pending is None:
             raise ValueError("step needs a pending forecast: call forecast(dt) first")
@@ -335,6 +336,9 @@ class MultiObjectTracker:
         if missed.shape != (len(forecast),):
             raise ValueError("observed must hold one flag per forecast row")
         self._pending = None
+        if not len(detections) and not missed.any():
+            self.tracks = forecast
+            return forecast
         matches, unmatched = associate(forecast, detections, self.config, dt)
 
         means, covs, yaws = forecast.means, forecast.covariances, forecast.yaws.copy()

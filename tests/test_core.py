@@ -130,16 +130,17 @@ def test_view_of_angle_is_stable_on_sector_edges():
         assert view_at(rig, lo) == v_lo
 
 
-def _gapped_rig(view_count: int, gap: float) -> CameraRig:
-    """The default rig with its first sector cut short by `gap` (< 1e-9)."""
+def _gapped_rig(view_count: int, gap: float, order=None) -> CameraRig:
+    """The default rig with its first sector cut short by `gap` (|gap| < 1e-9;
+    a negative gap overlaps the next sector), its sectors listed in `order`."""
     sectors = list(CameraRig.default(view_count).sectors)
     lo, hi = sectors[0]
     sectors[0] = (lo, hi - gap)
-    return CameraRig(sectors)
+    return CameraRig([sectors[k] for k in (order or range(view_count))])
 
 
 def _edge_angles(rig: CameraRig):
-    out = [math.pi, -math.pi, 0.0, 3 * math.pi, -3 * math.pi]
+    out = [math.pi, -math.pi, 0.0, 3 * math.pi, -3 * math.pi, math.nan]
     for lo, hi in rig.sectors:
         for edge in (lo, hi):
             out += [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf),
@@ -149,16 +150,29 @@ def _edge_angles(rig: CameraRig):
 
 @settings(max_examples=150, deadline=None)
 @given(
+    data=st.data(),
     view_count=st.integers(1, 24),
-    gap=st.sampled_from((0.0, 1e-12, 5e-10)),
+    gap=st.sampled_from((0.0, 1e-12, 5e-10, -1e-12, -5e-10)),
+    shuffled=st.booleans(),
     angles=st.lists(st.floats(-10.0, 10.0), max_size=20),
 )
-def test_vectorised_view_assignment_matches_view_of_angle(view_count, gap, angles):
-    rig = _gapped_rig(view_count, gap) if gap else CameraRig.default(view_count)
+def test_vectorised_view_assignment_matches_view_of_angle(data, view_count, gap, shuffled,
+                                                         angles):
+    if gap < 0:  # an overlap needs a second sector
+        view_count = max(view_count, 2)
+    order = data.draw(st.permutations(range(view_count))) if shuffled else None
+    rig = _gapped_rig(view_count, gap, order) if gap or order else CameraRig.default(view_count)
     probe = angles + _edge_angles(rig)
     got = rig.views_of_angles(np.array(probe))
     assert got.tolist() == [view_of_angle(rig, a) for a in probe]
     assert repr(wrap_angles(np.array(probe)).tolist()) == repr([wrap_angle(a) for a in probe])
+
+
+def test_the_default_rig_is_built_once_per_view_count():
+    assert CameraRig.default(6) is CameraRig.default(6)
+    assert CameraRig.default() is CameraRig.default()
+    assert CameraRig.default(4) is not CameraRig.default(6)
+    assert CameraRig.default(4).view_count == 4
 
 
 @settings(max_examples=150, deadline=None)

@@ -123,6 +123,8 @@ def _oracle_features(distributions, views, confidences, branch_indices):
 
 # 13 boxes in view 1, whose pairwise mean differs from a running one
 _EIGHT_PLUS = [(1, 0.1 + 0.07 * k) for k in range(13)] + [(4, 0.3)]
+# 143 boxes in view 2 among others, past NumPy's 128-value pairwise block
+_ONE_VIEW_BLOCK = [(2 if k % 7 else k % 5, 0.013 + 0.0071 * k) for k in range(161)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,6 +140,9 @@ _EIGHT_PLUS = [(1, 0.1 + 0.07 * k) for k in range(13)] + [(4, 0.3)]
 @example(view_count=6, boxes=_EIGHT_PLUS, branch_indices=[0, 16], seed=2)  # pairwise mean
 @example(view_count=6, boxes=_EIGHT_PLUS, branch_indices=[3, 5, 9], seed=3)  # no tracker
 @example(view_count=1, boxes=[(0, 0.9), (0, 0.7)], branch_indices=[0], seed=4)  # one view
+@example(view_count=6, boxes=_ONE_VIEW_BLOCK, branch_indices=[0, 2], seed=5)  # past one block
+@example(view_count=3, boxes=[(1, 0.4), (3, 0.9), (5, 0.2), (0, 0.6)], branch_indices=[0],
+         seed=6)  # views at and past the view count
 def test_accuracy_features_match_the_two_step_oracle(view_count, boxes, branch_indices, seed):
     distributions = np.random.default_rng(seed).dirichlet(np.ones(NUM_CATEGORIES), view_count)
     views = np.array([v for v, _ in boxes], dtype=np.int64)
@@ -628,16 +633,25 @@ def _random_tree(draw, width: int, values: List[float]) -> _Tree:
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), width=st.integers(1, 6), rows=st.integers(0, 40),
-       rate=st.sampled_from((0.1, 0.3, 1.0)), base=st.floats(-1.0, 2.0))
-def test_stacked_ensemble_matches_the_per_tree_sum(data, width, rows, rate, base):
-    values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
-    trees = data.draw(st.lists(_random_tree(width, values), min_size=0, max_size=12))
-    # features drawn from the thresholds themselves land exactly on a split
-    x = np.array(data.draw(st.lists(
-        st.lists(st.sampled_from(values) | st.floats(-3.0, 3.0), min_size=width,
-                 max_size=width),
-        min_size=rows, max_size=rows,
-    ))).reshape(rows, width)
+       rate=st.sampled_from((0.1, 0.3, 1.0)), base=st.floats(-1.0, 2.0),
+       leaves=st.none())
+@example(data=None, width=2, rows=1, rate=0.1, base=0.3,  # one row: a reduce goes pairwise
+         leaves=[1.0 / (k + 3) for k in range(9)])
+@example(data=None, width=3, rows=5, rate=0.3, base=0.7, leaves=[])  # no trees
+@example(data=None, width=3, rows=0, rate=1.0, base=0.2, leaves=[0.5, -0.25])  # no rows
+def test_stacked_ensemble_matches_the_per_tree_sum(data, width, rows, rate, base, leaves):
+    if leaves is None:
+        values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))
+        trees = data.draw(st.lists(_random_tree(width, values), min_size=0, max_size=12))
+        # features drawn from the thresholds themselves land exactly on a split
+        x = np.array(data.draw(st.lists(
+            st.lists(st.sampled_from(values) | st.floats(-3.0, 3.0), min_size=width,
+                     max_size=width),
+            min_size=rows, max_size=rows,
+        ))).reshape(rows, width)
+    else:  # one leaf per tree, which every row reaches
+        trees = [([-1], [0.0], [-1], [-1], [v]) for v in leaves]
+        x = np.linspace(-1.0, 1.0, rows * width).reshape(rows, width)
     model = GBRTModel.from_dict({
         "version": predictors.MODEL_FORMAT_VERSION, "kind": "gbrt", "n_features": width,
         "base_score": base, "learning_rate": rate,

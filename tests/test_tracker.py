@@ -595,6 +595,18 @@ def _same_tracks(table, want):
             (0.1, [], [False, True])],
     threshold=0.3,
 )
+@example(  # nothing to fold in from no tracks, then births, then only predict steps
+    starts=[],
+    frames=[(0.1, [], [False]), (0.1, [(1.0, 1.0, (1.0, 0.0), 0, 0.9, 1.6, 0.2)], None),
+            (0.1, [], [False]), (0.5, [], [False]), (0.0, [], [False])],
+    threshold=0.1,
+)
+@example(  # nothing to fold in on live tracks; the low one is dropped only when observed
+    starts=[(0.0, 0.0, (1.0, 0.0), 0, 0.9, 0.0, 0.3), (3.0, 3.0, (0.0, 0.0), 3, 0.15, 0.0, 1.0)],
+    frames=[(0.1, [], [False]), (0.5, [], [False]), (0.1, [], [False, True]),
+            (0.1, [], [False])],
+    threshold=0.1,
+)
 def test_step_matches_the_per_track_tracker(starts, frames, threshold):
     model = KalmanModel()
     config = TrackerConfig(confidence_threshold=threshold)
@@ -623,3 +635,20 @@ def test_step_matches_the_per_track_tracker(starts, frames, threshold):
         for name, handler in logs.items():
             logging.getLogger(name).removeHandler(handler)
     assert logs["viewsched.tracker"].messages == logs["box_oracles"].messages
+
+
+@pytest.mark.parametrize("starts", [0, 3])
+def test_a_step_with_nothing_to_fold_in_makes_the_forecast_live(starts):
+    tracker = MultiObjectTracker()
+    for k in range(starts):
+        tracker.forecast(0.1)
+        tracker.step(det(3.0 * k, 1.0), np.ones(len(tracker.tracks), dtype=bool))
+    for dt in (0.1, 0.5):
+        forecast = tracker.forecast(dt)
+        assert tracker.step(NO_BOXES, np.zeros(len(forecast), dtype=bool)) is forecast
+        assert tracker.tracks is forecast
+        assert len(forecast) == starts
+        assert forecast.ids.dtype == forecast.classes.dtype == np.int64
+    # the next step needs a new forecast, as after any step
+    with pytest.raises(ValueError, match="pending forecast"):
+        tracker.step(NO_BOXES, np.zeros(starts, dtype=bool))
