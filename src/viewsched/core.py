@@ -7,8 +7,8 @@ camera rig's angular sectors, and the 80-bin object category grid
 
 Boxes are rows, from the ground truth through detection and tracking to the
 metrics: one (n, 9) float64 array laid out as (x, y, z, vx, vy, vz, w, h, l),
-the tracker's state layout, with the class codes, confidences and yaws in
-parallel arrays (`BoxRows`). Bearings and planar norms go through `math` by
+the tracker's state layout, with the class codes and confidences in parallel
+arrays (`BoxRows`). Bearings and planar norms go through `math` by
 `math_map`, as NumPy's atan2 and hypot do not always round as `math`'s do.
 """
 
@@ -191,38 +191,34 @@ class BoxRows:
                   velocity m/s along the frame's axes, size m
     classes     : (n,) int64 class codes, indices into `CLASSES`
     confidences : (n,) float64, each in [0, 1]
-    yaws        : (n,) float64 headings, radians in (-pi, pi]
     """
 
     rows: np.ndarray
     classes: np.ndarray
     confidences: np.ndarray
-    yaws: np.ndarray
 
     def __len__(self) -> int:
         return len(self.classes)
 
     @classmethod
-    def of(cls, rows, classes, confidences, yaws) -> BoxRows:
-        """Boxes from per-box sequences: rows of 9 numbers, class codes,
-        confidences and yaws."""
+    def of(cls, rows, classes, confidences) -> BoxRows:
+        """Boxes from per-box sequences: rows of 9 numbers, class codes and
+        confidences."""
         return cls(
             np.array(rows, dtype=np.float64).reshape(-1, 9),
             np.array(classes, dtype=np.int64),
             np.array(confidences, dtype=np.float64),
-            np.array(yaws, dtype=np.float64),
         )
 
     def take(self, index) -> BoxRows:
         """The boxes a boolean mask or an index array selects, in its order."""
-        return BoxRows(self.rows[index], self.classes[index], self.confidences[index],
-                       self.yaws[index])
+        return BoxRows(self.rows[index], self.classes[index], self.confidences[index])
 
     def by_view(self, views: np.ndarray, view_count: int) -> Tuple[BoxRows, ...]:
         """The boxes split by their views (`views_of` their rows), in order."""
         ends = np.cumsum(np.bincount(views, minlength=view_count)).tolist()
         grouped = self.take(np.argsort(views, kind="stable"))
-        columns = (grouped.rows, grouped.classes, grouped.confidences, grouped.yaws)
+        columns = (grouped.rows, grouped.classes, grouped.confidences)
         return tuple(BoxRows(*(c[a:b] for c in columns)) for a, b in zip([0, *ends], ends))
 
     def moved(self, from_pose: EgoPose, to_pose: EgoPose) -> BoxRows:
@@ -230,13 +226,16 @@ class BoxRows:
         if not len(self):
             return self
         return BoxRows(transform_rows(self.rows, from_pose, to_pose), self.classes,
-                       self.confidences, transform_yaws(self.yaws, from_pose, to_pose))
+                       self.confidences)
+
+
+NO_BOXES = BoxRows.of((), (), ())
 
 
 def concat_boxes(parts: Sequence[BoxRows]) -> BoxRows:
     """The boxes of every part, part after part."""
     return BoxRows(*(np.concatenate(column) for column in zip(*(
-        (p.rows, p.classes, p.confidences, p.yaws) for p in parts))))
+        (p.rows, p.classes, p.confidences) for p in parts))))
 
 
 def views_of(rows: np.ndarray, rig: CameraRig) -> np.ndarray:
@@ -313,13 +312,3 @@ def transform_rows(rows: np.ndarray, from_pose: EgoPose, to_pose: EgoPose) -> np
         out[:, 0], out[:, 1], out[:, 3], out[:, 4], from_pose, to_pose
     )
     return out
-
-
-def transform_yaws(yaws: np.ndarray, from_pose: EgoPose, to_pose: EgoPose) -> np.ndarray:
-    """Headings given in `from_pose`'s frame, turned into `to_pose`'s frame and
-    wrapped to (-pi, pi]. A Python loop: a frame holds a few dozen boxes,
-    which NumPy's per-call cost would outweigh."""
-    start, end = from_pose.yaw, to_pose.yaw
-    return np.array(
-        [wrap_angle(wrap_angle(yaw) + start - end) for yaw in yaws.tolist()], dtype=np.float64
-    )

@@ -21,7 +21,7 @@ from typing import ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import CLASSES, BoxRows, ObjectClass, math_map
+from .core import CLASSES, NO_BOXES, BoxRows, ObjectClass, math_map
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,10 @@ class Matches:
     velocity: np.ndarray
 
 
-_NO_BOXES = BoxRows.of([], [], [], [])
-
-
 def _stacked(parts: Sequence[BoxRows]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every part's boxes, part after part: their part index, class code, the
     center and velocity columns of their rows, and confidences."""
-    boxes = [_NO_BOXES, *parts]  # a part at least, for np.concatenate
+    boxes = [NO_BOXES, *parts]  # a part at least, for np.concatenate
     classes = [b.classes for b in boxes]
     part = np.repeat(np.arange(-1, len(parts)), list(map(len, classes)))
     rows = np.concatenate([b.rows[:, :5] for b in boxes])  # the matcher reads no size

@@ -46,7 +46,6 @@ from .core import (
     EgoPose,
     distribution,
     transform_rows,
-    transform_yaws,
     views_of,
 )
 from .predictors import FEATURE_WIDTH, PerformanceModels, accuracy_features
@@ -475,8 +474,7 @@ def frame_forecast(tracks: TrackTable, ego_pose: EgoPose, rig: CameraRig) -> Fra
     ego-frame boxes, views and distributions."""
     rows = transform_rows(tracks.means, GLOBAL_FRAME, ego_pose)
     views = views_of(rows, rig)
-    boxes = BoxRows(rows, tracks.classes, tracks.confidences,
-                    transform_yaws(tracks.yaws, GLOBAL_FRAME, ego_pose))
+    boxes = BoxRows(rows, tracks.classes, tracks.confidences)
     return FrameForecast(boxes, views, distribution(rows, views, rig.view_count))
 
 
@@ -542,8 +540,7 @@ def sched(
 ) -> ScheduleDecision:
     """One-call planning entry point: forecast `tracks` (global frame) dt
     ahead, place them in `ego_pose`'s frame with `frame_forecast` and plan;
-    see `schedule_frame`. The placed boxes carry their ego-frame yaws, which
-    the plan does not read."""
+    see `schedule_frame`."""
     predicted = forecast_all(TrackTable.of(tracks), dt, kalman or KalmanModel())
     return schedule_frame(
         frame_forecast(predicted, ego_pose, rig), branches, device, models, target_ms, alpha

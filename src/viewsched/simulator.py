@@ -46,6 +46,7 @@ from .branches import (
 from .core import (
     CLASSES,
     GLOBAL_FRAME,
+    NO_BOXES,
     NUM_DISTANCE_LEVELS,
     NUM_SIZE_LEVELS,
     NUM_VELOCITY_LEVELS,
@@ -306,14 +307,13 @@ class GroundTruthFrame:
 
     index: int
     ego: EgoPose
-    ids: Tuple[int, ...]
-    gt: BoxRows  # ego frame, parallel to ids
+    gt: BoxRows  # ego frame
 
 
 # A live object is one row: its global box row (x, y, z, vx, vy, vz, w, h, l)
-# laid out like the tracker's state, then its yaw and the yaw rate its
-# velocity heading drifts at.
-_YAW, _YAW_RATE = 9, 10
+# laid out like the tracker's state, then the yaw rate its velocity heading
+# drifts at.
+_YAW_RATE = 9
 
 
 def _spawn_row(
@@ -341,7 +341,7 @@ def _spawn_row(
     turn = config.turn_rate_max_rps
     yaw_rate = rng.uniform(-turn, turn) if turn > 0 else 0.0
     velocity = [speed * math.cos(heading), speed * math.sin(heading), 0.0]
-    return cls, [x, y, h / 2.0, *velocity, w, h, l, heading, yaw_rate]
+    return cls, [x, y, h / 2.0, *velocity, w, h, l, yaw_rate]
 
 
 def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
@@ -357,15 +357,14 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
     weights = np.array([config.class_mix[c] for c in classes])
     probs = weights / weights.sum()
     state = np.empty((0, _YAW_RATE + 1))
-    live: List[Tuple[int, int]] = []  # each row's id and class code
-    new_ids = itertools.count(1)
+    live: List[int] = []  # each row's class code
 
     def spawn(count: int, center: EgoPose, radius: float, inward: bool) -> None:
         nonlocal state
         for _ in range(count):
             cls, row = _spawn_row(rng, config, classes, probs, center, radius, inward)
             state = np.vstack([state, row])
-            live.append((next(new_ids), CLASSES.index(cls)))
+            live.append(CLASSES.index(cls))
 
     spawn(config.initial_count, config.ego.pose_at(0.0), config.world_radius_m * 0.92, False)
     frames: List[GroundTruthFrame] = []
@@ -381,19 +380,14 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
             if sigma > 0:
                 state[:, 3:5] += rng.normal(0.0, sigma, (len(state), 2))
             state[:, :3] += state[:, 3:6] * dt
-            moving = math_map(math.hypot, state[:, 3], state[:, 4]) > 0.1
-            heading = math_map(math.atan2, state[:, 4], state[:, 3])
-            state[:, _YAW] = np.where(moving, heading, state[:, _YAW])
             gap = math_map(math.hypot, state[:, 0] - pose.x, state[:, 1] - pose.y)
             keep = gap <= config.despawn_radius_m
             state, live = state[keep], list(itertools.compress(live, keep))
             spawn(int(rng.poisson(config.spawn_rate_per_s * dt)), pose,
                   config.world_radius_m * 0.999, True)
 
-        codes = np.array([code for _, code in live], dtype=np.int64)
-        gt = BoxRows(state[:, :_YAW], codes, np.ones(len(live)), state[:, _YAW])
-        frames.append(GroundTruthFrame(i, pose, tuple(oid for oid, _ in live),
-                                       gt.moved(GLOBAL_FRAME, pose)))
+        gt = BoxRows(state[:, :_YAW_RATE], np.array(live, dtype=np.int64), np.ones(len(live)))
+        frames.append(GroundTruthFrame(i, pose, gt.moved(GLOBAL_FRAME, pose)))
     return frames
 
 
@@ -604,7 +598,6 @@ def default_capability() -> CapabilityProfile:
 _FP_CLASSES = tuple(sorted(CLASS_DIMS, key=lambda c: c.value))  # a false positive's classes
 _FP_CODES = tuple(CLASSES.index(c) for c in _FP_CLASSES)
 _NO_SIZE_NOISE = (0.0, 0.0, 0.0)
-_NO_BOXES = BoxRows.of((), (), (), ())
 
 
 def _confidence(rng: np.random.Generator, mean: float, sd: float, c: ConfidenceParams) -> float:
@@ -637,11 +630,10 @@ def synth_detect(
     rows: List[List[float]] = []
     classes: List[int] = []
     confidences: List[float] = []
-    yaws: List[float] = []
     if levels is None:
         levels = category_levels(boxes.rows)
-    for (x, y, z, vx, vy, vz, *size), (dist, vel, vol), cls, yaw in zip(
-        boxes.rows.tolist(), levels.tolist(), boxes.classes.tolist(), boxes.yaws.tolist()
+    for (x, y, z, vx, vy, vz, *size), (dist, vel, vol), cls in zip(
+        boxes.rows.tolist(), levels.tolist(), boxes.classes.tolist()
     ):
         if rng.random() >= row.recall[dist]:
             continue
@@ -655,7 +647,6 @@ def synth_detect(
                      *(max(float(s + d), 0.05) for s, d in zip(size, dsize))])
         classes.append(cls)
         confidences.append(_confidence(rng, c.tp_mean, c.tp_sd, c))
-        yaws.append(yaw)
 
     lam = row.fp_rate
     n_fp = int(rng.poisson(lam)) if lam > 0 else 0
@@ -668,14 +659,13 @@ def synth_detect(
         theta = wrap_angle(lo + rng.uniform(0.0, width))
         k = int(rng.integers(0, len(_FP_CLASSES)))
         w, h, l = CLASS_DIMS[_FP_CLASSES[k]]
-        heading = rng.uniform(-math.pi, math.pi)
+        heading = rng.uniform(-math.pi, math.pi)  # sets the velocity; the box keeps no heading
         speed = rng.uniform(0.0, 3.0)
         rows.append([r * math.cos(theta), r * math.sin(theta), h / 2.0,
                      speed * math.cos(heading), speed * math.sin(heading), 0.0, w, h, l])
         classes.append(_FP_CODES[k])
         confidences.append(_confidence(rng, c.fp_mean, c.fp_sd, c))
-        yaws.append(wrap_angle(heading))
-    return BoxRows.of(rows, classes, confidences, yaws) if rows else _NO_BOXES
+    return BoxRows.of(rows, classes, confidences) if rows else NO_BOXES
 
 
 # -- closed loop ---------------------------------------------------------------
@@ -961,12 +951,12 @@ def run_episode(
 
         detected = is_detector[rows]  # per view: did a detector run there
         observed = detected[forecast.views]
-        detections = _NO_BOXES
+        detections = NO_BOXES
         if detected.any():
             detections = concat_boxes([
                 synth_detect(branches[r], log.gt_by_view[j], system.capability, det_rngs[j],
                              rig.sectors[j], scenario.despawn_radius_m)
-                if detected[j] else _NO_BOXES
+                if detected[j] else NO_BOXES
                 for j, r in enumerate(rows)
             ])
             log.outputs = concat_boxes((detections, forecast.boxes.take(~observed)))

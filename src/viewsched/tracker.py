@@ -1,8 +1,8 @@
 """3D multi-object tracking with a constant-velocity Kalman filter.
 
 State per track is 9-dimensional: (x, y, z, vx, vy, vz, w, h, l), the row
-layout of `core.BoxRows`. Yaw is carried alongside but not filtered. Tracks
-are one `TrackTable` of columns, as in AB3DMOT (Weng et al., IROS 2020).
+layout of `core.BoxRows`; a track keeps no heading. Tracks are one
+`TrackTable` of columns, as in AB3DMOT (Weng et al., IROS 2020).
 `forecast_all`, `associate` and `update` are pure and batched over its rows:
 one step advances every track, every (track, detection) pair is gated and
 costed at once on the forecast means and the detection rows, and one Kalman
@@ -87,7 +87,7 @@ class TrackerConfig:
 @dataclass(frozen=True)
 class TrackState:
     """One track as a record, the form `TrackTable.of` reads (`scheduler.sched`
-    takes its tracks this way)."""
+    takes its tracks this way). Nothing reads `yaw`: `TrackTable.of` drops it."""
 
     track_id: int
     mean: np.ndarray  # (9,)
@@ -104,7 +104,6 @@ class TrackTable:
     ids         : (T,) int64 track ids, never reused
     classes     : (T,) int64 class codes, indices into `core.CLASSES`
     confidences : (T,) float64, halved on each miss in an observed view
-    yaws        : (T,) float64 headings, carried but not filtered
     means       : (T, 9) float64 states, in the `core.BoxRows` row layout
     covariances : (T, 9, 9) float64
     """
@@ -112,7 +111,6 @@ class TrackTable:
     ids: np.ndarray
     classes: np.ndarray
     confidences: np.ndarray
-    yaws: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
 
@@ -126,7 +124,6 @@ class TrackTable:
             np.array([t.track_id for t in states], dtype=np.int64),
             class_codes(t.cls for t in states),
             np.array([t.confidence for t in states], dtype=np.float64),
-            np.array([t.yaw for t in states], dtype=np.float64),
             np.array([t.mean for t in states], dtype=np.float64).reshape(-1, STATE_DIM),
             np.array([t.covariance for t in states], dtype=np.float64).reshape(
                 -1, STATE_DIM, STATE_DIM),
@@ -134,7 +131,7 @@ class TrackTable:
 
     def columns(self) -> Tuple[np.ndarray, ...]:
         """Every column, in field order."""
-        return (self.ids, self.classes, self.confidences, self.yaws, self.means, self.covariances)
+        return (self.ids, self.classes, self.confidences, self.means, self.covariances)
 
     def take(self, index) -> TrackTable:
         """The tracks a boolean mask or an index array selects, in its order."""
@@ -341,7 +338,7 @@ class MultiObjectTracker:
             return forecast
         matches, unmatched = associate(forecast, detections, self.config, dt)
 
-        means, covs, yaws = forecast.means, forecast.covariances, forecast.yaws.copy()
+        means, covs = forecast.means, forecast.covariances
         confidences = forecast.confidences.copy()
         if matches:
             ti, di = np.array(matches).T
@@ -349,18 +346,16 @@ class MultiObjectTracker:
             means[ti], covs[ti] = update(
                 means[ti], covs[ti], detections.rows[di], self.model, forecast.ids[ti])
             confidences[ti] = np.maximum(confidences[ti], detections.confidences[di])
-            yaws[ti] = detections.yaws[di]
             missed[ti] = False
         confidences[missed] *= self.config.confidence_halving
         removed = missed & (confidences < self.config.confidence_threshold)
-        survivors = TrackTable(forecast.ids, forecast.classes, confidences, yaws, means,
+        survivors = TrackTable(forecast.ids, forecast.classes, confidences, means,
                                covs).take(~removed)
 
         born = detections.take(unmatched)
         n = len(born)
         births = TrackTable(
-            np.arange(self._next_id, self._next_id + n), born.classes, born.confidences,
-            born.yaws, born.rows,
+            np.arange(self._next_id, self._next_id + n), born.classes, born.confidences, born.rows,
             np.broadcast_to(self.model.birth_cov(), (n, STATE_DIM, STATE_DIM)))
         self._next_id += n
         self.tracks = TrackTable(*map(np.concatenate, zip(survivors.columns(), births.columns())))

@@ -3,9 +3,9 @@ and track-table code.
 
 The package carries boxes as rows (`core.BoxRows`). Before it did, every box
 was a `Box3D` object, moved, placed, categorized, detected, tracked and scored
-one at a time. That code is kept here verbatim, module by module, with
-converters between the two forms, so each bit-for-bit property runs the row
-code against it:
+one at a time. That code is kept here, module by module, less the headings
+that nothing read, with converters between the two forms, so each
+bit-for-bit property runs the row code against it:
 
 - core: `Box3D`, `CategoryLevel`, `categorize`, `ego_transform` (with
   `box_to_global` / `box_to_ego`), `view_of` and the rig's `view_of_angle`
@@ -70,18 +70,16 @@ def to_rows(boxes: Sequence["Box3D"]) -> BoxRows:
         [[*b.center, *b.velocity, *b.size] for b in boxes],
         [CLASSES.index(b.cls) for b in boxes],
         [b.confidence for b in boxes],
-        [b.yaw for b in boxes],
     )
 
 
 def to_boxes(boxes: BoxRows) -> List["Box3D"]:
     """Box rows as boxes, with the same numbers."""
     return [
-        Box3D(center=(x, y, z), size=(w, h, l), velocity=(vx, vy, vz), yaw=yaw,
-              cls=CLASSES[code], confidence=conf)
-        for (x, y, z, vx, vy, vz, w, h, l), code, conf, yaw in zip(
-            boxes.rows.tolist(), boxes.classes.tolist(), boxes.confidences.tolist(),
-            boxes.yaws.tolist())
+        Box3D(center=(x, y, z), size=(w, h, l), velocity=(vx, vy, vz), cls=CLASSES[code],
+              confidence=conf)
+        for (x, y, z, vx, vy, vz, w, h, l), code, conf in zip(
+            boxes.rows.tolist(), boxes.classes.tolist(), boxes.confidences.tolist())
     ]
 
 
@@ -95,13 +93,11 @@ class Box3D:
     center : (x, y, z) m
     size   : (w, h, l) m, each > 0
     velocity : (vx, vy, vz) m/s, expressed in the same frame's axes
-    yaw    : heading, radians in (-pi, pi]
     """
 
     center: Tuple[float, float, float]
     size: Tuple[float, float, float]
     velocity: Tuple[float, float, float]
-    yaw: float
     cls: ObjectClass
     confidence: float
 
@@ -110,7 +106,6 @@ class Box3D:
             raise ValueError(f"box size must be positive, got {self.size}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
     @property
     def planar_distance(self) -> float:
@@ -216,9 +211,9 @@ def _planar_transform(x, y, vx, vy, from_pose: EgoPose, to_pose: EgoPose):
 def ego_transform(box: Box3D, from_pose: EgoPose, to_pose: EgoPose) -> Box3D:
     """Re-express a box given in `from_pose`'s frame in `to_pose`'s frame.
 
-    Planar rigid transform: center translates and rotates, velocity and yaw
-    rotate (velocity is a free vector; no ego-motion subtraction), z and size
-    pass through.
+    Planar rigid transform: center translates and rotates, velocity rotates
+    (velocity is a free vector; no ego-motion subtraction), z and size pass
+    through.
     """
     nx, ny, nvx, nvy = _planar_transform(
         box.center[0], box.center[1], box.velocity[0], box.velocity[1], from_pose, to_pose
@@ -227,7 +222,6 @@ def ego_transform(box: Box3D, from_pose: EgoPose, to_pose: EgoPose) -> Box3D:
         center=(nx, ny, box.center[2]),
         size=box.size,
         velocity=(nvx, nvy, box.velocity[2]),
-        yaw=wrap_angle(box.yaw + from_pose.yaw - to_pose.yaw),
         cls=box.cls,
         confidence=box.confidence,
     )
@@ -254,7 +248,6 @@ def track_box(track: TrackState) -> Box3D:
         center=(float(m[0]), float(m[1]), float(m[2])),
         size=(float(m[6]), float(m[7]), float(m[8])),
         velocity=(float(m[3]), float(m[4]), float(m[5])),
-        yaw=track.yaw,
         cls=track.cls,
         confidence=track.confidence,
     )
@@ -364,7 +357,6 @@ def update(
         mean=mean,
         covariance=cov,
         confidence=max(track.confidence, float(detections.confidences[index])),
-        yaw=float(detections.yaws[index]),
     )
 
 
@@ -412,7 +404,6 @@ class MultiObjectTracker:
 
         classes = detections.classes.tolist()
         confidences = detections.confidences.tolist()
-        yaws = detections.yaws.tolist()
         for di in um_dets:
             new_tracks.append(
                 TrackState(
@@ -421,7 +412,6 @@ class MultiObjectTracker:
                     covariance=self.model.birth_cov(),
                     cls=CLASSES[classes[di]],
                     confidence=confidences[di],
-                    yaw=yaws[di],
                 )
             )
             self._next_id += 1
@@ -473,7 +463,6 @@ def synth_detect(
                 center=(box.center[0] + float(dx), box.center[1] + float(dy), box.center[2]),
                 size=size,  # type: ignore[arg-type]
                 velocity=(box.velocity[0] + float(dvx), box.velocity[1] + float(dvy), box.velocity[2]),
-                yaw=box.yaw,
                 cls=box.cls,
                 confidence=conf,
             )
@@ -490,7 +479,7 @@ def synth_detect(
         theta = wrap_angle(lo + rng.uniform(0.0, width))
         cls_ = _FP_CLASSES[int(rng.integers(0, len(_FP_CLASSES)))]
         dims = CLASS_DIMS[cls_]
-        heading = rng.uniform(-math.pi, math.pi)
+        heading = rng.uniform(-math.pi, math.pi)  # sets the velocity
         speed = rng.uniform(0.0, 3.0)
         conf = _confidence(rng, c.fp_mean, c.fp_sd, c)
         out.append(
@@ -498,7 +487,6 @@ def synth_detect(
                 center=(r * math.cos(theta), r * math.sin(theta), dims[1] / 2.0),
                 size=dims,
                 velocity=(speed * math.cos(heading), speed * math.sin(heading), 0.0),
-                yaw=heading,
                 cls=cls_,
                 confidence=conf,
             )

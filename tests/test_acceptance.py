@@ -62,7 +62,7 @@ from viewsched.tracker import (
 def car(x, y, vx=0.0, vy=0.0, conf=1.0, z=0.8):
     """One car, as box rows."""
     return BoxRows.of([[x, y, z, vx, vy, 0.0, 1.9, 1.6, 4.5]], [CLASSES.index(ObjectClass.CAR)],
-                      [conf], [0.0])
+                      [conf])
 
 
 # -- criterion 1: solver exactness ----------------------------------------------

@@ -1,6 +1,5 @@
 """Geometry, category grid, and frame-transform unit tests."""
 
-import itertools
 import math
 
 import numpy as np
@@ -57,9 +56,9 @@ def distribution_of(boxes, rig):
 
 
 def make_box(x=0.0, y=0.0, z=0.0, vx=0.0, vy=0.0, vz=0.0,
-             w=1.9, h=1.6, l=4.5, yaw=0.0, cls=ObjectClass.CAR, conf=1.0):
-    return Box3D(center=(x, y, z), size=(w, h, l), velocity=(vx, vy, vz),
-                 yaw=yaw, cls=cls, confidence=conf)
+             w=1.9, h=1.6, l=4.5, cls=ObjectClass.CAR, conf=1.0):
+    return Box3D(center=(x, y, z), size=(w, h, l), velocity=(vx, vy, vz), cls=cls,
+                 confidence=conf)
 
 
 # -- angles and boxes ---------------------------------------------------------
@@ -206,12 +205,12 @@ def test_view_of_partitions_the_circle(view_count, angle):
 def test_box_rows_match_their_boxes(rows, pose, edge):
     rows = rows + [(edge, 0.0, 0.0, edge, 0.0, 0.0, 1.0, 1.0, edge),
                    (0.0, -edge, 1.0, 0.0, -edge, 0.0, edge, 1.0, 1.0)]
-    boxes = [make_box(*r, yaw=yaw) for r, yaw in zip(rows, itertools.cycle(_YAWS))]
+    boxes = [make_box(*r) for r in rows]
     ego = EgoPose(pose[0], pose[1], pose[2], 0.0)
     got = transform_rows(box_rows(boxes), GLOBAL_FRAME, ego)
     want = [box_to_ego(b, ego) for b in boxes]
     assert got.tolist() == box_rows(want).tolist()
-    # every box moves as its row does, both ways, yaw and all
+    # every box moves as its row does, both ways
     moved = to_rows(boxes).moved(GLOBAL_FRAME, ego)
     assert repr(to_boxes(moved)) == repr(want)
     assert repr(to_boxes(moved.moved(ego, GLOBAL_FRAME))) == repr(
@@ -224,10 +223,6 @@ def test_box_rows_match_their_boxes(rows, pose, edge):
     assert np.array_equal(
         distribution(got, views_of(got, rig), rig.view_count), _reference_distribution(want, rig)
     )
-
-
-# headings of every kind: wrapped, on the +-pi edge and far outside it
-_YAWS = (0.0, math.pi, -math.pi, 3.5, -7.25, 0.75)
 
 
 def _reference_distribution(boxes, rig):
@@ -252,9 +247,9 @@ def test_category_indices_use_the_planar_norm_of_categorize():
 
 def test_box_rows_split_and_join_in_order():
     boxes = [make_box(x=15.0, conf=0.9), make_box(x=-15.0, cls=ObjectClass.BUS, conf=0.5),
-             make_box(x=16.0, y=0.5, yaw=1.0, conf=0.7)]
+             make_box(x=16.0, y=0.5, conf=0.7)]
     rows = to_rows(boxes)
-    assert len(rows) == 3 and len(BoxRows.of((), (), (), ())) == 0
+    assert len(rows) == 3 and len(BoxRows.of((), (), ())) == 0
     rig = CameraRig.default()
     views = views_of(rows.rows, rig)
     parts = rows.by_view(views, rig.view_count)
@@ -366,12 +361,11 @@ def test_global_ego_round_trip():
                        yaw=float(rng.uniform(-math.pi, math.pi)), t=0.0)
         b = make_box(x=float(rng.normal(0, 20)), y=float(rng.normal(0, 20)),
                      z=float(rng.uniform(0, 3)), vx=float(rng.normal(0, 5)),
-                     vy=float(rng.normal(0, 5)), yaw=float(rng.uniform(-3, 3)))
+                     vy=float(rng.normal(0, 5)))
         back = box_to_ego(box_to_global(b, pose), pose)
         assert np.allclose(back.center, b.center, atol=1e-9)
         assert np.allclose(back.velocity, b.velocity, atol=1e-9)
         assert back.size == b.size
-        assert wrap_angle(back.yaw - b.yaw) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ego_transform_velocity_rotates_but_does_not_translate():
@@ -390,9 +384,8 @@ def test_ego_transform_velocity_rotates_but_does_not_translate():
 def test_ego_transform_between_two_poses_matches_composition():
     a = EgoPose(x=3.0, y=4.0, yaw=0.3, t=0.0)
     c = EgoPose(x=-7.0, y=2.0, yaw=-1.2, t=1.0)
-    b = make_box(x=5.0, y=-1.0, vx=1.0, vy=0.5, yaw=0.7)
+    b = make_box(x=5.0, y=-1.0, vx=1.0, vy=0.5)
     direct = ego_transform(b, a, c)
     via_global = box_to_ego(box_to_global(b, a), c)
     assert np.allclose(direct.center, via_global.center, atol=1e-12)
     assert np.allclose(direct.velocity, via_global.velocity, atol=1e-12)
-    assert wrap_angle(direct.yaw - via_global.yaw) == pytest.approx(0.0, abs=1e-12)

@@ -27,8 +27,8 @@ from viewsched.metrics import (
 
 
 def box(x, y, cls=ObjectClass.CAR, conf=0.9, vx=0.0, vy=0.0):
-    return Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(vx, vy, 0.0),
-                 yaw=0.0, cls=cls, confidence=conf)
+    return Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(vx, vy, 0.0), cls=cls,
+                 confidence=conf)
 
 
 def evaluate_frame(preds, gts, config=None):

@@ -502,7 +502,6 @@ def _reference_synth_detect(
                 center=(box.center[0] + float(dx), box.center[1] + float(dy), box.center[2]),
                 size=size,  # type: ignore[arg-type]
                 velocity=(box.velocity[0] + float(dvx), box.velocity[1] + float(dvy), box.velocity[2]),
-                yaw=box.yaw,
                 cls=box.cls,
                 confidence=conf,
             )
@@ -530,7 +529,6 @@ def _reference_synth_detect(
                 center=(r * math.cos(theta), r * math.sin(theta), dims[1] / 2.0),
                 size=dims,
                 velocity=(speed * math.cos(heading), speed * math.sin(heading), 0.0),
-                yaw=heading,
                 cls=cls_,
                 confidence=conf,
             )
@@ -665,7 +663,6 @@ def ground_truth_boxes(draw):
         center=(draw(coordinate), draw(coordinate), 0.8),
         size=draw(st.sampled_from([CLASS_DIMS[cls], (0.4, 0.4, 0.4), (3.0, 4.0, 14.0)])),
         velocity=(draw(speed), draw(speed), 0.0),
-        yaw=draw(st.floats(-math.pi, math.pi)),
         cls=cls,
         confidence=1.0,
     )

@@ -6,7 +6,9 @@ code reads costs work every frame for no one. This scans the syntax trees of
 attribute loads, `x.field`, and fails on a field that none of them loads.
 The scan matches names, not owners: `device.fixed_ms` counts as a read of
 any record's `fixed_ms`, so a field named like another object's attribute
-can go unread without this test seeing it.
+can go unread without this test seeing it: the scene's object ids,
+`GroundTruthFrame.ids`, went unread for a long time behind `TrackTable.ids`
+before they were removed.
 """
 
 import ast
@@ -17,14 +19,15 @@ import pytest
 
 import viewsched
 from viewsched.cli import RunManifest
+from viewsched.core import BoxRows
 from viewsched.scheduler import FrameForecast, FramePlan, ScheduleDecision
-from viewsched.simulator import EpisodeLog, FrameLog, SystemConfig
+from viewsched.simulator import EpisodeLog, FrameLog, GroundTruthFrame, SystemConfig
 from viewsched.tracker import TrackTable
 
 PACKAGE = Path(viewsched.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RECORDS = (FrameLog, EpisodeLog, FrameForecast, FramePlan, ScheduleDecision, TrackTable,
-           RunManifest, SystemConfig)
+           RunManifest, SystemConfig, BoxRows, GroundTruthFrame)
 
 
 def attributes_read(paths):

@@ -1,12 +1,13 @@
 """Oracle for the row-array scenario generator.
 
 `generate_scenario` moves every live object as one row of an array. The
-functions in the first section are verbatim copies of the generator that came
-before: one `_SimObject` per object, moved in a Python loop, and a global
-`Box3D` per object per frame taken to the ego frame with `box_to_ego` (both
-kept in `box_oracles`). They stay as the reference. Over seeds, jitter, turn
-rates, ego paths and spawn rates, both must give the same ids, ego poses and
-boxes, compared by `repr`, which also tells 0.0 from -0.0.
+functions in the first section are copies of the generator that came before,
+without the object ids and headings that nothing read: one `_SimObject` per
+object, moved in a Python loop, and a global `Box3D` per object per frame
+taken to the ego frame with `box_to_ego` (both kept in `box_oracles`). They
+stay as the reference. Over seeds, jitter, turn rates, ego paths and spawn
+rates, both must give the same ego poses and boxes, compared by `repr`, which
+also tells 0.0 from -0.0.
 """
 
 import math
@@ -27,7 +28,7 @@ from viewsched.simulator import (
     rng_stream,
 )
 
-# -- the earlier generator, verbatim -------------------------------------------
+# -- the earlier generator ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -35,25 +36,21 @@ class GroundTruthFrame:
     index: int
     timestamp: float
     ego: EgoPose
-    ids: Tuple[int, ...]
-    boxes: Tuple[Box3D, ...]  # ego frame, parallel to ids
+    boxes: Tuple[Box3D, ...]  # ego frame
 
 
 @dataclass
 class _SimObject:
-    obj_id: int
     cls: ObjectClass
     pos: np.ndarray  # (3,), global
     vel: np.ndarray  # (3,), global
     size: Tuple[float, float, float]
-    yaw: float
     yaw_rate: float = 0.0  # velocity heading drifts at this rate
 
 
 def _spawn_object(
     rng: np.random.Generator,
     config: ScenarioConfig,
-    obj_id: int,
     center_xy: Tuple[float, float],
     radius: float,
     inward: bool,
@@ -80,12 +77,10 @@ def _spawn_object(
         else 0.0
     )
     return _SimObject(
-        obj_id=obj_id,
         cls=cls,
         pos=np.array([x, y, size[1] / 2.0]),
         vel=np.array([speed * math.cos(heading), speed * math.sin(heading), 0.0]),
         size=size,
-        yaw=heading,
         yaw_rate=yaw_rate,
     )
 
@@ -100,16 +95,12 @@ def _reference_generate_scenario(config: ScenarioConfig) -> List[GroundTruthFram
     rng = rng_stream(config.seed, "scenario")
     dt = config.dt
     objects: List[_SimObject] = []
-    next_id = 1
 
     pose0 = config.ego.pose_at(0.0)
     for _ in range(config.initial_count):
         objects.append(
-            _spawn_object(
-                rng, config, next_id, (pose0.x, pose0.y), config.world_radius_m * 0.92, False
-            )
+            _spawn_object(rng, config, (pose0.x, pose0.y), config.world_radius_m * 0.92, False)
         )
-        next_id += 1
 
     frames: List[GroundTruthFrame] = []
     for i in range(config.frame_count):
@@ -127,9 +118,6 @@ def _reference_generate_scenario(config: ScenarioConfig) -> List[GroundTruthFram
                 if sigma > 0:
                     obj.vel[:2] += rng.normal(0.0, sigma, 2)
                 obj.pos += obj.vel * dt
-                sp = math.hypot(obj.vel[0], obj.vel[1])
-                if sp > 0.1:
-                    obj.yaw = math.atan2(obj.vel[1], obj.vel[0])
             objects = [
                 o
                 for o in objects
@@ -140,32 +128,23 @@ def _reference_generate_scenario(config: ScenarioConfig) -> List[GroundTruthFram
                     _spawn_object(
                         rng,
                         config,
-                        next_id,
                         (pose.x, pose.y),
                         config.world_radius_m * 0.999,
                         True,
                     )
                 )
-                next_id += 1
 
-        ids = []
         boxes = []
         for o in objects:
             global_box = Box3D(
                 center=(float(o.pos[0]), float(o.pos[1]), float(o.pos[2])),
                 size=o.size,
                 velocity=(float(o.vel[0]), float(o.vel[1]), float(o.vel[2])),
-                yaw=o.yaw,
                 cls=o.cls,
                 confidence=1.0,
             )
-            ids.append(o.obj_id)
             boxes.append(box_to_ego(global_box, pose))
-        frames.append(
-            GroundTruthFrame(
-                index=i, timestamp=t, ego=pose, ids=tuple(ids), boxes=tuple(boxes)
-            )
-        )
+        frames.append(GroundTruthFrame(index=i, timestamp=t, ego=pose, boxes=tuple(boxes)))
     return frames
 
 
@@ -210,7 +189,7 @@ def test_row_generator_matches_the_per_object_generator(
     got = generate_scenario(config)
     assert len(got) == len(want) == config.frame_count
     for g, w in zip(got, want):
-        assert (g.index, g.ego.t, g.ids, g.ego) == (w.index, w.timestamp, w.ids, w.ego)
+        assert (g.index, g.ego.t, g.ego) == (w.index, w.timestamp, w.ego)
         assert repr(to_boxes(g.gt)) == repr(list(w.boxes))
         # the rows the views are placed from are the boxes' own numbers
         rows = [[*b.center, *b.velocity, *b.size] for b in w.boxes]

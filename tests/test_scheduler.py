@@ -1,6 +1,7 @@
 """Assignment-solver and frame-planning unit tests."""
 
 import logging
+from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -823,6 +824,35 @@ def test_sched_returns_the_plan_decision():
     d = sched(tracks, 0.1, EgoPose(0, 0, 0, 0), rig, branches, device, models, 33.0)
     plan = schedule_frame(forecast_at_origin(tracks, rig), branches, device, models, 33.0)
     assert d == plan.decision
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tracks=st.lists(
+        st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0), st.floats(-20.0, 20.0),
+                  st.floats(-20.0, 20.0), st.floats(-7.0, 7.0), st.floats(0.0, 1.0),
+                  st.sampled_from(list(ObjectClass))),
+        max_size=30,
+    ),
+    pose=st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(-7.0, 7.0)),
+    alpha=st.sampled_from([1.0, 0.7]),
+)
+def test_sched_reads_no_track_heading(quickstart_trained, tracks, pose, alpha):
+    # `TrackState.yaw` is the one heading left, and neither the track table
+    # nor the plan reads it
+    model = KalmanModel()
+    drawn = [
+        TrackState(track_id=i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
+                   covariance=model.birth_cov(), cls=cls, confidence=conf, yaw=yaw)
+        for i, (x, y, vx, vy, yaw, conf, cls) in enumerate(tracks)
+    ]
+    level = [replace(t, yaw=0.0) for t in drawn]
+    table, leveled = TrackTable.of(drawn), TrackTable.of(level)
+    assert len(table.columns()) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(table.columns(), leveled.columns()))
+    args = (0.1, EgoPose(pose[0], pose[1], pose[2], 0.0), CameraRig.default(),
+            enumerate_branches(), default_device_profile(), quickstart_trained[0], 33.0)
+    assert sched(drawn, *args, alpha=alpha) == sched(level, *args, alpha=alpha)
 
 
 def test_schedule_frame_tight_budget_degenerates_to_tracker():

@@ -31,7 +31,7 @@ from viewsched.tracker import (
 
 def det(x, y, vx=0.0, vy=0.0, cls=ObjectClass.CAR, conf=0.9, z=0.8):
     """One detection, as box rows."""
-    return BoxRows.of([[x, y, z, vx, vy, 0.0, 1.9, 1.6, 4.5]], [CLASSES.index(cls)], [conf], [0.0])
+    return BoxRows.of([[x, y, z, vx, vy, 0.0, 1.9, 1.6, 4.5]], [CLASSES.index(cls)], [conf])
 
 
 def fresh_track(x=0.0, y=0.0, vx=0.0, vy=0.0, conf=0.9, track_id=1):
@@ -110,7 +110,7 @@ def test_a_match_keeps_the_larger_confidence_and_the_next_miss_halves_it():
 
 def test_update_clamps_non_positive_sizes():
     model = KalmanModel()
-    shrunk = BoxRows.of([[0.0, 0.0, 0.8, 0.0, 0.0, 0.0, -9.0, 1.6, -0.1]], [0], [0.9], [0.0])
+    shrunk = BoxRows.of([[0.0, 0.0, 0.8, 0.0, 0.0, 0.0, -9.0, 1.6, -0.1]], [0], [0.9])
     got = fold(fresh_track(), shrunk, model)
     assert got.means[0, 6] == 0.05  # the filter would put it below zero
     assert got.means[0, 7] > 0.05 and 0.05 < got.means[0, 8] < 4.5
@@ -472,8 +472,8 @@ def test_array_association_matches_the_per_pair_loop(tracks, dets, dt):
                    covariance=model.birth_cov(), cls=cls, confidence=0.5)
         for i, (x, y, (vx, vy), cls) in enumerate(tracks)
     ]
-    boxes = [Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(0.0, 0.0, 0.0),
-                   yaw=0.0, cls=cls, confidence=0.9) for x, y, cls in dets]
+    boxes = [Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(0.0, 0.0, 0.0), cls=cls,
+                   confidence=0.9) for x, y, cls in dets]
     config = TrackerConfig()
     want = box_oracles.associate(live, boxes, config, dt)
     assert associate(TrackTable.of(live), to_rows(boxes), config, dt) == want
@@ -537,8 +537,7 @@ _codes = st.sampled_from([0, 3, 5])
 _confs = st.sampled_from([0.05, 0.12, 0.3, 0.9, 1.0])
 _sizes = st.sampled_from([4.5, 1.9, 0.0, -3.0, -40.0])
 _detections = st.lists(
-    st.tuples(_lattice, _lattice, _velocities, _codes, _confs, _sizes,
-              st.floats(-math.pi, math.pi)),
+    st.tuples(_lattice, _lattice, _velocities, _codes, _confs, _sizes),
     max_size=6,
 )
 _frames = st.lists(
@@ -547,8 +546,7 @@ _frames = st.lists(
     min_size=1, max_size=8,
 )
 _starts = st.lists(
-    st.tuples(_lattice, _lattice, _velocities, _codes, _confs, st.sampled_from([0.0, -0.6]),
-              st.floats(-math.pi, math.pi)),
+    st.tuples(_lattice, _lattice, _velocities, _codes, _confs, st.sampled_from([0.0, -0.6])),
     max_size=4,
 )
 
@@ -564,10 +562,9 @@ class _Messages(logging.Handler):
 
 def _detection_rows(dets):
     return BoxRows.of(
-        [[x, y, 0.8, vx, vy, 0.0, 1.9, size, 4.5] for x, y, (vx, vy), _, _, size, _ in dets],
-        [code for _, _, _, code, _, _, _ in dets],
-        [conf for *_, conf, _, _ in dets],
-        [yaw for *_, yaw in dets],
+        [[x, y, 0.8, vx, vy, 0.0, 1.9, size, 4.5] for x, y, (vx, vy), _, _, size in dets],
+        [code for _, _, _, code, _, _ in dets],
+        [conf for *_, conf, _ in dets],
     )
 
 
@@ -575,7 +572,6 @@ def _same_tracks(table, want):
     assert table.ids.tolist() == [t.track_id for t in want]
     assert table.classes.tolist() == [CLASSES.index(t.cls) for t in want]
     for column, values in ((table.confidences, [t.confidence for t in want]),
-                           (table.yaws, [t.yaw for t in want]),
                            (table.means, [t.mean for t in want]),
                            (table.covariances, [t.covariance for t in want])):
         assert column.tobytes() == np.array(values, dtype=np.float64).tobytes()
@@ -584,25 +580,25 @@ def _same_tracks(table, want):
 @settings(max_examples=100, deadline=None)
 @given(starts=_starts, frames=_frames, threshold=st.sampled_from([0.1, 0.3]))
 @example(  # a negative size folded in: the clamp
-    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, 0.0, 0.0)],
-    frames=[(0.1, [(0.0, 0.0, (0.0, 0.0), 0, 0.9, -40.0, 0.0)], None)],
+    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, 0.0)],
+    frames=[(0.1, [(0.0, 0.0, (0.0, 0.0), 0, 0.9, -40.0)], None)],
     threshold=0.1,
 )
 @example(  # a start that lost semidefiniteness, matched: clipped with a warning
-    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, -0.6, 0.0),
-            (3.0, 3.0, (0.0, 0.0), 3, 0.3, 0.0, 1.0)],
-    frames=[(0.1, [(0.5, 0.0, (1.0, 0.0), 0, 0.3, 1.9, 0.5)], [True]),
+    starts=[(0.0, 0.0, (0.0, 0.0), 0, 0.9, -0.6),
+            (3.0, 3.0, (0.0, 0.0), 3, 0.3, 0.0)],
+    frames=[(0.1, [(0.5, 0.0, (1.0, 0.0), 0, 0.3, 1.9)], [True]),
             (0.1, [], [False, True])],
     threshold=0.3,
 )
 @example(  # nothing to fold in from no tracks, then births, then only predict steps
     starts=[],
-    frames=[(0.1, [], [False]), (0.1, [(1.0, 1.0, (1.0, 0.0), 0, 0.9, 1.6, 0.2)], None),
+    frames=[(0.1, [], [False]), (0.1, [(1.0, 1.0, (1.0, 0.0), 0, 0.9, 1.6)], None),
             (0.1, [], [False]), (0.5, [], [False]), (0.0, [], [False])],
     threshold=0.1,
 )
 @example(  # nothing to fold in on live tracks; the low one is dropped only when observed
-    starts=[(0.0, 0.0, (1.0, 0.0), 0, 0.9, 0.0, 0.3), (3.0, 3.0, (0.0, 0.0), 3, 0.15, 0.0, 1.0)],
+    starts=[(0.0, 0.0, (1.0, 0.0), 0, 0.9, 0.0), (3.0, 3.0, (0.0, 0.0), 3, 0.15, 0.0)],
     frames=[(0.1, [], [False]), (0.5, [], [False]), (0.1, [], [False, True]),
             (0.1, [], [False])],
     threshold=0.1,
@@ -613,8 +609,8 @@ def test_step_matches_the_per_track_tracker(starts, frames, threshold):
     start = [
         TrackState(track_id=1000 + i, mean=np.array([x, y, 0.8, vx, vy, 0.0, 1.9, 1.6, 4.5]),
                    covariance=model.birth_cov() + shift * np.eye(9), cls=CLASSES[code],
-                   confidence=conf, yaw=yaw)
-        for i, (x, y, (vx, vy), code, conf, shift, yaw) in enumerate(starts)
+                   confidence=conf)
+        for i, (x, y, (vx, vy), code, conf, shift) in enumerate(starts)
     ]
     tracker, oracle = MultiObjectTracker(config, model), box_oracles.MultiObjectTracker(config, model)
     tracker.tracks, oracle.tracks = TrackTable.of(start), list(start)

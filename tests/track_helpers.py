@@ -4,10 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from viewsched.core import CLASSES, BoxRows, concat_boxes
+from viewsched.core import CLASSES, NO_BOXES, concat_boxes
 from viewsched.tracker import TrackState, update
-
-NO_BOXES = BoxRows.of((), (), (), ())
 
 
 def join(boxes):
@@ -18,11 +16,10 @@ def join(boxes):
 def states(table):
     """Each row of a `TrackTable` as a `TrackState`: `TrackTable.of` undone."""
     return [
-        TrackState(track_id=i, mean=m, covariance=c, cls=CLASSES[code], confidence=conf,
-                   yaw=yaw)
-        for i, code, conf, yaw, m, c in zip(
-            table.ids.tolist(), table.classes.tolist(), table.confidences.tolist(),
-            table.yaws.tolist(), table.means, table.covariances)
+        TrackState(track_id=i, mean=m, covariance=c, cls=CLASSES[code], confidence=conf)
+        for i, code, conf, m, c in zip(
+            table.ids.tolist(), table.classes.tolist(), table.confidences.tolist(), table.means,
+            table.covariances)
     ]
 
 
