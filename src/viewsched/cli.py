@@ -526,10 +526,7 @@ def cmd_train_predictor(man: RunManifest, out: Optional[str]) -> dict:
             "seeds": info["seeds"],
             "final_training_mse": info["final_training_mse"],
             "r2_train": info["r2_train"],
-            "update_model": {
-                "slope_ms_per_track": models.update_latency.slope_ms_per_track,
-                "intercept_ms": models.update_latency.intercept_ms,
-            },
+            "update_model": models.update_latency.to_dict(),
             "model_written": bool(out),
         }
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -533,10 +533,7 @@ class LinearLatencyModel:
         return self.slope_ms_per_track * track_count + self.intercept_ms
 
     def to_dict(self) -> dict:
-        return {
-            "slope_ms_per_track": self.slope_ms_per_track,
-            "intercept_ms": self.intercept_ms,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LinearLatencyModel":

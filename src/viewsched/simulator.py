@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import json
 import math
 import operator
@@ -200,7 +199,9 @@ def _json_pair(key: str, value: object) -> Tuple[float, float]:
 MAX_FRAME_COUNT = 100_000
 
 # a scene starts at most this many objects and spawns at most this many a second
-# (bundled: 12-16 and 2.5-4): generating it costs time quadratic in its objects
+# (bundled: 12-16 and 2.5-4): association's tracks x detections cost matrix and
+# solver, and the scorer's per-class claimed mask, grow with the square of a
+# frame's objects
 MAX_INITIAL_COUNT = 1_000
 MAX_SPAWN_RATE_PER_S = 100.0
 
@@ -265,15 +266,7 @@ class ScenarioConfig:
     def to_dict(self) -> dict:
         return {
             "version": 1,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "fps": self.fps,
-            "world_radius_m": self.world_radius_m,
-            "despawn_radius_m": self.despawn_radius_m,
-            "spawn_rate_per_s": self.spawn_rate_per_s,
-            "initial_count": self.initial_count,
-            "velocity_jitter": self.velocity_jitter,
-            "turn_rate_max_rps": self.turn_rate_max_rps,
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "class_mix": {c.value: w for c, w in self.class_mix.items()},
             "speed_ranges": {c.value: list(r) for c, r in self.speed_ranges.items()},
             "ego": self.ego.to_dict(),
@@ -312,8 +305,8 @@ class GroundTruthFrame:
 
 # A live object is one row: its global box row (x, y, z, vx, vy, vz, w, h, l)
 # laid out like the tracker's state, then the yaw rate its velocity heading
-# drifts at.
-_YAW_RATE = 9
+# drifts at, then its class code.
+_YAW_RATE, _CLASS = 9, 10
 
 
 def _spawn_row(
@@ -324,7 +317,7 @@ def _spawn_row(
     center: EgoPose,
     radius: float,
     inward: bool,
-) -> Tuple[ObjectClass, List[float]]:
+) -> List[float]:
     cls = classes[int(rng.choice(len(classes), p=probs))]
     angle = rng.uniform(-math.pi, math.pi)
     r = radius if inward else radius * math.sqrt(rng.uniform(0.02, 1.0))
@@ -341,7 +334,7 @@ def _spawn_row(
     turn = config.turn_rate_max_rps
     yaw_rate = rng.uniform(-turn, turn) if turn > 0 else 0.0
     velocity = [speed * math.cos(heading), speed * math.sin(heading), 0.0]
-    return cls, [x, y, h / 2.0, *velocity, w, h, l, yaw_rate]
+    return [x, y, h / 2.0, *velocity, w, h, l, yaw_rate, CLASSES.index(cls)]
 
 
 def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
@@ -356,17 +349,14 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
     classes = sorted(config.class_mix, key=lambda c: c.value)
     weights = np.array([config.class_mix[c] for c in classes])
     probs = weights / weights.sum()
-    state = np.empty((0, _YAW_RATE + 1))
-    live: List[int] = []  # each row's class code
 
-    def spawn(count: int, center: EgoPose, radius: float, inward: bool) -> None:
-        nonlocal state
-        for _ in range(count):
-            cls, row = _spawn_row(rng, config, classes, probs, center, radius, inward)
-            state = np.vstack([state, row])
-            live.append(CLASSES.index(cls))
+    def spawn(count: int, center: EgoPose, radius: float, inward: bool) -> np.ndarray:
+        rows = [_spawn_row(rng, config, classes, probs, center, radius, inward)
+                for _ in range(count)]
+        return np.array(rows, dtype=np.float64).reshape(count, _CLASS + 1)
 
-    spawn(config.initial_count, config.ego.pose_at(0.0), config.world_radius_m * 0.92, False)
+    state = spawn(config.initial_count, config.ego.pose_at(0.0), config.world_radius_m * 0.92,
+                  False)
     frames: List[GroundTruthFrame] = []
     for i in range(config.frame_count):
         t = i / config.fps
@@ -381,12 +371,11 @@ def generate_scenario(config: ScenarioConfig) -> List[GroundTruthFrame]:
                 state[:, 3:5] += rng.normal(0.0, sigma, (len(state), 2))
             state[:, :3] += state[:, 3:6] * dt
             gap = math_map(math.hypot, state[:, 0] - pose.x, state[:, 1] - pose.y)
-            keep = gap <= config.despawn_radius_m
-            state, live = state[keep], list(itertools.compress(live, keep))
-            spawn(int(rng.poisson(config.spawn_rate_per_s * dt)), pose,
-                  config.world_radius_m * 0.999, True)
+            born = spawn(int(rng.poisson(config.spawn_rate_per_s * dt)), pose,
+                         config.world_radius_m * 0.999, True)
+            state = np.vstack([state[gap <= config.despawn_radius_m], born])
 
-        gt = BoxRows(state[:, :_YAW_RATE], np.array(live, dtype=np.int64), np.ones(len(live)))
+        gt = BoxRows(state[:, :_YAW_RATE], state[:, _CLASS].astype(np.int64), np.ones(len(state)))
         frames.append(GroundTruthFrame(i, pose, gt.moved(GLOBAL_FRAME, pose)))
     return frames
 

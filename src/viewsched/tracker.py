@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import ClassVar, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,7 +148,8 @@ def forecast_all(tracks: TrackTable, dt: float, model: KalmanModel) -> TrackTabl
     if dt < 0:
         raise ValueError("dt must be non-negative")
     a = model.transition(dt)
-    return TrackTable(*tracks.columns()[:-2], (a @ tracks.means[..., None])[..., 0],
+    return TrackTable(tracks.ids, tracks.classes, tracks.confidences,
+                      (a @ tracks.means[..., None])[..., 0],
                       a @ tracks.covariances @ a.T + model.process_cov(dt))
 
 
@@ -157,19 +158,18 @@ def associate(
     detections: BoxRows,
     config: TrackerConfig,
     dt: float,
-) -> Tuple[List[Tuple[int, int]], List[int]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Match forecast tracks to detections.
 
     Cost is planar center distance. A pair is admissible only if the classes
     agree and the distance is within base_gate + track_speed * dt (faster
-    objects are allowed to drift further between frames). Returns
-    (matches as (track_idx, det_idx), unmatched detection indices); the
-    assignment minimizes total admissible cost.
+    objects are allowed to drift further between frames). Returns int64 index
+    arrays (track_idx, det_idx, unmatched): the i-th match pairs track
+    track_idx[i] with detection det_idx[i], tracks ascending, and unmatched
+    holds the other detections, ascending. The assignment minimizes total
+    admissible cost.
     """
     nt, nd = len(tracks), len(detections)
-    if nt == 0 or nd == 0:
-        return [], list(range(nd))
-
     means, rows = tracks.means, detections.rows
     gate = config.base_gate_m + math_map(math.hypot, means[:, 3], means[:, 4]) * dt
     dx = rows[:, 0] - means[:, 0, None]
@@ -180,8 +180,8 @@ def associate(
 
     ti, di = linear_sum_assignment(cost)
     admissible = cost[ti, di] < _GATING_COST
-    ti, di = ti[admissible].tolist(), di[admissible].tolist()
-    return list(zip(ti, di)), sorted(set(range(nd)).difference(di))
+    ti, di = ti[admissible], di[admissible]
+    return ti, di, np.delete(np.arange(nd, dtype=np.int64), di)
 
 
 def linear_sum_assignment(cost: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -336,12 +336,11 @@ class MultiObjectTracker:
         if not len(detections) and not missed.any():
             self.tracks = forecast
             return forecast
-        matches, unmatched = associate(forecast, detections, self.config, dt)
+        ti, di, unmatched = associate(forecast, detections, self.config, dt)
 
         means, covs = forecast.means, forecast.covariances
         confidences = forecast.confidences.copy()
-        if matches:
-            ti, di = np.array(matches).T
+        if len(ti):
             means, covs = means.copy(), covs.copy()
             means[ti], covs[ti] = update(
                 means[ti], covs[ti], detections.rows[di], self.model, forecast.ids[ti])

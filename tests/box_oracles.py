@@ -381,14 +381,14 @@ class MultiObjectTracker:
         forecast_ = [forecast(t, dt, self.model) for t in self.tracks]
         if observed is None:
             observed = [True] * len(forecast_)
-        matches, um_dets = associate_rows(
+        track_idx, det_idx, um_dets = associate_rows(
             TrackTable.of(forecast_), detections, self.config, dt)
 
         survivors: List[TrackState] = [None] * len(forecast_)  # type: ignore[list-item]
-        for ti, di in matches:
+        for ti, di in zip(track_idx.tolist(), det_idx.tolist()):
             survivors[ti] = update(forecast_[ti], detections, self.model, di)
 
-        matched = {ti for ti, _ in matches}
+        matched = set(track_idx.tolist())
         for ti, track in enumerate(forecast_):
             if ti in matched:
                 continue
@@ -404,7 +404,7 @@ class MultiObjectTracker:
 
         classes = detections.classes.tolist()
         confidences = detections.confidences.tolist()
-        for di in um_dets:
+        for di in um_dets.tolist():
             new_tracks.append(
                 TrackState(
                     track_id=self._next_id,

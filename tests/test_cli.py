@@ -13,7 +13,7 @@ import math
 import multiprocessing
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +92,90 @@ def test_manifest_overrides_change_fingerprint():
     # overrides are deterministic: same override, same hash
     again = load_manifest("builtin:manifest_quickstart", seed_override=99)
     assert again.fingerprint == reseeded.fingerprint
+
+
+# The fingerprint hashes every effective setting: changing any one of them,
+# and nothing else, moves it. Each scenario field, and each field an ego path
+# kind uses, gets a change here, and a field with none fails the coverage tests.
+_SCENARIO_CHANGES = {
+    "seed": 8,
+    "duration_s": 5.0,
+    "fps": 12.0,
+    "world_radius_m": 55.0,
+    "despawn_radius_m": 65.0,
+    "spawn_rate_per_s": 3.0,
+    "initial_count": 13,
+    "velocity_jitter": 0.4,
+    "turn_rate_max_rps": 0.3,
+    "class_mix": {"car": 0.39, "bus": 0.07},  # merged into the bundled table
+    "speed_ranges": {"car": [0.0, 15.0]},
+    "ego": {"kind": "straight"},
+}
+# each ego kind's own fields (besides `kind`), and a change to each
+_EGO_KINDS = {
+    "straight": {"speed_mps": 4.0, "heading_rad": 0.3},
+    "circular": {"speed_mps": 4.0, "radius_m": 20.0},
+    "waypoints": {"speed_mps": 4.0, "points": [[0.0, 0.0], [10.0, 0.0]]},
+}
+_EGO_CHANGES = {"speed_mps": 5.5, "heading_rad": 0.5, "radius_m": 25.0,
+                "points": [[0.0, 0.0], [10.0, 5.0]]}
+_MANIFEST_CHANGES = {
+    "target_ms": 40.0,
+    "alpha": 0.7,
+    "latency_noise_sigma": 0.05,
+    "sched_margin_ms": 1.0,
+    "memory_limit_mb": 300.0,
+    "training": {"seeds": [101, 203]},
+    "model": "models.json",  # never opened: only whether one is given is hashed
+}
+
+
+def _fingerprint(tmp_path, scenario_changes=(), **manifest_changes):
+    """The fingerprint of the quickstart manifest, its scenario given as a
+    file with `scenario_changes` merged in, and `manifest_changes` set."""
+    scenario = load_manifest("builtin:manifest_quickstart").scenario.to_dict()
+    for key, value in dict(scenario_changes).items():
+        scenario[key] = {**scenario[key], **value} if isinstance(value, dict) else value
+    (tmp_path / "scn.json").write_text(json.dumps(scenario))
+    data = {"name": "fingerprinted", "scenario": "scn.json", "device": "builtin:device_orin",
+            "capability": "builtin:capability_default", **manifest_changes}
+    (tmp_path / "m.json").write_text(json.dumps(data))
+    return load_manifest(str(tmp_path / "m.json")).fingerprint
+
+
+def test_every_scenario_and_ego_field_has_a_fingerprint_change():
+    from viewsched.simulator import EgoPath, ScenarioConfig
+
+    assert set(_SCENARIO_CHANGES) == {f.name for f in fields(ScenarioConfig)}
+    assert {"kind", *_EGO_CHANGES} == {f.name for f in fields(EgoPath)}
+    assert {"kind", *(key for own in _EGO_KINDS.values() for key in own)} == {
+        f.name for f in fields(EgoPath)}
+
+
+@pytest.mark.parametrize("key", sorted(_SCENARIO_CHANGES))
+def test_each_scenario_field_moves_the_fingerprint(tmp_path, key):
+    base = _fingerprint(tmp_path)
+    assert _fingerprint(tmp_path, {key: _SCENARIO_CHANGES[key]}) != base
+
+
+@pytest.mark.parametrize("kind,key", [(kind, key) for kind, own in _EGO_KINDS.items()
+                                      for key in own])
+def test_each_field_of_an_ego_kind_moves_the_fingerprint(tmp_path, kind, key):
+    ego = {"kind": kind, **_EGO_KINDS[kind]}
+    base = _fingerprint(tmp_path, {"ego": ego})
+    assert _fingerprint(tmp_path, {"ego": {**ego, key: _EGO_CHANGES[key]}}) != base
+
+
+def test_each_ego_kind_has_its_own_fingerprint(tmp_path):
+    prints = {_fingerprint(tmp_path, {"ego": {"kind": kind, **own}})
+              for kind, own in _EGO_KINDS.items()}
+    assert len(prints) == len(_EGO_KINDS)
+
+
+@pytest.mark.parametrize("key", sorted(_MANIFEST_CHANGES))
+def test_each_manifest_setting_moves_the_fingerprint(tmp_path, key):
+    base = _fingerprint(tmp_path)
+    assert _fingerprint(tmp_path, **{key: _MANIFEST_CHANGES[key]}) != base
 
 
 def test_manifest_missing_keys_rejected(tmp_path):

@@ -443,7 +443,9 @@ def test_misses_count_only_in_covered_views_of_the_ego_frame(positions, pose, co
 
 
 # The per-pair association loop (`box_oracles.associate`) is the reference
-# for the array one: the same matches and the same unmatched detections. Lattice positions and 3-4-5 speeds put pairs exactly on the gate.
+# for the array one: its (track, detection) pairs, in order, are the array
+# one's index arrays read side by side, and its unmatched detections are the
+# array one's. Lattice positions and 3-4-5 speeds put pairs exactly on the gate.
 
 _lattice = st.sampled_from([-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0])
 _pair_classes = st.sampled_from([ObjectClass.CAR, ObjectClass.PEDESTRIAN, ObjectClass.BUS])
@@ -459,6 +461,11 @@ _velocities = st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (3.0, 4.0), (-0.6, 0.8),
 @example(tracks=[], dets=[(0.0, 0.0, ObjectClass.CAR)], dt=0.1)
 @example(tracks=[(0.0, 0.0, (0.0, 0.0), ObjectClass.CAR)], dets=[], dt=0.1)
 @example(tracks=[], dets=[], dt=0.1)
+@example(  # every pair gated: one class off, one beyond the gate
+    tracks=[(0.0, 0.0, (0.0, 0.0), ObjectClass.CAR), (4.0, 4.0, (0.0, 0.0), ObjectClass.BUS)],
+    dets=[(0.0, 0.0, ObjectClass.PEDESTRIAN), (-3.0, -3.0, ObjectClass.CAR)],
+    dt=0.1,
+)
 @example(  # one at the gate of a still track, one at the gate of a moving one, one class off
     tracks=[(0.0, 0.0, (0.0, 0.0), ObjectClass.CAR), (0.0, 0.0, (3.0, 4.0), ObjectClass.CAR)],
     dets=[(2.0, 0.0, ObjectClass.CAR), (-3.0, 0.0, ObjectClass.CAR),
@@ -475,8 +482,14 @@ def test_array_association_matches_the_per_pair_loop(tracks, dets, dt):
     boxes = [Box3D(center=(x, y, 0.8), size=(1.9, 1.6, 4.5), velocity=(0.0, 0.0, 0.0), cls=cls,
                    confidence=0.9) for x, y, cls in dets]
     config = TrackerConfig()
-    want = box_oracles.associate(live, boxes, config, dt)
-    assert associate(TrackTable.of(live), to_rows(boxes), config, dt) == want
+    pairs, unmatched = box_oracles.associate(live, boxes, config, dt)
+    got = associate(TrackTable.of(live), to_rows(boxes), config, dt)
+    assert [a.dtype for a in got] == [np.int64] * 3
+    track_idx, det_idx, free = got
+    assert list(zip(track_idx.tolist(), det_idx.tolist())) == pairs
+    assert free.tolist() == unmatched
+    if not pairs:  # no tracks, no detections, or every pair gated
+        assert free.tolist() == list(range(len(dets)))
 
 
 # SciPy's solver is the reference for the tracker's port of it: the same
